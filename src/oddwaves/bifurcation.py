@@ -11,7 +11,9 @@ Newton solves for the speed c together with the complement coefficients
 {φ_j : j >= 2} of the m-fold cosine basis.  Convergence is measured on the
 full, exactly-evaluated residual (tail modes included), so an accepted point
 is a genuine solution of the truncated problem, not just of its Galerkin
-projection.
+projection.  The Newton matrix is the closed-form (Toeplitz + Hankel)
+Jacobian of ``model``, assembled from φ's amplitudes with the speed
+derivative as its first column.
 """
 
 from __future__ import annotations
@@ -24,10 +26,8 @@ from .errors import ConfigurationError, NumericalError
 from .model import (
     ModelParams,
     OperatorMatrix,
-    _gateaux_from_terms,
+    _jacobian,
     _mfold_indices,
-    _profile_terms,
-    _speed_derivative,
     assemble_jacobian,
     critical_speed,
     d_c_symbol,
@@ -188,15 +188,7 @@ def _newton(c, complement, s, m, p, n, tol, max_iter):
             return c, phi, rnorm, it
         if it == max_iter:
             raise _NoConvergence(rnorm)
-        terms = _profile_terms(phi.with_zero_mean())
-        jac = np.empty((n, n))
-        jac[:, 0] = _speed_derivative(terms, p).b[rows]
-        basis = np.zeros(m * n + 1)
-        for j in range(2, n + 1):
-            basis[m * j] = 1.0
-            col = _gateaux_from_terms(c, terms, CosineSeries(basis), p)
-            jac[:, j - 1] = col.b[rows]
-            basis[m * j] = 0.0
+        jac = _jacobian(c, phi.a, p, m, n, speed_column=True)
         rhs = -res.b[rows]
         try:
             delta = np.linalg.solve(jac, rhs)

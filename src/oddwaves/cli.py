@@ -61,7 +61,13 @@ from .bifurcation import (
     detect_bifurcations,
     transversality,
 )
-from .evolution import EvolutionConfig, evolve, stable_dt, traveling_error, traveling_error_orders
+from .evolution import (
+    EvolutionConfig,
+    _translation_gap,
+    evolve,
+    stable_dt,
+    traveling_error_orders,
+)
 from .holder import SWEEP_GRID, commutator_sweep
 
 DEFAULTS = {
@@ -315,7 +321,7 @@ def cmd_evolve(cfg):
     manifest["mass_drift"] = traj.mass_drift
     manifest["save_times"] = traj.times.tolist()
     if cfg.s != 0:
-        err = traveling_error(point, p, ecfg)
+        err = _translation_gap(point, traj)
         manifest["traveling_error"] = err
         print(f"traveling error over t <= {cfg.tfinal:g}: {err:.6e}")
         if cfg.dt_halving:

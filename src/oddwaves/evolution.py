@@ -170,11 +170,16 @@ def traveling_error(point, p, cfg):
     The translation is applied spectrally (an exact per-mode phase), so the
     comparison has no interpolation error.
     """
-    traj = evolve(point.phi, p, cfg)
+    return _translation_gap(point, evolve(point.phi, p, cfg))
+
+
+def _translation_gap(point, traj):
+    """Largest sup-norm gap between a trajectory started from ``point.phi``
+    and the rigid translation of that profile at speed ``point.c``."""
+    phi = point.phi.pad_to(traj.states[0].n_modes)
     worst = 0.0
     for t, state in zip(traj.times, traj.states):
-        ref = translate(point.phi.pad_to(cfg.n_modes), point.c * t)
-        worst = max(worst, (state - ref).sup_norm())
+        worst = max(worst, (state - translate(phi, point.c * t)).sup_norm())
     return worst
 
 

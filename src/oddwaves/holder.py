@@ -70,7 +70,7 @@ def holder_seminorm(values, alpha):
         dist = 2.0 * np.pi * lag / m
         gap = np.abs(np.roll(vals, -lag) - vals).max()
         best = max(best, gap / dist ** alpha)
-    return best
+    return float(best)
 
 
 def holder_norm(f, k, alpha, grid_size=DEFAULT_GRID):
@@ -105,7 +105,7 @@ def commutator_ratio(a, b, alpha, grid_size=DEFAULT_GRID):
     if den == 0.0:
         raise ConfigurationError("commutator_ratio needs nonzero a and b")
     theta = commutator_h(a, derivative(b, 1))
-    return holder_norm(theta, 1, alpha, grid_size).value / den
+    return float(holder_norm(theta, 1, alpha, grid_size).value / den)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,13 @@ where nontrivial wave branches bifurcate from the flat state.
 Constants are trivial solutions, so profiles are projected to zero mean
 before evaluation.  Every quadratic term is evaluated with exact dealiasing;
 the residual of a degree-N profile is returned exactly, on 2N modes.
+
+The Jacobian on the m-fold cosine basis is assembled in closed form from
+φ's cosine amplitudes: multiplication by a cosine series is Toeplitz +
+Hankel on the cos/sin bases, so every entry is an amplitude of φ at the sum
+or the difference of two frequencies times a polynomial in them (no FFT,
+O(n²) work).  ``gateaux`` keeps the FFT path as the reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -125,7 +132,11 @@ class OperatorMatrix:
 
 def symbol_at(k, c, p):
     """The linearization's multiplier at frequency k and speed c."""
-    k = _check_mode(k)
+    return _symbol(_check_mode(k), c, p)
+
+
+def _symbol(k, c, p):
+    """σ(k, c) for a frequency or an array of frequencies."""
     g = p.alpha0 - p.beta
     return (-(2.0 * c + 1.0 / p.epsilon) * k + 1.0 / p.epsilon
             - (c * p.alpha0 + g / p.epsilon) * k * k)
@@ -145,7 +156,10 @@ def critical_speed(k, p):
 def d_c_symbol(k, p):
     """Speed-derivative of the multiplier: -2k - alpha0 k^2, strictly
     negative for alpha0 > 0 (the transversality quantity)."""
-    k = _check_mode(k)
+    return _d_c_symbol(_check_mode(k), p)
+
+
+def _d_c_symbol(k, p):
     return -2.0 * k - p.alpha0 * k * k
 
 
@@ -285,14 +299,42 @@ def assemble_jacobian(c, phi, p, n, m=1):
         raise ConfigurationError(
             f"phi has {phi.n_modes} modes, exceeding the {m}-fold truncation {m * n}"
         )
-    phi = _even_zero_mean(phi, "phi").pad_to(m * n)
-    terms = _profile_terms(phi)
-    rows = _mfold_indices(m, n)
-    mat = np.empty((n, n))
-    basis = np.zeros(m * n + 1)
-    for j in range(1, n + 1):
-        basis[m * j] = 1.0
-        col = _gateaux_from_terms(c, terms, CosineSeries(basis), p)
-        mat[:, j - 1] = col.b[rows]
-        basis[m * j] = 0.0
-    return OperatorMatrix(matrix=mat, fold=m, truncation=n)
+    return OperatorMatrix(matrix=_jacobian(c, phi.a, p, m, n), fold=m, truncation=n)
+
+
+def _jacobian(c, a, p, m, n, speed_column=False):
+    """The m-fold Jacobian at (c, φ) from φ's cosine amplitudes a (a_0 is
+    ignored, at most mn modes), in closed form and without FFTs.
+
+    Multiplication by a cosine series is Toeplitz + Hankel on the cos/sin
+    bases, so with rows k' and columns k in {m, 2m, ..., nm}, g = α0 - β and
+    a extended evenly (a_{-l} = a_l, a_0 = 0), the sin(k'x) amplitude of the
+    derivative in the direction cos(kx) is
+
+        σ(k, c) δ_{k'k} + a_{k'+k} (k (k'+k-1) + g k³)
+                        + a_{k'-k} (k |k'-k| + [k' < k] ((k'-k) - g (k'-k)³)).
+
+    The quadratic terms contribute the last two summands, which do not
+    depend on c or ε.  With ``speed_column`` the first column is replaced by
+    the speed derivative of the residual, -(2k' + α0 k'²) a_{k'}, as in the
+    amplitude-constrained Newton system.
+    """
+    g = p.alpha0 - p.beta
+    mid = 2 * m * n
+    top = min(a.size - 1, m * n)
+    amp = np.zeros(2 * mid + 1)              # a_l sits at amp[mid + l]
+    amp[mid + 1 : mid + top + 1] = a[1 : top + 1]
+    amp[mid - top : mid] = a[top:0:-1]
+    k = _mfold_indices(m, n)
+    kf = k.astype(float)
+    total = k[:, None] + k                   # k' + k
+    diff = k[:, None] - k                    # k' - k
+    d = diff.astype(float)
+    lag = np.abs(d)
+    jac = amp[mid + total] * (kf * (total - 1) + g * kf ** 3)
+    # (d - |d|) / 2 is k' - k where k' < k and 0 elsewhere
+    jac += amp[mid + diff] * (kf * lag + 0.5 * (d - lag) * (1.0 - g * d * d))
+    jac.flat[:: n + 1] += _symbol(kf, c, p)
+    if speed_column:
+        jac[:, 0] = _d_c_symbol(kf, p) * amp[mid + k]
+    return jac

@@ -6,6 +6,8 @@ form of the traveling-wave residual is assembled term by term as a
 consistency check against the expanded form used in production.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from oddwaves import (
@@ -108,3 +110,56 @@ def residual_first_form(c, phi, p):
         + hilbert(multiply(lam, lam)) \
         - commutator_h(phi, lam) \
         + g * commutator_h(phi, lam3)
+
+
+def exact_gateaux_nonlinear(a, k, g):
+    """Sine amplitudes of the quadratic terms' derivative at the even profile
+    with cosine amplitudes ``a``, in the direction cos(kx), with g = α0 - β.
+    Exact rational arithmetic (product-to-sum formulas, no FFT, no
+    roundoff); returns a dict frequency -> Fraction.
+
+    Series are dicts frequency -> [cos amplitude, sin amplitude].
+    """
+    half = Fraction(1, 2)
+
+    def lin(*terms):
+        out = {}
+        for coef, ser in terms:
+            for j, (c, s) in ser.items():
+                acc = out.setdefault(j, [Fraction(0), Fraction(0)])
+                acc[0] += coef * c
+                acc[1] += coef * s
+        return out
+
+    def hil(ser):
+        return {j: [-s, c] for j, (c, s) in ser.items() if j}
+
+    def der(ser, order=1):
+        for _ in range(order):
+            ser = {j: [j * s, -j * c] for j, (c, s) in ser.items()}
+        return ser
+
+    def mul(f, h):
+        out = {}
+        for i, (c1, s1) in f.items():
+            for j, (c2, s2) in h.items():
+                for freq, c, s in ((i + j, c1 * c2 - s1 * s2, c1 * s2 + s1 * c2),
+                                   (i - j, c1 * c2 + s1 * s2, s1 * c2 - c1 * s2)):
+                    if freq < 0:
+                        freq, s = -freq, -s
+                    acc = out.setdefault(freq, [Fraction(0), Fraction(0)])
+                    acc[0] += half * c
+                    acc[1] += half * s
+        return out
+
+    def comm(f, h):
+        return lin((1, hil(mul(f, h))), (-1, mul(f, hil(h))))
+
+    g = Fraction(g)
+    phi = {j: [Fraction(float(a[j])), Fraction(0)] for j in range(1, len(a)) if a[j]}
+    h = {k: [Fraction(1), Fraction(0)]}
+    hp1, hp3 = hil(der(phi)), hil(der(phi, 3))
+    hh1, hh3 = hil(der(h)), hil(der(h, 3))
+    out = lin((2, hil(mul(hp1, hh1))), (-1, comm(h, hp1)), (-1, comm(phi, hh1)),
+              (-g, comm(h, hp3)), (-g, comm(phi, hh3)))
+    return {j: s for j, (_, s) in out.items()}

@@ -102,6 +102,30 @@ class TestEvolve:
         assert "dt_stable" in payload and "dt_effective" in payload
         assert set(payload["dt_halving"]) == {"dts", "errors", "order"}
 
+    def test_integrates_once(self, tmp_path, monkeypatch):
+        """The traveling error comes from the trajectory the command already
+        integrated, and equals a fresh ``traveling_error`` bit for bit."""
+        from oddwaves import ModelParams, cli, evolution
+        from oddwaves.bifurcation import continue_branch
+
+        evolve, calls = evolution.evolve, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve", counted)
+        monkeypatch.setattr(evolution, "evolve", counted)
+        assert run(tmp_path, "evolve", "--s", "0.01", "--tfinal", "0.02",
+                   "--dt", "0.002", "--modes", "16") == 0
+        assert len(calls) == 1
+
+        payload = read_json(tmp_path, "evolution_manifest.json")["payload"]
+        p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
+        point = continue_branch(1, p, 0.01, n=16).points[-1]
+        cfg = evolution.EvolutionConfig(dt=0.002, t_final=0.02, n_modes=16)
+        assert payload["traveling_error"] == evolution.traveling_error(point, p, cfg)
+
     def test_invalid_dt_exits_2(self, tmp_path):
         assert run(tmp_path, "evolve", "--dt", "0") == 2
 

@@ -165,6 +165,13 @@ class TestSweep:
         assert summ["ensemble"] == 3
         assert summ["max_ratio"] >= summ["mean_ratio"]
 
+    def test_csv_ratios_are_plain_floats(self):
+        res = commutator_sweep(4, 8, seed=5, grid_size=256)
+        assert type(holder_seminorm(np.cos(np.arange(8.0)), 0.5)) is float
+        assert all(type(row.ratio) is float for row in res.rows)
+        for line in res.to_csv().strip().split("\n")[1:]:
+            assert float(line.rsplit(",", 1)[1]) > 0.0  # no "np.float64(...)" cells
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             commutator_sweep(0, 10)

@@ -9,6 +9,7 @@ from oddwaves import (
     ModelParams,
     SineSeries,
     assemble_jacobian,
+    bifurcation,
     critical_speed,
     d_c_symbol,
     gateaux,
@@ -16,9 +17,17 @@ from oddwaves import (
     residual,
     symbol_at,
 )
-from oddwaves.model import d_c_residual
+from oddwaves.bifurcation import continue_branch
+from oddwaves.model import _jacobian, d_c_residual
 
-from helpers import coeff_gap, cosine, random_even, random_mfold_even, residual_first_form
+from helpers import (
+    coeff_gap,
+    cosine,
+    exact_gateaux_nonlinear,
+    random_even,
+    random_mfold_even,
+    residual_first_form,
+)
 
 P = ModelParams(epsilon=1.0, alpha0=1.0, beta=0.0)
 PD = ModelParams(epsilon=0.5, alpha0=1.0, beta=1.0)  # degenerate alpha0 == beta
@@ -257,3 +266,78 @@ class TestJacobianMatrix:
     def test_rejects_oversized_profile(self):
         with pytest.raises(ConfigurationError):
             assemble_jacobian(0.0, cosine(10, 1.0, n=10), P, n=4, m=2)
+
+
+def columnwise_jacobian(c, a, p, m, n, speed_column=False):
+    """The m-fold Jacobian built one column at a time from ``gateaux`` (FFT
+    products); the slow oracle for the closed-form assembler."""
+    phi = CosineSeries(a)
+    rows = m * np.arange(1, n + 1)
+    jac = np.empty((n, n))
+    for j in range(1, n + 1):
+        jac[:, j - 1] = gateaux(c, phi, cosine(m * j, 1.0, n=m * n), p).b[rows]
+    if speed_column:
+        jac[:, 0] = d_c_residual(phi, p).b[rows]
+    return jac
+
+
+class TestClosedFormJacobian:
+    """The Toeplitz + Hankel assembler against the column-by-column path.
+
+    Matrices are compared relative to their largest entry, not entry by
+    entry: the FFT products of the slow path leave roundoff of about 1e-10
+    relative in its near-zero entries.  That roundoff scales with the size
+    of φ times k³, where the third-derivative commutator terms cancel down
+    to much smaller entries, so the FFT comparison uses branch-sized
+    profiles near c_m and exact rational arithmetic covers O(1) profiles.
+    """
+
+    @pytest.mark.parametrize("p", [ModelParams(0.5, 1.0, 0.5), ModelParams(0.5, 1.0, 1.0)])
+    @pytest.mark.parametrize("n", [6, 64])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_columnwise_gateaux(self, m, n, p):
+        rng = np.random.default_rng(100 * m + n)
+        a = np.zeros(m * n + 1)
+        a[0] = rng.standard_normal()  # the mean must be projected out
+        a[m::m] = 0.1 * rng.standard_normal(n) * np.exp(-0.5 * np.arange(1, n + 1))
+        c = critical_speed(m, p) + rng.uniform(-0.1, 0.1)
+
+        slow = columnwise_jacobian(c, a, p, m, n)
+        fast = assemble_jacobian(c, CosineSeries(a), p, n=n, m=m).matrix
+        assert np.abs(fast - slow).max() <= 1e-13 * np.abs(slow).max()
+
+        bordered = _jacobian(c, a, p, m, n, speed_column=True)
+        assert np.array_equal(bordered[:, 1:], fast[:, 1:])
+        speed = d_c_residual(CosineSeries(a), p).b[m::m][:n]
+        assert np.abs(bordered[:, 0] - speed).max() <= 1e-13 * np.abs(speed).max()
+
+    @pytest.mark.parametrize("p", [ModelParams(0.5, 1.0, 0.5), ModelParams(0.5, 1.0, 1.0)])
+    def test_matches_exact_arithmetic(self, p):
+        rng = np.random.default_rng(7)
+        m, n, c = 3, 64, -0.3
+        a = np.zeros(m * n + 1)
+        a[m::m] = rng.standard_normal(n) * np.exp(-0.25 * np.arange(1, n + 1))
+        fast = _jacobian(c, a, p, m, n)
+        scale = np.abs(fast).max()
+        for j in (1, 2, 17, 40, 63, 64):
+            exact = exact_gateaux_nonlinear(a, m * j, p.alpha0 - p.beta)
+            col = np.array([float(exact.get(m * i, 0)) for i in range(1, n + 1)])
+            col[j - 1] += symbol_at(m * j, c, p)
+            assert np.abs(fast[:, j - 1] - col).max() <= 1e-15 * scale
+
+    def test_short_profile_is_padded(self):
+        rng = np.random.default_rng(5)
+        phi = random_mfold_even(rng, 2, 6)
+        fast = assemble_jacobian(0.3, phi, P, n=8, m=2).matrix
+        slow = columnwise_jacobian(0.3, phi.pad_to(16).a, P, 2, 8)
+        assert np.abs(fast - slow).max() <= 1e-13 * np.abs(slow).max()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_branch_unchanged_by_assembler(self, m, monkeypatch):
+        p = ModelParams(0.5, 1.0, 0.5)
+        fast = continue_branch(m, p, 0.05, n=64)
+        monkeypatch.setattr(bifurcation, "_jacobian", columnwise_jacobian)
+        slow = continue_branch(m, p, 0.05, n=64)
+        assert not fast.truncated and not slow.truncated
+        assert [pt.newton_iters for pt in fast.points] == [pt.newton_iters for pt in slow.points]
+        assert np.abs(fast.speeds - slow.speeds).max() <= 1e-12
