@@ -325,7 +325,8 @@ def cmd_evolve(cfg):
         manifest["traveling_error"] = err
         print(f"traveling error over t <= {cfg.tfinal:g}: {err:.6e}")
         if cfg.dt_halving:
-            errs, rates = traveling_error_orders(point, p, ecfg, halvings=1)
+            errs, rates = traveling_error_orders(point, p, ecfg, halvings=1,
+                                                 base_error=err)
             manifest["dt_halving"] = {"dts": [ecfg.dt, ecfg.dt / 2],
                                       "errors": errs, "order": rates[0]}
             print(f"dt halving: errors {errs[0]:.3e} -> {errs[1]:.3e}, "

@@ -183,15 +183,17 @@ def _translation_gap(point, traj):
     return worst
 
 
-def traveling_error_orders(point, p, cfg, halvings=2):
+def traveling_error_orders(point, p, cfg, halvings=2, base_error=None):
     """Traveling errors at dt, dt/2, ..., plus the log2 decay rates between
     consecutive halvings (RK4 should give rates near 4 while the error sits
-    above the converged-profile floor)."""
+    above the converged-profile floor).  A caller that has already
+    integrated at ``cfg.dt`` passes that error as ``base_error``, and only
+    the halved steps are integrated."""
     if halvings < 1:
         raise ConfigurationError("need at least one halving")
     dts = [cfg.dt / 2 ** i for i in range(halvings + 1)]
-    errs = []
-    for dt in dts:
+    errs = [] if base_error is None else [base_error]
+    for dt in dts[len(errs):]:
         sub = EvolutionConfig(dt=dt, t_final=cfg.t_final, n_modes=cfg.n_modes,
                               scheme=cfg.scheme, save_every=cfg.save_every)
         errs.append(traveling_error(point, p, sub))

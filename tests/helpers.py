@@ -163,3 +163,16 @@ def exact_gateaux_nonlinear(a, k, g):
     out = lin((2, hil(mul(hp1, hh1))), (-1, comm(h, hp1)), (-1, comm(phi, hh1)),
               (-g, comm(h, hp3)), (-g, comm(phi, hh3)))
     return {j: s for j, (_, s) in out.items()}
+
+
+def reference_seminorm(values, alpha):
+    """The plain lag loop with ``np.roll`` and no early stop: the slow path
+    ``holder.holder_seminorm`` must reproduce bit for bit on finite input."""
+    vals = np.asarray(values, dtype=float)
+    m = vals.size
+    best = 0.0
+    for lag in range(1, m // 2 + 1):
+        dist = 2.0 * np.pi * lag / m
+        gap = np.abs(np.roll(vals, -lag) - vals).max()
+        best = max(best, gap / dist ** alpha)
+    return float(best)

@@ -126,6 +126,31 @@ class TestEvolve:
         cfg = evolution.EvolutionConfig(dt=0.002, t_final=0.02, n_modes=16)
         assert payload["traveling_error"] == evolution.traveling_error(point, p, cfg)
 
+    def test_dt_halving_integrates_base_dt_once(self, tmp_path, monkeypatch):
+        """--dt-halving reuses the base-dt trajectory and integrates only at
+        dt/2; its block equals a fresh ``traveling_error_orders`` bit for bit."""
+        from oddwaves import ModelParams, cli, evolution
+        from oddwaves.bifurcation import continue_branch
+
+        evolve, calls = evolution.evolve, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].dt)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve", counted)
+        monkeypatch.setattr(evolution, "evolve", counted)
+        assert run(tmp_path, "evolve", "--s", "0.01", "--tfinal", "0.1",
+                   "--dt", "0.002", "--modes", "24", "--dt-halving") == 0
+        assert calls == [0.002, 0.001]
+
+        block = read_json(tmp_path, "evolution_manifest.json")["payload"]["dt_halving"]
+        p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
+        point = continue_branch(1, p, 0.01, n=24).points[-1]
+        cfg = evolution.EvolutionConfig(dt=0.002, t_final=0.1, n_modes=24)
+        errs, rates = evolution.traveling_error_orders(point, p, cfg, halvings=1)
+        assert block == {"dts": [0.002, 0.001], "errors": errs, "order": rates[0]}
+
     def test_invalid_dt_exits_2(self, tmp_path):
         assert run(tmp_path, "evolve", "--dt", "0") == 2
 

@@ -8,11 +8,12 @@ from oddwaves import (
     CosineSeries,
     commutator_ratio,
     commutator_sweep,
+    holder,
     holder_norm,
 )
 from oddwaves.holder import holder_seminorm
 
-from helpers import cosine, random_field
+from helpers import cosine, random_field, reference_seminorm
 
 # Frozen oracle: sup over pairs of |cos x - cos y| / dist(x,y)^{1/2} with the
 # periodic distance.  Brute force on nested grids and maximizing the smooth
@@ -45,6 +46,39 @@ class TestSeminorm:
         vals = cosine(1).values(4096)
         est = holder_seminorm(vals, 0.5)
         assert abs(est - COS_SEMINORM_HALF) < 1e-6
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 1024, 4096])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_equals_reference_bit_for_bit(self, m, alpha):
+        """The early stop keeps the exact maximum of the all-lags loop."""
+        rng = np.random.default_rng(m)
+        x = 2 * np.pi * np.arange(m) / m
+        inputs = {
+            "random": rng.standard_normal(m),
+            "smooth": np.cos(3 * x),
+            "constant": np.full(m, -1.75),
+            "rough": np.cumsum(rng.standard_normal(m)) + np.sign(np.sin(7 * x)),
+        }
+        for name, vals in inputs.items():
+            assert holder_seminorm(vals, alpha) == reference_seminorm(vals, alpha), name
+
+    @pytest.mark.parametrize("m", [2, 7, 1024])
+    def test_nan_sample_gives_nan(self, m):
+        rng = np.random.default_rng(30)
+        for pos in {0, m // 2, m - 1}:
+            vals = rng.standard_normal(m)
+            vals[pos] = np.nan
+            assert np.isnan(holder_seminorm(vals, 0.5))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_isolated_infinity_gives_inf(self, sign):
+        vals = np.cos(2 * np.pi * np.arange(64) / 64)
+        vals[17] = sign * np.inf
+        assert holder_seminorm(vals, 0.5) == np.inf
+
+    def test_fewer_than_two_samples_give_zero(self):
+        for vals in (np.zeros(0), np.array([3.0]), np.array([np.nan])):
+            assert holder_seminorm(vals, 0.5) == 0.0
 
     def test_alpha_range(self):
         with pytest.raises(ConfigurationError):
@@ -171,6 +205,11 @@ class TestSweep:
         assert all(type(row.ratio) is float for row in res.rows)
         for line in res.to_csv().strip().split("\n")[1:]:
             assert float(line.rsplit(",", 1)[1]) > 0.0  # no "np.float64(...)" cells
+
+    def test_rows_equal_with_reference_seminorm(self, monkeypatch):
+        fast = commutator_sweep(150, 40, seed=1234)
+        monkeypatch.setattr(holder, "holder_seminorm", reference_seminorm)
+        assert commutator_sweep(150, 40, seed=1234).rows == fast.rows
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
