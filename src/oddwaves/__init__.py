@@ -20,14 +20,12 @@ from .spectral import (
     zygmund,
 )
 from .model import (
-    LinearSymbol,
     ModelParams,
     OperatorMatrix,
     assemble_jacobian,
     critical_speed,
     d_c_symbol,
     gateaux,
-    linear_symbol,
     residual,
     symbol_at,
 )

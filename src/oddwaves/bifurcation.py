@@ -25,7 +25,6 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 from .model import (
     ModelParams,
-    OperatorMatrix,
     _jacobian,
     _mfold_indices,
     assemble_jacobian,
@@ -40,7 +39,6 @@ __all__ = [
     "BifurcationPoint",
     "BranchPoint",
     "Branch",
-    "OperatorMatrix",
     "detect_bifurcations",
     "kernel_dimension",
     "transversality",

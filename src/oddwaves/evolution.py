@@ -2,14 +2,15 @@
 
 The equation advances f through
 
-    (2 + α0 Λ) f_t = (1/ε) { f_x + H[f] + (α0 - β) H[f_xx] }
-                     + H[(Λ f)²] - ⟦H, f⟧[Λ f] + (α0 - β) ⟦H, f⟧[Λ³ f],
+    (2 + α0 Λ) f_t = B(f),
 
-so the time derivative is the bracket divided, mode by mode, by 2 + α0 k
-(invertible for α0 > 0).  The mean mode is a conserved mass.  Linearizing,
-mode k rotates at frequency ω_k = (k - 1 + (α0 - β) k²) / (ε (2 + α0 k)),
-which equals -k times the critical speed at frequency k: small-amplitude
-waves drift exactly as the bifurcation analysis predicts.
+with B the model's one bracket (``model._bracket``, the same B as in the
+traveling-wave residual R[c, φ] = c (2 + α0 Λ) φ' + B(φ)), so the time
+derivative is B divided, mode by mode, by 2 + α0 k (invertible for
+α0 > 0).  The mean mode is a conserved mass.  Linearizing, mode k rotates
+at frequency ω_k = (k - 1 + (α0 - β) k²) / (ε (2 + α0 k)), which equals -k
+times the critical speed at frequency k: small-amplitude waves drift
+exactly as the bifurcation analysis predicts.
 
 Time stepping is classical RK4 on the Galerkin-truncated system (quadratic
 terms evaluated exactly, then projected).  A branch profile should translate
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .spectral import SpectralField, commutator_h, derivative, hilbert, multiply, translate, zygmund
+from .model import _bracket
+from .spectral import SpectralField, translate
 
 __all__ = [
     "EvolutionConfig",
@@ -96,20 +98,11 @@ def stable_dt(n, p):
 def rhs(f, p):
     """Time derivative of the field, truncated back to f's resolution.
 
-    The quadratic terms are evaluated with exact dealiasing before the
-    Galerkin projection; the inverse mass operator divides mode k by
-    2 + α0 k.
+    The bracket B(f) is evaluated with exact dealiasing before the Galerkin
+    projection; the inverse mass operator divides mode k by 2 + α0 k.
     """
     n = f.n_modes
-    g = p.alpha0 - p.beta
-    lam = zygmund(f)
-    bracket = (1.0 / p.epsilon) * (derivative(f, 1) + hilbert(f)
-                                   + g * hilbert(derivative(f, 2))) \
-        + hilbert(multiply(lam, lam)) \
-        - commutator_h(f, lam)
-    if g != 0.0:
-        bracket = bracket + g * commutator_h(f, zygmund(zygmund(lam)))
-    bracket = bracket.truncate(n)
+    bracket = _bracket(f, p).truncate(n)
     mass = 2.0 + p.alpha0 * np.arange(n + 1)
     return SpectralField(bracket.a / mass, bracket.b / mass,
                          grid_size=bracket.grid_size)

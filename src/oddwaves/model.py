@@ -1,16 +1,26 @@
 """Traveling-wave residual of the odd-viscosity surface-wave model.
 
-A profile φ moving at speed c solves R[c, φ] = 0 with
+The model has one nonlinear bracket, written once as a linear part and a
+bilinear form, with g = α0 - β:
 
-    R[c, φ] = 2c φ' + (c α0 + (α0 - β)/ε) H[φ'']
-              + (1/ε) (φ' + H[φ])
-              + H[(H φ')²] - ⟦H, φ⟧[H φ'] - (α0 - β) ⟦H, φ⟧[H φ'''],
+    B(f)    = L f + Q(f, f),
+    L f     = (1/ε) (f' + H[f] + g H[f'']),
+    Q(u, v) = H[Λu · Λv] - ⟦H, u⟧[Λv - g Λ³v],
 
-where H is the periodic Hilbert transform and ⟦H, f⟧[g] = H(fg) - f H(g).
-Even profiles give odd residuals, so R maps cosine series to sine series.
+where H is the periodic Hilbert transform, Λ = H ∂ the Zygmund operator and
+⟦H, u⟧[w] = H(uw) - u H(w).  The evolution is (2 + α0 Λ) f_t = B(f)
+(``evolution.rhs``), and a profile φ moving at speed c solves R[c, φ] = 0
+with
+
+    R[c, φ] = c (2 + α0 Λ) φ' + B(φ).
+
+The speed derivative (2 + α0 Λ) φ' and the derivative in a profile
+direction h, c (2 + α0 Λ) h' + L h + Q(φ, h) + Q(h, φ), come from the same
+two pieces.  Even profiles give odd residuals, so R maps cosine series to
+sine series.
 
 Linearizing at the flat state diagonalizes in frequency: cos(kx) is sent to
-sin(kx) times the bracket
+sin(kx) times the multiplier
 
     σ(k, c) = -(2c + 1/ε) k + 1/ε - (c α0 + (α0 - β)/ε) k²,
 
@@ -48,17 +58,16 @@ from .spectral import (
     derivative,
     hilbert,
     multiply,
+    zygmund,
 )
 
 __all__ = [
     "ModelParams",
-    "LinearSymbol",
     "OperatorMatrix",
     "residual",
     "gateaux",
     "d_c_residual",
     "symbol_at",
-    "linear_symbol",
     "critical_speed",
     "d_c_symbol",
     "assemble_jacobian",
@@ -98,16 +107,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class LinearSymbol:
-    """Fourier multiplier of the linearization at the flat state: mode k's
-    cosine amplitude is sent to ``value`` times the matching sine amplitude.
-    ``value`` is affine in the speed c for fixed k."""
-
-    k: int
-    value: float
-
-
-@dataclass(frozen=True)
 class OperatorMatrix:
     """Dense matrix of the linearized operator on a truncated m-fold basis.
 
@@ -140,10 +139,6 @@ def _symbol(k, c, p):
     g = p.alpha0 - p.beta
     return (-(2.0 * c + 1.0 / p.epsilon) * k + 1.0 / p.epsilon
             - (c * p.alpha0 + g / p.epsilon) * k * k)
-
-
-def linear_symbol(k, c, p):
-    return LinearSymbol(k=_check_mode(k), value=symbol_at(k, c, p))
 
 
 def critical_speed(k, p):
@@ -189,83 +184,69 @@ def _as_sine(field, who):
     return SineSeries(field.b, grid_size=field.grid_size)
 
 
+def _linear(f, p):
+    """The linear part of the bracket: (1/ε) (f' + H f + g H f'')."""
+    g = p.alpha0 - p.beta
+    return (1.0 / p.epsilon) * (derivative(f, 1) + hilbert(f)
+                                + g * hilbert(derivative(f, 2)))
+
+
+def _quadratic(u, v, p):
+    """The bilinear form of the bracket: H[Λu · Λv] - ⟦H, u⟧[Λv - g Λ³v].
+
+    ⟦H, u⟧ is linear in its argument, so both commutator terms take one
+    commutator; the Λ³ term is skipped when g = α0 - β is zero.
+    """
+    g = p.alpha0 - p.beta
+    lam = zygmund(v)
+    arg = lam if g == 0.0 else lam - g * zygmund(zygmund(lam))
+    return hilbert(multiply(zygmund(u), lam)) - commutator_h(u, arg)
+
+
+def _bracket(f, p):
+    """B(f) = L f + Q(f, f): the right-hand side of (2 + α0 Λ) f_t = B(f)."""
+    return _linear(f, p) + _quadratic(f, f, p)
+
+
+def _transport(f, p):
+    """(2 + α0 Λ) f': the part of the residual that the speed multiplies."""
+    d1 = derivative(f, 1)
+    return 2.0 * d1 + p.alpha0 * zygmund(d1)
+
+
 def residual(c, phi, p):
-    """Traveling-wave residual R[c, φ] as a sine series.
+    """Traveling-wave residual R[c, φ] = c (2 + α0 Λ) φ' + B(φ) as a sine
+    series.
 
     φ must be even; its mean is projected out first (constants solve the
     equation identically).  The result is exact: products carry their full
     degree, so a degree-N input yields the true residual on 2N modes.
     """
     phi = _even_zero_mean(phi, "phi")
-    g = p.alpha0 - p.beta
-    d1 = derivative(phi, 1)
-    d2 = derivative(phi, 2)
-    d3 = derivative(phi, 3)
-    hp1 = hilbert(d1)
-
-    out = (2.0 * c) * d1 \
-        + (c * p.alpha0 + g / p.epsilon) * hilbert(d2) \
-        + (1.0 / p.epsilon) * (d1 + hilbert(phi)) \
-        + hilbert(multiply(hp1, hp1)) \
-        - commutator_h(phi, hp1) \
-        - g * commutator_h(phi, hilbert(d3))
-    return _as_sine(out, "residual")
+    return _as_sine(c * _transport(phi, p) + _bracket(phi, p), "residual")
 
 
 def gateaux(c, phi, h, p):
-    """Derivative of the residual at (c, φ) in the profile direction h.
+    """Derivative of the residual at (c, φ) in the profile direction h:
+    c (2 + α0 Λ) h' + L h + Q(φ, h) + Q(h, φ).
 
-    Linear in h; equals the symmetric bilinear expansion of the quadratic
-    terms plus the linear part, and matches central finite differences of
-    ``residual``.
+    Linear in h; matches central finite differences of ``residual``.
     """
     phi = _even_zero_mean(phi, "phi")
     h = _even_zero_mean(h, "h")
-    terms = _profile_terms(phi)
-    return _as_sine(_gateaux_from_terms(c, terms, h, p), "gateaux")
+    out = c * _transport(h, p) + _linear(h, p) \
+        + _quadratic(phi, h, p) + _quadratic(h, phi, p)
+    return _as_sine(out, "gateaux")
 
 
 def d_c_residual(phi, p):
-    """Speed-derivative of the residual at fixed profile: 2 φ' + α0 H[φ''].
+    """Speed-derivative of the residual at fixed profile: (2 + α0 Λ) φ'.
 
     Exact (the residual is affine in c), so it doubles as the c-column of
     bordered Newton systems.
     """
     phi = _even_zero_mean(phi, "phi")
-    return _as_sine(_speed_derivative(_profile_terms(phi), p), "d_c_residual")
-
-
-def _profile_terms(phi):
-    """Quantities of φ reused across directional derivatives."""
-    d1 = derivative(phi, 1)
-    return {
-        "phi": phi,
-        "hp1": hilbert(d1),                     # H φ'
-        "hp3": hilbert(derivative(phi, 3)),     # H φ'''
-        "d1": d1,
-        "hd2": hilbert(derivative(phi, 2)),     # H φ''
-    }
-
-
-def _gateaux_from_terms(c, terms, h, p):
-    g = p.alpha0 - p.beta
-    dh1 = derivative(h, 1)
-    hh1 = hilbert(dh1)
-    hh3 = hilbert(derivative(h, 3))
-    phi, hp1, hp3 = terms["phi"], terms["hp1"], terms["hp3"]
-    return (2.0 * c) * dh1 \
-        + (c * p.alpha0 + g / p.epsilon) * hilbert(derivative(h, 2)) \
-        + (1.0 / p.epsilon) * (dh1 + hilbert(h)) \
-        + 2.0 * hilbert(multiply(hp1, hh1)) \
-        - commutator_h(h, hp1) \
-        - commutator_h(phi, hh1) \
-        - g * commutator_h(h, hp3) \
-        - g * commutator_h(phi, hh3)
-
-
-def _speed_derivative(terms, p):
-    """d/dc of the residual at fixed φ: 2 φ' + α0 H[φ'']."""
-    return 2.0 * terms["d1"] + p.alpha0 * terms["hd2"]
+    return _as_sine(_transport(phi, p), "d_c_residual")
 
 
 def _mfold_indices(m, n):

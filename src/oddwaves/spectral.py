@@ -42,23 +42,7 @@ __all__ = [
     "translate",
     "hilbert_by_quadrature",
     "zygmund_by_quadrature",
-    "set_hilbert_sign_fault",
 ]
-
-# Test hook (used by the CLI fault-injection mode): the sign applied by the
-# Hilbert transform on the sine -> cosine branch.  Correct value is -1.0.
-# Not thread-safe; only flip it in single-threaded verification runs.
-_HILBERT_SIN_TO_COS_SIGN = -1.0
-
-
-def set_hilbert_sign_fault(enabled):
-    """Inject (or clear) a sign fault in the Hilbert transform.
-
-    Verification hook: with the fault enabled, H[sin(kx)] = +cos(kx) instead
-    of -cos(kx), which the operator-parity checks must catch.
-    """
-    global _HILBERT_SIN_TO_COS_SIGN
-    _HILBERT_SIN_TO_COS_SIGN = 1.0 if enabled else -1.0
 
 
 def _next_pow2(n):
@@ -301,7 +285,7 @@ def hilbert(f):
     Mode map: a_k cos(kx) -> a_k sin(kx), b_k sin(kx) -> -b_k cos(kx) for
     k >= 1; the mean is annihilated.  Swaps the even and odd subspaces.
     """
-    a = _HILBERT_SIN_TO_COS_SIGN * f.b.copy()
+    a = -f.b
     a[0] = 0.0
     b = f.a.copy()
     b[0] = 0.0

@@ -1,9 +1,13 @@
 """Shared builders and independent oracles for the test suite.
 
-The oracles deliberately avoid the library's FFT product path: products are
-formed by direct coefficient convolution, and the first (Zygmund-operator)
-form of the traveling-wave residual is assembled term by term as a
-consistency check against the expanded form used in production.
+Production writes the model's bracket once (``model._bracket``: a linear
+part plus one bilinear form) and derives the residual, its derivatives and
+the evolution right-hand side from it.  The oracles here write each of them
+out on its own: the Zygmund-operator form of the residual term by term; the
+expanded residual, its directional derivative and the evolution right-hand
+side in their earlier hand-written forms (``reference_*``); products by
+direct coefficient convolution; and the quadratic terms' derivative in exact
+rational arithmetic.
 """
 
 from fractions import Fraction
@@ -12,11 +16,13 @@ import numpy as np
 
 from oddwaves import (
     CosineSeries,
+    ModelParams,
     SineSeries,
     SpectralField,
     commutator_h,
     derivative,
     hilbert,
+    multiply,
     zygmund,
 )
 
@@ -94,13 +100,9 @@ def residual_first_form(c, phi, p):
         2cφ' + cα0 Λφ' + (1/ε){φ' + Hφ + (α0-β) Hφ''}
         + H[(Λφ)²] - ⟦H,φ⟧[Λφ] + (α0-β) ⟦H,φ⟧[Λ³φ],
 
-    used only as a cross-check of the expanded production form.
+    with the two commutators taken separately.
     """
-    from oddwaves import multiply
-
-    a = phi.a.copy()
-    a[0] = 0.0
-    phi = CosineSeries(a)
+    phi = _zero_mean(phi)
     g = p.alpha0 - p.beta
     d1 = derivative(phi, 1)
     lam = zygmund(phi)
@@ -110,6 +112,82 @@ def residual_first_form(c, phi, p):
         + hilbert(multiply(lam, lam)) \
         - commutator_h(phi, lam) \
         + g * commutator_h(phi, lam3)
+
+
+# (ε, α0, β) at which the one-bracket forms are checked against the oracles
+ORACLE_PARAMS = [ModelParams(0.5, 1.0, 0.5), ModelParams(1.0, 1.0, 1.0),
+                 ModelParams(0.7, 2.0, -1.0)]
+
+
+def _zero_mean(phi):
+    a = phi.a.copy()
+    a[0] = 0.0
+    return CosineSeries(a)
+
+
+def reference_residual(c, phi, p):
+    """The residual in its expanded form, with five products:
+
+        2cφ' + (cα0 + (α0-β)/ε) H[φ''] + (1/ε)(φ' + H[φ])
+        + H[(Hφ')²] - ⟦H,φ⟧[Hφ'] - (α0-β) ⟦H,φ⟧[H∂³φ].
+    """
+    phi = _zero_mean(phi)
+    g = p.alpha0 - p.beta
+    d1 = derivative(phi, 1)
+    hp1 = hilbert(d1)
+    return (2.0 * c) * d1 \
+        + (c * p.alpha0 + g / p.epsilon) * hilbert(derivative(phi, 2)) \
+        + (1.0 / p.epsilon) * (d1 + hilbert(phi)) \
+        + hilbert(multiply(hp1, hp1)) \
+        - commutator_h(phi, hp1) \
+        - g * commutator_h(phi, hilbert(derivative(phi, 3)))
+
+
+def reference_gateaux(c, phi, h, p):
+    """The derivative of ``reference_residual`` at φ in the direction h,
+    written out term by term, with nine products."""
+    phi, h = _zero_mean(phi), _zero_mean(h)
+    g = p.alpha0 - p.beta
+    hp1 = hilbert(derivative(phi, 1))
+    hp3 = hilbert(derivative(phi, 3))
+    dh1 = derivative(h, 1)
+    hh1 = hilbert(dh1)
+    hh3 = hilbert(derivative(h, 3))
+    return (2.0 * c) * dh1 \
+        + (c * p.alpha0 + g / p.epsilon) * hilbert(derivative(h, 2)) \
+        + (1.0 / p.epsilon) * (dh1 + hilbert(h)) \
+        + 2.0 * hilbert(multiply(hp1, hh1)) \
+        - commutator_h(h, hp1) \
+        - commutator_h(phi, hh1) \
+        - g * commutator_h(h, hp3) \
+        - g * commutator_h(phi, hh3)
+
+
+def reference_rhs(f, p):
+    """The evolution right-hand side with its bracket written out,
+
+        (1/ε){f' + Hf + (α0-β) Hf''} + H[(Λf)²] - ⟦H,f⟧[Λf]
+        + (α0-β) ⟦H,f⟧[Λ³f],
+
+    truncated to f's modes and divided mode by mode by 2 + α0 k.
+    """
+    n = f.n_modes
+    g = p.alpha0 - p.beta
+    lam = zygmund(f)
+    bracket = (1.0 / p.epsilon) * (derivative(f, 1) + hilbert(f)
+                                   + g * hilbert(derivative(f, 2))) \
+        + hilbert(multiply(lam, lam)) \
+        - commutator_h(f, lam) \
+        + g * commutator_h(f, zygmund(zygmund(lam)))
+    bracket = bracket.truncate(n)
+    mass = 2.0 + p.alpha0 * np.arange(n + 1)
+    return SpectralField(bracket.a / mass, bracket.b / mass)
+
+
+def relative_gap(f, g):
+    """Largest coefficient difference between two fields, relative to the
+    largest coefficient of ``g``."""
+    return coeff_gap(f, g) / max(np.abs(g.a).max(), np.abs(g.b).max())
 
 
 def exact_gateaux_nonlinear(a, k, g):

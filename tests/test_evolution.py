@@ -15,13 +15,22 @@ from oddwaves import (
     derivative,
     dispersion_frequency,
     evolve,
+    residual,
     rhs,
     stable_dt,
     traveling_error,
 )
 from oddwaves.evolution import traveling_error_orders
+from oddwaves.model import d_c_residual
 
-from helpers import cosine
+from helpers import (
+    ORACLE_PARAMS,
+    cosine,
+    random_even,
+    random_field,
+    reference_rhs,
+    relative_gap,
+)
 
 PA = ModelParams(0.5, 1.0, 0.5)
 
@@ -77,6 +86,28 @@ class TestRhs:
         n = pt.phi.n_modes
         drift = rhs(pt.phi, PA) + pt.c * derivative(pt.phi, 1).truncate(n)
         assert drift.sup_norm() < 10 * 1e-11
+
+
+class TestRhsFromBracket:
+    """``rhs`` divides the model's bracket by the mass operator."""
+
+    @pytest.mark.parametrize("p", ORACLE_PARAMS)
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_matches_reference(self, n, p):
+        rng = np.random.default_rng(n + 2)
+        for f in (random_even(rng, n), random_field(rng, n, mean=rng.standard_normal())):
+            assert relative_gap(rhs(f, p), reference_rhs(f, p)) <= 1e-13
+
+    @pytest.mark.parametrize("p", ORACLE_PARAMS)
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_bracket_identity(self, n, p):
+        """(2 + α0 k) rhs(φ) = R[c, φ] - c ∂_c R[c, φ] on modes <= N: the
+        residual and the evolution share one bracket."""
+        rng = np.random.default_rng(n + 3)
+        phi, c = random_even(rng, n, mean=0.5), 0.3
+        lhs = (2.0 + p.alpha0 * np.arange(n + 1)) * rhs(phi, p).b
+        bracket = (residual(c, phi, p) - c * d_c_residual(phi, p)).truncate(n)
+        assert np.abs(lhs - bracket.b).max() <= 1e-13 * np.abs(bracket.b).max()
 
 
 class TestEvolve:

@@ -13,7 +13,6 @@ from oddwaves import (
     critical_speed,
     d_c_symbol,
     gateaux,
-    linear_symbol,
     residual,
     symbol_at,
 )
@@ -21,11 +20,15 @@ from oddwaves.bifurcation import continue_branch
 from oddwaves.model import _jacobian, d_c_residual
 
 from helpers import (
+    ORACLE_PARAMS,
     coeff_gap,
     cosine,
     exact_gateaux_nonlinear,
     random_even,
     random_mfold_even,
+    reference_gateaux,
+    reference_residual,
+    relative_gap,
     residual_first_form,
 )
 
@@ -47,10 +50,6 @@ class TestSymbol:
     def test_direct_substitution(self):
         # eps=1, alpha0=1, beta=0, c=0, k=1: -(0+1)·1 + 1 - (0+1)·1 = -1
         assert symbol_at(1, 0.0, P) == -1.0
-
-    def test_linear_symbol_wrapper(self):
-        sym = linear_symbol(4, 0.3, P)
-        assert sym.k == 4 and sym.value == symbol_at(4, 0.3, P)
 
     def test_affine_in_speed(self):
         for k in (1, 5, 12):
@@ -171,7 +170,8 @@ class TestResidualStructure:
         assert coeff_gap(lhs, rhs) < 1e-14
 
     def test_first_form_consistency(self):
-        """Expanded form agrees with the Zygmund-operator form."""
+        """The one-bracket form agrees with the Zygmund-operator form
+        written term by term."""
         rng = np.random.default_rng(19)
         for p in (P, PD, ModelParams(0.5, 1.0, 0.5)):
             phi = random_even(rng, 14)
@@ -190,6 +190,27 @@ class TestResidualStructure:
             + (1.0 / PD.epsilon) * (d1 + hilbert(phi)) \
             + hilbert(multiply(hp1, hp1)) - commutator_h(phi, hp1)
         assert coeff_gap(residual(c, phi, PD), manual) < 1e-14
+
+
+class TestReferenceOracles:
+    """Residual and Gateaux derivative, derived from the one bracket, against
+    their earlier hand-written forms, relative to the largest coefficient."""
+
+    @pytest.mark.parametrize("p", ORACLE_PARAMS)
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_residual(self, n, p):
+        rng = np.random.default_rng(n)
+        for c in (-0.4, 0.0, 0.3):
+            phi = random_even(rng, n, mean=rng.standard_normal())
+            assert relative_gap(residual(c, phi, p), reference_residual(c, phi, p)) <= 1e-13
+
+    @pytest.mark.parametrize("p", ORACLE_PARAMS)
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_gateaux(self, n, p):
+        rng = np.random.default_rng(n + 1)
+        for c in (-0.4, 0.3):
+            phi, h = random_even(rng, n), random_even(rng, n, mean=1.0)
+            assert relative_gap(gateaux(c, phi, h, p), reference_gateaux(c, phi, h, p)) <= 1e-13
 
 
 class TestGateaux:
