@@ -21,7 +21,6 @@ from .spectral import (
 )
 from .model import (
     ModelParams,
-    OperatorMatrix,
     assemble_jacobian,
     critical_speed,
     d_c_symbol,

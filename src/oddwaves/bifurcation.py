@@ -139,8 +139,7 @@ def kernel_dimension(c, p, m, n):
     if n < 4:
         raise ConfigurationError("kernel_dimension needs truncation n >= 4")
     flat = CosineSeries(np.zeros(m * n + 1))
-    jac = assemble_jacobian(c, flat, p, n, m)
-    svals = np.linalg.svd(jac.matrix, compute_uv=False)
+    svals = np.linalg.svd(assemble_jacobian(c, flat, p, n, m), compute_uv=False)
     if svals[0] == 0.0:
         return n
     return int(np.count_nonzero(svals < 1e-8 * svals[0]))
@@ -215,11 +214,11 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     """
     if m < 1 or int(m) != m:
         raise ConfigurationError("fold m must be a positive integer")
-    if s_max < 0:
+    if not (s_max >= 0):
         raise ConfigurationError("s_max must be >= 0")
-    if ds <= 0:
+    if not (ds > 0):
         raise ConfigurationError("ds must be > 0")
-    if tol < 1e-12:
+    if not (tol >= 1e-12):
         raise ConfigurationError("tol below 1e-12 is not resolvable")
     if n < 2:
         raise ConfigurationError("need at least 2 modes to constrain the branch")

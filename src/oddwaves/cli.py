@@ -124,7 +124,8 @@ class RunConfig:
 
 
 def _parse_config_file(path):
-    """Plain ``key = value`` lines; '#' starts a comment."""
+    """Plain ``key = value`` lines; '#' starts a comment.  Values take the
+    type of the key's default."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -135,23 +136,20 @@ def _parse_config_file(path):
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in DEFAULTS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = val
+        typ = type(DEFAULTS[key])
+        try:
+            values[key] = typ(val)
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}:{lineno}: {key} needs a {typ.__name__}, got {val!r}") from None
     return values
-
-
-_FLAG_TYPES = {
-    "epsilon": float, "alpha0": float, "beta": float, "fold": int,
-    "modes": int, "smax": float, "ds": float, "tol": float, "max_iter": int,
-    "dt": float, "tfinal": float, "s": float, "kmax": int, "ensemble": int,
-    "degrees": str, "alpha": float, "holder_grid": int, "seed": int, "out": str,
-}
 
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    for name, typ in _FLAG_TYPES.items():
+    for name, default in DEFAULTS.items():
         common.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                            type=typ, default=None)
+                            type=type(default), default=None)
     common.add_argument("--config", default=None,
                         help="key = value file; flags override it")
 
@@ -183,12 +181,10 @@ def resolve_config(args):
     merged = {}
     for key, default in DEFAULTS.items():
         flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in file_values:
-            merged[key] = _FLAG_TYPES[key](file_values[key])
-        else:
-            merged[key] = default
+        merged[key] = flag if flag is not None else file_values.get(key, default)
+        if isinstance(merged[key], float) and not np.isfinite(merged[key]):
+            raise ConfigurationError(
+                f"--{key.replace('_', '-')} must be finite, got {merged[key]!r}")
     try:
         degrees = tuple(int(part) for part in str(merged["degrees"]).split(",") if part)
     except ValueError:

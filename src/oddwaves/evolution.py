@@ -2,21 +2,22 @@
 
 The equation advances f through
 
-    (2 + α0 Λ) f_t = B(f),
+    (2 + α0 Λ) f_t = R[0, f],
 
-with B the model's one bracket (``model._bracket``, the same B as in the
-traveling-wave residual R[c, φ] = c (2 + α0 Λ) φ' + B(φ)), so the time
-derivative is B divided, mode by mode, by 2 + α0 k (invertible for
-α0 > 0).  The mean mode is a conserved mass.  Linearizing, mode k rotates
-at frequency ω_k = (k - 1 + (α0 - β) k²) / (ε (2 + α0 k)), which equals -k
-times the critical speed at frequency k: small-amplitude waves drift
-exactly as the bifurcation analysis predicts.
+with R the model's traveling-wave residual at speed zero: the linear
+multiplier -i σ(k, 0) plus the one bilinear form Q (``model._linear`` and
+``model._quadratic``).  The time derivative is that divided, mode by mode,
+by 2 + α0 k (invertible for α0 > 0).  The mean mode is a conserved mass.
+Linearizing, mode k rotates at frequency ω_k = (k - 1 + (α0 - β) k²) /
+(ε (2 + α0 k)), which equals -k times the critical speed at frequency k:
+small-amplitude waves drift exactly as the bifurcation analysis predicts.
 
 Time stepping is classical RK4 on the Galerkin-truncated system (quadratic
-terms evaluated exactly, then projected).  A branch profile should translate
-rigidly at its speed; ``traveling_error`` measures the sup-norm deviation
-from the spectrally translated profile and is the independent check that
-continuation produced genuine traveling waves.
+terms evaluated exactly, then projected), carried out on the complex
+half-spectrum.  A branch profile should translate rigidly at its speed;
+``traveling_error`` measures the sup-norm deviation from the spectrally
+translated profile and is the independent check that continuation produced
+genuine traveling waves.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .model import _bracket
-from .spectral import SpectralField, translate
+from .model import _linear, _quadratic
+from .spectral import SpectralField, _amplitudes, _hat, translate
 
 __all__ = [
     "EvolutionConfig",
@@ -60,8 +61,8 @@ class EvolutionConfig:
     def __post_init__(self):
         if not (self.dt > 0):
             raise ConfigurationError(f"dt must be > 0, got {self.dt}")
-        if self.t_final < 0:
-            raise ConfigurationError(f"t_final must be >= 0, got {self.t_final}")
+        if not (0 <= self.t_final < np.inf):
+            raise ConfigurationError(f"t_final must be finite and >= 0, got {self.t_final}")
         if self.n_modes < 1:
             raise ConfigurationError("n_modes must be >= 1")
         if self.scheme != "rk4":
@@ -98,21 +99,27 @@ def stable_dt(n, p):
 def rhs(f, p):
     """Time derivative of the field, truncated back to f's resolution.
 
-    The bracket B(f) is evaluated with exact dealiasing before the Galerkin
-    projection; the inverse mass operator divides mode k by 2 + α0 k.
+    The quadratic terms are evaluated with exact dealiasing before the
+    Galerkin projection; the inverse mass operator divides mode k by
+    2 + α0 k.
     """
-    n = f.n_modes
-    bracket = _bracket(f, p).truncate(n)
-    mass = 2.0 + p.alpha0 * np.arange(n + 1)
-    return SpectralField(bracket.a / mass, bracket.b / mass,
-                         grid_size=bracket.grid_size)
+    a, b = _amplitudes(_rhs_hat(_hat(f.a, f.b), p))
+    return SpectralField(a, b, grid_size=f.grid_size)
+
+
+def _rhs_hat(u, p):
+    """``rhs`` on the half-spectrum u."""
+    n = u.size - 1
+    bracket = _linear(u, 0.0, p) + _quadratic(u, u, p, n)
+    return bracket / (2.0 + p.alpha0 * np.arange(n + 1))
 
 
 def evolve(f0, p, cfg):
     """Integrate from f0 up to cfg.t_final with classical RK4.
 
     Aborts with a NumericalError carrying the last finite state and its time
-    stamp if the solution stops being finite.
+    stamp if the solution stops being finite.  Saved states keep the grid
+    size of f0 padded to cfg.n_modes.
     """
     if f0.n_modes > cfg.n_modes:
         raise ConfigurationError(
@@ -127,31 +134,32 @@ def evolve(f0, p, cfg):
     dt = cfg.t_final / n_steps
     save_every = cfg.save_every or max(1, n_steps // 10)
 
+    def field(u):
+        a, b = _amplitudes(u)
+        return SpectralField(a, b, grid_size=state.grid_size)
+
     times = [0.0]
     states = [state]
+    u = _hat(state.a, state.b)
     mass0 = state.mean
     drift = 0.0
     for step in range(1, n_steps + 1):
-        try:
-            # overflow inside a stage trips the field finiteness guard;
-            # either way the abort carries the last finite state
-            with np.errstate(over="ignore", invalid="ignore"):
-                k1 = rhs(state, p)
-                k2 = rhs(state + (0.5 * dt) * k1, p)
-                k3 = rhs(state + (0.5 * dt) * k2, p)
-                k4 = rhs(state + dt * k3, p)
-                new = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not (np.isfinite(new.a).all() and np.isfinite(new.b).all()):
-                raise ConfigurationError("non-finite state")
-        except ConfigurationError:
+        # overflow inside a stage carries inf or nan into the new state
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = _rhs_hat(u, p)
+            k2 = _rhs_hat(u + (0.5 * dt) * k1, p)
+            k3 = _rhs_hat(u + (0.5 * dt) * k2, p)
+            k4 = _rhs_hat(u + dt * k3, p)
+            new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(new).all():
             raise NumericalError(
                 f"solution lost finiteness during step {step} (t = {step * dt:.6g})",
-                time=(step - 1) * dt, last_state=state) from None
-        state = new
+                time=(step - 1) * dt, last_state=field(u))
+        u = new
         if step % save_every == 0 or step == n_steps:
             times.append(step * dt)
-            states.append(state)
-            drift = max(drift, abs(state.mean - mass0))
+            states.append(field(u))
+            drift = max(drift, abs(states[-1].mean - mass0))
     return Trajectory(times=np.array(times), states=states, dt_effective=dt,
                       dt_stable=stable_dt(cfg.n_modes, p), mass_drift=drift)
 

@@ -1,39 +1,35 @@
 """Traveling-wave residual of the odd-viscosity surface-wave model.
 
-The model has one nonlinear bracket, written once as a linear part and a
-bilinear form, with g = α0 - β:
+A profile φ moving at speed c solves R[c, φ] = 0, with g = α0 - β and
 
-    B(f)    = L f + Q(f, f),
-    L f     = (1/ε) (f' + H[f] + g H[f'']),
+    R[c, φ] = c (2 + α0 Λ) φ' + (1/ε) (φ' + H[φ] + g H[φ'']) + Q(φ, φ),
     Q(u, v) = H[Λu · Λv] - ⟦H, u⟧[Λv - g Λ³v],
 
 where H is the periodic Hilbert transform, Λ = H ∂ the Zygmund operator and
-⟦H, u⟧[w] = H(uw) - u H(w).  The evolution is (2 + α0 Λ) f_t = B(f)
-(``evolution.rhs``), and a profile φ moving at speed c solves R[c, φ] = 0
-with
-
-    R[c, φ] = c (2 + α0 Λ) φ' + B(φ).
-
-The speed derivative (2 + α0 Λ) φ' and the derivative in a profile
-direction h, c (2 + α0 Λ) h' + L h + Q(φ, h) + Q(h, φ), come from the same
-two pieces.  Even profiles give odd residuals, so R maps cosine series to
-sine series.
-
-Linearizing at the flat state diagonalizes in frequency: cos(kx) is sent to
-sin(kx) times the multiplier
+⟦H, u⟧[w] = H(uw) - u H(w).  Both linear operators are diagonal on e^{ikx}
+(H: -i sgn k, Λ: |k|), so the whole linear part multiplies mode k of the
+complex half-spectrum u_k = (a_k - i b_k)/2 by -i σ(k, c), with
 
     σ(k, c) = -(2c + 1/ε) k + 1/ε - (c α0 + (α0 - β)/ε) k²,
 
-which is affine in c with slope -2k - α0 k² (never zero for α0 > 0, the
-transversality condition).  Its unique root is the critical speed
+and the model is σ plus the one bilinear form Q.  Even profiles give odd
+residuals, so R maps cosine series to sine series; at the flat state cos(kx)
+is sent to σ(k, c) sin(kx).  σ is affine in c with slope -2k - α0 k² (never
+zero for α0 > 0, the transversality condition), and its unique root is the
+critical speed
 
     c_k = (1/ε) (1 - k - (α0 - β) k²) / (k (2 + α0 k)),
 
-where nontrivial wave branches bifurcate from the flat state.
+where nontrivial wave branches bifurcate from the flat state.  The evolution
+(2 + α0 Λ) f_t = R[0, f] (``evolution.rhs``) uses the same two pieces, and so
+do the derivatives: ∂_c R = (2 + α0 Λ) φ' multiplies mode k by -i ∂_c σ, and
+the derivative in a profile direction h is the linear part on h plus
+Q(φ, h) + Q(h, φ).
 
 Constants are trivial solutions, so profiles are projected to zero mean
-before evaluation.  Every quadratic term is evaluated with exact dealiasing;
-the residual of a degree-N profile is returned exactly, on 2N modes.
+before evaluation.  Q is evaluated on one grid that resolves every retained
+mode exactly; the residual of a degree-N profile is returned exactly, on 2N
+modes.
 
 The Jacobian on the m-fold cosine basis is assembled in closed form from
 φ's cosine amplitudes: multiplication by a cosine series is Toeplitz +
@@ -50,20 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .spectral import (
-    CosineSeries,
-    SineSeries,
-    SpectralField,
-    commutator_h,
-    derivative,
-    hilbert,
-    multiply,
-    zygmund,
-)
+from .spectral import SineSeries, SpectralField, _amplitudes, _hat, _next_pow2
 
 __all__ = [
     "ModelParams",
-    "OperatorMatrix",
     "residual",
     "gateaux",
     "d_c_residual",
@@ -106,29 +92,6 @@ class ModelParams:
         return self.alpha0 == self.beta
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense matrix of the linearized operator on a truncated m-fold basis.
-
-    Entry (i, j) is the sin(m(i+1)x) amplitude of the linearization applied
-    to cos(m(j+1)x), for i, j = 0..n-1.
-    """
-
-    matrix: np.ndarray
-    fold: int
-    truncation: int
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.shape != (self.truncation, self.truncation):
-            raise ConfigurationError(
-                f"matrix shape {mat.shape} does not match truncation {self.truncation}"
-            )
-        if not np.isfinite(mat).all():
-            raise ConfigurationError("operator matrix has non-finite entries")
-        object.__setattr__(self, "matrix", mat)
-
-
 def symbol_at(k, c, p):
     """The linearization's multiplier at frequency k and speed c."""
     return _symbol(_check_mode(k), c, p)
@@ -164,79 +127,83 @@ def _check_mode(k):
     return int(k)
 
 
-def _even_zero_mean(phi, who):
+def _even_hat(phi, who):
+    """Half-spectrum of an even field, with the mean projected out."""
     if not isinstance(phi, SpectralField):
         raise ConfigurationError(f"{who} must be a SpectralField")
     if not phi.is_even:
         raise ConfigurationError(f"{who} must be even (all sine amplitudes zero)")
-    a = phi.a.copy()
-    a[0] = 0.0
-    return CosineSeries(a, grid_size=phi.grid_size)
+    u = _hat(phi.a, phi.b)
+    u[0] = 0.0
+    return u
 
 
-def _as_sine(field, who):
+def _as_sine(r, who):
     # Outputs are odd by the model's symmetry; anything else is a numerical
     # inconsistency, not a user error.
-    scale = max(1.0, float(np.max(np.abs(field.b))))
-    leak = float(np.max(np.abs(field.a)))
+    a, b = _amplitudes(r)
+    scale = max(1.0, float(np.max(np.abs(b))))
+    leak = float(np.max(np.abs(a)))
     if leak > PARITY_TOL * scale:
         raise NumericalError(f"{who} violated odd symmetry: cosine leak {leak:.3e}")
-    return SineSeries(field.b, grid_size=field.grid_size)
+    return SineSeries(b)
 
 
-def _linear(f, p):
-    """The linear part of the bracket: (1/ε) (f' + H f + g H f'')."""
-    g = p.alpha0 - p.beta
-    return (1.0 / p.epsilon) * (derivative(f, 1) + hilbert(f)
-                                + g * hilbert(derivative(f, 2)))
+def _linear(u, c, p):
+    """The linear part of R[c, ·] on a half-spectrum: mode k >= 1 times
+    -i σ(k, c); the mean, a trivial solution, goes to zero."""
+    out = -1j * _symbol(np.arange(u.size, dtype=float), c, p) * u
+    out[0] = 0.0
+    return out
 
 
-def _quadratic(u, v, p):
-    """The bilinear form of the bracket: H[Λu · Λv] - ⟦H, u⟧[Λv - g Λ³v].
+def _quadratic(u, v, p, n_out):
+    """Q(u, v) = H[Λu · Λv - u · w] + u · Hw with w = Λv - g Λ³v, on the
+    half-spectrum modes 0..n_out.
 
-    ⟦H, u⟧ is linear in its argument, so both commutator terms take one
-    commutator; the Λ³ term is skipped when g = α0 - β is zero.
+    The products are formed on one power-of-two grid of at least
+    u.size + v.size + n_out points.  Their degree is below u.size + v.size,
+    so aliasing only folds modes onto frequencies above n_out and every
+    returned mode is exact.
     """
     g = p.alpha0 - p.beta
-    lam = zygmund(v)
-    arg = lam if g == 0.0 else lam - g * zygmund(zygmund(lam))
-    return hilbert(multiply(zygmund(u), lam)) - commutator_h(u, arg)
-
-
-def _bracket(f, p):
-    """B(f) = L f + Q(f, f): the right-hand side of (2 + α0 Λ) f_t = B(f)."""
-    return _linear(f, p) + _quadratic(f, f, p)
-
-
-def _transport(f, p):
-    """(2 + α0 Λ) f': the part of the residual that the speed multiplies."""
-    d1 = derivative(f, 1)
-    return 2.0 * d1 + p.alpha0 * zygmund(d1)
+    m = _next_pow2(u.size + v.size + n_out)
+    ku = np.arange(u.size, dtype=float)
+    kv = np.arange(v.size, dtype=float)
+    w = kv * v - g * kv ** 3 * v
+    uu, lu, lv, ww, hw = (np.fft.irfft(x, m, norm="forward")
+                          for x in (u, ku * u, kv * v, w, -1j * w))
+    inner = np.fft.rfft(lu * lv - uu * ww, norm="forward")[: n_out + 1]
+    out = np.fft.rfft(uu * hw, norm="forward")[: n_out + 1]
+    out[1:] -= 1j * inner[1:]
+    return out
 
 
 def residual(c, phi, p):
-    """Traveling-wave residual R[c, φ] = c (2 + α0 Λ) φ' + B(φ) as a sine
-    series.
+    """Traveling-wave residual R[c, φ] as a sine series.
 
     φ must be even; its mean is projected out first (constants solve the
     equation identically).  The result is exact: products carry their full
     degree, so a degree-N input yields the true residual on 2N modes.
     """
-    phi = _even_zero_mean(phi, "phi")
-    return _as_sine(c * _transport(phi, p) + _bracket(phi, p), "residual")
+    u = _even_hat(phi, "phi")
+    r = _quadratic(u, u, p, 2 * (u.size - 1))
+    r[: u.size] += _linear(u, c, p)
+    return _as_sine(r, "residual")
 
 
 def gateaux(c, phi, h, p):
     """Derivative of the residual at (c, φ) in the profile direction h:
-    c (2 + α0 Λ) h' + L h + Q(φ, h) + Q(h, φ).
+    the linear part of R[c, ·] on h plus Q(φ, h) + Q(h, φ).
 
     Linear in h; matches central finite differences of ``residual``.
     """
-    phi = _even_zero_mean(phi, "phi")
-    h = _even_zero_mean(h, "h")
-    out = c * _transport(h, p) + _linear(h, p) \
-        + _quadratic(phi, h, p) + _quadratic(h, phi, p)
-    return _as_sine(out, "gateaux")
+    u = _even_hat(phi, "phi")
+    v = _even_hat(h, "h")
+    n_out = u.size + v.size - 2
+    r = _quadratic(u, v, p, n_out) + _quadratic(v, u, p, n_out)
+    r[: v.size] += _linear(v, c, p)
+    return _as_sine(r, "gateaux")
 
 
 def d_c_residual(phi, p):
@@ -245,8 +212,9 @@ def d_c_residual(phi, p):
     Exact (the residual is affine in c), so it doubles as the c-column of
     bordered Newton systems.
     """
-    phi = _even_zero_mean(phi, "phi")
-    return _as_sine(_transport(phi, p), "d_c_residual")
+    u = _even_hat(phi, "phi")
+    return _as_sine(-1j * _d_c_symbol(np.arange(u.size, dtype=float), p) * u,
+                    "d_c_residual")
 
 
 def _mfold_indices(m, n):
@@ -264,7 +232,7 @@ def require_mfold(field, m, who="field"):
 
 
 def assemble_jacobian(c, phi, p, n, m=1):
-    """Matrix of the profile-linearization on the m-fold cosine basis.
+    """n × n matrix of the profile-linearization on the m-fold cosine basis.
 
     Columns are the images of cos(mjx), j = 1..n, expressed in the sine
     amplitudes at frequencies m, 2m, ..., nm.  At φ = 0 the matrix is
@@ -280,7 +248,10 @@ def assemble_jacobian(c, phi, p, n, m=1):
         raise ConfigurationError(
             f"phi has {phi.n_modes} modes, exceeding the {m}-fold truncation {m * n}"
         )
-    return OperatorMatrix(matrix=_jacobian(c, phi.a, p, m, n), fold=m, truncation=n)
+    jac = _jacobian(c, phi.a, p, m, n)
+    if not np.isfinite(jac).all():
+        raise ConfigurationError("operator matrix has non-finite entries")
+    return jac
 
 
 def _jacobian(c, a, p, m, n, speed_column=False):

@@ -7,7 +7,9 @@ amplitudes
 
 with collocation values on a uniform grid over [0, 2π).  Cosine and sine
 amplitudes are kept in separate arrays so that the even/odd subspaces are
-plain slices: ``CosineSeries`` has b ≡ 0, ``SineSeries`` has a ≡ 0.
+plain slices: ``CosineSeries`` has b ≡ 0, ``SineSeries`` has a ≡ 0.  FFTs
+work on the complex half-spectrum u_k = (a_k - i b_k)/2, u_0 = a_0; this
+module owns that conversion (``_hat``, ``_amplitudes``).
 
 All linear operators act diagonally per mode and are exact:
 
@@ -239,13 +241,28 @@ def _parity_flip(cls):
     return SpectralField
 
 
+def _hat(a, b):
+    """Half-spectrum of amplitude arrays: u_k = (a_k - i b_k)/2 for k >= 1
+    and u_0 = a_0, so that f(x) = sum over all integers k of u_k e^{ikx}
+    with u_{-k} the conjugate of u_k."""
+    u = 0.5 * (a - 1j * b)
+    u[0] = a[0]
+    return u
+
+
+def _amplitudes(u):
+    """Amplitude arrays (a, b) of a half-spectrum; the inverse of ``_hat``."""
+    a = 2.0 * u.real
+    b = -2.0 * u.imag
+    a[0] = u[0].real
+    b[0] = 0.0
+    return a, b
+
+
 def _synthesize(a, b, m):
     """Values at x_j = 2πj/M from amplitudes (assumes M resolves the degree)."""
     n = min(a.size - 1, m // 2 - 1)
-    spec = np.zeros(m // 2 + 1, dtype=complex)
-    spec[0] = m * a[0]
-    spec[1 : n + 1] = (m / 2.0) * (a[1 : n + 1] - 1j * b[1 : n + 1])
-    return np.fft.irfft(spec, m)
+    return np.fft.irfft(m * _hat(a[: n + 1], b[: n + 1]), m)
 
 
 def _analyze(values):
@@ -255,15 +272,8 @@ def _analyze(values):
     interpolant is restricted to modes k <= M/2 - 1.
     """
     m = values.size
-    spec = np.fft.rfft(values)
-    n = m // 2 - 1
-    a = np.empty(n + 1)
-    b = np.empty(n + 1)
-    a[0] = spec[0].real / m
-    a[1:] = 2.0 * spec[1 : n + 1].real / m
-    b[0] = 0.0
-    b[1:] = -2.0 * spec[1 : n + 1].imag / m
-    return a, b
+    a, b = _amplitudes(np.fft.rfft(values)[: m // 2])
+    return a / m, b / m
 
 
 def to_spectral(values):
@@ -386,13 +396,9 @@ def _shifted_samples(f, num_quad):
     n = min(f.n_modes, num_quad // 2 - 1)
     if n < f.degree:
         raise ConfigurationError("quadrature grid does not resolve the field")
-    h = 2.0 * np.pi / num_quad
-    k = np.arange(1, n + 1)
-    phase = np.exp(1j * k * (h / 2.0))
-    spec = np.zeros(num_quad // 2 + 1, dtype=complex)
-    spec[0] = num_quad * f.a[0]
-    spec[1 : n + 1] = (num_quad / 2.0) * (f.a[1 : n + 1] - 1j * f.b[1 : n + 1]) * phase
-    return np.fft.irfft(spec, num_quad)
+    k = np.arange(n + 1)
+    phase = np.exp(1j * k * (np.pi / num_quad))
+    return np.fft.irfft(num_quad * _hat(f.a[: n + 1], f.b[: n + 1]) * phase, num_quad)
 
 
 def _quadrature_lattice(f, num_points, quad_points):

@@ -1,9 +1,10 @@
 """Shared builders and independent oracles for the test suite.
 
-Production writes the model's bracket once (``model._bracket``: a linear
-part plus one bilinear form) and derives the residual, its derivatives and
-the evolution right-hand side from it.  The oracles here write each of them
-out on its own: the Zygmund-operator form of the residual term by term; the
+Production evaluates the model on the complex half-spectrum, as the
+multiplier -i σ(k, c) (``model._linear``) plus one bilinear form
+(``model._quadratic``), and derives the residual, its derivatives and the
+evolution right-hand side from them.  The oracles here write each of them
+out on its own with ``SpectralField`` operators: the Zygmund-operator form of the residual term by term; the
 expanded residual, its directional derivative and the evolution right-hand
 side in their earlier hand-written forms (``reference_*``); products by
 direct coefficient convolution; and the quadratic terms' derivative in exact

@@ -143,7 +143,7 @@ class TestContinueBranch:
             full = np.zeros((n + 1, n + 1))
             full[:n, 0] = d_c_residual(pt.phi, PA).b[rows]
             jac = assemble_jacobian(pt.c, pt.phi, PA, n, m)
-            full[:n, 1:] = jac.matrix
+            full[:n, 1:] = jac
             full[n, 1] = 1.0  # amplitude constraint: cos(mx) coefficient fixed
             svals = np.linalg.svd(full, compute_uv=False)
             assert svals[-1] > 1e-8 * svals[0]

@@ -71,6 +71,9 @@ class TestBranch:
         doc = read_json(tmp_path, "branch.json")  # last good point still written
         assert doc["payload"]["truncated"]
 
+    def test_nan_smax_exits_2(self, tmp_path):
+        assert run(tmp_path, "branch", "--smax", "nan") == 2
+
     def test_rerun_byte_identical(self, tmp_path):
         args = ("branch", "--smax", "0.005", "--modes", "8", "--seed", "99")
         run(tmp_path, *args)
@@ -154,6 +157,12 @@ class TestEvolve:
     def test_invalid_dt_exits_2(self, tmp_path):
         assert run(tmp_path, "evolve", "--dt", "0") == 2
 
+    def test_nan_tfinal_exits_2(self, tmp_path):
+        assert run(tmp_path, "evolve", "--tfinal", "nan") == 2
+
+    def test_nan_amplitude_exits_2(self, tmp_path):
+        assert run(tmp_path, "evolve", "--s", "nan") == 2
+
 
 class TestVerify:
     def test_default_run_passes(self, tmp_path):
@@ -210,6 +219,13 @@ class TestConfigFile:
         cfg.write_text("unknown_thing = 3\n")
         assert main(["bifurcate", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
+
+    def test_unparsable_value_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("kmax = 2\nfold = 1.5\n")
+        assert main(["bifurcate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"{cfg}:2" in capsys.readouterr().err
 
     def test_embedded_config_matches_resolved_values(self, tmp_path):
         run(tmp_path, "bifurcate", "--kmax", "2", "--seed", "5")

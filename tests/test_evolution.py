@@ -46,8 +46,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             EvolutionConfig(dt=0.0, t_final=1.0)
-        with pytest.raises(ConfigurationError):
-            EvolutionConfig(dt=0.1, t_final=-1.0)
+        for t_final in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                EvolutionConfig(dt=0.1, t_final=t_final)
         with pytest.raises(ConfigurationError):
             EvolutionConfig(dt=0.1, t_final=1.0, scheme="euler")
 
@@ -92,7 +93,7 @@ class TestRhsFromBracket:
     """``rhs`` divides the model's bracket by the mass operator."""
 
     @pytest.mark.parametrize("p", ORACLE_PARAMS)
-    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("n", [16, 64, 256])
     def test_matches_reference(self, n, p):
         rng = np.random.default_rng(n + 2)
         for f in (random_even(rng, n), random_field(rng, n, mean=rng.standard_normal())):
@@ -142,13 +143,34 @@ class TestEvolve:
 
     def test_nan_abort_reports_time_and_state(self):
         # enormous amplitude with a huge step leaves the stability region
+        # after one finite step
         cfg = EvolutionConfig(dt=10.0, t_final=100.0, n_modes=32)
-        bomb = cosine(8, 1e6, n=32)
+        bomb = CosineSeries(cosine(8, 1e6, n=32).a, grid_size=96)
         with pytest.raises(NumericalError) as err:
             evolve(bomb, PA, cfg)
-        assert err.value.time is not None
-        assert err.value.last_state is not None
+        assert err.value.time > 0.0
         assert np.isfinite(err.value.last_state.a).all()
+        assert err.value.last_state.grid_size == 96
+
+    @pytest.mark.parametrize("p", ORACLE_PARAMS)
+    @pytest.mark.parametrize("even", [True, False])
+    def test_matches_reference_rk4(self, even, p):
+        """Every step equals classical RK4 taken through ``reference_rhs``
+        on fields."""
+        rng = np.random.default_rng(61)
+        n = 32
+        f = random_field(rng, n, even=even, mean=0.3, decay=2.0)
+        cfg = EvolutionConfig(dt=1e-3, t_final=0.02, n_modes=n, save_every=1)
+        traj = evolve(f, p, cfg)
+        dt, state = traj.dt_effective, f
+        assert len(traj.states) == 21
+        for got in traj.states[1:]:
+            k1 = reference_rhs(state, p)
+            k2 = reference_rhs(state + (0.5 * dt) * k1, p)
+            k3 = reference_rhs(state + (0.5 * dt) * k2, p)
+            k4 = reference_rhs(state + dt * k3, p)
+            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert relative_gap(got, state) <= 1e-13
 
     def test_rejects_oversized_initial_data(self):
         cfg = EvolutionConfig(dt=1e-2, t_final=0.1, n_modes=8)
