@@ -179,6 +179,14 @@ def _quadratic(u, v, p, n_out):
     return out
 
 
+def _residual_hat(c, phi, p):
+    """R[c, φ] on the half-spectrum modes 0..2N, before the parity check."""
+    u = _even_hat(phi, "phi")
+    r = _quadratic(u, u, p, 2 * (u.size - 1))
+    r[: u.size] += _linear(u, c, p)
+    return r
+
+
 def residual(c, phi, p):
     """Traveling-wave residual R[c, φ] as a sine series.
 
@@ -186,10 +194,7 @@ def residual(c, phi, p):
     equation identically).  The result is exact: products carry their full
     degree, so a degree-N input yields the true residual on 2N modes.
     """
-    u = _even_hat(phi, "phi")
-    r = _quadratic(u, u, p, 2 * (u.size - 1))
-    r[: u.size] += _linear(u, c, p)
-    return _as_sine(r, "residual")
+    return _as_sine(_residual_hat(c, phi, p), "residual")
 
 
 def gateaux(c, phi, h, p):

@@ -69,7 +69,7 @@ class SpectralField:
         even grid resolving all N modes below Nyquist.
     """
 
-    __slots__ = ("a", "b", "grid_size", "_values")
+    __slots__ = ("a", "b", "grid_size", "_values", "_degree")
 
     def __init__(self, cos_amplitudes, sin_amplitudes=None, grid_size=None):
         a = _as_readonly(cos_amplitudes)
@@ -98,6 +98,7 @@ class SpectralField:
         self.b = b
         self.grid_size = int(grid_size)
         self._values = None
+        self._degree = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -109,8 +110,10 @@ class SpectralField:
     @property
     def degree(self):
         """Highest mode with a nonzero amplitude (0 for constants and zero)."""
-        nz = np.nonzero(np.abs(self.a) + np.abs(self.b))[0]
-        return int(nz[-1]) if nz.size else 0
+        if self._degree is None:  # the amplitudes are read-only, so it never changes
+            nz = np.nonzero(np.abs(self.a) + np.abs(self.b))[0]
+            self._degree = int(nz[-1]) if nz.size else 0
+        return self._degree
 
     @property
     def mean(self):

@@ -7,8 +7,9 @@ evolution right-hand side from them.  The oracles here write each of them
 out on its own with ``SpectralField`` operators: the Zygmund-operator form of the residual term by term; the
 expanded residual, its directional derivative and the evolution right-hand
 side in their earlier hand-written forms (``reference_*``); products by
-direct coefficient convolution; and the quadratic terms' derivative in exact
-rational arithmetic.
+direct coefficient convolution; the quadratic terms' derivative in exact
+rational arithmetic; and the Hölder seminorm and norm as the plain loop over
+all lags and the loop over validated fields.
 """
 
 from fractions import Fraction
@@ -16,7 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from oddwaves import (
+    ConfigurationError,
     CosineSeries,
+    HolderEstimate,
     ModelParams,
     SineSeries,
     SpectralField,
@@ -255,3 +258,21 @@ def reference_seminorm(values, alpha):
         gap = np.abs(np.roll(vals, -lag) - vals).max()
         best = max(best, gap / dist ** alpha)
     return float(best)
+
+
+def reference_holder_norm(f, k, alpha, grid_size=4096):
+    """The C^{k,α} norm through validated ``SpectralField`` derivatives and
+    ``values``, with ``reference_seminorm``: the slow path
+    ``holder.holder_norm`` must reproduce bit for bit."""
+    if grid_size < max(4, 2 * f.degree + 2):
+        raise ConfigurationError("grid does not resolve the field")
+    total = 0.0
+    g = f
+    for level in range(k + 1):
+        vals = g.values(grid_size)
+        total += float(np.abs(vals).max())
+        if level < k:
+            g = derivative(g, 1)
+    return HolderEstimate(k=k, alpha=alpha,
+                          value=total + reference_seminorm(vals, alpha),
+                          grid_size=grid_size)

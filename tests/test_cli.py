@@ -3,8 +3,12 @@
 import json
 
 import numpy as np
+import pytest
 
+from oddwaves import ModelParams, NumericalError, cli, holder, model
 from oddwaves.cli import main
+
+from helpers import cosine, reference_holder_norm, reference_seminorm
 
 
 def run(tmp_path, *args):
@@ -196,6 +200,39 @@ class TestVerify:
 
     def test_ensemble_zero_exits_2(self, tmp_path):
         assert run(tmp_path, "verify", "--ensemble", "0") == 2
+
+    def test_residual_parity_measures_the_raw_spectrum(self, monkeypatch):
+        """The family reads the cosine leak that ``residual`` drops: a real
+        measured value with the model's Q, a failure with a leaking one."""
+        p = ModelParams(1.0, 1.0, 0.5)
+        clean = cli._family_residual_parity(np.random.default_rng(3), p, 32)
+        assert 0.0 < clean <= 1e-12
+        quadratic = model._quadratic
+
+        def leaking(u, v, p, n_out):
+            out = quadratic(u, v, p, n_out)
+            out[2] += 0.5e-9  # a_2 = 1e-9: a cos 2x term
+            return out
+
+        monkeypatch.setattr(model, "_quadratic", leaking)
+        leak = cli._family_residual_parity(np.random.default_rng(3), p, 32)
+        assert leak > 1e-12
+        with pytest.raises(NumericalError):
+            model.residual(0.3, cosine(2), p)
+
+    def test_sweep_csvs_equal_reference_loops(self, tmp_path, monkeypatch):
+        """The sweep CSVs are byte-identical to the ones the all-lags
+        seminorm and the field-by-field norm write."""
+        def sweep_csvs(out):
+            assert main(["verify", "--ensemble", "20", "--out", str(out)]) == 0
+            return {deg: (out / f"commutator_sweep_deg{deg}.csv").read_bytes()
+                    for deg in (20, 40)}
+
+        fast = sweep_csvs(tmp_path / "out")
+        monkeypatch.setattr(holder, "holder_seminorm", reference_seminorm)
+        monkeypatch.setattr(holder, "holder_norm", reference_holder_norm)
+        slow = sweep_csvs(tmp_path / "out")  # the same --out: it is in the header
+        assert fast == slow
 
 
 class TestSelftest:

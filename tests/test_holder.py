@@ -8,18 +8,68 @@ from oddwaves import (
     CosineSeries,
     commutator_ratio,
     commutator_sweep,
+    derivative,
     holder,
     holder_norm,
 )
 from oddwaves.holder import holder_seminorm
 
-from helpers import cosine, random_field, reference_seminorm
+from helpers import cosine, random_field, reference_holder_norm, reference_seminorm
 
 # Frozen oracle: sup over pairs of |cos x - cos y| / dist(x,y)^{1/2} with the
 # periodic distance.  Brute force on nested grids and maximizing the smooth
 # pair family 2 sin(t) / (2t)^{1/2} both give this value (the maximizing pair
 # straddles the inflection point at distance ~2.33, not the antipodes).
 COS_SEMINORM_HALF = 1.2038366272071788
+
+
+def cusp(m, alpha, scale):
+    """0, 1, 2 at i = 0, 1, 2, then 2 · scale · (i/2)^α up to i = m // 4,
+    flat to i = m // 2 and a linear descent back to 0.
+
+    With scale 1 the lags 2, 3, ... of the climb all tie (|x|^α is
+    extremal).  With scale 0.995 lag 2 is the strict maximum, and its
+    bound 2 g_1 / d_2 is tight and lower than the bounds of the longer lags
+    of the climb, so the scan reaches it last: a bound weakened to
+    0.99 L g_1 skips it."""
+    i = np.arange(m, dtype=float)
+    top = max(2, m // 4)
+    up = np.where(i <= 2, i, 2 * scale * (np.minimum(i, top) / 2) ** alpha)
+    down = up[m // 2] * (m - i) / (m - m // 2)
+    return np.where(i <= m // 2, up, down)
+
+
+def rounding_ramp(m, alpha):
+    """A ramp whose lag-5 gap rounds one ulp above the rounded bound 5 g_1,
+    then a climb that ties with that bound, flat to m // 2 and a linear
+    descent back.
+
+    The five neighbour differences from v_0 = -9.41...e-6 all round to
+    1 + 2^-51, so 5 g_1 rounds to 0x1.4000000000002p+2, while v_5 - v_0
+    rounds to 0x1.4000000000003p+2.  Lags 6..14 are tuned so that their
+    quotients equal fl(fl(5 g_1) / d_5).  Without the bound's margin the
+    scan stops on that tie before it reaches lag 5 and returns one ulp less
+    (at m = 1024 with α = 0.9, and at m = 4096 with α = 0.1 or 0.9)."""
+    d = holder._lag_distances(m, alpha)
+    v = np.empty(m)
+    top = 14
+    start = -9.41417728444433e-06
+    v[0] = start
+    v[1:6] = start + np.cumsum(1.0 + np.array([2, 1, 2, 2, 3]) * 2.0 ** -52)
+    gap1 = np.abs(np.diff(v[:6])).max()
+    tie = (5 * gap1) / d[4]
+    for lag in range(6, top + 1):
+        x = start + tie * d[lag - 1]
+        for _ in range(8):  # step by ulps until the quotient is the tie
+            q = (x - start) / d[lag - 1]
+            if q == tie:
+                break
+            x = np.nextafter(x, -np.inf if q > tie else np.inf)
+        v[lag] = x
+    v[top + 1: m // 2 + 1] = v[top]
+    i = np.arange(m // 2 + 1, m)
+    v[m // 2 + 1:] = start + (v[top] - start) * (m - i) / (m - m // 2)
+    return v
 
 
 def brute_force_seminorm(values, alpha):
@@ -50,15 +100,37 @@ class TestSeminorm:
     @pytest.mark.parametrize("m", [2, 3, 5, 1024, 4096])
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     def test_equals_reference_bit_for_bit(self, m, alpha):
-        """The early stop keeps the exact maximum of the all-lags loop."""
+        """The bound-ordered scan keeps the exact maximum of the all-lags
+        loop, also where min(R, L g_1) is attained and where several lags
+        tie."""
         rng = np.random.default_rng(m)
         x = 2 * np.pi * np.arange(m) / m
+        i = np.arange(m)
         inputs = {
             "random": rng.standard_normal(m),
             "smooth": np.cos(3 * x),
             "constant": np.full(m, -1.75),
             "rough": np.cumsum(rng.standard_normal(m)) + np.sign(np.sin(7 * x)),
+            # g_1 = R, so R bounds every lag, and R is the gap at many of them
+            "sawtooth": (i % 17).astype(float),
+            # steps of 0.1 up and down: L g_1 is the gap at every lag, up to
+            # the rounding of the steps; then the same with a half-step jump
+            "ramp": 0.1 * np.minimum(i, m - i),
+            "ramp with jump": np.where(i < m // 2, 0.1 * i, 0.1 * (m - i) - 0.05),
+            "two levels": rng.integers(0, 2, m).astype(float),
+            "tiled": np.tile(rng.standard_normal(4), m // 4 + 1)[:m],
+            "one spike": np.where(i == m // 2, 2.5, 0.0),
+            "cusp": cusp(m, alpha, 1.0),
+            "cusp, lag 2 ahead": cusp(m, alpha, 0.995),
         }
+        if m >= 1024:
+            inputs["rounding ramp"] = rounding_ramp(m, alpha)
+        if m == holder.SWEEP_GRID:  # the sweep's inputs: random fields and derivatives
+            for degree in (20, 40):
+                f = holder._random_field(np.random.default_rng(degree), degree)
+                inputs[f"degree {degree}"] = f.values(m)
+                inputs[f"degree {degree}'"] = derivative(f, 1).values(m)
+                inputs[f"degree {degree}''"] = derivative(f, 2).values(m)
         for name, vals in inputs.items():
             assert holder_seminorm(vals, alpha) == reference_seminorm(vals, alpha), name
 
@@ -149,6 +221,28 @@ class TestHolderNorm:
     def test_k_validation(self):
         with pytest.raises(ConfigurationError):
             holder_norm(cosine(1), 4, 0.5)
+
+    @pytest.mark.parametrize("grid", [64, 512, 1024, 4096])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_equals_reference_bit_for_bit(self, grid, k):
+        """The amplitude-array chain gives the floats of the field-by-field loop."""
+        rng = np.random.default_rng(100 * k + grid)
+        fields = [random_field(rng, 20), random_field(rng, 31, decay=0.0),
+                  holder._random_field(rng, 12), cosine(1), cosine(7, -2.5),
+                  CosineSeries([0.5])]
+        for j, f in enumerate(fields):
+            alpha = (0.1, 0.5, 0.9)[j % 3]
+            assert (holder_norm(f, k, alpha, grid_size=grid)
+                    == reference_holder_norm(f, k, alpha, grid_size=grid))
+
+    @pytest.mark.parametrize("grid", [63, 513, 40, 8])
+    def test_grid_rejected(self, grid):
+        """Odd grids and grids that do not resolve the degree are refused,
+        as ``values`` refuses them."""
+        f = cosine(20)
+        for norm in (holder_norm, reference_holder_norm):
+            with pytest.raises(ConfigurationError):
+                norm(f, 1, 0.5, grid_size=grid)
 
 
 class TestCommutatorRatio:

@@ -58,6 +58,18 @@ class TestSpectralField:
         with pytest.raises(ConfigurationError):
             g.pad_to(3)
 
+    def test_cached_degree_matches_fresh_field(self):
+        """Derived fields report the degree a field built from their arrays has."""
+        rng = np.random.default_rng(12)
+        f = random_field(rng, 9)
+        top = SpectralField(np.r_[f.a[:7], 0.0, 0.0, 0.0], np.r_[f.b[:7], 0.0, 0.0, 0.0])
+        derived = [derivative(f, 1), derivative(cosine(4), 2), multiply(f, top),
+                   multiply(cosine(3), sine(2)), f.pad_to(20), top.truncate(8),
+                   f.truncate(4), CosineSeries(np.zeros(5)).pad_to(9)]
+        for g in derived:
+            assert g.degree == SpectralField(g.a, g.b).degree
+        assert top.degree == 6 and top.truncate(8).degree == 6
+
     def test_values_rejects_aliasing_grid(self):
         f = cosine(8)
         with pytest.raises(ConfigurationError):
