@@ -18,7 +18,9 @@ bound, a block at a time, and the scan stops once the leading bound of the
 next block is no larger than the best quotient found.  The maximum is the
 same float the scan over all lags gives: the bound carries a relative
 margin of 1e-12, far above the few roundings between a computed gap and
-its bound, so no skipped lag can raise it.
+its bound, so no skipped lag can raise it.  There is one scan: it runs on
+a stack of sample rows, each stopping on its own bound, and
+``holder_seminorm`` is its one-row case.
 
 The Hilbert commutator gains regularity: with Θ = ⟦H, a⟧[b'],
 
@@ -29,6 +31,16 @@ fields and ``commutator_sweep`` samples it over ensembles of random
 trigonometric polynomials at increasing degree: the empirical maxima stay
 bounded as the degree doubles, the desk-scale signature of a uniform
 constant.  No value of C is claimed.
+
+Both evaluate the quotient on stacked amplitude rows, the sweep
+``SWEEP_BLOCK`` members at a time (zero-padded to a common length) and
+``commutator_ratio`` as the one-row case: every derivative level is one
+``irfft`` of the whole stack, and sup norms and seminorms are taken row
+by row.  Θ = H(a b') - a H(b') is formed from the two products on the
+grid ``multiply`` picks for degree deg a + deg b, one group of rows per
+grid, and each row keeps the modes up to deg a + deg b, as ``multiply``
+truncates them.  So every row is the float that ``commutator_h`` and
+``holder_norm`` on fields give for that member alone.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
-from .spectral import SpectralField, _synthesize, commutator_h, derivative
+from .spectral import _analyze, _product_grid, _synthesize
 
 __all__ = [
     "HolderEstimate",
@@ -55,6 +67,7 @@ __all__ = [
 DEFAULT_GRID = 4096
 SWEEP_GRID = 1024  # default sweep grid (config key `holder_grid`); resolves degree <= 511
 LAG_BLOCK = 8  # lags compared per step of the seminorm scan
+SWEEP_BLOCK = 8  # sweep members evaluated together as stacked rows
 BOUND_MARGIN = 1.0 + 1e-12  # covers the roundings between a gap and its bound
 
 
@@ -78,50 +91,101 @@ def _lag_distances(m, alpha):
     """(2πL/m)^α for the lags L = 1, ..., m // 2, as a read-only array of
     the Python-float values."""
     dists = np.array([(2.0 * np.pi * lag / m) ** alpha for lag in range(1, m // 2 + 1)])
-    assert (dists[:-1] <= dists[1:]).all()  # holder_seminorm's R / d_2 stop needs it
+    assert (dists[:-1] <= dists[1:]).all()  # the scan's R / d_2 stop needs it
     dists.setflags(write=False)
     return dists
 
 
+def _check_grid(m, degree):
+    """``m`` as an int; refuses an odd grid and one that does not resolve
+    ``degree``, as ``SpectralField.values`` does."""
+    m = int(m)
+    if m % 2:
+        raise ConfigurationError(f"the Hölder grid must be even, got {m} points")
+    need = max(4, 2 * degree + 2)
+    if m < need:
+        raise ConfigurationError(
+            f"{m} points cannot resolve a degree-{degree} field (need at least {need})")
+    return m
+
+
+def _seminorms(vals, alpha):
+    """α-seminorms of the rows of ``vals`` (each m >= 2 uniform periodic
+    samples), maximized over all grid point pairs at their periodic distance.
+
+    Lag 1 gives each row's g_1, the largest neighbour gap, and its first
+    quotient.  Every further lag L of a row is bounded by
+    min(R, L g_1) / d_L, with R the row's spread; a row compares its lags in
+    decreasing order of that bound, ``LAG_BLOCK`` at a time, and stops once
+    its next bound cannot beat its maximum.  The rows step together, one
+    (rows, ``LAG_BLOCK``, m) gather per step.
+
+    Rows that are not all finite give max - min: nan for a nan sample, inf
+    for an isolated infinity.
+    """
+    m = vals.shape[1]
+    spread = vals.max(axis=1) - vals.min(axis=1)
+    live = np.isfinite(spread)
+    if not live.all():  # the other rows keep max - min
+        spread[live] = _seminorms(vals[live], alpha)
+        return spread
+    ext = np.concatenate((vals, vals[:, :m // 2]), axis=1)  # ext[:, i + L] == vals[:, (i + L) % m]
+    dists = _lag_distances(m, float(alpha))
+    gap1 = np.abs(ext[:, 1:m + 1] - vals).max(axis=1)
+    best = gap1 / dists[0]
+    lags, dists = np.arange(2, dists.size + 1), dists[1:]
+    # a row is done when R / d_2, a bound on every lag >= 2, cannot beat lag 1
+    scan = np.flatnonzero(spread / dists[0] > best) if lags.size else lags[:0]
+    if scan.size:
+        bound = np.minimum(spread[scan, None], lags * gap1[scan, None] * BOUND_MARGIN) / dists
+        order = np.argsort(-bound, axis=1, kind="stable")
+        bound = np.take_along_axis(bound, order, axis=1)  # nonincreasing along each row
+        windows = sliding_window_view(ext, m, axis=1)  # windows[r, L] == ext[r, L:L + m]
+        rows = vals if scan.size == vals.shape[0] else vals[scan]  # samples of the scanning rows
+        top = best[scan]  # and their maxima
+        for start in range(0, lags.size, LAG_BLOCK):
+            go = bound[:, start] > top  # every later lag has a bound no larger
+            if not go.all():
+                best[scan] = top
+                scan, bound, order, rows, top = scan[go], bound[go], order[go], rows[go], top[go]
+                if not scan.size:
+                    break
+            block = order[:, start:start + LAG_BLOCK]
+            gaps = windows[scan[:, None], lags[block]]  # a copy: fancy indexing
+            gaps -= rows[:, None]
+            gaps = np.abs(gaps, out=gaps).max(axis=2)
+            np.maximum(top, (gaps / dists[block]).max(axis=1), out=top)
+        best[scan] = top
+    return best
+
+
 def holder_seminorm(values, alpha):
     """α-seminorm of uniformly sampled periodic values, maximized over all
-    grid point pairs at their periodic distance.
-
-    Lag 1 gives g_1, the largest neighbour gap, and the first quotient.
-    Every further lag L is bounded by min(R, L g_1) / d_L, with R the
-    spread; those lags are compared in decreasing order of the bound,
-    ``LAG_BLOCK`` at a time, until the next bound cannot beat the maximum.
+    grid point pairs at their periodic distance: the one-row case of the
+    bound-ordered lag scan.
 
     Fewer than two samples give 0.0.  Samples that are not all finite give
     max - min: nan for a nan sample, inf for an isolated infinity.
     """
     _check_alpha(alpha)
     vals = np.asarray(values, dtype=float).ravel()
-    m = vals.size
-    if m < 2:
+    if vals.size < 2:
         return 0.0
-    spread = vals.max() - vals.min()
-    if not np.isfinite(spread):
-        return float(spread)
-    ext = np.concatenate((vals, vals[:m // 2]))  # ext[i + L] == vals[(i + L) % m]
-    dists = _lag_distances(m, float(alpha))
-    gap1 = np.abs(ext[1:m + 1] - vals).max()
-    best = gap1 / dists[0]
-    lags, dists = np.arange(2, dists.size + 1), dists[1:]
-    if not lags.size or spread / dists[0] <= best:  # R / d_2 bounds every lag >= 2
-        return float(best)
-    bound = np.minimum(spread, lags * gap1 * BOUND_MARGIN) / dists
-    order = np.argsort(-bound, kind="stable")
-    rows = sliding_window_view(ext, m)  # rows[L] == ext[L:L + m]
-    for start in range(0, order.size, LAG_BLOCK):
-        block = order[start:start + LAG_BLOCK]
-        if bound[block[0]] <= best:  # every later lag has a bound no larger
-            break
-        gaps = rows[lags[block]]  # a copy: fancy indexing
-        gaps -= vals
-        gaps = np.abs(gaps, out=gaps).max(axis=1)
-        best = max(best, (gaps / dists[block]).max())
-    return float(best)
+    return float(_seminorms(vals[None, :], alpha)[0])
+
+
+def _norms(a, b, k, alpha, m):
+    """C^{k,α} norms of the rows of the amplitude arrays (a, b): the sup
+    norms of each row and its first k derivatives plus the α-seminorm of the
+    k-th, all sampled on m points."""
+    freq = np.arange(a.shape[1], dtype=float)
+    total = 0.0
+    for level in range(k + 1):
+        if level:
+            a, b = freq * b, -freq * a  # the spectral derivative
+        vals = _synthesize(a, b, m)
+        total = total + np.abs(vals).max(axis=1)
+    return total + _seminorms(vals, alpha)
 
 
 def holder_norm(f, k, alpha, grid_size=DEFAULT_GRID):
@@ -131,34 +195,68 @@ def holder_norm(f, k, alpha, grid_size=DEFAULT_GRID):
     _check_alpha(alpha)
     if k not in (0, 1, 2, 3):
         raise ConfigurationError(f"derivative count k must be 0..3, got {k}")
-    m = int(grid_size)
-    if m % 2 or m < max(4, 2 * f.degree + 2):
-        raise ConfigurationError(f"{m} points cannot resolve a degree-{f.degree} field")
-    a, b = f.a, f.b
-    freq = np.arange(a.size, dtype=float)
-    total = 0.0
-    for level in range(k + 1):
-        if level:
-            a, b = freq * b, -freq * a  # the spectral derivative
-        vals = _synthesize(a, b, m)
-        total += float(np.abs(vals).max())
-    return HolderEstimate(k=k, alpha=alpha,
-                          value=total + holder_seminorm(vals, alpha),
-                          grid_size=grid_size)
+    m = _check_grid(grid_size, f.degree)
+    value = _norms(f.a[None, :], f.b[None, :], k, alpha, m)[0]
+    return HolderEstimate(k=k, alpha=alpha, value=float(value), grid_size=grid_size)
+
+
+def _commutators(fa, fb, ga, gb, n_out, m):
+    """Amplitudes of Θ = ⟦H, f⟧[g'] = H(f g') - f H(g') for rows of f and g
+    whose products are both formed on m points, each row truncated to its
+    ``n_out`` modes: row by row the floats of
+    ``commutator_h(f, derivative(g, 1))`` when m is the grid ``multiply``
+    picks."""
+    k = np.arange(ga.shape[1], dtype=float)
+    da, db = k * gb, -k * ga  # g'
+    ha, hb = -db, da.copy()  # H g'
+    ha[:, 0] = hb[:, 0] = 0.0
+    fv = _synthesize(fa, fb, m)
+    pa, pb = _analyze(fv * _synthesize(da, db, m))  # f g'
+    qa, qb = _analyze(fv * _synthesize(ha, hb, m))  # f H g'
+    ta, tb = -pb, pa  # H(f g')
+    ta[:, 0] = tb[:, 0] = 0.0
+    keep = np.arange(m // 2) <= n_out[:, None]  # the modes multiply keeps
+    return np.where(keep, ta - qa, 0.0), np.where(keep, tb - qb, 0.0)
+
+
+def _quotients(fa, fb, ga, gb, deg_a, deg_b, alpha, m):
+    """The commutator quotients of the rows of amplitude arrays of a
+    (degrees ``deg_a``) and b (degrees ``deg_b``), all norms on m points.
+
+    Each Θ is formed on the grid ``multiply`` picks for its degree
+    deg a + deg b, so the members are grouped by that grid.  Θ stays zero
+    for a constant a: the commutator with a constant vanishes.
+    """
+    den = _norms(fa, fb, 2, alpha, m) * _norms(ga, gb, 1, alpha, m)
+    if not den.all():
+        raise ConfigurationError("commutator_ratio needs nonzero a and b")
+    n_out = deg_a + deg_b
+    ta = np.zeros((n_out.size, int(n_out.max()) + 1))
+    tb = np.zeros_like(ta)
+    groups = {}  # product grid -> rows
+    for row, (n, d) in enumerate(zip(n_out.tolist(), deg_a.tolist())):
+        if d:
+            groups.setdefault(_product_grid(n, n), []).append(row)
+    for grid, rows in groups.items():
+        w = min(ta.shape[1], grid // 2)
+        a, b = _commutators(fa[rows], fb[rows], ga[rows], gb[rows], n_out[rows], grid)
+        ta[rows, :w], tb[rows, :w] = a[:, :w], b[:, :w]
+    return _norms(ta, tb, 1, alpha, m) / den
 
 
 def commutator_ratio(a, b, alpha, grid_size=DEFAULT_GRID):
     """Quotient ||⟦H,a⟧[b']||_{C^{1,α}} / (||a||_{C^{2,α}} ||b||_{C^{1,α}}).
 
-    Invariant under positive rescaling of either argument.  Raises when a or
-    b vanishes identically (zero denominator).
+    Invariant under positive rescaling of either argument, and exactly 0.0
+    for a constant a.  Raises when a or b vanishes identically (zero
+    denominator), or when the grid is odd or does not resolve Θ, whose
+    degree is at most deg a + deg b.
     """
-    den = (holder_norm(a, 2, alpha, grid_size).value
-           * holder_norm(b, 1, alpha, grid_size).value)
-    if den == 0.0:
-        raise ConfigurationError("commutator_ratio needs nonzero a and b")
-    theta = commutator_h(a, derivative(b, 1))
-    return float(holder_norm(theta, 1, alpha, grid_size).value / den)
+    _check_alpha(alpha)
+    deg_a, deg_b = a.degree, b.degree
+    m = _check_grid(grid_size, deg_a + deg_b)
+    rows = [x[None, :d + 1] for x, d in ((a.a, deg_a), (a.b, deg_a), (b.a, deg_b), (b.b, deg_b))]
+    return float(_quotients(*rows, np.array([deg_a]), np.array([deg_b]), alpha, m)[0])
 
 
 @dataclass(frozen=True)
@@ -202,32 +300,37 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _random_field(rng, degree):
-    a = np.zeros(degree + 1)
-    b = np.zeros(degree + 1)
-    a[1:] = rng.standard_normal(degree)
-    b[1:] = rng.standard_normal(degree)
-    return SpectralField(a, b)
-
-
 def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
                      grid_size=SWEEP_GRID):
     """Ratios for ``ensemble`` random pairs with degrees drawn up to
     ``max_degree``.  Each member gets its own derived seed so rows are
-    reproducible independently of the ensemble size."""
+    reproducible independently of the ensemble size; it draws deg a and
+    deg b, then standard normal cosine and sine amplitudes on modes
+    1..deg a of a and 1..deg b of b.  Members are evaluated ``SWEEP_BLOCK``
+    at a time, as zero-padded rows.  The grid must be even and resolve Θ,
+    whose degree reaches 2 max_degree."""
     if ensemble < 1:
         raise ConfigurationError("ensemble size must be >= 1")
     if max_degree < 1:
         raise ConfigurationError("max_degree must be >= 1")
+    _check_alpha(alpha)
+    m = _check_grid(grid_size, 2 * max_degree)
     rows = []
-    for i in range(ensemble):
-        member_seed = int(seed) * 100_000 + i
-        rng = np.random.default_rng(member_seed)
-        da = int(rng.integers(1, max_degree + 1))
-        db = int(rng.integers(1, max_degree + 1))
-        ratio = commutator_ratio(_random_field(rng, da), _random_field(rng, db),
-                                 alpha, grid_size)
-        rows.append(SweepRow(seed=member_seed, degree_a=da, degree_b=db,
-                             alpha=alpha, ratio=ratio))
+    for start in range(0, ensemble, SWEEP_BLOCK):
+        seeds = [int(seed) * 100_000 + i
+                 for i in range(start, min(start + SWEEP_BLOCK, ensemble))]
+        fa, fb, ga, gb = np.zeros((4, len(seeds), max_degree + 1))
+        deg_a = np.empty(len(seeds), dtype=int)
+        deg_b = np.empty(len(seeds), dtype=int)
+        for r, member_seed in enumerate(seeds):
+            rng = np.random.default_rng(member_seed)
+            deg_a[r] = rng.integers(1, max_degree + 1)
+            deg_b[r] = rng.integers(1, max_degree + 1)
+            for amps, deg in ((fa, deg_a[r]), (fb, deg_a[r]), (ga, deg_b[r]), (gb, deg_b[r])):
+                amps[r, 1:deg + 1] = rng.standard_normal(deg)
+        ratios = _quotients(fa, fb, ga, gb, deg_a, deg_b, alpha, m)
+        rows += [SweepRow(seed=s, degree_a=int(da), degree_b=int(db), alpha=alpha,
+                          ratio=float(q))
+                 for s, da, db, q in zip(seeds, deg_a, deg_b, ratios)]
     return SweepResult(max_degree=max_degree, alpha=alpha,
                        grid_size=grid_size, rows=rows)

@@ -9,7 +9,9 @@ with collocation values on a uniform grid over [0, 2π).  Cosine and sine
 amplitudes are kept in separate arrays so that the even/odd subspaces are
 plain slices: ``CosineSeries`` has b ≡ 0, ``SineSeries`` has a ≡ 0.  FFTs
 work on the complex half-spectrum u_k = (a_k - i b_k)/2, u_0 = a_0; this
-module owns that conversion (``_hat``, ``_amplitudes``).
+module owns that conversion (``_hat``, ``_amplitudes``).  The conversion,
+synthesis and analysis helpers act on the last axis, so a stack of
+amplitude rows is transformed at once.
 
 All linear operators act diagonally per mode and are exact:
 
@@ -249,7 +251,7 @@ def _hat(a, b):
     and u_0 = a_0, so that f(x) = sum over all integers k of u_k e^{ikx}
     with u_{-k} the conjugate of u_k."""
     u = 0.5 * (a - 1j * b)
-    u[0] = a[0]
+    u[..., 0] = a[..., 0]
     return u
 
 
@@ -257,15 +259,15 @@ def _amplitudes(u):
     """Amplitude arrays (a, b) of a half-spectrum; the inverse of ``_hat``."""
     a = 2.0 * u.real
     b = -2.0 * u.imag
-    a[0] = u[0].real
-    b[0] = 0.0
+    a[..., 0] = u[..., 0].real
+    b[..., 0] = 0.0
     return a, b
 
 
 def _synthesize(a, b, m):
     """Values at x_j = 2πj/M from amplitudes (assumes M resolves the degree)."""
-    n = min(a.size - 1, m // 2 - 1)
-    return np.fft.irfft(m * _hat(a[: n + 1], b[: n + 1]), m)
+    n = min(a.shape[-1] - 1, m // 2 - 1)
+    return np.fft.irfft(m * _hat(a[..., : n + 1], b[..., : n + 1]), m)
 
 
 def _analyze(values):
@@ -274,8 +276,8 @@ def _analyze(values):
     The Nyquist bin is dropped: it cannot carry a sine amplitude, so the
     interpolant is restricted to modes k <= M/2 - 1.
     """
-    m = values.size
-    a, b = _amplitudes(np.fft.rfft(values)[: m // 2])
+    m = values.shape[-1]
+    a, b = _amplitudes(np.fft.rfft(values)[..., : m // 2])
     return a / m, b / m
 
 
@@ -341,8 +343,7 @@ def multiply(f, g):
     if g.degree == 0:
         return (g.a[0] * f).pad_to(max(f.n_modes, g.n_modes))
     n_out = max(f.n_modes, g.n_modes, f.degree + g.degree)
-    deg = f.degree + g.degree
-    m = _next_pow2(max(2 * deg + 2, 3 * n_out // 2 + 2, 8))
+    m = _product_grid(f.degree + g.degree, n_out)
     a, b = _analyze(f.values(m) * g.values(m))
     a = a[: n_out + 1].copy() if a.size > n_out + 1 else np.pad(a, (0, n_out + 1 - a.size))
     b = b[: n_out + 1].copy() if b.size > n_out + 1 else np.pad(b, (0, n_out + 1 - b.size))
@@ -352,6 +353,12 @@ def multiply(f, g):
     elif cls is SineSeries:
         a[:] = 0.0
     return _rebuild(cls, a, b, None)
+
+
+def _product_grid(deg, n_out):
+    """The grid ``multiply`` forms a product on: a power of two that resolves
+    the product degree ``deg`` and leaves ``n_out`` modes alias-free."""
+    return _next_pow2(max(2 * deg + 2, 3 * n_out // 2 + 2, 8))
 
 
 def _product_parity(cls_f, cls_g):

@@ -8,8 +8,9 @@ out on its own with ``SpectralField`` operators: the Zygmund-operator form of th
 expanded residual, its directional derivative and the evolution right-hand
 side in their earlier hand-written forms (``reference_*``); products by
 direct coefficient convolution; the quadratic terms' derivative in exact
-rational arithmetic; and the Hölder seminorm and norm as the plain loop over
-all lags and the loop over validated fields.
+rational arithmetic; the Hölder seminorm and norm as the plain loop over
+all lags and the loop over validated fields; and the commutator quotient
+and sweep member by member through ``commutator_h`` and a norm on fields.
 """
 
 from fractions import Fraction
@@ -26,9 +27,11 @@ from oddwaves import (
     commutator_h,
     derivative,
     hilbert,
+    holder_norm,
     multiply,
     zygmund,
 )
+from oddwaves.holder import SweepResult, SweepRow
 
 
 def cosine(k, amp=1.0, n=None):
@@ -276,3 +279,42 @@ def reference_holder_norm(f, k, alpha, grid_size=4096):
     return HolderEstimate(k=k, alpha=alpha,
                           value=total + reference_seminorm(vals, alpha),
                           grid_size=grid_size)
+
+
+def sweep_field(rng, degree):
+    """A field as ``holder.commutator_sweep`` draws it: standard normal
+    cosine, then sine amplitudes on modes 1..degree, mean zero."""
+    a = np.zeros(degree + 1)
+    b = np.zeros(degree + 1)
+    a[1:] = rng.standard_normal(degree)
+    b[1:] = rng.standard_normal(degree)
+    return SpectralField(a, b)
+
+
+def reference_commutator_ratio(a, b, alpha, grid_size=4096, norm=holder_norm):
+    """The commutator quotient through validated fields:
+    ``commutator_h(a, derivative(b, 1))`` and ``norm`` (a function with the
+    signature of ``holder_norm``)."""
+    den = norm(a, 2, alpha, grid_size).value * norm(b, 1, alpha, grid_size).value
+    if den == 0.0:
+        raise ConfigurationError("commutator_ratio needs nonzero a and b")
+    theta = commutator_h(a, derivative(b, 1))
+    return float(norm(theta, 1, alpha, grid_size).value / den)
+
+
+def reference_commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
+                               grid_size=1024, norm=holder_norm):
+    """``commutator_sweep`` one member at a time through
+    ``reference_commutator_ratio``."""
+    rows = []
+    for i in range(ensemble):
+        member_seed = int(seed) * 100_000 + i
+        rng = np.random.default_rng(member_seed)
+        da = int(rng.integers(1, max_degree + 1))
+        db = int(rng.integers(1, max_degree + 1))
+        ratio = reference_commutator_ratio(sweep_field(rng, da), sweep_field(rng, db),
+                                           alpha, grid_size, norm)
+        rows.append(SweepRow(seed=member_seed, degree_a=da, degree_b=db,
+                             alpha=alpha, ratio=ratio))
+    return SweepResult(max_degree=max_degree, alpha=alpha,
+                       grid_size=grid_size, rows=rows)

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from oddwaves import ModelParams, NumericalError, cli, holder, model
+from oddwaves import ModelParams, NumericalError, cli, model
 from oddwaves.cli import main
 
-from helpers import cosine, reference_holder_norm, reference_seminorm
+from helpers import cosine, reference_commutator_sweep, reference_holder_norm
 
 
 def run(tmp_path, *args):
@@ -221,18 +221,37 @@ class TestVerify:
             model.residual(0.3, cosine(2), p)
 
     def test_sweep_csvs_equal_reference_loops(self, tmp_path, monkeypatch):
-        """The sweep CSVs are byte-identical to the ones the all-lags
-        seminorm and the field-by-field norm write."""
+        """The sweep CSVs are byte-identical to the ones the member-by-member
+        loop writes through fields, the field-by-field norm and the all-lags
+        seminorm."""
         def sweep_csvs(out):
             assert main(["verify", "--ensemble", "20", "--out", str(out)]) == 0
             return {deg: (out / f"commutator_sweep_deg{deg}.csv").read_bytes()
                     for deg in (20, 40)}
 
         fast = sweep_csvs(tmp_path / "out")
-        monkeypatch.setattr(holder, "holder_seminorm", reference_seminorm)
-        monkeypatch.setattr(holder, "holder_norm", reference_holder_norm)
+        calls = []
+
+        def loop(*args, **kwargs):
+            calls.append(args)
+            return reference_commutator_sweep(*args, **kwargs, norm=reference_holder_norm)
+
+        monkeypatch.setattr(cli, "commutator_sweep", loop)
         slow = sweep_csvs(tmp_path / "out")  # the same --out: it is in the header
+        assert len(calls) == 2
         assert fast == slow
+
+    @pytest.mark.parametrize("grid, message", [
+        ("1023", "the Hölder grid must be even, got 1023 points"),
+        ("64", "64 points cannot resolve a degree-40 field (need at least 82)"),
+        ("160", "160 points cannot resolve a degree-80 field (need at least 162)"),
+    ])
+    def test_unusable_holder_grid_exits_2(self, tmp_path, capsys, grid, message):
+        """Each sweep refuses an odd grid, and one below 4 max degree + 2
+        (Θ = ⟦H,a⟧[b'] reaches twice the degree cap), before it draws a
+        member."""
+        assert run(tmp_path, "verify", "--ensemble", "2", "--holder-grid", grid) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestSelftest:

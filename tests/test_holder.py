@@ -11,10 +11,19 @@ from oddwaves import (
     derivative,
     holder,
     holder_norm,
+    spectral,
 )
 from oddwaves.holder import holder_seminorm
 
-from helpers import cosine, random_field, reference_holder_norm, reference_seminorm
+from helpers import (
+    cosine,
+    random_field,
+    reference_commutator_ratio,
+    reference_commutator_sweep,
+    reference_holder_norm,
+    reference_seminorm,
+    sweep_field,
+)
 
 # Frozen oracle: sup over pairs of |cos x - cos y| / dist(x,y)^{1/2} with the
 # periodic distance.  Brute force on nested grids and maximizing the smooth
@@ -127,12 +136,32 @@ class TestSeminorm:
             inputs["rounding ramp"] = rounding_ramp(m, alpha)
         if m == holder.SWEEP_GRID:  # the sweep's inputs: random fields and derivatives
             for degree in (20, 40):
-                f = holder._random_field(np.random.default_rng(degree), degree)
+                f = sweep_field(np.random.default_rng(degree), degree)
                 inputs[f"degree {degree}"] = f.values(m)
                 inputs[f"degree {degree}'"] = derivative(f, 1).values(m)
                 inputs[f"degree {degree}''"] = derivative(f, 2).values(m)
         for name, vals in inputs.items():
             assert holder_seminorm(vals, alpha) == reference_seminorm(vals, alpha), name
+
+    def test_rows_equal_one_row_scans(self):
+        """Stacked rows each stop on their own bound: every row of one scan
+        gives the float of its one-row scan, finite or not."""
+        m = 1024
+        rng = np.random.default_rng(40)
+        x = 2 * np.pi * np.arange(m) / m
+        rows = [rng.standard_normal(m), np.cos(3 * x), np.full(m, 2.0),
+                cusp(m, 0.5, 0.995), rounding_ramp(m, 0.5),
+                np.where(np.arange(m) == 7, np.inf, 0.0), np.full(m, np.nan)]
+        for degree in (20, 40):
+            f = sweep_field(rng, degree)
+            rows += [f.values(m), derivative(f, 2).values(m)]
+        stack = np.array(rows)
+        for alpha in (0.1, 0.5, 0.9):
+            got = holder._seminorms(stack, alpha)
+            want = [holder_seminorm(row, alpha) for row in rows]
+            assert np.array_equal(got, want, equal_nan=True)
+            for row, value in zip(rows[:5] + rows[7:], got[:5].tolist() + got[7:].tolist()):
+                assert value == reference_seminorm(row, alpha)
 
     @pytest.mark.parametrize("m", [2, 7, 1024])
     def test_nan_sample_gives_nan(self, m):
@@ -228,7 +257,7 @@ class TestHolderNorm:
         """The amplitude-array chain gives the floats of the field-by-field loop."""
         rng = np.random.default_rng(100 * k + grid)
         fields = [random_field(rng, 20), random_field(rng, 31, decay=0.0),
-                  holder._random_field(rng, 12), cosine(1), cosine(7, -2.5),
+                  sweep_field(rng, 12), cosine(1), cosine(7, -2.5),
                   CosineSeries([0.5])]
         for j, f in enumerate(fields):
             alpha = (0.1, 0.5, 0.9)[j % 3]
@@ -264,6 +293,50 @@ class TestCommutatorRatio:
         zero = CosineSeries(np.zeros(4))
         with pytest.raises(ConfigurationError):
             commutator_ratio(zero, random_field(rng, 4), 0.5, grid_size=512)
+        with pytest.raises(ConfigurationError):
+            commutator_ratio(random_field(rng, 4), zero, 0.5, grid_size=512)
+
+    @pytest.mark.parametrize("grid", [64, 1024, 4096])
+    def test_equals_reference_bit_for_bit(self, grid):
+        """Fields whose n_modes is their degree give the floats of
+        ``commutator_h`` and ``holder_norm`` on fields, 0.0 for a constant a
+        or b among them."""
+        rng = np.random.default_rng(grid)
+        for j, (da, db) in enumerate([(1, 1), (3, 12), (14, 2), (15, 16), (7, 0), (0, 9)]):
+            a = random_field(rng, da, mean=0.3)
+            b = random_field(rng, db, mean=-0.4, decay=0.0)
+            alpha = (0.1, 0.5, 0.9)[j % 3]
+            assert (commutator_ratio(a, b, alpha, grid_size=grid)
+                    == reference_commutator_ratio(a, b, alpha, grid_size=grid))
+
+    def test_padded_fields_agree_with_reference(self):
+        """Padding past the degree changes the grid ``multiply`` picks on
+        fields, not the quotient beyond roundoff."""
+        rng = np.random.default_rng(29)
+        for da, db, pad in [(3, 5, 20), (10, 10, 40), (6, 1, 7)]:
+            a, b = sweep_field(rng, da).pad_to(pad), sweep_field(rng, db).pad_to(pad)
+            got = commutator_ratio(a, b, 0.5, grid_size=1024)
+            want = reference_commutator_ratio(a, b, 0.5, grid_size=1024)
+            assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("grid", [63, 1023, 40, 30])
+    def test_grid_rejected(self, grid):
+        """An odd grid, or one that does not resolve deg a + deg b = 20."""
+        rng = np.random.default_rng(31)
+        a, b = sweep_field(rng, 12), sweep_field(rng, 8)
+        with pytest.raises(ConfigurationError):
+            commutator_ratio(a, b, 0.5, grid_size=grid)
+
+    def test_equals_sweep_row(self):
+        """The one-member quotient is the stacked sweep's row for that member."""
+        res = commutator_sweep(11, 40, alpha=0.3, seed=9)
+        for i in (0, 7, 8, 10):
+            rng = np.random.default_rng(9 * 100_000 + i)
+            da = int(rng.integers(1, 41))
+            db = int(rng.integers(1, 41))
+            a, b = sweep_field(rng, da), sweep_field(rng, db)
+            assert res.rows[i].degree_a == da and res.rows[i].degree_b == db
+            assert commutator_ratio(a, b, 0.3, grid_size=holder.SWEEP_GRID) == res.rows[i].ratio
 
 
 class TestSweep:
@@ -274,9 +347,12 @@ class TestSweep:
         assert np.isfinite(res.ratios).all() and (res.ratios > 0).all()
 
     def test_member_rows_independent_of_ensemble_size(self):
-        small = commutator_sweep(5, 10, seed=7, grid_size=512)
-        large = commutator_sweep(9, 10, seed=7, grid_size=512)
-        assert [r.ratio for r in small.rows] == [r.ratio for r in large.rows[:5]]
+        """Also across the boundaries of the member blocks."""
+        block = holder.SWEEP_BLOCK
+        large = commutator_sweep(2 * block + 3, 10, seed=7, grid_size=512)
+        for size in (1, 5, block - 1, block, block + 1):
+            small = commutator_sweep(size, 10, seed=7, grid_size=512)
+            assert small.rows == large.rows[:size]
 
     def test_degree_doubling_keeps_maximum_bounded(self):
         lo = commutator_sweep(40, 20, seed=7, grid_size=512)
@@ -300,11 +376,45 @@ class TestSweep:
         for line in res.to_csv().strip().split("\n")[1:]:
             assert float(line.rsplit(",", 1)[1]) > 0.0  # no "np.float64(...)" cells
 
-    def test_rows_equal_with_reference_seminorm(self, monkeypatch):
-        fast = commutator_sweep(150, 40, seed=1234)
-        monkeypatch.setattr(holder, "holder_seminorm", reference_seminorm)
-        assert commutator_sweep(150, 40, seed=1234).rows == fast.rows
+    def test_rows_equal_reference_loop(self):
+        """The stacked sweep gives the rows and the CSV bytes of the
+        member-by-member loop on fields.  Degrees 20 and 40 with 150 members
+        meet the product grids of 16 to 256 points; degree 2 adds 8."""
+        grids = set()
+        for degree, ensemble in ((20, 150), (40, 150), (2, 20)):
+            stacked = commutator_sweep(ensemble, degree, seed=1234)
+            loop = reference_commutator_sweep(ensemble, degree, seed=1234)
+            assert stacked.rows == loop.rows
+            assert stacked.to_csv().encode() == loop.to_csv().encode()
+            grids |= {spectral._product_grid(r.degree_a + r.degree_b, r.degree_a + r.degree_b)
+                      for r in stacked.rows}
+        assert grids == {8, 16, 32, 64, 128, 256}
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_ensembles_around_a_block(self, offset):
+        """Ensembles of block - 1, block and block + 1 members, and of one."""
+        size = holder.SWEEP_BLOCK + offset
+        for ensemble in (1, size):
+            stacked = commutator_sweep(ensemble, 12, alpha=0.7, seed=3, grid_size=256)
+            loop = reference_commutator_sweep(ensemble, 12, alpha=0.7, seed=3, grid_size=256)
+            assert len(stacked.rows) == ensemble
+            assert stacked.rows == loop.rows
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             commutator_sweep(0, 10)
+        with pytest.raises(ConfigurationError):
+            commutator_sweep(4, 0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": 0.0}, {"alpha": 1.0}, {"grid_size": 1023}, {"grid_size": 160},
+    ])
+    def test_refused_before_any_member_is_drawn(self, kwargs, monkeypatch):
+        """α outside (0, 1), an odd grid and a grid below 4 max_degree + 2
+        (Θ reaches degree 2 max_degree) are refused up front."""
+        def no_draws(seed):
+            raise AssertionError("a member was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ConfigurationError):
+            commutator_sweep(5, 40, **kwargs)
