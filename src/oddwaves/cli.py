@@ -66,7 +66,6 @@ from .evolution import (
     EvolutionConfig,
     _translation_gap,
     evolve,
-    stable_dt,
     traveling_error_orders,
 )
 from .holder import SWEEP_GRID, commutator_sweep
@@ -198,13 +197,13 @@ def resolve_config(args):
                     dt_halving=getattr(args, "dt_halving", False),
                     inject_fault=getattr(args, "inject_fault", False),
                     **{k: v for k, v in merged.items() if k != "degrees"})
+    if cfg.modes < 2:
+        raise ConfigurationError("--modes must be >= 2")
     # re-validate the numeric contracts of the underlying modules now
     cfg.model_params()
     EvolutionConfig(dt=cfg.dt, t_final=cfg.tfinal, n_modes=cfg.modes)
     if cfg.fold < 1:
         raise ConfigurationError("--fold must be >= 1")
-    if cfg.modes < 2:
-        raise ConfigurationError("--modes must be >= 2")
     if cfg.kmax < 1:
         raise ConfigurationError("--kmax must be >= 1")
     if cfg.ensemble < 1:
@@ -298,8 +297,10 @@ def cmd_branch(cfg):
 
 def cmd_evolve(cfg):
     p = cfg.model_params()
+    if cfg.dt_halving and cfg.s == 0:
+        raise ConfigurationError("--dt-halving needs a branch profile (--s > 0)")
     ecfg = EvolutionConfig(dt=cfg.dt, t_final=cfg.tfinal, n_modes=cfg.modes)
-    manifest = {"version": __version__, "dt_stable": stable_dt(cfg.modes, p)}
+    manifest = {"version": __version__}
     if cfg.s == 0:
         f0 = CosineSeries(np.zeros(cfg.modes + 1))
         manifest["initial"] = "zero"
@@ -314,6 +315,7 @@ def cmd_evolve(cfg):
         manifest["branch_point"] = {"s": point.s, "c": point.c,
                                     "residual_norm": point.residual_norm}
     traj = evolve(f0, p, ecfg)
+    manifest["dt_stable"] = traj.dt_stable
     manifest["dt_effective"] = traj.dt_effective
     manifest["mass_drift"] = traj.mass_drift
     manifest["save_times"] = traj.times.tolist()

@@ -5,19 +5,21 @@ The equation advances f through
     (2 + α0 Λ) f_t = R[0, f],
 
 with R the model's traveling-wave residual at speed zero: the linear
-multiplier -i σ(k, 0) plus the one bilinear form Q (``model._linear`` and
-``model._quadratic``).  The time derivative is that divided, mode by mode,
-by 2 + α0 k (invertible for α0 > 0).  The mean mode is a conserved mass.
+multiplier -i σ(k, 0) plus the one bilinear form Q (``model._multiplier``
+and ``model._quadratic``).  The time derivative is that divided, mode by
+mode, by 2 + α0 k (invertible for α0 > 0).  The mean mode is a conserved mass.
 Linearizing, mode k rotates at frequency ω_k = (k - 1 + (α0 - β) k²) /
 (ε (2 + α0 k)), which equals -k times the critical speed at frequency k:
 small-amplitude waves drift exactly as the bifurcation analysis predicts.
 
 Time stepping is classical RK4 on the Galerkin-truncated system (quadratic
 terms evaluated exactly, then projected), carried out on the complex
-half-spectrum.  A branch profile should translate rigidly at its speed;
-``traveling_error`` measures the sup-norm deviation from the spectrally
-translated profile and is the independent check that continuation produced
-genuine traveling waves.
+half-spectrum.  The multiplier and the divisor are built once per
+integration (``_stage_constants``), so a stage costs one Q: one stacked
+inverse and one stacked forward FFT.  A branch profile should translate
+rigidly at its speed; ``traveling_error`` measures the sup-norm deviation
+from the spectrally translated profile and is the independent check that
+continuation produced genuine traveling waves.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .model import _linear, _quadratic
+from .model import _multiplier, _quadratic
 from .spectral import SpectralField, _amplitudes, _hat, translate
 
 __all__ = [
@@ -103,15 +105,21 @@ def rhs(f, p):
     Galerkin projection; the inverse mass operator divides mode k by
     2 + α0 k.
     """
-    a, b = _amplitudes(_rhs_hat(_hat(f.a, f.b), p))
+    u = _hat(f.a, f.b)
+    a, b = _amplitudes(_rhs_hat(u, p, *_stage_constants(u.size, p)))
     return SpectralField(a, b, grid_size=f.grid_size)
 
 
-def _rhs_hat(u, p):
-    """``rhs`` on the half-spectrum u."""
-    n = u.size - 1
-    bracket = _linear(u, 0.0, p) + _quadratic(u, u, p, n)
-    return bracket / (2.0 + p.alpha0 * np.arange(n + 1))
+def _stage_constants(size, p):
+    """The fixed arrays of the time derivative on the half-spectrum modes
+    0..size-1: the multiplier -i σ(k, 0) (mean zeroed) and the mass divisor
+    2 + α0 k.  ``evolve`` builds them once per integration."""
+    return _multiplier(size, 0.0, p), 2.0 + p.alpha0 * np.arange(size)
+
+
+def _rhs_hat(u, p, mult, mass):
+    """``rhs`` on the half-spectrum u, given its ``_stage_constants``."""
+    return (mult * u + _quadratic(u, u, p, u.size - 1)) / mass
 
 
 def evolve(f0, p, cfg):
@@ -141,15 +149,16 @@ def evolve(f0, p, cfg):
     times = [0.0]
     states = [state]
     u = _hat(state.a, state.b)
+    consts = _stage_constants(u.size, p)
     mass0 = state.mean
     drift = 0.0
     for step in range(1, n_steps + 1):
         # overflow inside a stage carries inf or nan into the new state
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = _rhs_hat(u, p)
-            k2 = _rhs_hat(u + (0.5 * dt) * k1, p)
-            k3 = _rhs_hat(u + (0.5 * dt) * k2, p)
-            k4 = _rhs_hat(u + dt * k3, p)
+            k1 = _rhs_hat(u, p, *consts)
+            k2 = _rhs_hat(u + (0.5 * dt) * k1, p, *consts)
+            k3 = _rhs_hat(u + (0.5 * dt) * k2, p, *consts)
+            k4 = _rhs_hat(u + dt * k3, p, *consts)
             new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(new).all():
             raise NumericalError(

@@ -28,8 +28,11 @@ Q(φ, h) + Q(h, φ).
 
 Constants are trivial solutions, so profiles are projected to zero mean
 before evaluation.  Q is evaluated on one grid that resolves every retained
-mode exactly; the residual of a degree-N profile is returned exactly, on 2N
-modes.
+mode exactly, with one stacked inverse FFT for all its factors and one
+stacked forward FFT for its two products (small transforms cost mostly
+per-call overhead); the residual of a degree-N profile is returned exactly,
+on 2N modes.  The multiplier -i σ(k, c) is written once (``_multiplier``);
+the residual and the evolution's stages both apply it.
 
 The Jacobian on the m-fold cosine basis is assembled in closed form from
 φ's cosine amplitudes: multiplication by a cosine series is Toeplitz +
@@ -42,6 +45,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,12 +153,27 @@ def _as_sine(r, who):
     return SineSeries(b)
 
 
+def _multiplier(size, c, p):
+    """-i σ(k, c) on the half-spectrum modes 0..size-1, with the mean mode
+    (a trivial solution) sent to zero."""
+    mult = -1j * _symbol(np.arange(size, dtype=float), c, p)
+    mult[0] = 0.0
+    return mult
+
+
 def _linear(u, c, p):
-    """The linear part of R[c, ·] on a half-spectrum: mode k >= 1 times
-    -i σ(k, c); the mean, a trivial solution, goes to zero."""
-    out = -1j * _symbol(np.arange(u.size, dtype=float), c, p) * u
-    out[0] = 0.0
-    return out
+    """The linear part of R[c, ·] on a half-spectrum u."""
+    return _multiplier(u.size, c, p) * u
+
+
+@lru_cache(maxsize=8)
+def _wave_numbers(size, g):
+    """k = 0..size-1 and g k³ as read-only arrays, built once per size and g."""
+    k = np.arange(size, dtype=float)
+    gk3 = g * k ** 3
+    k.setflags(write=False)
+    gk3.setflags(write=False)
+    return k, gk3
 
 
 def _quadratic(u, v, p, n_out):
@@ -164,17 +183,30 @@ def _quadratic(u, v, p, n_out):
     The products are formed on one power-of-two grid of at least
     u.size + v.size + n_out points.  Their degree is below u.size + v.size,
     so aliasing only folds modes onto frequencies above n_out and every
-    returned mode is exact.
+    returned mode is exact.  The factors u, Λu, w, Hw (and Λv unless v is
+    u) are zero-padded to one width and synthesized by one stacked
+    ``irfft``; the two products go back through one stacked ``rfft``.
     """
     g = p.alpha0 - p.beta
     m = _next_pow2(u.size + v.size + n_out)
-    ku = np.arange(u.size, dtype=float)
-    kv = np.arange(v.size, dtype=float)
-    w = kv * v - g * kv ** 3 * v
-    uu, lu, lv, ww, hw = (np.fft.irfft(x, m, norm="forward")
-                          for x in (u, ku * u, kv * v, w, -1j * w))
-    inner = np.fft.rfft(lu * lv - uu * ww, norm="forward")[: n_out + 1]
-    out = np.fft.rfft(uu * hw, norm="forward")[: n_out + 1]
+    ku = _wave_numbers(u.size, g)[0]
+    kv, gk3 = _wave_numbers(v.size, g)
+    w = kv * v - gk3 * v
+    spec = np.zeros((4 if v is u else 5, max(u.size, v.size)), dtype=complex)
+    spec[0, : u.size] = u
+    spec[1, : u.size] = ku * u
+    spec[2, : v.size] = w
+    spec[3, : v.size] = -1j * w
+    if v is not u:
+        spec[4, : v.size] = kv * v
+    rows = np.fft.irfft(spec, m, norm="forward")
+    uu, lu, ww, hw = rows[:4]
+    lv = lu if v is u else rows[4]
+    prod = np.empty((2, m))
+    np.multiply(lu, lv, out=prod[0])
+    prod[0] -= uu * ww
+    np.multiply(uu, hw, out=prod[1])
+    inner, out = np.fft.rfft(prod, norm="forward")[:, : n_out + 1]
     out[1:] -= 1j * inner[1:]
     return out
 

@@ -1,18 +1,22 @@
 """Shared builders and independent oracles for the test suite.
 
 Production evaluates the model on the complex half-spectrum, as the
-multiplier -i σ(k, c) (``model._linear``) plus one bilinear form
+multiplier -i σ(k, c) (``model._multiplier``) plus one bilinear form
 (``model._quadratic``), and derives the residual, its derivatives and the
 evolution right-hand side from them.  The oracles here write each of them
-out on its own with ``SpectralField`` operators: the Zygmund-operator form of the residual term by term; the
-expanded residual, its directional derivative and the evolution right-hand
-side in their earlier hand-written forms (``reference_*``); products by
-direct coefficient convolution; the quadratic terms' derivative in exact
-rational arithmetic; the Hölder seminorm and norm as the plain loop over
-all lags and the loop over validated fields; and the commutator quotient
-and sweep member by member through ``commutator_h`` and a norm on fields.
+out on its own with ``SpectralField`` operators: the Zygmund-operator form
+of the residual term by term; the expanded residual, its directional
+derivative and the evolution right-hand side in their earlier hand-written
+forms (``reference_*``); products by direct coefficient convolution; the
+quadratic terms' derivative in exact rational arithmetic; the Hölder
+seminorm and norm as the plain loop over all lags and the loop over
+validated fields; and the commutator quotient and sweep member by member
+through ``commutator_h`` and a norm on fields.  ``reference_quadratic`` is
+Q on the half-spectrum with one transform per factor and per product, the
+form the stacked kernel must reproduce bit for bit.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +36,7 @@ from oddwaves import (
     zygmund,
 )
 from oddwaves.holder import SweepResult, SweepRow
+from oddwaves.spectral import _next_pow2
 
 
 def cosine(k, amp=1.0, n=None):
@@ -189,6 +194,39 @@ def reference_rhs(f, p):
     bracket = bracket.truncate(n)
     mass = 2.0 + p.alpha0 * np.arange(n + 1)
     return SpectralField(bracket.a / mass, bracket.b / mass)
+
+
+def reference_quadratic(u, v, p, n_out):
+    """``model._quadratic`` with one transform per factor and per product:
+    five ``irfft`` (u, Λu, Λv, w, Hw) and two ``rfft`` calls on the same
+    grid, in the same arithmetic."""
+    g = p.alpha0 - p.beta
+    m = _next_pow2(u.size + v.size + n_out)
+    ku = np.arange(u.size, dtype=float)
+    kv = np.arange(v.size, dtype=float)
+    w = kv * v - g * kv ** 3 * v
+    uu, lu, lv, ww, hw = (np.fft.irfft(x, m, norm="forward")
+                          for x in (u, ku * u, kv * v, w, -1j * w))
+    inner = np.fft.rfft(lu * lv - uu * ww, norm="forward")[: n_out + 1]
+    out = np.fft.rfft(uu * hw, norm="forward")[: n_out + 1]
+    out[1:] -= 1j * inner[1:]
+    return out
+
+
+def count_real_ffts(monkeypatch):
+    """Count the calls of ``np.fft.irfft`` and ``np.fft.rfft`` made from
+    now on, by name, in the returned ``Counter``."""
+    counts = Counter()
+
+    def counting(name, transform):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return transform(*args, **kwargs)
+        return counted
+
+    for name in ("irfft", "rfft"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    return counts
 
 
 def relative_gap(f, g):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oddwaves import ModelParams, NumericalError, cli, model
+from oddwaves import ModelParams, NumericalError, cli, evolution, model
 from oddwaves.cli import main
 
 from helpers import cosine, reference_commutator_sweep, reference_holder_norm
@@ -106,7 +106,9 @@ class TestEvolve:
         assert payload["initial"] == "branch-point"
         assert payload["traveling_error"] < 1e-4
         assert payload["mass_drift"] < 1e-12
-        assert "dt_stable" in payload and "dt_effective" in payload
+        p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
+        assert payload["dt_stable"] == evolution.stable_dt(24, p)
+        assert "dt_effective" in payload
         assert set(payload["dt_halving"]) == {"dts", "errors", "order"}
 
     def test_integrates_once(self, tmp_path, monkeypatch):
@@ -157,6 +159,18 @@ class TestEvolve:
         cfg = evolution.EvolutionConfig(dt=0.002, t_final=0.1, n_modes=24)
         errs, rates = evolution.traveling_error_orders(point, p, cfg, halvings=1)
         assert block == {"dts": [0.002, 0.001], "errors": errs, "order": rates[0]}
+
+    @pytest.mark.parametrize("modes", ["0", "-3"])
+    def test_too_few_modes_names_the_flag(self, tmp_path, capsys, modes):
+        assert run(tmp_path, "evolve", "--modes", modes) == 2
+        assert "--modes must be >= 2" in capsys.readouterr().err
+
+    def test_dt_halving_without_branch_profile_exits_2(self, tmp_path, capsys):
+        """With --s 0 there is no traveling error to halve: refused, not
+        dropped from the manifest."""
+        assert run(tmp_path, "evolve", "--s", "0", "--dt-halving") == 2
+        assert "--dt-halving needs a branch profile (--s > 0)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_dt_exits_2(self, tmp_path):
         assert run(tmp_path, "evolve", "--dt", "0") == 2

@@ -14,6 +14,7 @@ from oddwaves import (
     critical_speed,
     derivative,
     dispersion_frequency,
+    evolution,
     evolve,
     residual,
     rhs,
@@ -26,8 +27,10 @@ from oddwaves.model import d_c_residual
 from helpers import (
     ORACLE_PARAMS,
     cosine,
+    count_real_ffts,
     random_even,
     random_field,
+    reference_quadratic,
     reference_rhs,
     relative_gap,
 )
@@ -171,6 +174,34 @@ class TestEvolve:
             k4 = reference_rhs(state + dt * k3, p)
             state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             assert relative_gap(got, state) <= 1e-13
+
+    @pytest.mark.parametrize("p", ORACLE_PARAMS)
+    def test_equals_run_through_reference_kernel(self, p, monkeypatch):
+        """Every saved state is bit for bit the one the RK4 stages give with
+        the per-factor ``reference_quadratic`` in place of the kernel."""
+        rng = np.random.default_rng(62)
+        f = random_field(rng, 32, mean=0.3, decay=2.0)
+        cfg = EvolutionConfig(dt=1e-3, t_final=0.02, n_modes=32, save_every=1)
+        fast = evolve(f, p, cfg)
+        calls = []
+
+        def oracle(*args):
+            calls.append(args[3])
+            return reference_quadratic(*args)
+
+        monkeypatch.setattr(evolution, "_quadratic", oracle)
+        slow = evolve(f, p, cfg)
+        assert calls == [32] * (4 * 20)
+        assert len(fast.states) == len(slow.states) == 21
+        for got, want in zip(fast.states, slow.states):
+            assert got.a.tobytes() == want.a.tobytes()
+            assert got.b.tobytes() == want.b.tobytes()
+
+    def test_one_transform_each_way_per_stage(self, monkeypatch):
+        counts = count_real_ffts(monkeypatch)
+        cfg = EvolutionConfig(dt=1e-3, t_final=5e-3, n_modes=16)
+        evolve(cosine(2, 0.1, n=16), PA, cfg)
+        assert counts == {"irfft": 4 * 5, "rfft": 4 * 5}
 
     def test_rejects_oversized_initial_data(self):
         cfg = EvolutionConfig(dt=1e-2, t_final=0.1, n_modes=8)

@@ -17,16 +17,20 @@ from oddwaves import (
     symbol_at,
 )
 from oddwaves.bifurcation import continue_branch
-from oddwaves.model import _jacobian, d_c_residual
+from oddwaves.model import _jacobian, _quadratic, d_c_residual
+from oddwaves.spectral import _hat
 
 from helpers import (
     ORACLE_PARAMS,
     coeff_gap,
     cosine,
+    count_real_ffts,
     exact_gateaux_nonlinear,
     random_even,
+    random_field,
     random_mfold_even,
     reference_gateaux,
+    reference_quadratic,
     reference_residual,
     relative_gap,
     residual_first_form,
@@ -211,6 +215,39 @@ class TestReferenceOracles:
         for c in (-0.4, 0.3):
             phi, h = random_even(rng, n), random_even(rng, n, mean=1.0)
             assert relative_gap(gateaux(c, phi, h, p), reference_gateaux(c, phi, h, p)) <= 1e-13
+
+
+class TestStackedQuadratic:
+    """``model._quadratic`` synthesizes its factors with one stacked ``irfft``
+    and analyses its products with one stacked ``rfft``; it must return the
+    per-factor oracle's floats exactly."""
+
+    @staticmethod
+    def random_hat(rng, degree):
+        f = random_field(rng, degree, mean=rng.standard_normal())
+        return _hat(f.a, f.b)
+
+    @pytest.mark.parametrize("p", ORACLE_PARAMS)
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_equals_reference_bit_for_bit(self, n, p):
+        rng = np.random.default_rng(n + 2)
+        u, v = self.random_hat(rng, n), self.random_hat(rng, n // 2)
+        # u is v; equal data in distinct arrays; unequal sizes in both orders
+        for a, b in ((u, u), (u, u.copy()), (u, v), (v, u)):
+            for n_out in (n // 4, n // 2, n, 2 * n, 3 * n):
+                got = _quadratic(a, b, p, n_out)
+                want = reference_quadratic(a, b, p, n_out)
+                assert got.shape == want.shape == (n_out + 1,)
+                assert got.tobytes() == want.tobytes()
+
+    def test_one_transform_each_way(self, monkeypatch):
+        counts = count_real_ffts(monkeypatch)
+        rng = np.random.default_rng(4)
+        u, v = self.random_hat(rng, 32), self.random_hat(rng, 16)
+        for a, b in ((u, u), (u, v)):
+            counts.clear()
+            _quadratic(a, b, P, 32)
+            assert counts == {"irfft": 1, "rfft": 1}
 
 
 class TestGateaux:
