@@ -26,6 +26,7 @@ from .errors import ConfigurationError, NumericalError
 from .model import (
     ModelParams,
     _jacobian,
+    _jacobian_weights,
     _mfold_indices,
     assemble_jacobian,
     critical_speed,
@@ -169,12 +170,13 @@ def _assemble_phi(s, complement, m, n):
     return CosineSeries(a)
 
 
-def _newton(c, complement, s, m, p, n, tol, max_iter):
+def _newton(c, complement, s, m, p, n, tol, max_iter, weights):
     """Solve the amplitude-constrained system for (c, φ_2..φ_n).
 
     Equations are the sine amplitudes of the residual at frequencies
     m, 2m, ..., nm; acceptance requires the full residual sup-norm
-    (all modes, tail included) below tol.
+    (all modes, tail included) below tol.  ``weights`` are the branch's
+    ``_jacobian_weights``.
     """
     rows = _mfold_indices(m, n)
     for it in range(max_iter + 1):
@@ -185,7 +187,7 @@ def _newton(c, complement, s, m, p, n, tol, max_iter):
             return c, phi, rnorm, it
         if it == max_iter:
             raise _NoConvergence(rnorm)
-        jac = _jacobian(c, phi.a, p, m, n, speed_column=True)
+        jac = _jacobian(c, phi.a, p, m, n, speed_column=True, weights=weights)
         rhs = -res.b[rows]
         try:
             delta = np.linalg.solve(jac, rhs)
@@ -247,12 +249,13 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     c = c0
     complement = np.zeros(n - 1)
     floor = ds / 2.0 ** STEP_HALVINGS
+    weights = _jacobian_weights(m, n, p.alpha0 - p.beta)
     while s_max - s_abs > 1e-15:
         step = min(step, step_cap, s_max - s_abs)
         s_try = direction * (s_abs + step)
         try:
             c_new, phi, rnorm, iters = _newton(
-                c, complement.copy(), s_try, m, p, n, tol, max_iter)
+                c, complement.copy(), s_try, m, p, n, tol, max_iter, weights)
         except _SingularSystem:
             step /= 2.0
             if step < floor:

@@ -299,10 +299,13 @@ def cmd_evolve(cfg):
     p = cfg.model_params()
     if cfg.dt_halving and cfg.s == 0:
         raise ConfigurationError("--dt-halving needs a branch profile (--s > 0)")
-    ecfg = EvolutionConfig(dt=cfg.dt, t_final=cfg.tfinal, n_modes=cfg.modes)
+    if cfg.dt_halving and cfg.tfinal == 0:
+        raise ConfigurationError("--dt-halving needs a time horizon (--tfinal > 0)")
+    # --modes counts modes of the m-fold basis, which reach frequency fold × modes
+    ecfg = EvolutionConfig(dt=cfg.dt, t_final=cfg.tfinal, n_modes=cfg.fold * cfg.modes)
     manifest = {"version": __version__}
     if cfg.s == 0:
-        f0 = CosineSeries(np.zeros(cfg.modes + 1))
+        f0 = CosineSeries(np.zeros(ecfg.n_modes + 1))
         manifest["initial"] = "zero"
     else:
         branch = continue_branch(cfg.fold, p, cfg.s, ds=cfg.ds, n=cfg.modes,

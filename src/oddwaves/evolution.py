@@ -14,12 +14,17 @@ small-amplitude waves drift exactly as the bifurcation analysis predicts.
 
 Time stepping is classical RK4 on the Galerkin-truncated system (quadratic
 terms evaluated exactly, then projected), carried out on the complex
-half-spectrum.  The multiplier and the divisor are built once per
-integration (``_stage_constants``), so a stage costs one Q: one stacked
-inverse and one stacked forward FFT.  A branch profile should translate
-rigidly at its speed; ``traveling_error`` measures the sup-norm deviation
-from the spectrally translated profile and is the independent check that
-continuation produced genuine traveling waves.
+half-spectrum.  The stage workspace is allocated once per integration: the
+multiplier and the divisor (``_stage_constants``), Q's factor spectrum (a
+``model._QuadraticWork``), and one block holding the state, the next
+state, the stage input and k1..k4.  A stage then costs one Q, with one
+stacked inverse and one stacked forward FFT whose outputs are the only
+arrays it allocates, plus in-place array operations in the order of the
+textbook formula, so every state is the float an allocating loop gives.
+A branch profile should translate rigidly at its speed; ``traveling_error``
+measures the sup-norm deviation from the spectrally translated profile and
+is the independent check that continuation produced genuine traveling
+waves.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .model import _multiplier, _quadratic
+from .model import _multiplier, _quadratic, _QuadraticWork
 from .spectral import SpectralField, _amplitudes, _hat, translate
 
 __all__ = [
@@ -93,7 +98,7 @@ def dispersion_frequency(k, p):
 def stable_dt(n, p):
     """Largest step keeping every linear mode k <= n inside the RK4
     stability interval on the imaginary axis."""
-    freqs = np.abs([dispersion_frequency(k, p) for k in range(1, n + 1)])
+    freqs = np.abs(dispersion_frequency(np.arange(1, n + 1), p))
     top = freqs.max() if len(freqs) else 0.0
     return float("inf") if top == 0.0 else RK4_IMAGINARY_LIMIT / top
 
@@ -113,13 +118,20 @@ def rhs(f, p):
 def _stage_constants(size, p):
     """The fixed arrays of the time derivative on the half-spectrum modes
     0..size-1: the multiplier -i σ(k, 0) (mean zeroed) and the mass divisor
-    2 + α0 k.  ``evolve`` builds them once per integration."""
-    return _multiplier(size, 0.0, p), 2.0 + p.alpha0 * np.arange(size)
+    2 + α0 k, stored complex as the division would cast it.  ``evolve``
+    builds them once per integration."""
+    return _multiplier(size, 0.0, p), (2.0 + p.alpha0 * np.arange(size)).astype(complex)
 
 
-def _rhs_hat(u, p, mult, mass):
-    """``rhs`` on the half-spectrum u, given its ``_stage_constants``."""
-    return (mult * u + _quadratic(u, u, p, u.size - 1)) / mass
+def _rhs_hat(u, p, mult, mass, work=None, out=None):
+    """``rhs`` on the half-spectrum u, given its ``_stage_constants``:
+    (mult u + Q(u, u)) / mass.  With ``work`` (the ``model._QuadraticWork``
+    of u's size) and ``out``, every step but the two FFTs runs in place."""
+    q = _quadratic(u, u, p, u.size - 1, work)
+    out = np.multiply(mult, u, out=out)
+    out += q
+    out /= mass
+    return out
 
 
 def evolve(f0, p, cfg):
@@ -148,27 +160,49 @@ def evolve(f0, p, cfg):
 
     times = [0.0]
     states = [state]
-    u = _hat(state.a, state.b)
-    consts = _stage_constants(u.size, p)
+    size = cfg.n_modes + 1
+    mult, mass = _stage_constants(size, p)
+    work = _QuadraticWork(size, size, size - 1, p, same=True)
+    # the state, the next state, a scaled rate (dt/2) k or dt k, and k1..k4;
+    # each stage input u + (dt/2) k is written into the row Q reads it from
+    block = np.empty((7, size), dtype=complex)
+    u, new, dk, k1, k2, k3, k4 = block
+    k23 = block[4:6]                         # k2 and k3, doubled in one call
+    stage = work.u
+    u[:] = _hat(state.a, state.b)
+    half, sixth = 0.5 * dt, dt / 6.0
     mass0 = state.mean
     drift = 0.0
-    for step in range(1, n_steps + 1):
-        # overflow inside a stage carries inf or nan into the new state
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = _rhs_hat(u, p, *consts)
-            k2 = _rhs_hat(u + (0.5 * dt) * k1, p, *consts)
-            k3 = _rhs_hat(u + (0.5 * dt) * k2, p, *consts)
-            k4 = _rhs_hat(u + dt * k3, p, *consts)
-            new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(new).all():
-            raise NumericalError(
-                f"solution lost finiteness during step {step} (t = {step * dt:.6g})",
-                time=(step - 1) * dt, last_state=field(u))
-        u = new
-        if step % save_every == 0 or step == n_steps:
-            times.append(step * dt)
-            states.append(field(u))
-            drift = max(drift, abs(states[-1].mean - mass0))
+    # overflow inside a stage carries inf or nan into the new state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            # each line is one operation of u + (dt/6)(k1 + 2k2 + 2k3 + k4),
+            # with stage inputs u + (dt/2) k1, u + (dt/2) k2, u + dt k3
+            _rhs_hat(u, p, mult, mass, work, k1)
+            np.multiply(half, k1, out=dk)
+            np.add(u, dk, out=stage)
+            _rhs_hat(stage, p, mult, mass, work, k2)
+            np.multiply(half, k2, out=dk)
+            np.add(u, dk, out=stage)
+            _rhs_hat(stage, p, mult, mass, work, k3)
+            np.multiply(dt, k3, out=dk)
+            np.add(u, dk, out=stage)
+            _rhs_hat(stage, p, mult, mass, work, k4)
+            np.multiply(2.0, k23, out=k23)
+            np.add(k1, k2, out=k2)
+            np.add(k2, k3, out=k2)
+            np.add(k2, k4, out=k2)
+            np.multiply(sixth, k2, out=k2)
+            np.add(u, k2, out=new)
+            if not np.isfinite(new).all():
+                raise NumericalError(
+                    f"solution lost finiteness during step {step} (t = {step * dt:.6g})",
+                    time=(step - 1) * dt, last_state=field(u))
+            u, new = new, u
+            if step % save_every == 0 or step == n_steps:
+                times.append(step * dt)
+                states.append(field(u))
+                drift = max(drift, abs(states[-1].mean - mass0))
     return Trajectory(times=np.array(times), states=states, dt_effective=dt,
                       dt_stable=stable_dt(cfg.n_modes, p), mass_drift=drift)
 

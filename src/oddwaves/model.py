@@ -31,15 +31,18 @@ before evaluation.  Q is evaluated on one grid that resolves every retained
 mode exactly, with one stacked inverse FFT for all its factors and one
 stacked forward FFT for its two products (small transforms cost mostly
 per-call overhead); the residual of a degree-N profile is returned exactly,
-on 2N modes.  The multiplier -i σ(k, c) is written once (``_multiplier``);
-the residual and the evolution's stages both apply it.
+on 2N modes.  A caller that evaluates Q many times at one shape passes
+the arrays of that shape (``_QuadraticWork``) to every call, as the
+evolution does.  The multiplier -i σ(k, c) is written once
+(``_multiplier``); the residual and the evolution's stages both apply it.
 
 The Jacobian on the m-fold cosine basis is assembled in closed form from
 φ's cosine amplitudes: multiplication by a cosine series is Toeplitz +
 Hankel on the cos/sin bases, so every entry is an amplitude of φ at the sum
 or the difference of two frequencies times a polynomial in them (no FFT,
-O(n²) work).  ``gateaux`` keeps the FFT path as the reference it is tested
-against.
+O(n²) work).  The indices and polynomials depend on (m, n, α0 - β) alone
+(``_jacobian_weights``), so a branch builds them once.  ``gateaux`` keeps
+the FFT path as the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -168,15 +171,37 @@ def _linear(u, c, p):
 
 @lru_cache(maxsize=8)
 def _wave_numbers(size, g):
-    """k = 0..size-1 and g k³ as read-only arrays, built once per size and g."""
+    """The rows k and g k³, k = 0..size-1, of one read-only array, built
+    once per size and g.  It is stored complex (zero imaginary parts), as
+    every product with a half-spectrum would cast it."""
     k = np.arange(size, dtype=float)
-    gk3 = g * k ** 3
-    k.setflags(write=False)
-    gk3.setflags(write=False)
-    return k, gk3
+    kg = np.array([k, g * k ** 3], dtype=complex)
+    kg.setflags(write=False)
+    return kg
 
 
-def _quadratic(u, v, p, n_out):
+class _QuadraticWork:
+    """The arrays of ``_quadratic`` at one shape (u.size, v.size, n_out, g,
+    and whether v is u): the rows k and g k³, and the zero-padded factor
+    spectrum with a view of each of its rows u, Λu, w, Hw (and Λv when v is
+    not u).  A caller that evaluates Q many times at one shape, as
+    ``evolve`` does, builds it once and passes it to every call; it may
+    write u into the row ``u`` itself and pass that row."""
+
+    def __init__(self, u_size, v_size, n_out, p, same):
+        g = p.alpha0 - p.beta
+        self.m = _next_pow2(u_size + v_size + n_out)
+        self.ku = _wave_numbers(u_size, g)[0]
+        self.kg = _wave_numbers(v_size, g)
+        self.spec = np.zeros((4 if same else 5, max(u_size, v_size)), dtype=complex)
+        self.u, self.lu = self.spec[0, :u_size], self.spec[1, :u_size]
+        self.w, self.hw = self.spec[2, :v_size], self.spec[3, :v_size]
+        # the rows Λv and Hw as one view, to take k v and g k³ v in one call
+        self.lv_hw = self.spec[1:4:2, :v_size] if same else self.spec[4:2:-1, :v_size]
+        self.lv = self.lv_hw[0]
+
+
+def _quadratic(u, v, p, n_out, work=None):
     """Q(u, v) = H[Λu · Λv - u · w] + u · Hw with w = Λv - g Λ³v, on the
     half-spectrum modes 0..n_out.
 
@@ -185,29 +210,30 @@ def _quadratic(u, v, p, n_out):
     so aliasing only folds modes onto frequencies above n_out and every
     returned mode is exact.  The factors u, Λu, w, Hw (and Λv unless v is
     u) are zero-padded to one width and synthesized by one stacked
-    ``irfft``; the two products go back through one stacked ``rfft``.
+    ``irfft``; the two products go back through one stacked ``rfft``.  The
+    factors are written into ``work`` (a ``_QuadraticWork`` of this shape,
+    built here when not given) and the products into the rows the ``irfft``
+    returned, so no other step allocates.
     """
-    g = p.alpha0 - p.beta
-    m = _next_pow2(u.size + v.size + n_out)
-    ku = _wave_numbers(u.size, g)[0]
-    kv, gk3 = _wave_numbers(v.size, g)
-    w = kv * v - gk3 * v
-    spec = np.zeros((4 if v is u else 5, max(u.size, v.size)), dtype=complex)
-    spec[0, : u.size] = u
-    spec[1, : u.size] = ku * u
-    spec[2, : v.size] = w
-    spec[3, : v.size] = -1j * w
+    if work is None:
+        work = _QuadraticWork(u.size, v.size, n_out, p, v is u)
+    if u is not work.u:
+        np.copyto(work.u, u)
+    np.multiply(work.kg, v, out=work.lv_hw)  # Λv, and g k³ v until Hw replaces it
     if v is not u:
-        spec[4, : v.size] = kv * v
-    rows = np.fft.irfft(spec, m, norm="forward")
-    uu, lu, ww, hw = rows[:4]
-    lv = lu if v is u else rows[4]
-    prod = np.empty((2, m))
-    np.multiply(lu, lv, out=prod[0])
-    prod[0] -= uu * ww
-    np.multiply(uu, hw, out=prod[1])
-    inner, out = np.fft.rfft(prod, norm="forward")[:, : n_out + 1]
-    out[1:] -= 1j * inner[1:]
+        np.multiply(work.ku, u, out=work.lu)
+    np.subtract(work.lv, work.hw, out=work.w)
+    np.multiply(-1j, work.w, out=work.hw)
+    rows = np.fft.irfft(work.spec, work.m, norm="forward")
+    # rows u, Λu, w, Hw (, Λv) become u, Λu·Λv, Λu·Λv - u·w, u·Hw
+    uu, lu = rows[0], rows[1]
+    np.multiply(uu, rows[2:4], out=rows[2:4])
+    np.multiply(lu, lu if v is u else rows[4], out=lu)
+    np.subtract(lu, rows[2], out=rows[2])
+    prod = np.fft.rfft(rows[2:4], norm="forward")
+    inner, out = prod[0, 1 : n_out + 1], prod[1, : n_out + 1]
+    np.multiply(1j, inner, out=inner)
+    out[1:] -= inner
     return out
 
 
@@ -291,7 +317,25 @@ def assemble_jacobian(c, phi, p, n, m=1):
     return jac
 
 
-def _jacobian(c, a, p, m, n, speed_column=False):
+def _jacobian_weights(m, n, g):
+    """The arrays of ``_jacobian`` that depend on (m, n, g) alone: the
+    frequencies k = m, 2m, ..., nm (as integers and as floats) and, for the
+    sum and for the difference of a row and a column frequency, the index
+    of that amplitude in the extended array and its polynomial weight.
+    ``continue_branch`` builds them once per branch."""
+    mid = 2 * m * n
+    k = _mfold_indices(m, n)
+    kf = k.astype(float)
+    total = k[:, None] + k                   # k' + k
+    diff = k[:, None] - k                    # k' - k
+    d = diff.astype(float)
+    lag = np.abs(d)
+    # (d - |d|) / 2 is k' - k where k' < k and 0 elsewhere
+    return (k, kf, mid + total, kf * (total - 1) + g * kf ** 3,
+            mid + diff, kf * lag + 0.5 * (d - lag) * (1.0 - g * d * d))
+
+
+def _jacobian(c, a, p, m, n, speed_column=False, weights=None):
     """The m-fold Jacobian at (c, φ) from φ's cosine amplitudes a (a_0 is
     ignored, at most mn modes), in closed form and without FFTs.
 
@@ -306,23 +350,19 @@ def _jacobian(c, a, p, m, n, speed_column=False):
     The quadratic terms contribute the last two summands, which do not
     depend on c or ε.  With ``speed_column`` the first column is replaced by
     the speed derivative of the residual, -(2k' + α0 k'²) a_{k'}, as in the
-    amplitude-constrained Newton system.
+    amplitude-constrained Newton system.  ``weights`` are the
+    ``_jacobian_weights`` of (m, n, α0 - β), built here when not given.
     """
-    g = p.alpha0 - p.beta
+    if weights is None:
+        weights = _jacobian_weights(m, n, p.alpha0 - p.beta)
+    k, kf, at_total, w_total, at_diff, w_diff = weights
     mid = 2 * m * n
     top = min(a.size - 1, m * n)
     amp = np.zeros(2 * mid + 1)              # a_l sits at amp[mid + l]
     amp[mid + 1 : mid + top + 1] = a[1 : top + 1]
     amp[mid - top : mid] = a[top:0:-1]
-    k = _mfold_indices(m, n)
-    kf = k.astype(float)
-    total = k[:, None] + k                   # k' + k
-    diff = k[:, None] - k                    # k' - k
-    d = diff.astype(float)
-    lag = np.abs(d)
-    jac = amp[mid + total] * (kf * (total - 1) + g * kf ** 3)
-    # (d - |d|) / 2 is k' - k where k' < k and 0 elsewhere
-    jac += amp[mid + diff] * (kf * lag + 0.5 * (d - lag) * (1.0 - g * d * d))
+    jac = amp[at_total] * w_total
+    jac += amp[at_diff] * w_diff
     jac.flat[:: n + 1] += _symbol(kf, c, p)
     if speed_column:
         jac[:, 0] = _d_c_symbol(kf, p) * amp[mid + k]

@@ -13,7 +13,10 @@ seminorm and norm as the plain loop over all lags and the loop over
 validated fields; and the commutator quotient and sweep member by member
 through ``commutator_h`` and a norm on fields.  ``reference_quadratic`` is
 Q on the half-spectrum with one transform per factor and per product, the
-form the stacked kernel must reproduce bit for bit.
+form the stacked kernel must reproduce bit for bit; ``reference_rk4`` is the
+RK4 loop through it with every stage allocating, which ``evolve`` must
+reproduce bit for bit; ``reference_jacobian`` is the closed-form Jacobian
+with its index and weight arrays built on every call.
 """
 
 from collections import Counter
@@ -36,7 +39,8 @@ from oddwaves import (
     zygmund,
 )
 from oddwaves.holder import SweepResult, SweepRow
-from oddwaves.spectral import _next_pow2
+from oddwaves.model import _multiplier
+from oddwaves.spectral import _amplitudes, _hat, _next_pow2
 
 
 def cosine(k, amp=1.0, n=None):
@@ -213,6 +217,35 @@ def reference_quadratic(u, v, p, n_out):
     return out
 
 
+def reference_rk4(f, p, cfg, quadratic=reference_quadratic):
+    """The amplitude pairs (a, b) that classical RK4 saves after step 0 when
+    every stage and the combination allocate new arrays and Q is
+    ``quadratic`` (the per-transform ``reference_quadratic`` by default):
+    the loop ``evolution.evolve`` must reproduce bit for bit, with the same
+    step, save rule, multiplier -i σ(k, 0) and divisor 2 + α0 k."""
+    state = f.pad_to(cfg.n_modes)
+    n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
+    dt = cfg.t_final / n_steps
+    save_every = cfg.save_every or max(1, n_steps // 10)
+    u = _hat(state.a, state.b)
+    mult = _multiplier(u.size, 0.0, p)
+    mass = 2.0 + p.alpha0 * np.arange(u.size)
+
+    def rate(x):
+        return (mult * x + quadratic(x, x, p, x.size - 1)) / mass
+
+    saved = []
+    for step in range(1, n_steps + 1):
+        k1 = rate(u)
+        k2 = rate(u + (0.5 * dt) * k1)
+        k3 = rate(u + (0.5 * dt) * k2)
+        k4 = rate(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % save_every == 0 or step == n_steps:
+            saved.append(_amplitudes(u))
+    return saved
+
+
 def count_real_ffts(monkeypatch):
     """Count the calls of ``np.fft.irfft`` and ``np.fft.rfft`` made from
     now on, by name, in the returned ``Counter``."""
@@ -227,6 +260,33 @@ def count_real_ffts(monkeypatch):
     for name in ("irfft", "rfft"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     return counts
+
+
+def reference_jacobian(c, a, p, m, n, speed_column=False):
+    """``model._jacobian`` with its index and weight arrays built inside
+    every call: the form the assembler with ``_jacobian_weights`` built once
+    per branch must reproduce bit for bit."""
+    g = p.alpha0 - p.beta
+    mid = 2 * m * n
+    top = min(a.size - 1, m * n)
+    amp = np.zeros(2 * mid + 1)              # a_l sits at amp[mid + l]
+    amp[mid + 1 : mid + top + 1] = a[1 : top + 1]
+    amp[mid - top : mid] = a[top:0:-1]
+    k = m * np.arange(1, n + 1)
+    kf = k.astype(float)
+    total = k[:, None] + k                   # k' + k
+    diff = k[:, None] - k                    # k' - k
+    d = diff.astype(float)
+    lag = np.abs(d)
+    jac = amp[mid + total] * (kf * (total - 1) + g * kf ** 3)
+    # (d - |d|) / 2 is k' - k where k' < k and 0 elsewhere
+    jac += amp[mid + diff] * (kf * lag + 0.5 * (d - lag) * (1.0 - g * d * d))
+    sigma = (-(2.0 * c + 1.0 / p.epsilon) * kf + 1.0 / p.epsilon
+             - (c * p.alpha0 + g / p.epsilon) * kf * kf)
+    jac.flat[:: n + 1] += sigma
+    if speed_column:
+        jac[:, 0] = (-2.0 * kf - p.alpha0 * kf * kf) * amp[mid + k]
+    return jac
 
 
 def relative_gap(f, g):

@@ -172,6 +172,25 @@ class TestEvolve:
         assert "--dt-halving needs a branch profile (--s > 0)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_dt_halving_without_time_horizon_exits_2(self, tmp_path, capsys):
+        """With --tfinal 0 both traveling errors are 0 and their order is
+        not a number: refused before any work, not written as Infinity."""
+        assert run(tmp_path, "evolve", "--s", "0.02", "--tfinal", "0", "--dt-halving") == 2
+        assert "--dt-halving needs a time horizon (--tfinal > 0)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fold", [2, 3])
+    def test_folded_branch_point_travels(self, tmp_path, fold):
+        """An m-fold branch continued with --modes n reaches frequency m n,
+        and is integrated on that many modes."""
+        code = run(tmp_path, "evolve", "--fold", str(fold), "--s", "0.02",
+                   "--modes", "16", "--tfinal", "0.02", "--dt", "2e-4")
+        assert code == 0
+        payload = read_json(tmp_path, "evolution_manifest.json")["payload"]
+        assert payload["traveling_error"] < 1e-12
+        p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
+        assert payload["dt_stable"] == evolution.stable_dt(16 * fold, p)
+
     def test_invalid_dt_exits_2(self, tmp_path):
         assert run(tmp_path, "evolve", "--dt", "0") == 2
 

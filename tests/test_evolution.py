@@ -32,6 +32,7 @@ from helpers import (
     random_field,
     reference_quadratic,
     reference_rhs,
+    reference_rk4,
     relative_gap,
 )
 
@@ -59,6 +60,14 @@ class TestConfig:
         n = 32
         top = max(abs(dispersion_frequency(k, PA)) for k in range(1, n + 1))
         assert np.isclose(stable_dt(n, PA), 2 * np.sqrt(2) / top)
+
+    @pytest.mark.parametrize("n", [1, 64, 256])
+    def test_stable_dt_equals_per_mode_form(self, n):
+        """One array call gives the float the per-mode loop gave."""
+        for p in (PA, *ORACLE_PARAMS):
+            top = np.abs([dispersion_frequency(k, p) for k in range(1, n + 1)]).max()
+            want = float("inf") if top == 0.0 else evolution.RK4_IMAGINARY_LIMIT / top
+            assert stable_dt(n, p) == want
 
 
 class TestDispersion:
@@ -176,26 +185,29 @@ class TestEvolve:
             assert relative_gap(got, state) <= 1e-13
 
     @pytest.mark.parametrize("p", ORACLE_PARAMS)
-    def test_equals_run_through_reference_kernel(self, p, monkeypatch):
-        """Every saved state is bit for bit the one the RK4 stages give with
-        the per-factor ``reference_quadratic`` in place of the kernel."""
+    def test_equals_run_through_reference_kernel(self, p):
+        """Every saved state is bit for bit the one the allocating RK4 loop
+        gives through the per-factor ``reference_quadratic``, for even and
+        odd data, saved every step or every few steps."""
         rng = np.random.default_rng(62)
-        f = random_field(rng, 32, mean=0.3, decay=2.0)
-        cfg = EvolutionConfig(dt=1e-3, t_final=0.02, n_modes=32, save_every=1)
-        fast = evolve(f, p, cfg)
-        calls = []
+        for even, save_every in ((False, 1), (True, 1), (False, 3), (True, 7)):
+            f = random_field(rng, 32, even=even, mean=0.3, decay=2.0)
+            cfg = EvolutionConfig(dt=1e-3, t_final=0.02, n_modes=32,
+                                  save_every=save_every)
+            calls = []
 
-        def oracle(*args):
-            calls.append(args[3])
-            return reference_quadratic(*args)
+            def oracle(*args):
+                calls.append(args[3])
+                return reference_quadratic(*args)
 
-        monkeypatch.setattr(evolution, "_quadratic", oracle)
-        slow = evolve(f, p, cfg)
-        assert calls == [32] * (4 * 20)
-        assert len(fast.states) == len(slow.states) == 21
-        for got, want in zip(fast.states, slow.states):
-            assert got.a.tobytes() == want.a.tobytes()
-            assert got.b.tobytes() == want.b.tobytes()
+            want = reference_rk4(f, p, cfg, quadratic=oracle)
+            got = evolve(f, p, cfg)
+            assert calls == [32] * (4 * 20)
+            assert len(want) == 20 // save_every + (20 % save_every != 0)
+            assert len(got.states) == 1 + len(want)
+            for state, (a, b) in zip(got.states[1:], want):
+                assert state.a.tobytes() == a.tobytes()
+                assert state.b.tobytes() == b.tobytes()
 
     def test_one_transform_each_way_per_stage(self, monkeypatch):
         counts = count_real_ffts(monkeypatch)

@@ -17,7 +17,13 @@ from oddwaves import (
     symbol_at,
 )
 from oddwaves.bifurcation import continue_branch
-from oddwaves.model import _jacobian, _quadratic, d_c_residual
+from oddwaves.model import (
+    _jacobian,
+    _jacobian_weights,
+    _quadratic,
+    _QuadraticWork,
+    d_c_residual,
+)
 from oddwaves.spectral import _hat
 
 from helpers import (
@@ -30,6 +36,7 @@ from helpers import (
     random_field,
     random_mfold_even,
     reference_gateaux,
+    reference_jacobian,
     reference_quadratic,
     reference_residual,
     relative_gap,
@@ -240,6 +247,22 @@ class TestStackedQuadratic:
                 assert got.shape == want.shape == (n_out + 1,)
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("p", ORACLE_PARAMS)
+    def test_reused_work_equals_reference(self, p):
+        """One ``_QuadraticWork`` serves every call of its shape: calls on
+        new data through it return the oracle's floats, whatever the calls
+        before them left in its arrays."""
+        rng = np.random.default_rng(5)
+        n = 32
+        for u_size, v_size, same in ((n, n, True), (n, n // 2, False), (n // 2, n, False)):
+            n_out = u_size + v_size
+            work = _QuadraticWork(u_size + 1, v_size + 1, n_out, p, same)
+            for _ in range(3):
+                u = self.random_hat(rng, u_size)
+                v = u if same else self.random_hat(rng, v_size)
+                got = _quadratic(u, v, p, n_out, work)
+                assert got.tobytes() == reference_quadratic(u, v, p, n_out).tobytes()
+
     def test_one_transform_each_way(self, monkeypatch):
         counts = count_real_ffts(monkeypatch)
         rng = np.random.default_rng(4)
@@ -326,9 +349,10 @@ class TestJacobianMatrix:
             assemble_jacobian(0.0, cosine(10, 1.0, n=10), P, n=4, m=2)
 
 
-def columnwise_jacobian(c, a, p, m, n, speed_column=False):
+def columnwise_jacobian(c, a, p, m, n, speed_column=False, weights=None):
     """The m-fold Jacobian built one column at a time from ``gateaux`` (FFT
-    products); the slow oracle for the closed-form assembler."""
+    products); the slow oracle for the closed-form assembler.  It takes and
+    ignores the assembler's ``weights``."""
     phi = CosineSeries(a)
     rows = m * np.arange(1, n + 1)
     jac = np.empty((n, n))
@@ -399,3 +423,22 @@ class TestClosedFormJacobian:
         assert not fast.truncated and not slow.truncated
         assert [pt.newton_iters for pt in fast.points] == [pt.newton_iters for pt in slow.points]
         assert np.abs(fast.speeds - slow.speeds).max() <= 1e-12
+
+
+class TestJacobianWeights:
+    """Weights built once per branch give the entries built per call."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 16, 64])
+    def test_equals_reference_bit_for_bit(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        phi = random_mfold_even(rng, m, m * n)
+        for p in (ModelParams(0.5, 1.0, 1.0), ModelParams(0.7, 2.0, 0.3)):  # g = 0, g = 1.7
+            weights = _jacobian_weights(m, n, p.alpha0 - p.beta)
+            for speed_column in (False, True):
+                want = reference_jacobian(-0.4, phi.a, p, m, n, speed_column).tobytes()
+                assert _jacobian(-0.4, phi.a, p, m, n, speed_column).tobytes() == want
+                assert _jacobian(-0.4, phi.a, p, m, n, speed_column,
+                                 weights=weights).tobytes() == want
+            assert assemble_jacobian(-0.4, phi, p, n, m).tobytes() == \
+                reference_jacobian(-0.4, phi.a, p, m, n).tobytes()
