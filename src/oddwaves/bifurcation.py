@@ -19,6 +19,7 @@ derivative as its first column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -28,13 +29,14 @@ from .model import (
     _jacobian,
     _jacobian_weights,
     _mfold_indices,
+    _residual_hat,
+    _sine_amplitudes,
     assemble_jacobian,
     critical_speed,
     d_c_symbol,
-    residual,
     symbol_at,
 )
-from .spectral import CosineSeries
+from .spectral import CosineSeries, SpectralField, _hat, _sup_norm
 
 __all__ = [
     "BifurcationPoint",
@@ -75,7 +77,7 @@ class BranchPoint:
 
     s: float
     c: float
-    phi: CosineSeries
+    phi: SpectralField
     residual_norm: float
     newton_iters: int
 
@@ -162,33 +164,29 @@ class _NoConvergence(Exception):
         self.residual_norm = residual_norm
 
 
-def _assemble_phi(s, complement, m, n):
-    a = np.zeros(m * n + 1)
-    a[m] = s
-    if n > 1:
-        a[_mfold_indices(m, n)[1:]] = complement
-    return CosineSeries(a)
-
-
 def _newton(c, complement, s, m, p, n, tol, max_iter, weights):
     """Solve the amplitude-constrained system for (c, φ_2..φ_n).
 
     Equations are the sine amplitudes of the residual at frequencies
     m, 2m, ..., nm; acceptance requires the full residual sup-norm
-    (all modes, tail included) below tol.  ``weights`` are the branch's
-    ``_jacobian_weights``.
+    (all modes, tail included) below tol.  Iterates are cosine amplitude
+    arrays; only the accepted profile is built as a field.  ``weights``
+    are the branch's ``_jacobian_weights``.
     """
     rows = _mfold_indices(m, n)
+    a = np.zeros(m * n + 1)             # a_0 = 0: the profile has zero mean
+    a[m] = s
+    zero = np.zeros_like(a)
     for it in range(max_iter + 1):
-        phi = _assemble_phi(s, complement, m, n)
-        res = residual(c, phi, p)
-        rnorm = res.sup_norm()
+        a[rows[1:]] = complement
+        b = _sine_amplitudes(_residual_hat(c, _hat(a, zero), p), "residual")
+        rnorm = _sup_norm(np.zeros_like(b), b)
         if rnorm < tol:
-            return c, phi, rnorm, it
+            return c, CosineSeries(a), rnorm, it
         if it == max_iter:
             raise _NoConvergence(rnorm)
-        jac = _jacobian(c, phi.a, p, m, n, speed_column=True, weights=weights)
-        rhs = -res.b[rows]
+        jac = _jacobian(c, a, p, m, n, speed_column=True, weights=weights)
+        rhs = -b[rows]
         try:
             delta = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError as exc:
@@ -209,6 +207,8 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     The first record is the trivial limit (s=0, c=c_m, φ=0).  Steps start at
     ds and grow geometrically up to step_cap; the last step lands exactly on
     s_max.  ``direction=-1`` walks the mirror branch (negative amplitudes).
+    step_cap > 0 and step_growth >= 1 are required, since otherwise the
+    steps shrink towards zero and s_max is never reached.
 
     Newton non-convergence truncates the branch at the last converged point
     (reported on the returned Branch); a singular Newton system triggers
@@ -220,6 +220,12 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
         raise ConfigurationError("s_max must be >= 0")
     if not (ds > 0):
         raise ConfigurationError("ds must be > 0")
+    if not (step_cap > 0):
+        raise ConfigurationError(f"step_cap must be > 0, got {step_cap!r}")
+    if not (step_growth >= 1):
+        raise ConfigurationError(f"step_growth must be >= 1, got {step_growth!r}")
+    if not isinstance(max_iter, Integral) or max_iter < 0:
+        raise ConfigurationError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if not (tol >= 1e-12):
         raise ConfigurationError("tol below 1e-12 is not resolvable")
     if n < 2:

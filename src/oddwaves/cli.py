@@ -44,6 +44,7 @@ from .spectral import (
 )
 from .model import (
     ModelParams,
+    _even_hat,
     _residual_hat,
     critical_speed,
     d_c_symbol,
@@ -212,6 +213,8 @@ def resolve_config(args):
         raise ConfigurationError("--smax must be >= 0")
     if cfg.s < 0:
         raise ConfigurationError("--s must be >= 0")
+    if cfg.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -419,7 +422,7 @@ def _family_residual_parity(rng, p, n):
     worst = 0.0
     for _ in range(5):
         phi = _random_field(rng, n, even=True)
-        a, b = _amplitudes(_residual_hat(0.3, phi, p))
+        a, b = _amplitudes(_residual_hat(0.3, _even_hat(phi, "phi"), p))
         scale = max(1.0, float(np.abs(b).max()))
         worst = max(worst, float(np.abs(a).max()) / scale)
     return worst

@@ -313,6 +313,8 @@ def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
         raise ConfigurationError("ensemble size must be >= 1")
     if max_degree < 1:
         raise ConfigurationError("max_degree must be >= 1")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     _check_alpha(alpha)
     m = _check_grid(grid_size, 2 * max_degree)
     rows = []

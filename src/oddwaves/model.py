@@ -145,7 +145,8 @@ def _even_hat(phi, who):
     return u
 
 
-def _as_sine(r, who):
+def _sine_amplitudes(r, who):
+    """The sine amplitudes of a half-spectrum r, after the parity check."""
     # Outputs are odd by the model's symmetry; anything else is a numerical
     # inconsistency, not a user error.
     a, b = _amplitudes(r)
@@ -153,7 +154,7 @@ def _as_sine(r, who):
     leak = float(np.max(np.abs(a)))
     if leak > PARITY_TOL * scale:
         raise NumericalError(f"{who} violated odd symmetry: cosine leak {leak:.3e}")
-    return SineSeries(b)
+    return b
 
 
 def _multiplier(size, c, p):
@@ -237,9 +238,9 @@ def _quadratic(u, v, p, n_out, work=None):
     return out
 
 
-def _residual_hat(c, phi, p):
-    """R[c, φ] on the half-spectrum modes 0..2N, before the parity check."""
-    u = _even_hat(phi, "phi")
+def _residual_hat(c, u, p):
+    """R[c, φ] on the half-spectrum modes 0..2N, before the parity check,
+    from the half-spectrum u of an even φ with zero mean (``_even_hat``)."""
     r = _quadratic(u, u, p, 2 * (u.size - 1))
     r[: u.size] += _linear(u, c, p)
     return r
@@ -252,7 +253,8 @@ def residual(c, phi, p):
     equation identically).  The result is exact: products carry their full
     degree, so a degree-N input yields the true residual on 2N modes.
     """
-    return _as_sine(_residual_hat(c, phi, p), "residual")
+    r = _residual_hat(c, _even_hat(phi, "phi"), p)
+    return SineSeries(_sine_amplitudes(r, "residual"))
 
 
 def gateaux(c, phi, h, p):
@@ -266,7 +268,7 @@ def gateaux(c, phi, h, p):
     n_out = u.size + v.size - 2
     r = _quadratic(u, v, p, n_out) + _quadratic(v, u, p, n_out)
     r[: v.size] += _linear(v, c, p)
-    return _as_sine(r, "gateaux")
+    return SineSeries(_sine_amplitudes(r, "gateaux"))
 
 
 def d_c_residual(phi, p):
@@ -276,22 +278,12 @@ def d_c_residual(phi, p):
     bordered Newton systems.
     """
     u = _even_hat(phi, "phi")
-    return _as_sine(-1j * _d_c_symbol(np.arange(u.size, dtype=float), p) * u,
-                    "d_c_residual")
+    r = -1j * _d_c_symbol(np.arange(u.size, dtype=float), p) * u
+    return SineSeries(_sine_amplitudes(r, "d_c_residual"))
 
 
 def _mfold_indices(m, n):
     return m * np.arange(1, n + 1)
-
-
-def require_mfold(field, m, who="field"):
-    """Check that a field's support lies on frequencies that are multiples
-    of m (exact zero test on the complementary amplitudes)."""
-    mask = np.ones(field.n_modes + 1, dtype=bool)
-    mask[::m] = False
-    mask[0] = False
-    if field.a[mask].any() or field.b[mask].any():
-        raise ConfigurationError(f"{who} is not supported on the {m}-fold lattice")
 
 
 def assemble_jacobian(c, phi, p, n, m=1):
@@ -306,7 +298,8 @@ def assemble_jacobian(c, phi, p, n, m=1):
     n, m = int(n), int(m)
     if not phi.is_even:
         raise ConfigurationError("phi must be even")
-    require_mfold(phi, m, "phi")
+    if phi.a[np.arange(phi.a.size) % m != 0].any():
+        raise ConfigurationError(f"phi is not supported on the {m}-fold lattice")
     if phi.n_modes > m * n:
         raise ConfigurationError(
             f"phi has {phi.n_modes} modes, exceeding the {m}-fold truncation {m * n}"

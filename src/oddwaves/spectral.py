@@ -6,8 +6,11 @@ amplitudes
     f(x) = a_0 + sum_{k=1}^{N} a_k cos(k x) + b_k sin(k x),
 
 with collocation values on a uniform grid over [0, 2π).  Cosine and sine
-amplitudes are kept in separate arrays so that the even/odd subspaces are
-plain slices: ``CosineSeries`` has b ≡ 0, ``SineSeries`` has a ≡ 0.  FFTs
+amplitudes are kept in separate arrays, so parity is a property of the
+values: a field is even when b ≡ 0 and odd when a ≡ 0 (``is_even``,
+``is_odd``), and ``CosineSeries``/``SineSeries`` build fields of each kind.
+The linear operators below map exact zeros to exact zeros, so they keep
+parity exactly; ``multiply`` enforces the product's parity.  FFTs
 work on the complex half-spectrum u_k = (a_k - i b_k)/2, u_0 = a_0; this
 module owns that conversion (``_hat``, ``_amplitudes``).  The conversion,
 synthesis and analysis helpers act on the last axis, so a stack of
@@ -113,8 +116,7 @@ class SpectralField:
     def degree(self):
         """Highest mode with a nonzero amplitude (0 for constants and zero)."""
         if self._degree is None:  # the amplitudes are read-only, so it never changes
-            nz = np.nonzero(np.abs(self.a) + np.abs(self.b))[0]
-            self._degree = int(nz[-1]) if nz.size else 0
+            self._degree = _degree(self.a, self.b)
         return self._degree
 
     @property
@@ -132,7 +134,7 @@ class SpectralField:
     def with_zero_mean(self):
         a = self.a.copy()
         a[0] = 0.0
-        return _rebuild(type(self), a, self.b, self.grid_size)
+        return SpectralField(a, self.b, self.grid_size)
 
     def pad_to(self, n_modes):
         """Embed into a larger truncation (amplitudes past N are zero)."""
@@ -145,13 +147,13 @@ class SpectralField:
         b = np.zeros(n_modes + 1)
         a[: n + 1] = self.a
         b[: n + 1] = self.b
-        return _rebuild(type(self), a, b, max(self.grid_size, 2 * n_modes + 2))
+        return SpectralField(a, b, max(self.grid_size, 2 * n_modes + 2))
 
     def truncate(self, n_modes):
         """Project onto modes 0..n_modes by dropping the tail."""
         if n_modes >= self.n_modes:
             return self
-        return _rebuild(type(self), self.a[: n_modes + 1], self.b[: n_modes + 1], None)
+        return SpectralField(self.a[: n_modes + 1], self.b[: n_modes + 1])
 
     # -- evaluation ---------------------------------------------------------
 
@@ -176,8 +178,7 @@ class SpectralField:
 
     def sup_norm(self, oversample=4):
         """Max absolute value on an oversampled grid (slight under-estimate)."""
-        m = _next_pow2(max(64, oversample * (self.degree + 1)))
-        return float(np.max(np.abs(self.values(m))))
+        return _sup_norm(self.a, self.b, oversample)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -186,9 +187,8 @@ class SpectralField:
             return NotImplemented
         n = max(self.n_modes, other.n_modes)
         f, g = self.pad_to(n), other.pad_to(n)
-        cls = type(self) if type(self) is type(other) else SpectralField
-        return _rebuild(cls, f.a + sign * g.a, f.b + sign * g.b,
-                        max(f.grid_size, g.grid_size))
+        return SpectralField(f.a + sign * g.a, f.b + sign * g.b,
+                             max(f.grid_size, g.grid_size))
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -197,53 +197,45 @@ class SpectralField:
         return self._binary(other, -1.0)
 
     def __neg__(self):
-        return _rebuild(type(self), -self.a, -self.b, self.grid_size)
+        return SpectralField(-self.a, -self.b, self.grid_size)
 
     def __mul__(self, scalar):
         if isinstance(scalar, SpectralField):
             return NotImplemented  # use multiply() for dealiased products
-        return _rebuild(type(self), self.a * scalar, self.b * scalar, self.grid_size)
+        return SpectralField(self.a * scalar, self.b * scalar, self.grid_size)
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return (f"{type(self).__name__}(n_modes={self.n_modes}, "
+        return (f"SpectralField(n_modes={self.n_modes}, "
                 f"degree={self.degree}, grid_size={self.grid_size})")
 
 
-class CosineSeries(SpectralField):
-    """Even field: f(x) = sum_k f_k cos(kx).  All sine amplitudes vanish."""
-
-    def __init__(self, cos_amplitudes, grid_size=None):
-        super().__init__(cos_amplitudes, None, grid_size)
+def CosineSeries(cos_amplitudes, grid_size=None):
+    """Even field f(x) = sum_k f_k cos(kx): all sine amplitudes zero."""
+    return SpectralField(cos_amplitudes, None, grid_size)
 
 
-class SineSeries(SpectralField):
-    """Odd field: f(x) = sum_{k>=1} f_k sin(kx).  All cosine amplitudes vanish."""
-
-    def __init__(self, sin_amplitudes, grid_size=None):
-        b = np.asarray(sin_amplitudes, dtype=float)
-        super().__init__(np.zeros_like(b), b, grid_size)
-        if self.a.any():
-            raise ConfigurationError("SineSeries must have no cosine content")
+def SineSeries(sin_amplitudes, grid_size=None):
+    """Odd field f(x) = sum_{k>=1} f_k sin(kx): all cosine amplitudes zero."""
+    return SpectralField(np.zeros_like(sin_amplitudes, dtype=float), sin_amplitudes, grid_size)
 
 
-def _rebuild(cls, a, b, grid_size):
-    """Construct ``cls`` from raw amplitude arrays, bypassing the public
-    single-array constructors of the parity subclasses."""
-    if cls is CosineSeries:
-        return CosineSeries(a, grid_size=grid_size)
-    if cls is SineSeries:
-        return SineSeries(b, grid_size=grid_size)
-    return SpectralField(a, b, grid_size=grid_size)
+def _degree(a, b):
+    """Highest mode with a nonzero amplitude (0 for constants and zero)."""
+    nz = np.nonzero(np.abs(a) + np.abs(b))[0]
+    return int(nz[-1]) if nz.size else 0
 
 
-def _parity_flip(cls):
-    if cls is CosineSeries:
-        return SineSeries
-    if cls is SineSeries:
-        return CosineSeries
-    return SpectralField
+def _sup_norm(a, b, oversample=4):
+    """Max absolute value of the field with amplitudes (a, b) on the grid of
+    ``SpectralField.sup_norm``: the power of two >= max(64, oversample ·
+    (degree + 1))."""
+    degree = _degree(a, b)
+    m = _next_pow2(max(64, oversample * (degree + 1)))
+    if m < 2 * degree + 2:
+        raise ConfigurationError(f"{m} points cannot resolve a degree-{degree} field")
+    return float(np.max(np.abs(_synthesize(a, b, m))))
 
 
 def _hat(a, b):
@@ -304,7 +296,7 @@ def hilbert(f):
     a[0] = 0.0
     b = f.a.copy()
     b[0] = 0.0
-    return _rebuild(_parity_flip(type(f)), a, b, f.grid_size)
+    return SpectralField(a, b, f.grid_size)
 
 
 def zygmund(f):
@@ -313,7 +305,7 @@ def zygmund(f):
     Coincides with hilbert(derivative(f, 1)) coefficient-wise.
     """
     k = np.arange(f.a.size, dtype=float)
-    return _rebuild(type(f), k * f.a, k * f.b, f.grid_size)
+    return SpectralField(k * f.a, k * f.b, f.grid_size)
 
 
 def derivative(f, order):
@@ -322,11 +314,9 @@ def derivative(f, order):
         raise ConfigurationError("derivative order must be 1, 2, or 3")
     a, b = f.a, f.b
     k = np.arange(a.size, dtype=float)
-    cls = type(f)
     for _ in range(order):
         a, b = k * b, -k * a
-        cls = _parity_flip(cls)
-    return _rebuild(cls, a, b, f.grid_size)
+    return SpectralField(a, b, f.grid_size)
 
 
 def multiply(f, g):
@@ -347,29 +337,17 @@ def multiply(f, g):
     a, b = _analyze(f.values(m) * g.values(m))
     a = a[: n_out + 1].copy() if a.size > n_out + 1 else np.pad(a, (0, n_out + 1 - a.size))
     b = b[: n_out + 1].copy() if b.size > n_out + 1 else np.pad(b, (0, n_out + 1 - b.size))
-    cls = _product_parity(type(f), type(g))
-    if cls is CosineSeries:
+    if (f.is_even and g.is_even) or (f.is_odd and g.is_odd):
         b[:] = 0.0
-    elif cls is SineSeries:
+    elif (f.is_even and g.is_odd) or (f.is_odd and g.is_even):
         a[:] = 0.0
-    return _rebuild(cls, a, b, None)
+    return SpectralField(a, b)
 
 
 def _product_grid(deg, n_out):
     """The grid ``multiply`` forms a product on: a power of two that resolves
     the product degree ``deg`` and leaves ``n_out`` modes alias-free."""
     return _next_pow2(max(2 * deg + 2, 3 * n_out // 2 + 2, 8))
-
-
-def _product_parity(cls_f, cls_g):
-    even, odd = CosineSeries, SineSeries
-    if cls_f is even and cls_g is even:
-        return even
-    if cls_f is odd and cls_g is odd:
-        return even
-    if (cls_f, cls_g) in ((even, odd), (odd, even)):
-        return odd
-    return SpectralField
 
 
 def commutator_h(f, g):

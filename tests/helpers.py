@@ -16,7 +16,9 @@ Q on the half-spectrum with one transform per factor and per product, the
 form the stacked kernel must reproduce bit for bit; ``reference_rk4`` is the
 RK4 loop through it with every stage allocating, which ``evolve`` must
 reproduce bit for bit; ``reference_jacobian`` is the closed-form Jacobian
-with its index and weight arrays built on every call.
+with its index and weight arrays built on every call; ``reference_newton``
+is the Newton loop on validated fields, which the loop on amplitude arrays
+must reproduce bit for bit.
 """
 
 from collections import Counter
@@ -36,10 +38,12 @@ from oddwaves import (
     hilbert,
     holder_norm,
     multiply,
+    residual,
     zygmund,
 )
+from oddwaves.bifurcation import _NoConvergence, _SingularSystem
 from oddwaves.holder import SweepResult, SweepRow
-from oddwaves.model import _multiplier
+from oddwaves.model import _jacobian, _mfold_indices, _multiplier
 from oddwaves.spectral import _amplitudes, _hat, _next_pow2
 
 
@@ -287,6 +291,36 @@ def reference_jacobian(c, a, p, m, n, speed_column=False):
     if speed_column:
         jac[:, 0] = (-2.0 * kf - p.alpha0 * kf * kf) * amp[mid + k]
     return jac
+
+
+def reference_newton(c, complement, s, m, p, n, tol, max_iter, weights):
+    """``bifurcation._newton`` with every iterate built as a ``CosineSeries``
+    and every residual as the validated field of ``residual``, whose
+    ``sup_norm`` judges convergence: the accepted points (c, φ, residual
+    norm, iterations) and the stall residual must be the array loop's, bit
+    for bit."""
+    rows = _mfold_indices(m, n)
+    for it in range(max_iter + 1):
+        a = np.zeros(m * n + 1)
+        a[m] = s
+        a[rows[1:]] = complement
+        phi = CosineSeries(a)
+        res = residual(c, phi, p)
+        rnorm = res.sup_norm()
+        if rnorm < tol:
+            return c, phi, rnorm, it
+        if it == max_iter:
+            raise _NoConvergence(rnorm)
+        jac = _jacobian(c, phi.a, p, m, n, speed_column=True, weights=weights)
+        try:
+            delta = np.linalg.solve(jac, -res.b[rows])
+        except np.linalg.LinAlgError as exc:
+            raise _SingularSystem(str(exc)) from exc
+        if not np.isfinite(delta).all():
+            raise _SingularSystem("non-finite Newton update")
+        c = c + delta[0]
+        complement = complement + delta[1:]
+    raise AssertionError("unreachable")
 
 
 def relative_gap(f, g):

@@ -18,8 +18,11 @@ from oddwaves import (
     translate,
     transversality,
 )
+import oddwaves.bifurcation as bif
 from oddwaves.bifurcation import branch_to_csv, branch_to_json
 from oddwaves.model import _mfold_indices, d_c_residual
+
+from helpers import reference_newton
 
 P = ModelParams(1.0, 1.0, 0.0)
 PA = ModelParams(0.5, 1.0, 0.5)
@@ -189,6 +192,24 @@ class TestContinueBranch:
         with pytest.raises(ConfigurationError):
             continue_branch(1, PA, 0.01, tol=1e-13)
 
+    @pytest.mark.parametrize("kw", [{"max_iter": -1}, {"max_iter": 2.5},
+                                    {"step_cap": 0.0}, {"step_cap": -1e-3},
+                                    {"step_cap": float("nan")}, {"step_growth": 0.5},
+                                    {"step_growth": float("nan")}])
+    def test_step_settings_rejected_before_newton(self, kw, monkeypatch):
+        """Settings under which the loop could never finish (a zero step, a
+        shrinking step) or Newton could never run are refused up front."""
+        def no_newton(*args):
+            raise AssertionError("Newton ran")
+
+        monkeypatch.setattr(bif, "_newton", no_newton)
+        with pytest.raises(ConfigurationError):
+            continue_branch(1, PA, 0.05, **kw)
+
+    def test_constant_step_accepted(self):
+        br = continue_branch(1, PA, 0.004, ds=1e-3, n=16, step_growth=1.0)
+        assert not br.truncated and np.allclose(np.diff(br.amplitudes), 1e-3)
+
     def test_nonconvergence_truncates_and_reports(self):
         br = continue_branch(1, PA, 0.05, ds=1e-3, n=16, tol=1e-11, max_iter=0)
         assert br.truncated and "converge" in br.failure
@@ -228,6 +249,46 @@ class TestContinueBranch:
         assert kernel_dimension(critical_speed(2, p), p, 2, 32) == 2
         with pytest.raises(ConfigurationError):
             continue_branch(2, p, 0.01, n=16)
+
+
+class TestArrayNewton:
+    """Newton on amplitude arrays against the loop on validated fields."""
+
+    @staticmethod
+    def run_both(monkeypatch, m, **kw):
+        fast = continue_branch(m, PA, 0.05, **kw)
+        calls = []
+
+        def oracle(*args):
+            calls.append(args)
+            return reference_newton(*args)
+
+        monkeypatch.setattr(bif, "_newton", oracle)
+        slow = continue_branch(m, PA, 0.05, **kw)
+        assert len(calls) == len(slow.points) - 1 + slow.truncated
+        return fast, slow
+
+    @staticmethod
+    def assert_same_points(fast, slow):
+        assert len(fast.points) == len(slow.points)
+        for f, s in zip(fast.points, slow.points):
+            assert (f.s, f.c, f.residual_norm, f.newton_iters) == \
+                (s.s, s.c, s.residual_norm, s.newton_iters)
+            assert f.phi.a.tobytes() == s.phi.a.tobytes()
+            assert f.phi.is_even and f.phi.grid_size == s.phi.grid_size
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_branch_equals_field_newton(self, monkeypatch, m):
+        fast, slow = self.run_both(monkeypatch, m)
+        assert not fast.truncated and len(fast.points) == 9
+        self.assert_same_points(fast, slow)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_truncated_branch_equals_field_newton(self, monkeypatch, m):
+        fast, slow = self.run_both(monkeypatch, m, max_iter=1)
+        assert fast.truncated and slow.truncated
+        assert fast.failure == slow.failure
+        self.assert_same_points(fast, slow)
 
 
 class TestSerialization:

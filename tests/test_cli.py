@@ -78,6 +78,10 @@ class TestBranch:
     def test_nan_smax_exits_2(self, tmp_path):
         assert run(tmp_path, "branch", "--smax", "nan") == 2
 
+    def test_negative_max_iter_exits_2(self, tmp_path, capsys):
+        assert run(tmp_path, "branch", "--max-iter", "-1") == 2
+        assert "max_iter must be an integer >= 0" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, tmp_path):
         args = ("branch", "--smax", "0.005", "--modes", "8", "--seed", "99")
         run(tmp_path, *args)
@@ -290,6 +294,13 @@ class TestVerify:
 class TestSelftest:
     def test_passes_quickly(self, tmp_path):
         assert run(tmp_path, "selftest") == 0
+
+
+@pytest.mark.parametrize("command, seed", [("verify", "-1"), ("selftest", "-5")])
+def test_negative_seed_exits_2(tmp_path, capsys, command, seed):
+    assert run(tmp_path, command, "--seed", seed) == 2
+    assert f"--seed must be >= 0, got {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:

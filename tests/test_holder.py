@@ -408,10 +408,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"alpha": 1.0}, {"grid_size": 1023}, {"grid_size": 160},
+        {"seed": -1},
     ])
     def test_refused_before_any_member_is_drawn(self, kwargs, monkeypatch):
-        """α outside (0, 1), an odd grid and a grid below 4 max_degree + 2
-        (Θ reaches degree 2 max_degree) are refused up front."""
+        """α outside (0, 1), an odd grid, a grid below 4 max_degree + 2
+        (Θ reaches degree 2 max_degree) and a negative seed (numpy refuses
+        the derived member seeds) are refused up front."""
         def no_draws(seed):
             raise AssertionError("a member was drawn")
 

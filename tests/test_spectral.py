@@ -126,8 +126,9 @@ class TestHilbert:
             assert max(np.abs(g.a).max(), np.abs(g.b).max()) < 1e-12
 
     def test_swaps_parity_classes_exactly(self):
-        assert isinstance(hilbert(cosine(4)), SineSeries)
-        assert isinstance(hilbert(sine(4)), CosineSeries)
+        hc, hs = hilbert(cosine(4)), hilbert(sine(4))
+        assert hc.is_odd and not hc.a.any() and hc.b[4] == 1.0
+        assert hs.is_even and not hs.b.any() and hs.a[4] == -1.0
 
     def test_against_quadrature(self):
         rng = np.random.default_rng(8)
@@ -175,8 +176,9 @@ class TestDerivative:
             derivative(cosine(1), order)
 
     def test_parity_flip(self):
-        assert isinstance(derivative(cosine(2), 1), SineSeries)
-        assert isinstance(derivative(cosine(2), 2), CosineSeries)
+        d1, d2 = derivative(cosine(2), 1), derivative(cosine(2), 2)
+        assert d1.is_odd and not d1.a.any() and d1.b[2] == -2.0
+        assert d2.is_even and not d2.b.any() and d2.a[2] == -4.0
 
 
 class TestMultiply:
@@ -212,9 +214,23 @@ class TestMultiply:
         rng = np.random.default_rng(3)
         even = random_field(rng, 9, even=True)
         odd = SineSeries(np.r_[0.0, rng.standard_normal(9)])
-        assert isinstance(multiply(even, even), CosineSeries)
-        assert isinstance(multiply(odd, odd), CosineSeries)
-        assert isinstance(multiply(even, odd), SineSeries)
+        for prod in (multiply(even, even), multiply(odd, odd)):
+            assert prod.is_even and not prod.b.any() and prod.a.any()
+        for prod in (multiply(even, odd), multiply(odd, even)):
+            assert prod.is_odd and not prod.a.any() and prod.b.any()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_parity_follows_values_not_constructor(self, seed):
+        """Even factors built as plain fields (b ≡ 0 by value) give an
+        exactly even product, as cosine series do, and the same one."""
+        rng = np.random.default_rng(seed)
+        a = np.r_[0.3, rng.standard_normal(9)]
+        c = np.r_[0.0, rng.standard_normal(7)]
+        f, g = SpectralField(a), SpectralField(c)
+        for prod, ref in ((multiply(f, f), multiply(CosineSeries(a), CosineSeries(a))),
+                          (multiply(f, g), multiply(CosineSeries(a), CosineSeries(c)))):
+            assert prod.is_even and not prod.b.any()
+            assert np.array_equal(prod.a, ref.a)
 
 
 class TestCommutator:
