@@ -69,7 +69,7 @@ from .evolution import (
     evolve,
     traveling_error_orders,
 )
-from .holder import SWEEP_GRID, commutator_sweep
+from .holder import SWEEP_GRID, _check_alpha, _check_grid, commutator_sweep
 
 DEFAULTS = {
     "epsilon": 0.5,
@@ -547,6 +547,11 @@ def _print_checks(checks):
 
 
 def cmd_verify(cfg):
+    # the sweeps' own checks, before the families run; the first degree
+    # refused gives the message its sweep would give
+    _check_alpha(cfg.alpha)
+    for deg in cfg.degrees:
+        _check_grid(cfg.holder_grid, 2 * deg)
     if cfg.inject_fault:
         print("fault injection active: the operator families check a Hilbert "
               "transform with the sine branch sign flipped")

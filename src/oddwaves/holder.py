@@ -32,15 +32,19 @@ trigonometric polynomials at increasing degree: the empirical maxima stay
 bounded as the degree doubles, the desk-scale signature of a uniform
 constant.  No value of C is claimed.
 
-Both evaluate the quotient on stacked amplitude rows, the sweep
-``SWEEP_BLOCK`` members at a time (zero-padded to a common length) and
+Both evaluate the quotient on stacked amplitude rows, the sweep a block
+of members at a time (zero-padded to a common length) and
 ``commutator_ratio`` as the one-row case: every derivative level is one
 ``irfft`` of the whole stack, and sup norms and seminorms are taken row
-by row.  Θ = H(a b') - a H(b') is formed from the two products on the
-grid ``multiply`` picks for degree deg a + deg b, one group of rows per
-grid, and each row keeps the modes up to deg a + deg b, as ``multiply``
-truncates them.  So every row is the float that ``commutator_h`` and
-``holder_norm`` on fields give for that member alone.
+by row.  A block holds as many members as keep the seminorm scan's
+per-step gather, rows × ``LAG_BLOCK`` × m float64, within ``SWEEP_BYTES``
+(2 MiB): 32 members on the default 1024-point grid, 8 on 4096 points, so
+the memory a block takes stays bounded at every grid.  Θ = H(a b') -
+a H(b') is formed from the two products on the grid ``multiply`` picks
+for degree deg a + deg b, one group of rows per grid, and each row keeps
+the modes up to deg a + deg b, as ``multiply`` truncates them.  So every
+row is the float that ``commutator_h`` and ``holder_norm`` on fields give
+for that member alone.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ __all__ = [
 DEFAULT_GRID = 4096
 SWEEP_GRID = 1024  # default sweep grid (config key `holder_grid`); resolves degree <= 511
 LAG_BLOCK = 8  # lags compared per step of the seminorm scan
-SWEEP_BLOCK = 8  # sweep members evaluated together as stacked rows
+SWEEP_BYTES = 2 * 2**20  # budget of one scan step's gather in a sweep block
 BOUND_MARGIN = 1.0 + 1e-12  # covers the roundings between a gap and its bound
 
 
@@ -118,7 +122,9 @@ def _seminorms(vals, alpha):
     min(R, L g_1) / d_L, with R the row's spread; a row compares its lags in
     decreasing order of that bound, ``LAG_BLOCK`` at a time, and stops once
     its next bound cannot beat its maximum.  The rows step together, one
-    (rows, ``LAG_BLOCK``, m) gather per step.
+    (``LAG_BLOCK``, rows, m) gather per step.  It is lag-major because
+    subtracting the rows' samples then broadcasts over the leading axis,
+    a faster loop in numpy than a broadcast over the middle one.
 
     Rows that are not all finite give max - min: nan for a nan sample, inf
     for an isolated infinity.
@@ -143,18 +149,19 @@ def _seminorms(vals, alpha):
         windows = sliding_window_view(ext, m, axis=1)  # windows[r, L] == ext[r, L:L + m]
         rows = vals if scan.size == vals.shape[0] else vals[scan]  # samples of the scanning rows
         top = best[scan]  # and their maxima
+        pos = np.arange(scan.size)  # their rows of bound and order
         for start in range(0, lags.size, LAG_BLOCK):
-            go = bound[:, start] > top  # every later lag has a bound no larger
+            go = bound[pos, start] > top  # every later lag has a bound no larger
             if not go.all():
                 best[scan] = top
-                scan, bound, order, rows, top = scan[go], bound[go], order[go], rows[go], top[go]
+                scan, pos, rows, top = scan[go], pos[go], rows[go], top[go]
                 if not scan.size:
                     break
-            block = order[:, start:start + LAG_BLOCK]
-            gaps = windows[scan[:, None], lags[block]]  # a copy: fancy indexing
-            gaps -= rows[:, None]
+            block = order[pos, start:start + LAG_BLOCK].T
+            gaps = windows[scan, lags[block]]  # a copy: fancy indexing
+            gaps -= rows
             gaps = np.abs(gaps, out=gaps).max(axis=2)
-            np.maximum(top, (gaps / dists[block]).max(axis=1), out=top)
+            np.maximum(top, (gaps / dists[block]).max(axis=0), out=top)
         best[scan] = top
     return best
 
@@ -259,6 +266,13 @@ def commutator_ratio(a, b, alpha, grid_size=DEFAULT_GRID):
     return float(_quotients(*rows, np.array([deg_a]), np.array([deg_b]), alpha, m)[0])
 
 
+def _sweep_block(m):
+    """Sweep members evaluated together on an m-point grid: as many rows as
+    keep the seminorm scan's per-step gather, rows × ``LAG_BLOCK`` × m
+    float64, within ``SWEEP_BYTES``; at least one."""
+    return max(1, SWEEP_BYTES // (LAG_BLOCK * m * 8))
+
+
 @dataclass(frozen=True)
 class SweepRow:
     seed: int
@@ -306,9 +320,10 @@ def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
     ``max_degree``.  Each member gets its own derived seed so rows are
     reproducible independently of the ensemble size; it draws deg a and
     deg b, then standard normal cosine and sine amplitudes on modes
-    1..deg a of a and 1..deg b of b.  Members are evaluated ``SWEEP_BLOCK``
-    at a time, as zero-padded rows.  The grid must be even and resolve Θ,
-    whose degree reaches 2 max_degree."""
+    1..deg a of a and 1..deg b of b.  Members are evaluated in blocks of
+    zero-padded rows, as many as ``_sweep_block`` allows on the grid; every
+    row is independent, so the rows do not depend on the block size.  The
+    grid must be even and resolve Θ, whose degree reaches 2 max_degree."""
     if ensemble < 1:
         raise ConfigurationError("ensemble size must be >= 1")
     if max_degree < 1:
@@ -317,10 +332,11 @@ def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     _check_alpha(alpha)
     m = _check_grid(grid_size, 2 * max_degree)
+    block = _sweep_block(m)
     rows = []
-    for start in range(0, ensemble, SWEEP_BLOCK):
+    for start in range(0, ensemble, block):
         seeds = [int(seed) * 100_000 + i
-                 for i in range(start, min(start + SWEEP_BLOCK, ensemble))]
+                 for i in range(start, min(start + block, ensemble))]
         fa, fb, ga, gb = np.zeros((4, len(seeds), max_degree + 1))
         deg_a = np.empty(len(seeds), dtype=int)
         deg_b = np.empty(len(seeds), dtype=int)

@@ -1,11 +1,13 @@
 """End-to-end CLI tests: commands, artifacts, exit codes, reproducibility."""
 
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
 
-from oddwaves import ModelParams, NumericalError, cli, evolution, model
+from oddwaves import ModelParams, NumericalError, __version__, cli, evolution, model
 from oddwaves.cli import main
 
 from helpers import cosine, reference_commutator_sweep, reference_holder_norm
@@ -284,16 +286,48 @@ class TestVerify:
         ("160", "160 points cannot resolve a degree-80 field (need at least 162)"),
     ])
     def test_unusable_holder_grid_exits_2(self, tmp_path, capsys, grid, message):
-        """Each sweep refuses an odd grid, and one below 4 max degree + 2
-        (Θ = ⟦H,a⟧[b'] reaches twice the degree cap), before it draws a
-        member."""
+        """An odd grid, and one below 4 max degree + 2 (Θ = ⟦H,a⟧[b']
+        reaches twice the degree cap), is refused with the message of the
+        first sweep that cannot use it."""
         assert run(tmp_path, "verify", "--ensemble", "2", "--holder-grid", grid) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--holder-grid", "1023", "the Hölder grid must be even, got 1023 points"),
+        ("--holder-grid", "160", "160 points cannot resolve a degree-80 field"),
+        ("--alpha", "1.5", "alpha must lie in (0, 1), got 1.5"),
+        ("--alpha", "0", "alpha must lie in (0, 1), got 0.0"),
+    ])
+    def test_holder_settings_refused_before_any_family(self, tmp_path, capsys, monkeypatch,
+                                                        flag, value, message):
+        """--alpha and --holder-grid (against every --degrees entry) are
+        checked before the invariant families run, and nothing is written."""
+        def no_family(*args):
+            raise AssertionError("an invariant family ran")
+
+        monkeypatch.setattr(cli, "_family_hilbert_parity", no_family)
+        assert run(tmp_path, "verify", flag, value) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSelftest:
     def test_passes_quickly(self, tmp_path):
         assert run(tmp_path, "selftest") == 0
+
+
+@pytest.mark.parametrize("command", [["selftest"], ["branch", "--smax", "0", "--modes", "8"]])
+def test_other_commands_ignore_holder_settings(tmp_path, command):
+    assert run(tmp_path, *command, "--alpha", "1.5", "--holder-grid", "1023") == 0
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    """``python -m oddwaves`` runs ``cli.main`` on the command line."""
+    monkeypatch.setattr(sys, "argv", ["oddwaves", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("oddwaves", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__
 
 
 @pytest.mark.parametrize("command, seed", [("verify", "-1"), ("selftest", "-5")])

@@ -1,5 +1,7 @@
 """Hölder norm estimation and commutator-bound sweep tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -348,7 +350,7 @@ class TestSweep:
 
     def test_member_rows_independent_of_ensemble_size(self):
         """Also across the boundaries of the member blocks."""
-        block = holder.SWEEP_BLOCK
+        block = holder._sweep_block(512)
         large = commutator_sweep(2 * block + 3, 10, seed=7, grid_size=512)
         for size in (1, 5, block - 1, block, block + 1):
             small = commutator_sweep(size, 10, seed=7, grid_size=512)
@@ -390,15 +392,54 @@ class TestSweep:
                       for r in stacked.rows}
         assert grids == {8, 16, 32, 64, 128, 256}
 
+    @pytest.mark.parametrize("grid, block", [(256, 128), (1024, 32), (4096, 8), (65536, 1)])
+    def test_block_size_follows_the_grid(self, grid, block):
+        """As many rows as keep the scan's per-step gather, rows ×
+        ``LAG_BLOCK`` × m float64, within the 2 MiB budget; one row on a
+        grid whose one-row gather exceeds it."""
+        assert holder._sweep_block(grid) == block
+
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_ensembles_around_a_block(self, offset):
         """Ensembles of block - 1, block and block + 1 members, and of one."""
-        size = holder.SWEEP_BLOCK + offset
+        size = holder._sweep_block(256) + offset
+        loop = reference_commutator_sweep(size, 12, alpha=0.7, seed=3, grid_size=256)
         for ensemble in (1, size):
             stacked = commutator_sweep(ensemble, 12, alpha=0.7, seed=3, grid_size=256)
-            loop = reference_commutator_sweep(ensemble, 12, alpha=0.7, seed=3, grid_size=256)
             assert len(stacked.rows) == ensemble
-            assert stacked.rows == loop.rows
+            assert stacked.rows == loop.rows[:ensemble]
+
+    @pytest.mark.parametrize("grid", [1024, 4096])
+    def test_ensembles_around_a_block_on_sweep_grids(self, grid):
+        """Ensembles of one member, block - 1, one block, and more than two
+        blocks with a ragged last block, on the default sweep grid (32
+        member blocks) and on 4096 points (8 member blocks)."""
+        block = holder._sweep_block(grid)
+        sizes = (1, block - 1, block, 2 * block + 3)
+        loop = reference_commutator_sweep(sizes[-1], 12, alpha=0.7, seed=3, grid_size=grid)
+        for ensemble in sizes:
+            stacked = commutator_sweep(ensemble, 12, alpha=0.7, seed=3, grid_size=grid)
+            assert len(stacked.rows) == ensemble
+            assert stacked.rows == loop.rows[:ensemble]
+
+    @pytest.mark.parametrize("ensemble, degree, grid", [(150, 40, 1024), (16, 40, 4096)])
+    def test_memory_stays_within_the_block_budget(self, ensemble, degree, grid):
+        """The traced peak of a sweep is the scan's gather, at most
+        ``SWEEP_BYTES``, plus a fixed allowance for the block's other
+        arrays: its samples, their wrapped copy, the copy of the scanning
+        rows, the lag bounds and their order (together about 9/16 of the
+        budget) and the amplitude stacks and product grids.  A block sized
+        by the member count instead (150 rows at 1024 points take a 9.4 MiB
+        gather, 16 rows at 4096 points 4 MiB) breaks it."""
+        allowance = 1.5 * 2**20
+        commutator_sweep(1, degree, grid_size=grid)  # caches outside the trace
+        tracemalloc.start()
+        try:
+            commutator_sweep(ensemble, degree, grid_size=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= holder.SWEEP_BYTES + allowance
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
