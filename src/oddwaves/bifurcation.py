@@ -14,6 +14,16 @@ is a genuine solution of the truncated problem, not just of its Galerkin
 projection.  The Newton matrix is the closed-form (Toeplitz + Hankel)
 Jacobian of ``model``, assembled from φ's amplitudes with the speed
 derivative as its first column.
+
+Each iterate is tested in two stages.  By discrete Parseval, Σ b_k²/2 over
+the residual's sine amplitudes is the mean square of the samples its sup
+norm is taken over, so it bounds their largest square from below: an
+iterate whose Σ b_k²/2 exceeds tol² by a relative margin far above rounding
+is rejected without sampling.  Only an iterate that may pass, and the last
+one before a stall (whose message reports the sup), is synthesized on the
+oversampled grid.  A branch builds the Jacobian's index and weight arrays
+and the residual's transform workspace once, and every Newton step reuses
+them.
 """
 
 from __future__ import annotations
@@ -29,12 +39,13 @@ from .model import (
     _jacobian,
     _jacobian_weights,
     _mfold_indices,
+    _QuadraticWork,
     _residual_hat,
     _sine_amplitudes,
+    _symbol,
     assemble_jacobian,
     critical_speed,
     d_c_symbol,
-    symbol_at,
 )
 from .spectral import CosineSeries, SpectralField, _hat, _sup_norm
 
@@ -58,6 +69,7 @@ DEFAULT_STEP_CAP = 1e-2
 DEFAULT_STEP_GROWTH = 2.0
 SIMPLE_RTOL = 1e-10        # relative floor for "multiplier is nonzero"
 STEP_HALVINGS = 20         # singular-system retries before giving up
+PARSEVAL_MARGIN = 1e-6     # relative margin of the mean-square rejection
 
 
 @dataclass(frozen=True)
@@ -109,7 +121,8 @@ class Branch:
 
 
 def _symbol_scale(k, c, p):
-    """Natural magnitude of the multiplier's terms at frequency k."""
+    """Natural magnitude of the multiplier's terms at frequency k (or at
+    an array of frequencies, with the scalar operations elementwise)."""
     g = p.alpha0 - p.beta
     return (abs(2.0 * c + 1.0 / p.epsilon) * k + 1.0 / p.epsilon
             + abs(c * p.alpha0 + g / p.epsilon) * k * k)
@@ -125,14 +138,13 @@ def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION, rel_tol=SIMPLE_RTOL
     if k_max < 1 or int(k_max) != k_max:
         raise ConfigurationError(f"k_max must be a positive integer, got {k_max!r}")
     n_scan = max(int(n_scan), int(k_max) + 1)
+    j = np.arange(1, n_scan + 1, dtype=float)
     out = []
     for k in range(1, int(k_max) + 1):
         ck = critical_speed(k, p)
-        simple = all(
-            abs(symbol_at(j, ck, p)) > rel_tol * _symbol_scale(j, ck, p)
-            for j in range(1, n_scan + 1) if j != k
-        )
-        out.append(BifurcationPoint(k=k, speed=ck, simple=simple))
+        nonzero = np.abs(_symbol(j, ck, p)) > rel_tol * _symbol_scale(j, ck, p)
+        nonzero[k - 1] = True
+        out.append(BifurcationPoint(k=k, speed=ck, simple=bool(nonzero.all())))
     return out
 
 
@@ -164,27 +176,32 @@ class _NoConvergence(Exception):
         self.residual_norm = residual_norm
 
 
-def _newton(c, complement, s, m, p, n, tol, max_iter, weights):
+def _newton(c, complement, s, m, p, n, tol, max_iter, weights, work):
     """Solve the amplitude-constrained system for (c, φ_2..φ_n).
 
     Equations are the sine amplitudes of the residual at frequencies
     m, 2m, ..., nm; acceptance requires the full residual sup-norm
-    (all modes, tail included) below tol.  Iterates are cosine amplitude
-    arrays; only the accepted profile is built as a field.  ``weights``
-    are the branch's ``_jacobian_weights``.
+    (all modes, tail included) below tol.  An iterate whose Σ b_k²/2
+    exceeds tol² (1 + PARSEVAL_MARGIN) cannot pass, so its sup is not
+    sampled unless it is the last.  Iterates are cosine amplitude arrays;
+    only the accepted profile is built as a field.  ``weights`` are the
+    branch's ``_jacobian_weights`` and ``work`` its residual's
+    ``_QuadraticWork``.
     """
     rows = _mfold_indices(m, n)
     a = np.zeros(m * n + 1)             # a_0 = 0: the profile has zero mean
     a[m] = s
     zero = np.zeros_like(a)
+    too_large = 2.0 * tol * tol * (1.0 + PARSEVAL_MARGIN)   # on Σ b_k²
     for it in range(max_iter + 1):
         a[rows[1:]] = complement
-        b = _sine_amplitudes(_residual_hat(c, _hat(a, zero), p), "residual")
-        rnorm = _sup_norm(np.zeros_like(b), b)
-        if rnorm < tol:
-            return c, CosineSeries(a), rnorm, it
-        if it == max_iter:
-            raise _NoConvergence(rnorm)
+        b = _sine_amplitudes(_residual_hat(c, _hat(a, zero), p, work), "residual")
+        if it == max_iter or np.dot(b, b) <= too_large:
+            rnorm = _sup_norm(np.zeros_like(b), b)
+            if rnorm < tol:
+                return c, CosineSeries(a), rnorm, it
+            if it == max_iter:
+                raise _NoConvergence(rnorm)
         jac = _jacobian(c, a, p, m, n, speed_column=True, weights=weights)
         rhs = -b[rows]
         try:
@@ -237,12 +254,13 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     c0 = critical_speed(m, p)
     if not transversality(m, p):
         raise ConfigurationError(f"transversality fails at fold {m}")
-    for j in range(2, n + 1):
-        if abs(symbol_at(m * j, c0, p)) <= SIMPLE_RTOL * _symbol_scale(m * j, c0, p):
-            raise ConfigurationError(
-                f"(c_{m}, 0) is not simple in the {m}-fold space: "
-                f"frequency {m * j} shares the critical speed"
-            )
+    k = m * np.arange(2, n + 1, dtype=float)
+    shared = np.abs(_symbol(k, c0, p)) <= SIMPLE_RTOL * _symbol_scale(k, c0, p)
+    if shared.any():
+        raise ConfigurationError(
+            f"(c_{m}, 0) is not simple in the {m}-fold space: "
+            f"frequency {m * (2 + int(np.argmax(shared)))} shares the critical speed"
+        )
 
     trivial = BranchPoint(s=0.0, c=c0, phi=CosineSeries(np.zeros(m * n + 1)),
                           residual_norm=0.0, newton_iters=0)
@@ -256,12 +274,13 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     complement = np.zeros(n - 1)
     floor = ds / 2.0 ** STEP_HALVINGS
     weights = _jacobian_weights(m, n, p.alpha0 - p.beta)
+    work = _QuadraticWork(m * n + 1, m * n + 1, 2 * m * n, p, same=True)
     while s_max - s_abs > 1e-15:
         step = min(step, step_cap, s_max - s_abs)
         s_try = direction * (s_abs + step)
         try:
             c_new, phi, rnorm, iters = _newton(
-                c, complement.copy(), s_try, m, p, n, tol, max_iter, weights)
+                c, complement.copy(), s_try, m, p, n, tol, max_iter, weights, work)
         except _SingularSystem:
             step /= 2.0
             if step < floor:
@@ -308,9 +327,7 @@ def branch_to_csv(branch):
     cols = ["s", "c", "residual_norm", "newton_iters"]
     cols += [f"coeff_{j}" for j in range(1, branch.truncation + 1)]
     lines = [",".join(cols)]
-    for rec in branch_records(branch):
-        cells = [repr(v) if isinstance(v, float) else str(v) for v in rec]
-        lines.append(",".join(cells))
+    lines += [",".join(map(repr, rec)) for rec in branch_records(branch)]
     return "\n".join(lines) + "\n"
 
 

@@ -14,6 +14,11 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 Every output embeds the resolved run configuration and a sha256 of its own
 data section; a fixed seed and configuration reproduce files byte for byte.
+CSV rows hold Python scalars, and each cell is the scalar's ``repr``.  The
+profiles of a branch are synthesized together, in one stacked transform.
+The argument parser is built once per process and reused by every ``main``
+call.  An ``--out`` that is, or lies below, a file and a ``--config`` file
+that cannot be read are configuration errors, raised before any work.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +40,7 @@ from .spectral import (
     SineSeries,
     SpectralField,
     _amplitudes,
+    _synthesize,
     commutator_h,
     derivative,
     hilbert,
@@ -128,8 +135,14 @@ class RunConfig:
 def _parse_config_file(path):
     """Plain ``key = value`` lines; '#' starts a comment.  Values take the
     type of the key's default."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigurationError(f"--config {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"--config {path}: not a text file") from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -147,7 +160,10 @@ def _parse_config_file(path):
     return values
 
 
+@cache
 def build_parser():
+    """The argument parser, built on the first call: parsing leaves it
+    unchanged, so one parser serves every ``main`` call of a process."""
     common = argparse.ArgumentParser(add_help=False)
     for name, default in DEFAULTS.items():
         common.add_argument(f"--{name.replace('_', '-')}", dest=name,
@@ -221,15 +237,11 @@ def resolve_config(args):
 # -- deterministic artifact writers -------------------------------------------
 
 
-def _fmt(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _csv_body(header, rows):
+    """Header line, then one line per row of Python scalars (float, int,
+    bool), each cell its ``repr``: numpy scalars must be converted first."""
     lines = [",".join(header)]
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+    lines += [",".join(map(repr, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -249,7 +261,17 @@ def _write_json(path, cfg, payload):
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _check_out(cfg):
+    """Refuse an --out that is, or lies below, something other than a
+    directory; the commands that write call this before any work."""
+    path = Path(cfg.out)
+    found = next((q for q in (path, *path.parents) if q.exists()), None)
+    if found is not None and not found.is_dir():
+        raise ConfigurationError(f"--out {cfg.out}: {found} is not a directory")
+
+
 def _outdir(cfg):
+    _check_out(cfg)
     path = Path(cfg.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -259,6 +281,7 @@ def _outdir(cfg):
 
 
 def cmd_bifurcate(cfg):
+    _check_out(cfg)
     p = cfg.model_params()
     points = detect_bifurcations(p, cfg.kmax, n_scan=cfg.modes)
     rows = [(pt.k, pt.speed, pt.simple, transversality(pt.k, p)) for pt in points]
@@ -277,17 +300,26 @@ def cmd_bifurcate(cfg):
     return 0
 
 
+def _profile_rows(branch):
+    """Rows s, φ(x_0), ..., φ(x_{M-1}) on each profile's grid, one per
+    point, from one stacked synthesis of all the profiles."""
+    grid = branch.points[0].phi.grid_size
+    amps = np.array([pt.phi.a for pt in branch.points])
+    values = _synthesize(amps, np.zeros_like(amps), grid).tolist()
+    return grid, [[pt.s, *vals] for pt, vals in zip(branch.points, values)]
+
+
 def cmd_branch(cfg):
+    _check_out(cfg)
     p = cfg.model_params()
     branch = continue_branch(cfg.fold, p, cfg.smax, ds=cfg.ds, n=cfg.modes,
                              tol=cfg.tol, max_iter=cfg.max_iter)
     out = _outdir(cfg)
     _write_csv(out / "branch.csv", cfg, branch_to_csv(branch))
     _write_json(out / "branch.json", cfg, branch_to_json(branch))
-    grid = branch.points[0].phi.grid_size
-    profile_rows = [[pt.s] + pt.phi.values(grid).tolist() for pt in branch.points]
+    grid, rows = _profile_rows(branch)
     _write_csv(out / "profiles.csv", cfg,
-               _csv_body(["s"] + [f"x_{j}" for j in range(grid)], profile_rows))
+               _csv_body(["s"] + [f"x_{j}" for j in range(grid)], rows))
     last = branch.points[-1]
     print(f"fold {branch.m}: {len(branch.points)} points, "
           f"|s| up to {abs(last.s):.6g}, c = {last.c:.12g}")
@@ -299,6 +331,7 @@ def cmd_branch(cfg):
 
 
 def cmd_evolve(cfg):
+    _check_out(cfg)
     p = cfg.model_params()
     if cfg.dt_halving and cfg.s == 0:
         raise ConfigurationError("--dt-halving needs a branch profile (--s > 0)")
@@ -339,7 +372,8 @@ def cmd_evolve(cfg):
     print(f"mass drift {traj.mass_drift:.3e}; effective dt {traj.dt_effective:g}")
     out = _outdir(cfg)
     grid = traj.states[0].grid_size
-    rows = [[t] + st.values(grid).tolist() for t, st in zip(traj.times, traj.states)]
+    rows = [[t] + st.values(grid).tolist()
+            for t, st in zip(traj.times.tolist(), traj.states)]
     _write_csv(out / "trajectory.csv", cfg,
                _csv_body(["t"] + [f"x_{j}" for j in range(grid)], rows))
     _write_json(out / "evolution_manifest.json", cfg, manifest)
@@ -552,6 +586,7 @@ def cmd_verify(cfg):
     _check_alpha(cfg.alpha)
     for deg in cfg.degrees:
         _check_grid(cfg.holder_grid, 2 * deg)
+    _check_out(cfg)
     if cfg.inject_fault:
         print("fault injection active: the operator families check a Hilbert "
               "transform with the sine branch sign flipped")
@@ -578,8 +613,7 @@ def cmd_selftest(cfg):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         handler = {

@@ -33,8 +33,9 @@ stacked forward FFT for its two products (small transforms cost mostly
 per-call overhead); the residual of a degree-N profile is returned exactly,
 on 2N modes.  A caller that evaluates Q many times at one shape passes
 the arrays of that shape (``_QuadraticWork``) to every call, as the
-evolution does.  The multiplier -i σ(k, c) is written once
-(``_multiplier``); the residual and the evolution's stages both apply it.
+evolution and the branch continuation do.  The multiplier -i σ(k, c) is
+written once (``_multiplier``); the residual and the evolution's stages
+both apply it.
 
 The Jacobian on the m-fold cosine basis is assembled in closed form from
 φ's cosine amplitudes: multiplication by a cosine series is Toeplitz +
@@ -238,10 +239,12 @@ def _quadratic(u, v, p, n_out, work=None):
     return out
 
 
-def _residual_hat(c, u, p):
+def _residual_hat(c, u, p, work=None):
     """R[c, φ] on the half-spectrum modes 0..2N, before the parity check,
-    from the half-spectrum u of an even φ with zero mean (``_even_hat``)."""
-    r = _quadratic(u, u, p, 2 * (u.size - 1))
+    from the half-spectrum u of an even φ with zero mean (``_even_hat``).
+    ``work`` is Q's ``_QuadraticWork`` for (u.size, u.size, 2N, v is u),
+    which a caller evaluating many residuals of one size builds once."""
+    r = _quadratic(u, u, p, 2 * (u.size - 1), work)
     r[: u.size] += _linear(u, c, p)
     return r
 

@@ -17,8 +17,12 @@ form the stacked kernel must reproduce bit for bit; ``reference_rk4`` is the
 RK4 loop through it with every stage allocating, which ``evolve`` must
 reproduce bit for bit; ``reference_jacobian`` is the closed-form Jacobian
 with its index and weight arrays built on every call; ``reference_newton``
-is the Newton loop on validated fields, which the loop on amplitude arrays
-must reproduce bit for bit.
+is the Newton loop on validated fields, sampling the sup norm of every
+iterate, which the loop on amplitude arrays must reproduce bit for bit.
+``reference_simplicity`` and ``reference_shared_frequency`` are the scalar
+simplicity scans of ``detect_bifurcations`` and ``continue_branch``;
+``reference_csv_body`` and ``reference_profile_rows`` are the CLI's
+cell-by-cell CSV formatter and its per-point profile synthesis.
 """
 
 from collections import Counter
@@ -41,9 +45,9 @@ from oddwaves import (
     residual,
     zygmund,
 )
-from oddwaves.bifurcation import _NoConvergence, _SingularSystem
+from oddwaves.bifurcation import SIMPLE_RTOL, _NoConvergence, _SingularSystem, _symbol_scale
 from oddwaves.holder import SweepResult, SweepRow
-from oddwaves.model import _jacobian, _mfold_indices, _multiplier
+from oddwaves.model import _jacobian, _mfold_indices, _multiplier, critical_speed, symbol_at
 from oddwaves.spectral import _amplitudes, _hat, _next_pow2
 
 
@@ -293,12 +297,12 @@ def reference_jacobian(c, a, p, m, n, speed_column=False):
     return jac
 
 
-def reference_newton(c, complement, s, m, p, n, tol, max_iter, weights):
+def reference_newton(c, complement, s, m, p, n, tol, max_iter, weights, work=None):
     """``bifurcation._newton`` with every iterate built as a ``CosineSeries``
     and every residual as the validated field of ``residual``, whose
     ``sup_norm`` judges convergence: the accepted points (c, φ, residual
     norm, iterations) and the stall residual must be the array loop's, bit
-    for bit."""
+    for bit.  ``work`` (the loop's Q workspace) is accepted and unused."""
     rows = _mfold_indices(m, n)
     for it in range(max_iter + 1):
         a = np.zeros(m * n + 1)
@@ -321,6 +325,51 @@ def reference_newton(c, complement, s, m, p, n, tol, max_iter, weights):
         c = c + delta[0]
         complement = complement + delta[1:]
     raise AssertionError("unreachable")
+
+
+def reference_simplicity(p, k_max, n_scan, rel_tol=SIMPLE_RTOL):
+    """The ``simple`` flags of ``detect_bifurcations`` from the scalar loop:
+    c_k is simple when no other frequency j <= n_scan has a multiplier
+    below rel_tol times its terms' natural size."""
+    n_scan = max(int(n_scan), int(k_max) + 1)
+    flags = []
+    for k in range(1, int(k_max) + 1):
+        ck = critical_speed(k, p)
+        flags.append(all(abs(symbol_at(j, ck, p)) > rel_tol * _symbol_scale(j, ck, p)
+                         for j in range(1, n_scan + 1) if j != k))
+    return flags
+
+
+def reference_shared_frequency(m, p, n):
+    """The first frequency mj, j = 2..n, whose multiplier the scalar loop
+    finds vanishing at c_m (``continue_branch`` refuses the start), or
+    None."""
+    c0 = critical_speed(m, p)
+    for j in range(2, n + 1):
+        if abs(symbol_at(m * j, c0, p)) <= SIMPLE_RTOL * _symbol_scale(m * j, c0, p):
+            return m * j
+    return None
+
+
+def _fmt(value):
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def reference_csv_body(header, rows):
+    """The CLI's CSV body with one type test per cell: floats (numpy ones
+    too) as the ``repr`` of the Python float, anything else as ``str``."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def reference_profile_rows(branch):
+    """Rows s, φ(x_0), ..., φ(x_{M-1}) of ``profiles.csv``, one
+    ``values(grid)`` synthesis per point."""
+    grid = branch.points[0].phi.grid_size
+    return grid, [[pt.s] + pt.phi.values(grid).tolist() for pt in branch.points]
 
 
 def relative_gap(f, g):

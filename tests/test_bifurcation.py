@@ -21,11 +21,14 @@ from oddwaves import (
 import oddwaves.bifurcation as bif
 from oddwaves.bifurcation import branch_to_csv, branch_to_json
 from oddwaves.model import _mfold_indices, d_c_residual
+from oddwaves.spectral import _next_pow2, _synthesize
 
-from helpers import reference_newton
+from helpers import reference_newton, reference_shared_frequency, reference_simplicity
 
 P = ModelParams(1.0, 1.0, 0.0)
 PA = ModelParams(0.5, 1.0, 0.5)
+# the defaults, α0 = β = 1 (c_2 = c_4) and β = 1.75 (c_1 = c_2)
+SCAN_PARAMS = [PA, ModelParams(0.5, 1.0, 1.0), ModelParams(1.0, 1.0, 1.75)]
 
 
 def small_branch(m=1, p=PA, s_max=0.02, n=24, **kw):
@@ -83,7 +86,32 @@ class TestTransversality:
         assert all(transversality(k, PA) for k in range(1, 30))
 
 
+    @pytest.mark.parametrize("p", SCAN_PARAMS)
+    def test_simplicity_equals_scalar_loop(self, p):
+        """The array scan flags every speed as the scalar loop over
+        ``symbol_at`` does, resonant pairs included."""
+        for k_max, n_scan in ((3, 64), (10, 192)):
+            got = [pt.simple for pt in detect_bifurcations(p, k_max, n_scan=n_scan)]
+            assert got == reference_simplicity(p, k_max, n_scan)
+            assert all(type(flag) is bool for flag in got)
+
+
 class TestContinueBranch:
+    def test_start_scan_equals_scalar_loop(self):
+        """The array scan of the m-fold frequencies refuses exactly the
+        starts the scalar loop refuses, naming the same frequency."""
+        refused = set()
+        for i, p in enumerate(SCAN_PARAMS):
+            for m in (1, 2, 3):
+                shared = reference_shared_frequency(m, p, 32)
+                if shared is None:
+                    assert len(continue_branch(m, p, 0.0, n=32).points) == 1
+                    continue
+                refused.add((i, m, shared))
+                with pytest.raises(ConfigurationError, match=f"frequency {shared} shares"):
+                    continue_branch(m, p, 0.0, n=32)
+        assert {(1, 2, 4), (2, 1, 2)} <= refused
+
     def test_trivial_first_point(self):
         br = small_branch()
         first = br.points[0]
@@ -289,6 +317,41 @@ class TestArrayNewton:
         assert fast.truncated and slow.truncated
         assert fast.failure == slow.failure
         self.assert_same_points(fast, slow)
+
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sup_sampled_once_per_accepted_point(self, monkeypatch, m):
+        """An iterate that cannot pass is rejected by its mean square alone:
+        on the default folds the sup norm is sampled once per accepted
+        point, plus once for the stall message of a truncated branch."""
+        calls = []
+        sup_norm = bif._sup_norm
+
+        def counted(a, b):
+            calls.append(b.size)
+            return sup_norm(a, b)
+
+        monkeypatch.setattr(bif, "_sup_norm", counted)
+        br = continue_branch(m, PA, 0.05)
+        assert not br.truncated and len(calls) == len(br.points) - 1
+        assert sum(pt.newton_iters for pt in br.points) > len(calls)
+        calls.clear()
+        br = continue_branch(m, PA, 0.05, max_iter=1)
+        # the accepted points after the trivial one, plus the stall
+        assert br.truncated and len(calls) == len(br.points)
+
+    def test_mean_square_bounds_the_sampled_sup(self):
+        """Σ b_k²/2 is the mean square of the samples ``_sup_norm`` takes
+        (discrete Parseval), so it never exceeds their largest square."""
+        rng = np.random.default_rng(5)
+        for degree in (1, 7, 64, 192):
+            b = np.zeros(degree + 1)
+            b[1:] = rng.standard_normal(degree) / np.arange(1, degree + 1)
+            zero = np.zeros_like(b)
+            vals = _synthesize(zero, b, _next_pow2(max(64, 4 * (degree + 1))))
+            mean_square = 0.5 * np.dot(b, b)
+            assert np.mean(vals ** 2) == pytest.approx(mean_square, rel=1e-13)
+            assert mean_square <= bif._sup_norm(zero, b) ** 2
 
 
 class TestSerialization:

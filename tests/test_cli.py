@@ -7,10 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from oddwaves import ModelParams, NumericalError, __version__, cli, evolution, model
+from oddwaves import (ModelParams, NumericalError, __version__, cli, continue_branch,
+                      evolution, model)
+from oddwaves.bifurcation import branch_records, branch_to_csv
 from oddwaves.cli import main
 
-from helpers import cosine, reference_commutator_sweep, reference_holder_norm
+from helpers import (cosine, reference_commutator_sweep, reference_csv_body,
+                     reference_holder_norm, reference_profile_rows)
 
 
 def run(tmp_path, *args):
@@ -248,8 +251,8 @@ class TestVerify:
         assert 0.0 < clean <= 1e-12
         quadratic = model._quadratic
 
-        def leaking(u, v, p, n_out):
-            out = quadratic(u, v, p, n_out)
+        def leaking(u, v, p, n_out, work=None):
+            out = quadratic(u, v, p, n_out, work)
             out[2] += 0.5e-9  # a_2 = 1e-9: a cos 2x term
             return out
 
@@ -337,7 +340,132 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, seed):
     assert not (tmp_path / "out").exists()
 
 
+class TestArtifactWriters:
+    @pytest.fixture(scope="class")
+    def default_folds(self):
+        p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
+        return [continue_branch(m, p, cli.DEFAULTS["smax"]) for m in (1, 2, 3)]
+
+    def test_profile_rows_equal_per_point_synthesis(self, default_folds):
+        """The stacked synthesis gives the rows, and ``_csv_body`` the text,
+        of the per-point ``values`` loop through the cell-by-cell formatter."""
+        for branch in default_folds:
+            grid, rows = cli._profile_rows(branch)
+            ref_grid, ref_rows = reference_profile_rows(branch)
+            assert grid == ref_grid and rows == ref_rows
+            header = ["s"] + [f"x_{j}" for j in range(grid)]
+            assert cli._csv_body(header, rows) == reference_csv_body(header, ref_rows)
+
+    def test_branch_csv_equals_cell_by_cell_formatter(self, default_folds):
+        for branch in default_folds:
+            header = ["s", "c", "residual_norm", "newton_iters"]
+            header += [f"coeff_{j}" for j in range(1, branch.truncation + 1)]
+            assert branch_to_csv(branch) == reference_csv_body(header,
+                                                               branch_records(branch))
+
+    def test_csv_cells_are_numbers_or_booleans(self, tmp_path):
+        """Every data cell of every CSV the commands write reads back as a
+        number or a boolean; no numpy scalar text reaches a file."""
+        commands = [["bifurcate", "--kmax", "3"],
+                    ["branch", "--smax", "0.01", "--modes", "16"],
+                    ["evolve", "--s", "0.01", "--modes", "16", "--tfinal", "0.01",
+                     "--dt", "0.001"],
+                    ["verify", "--ensemble", "4", "--degrees", "4,8",
+                     "--holder-grid", "64"]]
+        seen = set()
+        for i, command in enumerate(commands):
+            out = tmp_path / str(i)
+            assert main([*command, "--out", str(out)]) == 0
+            for path in out.glob("*.csv"):
+                seen.add(path.name)
+                text = path.read_text()
+                assert "np." not in text
+                for row in text.splitlines()[3:]:
+                    for cell in row.split(","):
+                        assert _number_or_boolean(cell), (path.name, cell)
+        assert {"bifurcation_points.csv", "branch.csv", "profiles.csv", "trajectory.csv",
+                "commutator_sweep_deg4.csv", "commutator_sweep_deg8.csv"} <= seen
+
+
+def _number_or_boolean(cell):
+    if cell in ("True", "False"):
+        return True
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command computed before refusing its settings")
+
+
+class TestUnusableOut:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        for name in ("detect_bifurcations", "continue_branch", "evolve", "_run_families"):
+            monkeypatch.setattr(cli, name, _no_work)
+
+    @pytest.mark.parametrize("command", ["bifurcate", "branch", "evolve", "verify"])
+    def test_out_is_a_file(self, tmp_path, capsys, no_work, command):
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n")
+        assert main([command, "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --out ") and str(target) in err
+        assert target.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command", ["bifurcate", "branch", "evolve", "verify"])
+    def test_out_below_a_file(self, tmp_path, capsys, no_work, command):
+        target = tmp_path / "taken"
+        target.write_text("")
+        assert main([command, "--out", str(target / "sub" / "dir")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --out ") and f"{target} is not" in err
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        seen = []
+        for name in ("cmd_bifurcate", "cmd_evolve"):
+            monkeypatch.setattr(cli, name, lambda cfg: seen.append(cfg) or 0)
+        return seen
+
+    def test_calls_resolve_independently(self, configs):
+        assert cli.build_parser() is cli.build_parser()
+        assert main(["bifurcate", "--kmax", "3", "--epsilon", "0.7"]) == 0
+        assert main(["bifurcate"]) == 0
+        assert main(["evolve", "--dt-halving", "--s", "0.01"]) == 0
+        assert main(["evolve"]) == 0
+        first, second, halving, plain = configs
+        assert (first.kmax, first.epsilon) == (3, 0.7)
+        assert (second.kmax, second.epsilon) == (cli.DEFAULTS["kmax"], cli.DEFAULTS["epsilon"])
+        assert halving.dt_halving and halving.s == 0.01
+        assert not plain.dt_halving and plain.s == cli.DEFAULTS["s"]
+
+    def test_usage_error_leaves_the_parser_usable(self, configs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bifurcate", "--kmax", "three"])
+        assert exc.value.code == 2
+        assert main(["bifurcate", "--fold", "2"]) == 0
+        (cfg,) = configs
+        assert cfg.kmax == cli.DEFAULTS["kmax"] and cfg.fold == 2
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_file_names_the_path(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        assert main(["bifurcate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --config ") and str(path) in err
+        assert not (tmp_path / "out").exists()
+
     def test_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# sample configuration\nkmax = 2\nepsilon = 1.0\n"
