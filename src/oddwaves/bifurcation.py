@@ -128,6 +128,13 @@ def _symbol_scale(k, c, p):
             + abs(c * p.alpha0 + g / p.epsilon) * k * k)
 
 
+def _resonant(k, c, p, rel_tol=SIMPLE_RTOL):
+    """Whether the multiplier at frequency k (or elementwise at an array of
+    frequencies) vanishes at speed c: |σ(k, c)| <= rel_tol times its terms'
+    natural size.  The one non-resonance test of this module."""
+    return np.abs(_symbol(k, c, p)) <= rel_tol * _symbol_scale(k, c, p)
+
+
 def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION, rel_tol=SIMPLE_RTOL):
     """Critical speeds c_k for k <= k_max with a simplicity flag.
 
@@ -142,9 +149,9 @@ def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION, rel_tol=SIMPLE_RTOL
     out = []
     for k in range(1, int(k_max) + 1):
         ck = critical_speed(k, p)
-        nonzero = np.abs(_symbol(j, ck, p)) > rel_tol * _symbol_scale(j, ck, p)
-        nonzero[k - 1] = True
-        out.append(BifurcationPoint(k=k, speed=ck, simple=bool(nonzero.all())))
+        shared = _resonant(j, ck, p, rel_tol)
+        shared[k - 1] = False
+        out.append(BifurcationPoint(k=k, speed=ck, simple=not shared.any()))
     return out
 
 
@@ -245,8 +252,9 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
         raise ConfigurationError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if not (tol >= 1e-12):
         raise ConfigurationError("tol below 1e-12 is not resolvable")
-    if n < 2:
-        raise ConfigurationError("need at least 2 modes to constrain the branch")
+    if not isinstance(n, Integral) or n < 2:
+        raise ConfigurationError(
+            f"truncation n must be an integer >= 2 to constrain the branch, got {n!r}")
     if direction not in (1, -1):
         raise ConfigurationError("direction must be +1 or -1")
     m, n = int(m), int(n)
@@ -254,8 +262,7 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     c0 = critical_speed(m, p)
     if not transversality(m, p):
         raise ConfigurationError(f"transversality fails at fold {m}")
-    k = m * np.arange(2, n + 1, dtype=float)
-    shared = np.abs(_symbol(k, c0, p)) <= SIMPLE_RTOL * _symbol_scale(k, c0, p)
+    shared = _resonant(m * np.arange(2, n + 1, dtype=float), c0, p)
     if shared.any():
         raise ConfigurationError(
             f"(c_{m}, 0) is not simple in the {m}-fold space: "

@@ -300,13 +300,13 @@ def cmd_bifurcate(cfg):
     return 0
 
 
-def _profile_rows(branch):
-    """Rows s, φ(x_0), ..., φ(x_{M-1}) on each profile's grid, one per
-    point, from one stacked synthesis of all the profiles."""
-    grid = branch.points[0].phi.grid_size
-    amps = np.array([pt.phi.a for pt in branch.points])
-    values = _synthesize(amps, np.zeros_like(amps), grid).tolist()
-    return grid, [[pt.s, *vals] for pt, vals in zip(branch.points, values)]
+def _profile_rows(labels, fields):
+    """The grid M of the fields (all of one truncation) and rows label,
+    f(x_0), ..., f(x_{M-1}), one per field, from one stacked synthesis."""
+    grid = fields[0].grid_size
+    values = _synthesize(np.array([f.a for f in fields]), np.array([f.b for f in fields]),
+                         grid).tolist()
+    return grid, [[label, *vals] for label, vals in zip(labels, values)]
 
 
 def cmd_branch(cfg):
@@ -317,7 +317,8 @@ def cmd_branch(cfg):
     out = _outdir(cfg)
     _write_csv(out / "branch.csv", cfg, branch_to_csv(branch))
     _write_json(out / "branch.json", cfg, branch_to_json(branch))
-    grid, rows = _profile_rows(branch)
+    grid, rows = _profile_rows([pt.s for pt in branch.points],
+                               [pt.phi for pt in branch.points])
     _write_csv(out / "profiles.csv", cfg,
                _csv_body(["s"] + [f"x_{j}" for j in range(grid)], rows))
     last = branch.points[-1]
@@ -371,9 +372,7 @@ def cmd_evolve(cfg):
                   f"order {rates[0]:.2f}")
     print(f"mass drift {traj.mass_drift:.3e}; effective dt {traj.dt_effective:g}")
     out = _outdir(cfg)
-    grid = traj.states[0].grid_size
-    rows = [[t] + st.values(grid).tolist()
-            for t, st in zip(traj.times.tolist(), traj.states)]
+    grid, rows = _profile_rows(traj.times.tolist(), traj.states)
     _write_csv(out / "trajectory.csv", cfg,
                _csv_body(["t"] + [f"x_{j}" for j in range(grid)], rows))
     _write_json(out / "evolution_manifest.json", cfg, manifest)
@@ -389,7 +388,7 @@ def _hilbert_sign_fault(f):
     H[sin(kx)] = +cos(kx): the fault ``verify --inject-fault`` hands to the
     operator families in place of ``hilbert``."""
     h = hilbert(f)
-    return SpectralField(-h.a, h.b, grid_size=h.grid_size)
+    return SpectralField(-h.a, h.b)
 
 
 def _family_hilbert_parity(rng, n, transform):
@@ -434,9 +433,9 @@ def _family_quadrature(rng, n, transform):
     worst = 0.0
     f = _random_field(rng, min(n, 16))
     hv = hilbert_by_quadrature(f, quad_points=4096)
-    worst = max(worst, float(np.abs(hv - transform(f).values(f.grid_size)).max()))
+    worst = max(worst, float(np.abs(hv - transform(f).values()).max()))
     lv = zygmund_by_quadrature(f, quad_points=4096)
-    worst = max(worst, float(np.abs(lv - zygmund(f).values(f.grid_size)).max()))
+    worst = max(worst, float(np.abs(lv - zygmund(f).values()).max()))
     return worst
 
 

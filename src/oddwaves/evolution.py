@@ -30,6 +30,7 @@ waves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -70,12 +71,13 @@ class EvolutionConfig:
             raise ConfigurationError(f"dt must be > 0, got {self.dt}")
         if not (0 <= self.t_final < np.inf):
             raise ConfigurationError(f"t_final must be finite and >= 0, got {self.t_final}")
-        if self.n_modes < 1:
-            raise ConfigurationError("n_modes must be >= 1")
+        if not isinstance(self.n_modes, Integral) or self.n_modes < 1:
+            raise ConfigurationError(f"n_modes must be an integer >= 1, got {self.n_modes!r}")
         if self.scheme != "rk4":
             raise ConfigurationError(f"unsupported scheme {self.scheme!r}")
-        if self.save_every < 0:
-            raise ConfigurationError("save_every must be >= 0")
+        if not isinstance(self.save_every, Integral) or self.save_every < 0:
+            raise ConfigurationError(
+                f"save_every must be an integer >= 0, got {self.save_every!r}")
 
 
 @dataclass
@@ -111,8 +113,7 @@ def rhs(f, p):
     2 + α0 k.
     """
     u = _hat(f.a, f.b)
-    a, b = _amplitudes(_rhs_hat(u, p, *_stage_constants(u.size, p)))
-    return SpectralField(a, b, grid_size=f.grid_size)
+    return SpectralField(*_amplitudes(_rhs_hat(u, p, *_stage_constants(u.size, p))))
 
 
 def _stage_constants(size, p):
@@ -138,8 +139,8 @@ def evolve(f0, p, cfg):
     """Integrate from f0 up to cfg.t_final with classical RK4.
 
     Aborts with a NumericalError carrying the last finite state and its time
-    stamp if the solution stops being finite.  Saved states keep the grid
-    size of f0 padded to cfg.n_modes.
+    stamp if the solution stops being finite.  Saved states are padded to
+    cfg.n_modes.
     """
     if f0.n_modes > cfg.n_modes:
         raise ConfigurationError(
@@ -153,11 +154,6 @@ def evolve(f0, p, cfg):
     n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
     dt = cfg.t_final / n_steps
     save_every = cfg.save_every or max(1, n_steps // 10)
-
-    def field(u):
-        a, b = _amplitudes(u)
-        return SpectralField(a, b, grid_size=state.grid_size)
-
     times = [0.0]
     states = [state]
     size = cfg.n_modes + 1
@@ -197,11 +193,11 @@ def evolve(f0, p, cfg):
             if not np.isfinite(new).all():
                 raise NumericalError(
                     f"solution lost finiteness during step {step} (t = {step * dt:.6g})",
-                    time=(step - 1) * dt, last_state=field(u))
+                    time=(step - 1) * dt, last_state=SpectralField(*_amplitudes(u)))
             u, new = new, u
             if step % save_every == 0 or step == n_steps:
                 times.append(step * dt)
-                states.append(field(u))
+                states.append(SpectralField(*_amplitudes(u)))
                 drift = max(drift, abs(states[-1].mean - mass0))
     return Trajectory(times=np.array(times), states=states, dt_effective=dt,
                       dt_stable=stable_dt(cfg.n_modes, p), mass_drift=drift)

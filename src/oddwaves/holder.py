@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -101,8 +102,10 @@ def _lag_distances(m, alpha):
 
 
 def _check_grid(m, degree):
-    """``m`` as an int; refuses an odd grid and one that does not resolve
-    ``degree``, as ``SpectralField.values`` does."""
+    """``m`` as an int; refuses a grid that is not an even integer and one
+    that does not resolve ``degree``, as ``SpectralField.values`` does."""
+    if not isinstance(m, Integral):
+        raise ConfigurationError(f"the Hölder grid must be an integer, got {m!r}")
     m = int(m)
     if m % 2:
         raise ConfigurationError(f"the Hölder grid must be even, got {m} points")
@@ -200,8 +203,8 @@ def holder_norm(f, k, alpha, grid_size=DEFAULT_GRID):
     α-seminorm of f^(k), all sampled on ``grid_size`` points.  Derivatives
     are spectral, so the only approximation is the pair search itself."""
     _check_alpha(alpha)
-    if k not in (0, 1, 2, 3):
-        raise ConfigurationError(f"derivative count k must be 0..3, got {k}")
+    if not isinstance(k, Integral) or k not in (0, 1, 2, 3):
+        raise ConfigurationError(f"derivative count k must be an integer 0..3, got {k!r}")
     m = _check_grid(grid_size, f.degree)
     value = _norms(f.a[None, :], f.b[None, :], k, alpha, m)[0]
     return HolderEstimate(k=k, alpha=alpha, value=float(value), grid_size=grid_size)
@@ -324,12 +327,12 @@ def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
     zero-padded rows, as many as ``_sweep_block`` allows on the grid; every
     row is independent, so the rows do not depend on the block size.  The
     grid must be even and resolve Θ, whose degree reaches 2 max_degree."""
-    if ensemble < 1:
-        raise ConfigurationError("ensemble size must be >= 1")
-    if max_degree < 1:
-        raise ConfigurationError("max_degree must be >= 1")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    if not isinstance(ensemble, Integral) or ensemble < 1:
+        raise ConfigurationError(f"ensemble size must be an integer >= 1, got {ensemble!r}")
+    if not isinstance(max_degree, Integral) or max_degree < 1:
+        raise ConfigurationError(f"max_degree must be an integer >= 1, got {max_degree!r}")
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
     _check_alpha(alpha)
     m = _check_grid(grid_size, 2 * max_degree)
     block = _sweep_block(m)

@@ -5,7 +5,9 @@ amplitudes
 
     f(x) = a_0 + sum_{k=1}^{N} a_k cos(k x) + b_k sin(k x),
 
-with collocation values on a uniform grid over [0, 2π).  Cosine and sine
+sampled by default on the 2N + 2 uniform points of [0, 2π) (``grid_size``),
+the smallest even grid that resolves all N modes below Nyquist; the grid
+follows from the truncation and is not an argument.  Cosine and sine
 amplitudes are kept in separate arrays, so parity is a property of the
 values: a field is even when b ≡ 0 and odd when a ≡ 0 (``is_even``,
 ``is_odd``), and ``CosineSeries``/``SineSeries`` build fields of each kind.
@@ -63,20 +65,18 @@ def _as_readonly(arr):
 
 
 class SpectralField:
-    """A real 2π-periodic function held as cosine/sine amplitudes plus grid values.
+    """A real 2π-periodic function held as cosine/sine amplitudes.
 
     Parameters
     ----------
     cos_amplitudes : array of a_k for k = 0..N (a_0 is the mean).
     sin_amplitudes : array of b_k for k = 0..N; b_0 must be 0.  Omitted means
         all zero (a pure cosine expansion).
-    grid_size : number of collocation points; defaults to 2N+2, the smallest
-        even grid resolving all N modes below Nyquist.
     """
 
-    __slots__ = ("a", "b", "grid_size", "_values", "_degree")
+    __slots__ = ("a", "b", "_degree")
 
-    def __init__(self, cos_amplitudes, sin_amplitudes=None, grid_size=None):
+    def __init__(self, cos_amplitudes, sin_amplitudes=None):
         a = _as_readonly(cos_amplitudes)
         if a.ndim != 1 or a.size == 0:
             raise ConfigurationError("cosine amplitudes must be a nonempty 1-d array")
@@ -91,18 +91,8 @@ class SpectralField:
             raise ConfigurationError("sine amplitude b_0 must be zero")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ConfigurationError("amplitudes must be finite")
-        n = a.size - 1
-        min_grid = 2 * n + 2
-        if grid_size is None:
-            grid_size = min_grid
-        elif grid_size < min_grid or grid_size % 2:
-            raise ConfigurationError(
-                f"grid_size must be even and >= {min_grid} for {n} modes"
-            )
         self.a = a
         self.b = b
-        self.grid_size = int(grid_size)
-        self._values = None
         self._degree = None
 
     # -- basic structure ---------------------------------------------------
@@ -111,6 +101,12 @@ class SpectralField:
     def n_modes(self):
         """Truncation N: amplitudes run over k = 0..N."""
         return self.a.size - 1
+
+    @property
+    def grid_size(self):
+        """Collocation points 2N + 2: the smallest even grid that resolves
+        all N modes below Nyquist."""
+        return 2 * self.a.size
 
     @property
     def degree(self):
@@ -134,7 +130,7 @@ class SpectralField:
     def with_zero_mean(self):
         a = self.a.copy()
         a[0] = 0.0
-        return SpectralField(a, self.b, self.grid_size)
+        return SpectralField(a, self.b)
 
     def pad_to(self, n_modes):
         """Embed into a larger truncation (amplitudes past N are zero)."""
@@ -147,7 +143,7 @@ class SpectralField:
         b = np.zeros(n_modes + 1)
         a[: n + 1] = self.a
         b[: n + 1] = self.b
-        return SpectralField(a, b, max(self.grid_size, 2 * n_modes + 2))
+        return SpectralField(a, b)
 
     def truncate(self, n_modes):
         """Project onto modes 0..n_modes by dropping the tail."""
@@ -164,17 +160,11 @@ class SpectralField:
         degree (M >= 2 deg + 2), otherwise sampling would alias.
         """
         m = self.grid_size if num_points is None else int(num_points)
-        if num_points is None and self._values is not None:
-            return self._values
         if m % 2 or m < max(4, 2 * self.degree + 2):
             raise ConfigurationError(
                 f"{m} points cannot resolve a degree-{self.degree} field"
             )
-        vals = _synthesize(self.a, self.b, m)
-        if num_points is None:
-            vals.setflags(write=False)
-            self._values = vals
-        return vals
+        return _synthesize(self.a, self.b, m)
 
     def sup_norm(self, oversample=4):
         """Max absolute value on an oversampled grid (slight under-estimate)."""
@@ -187,8 +177,7 @@ class SpectralField:
             return NotImplemented
         n = max(self.n_modes, other.n_modes)
         f, g = self.pad_to(n), other.pad_to(n)
-        return SpectralField(f.a + sign * g.a, f.b + sign * g.b,
-                             max(f.grid_size, g.grid_size))
+        return SpectralField(f.a + sign * g.a, f.b + sign * g.b)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -197,12 +186,12 @@ class SpectralField:
         return self._binary(other, -1.0)
 
     def __neg__(self):
-        return SpectralField(-self.a, -self.b, self.grid_size)
+        return SpectralField(-self.a, -self.b)
 
     def __mul__(self, scalar):
         if isinstance(scalar, SpectralField):
             return NotImplemented  # use multiply() for dealiased products
-        return SpectralField(self.a * scalar, self.b * scalar, self.grid_size)
+        return SpectralField(self.a * scalar, self.b * scalar)
 
     __rmul__ = __mul__
 
@@ -211,14 +200,14 @@ class SpectralField:
                 f"degree={self.degree}, grid_size={self.grid_size})")
 
 
-def CosineSeries(cos_amplitudes, grid_size=None):
+def CosineSeries(cos_amplitudes):
     """Even field f(x) = sum_k f_k cos(kx): all sine amplitudes zero."""
-    return SpectralField(cos_amplitudes, None, grid_size)
+    return SpectralField(cos_amplitudes)
 
 
-def SineSeries(sin_amplitudes, grid_size=None):
+def SineSeries(sin_amplitudes):
     """Odd field f(x) = sum_{k>=1} f_k sin(kx): all cosine amplitudes zero."""
-    return SpectralField(np.zeros_like(sin_amplitudes, dtype=float), sin_amplitudes, grid_size)
+    return SpectralField(np.zeros_like(sin_amplitudes, dtype=float), sin_amplitudes)
 
 
 def _degree(a, b):
@@ -282,8 +271,7 @@ def to_spectral(values):
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size < 4 or vals.size % 2:
         raise ConfigurationError("grid length must be even and >= 4")
-    a, b = _analyze(vals)
-    return SpectralField(a, b, grid_size=vals.size)
+    return SpectralField(*_analyze(vals))
 
 
 def hilbert(f):
@@ -296,7 +284,7 @@ def hilbert(f):
     a[0] = 0.0
     b = f.a.copy()
     b[0] = 0.0
-    return SpectralField(a, b, f.grid_size)
+    return SpectralField(a, b)
 
 
 def zygmund(f):
@@ -305,7 +293,7 @@ def zygmund(f):
     Coincides with hilbert(derivative(f, 1)) coefficient-wise.
     """
     k = np.arange(f.a.size, dtype=float)
-    return SpectralField(k * f.a, k * f.b, f.grid_size)
+    return SpectralField(k * f.a, k * f.b)
 
 
 def derivative(f, order):
@@ -316,7 +304,7 @@ def derivative(f, order):
     k = np.arange(a.size, dtype=float)
     for _ in range(order):
         a, b = k * b, -k * a
-    return SpectralField(a, b, f.grid_size)
+    return SpectralField(a, b)
 
 
 def multiply(f, g):
@@ -362,10 +350,11 @@ def commutator_h(f, g):
 
 def translate(f, shift):
     """The translate x -> f(x - shift), applied as an exact per-mode phase."""
+    if not np.isfinite(shift):
+        raise ConfigurationError(f"translation shift must be finite, got {shift!r}")
     k = np.arange(f.a.size, dtype=float)
     c, s = np.cos(k * shift), np.sin(k * shift)
-    return SpectralField(f.a * c - f.b * s, f.a * s + f.b * c,
-                         grid_size=f.grid_size)
+    return SpectralField(f.a * c - f.b * s, f.a * s + f.b * c)
 
 
 # -- principal-value quadrature oracles --------------------------------------

@@ -365,11 +365,11 @@ def reference_csv_body(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def reference_profile_rows(branch):
-    """Rows s, φ(x_0), ..., φ(x_{M-1}) of ``profiles.csv``, one
-    ``values(grid)`` synthesis per point."""
-    grid = branch.points[0].phi.grid_size
-    return grid, [[pt.s] + pt.phi.values(grid).tolist() for pt in branch.points]
+def reference_profile_rows(labels, fields):
+    """Rows label, f(x_0), ..., f(x_{M-1}) of ``profiles.csv`` and
+    ``trajectory.csv``, one ``values(grid)`` synthesis per field."""
+    grid = fields[0].grid_size
+    return grid, [[label] + f.values(grid).tolist() for label, f in zip(labels, fields)]
 
 
 def relative_gap(f, g):

@@ -348,12 +348,22 @@ class TestArtifactWriters:
 
     def test_profile_rows_equal_per_point_synthesis(self, default_folds):
         """The stacked synthesis gives the rows, and ``_csv_body`` the text,
-        of the per-point ``values`` loop through the cell-by-cell formatter."""
+        of the per-point ``values`` loop through the cell-by-cell formatter:
+        for the branch profiles and for the states of a trajectory, whose
+        fields carry sine amplitudes too."""
+        cases = [("s", [pt.s for pt in b.points], [pt.phi for pt in b.points])
+                 for b in default_folds]
         for branch in default_folds:
-            grid, rows = cli._profile_rows(branch)
-            ref_grid, ref_rows = reference_profile_rows(branch)
+            phi = branch.points[-1].phi  # travels, so its states gain sine amplitudes
+            traj = evolution.evolve(phi, branch.params, evolution.EvolutionConfig(
+                dt=cli.DEFAULTS["dt"], t_final=0.05, n_modes=phi.n_modes))
+            assert len(traj.states) > 2 and not traj.states[-1].is_even
+            cases.append(("t", traj.times.tolist(), traj.states))
+        for label, labels, fields in cases:
+            grid, rows = cli._profile_rows(labels, fields)
+            ref_grid, ref_rows = reference_profile_rows(labels, fields)
             assert grid == ref_grid and rows == ref_rows
-            header = ["s"] + [f"x_{j}" for j in range(grid)]
+            header = [label] + [f"x_{j}" for j in range(grid)]
             assert cli._csv_body(header, rows) == reference_csv_body(header, ref_rows)
 
     def test_branch_csv_equals_cell_by_cell_formatter(self, default_folds):

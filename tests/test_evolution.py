@@ -157,12 +157,11 @@ class TestEvolve:
         # enormous amplitude with a huge step leaves the stability region
         # after one finite step
         cfg = EvolutionConfig(dt=10.0, t_final=100.0, n_modes=32)
-        bomb = CosineSeries(cosine(8, 1e6, n=32).a, grid_size=96)
+        bomb = CosineSeries(cosine(8, 1e6, n=32).a)
         with pytest.raises(NumericalError) as err:
             evolve(bomb, PA, cfg)
         assert err.value.time > 0.0
         assert np.isfinite(err.value.last_state.a).all()
-        assert err.value.last_state.grid_size == 96
 
     @pytest.mark.parametrize("p", ORACLE_PARAMS)
     @pytest.mark.parametrize("even", [True, False])

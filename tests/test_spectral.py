@@ -42,8 +42,16 @@ class TestSpectralField:
     def test_grid_size_floor(self):
         f = SpectralField(np.zeros(9))
         assert f.grid_size == 2 * 8 + 2
-        with pytest.raises(ConfigurationError):
-            SpectralField(np.zeros(9), grid_size=10)
+
+    def test_grid_follows_truncation(self):
+        """The grid is 2N + 2, derived from the amplitudes: no constructor
+        takes it and no field stores it or its values."""
+        for build in (SpectralField, CosineSeries, SineSeries):
+            with pytest.raises(TypeError):
+                build(np.zeros(9), grid_size=96)
+        with pytest.raises(AttributeError):
+            SpectralField(np.zeros(9)).grid_size = 96
+        assert set(SpectralField.__slots__) == {"a", "b", "_degree"}
 
     def test_mean_and_projection(self):
         f = SpectralField([2.5, 1.0])
