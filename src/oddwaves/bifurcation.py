@@ -24,6 +24,9 @@ one before a stall (whose message reports the sup), is synthesized on the
 oversampled grid.  A branch builds the Jacobian's index and weight arrays
 and the residual's transform workspace once, and every Newton step reuses
 them.
+
+A ``Branch`` is data: ``cli`` writes its points to ``branch.csv`` and its
+settings and outcome to ``branch.json``.
 """
 
 from __future__ import annotations
@@ -57,8 +60,6 @@ __all__ = [
     "kernel_dimension",
     "transversality",
     "continue_branch",
-    "branch_to_csv",
-    "branch_to_json",
 ]
 
 DEFAULT_TRUNCATION = 64
@@ -144,6 +145,8 @@ def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION, rel_tol=SIMPLE_RTOL
     """
     if k_max < 1 or int(k_max) != k_max:
         raise ConfigurationError(f"k_max must be a positive integer, got {k_max!r}")
+    if not isinstance(n_scan, Integral):
+        raise ConfigurationError(f"n_scan must be an integer, got {n_scan!r}")
     n_scan = max(int(n_scan), int(k_max) + 1)
     j = np.arange(1, n_scan + 1, dtype=float)
     out = []
@@ -158,8 +161,9 @@ def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION, rel_tol=SIMPLE_RTOL
 def kernel_dimension(c, p, m, n):
     """Numerical kernel dimension of the flat-state linearization on the
     m-fold basis: singular values below 1e-8 times the largest."""
-    if n < 4:
-        raise ConfigurationError("kernel_dimension needs truncation n >= 4")
+    if not isinstance(n, Integral) or n < 4:
+        raise ConfigurationError(f"truncation n must be an integer >= 4, got {n!r}")
+    n = int(n)
     flat = CosineSeries(np.zeros(m * n + 1))
     svals = np.linalg.svd(assemble_jacobian(c, flat, p, n, m), compute_uv=False)
     if svals[0] == 0.0:
@@ -313,48 +317,3 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
         step = min(step * step_growth, step_cap)
     return branch
 
-
-# -- serialization ------------------------------------------------------------
-
-
-def branch_records(branch):
-    """One flat record per point: s, c, residual_norm, newton_iters, then the
-    n m-fold cosine coefficients."""
-    idx = _mfold_indices(branch.m, branch.truncation)
-    recs = []
-    for pt in branch.points:
-        rec = [float(pt.s), float(pt.c), float(pt.residual_norm), int(pt.newton_iters)]
-        rec.extend(pt.phi.a[idx].tolist())
-        recs.append(rec)
-    return recs
-
-
-def branch_to_csv(branch):
-    """CSV text: header row, then one record per branch point."""
-    cols = ["s", "c", "residual_norm", "newton_iters"]
-    cols += [f"coeff_{j}" for j in range(1, branch.truncation + 1)]
-    lines = [",".join(cols)]
-    lines += [",".join(map(repr, rec)) for rec in branch_records(branch)]
-    return "\n".join(lines) + "\n"
-
-
-def branch_to_json(branch):
-    """JSON-ready envelope: parameters, fold, truncation, tolerances, code
-    version, and the same records as the CSV."""
-    from . import __version__
-
-    return {
-        "version": __version__,
-        "params": {"epsilon": branch.params.epsilon,
-                   "alpha0": branch.params.alpha0,
-                   "beta": branch.params.beta},
-        "fold": branch.m,
-        "truncation": branch.truncation,
-        "tolerances": {"tol": branch.tol, "max_iter": branch.max_iter,
-                       "ds": branch.ds, "step_cap": branch.step_cap,
-                       "step_growth": branch.step_growth},
-        "direction": branch.direction,
-        "truncated": branch.truncated,
-        "failure": branch.failure,
-        "records": branch_records(branch),
-    }

@@ -14,7 +14,10 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 Every output embeds the resolved run configuration and a sha256 of its own
 data section; a fixed seed and configuration reproduce files byte for byte.
-CSV rows hold Python scalars, and each cell is the scalar's ``repr``.  The
+This module alone knows the artifact formats: ``_write_csv`` writes every
+table from rows of Python scalars, each cell the scalar's ``repr``, and
+``_write_json`` every JSON file.  ``branch.csv`` holds a branch's points,
+and ``branch.json`` its settings and outcome without the points.  The
 profiles of a branch are synthesized together, in one stacked transform.
 The argument parser is built once per process and reused by every ``main``
 call.  An ``--out`` that is, or lies below, a file and a ``--config`` file
@@ -64,8 +67,6 @@ from .bifurcation import (
     DEFAULT_STEP,
     DEFAULT_TOL,
     DEFAULT_TRUNCATION,
-    branch_to_csv,
-    branch_to_json,
     continue_branch,
     detect_bifurcations,
     transversality,
@@ -237,15 +238,12 @@ def resolve_config(args):
 # -- deterministic artifact writers -------------------------------------------
 
 
-def _csv_body(header, rows):
-    """Header line, then one line per row of Python scalars (float, int,
+def _write_csv(path, cfg, header, rows):
+    """The header line, then one line per row of Python scalars (float, int,
     bool), each cell its ``repr``: numpy scalars must be converted first."""
     lines = [",".join(header)]
     lines += [",".join(map(repr, row)) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _write_csv(path, cfg, body):
+    body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode()).hexdigest()
     meta = json.dumps(asdict(cfg), sort_keys=True)
     path.write_text(f"# config: {meta}\n# sha256: {digest}\n{body}")
@@ -290,7 +288,7 @@ def cmd_bifurcate(cfg):
         print(f"{k:>4} {ck:>22.15g} {str(simple):>7} {str(trans):>12}")
     out = _outdir(cfg)
     _write_csv(out / "bifurcation_points.csv", cfg,
-               _csv_body(["k", "speed", "simple", "transversal"], rows))
+               ["k", "speed", "simple", "transversal"], rows)
     _write_json(out / "bifurcation_report.json", cfg, {
         "version": __version__,
         "points": [{"k": k, "speed": ck, "simple": simple, "transversal": trans}
@@ -315,12 +313,26 @@ def cmd_branch(cfg):
     branch = continue_branch(cfg.fold, p, cfg.smax, ds=cfg.ds, n=cfg.modes,
                              tol=cfg.tol, max_iter=cfg.max_iter)
     out = _outdir(cfg)
-    _write_csv(out / "branch.csv", cfg, branch_to_csv(branch))
-    _write_json(out / "branch.json", cfg, branch_to_json(branch))
+    # coeff_j is the amplitude of cos(j m x)
+    _write_csv(out / "branch.csv", cfg,
+               ["s", "c", "residual_norm", "newton_iters"]
+               + [f"coeff_{j}" for j in range(1, branch.truncation + 1)],
+               [[float(pt.s), float(pt.c), float(pt.residual_norm), int(pt.newton_iters),
+                 *pt.phi.a[branch.m::branch.m].tolist()] for pt in branch.points])
+    _write_json(out / "branch.json", cfg, {
+        "version": __version__,
+        "params": asdict(branch.params),
+        "fold": branch.m,
+        "truncation": branch.truncation,
+        "tolerances": {"tol": branch.tol, "max_iter": branch.max_iter, "ds": branch.ds,
+                       "step_cap": branch.step_cap, "step_growth": branch.step_growth},
+        "direction": branch.direction,
+        "truncated": branch.truncated,
+        "failure": branch.failure,
+    })
     grid, rows = _profile_rows([pt.s for pt in branch.points],
                                [pt.phi for pt in branch.points])
-    _write_csv(out / "profiles.csv", cfg,
-               _csv_body(["s"] + [f"x_{j}" for j in range(grid)], rows))
+    _write_csv(out / "profiles.csv", cfg, ["s"] + [f"x_{j}" for j in range(grid)], rows)
     last = branch.points[-1]
     print(f"fold {branch.m}: {len(branch.points)} points, "
           f"|s| up to {abs(last.s):.6g}, c = {last.c:.12g}")
@@ -373,8 +385,7 @@ def cmd_evolve(cfg):
     print(f"mass drift {traj.mass_drift:.3e}; effective dt {traj.dt_effective:g}")
     out = _outdir(cfg)
     grid, rows = _profile_rows(traj.times.tolist(), traj.states)
-    _write_csv(out / "trajectory.csv", cfg,
-               _csv_body(["t"] + [f"x_{j}" for j in range(grid)], rows))
+    _write_csv(out / "trajectory.csv", cfg, ["t"] + [f"x_{j}" for j in range(grid)], rows)
     _write_json(out / "evolution_manifest.json", cfg, manifest)
     print(f"wrote {out / 'trajectory.csv'}, evolution_manifest.json")
     return 0
@@ -593,8 +604,10 @@ def cmd_verify(cfg):
     ok = _print_checks(checks)
     out = _outdir(cfg)
     for sweep_result in sweeps or []:
-        path = out / f"commutator_sweep_deg{sweep_result.max_degree}.csv"
-        _write_csv(path, cfg, sweep_result.to_csv())
+        _write_csv(out / f"commutator_sweep_deg{sweep_result.max_degree}.csv", cfg,
+                   ["seed", "degree_a", "degree_b", "alpha", "ratio"],
+                   [(r.seed, r.degree_a, r.degree_b, r.alpha, r.ratio)
+                    for r in sweep_result.rows])
     _write_json(out / "verification_report.json", cfg, {
         "version": __version__,
         "checks": checks,

@@ -309,13 +309,6 @@ class SweepResult:
             "mean_ratio": float(r.mean()),
         }
 
-    def to_csv(self):
-        lines = ["seed,degree_a,degree_b,alpha,ratio"]
-        for row in self.rows:
-            lines.append(f"{row.seed},{row.degree_a},{row.degree_b},"
-                         f"{row.alpha!r},{row.ratio!r}")
-        return "\n".join(lines) + "\n"
-
 
 def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
                      grid_size=SWEEP_GRID):

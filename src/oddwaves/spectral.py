@@ -34,6 +34,8 @@ the mode maps; they are never used on the production path.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -56,6 +58,16 @@ __all__ = [
 
 def _next_pow2(n):
     return 1 << max(3, int(n - 1).bit_length())
+
+
+def _num_points(f, num_points):
+    """A sample grid as an int: ``f.grid_size`` for None, and refused when
+    it is not an integer (numpy integers count)."""
+    if num_points is None:
+        return f.grid_size
+    if not isinstance(num_points, Integral):
+        raise ConfigurationError(f"the sample grid must be an integer, got {num_points!r}")
+    return int(num_points)
 
 
 def _as_readonly(arr):
@@ -159,7 +171,7 @@ class SpectralField:
         M defaults to ``grid_size``.  M must be even and resolve the field's
         degree (M >= 2 deg + 2), otherwise sampling would alias.
         """
-        m = self.grid_size if num_points is None else int(num_points)
+        m = _num_points(self, num_points)
         if m % 2 or m < max(4, 2 * self.degree + 2):
             raise ConfigurationError(
                 f"{m} points cannot resolve a degree-{self.degree} field"
@@ -379,7 +391,7 @@ def _shifted_samples(f, num_quad):
 
 
 def _quadrature_lattice(f, num_points, quad_points):
-    m = f.grid_size if num_points is None else int(num_points)
+    m = _num_points(f, num_points)
     ratio = max(1, int(round(quad_points / m)))
     nq = ratio * m
     h = 2.0 * np.pi / nq

@@ -1,7 +1,5 @@
 """Bifurcation detection, kernel counting, and branch continuation tests."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,6 @@ from oddwaves import (
     transversality,
 )
 import oddwaves.bifurcation as bif
-from oddwaves.bifurcation import branch_to_csv, branch_to_json
 from oddwaves.model import _mfold_indices, d_c_residual
 from oddwaves.spectral import _next_pow2, _synthesize
 
@@ -353,29 +350,3 @@ class TestArrayNewton:
             assert np.mean(vals ** 2) == pytest.approx(mean_square, rel=1e-13)
             assert mean_square <= bif._sup_norm(zero, b) ** 2
 
-
-class TestSerialization:
-    def test_csv_layout(self):
-        br = small_branch(n=8)
-        text = branch_to_csv(br)
-        lines = text.strip().split("\n")
-        header = lines[0].split(",")
-        assert header[:4] == ["s", "c", "residual_norm", "newton_iters"]
-        assert header[4:] == [f"coeff_{j}" for j in range(1, 9)]
-        assert len(lines) == 1 + len(br.points)
-        cells = lines[2].split(",")
-        pt = br.points[1]
-        assert float(cells[0]) == pt.s and float(cells[1]) == pt.c
-        assert float(cells[4]) == pt.s  # coeff_1 is the amplitude itself
-
-    def test_json_envelope(self):
-        br = small_branch(n=8, m=2)
-        doc = branch_to_json(br)
-        blob = json.dumps(doc)  # must be JSON-serializable as-is
-        assert json.loads(blob)["fold"] == 2
-        assert doc["params"] == {"epsilon": 0.5, "alpha0": 1.0, "beta": 0.5}
-        assert doc["truncation"] == 8
-        assert set(doc["tolerances"]) == {"tol", "max_iter", "ds", "step_cap", "step_growth"}
-        assert doc["version"]
-        assert len(doc["records"]) == len(br.points)
-        assert len(doc["records"][0]) == 4 + br.truncation

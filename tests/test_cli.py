@@ -1,5 +1,6 @@
 """End-to-end CLI tests: commands, artifacts, exit codes, reproducibility."""
 
+import hashlib
 import json
 import runpy
 import sys
@@ -9,7 +10,6 @@ import pytest
 
 from oddwaves import (ModelParams, NumericalError, __version__, cli, continue_branch,
                       evolution, model)
-from oddwaves.bifurcation import branch_records, branch_to_csv
 from oddwaves.cli import main
 
 from helpers import (cosine, reference_commutator_sweep, reference_csv_body,
@@ -24,6 +24,11 @@ def read_json(tmp_path, name):
     doc = json.loads((tmp_path / "out" / name).read_text())
     assert {"config", "content_hash", "payload"} <= set(doc)
     return doc
+
+
+def csv_body(path):
+    """The text of a written CSV after its config and sha256 lines."""
+    return "".join(path.read_text().splitlines(keepends=True)[2:])
 
 
 def read_csv(tmp_path, name):
@@ -63,15 +68,46 @@ class TestBranch:
         doc = read_json(tmp_path, "branch.json")
         payload = doc["payload"]
         assert payload["fold"] == 2 and not payload["truncated"]
-        # every record satisfies the residual tolerance
-        assert all(rec[2] < 1e-11 for rec in payload["records"])
+        # every point satisfies the residual tolerance
+        assert all(float(row.split(",")[2]) < 1e-11 for row in rows[1:])
 
     def test_smax_zero_single_record(self, tmp_path):
         code = run(tmp_path, "branch", "--smax", "0", "--modes", "8")
         assert code == 0
-        doc = read_json(tmp_path, "branch.json")
-        assert len(doc["payload"]["records"]) == 1
-        assert doc["payload"]["records"][0][0] == 0.0
+        rows = read_csv(tmp_path, "branch.csv")[1:]
+        assert len(rows) == 1
+        assert float(rows[0].split(",")[0]) == 0.0
+
+    def test_csv_layout(self, tmp_path):
+        """One row per branch point: s, c, residual_norm, newton_iters, then
+        the amplitudes coeff_j of cos(j m x), coeff_1 being s itself."""
+        assert run(tmp_path, "branch", "--smax", "0.02", "--modes", "8") == 0
+        lines = read_csv(tmp_path, "branch.csv")
+        header = lines[0].split(",")
+        assert header[:4] == ["s", "c", "residual_norm", "newton_iters"]
+        assert header[4:] == [f"coeff_{j}" for j in range(1, 9)]
+        p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
+        points = continue_branch(1, p, 0.02, n=8).points
+        assert len(lines) == 1 + len(points)
+        cells = lines[2].split(",")
+        assert float(cells[0]) == points[1].s and float(cells[1]) == points[1].c
+        assert int(cells[3]) == points[1].newton_iters
+        assert float(cells[4]) == points[1].s
+
+    def test_json_manifest(self, tmp_path):
+        """``branch.json`` carries the settings and the outcome of the run,
+        and none of the points: those are in ``branch.csv`` alone."""
+        assert run(tmp_path, "branch", "--fold", "2", "--smax", "0.02", "--modes", "8") == 0
+        payload = read_json(tmp_path, "branch.json")["payload"]
+        assert set(payload) == {"version", "params", "fold", "truncation", "tolerances",
+                                "direction", "truncated", "failure"}  # no "records"
+        assert payload["version"] == __version__
+        assert payload["params"] == {"epsilon": 0.5, "alpha0": 1.0, "beta": 0.5}
+        assert payload["fold"] == 2 and payload["truncation"] == 8
+        assert set(payload["tolerances"]) == {"tol", "max_iter", "ds", "step_cap",
+                                              "step_growth"}
+        assert payload["direction"] == 1
+        assert not payload["truncated"] and payload["failure"] is None
 
     def test_nonconvergence_exits_3(self, tmp_path):
         code = run(tmp_path, "branch", "--smax", "0.01", "--modes", "8",
@@ -346,8 +382,8 @@ class TestArtifactWriters:
         p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
         return [continue_branch(m, p, cli.DEFAULTS["smax"]) for m in (1, 2, 3)]
 
-    def test_profile_rows_equal_per_point_synthesis(self, default_folds):
-        """The stacked synthesis gives the rows, and ``_csv_body`` the text,
+    def test_profile_rows_equal_per_point_synthesis(self, default_folds, tmp_path):
+        """The stacked synthesis gives the rows, and ``_write_csv`` the text,
         of the per-point ``values`` loop through the cell-by-cell formatter:
         for the branch profiles and for the states of a trajectory, whose
         fields carry sine amplitudes too."""
@@ -359,23 +395,35 @@ class TestArtifactWriters:
                 dt=cli.DEFAULTS["dt"], t_final=0.05, n_modes=phi.n_modes))
             assert len(traj.states) > 2 and not traj.states[-1].is_even
             cases.append(("t", traj.times.tolist(), traj.states))
+        cfg = cli.resolve_config(cli.build_parser().parse_args(["branch"]))
+        path = tmp_path / "rows.csv"
         for label, labels, fields in cases:
             grid, rows = cli._profile_rows(labels, fields)
             ref_grid, ref_rows = reference_profile_rows(labels, fields)
             assert grid == ref_grid and rows == ref_rows
             header = [label] + [f"x_{j}" for j in range(grid)]
-            assert cli._csv_body(header, rows) == reference_csv_body(header, ref_rows)
+            cli._write_csv(path, cfg, header, rows)
+            assert csv_body(path) == reference_csv_body(header, ref_rows)
 
-    def test_branch_csv_equals_cell_by_cell_formatter(self, default_folds):
+    def test_branch_csv_equals_cell_by_cell_formatter(self, default_folds, tmp_path):
+        """The ``branch.csv`` the command writes is the cell-by-cell
+        formatter's text of the points of the same branch."""
         for branch in default_folds:
+            out = tmp_path / str(branch.m)
+            assert main(["branch", "--fold", str(branch.m), "--out", str(out)]) == 0
             header = ["s", "c", "residual_norm", "newton_iters"]
             header += [f"coeff_{j}" for j in range(1, branch.truncation + 1)]
-            assert branch_to_csv(branch) == reference_csv_body(header,
-                                                               branch_records(branch))
+            rows = [[pt.s, pt.c, pt.residual_norm, pt.newton_iters]
+                    + [pt.phi.a[branch.m * j] for j in range(1, branch.truncation + 1)]
+                    for pt in branch.points]
+            assert csv_body(out / "branch.csv") == reference_csv_body(header, rows)
 
     def test_csv_cells_are_numbers_or_booleans(self, tmp_path):
         """Every data cell of every CSV the commands write reads back as a
-        number or a boolean; no numpy scalar text reaches a file."""
+        number or a boolean; no numpy scalar text reaches a file.  Every
+        artifact carries its own hash: a CSV the sha256 of its text below
+        the two comment lines, a JSON file the sha256 of its payload dumped
+        with sorted keys."""
         commands = [["bifurcate", "--kmax", "3"],
                     ["branch", "--smax", "0.01", "--modes", "16"],
                     ["evolve", "--s", "0.01", "--modes", "16", "--tfinal", "0.01",
@@ -388,13 +436,24 @@ class TestArtifactWriters:
             assert main([*command, "--out", str(out)]) == 0
             for path in out.glob("*.csv"):
                 seen.add(path.name)
-                text = path.read_text()
+                text, body = path.read_text(), csv_body(path)
                 assert "np." not in text
-                for row in text.splitlines()[3:]:
+                assert text.splitlines()[1] == \
+                    f"# sha256: {hashlib.sha256(body.encode()).hexdigest()}"
+                if path.name.startswith("commutator_sweep_"):
+                    assert body.startswith("seed,degree_a,degree_b,alpha,ratio\n")
+                for row in body.splitlines()[1:]:
                     for cell in row.split(","):
                         assert _number_or_boolean(cell), (path.name, cell)
+            for path in out.glob("*.json"):
+                seen.add(path.name)
+                doc = json.loads(path.read_text())
+                canonical = json.dumps(doc["payload"], sort_keys=True)
+                assert doc["content_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
         assert {"bifurcation_points.csv", "branch.csv", "profiles.csv", "trajectory.csv",
-                "commutator_sweep_deg4.csv", "commutator_sweep_deg8.csv"} <= seen
+                "commutator_sweep_deg4.csv", "commutator_sweep_deg8.csv",
+                "bifurcation_report.json", "branch.json", "evolution_manifest.json",
+                "verification_report.json"} <= seen
 
 
 def _number_or_boolean(cell):
