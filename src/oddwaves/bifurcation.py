@@ -32,11 +32,10 @@ settings and outcome to ``branch.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, require_integer
 from .model import (
     ModelParams,
     _jacobian,
@@ -143,14 +142,11 @@ def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION, rel_tol=SIMPLE_RTOL
     multiplier at speed c_k (relative to the terms' natural size).  Resonant
     pairs sharing a speed are flagged non-simple, never silently accepted.
     """
-    if k_max < 1 or int(k_max) != k_max:
-        raise ConfigurationError(f"k_max must be a positive integer, got {k_max!r}")
-    if not isinstance(n_scan, Integral):
-        raise ConfigurationError(f"n_scan must be an integer, got {n_scan!r}")
-    n_scan = max(int(n_scan), int(k_max) + 1)
+    k_max = require_integer("k_max", k_max, 1)
+    n_scan = max(require_integer("n_scan", n_scan, 1), k_max + 1)
     j = np.arange(1, n_scan + 1, dtype=float)
     out = []
-    for k in range(1, int(k_max) + 1):
+    for k in range(1, k_max + 1):
         ck = critical_speed(k, p)
         shared = _resonant(j, ck, p, rel_tol)
         shared[k - 1] = False
@@ -161,9 +157,8 @@ def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION, rel_tol=SIMPLE_RTOL
 def kernel_dimension(c, p, m, n):
     """Numerical kernel dimension of the flat-state linearization on the
     m-fold basis: singular values below 1e-8 times the largest."""
-    if not isinstance(n, Integral) or n < 4:
-        raise ConfigurationError(f"truncation n must be an integer >= 4, got {n!r}")
-    n = int(n)
+    n = require_integer("truncation n", n, 4)
+    m = require_integer("fold m", m, 1)
     flat = CosineSeries(np.zeros(m * n + 1))
     svals = np.linalg.svd(assemble_jacobian(c, flat, p, n, m), compute_uv=False)
     if svals[0] == 0.0:
@@ -173,7 +168,7 @@ def kernel_dimension(c, p, m, n):
 
 def transversality(k, p):
     """True when the speed-derivative of the multiplier at frequency k is
-    nonzero (always holds for alpha0 > 0)."""
+    nonzero: always, as ``ModelParams`` requires alpha0 > 0."""
     return d_c_symbol(k, p) != 0.0
 
 
@@ -242,8 +237,7 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     (reported on the returned Branch); a singular Newton system triggers
     step halving and, past the halving floor, a NumericalError.
     """
-    if m < 1 or int(m) != m:
-        raise ConfigurationError("fold m must be a positive integer")
+    m = require_integer("fold m", m, 1)
     if not (s_max >= 0):
         raise ConfigurationError("s_max must be >= 0")
     if not (ds > 0):
@@ -252,20 +246,14 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
         raise ConfigurationError(f"step_cap must be > 0, got {step_cap!r}")
     if not (step_growth >= 1):
         raise ConfigurationError(f"step_growth must be >= 1, got {step_growth!r}")
-    if not isinstance(max_iter, Integral) or max_iter < 0:
-        raise ConfigurationError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    max_iter = require_integer("max_iter", max_iter, 0)
     if not (tol >= 1e-12):
         raise ConfigurationError("tol below 1e-12 is not resolvable")
-    if not isinstance(n, Integral) or n < 2:
-        raise ConfigurationError(
-            f"truncation n must be an integer >= 2 to constrain the branch, got {n!r}")
+    n = require_integer("truncation n", n, 2)  # one complement mode at least
     if direction not in (1, -1):
         raise ConfigurationError("direction must be +1 or -1")
-    m, n = int(m), int(n)
 
     c0 = critical_speed(m, p)
-    if not transversality(m, p):
-        raise ConfigurationError(f"transversality fails at fold {m}")
     shared = _resonant(m * np.arange(2, n + 1, dtype=float), c0, p)
     if shared.any():
         raise ConfigurationError(

@@ -43,6 +43,7 @@ from .spectral import (
     SineSeries,
     SpectralField,
     _amplitudes,
+    _check_grid,
     _synthesize,
     commutator_h,
     derivative,
@@ -77,7 +78,7 @@ from .evolution import (
     evolve,
     traveling_error_orders,
 )
-from .holder import SWEEP_GRID, _check_alpha, _check_grid, commutator_sweep
+from .holder import GRID_NAME, SWEEP_GRID, _check_alpha, commutator_sweep
 
 DEFAULTS = {
     "epsilon": 0.5,
@@ -595,7 +596,7 @@ def cmd_verify(cfg):
     # refused gives the message its sweep would give
     _check_alpha(cfg.alpha)
     for deg in cfg.degrees:
-        _check_grid(cfg.holder_grid, 2 * deg)
+        _check_grid(cfg.holder_grid, 2 * deg, GRID_NAME)
     _check_out(cfg)
     if cfg.inject_fault:
         print("fault injection active: the operator families check a Hilbert "

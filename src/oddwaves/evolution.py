@@ -30,11 +30,10 @@ waves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, require_integer
 from .model import _multiplier, _quadratic, _QuadraticWork
 from .spectral import SpectralField, _amplitudes, _hat, translate
 
@@ -71,13 +70,10 @@ class EvolutionConfig:
             raise ConfigurationError(f"dt must be > 0, got {self.dt}")
         if not (0 <= self.t_final < np.inf):
             raise ConfigurationError(f"t_final must be finite and >= 0, got {self.t_final}")
-        if not isinstance(self.n_modes, Integral) or self.n_modes < 1:
-            raise ConfigurationError(f"n_modes must be an integer >= 1, got {self.n_modes!r}")
+        require_integer("n_modes", self.n_modes, 1)
         if self.scheme != "rk4":
             raise ConfigurationError(f"unsupported scheme {self.scheme!r}")
-        if not isinstance(self.save_every, Integral) or self.save_every < 0:
-            raise ConfigurationError(
-                f"save_every must be an integer >= 0, got {self.save_every!r}")
+        require_integer("save_every", self.save_every, 0)
 
 
 @dataclass

@@ -51,13 +51,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError
-from .spectral import _analyze, _product_grid, _synthesize
+from .errors import ConfigurationError, require_integer
+from .spectral import (_analyze, _check_grid, _derivative_amplitudes, _hilbert_amplitudes,
+                       _product_grid, _synthesize)
 
 __all__ = [
     "HolderEstimate",
@@ -74,6 +74,7 @@ SWEEP_GRID = 1024  # default sweep grid (config key `holder_grid`); resolves deg
 LAG_BLOCK = 8  # lags compared per step of the seminorm scan
 SWEEP_BYTES = 2 * 2**20  # budget of one scan step's gather in a sweep block
 BOUND_MARGIN = 1.0 + 1e-12  # covers the roundings between a gap and its bound
+GRID_NAME = "the Hölder grid"  # the name its refusals give the grid setting
 
 
 @dataclass(frozen=True)
@@ -99,21 +100,6 @@ def _lag_distances(m, alpha):
     assert (dists[:-1] <= dists[1:]).all()  # the scan's R / d_2 stop needs it
     dists.setflags(write=False)
     return dists
-
-
-def _check_grid(m, degree):
-    """``m`` as an int; refuses a grid that is not an even integer and one
-    that does not resolve ``degree``, as ``SpectralField.values`` does."""
-    if not isinstance(m, Integral):
-        raise ConfigurationError(f"the Hölder grid must be an integer, got {m!r}")
-    m = int(m)
-    if m % 2:
-        raise ConfigurationError(f"the Hölder grid must be even, got {m} points")
-    need = max(4, 2 * degree + 2)
-    if m < need:
-        raise ConfigurationError(
-            f"{m} points cannot resolve a degree-{degree} field (need at least {need})")
-    return m
 
 
 def _seminorms(vals, alpha):
@@ -188,11 +174,10 @@ def _norms(a, b, k, alpha, m):
     """C^{k,α} norms of the rows of the amplitude arrays (a, b): the sup
     norms of each row and its first k derivatives plus the α-seminorm of the
     k-th, all sampled on m points."""
-    freq = np.arange(a.shape[1], dtype=float)
     total = 0.0
     for level in range(k + 1):
         if level:
-            a, b = freq * b, -freq * a  # the spectral derivative
+            a, b = _derivative_amplitudes(a, b)
         vals = _synthesize(a, b, m)
         total = total + np.abs(vals).max(axis=1)
     return total + _seminorms(vals, alpha)
@@ -203,9 +188,10 @@ def holder_norm(f, k, alpha, grid_size=DEFAULT_GRID):
     α-seminorm of f^(k), all sampled on ``grid_size`` points.  Derivatives
     are spectral, so the only approximation is the pair search itself."""
     _check_alpha(alpha)
-    if not isinstance(k, Integral) or k not in (0, 1, 2, 3):
+    k = require_integer("derivative count k", k, 0)
+    if k > 3:
         raise ConfigurationError(f"derivative count k must be an integer 0..3, got {k!r}")
-    m = _check_grid(grid_size, f.degree)
+    m = _check_grid(grid_size, f.degree, GRID_NAME)
     value = _norms(f.a[None, :], f.b[None, :], k, alpha, m)[0]
     return HolderEstimate(k=k, alpha=alpha, value=float(value), grid_size=grid_size)
 
@@ -216,15 +202,12 @@ def _commutators(fa, fb, ga, gb, n_out, m):
     ``n_out`` modes: row by row the floats of
     ``commutator_h(f, derivative(g, 1))`` when m is the grid ``multiply``
     picks."""
-    k = np.arange(ga.shape[1], dtype=float)
-    da, db = k * gb, -k * ga  # g'
-    ha, hb = -db, da.copy()  # H g'
-    ha[:, 0] = hb[:, 0] = 0.0
+    da, db = _derivative_amplitudes(ga, gb)  # g'
+    ha, hb = _hilbert_amplitudes(da, db)  # H g'
     fv = _synthesize(fa, fb, m)
     pa, pb = _analyze(fv * _synthesize(da, db, m))  # f g'
     qa, qb = _analyze(fv * _synthesize(ha, hb, m))  # f H g'
-    ta, tb = -pb, pa  # H(f g')
-    ta[:, 0] = tb[:, 0] = 0.0
+    ta, tb = _hilbert_amplitudes(pa, pb)  # H(f g')
     keep = np.arange(m // 2) <= n_out[:, None]  # the modes multiply keeps
     return np.where(keep, ta - qa, 0.0), np.where(keep, tb - qb, 0.0)
 
@@ -264,7 +247,7 @@ def commutator_ratio(a, b, alpha, grid_size=DEFAULT_GRID):
     """
     _check_alpha(alpha)
     deg_a, deg_b = a.degree, b.degree
-    m = _check_grid(grid_size, deg_a + deg_b)
+    m = _check_grid(grid_size, deg_a + deg_b, GRID_NAME)
     rows = [x[None, :d + 1] for x, d in ((a.a, deg_a), (a.b, deg_a), (b.a, deg_b), (b.b, deg_b))]
     return float(_quotients(*rows, np.array([deg_a]), np.array([deg_b]), alpha, m)[0])
 
@@ -320,18 +303,15 @@ def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
     zero-padded rows, as many as ``_sweep_block`` allows on the grid; every
     row is independent, so the rows do not depend on the block size.  The
     grid must be even and resolve Θ, whose degree reaches 2 max_degree."""
-    if not isinstance(ensemble, Integral) or ensemble < 1:
-        raise ConfigurationError(f"ensemble size must be an integer >= 1, got {ensemble!r}")
-    if not isinstance(max_degree, Integral) or max_degree < 1:
-        raise ConfigurationError(f"max_degree must be an integer >= 1, got {max_degree!r}")
-    if not isinstance(seed, Integral) or seed < 0:
-        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+    ensemble = require_integer("ensemble size", ensemble, 1)
+    max_degree = require_integer("max_degree", max_degree, 1)
+    seed = require_integer("seed", seed, 0)
     _check_alpha(alpha)
-    m = _check_grid(grid_size, 2 * max_degree)
+    m = _check_grid(grid_size, 2 * max_degree, GRID_NAME)
     block = _sweep_block(m)
     rows = []
     for start in range(0, ensemble, block):
-        seeds = [int(seed) * 100_000 + i
+        seeds = [seed * 100_000 + i
                  for i in range(start, min(start + block, ensemble))]
         fa, fb, ga, gb = np.zeros((4, len(seeds), max_degree + 1))
         deg_a = np.empty(len(seeds), dtype=int)

@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, require_integer
 from .spectral import SineSeries, SpectralField, _amplitudes, _hat, _next_pow2
 
 __all__ = [
@@ -102,7 +102,7 @@ class ModelParams:
 
 def symbol_at(k, c, p):
     """The linearization's multiplier at frequency k and speed c."""
-    return _symbol(_check_mode(k), c, p)
+    return _symbol(require_integer("mode index", k, 1), c, p)
 
 
 def _symbol(k, c, p):
@@ -114,7 +114,7 @@ def _symbol(k, c, p):
 
 def critical_speed(k, p):
     """The unique speed at which the multiplier at frequency k vanishes."""
-    k = _check_mode(k)
+    k = require_integer("mode index", k, 1)
     g = p.alpha0 - p.beta
     return (1.0 - k - g * k * k) / (k * (2.0 + p.alpha0 * k)) / p.epsilon
 
@@ -122,17 +122,11 @@ def critical_speed(k, p):
 def d_c_symbol(k, p):
     """Speed-derivative of the multiplier: -2k - alpha0 k^2, strictly
     negative for alpha0 > 0 (the transversality quantity)."""
-    return _d_c_symbol(_check_mode(k), p)
+    return _d_c_symbol(require_integer("mode index", k, 1), p)
 
 
 def _d_c_symbol(k, p):
     return -2.0 * k - p.alpha0 * k * k
-
-
-def _check_mode(k):
-    if int(k) != k or k < 1:
-        raise ConfigurationError(f"mode index must be an integer >= 1, got {k!r}")
-    return int(k)
 
 
 def _even_hat(phi, who):
@@ -296,9 +290,8 @@ def assemble_jacobian(c, phi, p, n, m=1):
     amplitudes at frequencies m, 2m, ..., nm.  At φ = 0 the matrix is
     diagonal with entries σ(mj, c).
     """
-    if n < 1 or int(n) != n or m < 1 or int(m) != m:
-        raise ConfigurationError("truncation and fold must be positive integers")
-    n, m = int(n), int(m)
+    n = require_integer("truncation n", n, 1)
+    m = require_integer("fold m", m, 1)
     if not phi.is_even:
         raise ConfigurationError("phi must be even")
     if phi.a[np.arange(phi.a.size) % m != 0].any():

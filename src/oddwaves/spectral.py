@@ -7,7 +7,9 @@ amplitudes
 
 sampled by default on the 2N + 2 uniform points of [0, 2π) (``grid_size``),
 the smallest even grid that resolves all N modes below Nyquist; the grid
-follows from the truncation and is not an argument.  Cosine and sine
+follows from the truncation and is not an argument.  Every sample grid a
+caller picks, here and in ``holder``, passes one rule (``_check_grid``):
+an even integer of at least max(4, 2 deg + 2) points.  Cosine and sine
 amplitudes are kept in separate arrays, so parity is a property of the
 values: a field is even when b ≡ 0 and odd when a ≡ 0 (``is_even``,
 ``is_odd``), and ``CosineSeries``/``SineSeries`` build fields of each kind.
@@ -15,8 +17,9 @@ The linear operators below map exact zeros to exact zeros, so they keep
 parity exactly; ``multiply`` enforces the product's parity.  FFTs
 work on the complex half-spectrum u_k = (a_k - i b_k)/2, u_0 = a_0; this
 module owns that conversion (``_hat``, ``_amplitudes``).  The conversion,
-synthesis and analysis helpers act on the last axis, so a stack of
-amplitude rows is transformed at once.
+synthesis and analysis helpers and the Hilbert and derivative mode maps
+(``_hilbert_amplitudes``, ``_derivative_amplitudes``) act on the last axis,
+so a stack of amplitude rows is transformed at once.
 
 All linear operators act diagonally per mode and are exact:
 
@@ -34,11 +37,9 @@ the mode maps; they are never used on the production path.
 
 from __future__ import annotations
 
-from numbers import Integral
-
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integer
 
 __all__ = [
     "SpectralField",
@@ -60,14 +61,21 @@ def _next_pow2(n):
     return 1 << max(3, int(n - 1).bit_length())
 
 
-def _num_points(f, num_points):
-    """A sample grid as an int: ``f.grid_size`` for None, and refused when
-    it is not an integer (numpy integers count)."""
-    if num_points is None:
-        return f.grid_size
-    if not isinstance(num_points, Integral):
-        raise ConfigurationError(f"the sample grid must be an integer, got {num_points!r}")
-    return int(num_points)
+SUP_OVERSAMPLE = 4  # the sup-norm grid's points per mode, before rounding up
+
+
+def _check_grid(m, degree, name):
+    """``m`` as an int: the one rule of a sample grid.  It is refused unless
+    it is an even integer of at least max(4, 2 degree + 2) points, since a
+    coarser or odd grid would alias a degree-``degree`` field."""
+    m = require_integer(name, m, 4)
+    if m % 2:
+        raise ConfigurationError(f"{name} must be even, got {m} points")
+    need = max(4, 2 * degree + 2)
+    if m < need:
+        raise ConfigurationError(
+            f"{m} points cannot resolve a degree-{degree} field (need at least {need})")
+    return m
 
 
 def _as_readonly(arr):
@@ -146,6 +154,7 @@ class SpectralField:
 
     def pad_to(self, n_modes):
         """Embed into a larger truncation (amplitudes past N are zero)."""
+        n_modes = require_integer("n_modes", n_modes, 0)
         n = self.n_modes
         if n_modes < n:
             raise ConfigurationError("pad_to cannot shrink a field; use truncate")
@@ -159,6 +168,7 @@ class SpectralField:
 
     def truncate(self, n_modes):
         """Project onto modes 0..n_modes by dropping the tail."""
+        n_modes = require_integer("n_modes", n_modes, 0)
         if n_modes >= self.n_modes:
             return self
         return SpectralField(self.a[: n_modes + 1], self.b[: n_modes + 1])
@@ -168,19 +178,15 @@ class SpectralField:
     def values(self, num_points=None):
         """Collocation values on the uniform grid x_j = 2πj/M, j = 0..M-1.
 
-        M defaults to ``grid_size``.  M must be even and resolve the field's
-        degree (M >= 2 deg + 2), otherwise sampling would alias.
+        M defaults to ``grid_size`` and obeys the one grid rule
+        (``_check_grid``): even, at least 4 and at least 2 deg + 2.
         """
-        m = _num_points(self, num_points)
-        if m % 2 or m < max(4, 2 * self.degree + 2):
-            raise ConfigurationError(
-                f"{m} points cannot resolve a degree-{self.degree} field"
-            )
-        return _synthesize(self.a, self.b, m)
+        m = self.grid_size if num_points is None else num_points
+        return _synthesize(self.a, self.b, _check_grid(m, self.degree, "the sample grid"))
 
-    def sup_norm(self, oversample=4):
+    def sup_norm(self):
         """Max absolute value on an oversampled grid (slight under-estimate)."""
-        return _sup_norm(self.a, self.b, oversample)
+        return _sup_norm(self.a, self.b)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -228,14 +234,11 @@ def _degree(a, b):
     return int(nz[-1]) if nz.size else 0
 
 
-def _sup_norm(a, b, oversample=4):
+def _sup_norm(a, b):
     """Max absolute value of the field with amplitudes (a, b) on the grid of
-    ``SpectralField.sup_norm``: the power of two >= max(64, oversample ·
-    (degree + 1))."""
-    degree = _degree(a, b)
-    m = _next_pow2(max(64, oversample * (degree + 1)))
-    if m < 2 * degree + 2:
-        raise ConfigurationError(f"{m} points cannot resolve a degree-{degree} field")
+    ``SpectralField.sup_norm``: the power of two >= max(64, SUP_OVERSAMPLE ·
+    (degree + 1)), which always resolves the degree."""
+    m = _next_pow2(max(64, SUP_OVERSAMPLE * (_degree(a, b) + 1)))
     return float(np.max(np.abs(_synthesize(a, b, m))))
 
 
@@ -255,6 +258,20 @@ def _amplitudes(u):
     a[..., 0] = u[..., 0].real
     b[..., 0] = 0.0
     return a, b
+
+
+def _hilbert_amplitudes(a, b):
+    """The Hilbert transform's mode map on amplitude arrays (last axis):
+    (a_k, b_k) -> (-b_k, a_k) for k >= 1, with the mean dropped."""
+    ha, hb = -b, a.copy()
+    ha[..., 0] = hb[..., 0] = 0.0
+    return ha, hb
+
+
+def _derivative_amplitudes(a, b):
+    """d/dx on amplitude arrays (last axis): (a_k, b_k) -> (k b_k, -k a_k)."""
+    k = np.arange(a.shape[-1], dtype=float)
+    return k * b, -k * a
 
 
 def _synthesize(a, b, m):
@@ -292,30 +309,25 @@ def hilbert(f):
     Mode map: a_k cos(kx) -> a_k sin(kx), b_k sin(kx) -> -b_k cos(kx) for
     k >= 1; the mean is annihilated.  Swaps the even and odd subspaces.
     """
-    a = -f.b
-    a[0] = 0.0
-    b = f.a.copy()
-    b[0] = 0.0
-    return SpectralField(a, b)
+    return SpectralField(*_hilbert_amplitudes(f.a, f.b))
 
 
 def zygmund(f):
     """Zygmund operator: mode k is multiplied by |k| = k; the mean is dropped.
 
-    Coincides with hilbert(derivative(f, 1)) coefficient-wise.
+    It is hilbert(derivative(f, 1)), and built as that composition.
     """
-    k = np.arange(f.a.size, dtype=float)
-    return SpectralField(k * f.a, k * f.b)
+    return SpectralField(*_hilbert_amplitudes(*_derivative_amplitudes(f.a, f.b)))
 
 
 def derivative(f, order):
     """Spectral derivative of order 1, 2, or 3."""
-    if order not in (1, 2, 3):
+    order = require_integer("derivative order", order, 1)
+    if order > 3:
         raise ConfigurationError("derivative order must be 1, 2, or 3")
     a, b = f.a, f.b
-    k = np.arange(a.size, dtype=float)
     for _ in range(order):
-        a, b = k * b, -k * a
+        a, b = _derivative_amplitudes(a, b)
     return SpectralField(a, b)
 
 
@@ -381,17 +393,17 @@ def translate(f, shift):
 
 
 def _shifted_samples(f, num_quad):
-    """f evaluated at the half-offset grid t_l = (l + 1/2) · 2π/num_quad."""
+    """f evaluated at the half-offset grid t_l = (l + 1/2) · 2π/num_quad,
+    a multiple of a grid that resolves f."""
     n = min(f.n_modes, num_quad // 2 - 1)
-    if n < f.degree:
-        raise ConfigurationError("quadrature grid does not resolve the field")
     k = np.arange(n + 1)
     phase = np.exp(1j * k * (np.pi / num_quad))
     return np.fft.irfft(num_quad * _hat(f.a[: n + 1], f.b[: n + 1]) * phase, num_quad)
 
 
 def _quadrature_lattice(f, num_points, quad_points):
-    m = _num_points(f, num_points)
+    m = f.grid_size if num_points is None else num_points
+    m = _check_grid(m, f.degree, "the sample grid")
     ratio = max(1, int(round(quad_points / m)))
     nq = ratio * m
     h = 2.0 * np.pi / nq

@@ -1,13 +1,17 @@
 """Integer and finite settings are refused up front, by name, with a
 ``ConfigurationError``: never truncated silently or left to a raw
-``TypeError`` from deep inside the computation."""
+``TypeError`` from deep inside the computation.  Sample grids obey one rule
+wherever they are set."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from oddwaves import (ConfigurationError, EvolutionConfig, ModelParams, commutator_sweep,
-                      continue_branch, critical_speed, detect_bifurcations, holder_norm,
-                      kernel_dimension, translate)
+from oddwaves import (ConfigurationError, EvolutionConfig, ModelParams, assemble_jacobian,
+                      cli, commutator_ratio, commutator_sweep, continue_branch,
+                      critical_speed, d_c_symbol, derivative, detect_bifurcations,
+                      holder_norm, kernel_dimension, symbol_at, translate)
 from oddwaves.spectral import hilbert_by_quadrature, zygmund_by_quadrature
 
 from helpers import cosine
@@ -34,6 +38,8 @@ P = ModelParams(epsilon=0.5, alpha0=1.0, beta=0.0)
                  "derivative count k must be an integer", id="holder-k"),
     pytest.param(lambda: holder_norm(cosine(2), 1, 0.5, grid_size=1024.0),
                  "the Hölder grid must be an integer", id="holder-grid"),
+    pytest.param(lambda: holder_norm(cosine(2), 4, 0.5),
+                 "derivative count k must be an integer 0..3", id="holder-k-4"),
     pytest.param(lambda: cosine(2).values(10.7),
                  "the sample grid must be an integer", id="values-grid"),
     pytest.param(lambda: hilbert_by_quadrature(cosine(2), num_points=10.7),
@@ -44,6 +50,32 @@ P = ModelParams(epsilon=0.5, alpha0=1.0, beta=0.0)
                  "truncation n must be an integer", id="kernel-n"),
     pytest.param(lambda: detect_bifurcations(P, 3, n_scan=8.5),
                  "n_scan must be an integer", id="detect-n_scan"),
+    pytest.param(lambda: detect_bifurcations(P, 2.0),
+                 "k_max must be an integer >= 1, got 2.0", id="detect-k_max-2.0"),
+    pytest.param(lambda: kernel_dimension(critical_speed(1, P), P, 1.5, 8),
+                 "fold m must be an integer >= 1, got 1.5", id="kernel-fold-1.5"),
+    pytest.param(lambda: kernel_dimension(critical_speed(2, P), P, 2.0, 8),
+                 "fold m must be an integer >= 1, got 2.0", id="kernel-fold-2.0"),
+    pytest.param(lambda: continue_branch(2.0, P, 0.01),
+                 "fold m must be an integer >= 1, got 2.0", id="branch-fold-2.0"),
+    pytest.param(lambda: critical_speed(2.0, P),
+                 "mode index must be an integer >= 1, got 2.0", id="critical-speed-2.0"),
+    pytest.param(lambda: symbol_at(2.0, 0.0, P),
+                 "mode index must be an integer >= 1, got 2.0", id="symbol-at-2.0"),
+    pytest.param(lambda: d_c_symbol(2.0, P),
+                 "mode index must be an integer >= 1, got 2.0", id="d-c-symbol-2.0"),
+    pytest.param(lambda: assemble_jacobian(0.0, cosine(1, 0.0), P, 8.0),
+                 "truncation n must be an integer >= 1, got 8.0", id="jacobian-n-8.0"),
+    pytest.param(lambda: assemble_jacobian(0.0, cosine(1, 0.0), P, "8"),
+                 "truncation n must be an integer >= 1, got '8'", id="jacobian-n-str"),
+    pytest.param(lambda: assemble_jacobian(0.0, cosine(1, 0.0), P, 8, m=1.0),
+                 "fold m must be an integer >= 1, got 1.0", id="jacobian-fold-1.0"),
+    pytest.param(lambda: derivative(cosine(2), 2.0),
+                 "derivative order must be an integer >= 1, got 2.0", id="derivative-2.0"),
+    pytest.param(lambda: cosine(2).pad_to(8.5),
+                 "n_modes must be an integer >= 0, got 8.5", id="pad_to-8.5"),
+    pytest.param(lambda: cosine(2).truncate(1.5),
+                 "n_modes must be an integer >= 0, got 1.5", id="truncate-1.5"),
     pytest.param(lambda: translate(cosine(2), np.nan),
                  "translation shift must be finite", id="translate-nan"),
     pytest.param(lambda: translate(cosine(2), -np.inf),
@@ -65,3 +97,53 @@ def test_numpy_integers_are_integers():
                                  quad_points=1024).shape == (16,)
     assert kernel_dimension(critical_speed(1, P), P, 1, np.int64(8)) == 1
     assert len(detect_bifurcations(P, 3, n_scan=np.int64(8))) == 3
+    assert kernel_dimension(critical_speed(2, P), P, np.int64(2), 8) == 1
+    assert continue_branch(np.int32(2), P, 0.002, n=8).m == 2
+    assert critical_speed(np.int64(2), P) == critical_speed(2, P)
+    assert symbol_at(np.int32(3), 0.1, P) == symbol_at(3, 0.1, P)
+    assert d_c_symbol(np.int64(3), P) == d_c_symbol(3, P)
+    assert [pt.k for pt in detect_bifurcations(P, np.int64(3))] == [1, 2, 3]
+    assert (derivative(cosine(2), np.int64(2)).a == derivative(cosine(2), 2).a).all()
+    assert cosine(2).pad_to(np.int64(10)).n_modes == 10
+    assert cosine(2, n=10).truncate(np.int32(4)).n_modes == 4
+
+
+def _verify_with_grid(out, grid):
+    """``verify --degrees 20`` with the Hölder grid set to ``grid``.  The flag
+    parses an int, so the grid is set on the resolved config."""
+    args = cli.build_parser().parse_args(["verify", "--degrees", "20", "--out", str(out)])
+    cli.cmd_verify(dataclasses.replace(cli.resolve_config(args), holder_grid=grid))
+
+
+# every setting of a grid that must resolve degree 40, with the name it refuses it by
+GRID_CALLERS = {
+    "values": ("the sample grid", lambda out, grid: cosine(40).values(grid)),
+    "hilbert_by_quadrature": ("the sample grid",
+                              lambda out, grid: hilbert_by_quadrature(cosine(40), grid)),
+    "holder_norm": ("the Hölder grid",
+                    lambda out, grid: holder_norm(cosine(40), 1, 0.5, grid_size=grid)),
+    "commutator_ratio": ("the Hölder grid",
+                         lambda out, grid: commutator_ratio(cosine(20), cosine(20), 0.5,
+                                                            grid_size=grid)),
+    "commutator_sweep": ("the Hölder grid",
+                         lambda out, grid: commutator_sweep(2, 20, grid_size=grid)),
+    "verify": ("the Hölder grid", _verify_with_grid),
+}
+
+
+@pytest.mark.parametrize("grid, message", [
+    pytest.param(1023, "{name} must be even, got 1023 points", id="odd"),
+    pytest.param(64, "64 points cannot resolve a degree-40 field (need at least 82)",
+                 id="too-small"),
+    pytest.param(1024.0, "{name} must be an integer >= 4, got 1024.0", id="not-integer"),
+])
+@pytest.mark.parametrize("caller", GRID_CALLERS)
+def test_one_grid_rule(tmp_path, caller, grid, message):
+    """An odd grid, a grid too small for the degree and a grid that is not
+    an integer get the same refusal wherever the grid is set; only the
+    setting's name differs, and nothing is written."""
+    name, call = GRID_CALLERS[caller]
+    with pytest.raises(ConfigurationError) as exc:
+        call(tmp_path / "out", grid)
+    assert str(exc.value) == message.format(name=name)
+    assert not (tmp_path / "out").exists()
