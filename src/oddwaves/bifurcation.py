@@ -201,7 +201,7 @@ def _newton(c, complement, s, m, p, n, tol, max_iter, weights, work):
     too_large = 2.0 * tol * tol * (1.0 + PARSEVAL_MARGIN)   # on Σ b_k²
     for it in range(max_iter + 1):
         a[rows[1:]] = complement
-        b = _sine_amplitudes(_residual_hat(c, _hat(a, zero), p, work), "residual")
+        b = _sine_amplitudes(*_residual_hat(c, _hat(a, zero), p, work), "residual")
         if it == max_iter or np.dot(b, b) <= too_large:
             rnorm = _sup_norm(np.zeros_like(b), b)
             if rnorm < tol:

@@ -462,12 +462,13 @@ def _family_trivial(p):
 
 
 def _family_residual_parity(rng, p, n):
-    """Cosine leakage of the residual's raw half-spectrum, relative to its
-    size: the quantity ``residual`` asserts before it drops the cosines."""
+    """Cosine leakage of the residual's raw half-spectrum, relative to
+    max(1, its size); ``residual`` asserts the same leak before it drops the
+    cosines, relative to max(1, its largest term)."""
     worst = 0.0
     for _ in range(5):
         phi = _random_field(rng, n, even=True)
-        a, b = _amplitudes(_residual_hat(0.3, _even_hat(phi, "phi"), p))
+        a, b = _amplitudes(_residual_hat(0.3, _even_hat(phi, "phi"), p)[0])
         scale = max(1.0, float(np.abs(b).max()))
         worst = max(worst, float(np.abs(a).max()) / scale)
     return worst

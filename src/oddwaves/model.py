@@ -29,13 +29,18 @@ Q(φ, h) + Q(h, φ).
 Constants are trivial solutions, so profiles are projected to zero mean
 before evaluation.  Q is evaluated on one grid that resolves every retained
 mode exactly, with one stacked inverse FFT for all its factors and one
-stacked forward FFT for its two products (small transforms cost mostly
-per-call overhead); the residual of a degree-N profile is returned exactly,
-on 2N modes.  A caller that evaluates Q many times at one shape passes
-the arrays of that shape (``_QuadraticWork``) to every call, as the
-evolution and the branch continuation do.  The multiplier -i σ(k, c) is
-written once (``_multiplier``); the residual and the evolution's stages
-both apply it.
+stacked forward FFT for its two product spectra P1 = F[Λu·Λv - u·w] and
+P2 = F[u·Hw] (``_products``; small transforms cost mostly per-call
+overhead), and Q = P2 - i P1 (``_quadratic``); the residual of a degree-N
+profile is returned exactly, on 2N modes.  The arrays of one shape, the
+factor spectrum and the outputs of both FFTs, which numpy writes in place
+(``out=``, numpy >= 2.0), form a workspace (``_QuadraticWork``).  A caller
+that evaluates Q many times at one shape passes the same workspace to
+every call, as the evolution and the branch continuation do, and no call
+allocates.  The multiplier -i σ(k, c) is written once (``_multiplier``);
+the residual and the evolution's stages both apply it.  Odd outputs are
+checked for cosine leak relative to the largest term summed into them
+(``_sine_amplitudes``), with a floor of 1.
 
 The Jacobian on the m-fold cosine basis is assembled in closed form from
 φ's cosine amplitudes: multiplication by a cosine series is Toeplitz +
@@ -67,7 +72,7 @@ __all__ = [
     "assemble_jacobian",
 ]
 
-PARITY_TOL = 1e-12  # asserted bound on the residual's cosine leakage
+PARITY_TOL = 1e-12  # cosine leak bound, relative to the largest term (at least 1)
 
 
 @dataclass(frozen=True)
@@ -140,16 +145,28 @@ def _even_hat(phi, who):
     return u
 
 
-def _sine_amplitudes(r, who):
-    """The sine amplitudes of a half-spectrum r, after the parity check."""
+def _sine_amplitudes(r, terms, who):
+    """The sine amplitudes of a half-spectrum r, after the parity check:
+    the cosine leak must stay within PARITY_TOL times the largest amplitude
+    among ``terms``, the half-spectra summed into r, and at least 1.
+    Roundoff in a sum is relative to its terms, not to the sum, which is
+    near zero at a solution; a wave and its scaled copy at another ε (R
+    scales by 1/ε²) pass or fail together.  The terms are measured only
+    when the leak exceeds the floor."""
     # Outputs are odd by the model's symmetry; anything else is a numerical
     # inconsistency, not a user error.
     a, b = _amplitudes(r)
-    scale = max(1.0, float(np.max(np.abs(b))))
-    leak = float(np.max(np.abs(a)))
-    if leak > PARITY_TOL * scale:
+    leak = float(np.abs(a).max())
+    if leak > PARITY_TOL and leak > PARITY_TOL * _term_size(terms):
         raise NumericalError(f"{who} violated odd symmetry: cosine leak {leak:.3e}")
     return b
+
+
+def _term_size(terms):
+    """The largest cosine or sine amplitude among half-spectrum arrays:
+    twice their largest real or imaginary part (a_k = 2 Re u_k, b_k =
+    -2 Im u_k)."""
+    return 2.0 * max(float(np.abs(t.view(float)).max()) for t in terms)
 
 
 def _multiplier(size, c, p):
@@ -178,69 +195,102 @@ def _wave_numbers(size, g):
 
 class _QuadraticWork:
     """The arrays of ``_quadratic`` at one shape (u.size, v.size, n_out, g,
-    and whether v is u): the rows k and g k³, and the zero-padded factor
-    spectrum with a view of each of its rows u, Λu, w, Hw (and Λv when v is
-    not u).  A caller that evaluates Q many times at one shape, as
-    ``evolve`` does, builds it once and passes it to every call; it may
-    write u into the row ``u`` itself and pass that row."""
+    and whether v is u): the rows k and g k³; the factor spectrum, zero-padded
+    to the grid's half-spectrum, with a view of each of its rows u, Λu, w,
+    Hw (and Λv when v is not u); and the outputs of the two FFTs, which are
+    written into them: the factors on the grid (``grid``, one view per row
+    in ``on_grid``), the product spectra P1, P2 (``prod``, with views
+    ``p1``, ``p2`` of modes 0..n_out) and Q itself (``q``).  A caller that
+    evaluates Q many times at one shape, as ``evolve`` and
+    ``continue_branch`` do, builds it once and passes it to every call, so
+    no call allocates; each call overwrites what the one before it
+    returned.  The caller may write u into the row ``u`` itself and pass
+    that row."""
 
     def __init__(self, u_size, v_size, n_out, p, same):
         g = p.alpha0 - p.beta
         self.m = _next_pow2(u_size + v_size + n_out)
         self.ku = _wave_numbers(u_size, g)[0]
-        self.kg = _wave_numbers(v_size, g)
-        self.spec = np.zeros((4 if same else 5, max(u_size, v_size)), dtype=complex)
+        self.kv, self.gk3 = _wave_numbers(v_size, g)
+        width = max(u_size, v_size, self.m // 2 + 1)
+        self.spec = np.zeros((4 if same else 5, width), dtype=complex)
         self.u, self.lu = self.spec[0, :u_size], self.spec[1, :u_size]
         self.w, self.hw = self.spec[2, :v_size], self.spec[3, :v_size]
-        # the rows Λv and Hw as one view, to take k v and g k³ v in one call
-        self.lv_hw = self.spec[1:4:2, :v_size] if same else self.spec[4:2:-1, :v_size]
-        self.lv = self.lv_hw[0]
+        self.lv = self.lu if same else self.spec[4, :v_size]
+        self.grid = np.empty((self.spec.shape[0], self.m))
+        # the grid rows of u, Λu, w, Hw and Λv
+        self.on_grid = (*self.grid[:4], self.grid[1 if same else 4])
+        self.products = self.grid[2:4]
+        self.prod = np.empty((2, self.m // 2 + 1), dtype=complex)
+        self.p1, self.p2 = self.prod[:, : n_out + 1]
+        self.q = np.empty(n_out + 1, dtype=complex)
 
 
-def _quadratic(u, v, p, n_out, work=None):
-    """Q(u, v) = H[Λu · Λv - u · w] + u · Hw with w = Λv - g Λ³v, on the
-    half-spectrum modes 0..n_out.
+def _products(u, v, work):
+    """The product spectra P1 = F[Λu · Λv - u · w] and P2 = F[u · Hw],
+    w = Λv - g Λ³v, on the half-spectrum modes 0..m/2 of the grid of
+    ``work`` (a ``_QuadraticWork`` of this shape), as the rows of
+    ``work.prod``.  Q(u, v) is P2 - i P1 on every mode but 0, where it is
+    P2; ``_quadratic`` forms it, and ``evolve`` weighs the two rows itself.
 
-    The products are formed on one power-of-two grid of at least
-    u.size + v.size + n_out points.  Their degree is below u.size + v.size,
-    so aliasing only folds modes onto frequencies above n_out and every
-    returned mode is exact.  The factors u, Λu, w, Hw (and Λv unless v is
-    u) are zero-padded to one width and synthesized by one stacked
-    ``irfft``; the two products go back through one stacked ``rfft``.  The
-    factors are written into ``work`` (a ``_QuadraticWork`` of this shape,
-    built here when not given) and the products into the rows the ``irfft``
-    returned, so no other step allocates.
+    The factors u, Λu, w, Hw (and Λv unless v is u) are written into
+    ``work.spec`` and synthesized by one stacked ``irfft`` into
+    ``work.grid``; the products are formed in its rows and go back through
+    one stacked ``rfft`` into ``work.prod``.  Nothing is allocated.
     """
-    if work is None:
-        work = _QuadraticWork(u.size, v.size, n_out, p, v is u)
     if u is not work.u:
         np.copyto(work.u, u)
-    np.multiply(work.kg, v, out=work.lv_hw)  # Λv, and g k³ v until Hw replaces it
+    np.multiply(work.kv, v, out=work.lv)
+    np.multiply(work.gk3, v, out=work.hw)    # g k³ v until Hw replaces it
     if v is not u:
         np.multiply(work.ku, u, out=work.lu)
     np.subtract(work.lv, work.hw, out=work.w)
     np.multiply(-1j, work.w, out=work.hw)
-    rows = np.fft.irfft(work.spec, work.m, norm="forward")
-    # rows u, Λu, w, Hw (, Λv) become u, Λu·Λv, Λu·Λv - u·w, u·Hw
-    uu, lu = rows[0], rows[1]
-    np.multiply(uu, rows[2:4], out=rows[2:4])
-    np.multiply(lu, lu if v is u else rows[4], out=lu)
-    np.subtract(lu, rows[2], out=rows[2])
-    prod = np.fft.rfft(rows[2:4], norm="forward")
-    inner, out = prod[0, 1 : n_out + 1], prod[1, : n_out + 1]
+    np.fft.irfft(work.spec, work.m, norm="forward", out=work.grid)
+    # the rows w, Hw become Λu·Λv - u·w, u·Hw
+    uu, lu, uw, uhw, lv = work.on_grid
+    np.multiply(uu, uw, out=uw)
+    np.multiply(uu, uhw, out=uhw)
+    np.multiply(lu, lv, out=lu)
+    np.subtract(lu, uw, out=uw)
+    return np.fft.rfft(work.products, norm="forward", out=work.prod)
+
+
+def _quadratic(u, v, p, n_out, work=None):
+    """Q(u, v) = H[Λu · Λv - u · w] + u · Hw with w = Λv - g Λ³v, on the
+    half-spectrum modes 0..n_out, as P2 - i P1 from ``_products``.
+
+    The products are formed on one power-of-two grid of at least
+    u.size + v.size + n_out points.  Their degree is below u.size + v.size,
+    so aliasing only folds modes onto frequencies above n_out and every
+    returned mode is exact.  ``work`` is a ``_QuadraticWork`` of this
+    shape, built here when not given; the result is its row ``q``, and
+    ``work.prod`` keeps P2 and i P1 (modes 1..n_out) after the call.
+    """
+    if work is None:
+        work = _QuadraticWork(u.size, v.size, n_out, p, v is u)
+    p1, p2 = _products(u, v, work)
+    inner, out = p1[1 : n_out + 1], work.q[: n_out + 1]
     np.multiply(1j, inner, out=inner)
-    out[1:] -= inner
+    np.subtract(p2[1 : n_out + 1], inner, out=out[1:])
+    out[0] = p2[0]
     return out
 
 
 def _residual_hat(c, u, p, work=None):
     """R[c, φ] on the half-spectrum modes 0..2N, before the parity check,
-    from the half-spectrum u of an even φ with zero mean (``_even_hat``).
+    from the half-spectrum u of an even φ with zero mean (``_even_hat``),
+    and its terms P1, P2 and the linear row, for the parity check.
     ``work`` is Q's ``_QuadraticWork`` for (u.size, u.size, 2N, v is u),
-    which a caller evaluating many residuals of one size builds once."""
-    r = _quadratic(u, u, p, 2 * (u.size - 1), work)
-    r[: u.size] += _linear(u, c, p)
-    return r
+    which a caller evaluating many residuals of one size builds once; R
+    and P1, P2 are its arrays, valid until the next call with it."""
+    n_out = 2 * (u.size - 1)
+    if work is None:
+        work = _QuadraticWork(u.size, u.size, n_out, p, same=True)
+    r = _quadratic(u, u, p, n_out, work)
+    lin = _linear(u, c, p)
+    r[: u.size] += lin
+    return r, (work.prod[:, : n_out + 1], lin)
 
 
 def residual(c, phi, p):
@@ -250,8 +300,8 @@ def residual(c, phi, p):
     equation identically).  The result is exact: products carry their full
     degree, so a degree-N input yields the true residual on 2N modes.
     """
-    r = _residual_hat(c, _even_hat(phi, "phi"), p)
-    return SineSeries(_sine_amplitudes(r, "residual"))
+    r, terms = _residual_hat(c, _even_hat(phi, "phi"), p)
+    return SineSeries(_sine_amplitudes(r, terms, "residual"))
 
 
 def gateaux(c, phi, h, p):
@@ -263,9 +313,10 @@ def gateaux(c, phi, h, p):
     u = _even_hat(phi, "phi")
     v = _even_hat(h, "h")
     n_out = u.size + v.size - 2
-    r = _quadratic(u, v, p, n_out) + _quadratic(v, u, p, n_out)
-    r[: v.size] += _linear(v, c, p)
-    return SineSeries(_sine_amplitudes(r, "gateaux"))
+    quv, qvu, lin = _quadratic(u, v, p, n_out), _quadratic(v, u, p, n_out), _linear(v, c, p)
+    r = quv + qvu
+    r[: v.size] += lin
+    return SineSeries(_sine_amplitudes(r, (quv, qvu, lin), "gateaux"))
 
 
 def d_c_residual(phi, p):
@@ -276,7 +327,7 @@ def d_c_residual(phi, p):
     """
     u = _even_hat(phi, "phi")
     r = -1j * _d_c_symbol(np.arange(u.size, dtype=float), p) * u
-    return SineSeries(_sine_amplitudes(r, "d_c_residual"))
+    return SineSeries(_sine_amplitudes(r, (r,), "d_c_residual"))
 
 
 def _mfold_indices(m, n):

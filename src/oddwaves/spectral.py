@@ -6,10 +6,11 @@ amplitudes
     f(x) = a_0 + sum_{k=1}^{N} a_k cos(k x) + b_k sin(k x),
 
 sampled by default on the 2N + 2 uniform points of [0, 2π) (``grid_size``),
-the smallest even grid that resolves all N modes below Nyquist; the grid
-follows from the truncation and is not an argument.  Every sample grid a
-caller picks, here and in ``holder``, passes one rule (``_check_grid``):
-an even integer of at least max(4, 2 deg + 2) points.  Cosine and sine
+the smallest even grid that resolves all N modes below Nyquist (4 points
+at N = 0, the rule's floor); the grid follows from the truncation and is
+not an argument.  Every sample grid a caller picks, here and in
+``holder``, passes one rule (``_check_grid``): an even integer of at least
+max(4, 2 deg + 2) points.  Cosine and sine
 amplitudes are kept in separate arrays, so parity is a property of the
 values: a field is even when b ≡ 0 and odd when a ≡ 0 (``is_even``,
 ``is_odd``), and ``CosineSeries``/``SineSeries`` build fields of each kind.
@@ -125,8 +126,9 @@ class SpectralField:
     @property
     def grid_size(self):
         """Collocation points 2N + 2: the smallest even grid that resolves
-        all N modes below Nyquist."""
-        return 2 * self.a.size
+        all N modes below Nyquist, and at least the 4 points of the grid
+        rule (``_check_grid``), which a constant field (N = 0) needs."""
+        return max(4, 2 * self.a.size)
 
     @property
     def degree(self):
@@ -229,15 +231,18 @@ def SineSeries(sin_amplitudes):
 
 
 def _degree(a, b):
-    """Highest mode with a nonzero amplitude (0 for constants and zero)."""
-    nz = np.nonzero(np.abs(a) + np.abs(b))[0]
+    """Highest mode with a nonzero amplitude (0 for constants and zero),
+    over every row of a stack of amplitude rows."""
+    # transposed, the mode axis comes first, so the modes come out sorted
+    nz = np.nonzero((np.abs(a) + np.abs(b)).T)[0]
     return int(nz[-1]) if nz.size else 0
 
 
 def _sup_norm(a, b):
-    """Max absolute value of the field with amplitudes (a, b) on the grid of
-    ``SpectralField.sup_norm``: the power of two >= max(64, SUP_OVERSAMPLE ·
-    (degree + 1)), which always resolves the degree."""
+    """Max absolute value of the field with amplitudes (a, b), or of every
+    row of a stack of them, on the grid of ``SpectralField.sup_norm``: the
+    power of two >= max(64, SUP_OVERSAMPLE · (degree + 1)) for the largest
+    degree, which resolves every row and holds each row's own grid."""
     m = _next_pow2(max(64, SUP_OVERSAMPLE * (_degree(a, b) + 1)))
     return float(np.max(np.abs(_synthesize(a, b, m))))
 

@@ -15,7 +15,7 @@ through ``commutator_h`` and a norm on fields.  ``reference_quadratic`` is
 Q on the half-spectrum with one transform per factor and per product, the
 form the stacked kernel must reproduce bit for bit; ``reference_rk4`` is the
 RK4 loop through it with every stage allocating, which ``evolve`` must
-reproduce bit for bit; ``reference_jacobian`` is the closed-form Jacobian
+reproduce to roundoff; ``reference_jacobian`` is the closed-form Jacobian
 with its index and weight arrays built on every call; ``reference_newton``
 is the Newton loop on validated fields, sampling the sup norm of every
 iterate, which the loop on amplitude arrays must reproduce bit for bit.
@@ -229,7 +229,7 @@ def reference_rk4(f, p, cfg, quadratic=reference_quadratic):
     """The amplitude pairs (a, b) that classical RK4 saves after step 0 when
     every stage and the combination allocate new arrays and Q is
     ``quadratic`` (the per-transform ``reference_quadratic`` by default):
-    the loop ``evolution.evolve`` must reproduce bit for bit, with the same
+    the loop ``evolution.evolve`` must reproduce to roundoff, with the same
     step, save rule, multiplier -i σ(k, 0) and divisor 2 + α0 k."""
     state = f.pad_to(cfg.n_modes)
     n_steps = max(1, int(round(cfg.t_final / cfg.dt)))

@@ -7,11 +7,13 @@ from oddwaves import (
     ConfigurationError,
     CosineSeries,
     ModelParams,
+    NumericalError,
     assemble_jacobian,
     bifurcation,
     critical_speed,
     d_c_symbol,
     gateaux,
+    model,
     residual,
     symbol_at,
 )
@@ -200,6 +202,45 @@ class TestResidualStructure:
             + (1.0 / PD.epsilon) * (d1 + hilbert(phi)) \
             + hilbert(multiply(hp1, hp1)) - commutator_h(phi, hp1)
         assert coeff_gap(residual(c, phi, PD), manual) < 1e-14
+
+
+class TestParityCheck:
+    """The residual's cosine leak is bounded relative to its largest term
+    (at least 1): roundoff of large terms passes, a leak at O(1) does not."""
+
+    def test_scaled_wave_passes(self):
+        """A fold-1 point at ε = 1, mapped to (c/ε, φ/ε) at ε = 1e-3, is a
+        valid wave there: its residual is the ε = 1 residual times 1/ε²,
+        while its terms grow to about 1e5 and leak about 2e-11 of cosine."""
+        p1 = ModelParams(1.0, 1.0, 0.5)
+        pt = continue_branch(1, p1, 0.5, n=32, step_cap=0.1).points[-1]
+        assert pt.s == 0.5
+        eps = 1e-3
+        scaled = residual(pt.c / eps, CosineSeries(pt.phi.a / eps),
+                          ModelParams(eps, 1.0, 0.5))
+        want = residual(pt.c, pt.phi, p1)
+        assert np.abs(eps ** 2 * scaled.b - want.b).max() <= 1e-15
+
+    @pytest.mark.parametrize("leak,raises", [(2e-12, True), (0.5e-12, False)])
+    def test_leak_at_unit_scale(self, monkeypatch, leak, raises):
+        """Every term of this residual is below 1, so the bound is 1e-12."""
+        quadratic = model._quadratic
+
+        def leaking(u, v, p, n_out, work=None):
+            out = quadratic(u, v, p, n_out, work)
+            out[2] += 0.5 * leak  # a_2 = leak: a cos 2x term
+            return out
+
+        p = ModelParams(1.0, 1.0, 0.5)
+        phi = cosine(2, 0.05)
+        _, terms = model._residual_hat(0.3, _hat(phi.a, phi.b), p)
+        assert model._term_size(terms) < 1.0
+        monkeypatch.setattr(model, "_quadratic", leaking)
+        if raises:
+            with pytest.raises(NumericalError, match="cosine leak"):
+                residual(0.3, phi, p)
+        else:
+            residual(0.3, phi, p)
 
 
 class TestReferenceOracles:

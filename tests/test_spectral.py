@@ -43,6 +43,13 @@ class TestSpectralField:
         f = SpectralField(np.zeros(9))
         assert f.grid_size == 2 * 8 + 2
 
+    def test_one_amplitude_field_samples_on_the_smallest_legal_grid(self):
+        """N = 0 would give 2N + 2 = 2 points, below the grid rule's 4."""
+        f = CosineSeries([1.5])
+        assert f.grid_size == 4
+        assert f.values().tolist() == [1.5] * 4
+        assert SpectralField([0.0, 1.0]).grid_size == 4
+
     def test_grid_follows_truncation(self):
         """The grid is 2N + 2, derived from the amplitudes: no constructor
         takes it and no field stores it or its values."""
