@@ -45,7 +45,6 @@ from .model import (
     _residual_hat,
     _sine_amplitudes,
     _symbol,
-    assemble_jacobian,
     critical_speed,
     d_c_symbol,
 )
@@ -131,7 +130,7 @@ def _symbol_scale(k, c, p):
 def _resonant(k, c, p, rel_tol=SIMPLE_RTOL):
     """Whether the multiplier at frequency k (or elementwise at an array of
     frequencies) vanishes at speed c: |σ(k, c)| <= rel_tol times its terms'
-    natural size.  The one non-resonance test of this module."""
+    natural size.  The one test that a multiplier vanishes."""
     return np.abs(_symbol(k, c, p)) <= rel_tol * _symbol_scale(k, c, p)
 
 
@@ -155,15 +154,11 @@ def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION, rel_tol=SIMPLE_RTOL
 
 
 def kernel_dimension(c, p, m, n):
-    """Numerical kernel dimension of the flat-state linearization on the
-    m-fold basis: singular values below 1e-8 times the largest."""
+    """Kernel dimension of the flat-state linearization at speed c on the
+    m-fold basis: it is diagonal, so the count of ``_resonant`` σ(mj, c)."""
     n = require_integer("truncation n", n, 4)
     m = require_integer("fold m", m, 1)
-    flat = CosineSeries(np.zeros(m * n + 1))
-    svals = np.linalg.svd(assemble_jacobian(c, flat, p, n, m), compute_uv=False)
-    if svals[0] == 0.0:
-        return n
-    return int(np.count_nonzero(svals < 1e-8 * svals[0]))
+    return int(np.count_nonzero(_resonant(_mfold_indices(m, n).astype(float), c, p)))
 
 
 def transversality(k, p):

@@ -42,7 +42,6 @@ from .spectral import (
     CosineSeries,
     SineSeries,
     SpectralField,
-    _amplitudes,
     _check_grid,
     _synthesize,
     commutator_h,
@@ -56,6 +55,7 @@ from .spectral import (
 from .model import (
     ModelParams,
     _even_hat,
+    _parity_leak,
     _residual_hat,
     critical_speed,
     d_c_symbol,
@@ -68,6 +68,7 @@ from .bifurcation import (
     DEFAULT_STEP,
     DEFAULT_TOL,
     DEFAULT_TRUNCATION,
+    _symbol_scale,
     continue_branch,
     detect_bifurcations,
     transversality,
@@ -463,14 +464,12 @@ def _family_trivial(p):
 
 def _family_residual_parity(rng, p, n):
     """Cosine leakage of the residual's raw half-spectrum, relative to
-    max(1, its size); ``residual`` asserts the same leak before it drops the
-    cosines, relative to max(1, its largest term)."""
+    max(1, its largest term): ``model._parity_leak``, the quotient that
+    ``residual`` bounds before it drops the cosines."""
     worst = 0.0
     for _ in range(5):
         phi = _random_field(rng, n, even=True)
-        a, b = _amplitudes(_residual_hat(0.3, _even_hat(phi, "phi"), p)[0])
-        scale = max(1.0, float(np.abs(b).max()))
-        worst = max(worst, float(np.abs(a).max()) / scale)
+        worst = max(worst, _parity_leak(*_residual_hat(0.3, _even_hat(phi, "phi"), p)))
     return worst
 
 
@@ -512,10 +511,12 @@ def _family_linearization(rng, p, n):
 
 
 def _family_symbol_roots(p, kmax):
+    """|σ(k, c_k)| over the scale of ``bifurcation._resonant``; 1 when
+    the transversality quantity is not negative."""
     worst = 0.0
     for k in range(1, kmax + 1):
         ck = critical_speed(k, p)
-        worst = max(worst, abs(symbol_at(k, ck, p)) / (1.0 + abs(ck) * k * k))
+        worst = max(worst, abs(symbol_at(k, ck, p)) / _symbol_scale(k, ck, p))
         if d_c_symbol(k, p) >= 0:
             worst = max(worst, 1.0)
     return worst
@@ -538,7 +539,7 @@ def _random_field(rng, n, even=False, mean_zero=False):
     return SpectralField(a, b)
 
 
-def _run_families(cfg, *, quick=False, sweep=True):
+def _run_families(cfg, *, quick=False):
     p = cfg.model_params()
     rng = np.random.default_rng(cfg.seed)
     n = 16 if quick else 32
@@ -563,22 +564,20 @@ def _run_families(cfg, *, quick=False, sweep=True):
     add("linearization-diagonal", diag, 1e-12)
     add("linearization-fd", fd, 1e-6)
     add("symbol-roots", _family_symbol_roots(p, 50), 1e-12)
+    if quick:
+        return checks, None
 
-    sweeps = None
-    if sweep:
-        sweeps = [commutator_sweep(cfg.ensemble, deg, alpha=cfg.alpha,
-                                   seed=cfg.seed, grid_size=cfg.holder_grid)
-                  for deg in cfg.degrees]
-        maxima = [s.summary()["max_ratio"] for s in sweeps]
-        finite = all(np.isfinite(s.ratios).all() for s in sweeps)
-        growth = max(
-            (maxima[i + 1] / maxima[i] for i in range(len(maxima) - 1)),
-            default=1.0)
-        checks.append({"family": "commutator-bound",
-                       "measured": growth if finite else float("inf"),
-                       "threshold": 1.25,
-                       "passed": bool(finite and growth <= 1.25),
-                       "max_ratios": maxima})
+    sweeps = [commutator_sweep(cfg.ensemble, deg, alpha=cfg.alpha,
+                               seed=cfg.seed, grid_size=cfg.holder_grid)
+              for deg in cfg.degrees]
+    maxima = [s.summary()["max_ratio"] for s in sweeps]
+    finite = all(np.isfinite(s.ratios).all() for s in sweeps)
+    growth = max((maxima[i + 1] / maxima[i] for i in range(len(maxima) - 1)), default=1.0)
+    checks.append({"family": "commutator-bound",
+                   "measured": growth if finite else float("inf"),
+                   "threshold": 1.25,
+                   "passed": bool(finite and growth <= 1.25),
+                   "max_ratios": maxima})
     return checks, sweeps
 
 
@@ -605,7 +604,7 @@ def cmd_verify(cfg):
     checks, sweeps = _run_families(cfg)
     ok = _print_checks(checks)
     out = _outdir(cfg)
-    for sweep_result in sweeps or []:
+    for sweep_result in sweeps:
         _write_csv(out / f"commutator_sweep_deg{sweep_result.max_degree}.csv", cfg,
                    ["seed", "degree_a", "degree_b", "alpha", "ratio"],
                    [(r.seed, r.degree_a, r.degree_b, r.alpha, r.ratio)
@@ -613,14 +612,14 @@ def cmd_verify(cfg):
     _write_json(out / "verification_report.json", cfg, {
         "version": __version__,
         "checks": checks,
-        "sweep_summaries": [s.summary() for s in sweeps or []],
+        "sweep_summaries": [s.summary() for s in sweeps],
     })
     print(f"wrote {out / 'verification_report.json'}")
     return 0 if ok else 3
 
 
 def cmd_selftest(cfg):
-    checks, _ = _run_families(cfg, quick=True, sweep=False)
+    checks, _ = _run_families(cfg, quick=True)
     ok = _print_checks(checks)
     print("selftest", "passed" if ok else "FAILED")
     return 0 if ok else 3

@@ -227,9 +227,9 @@ def _quotients(fa, fb, ga, gb, deg_a, deg_b, alpha, m):
     ta = np.zeros((n_out.size, int(n_out.max()) + 1))
     tb = np.zeros_like(ta)
     groups = {}  # product grid -> rows
-    for row, (n, d) in enumerate(zip(n_out.tolist(), deg_a.tolist())):
+    for row, (d, e) in enumerate(zip(deg_a.tolist(), deg_b.tolist())):
         if d:
-            groups.setdefault(_product_grid(n, n), []).append(row)
+            groups.setdefault(_product_grid(d, e, d + e), []).append(row)
     for grid, rows in groups.items():
         w = min(ta.shape[1], grid // 2)
         a, b = _commutators(fa[rows], fb[rows], ga[rows], gb[rows], n_out[rows], grid)

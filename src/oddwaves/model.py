@@ -27,8 +27,8 @@ the derivative in a profile direction h is the linear part on h plus
 Q(φ, h) + Q(h, φ).
 
 Constants are trivial solutions, so profiles are projected to zero mean
-before evaluation.  Q is evaluated on one grid that resolves every retained
-mode exactly, with one stacked inverse FFT for all its factors and one
+before evaluation.  Q is evaluated on the product grid of ``spectral``
+(``_product_grid``), with one stacked inverse FFT for all its factors and one
 stacked forward FFT for its two product spectra P1 = F[Λu·Λv - u·w] and
 P2 = F[u·Hw] (``_products``; small transforms cost mostly per-call
 overhead), and Q = P2 - i P1 (``_quadratic``); the residual of a degree-N
@@ -39,8 +39,9 @@ that evaluates Q many times at one shape passes the same workspace to
 every call, as the evolution and the branch continuation do, and no call
 allocates.  The multiplier -i σ(k, c) is written once (``_multiplier``);
 the residual and the evolution's stages both apply it.  Odd outputs are
-checked for cosine leak relative to the largest term summed into them
-(``_sine_amplitudes``), with a floor of 1.
+checked for cosine leak relative to the largest term summed into them,
+with a floor of 1 (``_parity_leak``, the quotient the ``residual-parity``
+family of ``verify`` reports and ``_sine_amplitudes`` bounds).
 
 The Jacobian on the m-fold cosine basis is assembled in closed form from
 φ's cosine amplitudes: multiplication by a cosine series is Toeplitz +
@@ -59,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, require_integer
-from .spectral import SineSeries, SpectralField, _amplitudes, _hat, _next_pow2
+from .spectral import SineSeries, SpectralField, _amplitudes, _hat, _product_grid
 
 __all__ = [
     "ModelParams",
@@ -146,20 +147,23 @@ def _even_hat(phi, who):
 
 
 def _sine_amplitudes(r, terms, who):
-    """The sine amplitudes of a half-spectrum r, after the parity check:
-    the cosine leak must stay within PARITY_TOL times the largest amplitude
-    among ``terms``, the half-spectra summed into r, and at least 1.
-    Roundoff in a sum is relative to its terms, not to the sum, which is
-    near zero at a solution; a wave and its scaled copy at another ε (R
-    scales by 1/ε²) pass or fail together.  The terms are measured only
-    when the leak exceeds the floor."""
+    """The sine amplitudes of a half-spectrum r whose ``_parity_leak`` is
+    within PARITY_TOL; the terms are measured only if the raw leak is not."""
     # Outputs are odd by the model's symmetry; anything else is a numerical
     # inconsistency, not a user error.
     a, b = _amplitudes(r)
     leak = float(np.abs(a).max())
-    if leak > PARITY_TOL and leak > PARITY_TOL * _term_size(terms):
+    if leak > PARITY_TOL and _parity_leak(r, terms) > PARITY_TOL:
         raise NumericalError(f"{who} violated odd symmetry: cosine leak {leak:.3e}")
     return b
+
+
+def _parity_leak(r, terms):
+    """The cosine leak max |a_k| of a half-spectrum r over max(1, the
+    largest amplitude among ``terms``, the half-spectra summed into r):
+    roundoff in a sum is relative to its terms, not to the sum, which is
+    near zero at a solution, and R scales by 1/ε² with its terms."""
+    return float(np.abs(_amplitudes(r)[0]).max()) / max(1.0, _term_size(terms))
 
 
 def _term_size(terms):
@@ -209,7 +213,7 @@ class _QuadraticWork:
 
     def __init__(self, u_size, v_size, n_out, p, same):
         g = p.alpha0 - p.beta
-        self.m = _next_pow2(u_size + v_size + n_out)
+        self.m = _product_grid(u_size - 1, v_size - 1, n_out)
         self.ku = _wave_numbers(u_size, g)[0]
         self.kv, self.gk3 = _wave_numbers(v_size, g)
         width = max(u_size, v_size, self.m // 2 + 1)
@@ -260,10 +264,10 @@ def _quadratic(u, v, p, n_out, work=None):
     """Q(u, v) = H[Λu · Λv - u · w] + u · Hw with w = Λv - g Λ³v, on the
     half-spectrum modes 0..n_out, as P2 - i P1 from ``_products``.
 
-    The products are formed on one power-of-two grid of at least
-    u.size + v.size + n_out points.  Their degree is below u.size + v.size,
-    so aliasing only folds modes onto frequencies above n_out and every
-    returned mode is exact.  ``work`` is a ``_QuadraticWork`` of this
+    The products are formed on the grid of ``spectral._product_grid`` for
+    factors of degrees u.size - 1 and v.size - 1, so aliasing only folds
+    modes onto frequencies above n_out and every returned mode is exact.
+    ``work`` is a ``_QuadraticWork`` of this
     shape, built here when not given; the result is its row ``q``, and
     ``work.prod`` keeps P2 and i P1 (modes 1..n_out) after the call.
     """

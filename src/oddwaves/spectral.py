@@ -28,9 +28,10 @@ All linear operators act diagonally per mode and are exact:
     zygmund:     multiplies mode k by |k| = k  (equals hilbert ∘ d/dx)
     derivative:  the usual spectral derivative
 
-Pointwise products are evaluated on a zero-padded grid sized by the factors'
-trigonometric degrees, so every retained mode of a product is alias-free
-(this is stronger than the usual 3/2-rule padding, which it subsumes).
+Every pointwise product, here, in ``holder`` and in ``model``, of factors of
+degrees d_u, d_v whose modes 0..n_out are kept is formed on the grid of one
+rule (``_product_grid``): the smallest power of two M >= max(8, d_u + d_v +
+2 + n_out).  Aliasing folds mode d_u + d_v onto M - d_u - d_v > n_out.
 Slow principal-value quadratures of the singular-integral forms of the
 Hilbert and Zygmund operators are provided as independent cross-checks of
 the mode maps; they are never used on the production path.
@@ -339,8 +340,9 @@ def derivative(f, order):
 def multiply(f, g):
     """Pointwise product on a zero-padded grid, exact for every retained mode.
 
-    The work grid resolves the full product degree deg f + deg g, so no
-    retained mode is ever aliased; the result carries max(N_f, N_g,
+    The work grid keeps modes 0..deg f + deg g exact (``_product_grid``)
+    and the modes above them, which vanish, are set to zero, so padding a
+    factor past its degree changes no float; the result carries max(N_f, N_g,
     deg f + deg g) modes and therefore loses nothing.  Callers that need a
     fixed working resolution project back with ``truncate``.  When both
     factors have definite parity the product's parity is enforced exactly.
@@ -349,11 +351,11 @@ def multiply(f, g):
         return (f.a[0] * g).pad_to(max(f.n_modes, g.n_modes))
     if g.degree == 0:
         return (g.a[0] * f).pad_to(max(f.n_modes, g.n_modes))
-    n_out = max(f.n_modes, g.n_modes, f.degree + g.degree)
-    m = _product_grid(f.degree + g.degree, n_out)
-    a, b = _analyze(f.values(m) * g.values(m))
-    a = a[: n_out + 1].copy() if a.size > n_out + 1 else np.pad(a, (0, n_out + 1 - a.size))
-    b = b[: n_out + 1].copy() if b.size > n_out + 1 else np.pad(b, (0, n_out + 1 - b.size))
+    deg = f.degree + g.degree
+    n_out = max(f.n_modes, g.n_modes, deg)
+    m = _product_grid(f.degree, g.degree, deg)
+    a, b = (np.pad(x[: deg + 1], (0, n_out - deg))  # modes above deg are zero
+            for x in _analyze(f.values(m) * g.values(m)))
     if (f.is_even and g.is_even) or (f.is_odd and g.is_odd):
         b[:] = 0.0
     elif (f.is_even and g.is_odd) or (f.is_odd and g.is_even):
@@ -361,10 +363,9 @@ def multiply(f, g):
     return SpectralField(a, b)
 
 
-def _product_grid(deg, n_out):
-    """The grid ``multiply`` forms a product on: a power of two that resolves
-    the product degree ``deg`` and leaves ``n_out`` modes alias-free."""
-    return _next_pow2(max(2 * deg + 2, 3 * n_out // 2 + 2, 8))
+def _product_grid(deg_u, deg_v, n_out):
+    """The grid of every product: see the module docstring."""
+    return _next_pow2(max(8, deg_u + deg_v + 2 + n_out))
 
 
 def commutator_h(f, g):

@@ -21,6 +21,8 @@ is the Newton loop on validated fields, sampling the sup norm of every
 iterate, which the loop on amplitude arrays must reproduce bit for bit.
 ``reference_simplicity`` and ``reference_shared_frequency`` are the scalar
 simplicity scans of ``detect_bifurcations`` and ``continue_branch``;
+``reference_kernel_dimension`` counts the small singular values of the
+assembled flat-state Jacobian, the count ``kernel_dimension`` must give;
 ``reference_csv_body`` and ``reference_profile_rows`` are the CLI's
 cell-by-cell CSV formatter and its per-point profile synthesis.
 """
@@ -37,6 +39,7 @@ from oddwaves import (
     ModelParams,
     SineSeries,
     SpectralField,
+    assemble_jacobian,
     commutator_h,
     derivative,
     hilbert,
@@ -349,6 +352,17 @@ def reference_shared_frequency(m, p, n):
         if abs(symbol_at(m * j, c0, p)) <= SIMPLE_RTOL * _symbol_scale(m * j, c0, p):
             return m * j
     return None
+
+
+def reference_kernel_dimension(c, p, m, n):
+    """The kernel dimension of the flat-state linearization on the m-fold
+    basis by SVD of the assembled n × n matrix: the number of singular
+    values below 1e-8 times the largest (all n when the matrix is zero)."""
+    flat = CosineSeries(np.zeros(m * n + 1))
+    svals = np.linalg.svd(assemble_jacobian(c, flat, p, n, m), compute_uv=False)
+    if svals[0] == 0.0:
+        return n
+    return int(np.count_nonzero(svals < 1e-8 * svals[0]))
 
 
 def _fmt(value):

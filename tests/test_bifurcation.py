@@ -20,7 +20,8 @@ import oddwaves.bifurcation as bif
 from oddwaves.model import _mfold_indices, d_c_residual
 from oddwaves.spectral import _next_pow2, _synthesize
 
-from helpers import reference_newton, reference_shared_frequency, reference_simplicity
+from helpers import (reference_kernel_dimension, reference_newton, reference_shared_frequency,
+                     reference_simplicity)
 
 P = ModelParams(1.0, 1.0, 0.0)
 PA = ModelParams(0.5, 1.0, 0.5)
@@ -30,6 +31,16 @@ SCAN_PARAMS = [PA, ModelParams(0.5, 1.0, 1.0), ModelParams(1.0, 1.0, 1.75)]
 
 def small_branch(m=1, p=PA, s_max=0.02, n=24, **kw):
     return continue_branch(m, p, s_max, ds=1e-3, n=n, tol=1e-11, **kw)
+
+
+def resonant_params(k, j, epsilon, alpha0):
+    """Parameters with c_k = c_j: c_k is affine in g = α0 - β,
+    c_k = ((1 - k) / k - g k) / (ε (2 + α0 k)), so the two speeds meet at
+    one g."""
+    def affine(q):
+        return (1.0 - q) / (q * (2.0 + alpha0 * q)), q / (2.0 + alpha0 * q)
+    (bk, sk), (bj, sj) = affine(k), affine(j)
+    return ModelParams(epsilon, alpha0, alpha0 - (bk - bj) / (sk - sj))
 
 
 class TestDetectBifurcations:
@@ -76,6 +87,46 @@ class TestKernelDimension:
     def test_needs_minimum_truncation(self):
         with pytest.raises(ConfigurationError):
             kernel_dimension(0.0, P, 1, 3)
+
+    def test_equals_svd_count(self):
+        """The count of vanishing multipliers is the number of small
+        singular values of the assembled flat-state Jacobian, at critical
+        speeds, at generic speeds and at lattice resonances (kernel 2), on
+        seeded parameter draws and at α0 = β = 1 ({1: 1, 2: 2, 3: 1})."""
+        rng = np.random.default_rng(20)
+        seen = set()
+        for _ in range(30):
+            eps, alpha0 = rng.uniform(0.2, 2.0), rng.uniform(0.2, 3.0)
+            m, j, n = int(rng.integers(1, 4)), int(rng.integers(2, 5)), int(rng.integers(4, 40))
+            for p in (ModelParams(eps, alpha0, rng.uniform(-2.0, 3.0)),
+                      resonant_params(m, j * m, eps, alpha0)):
+                for c in (critical_speed(m, p), rng.uniform(-3.0, 3.0)):
+                    dim = kernel_dimension(c, p, m, n)
+                    assert dim == reference_kernel_dimension(c, p, m, n)
+                    seen.add(dim)
+        assert seen == {0, 1, 2}
+        p = ModelParams(0.5, 1.0, 1.0)
+        dims = {m: kernel_dimension(critical_speed(m, p), p, m, 64) for m in (1, 2, 3)}
+        assert dims == {m: reference_kernel_dimension(critical_speed(m, p), p, m, 64)
+                        for m in (1, 2, 3)} == {1: 1, 2: 2, 3: 1}
+
+    @pytest.mark.parametrize("p", [PA, ModelParams(0.5, 1.0, 1.0), resonant_params(2, 4, 0.7, 2.5),
+                                   resonant_params(3, 6, 1.3, 0.6)])
+    def test_simplicity_decisions_agree(self, p):
+        """A one-dimensional m-fold kernel at c_m, the ``simple`` flag of
+        ``detect_bifurcations`` and a branch start that is not refused are
+        one decision.  The flag scans every frequency, not only the m-fold
+        ones, so these parameters share speeds on the lattice alone."""
+        n = 16
+        for m in (1, 2, 3):
+            simple = kernel_dimension(critical_speed(m, p), p, m, n) == 1
+            assert detect_bifurcations(p, 3, n_scan=3 * n)[m - 1].simple == simple
+            try:
+                continue_branch(m, p, 0.0, n=n)
+                starts = True
+            except ConfigurationError:
+                starts = False
+            assert starts == simple
 
 
 class TestTransversality:
@@ -274,6 +325,30 @@ class TestContinueBranch:
         assert kernel_dimension(critical_speed(2, p), p, 2, 32) == 2
         with pytest.raises(ConfigurationError):
             continue_branch(2, p, 0.01, n=16)
+
+
+class TestScaleCovariance:
+    """(c, φ) solves R = 0 at (ε, α0, β) exactly when (εc, εφ) solves it at
+    (1, α0, β), and R scales by 1/ε².  So the branch at ε with tol/ε² is the
+    ε = 1 branch with s_max, ds and the step cap scaled by ε, point by
+    point and with the same Newton iterations, up to the same stall where
+    n = 32 stops resolving the tail (fold 3 at ε = 0.5)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.5, 0.25, 0.1])
+    def test_branch_maps_onto_unit_epsilon(self, m, eps):
+        s_max, n = 0.3, 32
+        unit = continue_branch(m, ModelParams(1.0, 1.0, 0.5), eps * s_max, n=n,
+                               ds=eps * bif.DEFAULT_STEP, step_cap=eps * bif.DEFAULT_STEP_CAP)
+        scaled = continue_branch(m, ModelParams(eps, 1.0, 0.5), s_max, n=n,
+                                 tol=bif.DEFAULT_TOL / eps ** 2)
+        assert unit.truncated == scaled.truncated
+        assert len(unit.points) == len(scaled.points) > 10
+        for u, v in zip(unit.points, scaled.points):
+            assert u.newton_iters == v.newton_iters
+            assert abs(eps * v.s - u.s) <= 1e-13 * abs(u.s)
+            assert abs(eps * v.c - u.c) <= 1e-13 * abs(u.c)
+            assert np.abs(eps * v.phi.a - u.phi.a).max() <= 1e-13 * np.abs(u.phi.a).max()
 
 
 class TestArrayNewton:

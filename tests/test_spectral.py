@@ -247,6 +247,21 @@ class TestMultiply:
             assert prod.is_even and not prod.b.any()
             assert np.array_equal(prod.a, ref.a)
 
+    @pytest.mark.parametrize("deg_f, deg_g, pad",
+                             [(3, 5, 24), (1, 1, 40), (10, 7, 30), (12, 12, 25)])
+    def test_padding_changes_no_float(self, deg_f, deg_g, pad):
+        """The product's modes above deg f + deg g vanish, so padded factors
+        are multiplied on the unpadded factors' grid (degrees 3 and 5 padded
+        to 24 on 32 points, not 64) and give their product bit for bit,
+        zero-padded to the longer truncation."""
+        rng = np.random.default_rng(deg_f + 100 * pad)
+        f, g = random_field(rng, deg_f), random_field(rng, deg_g)
+        padded = multiply(f.pad_to(pad), g.pad_to(pad))
+        want = multiply(f, g).pad_to(pad)
+        assert padded.n_modes == pad
+        assert padded.a.tobytes() == want.a.tobytes()
+        assert padded.b.tobytes() == want.b.tobytes()
+
 
 class TestCommutator:
     def test_constant_first_argument_annihilates(self):
