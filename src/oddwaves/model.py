@@ -30,18 +30,24 @@ Constants are trivial solutions, so profiles are projected to zero mean
 before evaluation.  Q is evaluated on the product grid of ``spectral``
 (``_product_grid``), with one stacked inverse FFT for all its factors and one
 stacked forward FFT for its two product spectra P1 = F[Λu·Λv - u·w] and
-P2 = F[u·Hw] (``_products``; small transforms cost mostly per-call
-overhead), and Q = P2 - i P1 (``_quadratic``); the residual of a degree-N
-profile is returned exactly, on 2N modes.  The arrays of one shape, the
-factor spectrum and the outputs of both FFTs, which numpy writes in place
-(``out=``, numpy >= 2.0), form a workspace (``_QuadraticWork``).  A caller
-that evaluates Q many times at one shape passes the same workspace to
-every call, as the evolution and the branch continuation do, and no call
-allocates.  The multiplier -i σ(k, c) is written once (``_multiplier``);
-the residual and the evolution's stages both apply it.  Odd outputs are
-checked for cosine leak relative to the largest term summed into them,
-with a floor of 1 (``_parity_leak``, the quotient the ``residual-parity``
-family of ``verify`` reports and ``_sine_amplitudes`` bounds).
+P2 = F[u·Hw] (``_products``), and Q = P2 - i P1 (``_quadratic``); the
+residual of a degree-N profile is returned exactly, on 2N modes, and the
+modes above the product degree are exact zeros.  The arrays of one shape
+(the factor spectrum and the outputs of both FFTs) form a workspace
+(``_QuadraticWork``), which also holds the forward transform's factor 1/m.
+The two FFTs call the pocketfft kernels that ``spectral`` binds once
+(``_irfft``, ``_rfft``) with that factor and those outputs.  They skip
+``np.fft``'s per-call wrapper, which on these small grids costs about as
+much as the transforms; the kernels are the ones ``np.fft`` calls, so the
+floats are the same, and there is no fallback (see ``spectral``).  A
+caller that evaluates Q many times at one shape passes the same workspace
+to every call, as the evolution and the branch continuation do, and no
+call allocates.  The multiplier -i σ(k, c) is written once
+(``_multiplier``); the residual and the evolution's stages both apply it.
+Odd outputs are checked for cosine leak relative to the largest term
+summed into them, with a floor of 1 (``_parity_leak``, the quotient the
+``residual-parity`` family of ``verify`` reports and ``_sine_amplitudes``
+bounds).
 
 The Jacobian on the m-fold cosine basis is assembled in closed form from
 φ's cosine amplitudes: multiplication by a cosine series is Toeplitz +
@@ -60,7 +66,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, require_integer
-from .spectral import SineSeries, SpectralField, _amplitudes, _hat, _product_grid
+from .spectral import SineSeries, SpectralField, _amplitudes, _hat, _irfft, _product_grid, _rfft
 
 __all__ = [
     "ModelParams",
@@ -204,8 +210,10 @@ class _QuadraticWork:
     Hw (and Λv when v is not u); and the outputs of the two FFTs, which are
     written into them: the factors on the grid (``grid``, one view per row
     in ``on_grid``), the product spectra P1, P2 (``prod``, with views
-    ``p1``, ``p2`` of modes 0..n_out) and Q itself (``q``).  A caller that
-    evaluates Q many times at one shape, as ``evolve`` and
+    ``p1``, ``p2`` of modes 0..top, where top = min(n_out, u.size + v.size
+    - 2) is the last mode Q can reach) and Q itself (``q``, modes
+    0..n_out).  ``scale`` is the forward transform's factor 1/m.  A caller
+    that evaluates Q many times at one shape, as ``evolve`` and
     ``continue_branch`` do, builds it once and passes it to every call, so
     no call allocates; each call overwrites what the one before it
     returned.  The caller may write u into the row ``u`` itself and pass
@@ -214,6 +222,9 @@ class _QuadraticWork:
     def __init__(self, u_size, v_size, n_out, p, same):
         g = p.alpha0 - p.beta
         self.m = _product_grid(u_size - 1, v_size - 1, n_out)
+        assert self.m % 2 == 0, "the forward kernel takes even grids only"
+        self.scale = 1.0 / self.m
+        self.top = min(n_out, u_size + v_size - 2)
         self.ku = _wave_numbers(u_size, g)[0]
         self.kv, self.gk3 = _wave_numbers(v_size, g)
         width = max(u_size, v_size, self.m // 2 + 1)
@@ -226,7 +237,7 @@ class _QuadraticWork:
         self.on_grid = (*self.grid[:4], self.grid[1 if same else 4])
         self.products = self.grid[2:4]
         self.prod = np.empty((2, self.m // 2 + 1), dtype=complex)
-        self.p1, self.p2 = self.prod[:, : n_out + 1]
+        self.p1, self.p2 = self.prod[:, : self.top + 1]
         self.q = np.empty(n_out + 1, dtype=complex)
 
 
@@ -238,9 +249,11 @@ def _products(u, v, work):
     P2; ``_quadratic`` forms it, and ``evolve`` weighs the two rows itself.
 
     The factors u, Λu, w, Hw (and Λv unless v is u) are written into
-    ``work.spec`` and synthesized by one stacked ``irfft`` into
+    ``work.spec`` and synthesized by one stacked ``_irfft`` into
     ``work.grid``; the products are formed in its rows and go back through
-    one stacked ``rfft`` into ``work.prod``.  Nothing is allocated.
+    one stacked ``_rfft``, scaled by ``work.scale``, into ``work.prod``:
+    the floats of ``np.fft.irfft(..., norm="forward")`` and
+    ``np.fft.rfft(..., norm="forward")``.  Nothing is allocated.
     """
     if u is not work.u:
         np.copyto(work.u, u)
@@ -250,14 +263,14 @@ def _products(u, v, work):
         np.multiply(work.ku, u, out=work.lu)
     np.subtract(work.lv, work.hw, out=work.w)
     np.multiply(-1j, work.w, out=work.hw)
-    np.fft.irfft(work.spec, work.m, norm="forward", out=work.grid)
+    _irfft(work.spec, 1.0, out=work.grid)
     # the rows w, Hw become Λu·Λv - u·w, u·Hw
     uu, lu, uw, uhw, lv = work.on_grid
     np.multiply(uu, uw, out=uw)
     np.multiply(uu, uhw, out=uhw)
     np.multiply(lu, lv, out=lu)
     np.subtract(lu, uw, out=uw)
-    return np.fft.rfft(work.products, norm="forward", out=work.prod)
+    return _rfft(work.products, work.scale, out=work.prod)
 
 
 def _quadratic(u, v, p, n_out, work=None):
@@ -266,18 +279,21 @@ def _quadratic(u, v, p, n_out, work=None):
 
     The products are formed on the grid of ``spectral._product_grid`` for
     factors of degrees u.size - 1 and v.size - 1, so aliasing only folds
-    modes onto frequencies above n_out and every returned mode is exact.
-    ``work`` is a ``_QuadraticWork`` of this
-    shape, built here when not given; the result is its row ``q``, and
-    ``work.prod`` keeps P2 and i P1 (modes 1..n_out) after the call.
+    modes onto frequencies above n_out and every returned mode is exact;
+    the modes above the product degree u.size + v.size - 2 are exact zeros.
+    ``work`` is a ``_QuadraticWork`` of this shape, built here when not
+    given; the result is its row ``q``, and ``work.prod`` keeps P2 and i P1
+    (modes 1..``work.top``) after the call.
     """
     if work is None:
         work = _QuadraticWork(u.size, v.size, n_out, p, v is u)
-    p1, p2 = _products(u, v, work)
-    inner, out = p1[1 : n_out + 1], work.q[: n_out + 1]
+    _products(u, v, work)
+    top, out = work.top, work.q
+    inner = work.p1[1:]
     np.multiply(1j, inner, out=inner)
-    np.subtract(p2[1 : n_out + 1], inner, out=out[1:])
-    out[0] = p2[0]
+    np.subtract(work.p2[1:], inner, out=out[1 : top + 1])
+    out[0] = work.p2[0]
+    out[top + 1 :] = 0.0
     return out
 
 

@@ -35,11 +35,27 @@ rule (``_product_grid``): the smallest power of two M >= max(8, d_u + d_v +
 Slow principal-value quadratures of the singular-integral forms of the
 Hilbert and Zygmund operators are provided as independent cross-checks of
 the mode maps; they are never used on the production path.
+
+Every production transform, here (``_synthesize``, ``_analyze``) and in
+``model`` (``_products``), calls numpy's pocketfft kernels, bound once in
+this module (``_irfft``, ``_rfft``).  They are the kernels ``np.fft.irfft``
+and ``np.fft.rfft`` call after a Python wrapper that checks the arguments,
+picks the kernel and the normalisation factor and allocates the output; on
+the small grids of an RK4 stage or a Newton residual that wrapper costs
+about as much as the transform.  The callers pass the factor ``np.fft``
+would pass and an output of the right shape.  Every grid is even, so the
+even-length forward kernel is the only one needed, and the sites that
+transform forward assert it.  The kernels and factors are unchanged, so
+every float is the one ``np.fft`` gives.  There is no fallback to
+``np.fft``: a second path would be a second set of floats to keep equal,
+and numpy >= 2.0 (the required version) always has these kernels.  Only
+the quadrature oracles call ``np.fft.irfft``, to stay an independent route.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import ConfigurationError, require_integer
 
@@ -57,6 +73,15 @@ __all__ = [
     "hilbert_by_quadrature",
     "zygmund_by_quadrature",
 ]
+
+
+# _irfft(spec, scale, out=) writes scale times the inverse transform of the
+# half-spectrum rows spec, zero-padded or cut to m/2 + 1 modes, into the
+# length-m rows of out; _rfft(values, scale, out=) writes scale times the
+# half-spectrum of rows of even length m.  np.fft.irfft passes scale 1/m
+# (1 with norm="forward"), np.fft.rfft passes 1 (1/m with norm="forward").
+_irfft = _pocketfft.irfft
+_rfft = _pocketfft.rfft_n_even
 
 
 def _next_pow2(n):
@@ -283,7 +308,8 @@ def _derivative_amplitudes(a, b):
 def _synthesize(a, b, m):
     """Values at x_j = 2πj/M from amplitudes (assumes M resolves the degree)."""
     n = min(a.shape[-1] - 1, m // 2 - 1)
-    return np.fft.irfft(m * _hat(a[..., : n + 1], b[..., : n + 1]), m)
+    out = np.empty(a.shape[:-1] + (m,))
+    return _irfft(m * _hat(a[..., : n + 1], b[..., : n + 1]), 1.0 / m, out=out)
 
 
 def _analyze(values):
@@ -293,7 +319,9 @@ def _analyze(values):
     interpolant is restricted to modes k <= M/2 - 1.
     """
     m = values.shape[-1]
-    a, b = _amplitudes(np.fft.rfft(values)[..., : m // 2])
+    assert m % 2 == 0, "the forward kernel takes even grids only"
+    out = np.empty(values.shape[:-1] + (m // 2 + 1,), dtype=complex)
+    a, b = _amplitudes(_rfft(values, 1.0, out=out)[..., : m // 2])
     return a / m, b / m
 
 

@@ -13,9 +13,13 @@ seminorm and norm as the plain loop over all lags and the loop over
 validated fields; and the commutator quotient and sweep member by member
 through ``commutator_h`` and a norm on fields.  ``reference_quadratic`` is
 Q on the half-spectrum with one transform per factor and per product, the
-form the stacked kernel must reproduce bit for bit; ``reference_rk4`` is the
-RK4 loop through it with every stage allocating, which ``evolve`` must
-reproduce to roundoff; ``reference_jacobian`` is the closed-form Jacobian
+form the stacked kernel must reproduce bit for bit;
+``reference_synthesize``, ``reference_analyze`` and
+``reference_product_transforms`` are the public ``np.fft`` calls whose
+floats the bound pocketfft kernels must give at each site;
+``reference_rk4`` is the RK4 loop through ``reference_quadratic`` with
+every stage allocating, which ``evolve`` must reproduce to roundoff;
+``reference_jacobian`` is the closed-form Jacobian
 with its index and weight arrays built on every call; ``reference_newton``
 is the Newton loop on validated fields, sampling the sup norm of every
 iterate, which the loop on amplitude arrays must reproduce bit for bit.
@@ -44,6 +48,7 @@ from oddwaves import (
     derivative,
     hilbert,
     holder_norm,
+    model,
     multiply,
     residual,
     zygmund,
@@ -213,8 +218,11 @@ def reference_rhs(f, p):
 
 def reference_quadratic(u, v, p, n_out):
     """``model._quadratic`` with one transform per factor and per product:
-    five ``irfft`` (u, Λu, Λv, w, Hw) and two ``rfft`` calls on the same
-    grid, in the same arithmetic."""
+    five public ``np.fft.irfft`` (u, Λu, Λv, w, Hw) and two ``np.fft.rfft``
+    calls on the same grid, in the same arithmetic.  Q has no modes above
+    the product degree u.size + v.size - 2; they are returned as exact
+    zeros, not as the roundoff the transforms leave on the grid's modes
+    there."""
     g = p.alpha0 - p.beta
     m = _next_pow2(u.size + v.size + n_out)
     ku = np.arange(u.size, dtype=float)
@@ -222,9 +230,11 @@ def reference_quadratic(u, v, p, n_out):
     w = kv * v - g * kv ** 3 * v
     uu, lu, lv, ww, hw = (np.fft.irfft(x, m, norm="forward")
                           for x in (u, ku * u, kv * v, w, -1j * w))
-    inner = np.fft.rfft(lu * lv - uu * ww, norm="forward")[: n_out + 1]
-    out = np.fft.rfft(uu * hw, norm="forward")[: n_out + 1]
-    out[1:] -= 1j * inner[1:]
+    top = min(n_out, u.size + v.size - 2)
+    inner = np.fft.rfft(lu * lv - uu * ww, norm="forward")[: top + 1]
+    out = np.zeros(n_out + 1, dtype=complex)
+    out[: top + 1] = np.fft.rfft(uu * hw, norm="forward")[: top + 1]
+    out[1 : top + 1] -= 1j * inner[1:]
     return out
 
 
@@ -258,8 +268,9 @@ def reference_rk4(f, p, cfg, quadratic=reference_quadratic):
 
 
 def count_real_ffts(monkeypatch):
-    """Count the calls of ``np.fft.irfft`` and ``np.fft.rfft`` made from
-    now on, by name, in the returned ``Counter``."""
+    """Count the calls of the real-FFT kernels ``model`` binds from
+    ``spectral`` (``_irfft``, ``_rfft``) made from now on, as "irfft" and
+    "rfft", in the returned ``Counter``."""
     counts = Counter()
 
     def counting(name, transform):
@@ -269,8 +280,38 @@ def count_real_ffts(monkeypatch):
         return counted
 
     for name in ("irfft", "rfft"):
-        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+        kernel = "_" + name
+        monkeypatch.setattr(model, kernel, counting(name, getattr(model, kernel)))
     return counts
+
+
+# The public np.fft calls that the bound kernels replaced, as references for
+# the floats of each kernel site.
+
+def reference_synthesize(a, b, m):
+    """``spectral._synthesize`` through ``np.fft.irfft``."""
+    n = min(a.shape[-1] - 1, m // 2 - 1)
+    return np.fft.irfft(m * _hat(a[..., : n + 1], b[..., : n + 1]), m)
+
+
+def reference_analyze(values):
+    """``spectral._analyze`` through ``np.fft.rfft``."""
+    m = values.shape[-1]
+    a, b = _amplitudes(np.fft.rfft(values)[..., : m // 2])
+    return a / m, b / m
+
+
+def reference_product_transforms(work):
+    """``model._products`` through ``np.fft``, from the factor spectrum a
+    call left in its ``_QuadraticWork``: the factor rows on the grid
+    (``np.fft.irfft`` of ``work.spec``), the products Λu·Λv - u·w and u·Hw
+    formed from them in the same arithmetic, and the product spectra
+    (``np.fft.rfft`` of the products)."""
+    grid = np.fft.irfft(work.spec, work.m, norm="forward")
+    uu, lu, w, hw = grid[:4]
+    lv = grid[1 if grid.shape[0] == 4 else 4]
+    products = np.array([lu * lv - uu * w, uu * hw])
+    return grid, products, np.fft.rfft(products, norm="forward")
 
 
 def reference_jacobian(c, a, p, m, n, speed_column=False):

@@ -38,6 +38,7 @@ from helpers import (
     random_mfold_even,
     reference_gateaux,
     reference_jacobian,
+    reference_product_transforms,
     reference_quadratic,
     reference_residual,
     relative_gap,
@@ -311,6 +312,51 @@ class TestStackedQuadratic:
             counts.clear()
             _quadratic(a, b, P, 32)
             assert counts == {"irfft": 1, "rfft": 1}
+
+    @pytest.mark.parametrize("u_size, v_size", [(3, 3), (3, 6), (6, 3), (2, 9), (17, 17)])
+    def test_modes_above_the_product_degree_are_zero(self, u_size, v_size):
+        """Q(u, v) has no modes above u.size + v.size - 2.  Asked for more
+        modes than its grid's half-spectrum holds (3 and 3 modes with 41
+        outputs: 33 spectrum rows on 64 points), ``_quadratic`` returns the
+        oracle's floats up to that degree and exact zeros above it, on a
+        fresh workspace and on one reused after other data."""
+        p = ModelParams(0.5, 1.0, 0.5)
+        n_out = 40
+        top = u_size + v_size - 2
+        rng = np.random.default_rng(u_size + 10 * v_size)
+        work = _QuadraticWork(u_size, v_size, n_out, p, same=False)
+        for _ in range(2):
+            u = self.random_hat(rng, u_size - 1)
+            v = self.random_hat(rng, v_size - 1)
+            for got in (_quadratic(u, v, p, n_out), _quadratic(u, v, p, n_out, work)):
+                assert got.shape == (n_out + 1,)
+                assert got.tobytes() == reference_quadratic(u, v, p, n_out).tobytes()
+                assert not got[top + 1 :].any()
+                assert got[: top + 1].any()
+
+    @pytest.mark.parametrize("p", ORACLE_PARAMS)
+    def test_transforms_equal_public_fft(self, p):
+        """Both kernel calls of ``_products`` write the bytes of the public
+        ``np.fft`` calls they replaced, on every power-of-two grid from 8 to
+        4096 points, for u is v and for factors of unequal sizes."""
+        rng = np.random.default_rng(9)
+        grids = set()
+        for k in range(3, 13):
+            s = 1 << (k - 2)                 # a degree-2(s-1) product: 2^k points
+            for u_size, v_size, n_out in ((s, s, 2 * s - 2), (s, s, s - 1),
+                                          (s, max(1, s // 2), s)):
+                same = u_size == v_size
+                work = _QuadraticWork(u_size, v_size, n_out, p, same)
+                u = self.random_hat(rng, u_size - 1)
+                v = u if same else self.random_hat(rng, v_size - 1)
+                model._products(u, v, work)
+                grid, products, prod = reference_product_transforms(work)
+                kept = [0] if same else [0, 4]   # the rows no product overwrites
+                assert work.grid[kept].tobytes() == grid[kept].tobytes()
+                assert work.products.tobytes() == products.tobytes()
+                assert work.prod.tobytes() == prod.tobytes()
+                grids.add(work.m)
+        assert grids >= {1 << k for k in range(3, 13)}
 
 
 class TestGateaux:

@@ -16,9 +16,17 @@ from oddwaves import (
     translate,
     zygmund,
 )
-from oddwaves.spectral import hilbert_by_quadrature, zygmund_by_quadrature
+from oddwaves.spectral import _analyze, _synthesize, hilbert_by_quadrature, zygmund_by_quadrature
 
-from helpers import coeff_gap, conv_product, cosine, random_field, sine
+from helpers import (
+    coeff_gap,
+    conv_product,
+    cosine,
+    random_field,
+    reference_analyze,
+    reference_synthesize,
+    sine,
+)
 
 
 class TestSpectralField:
@@ -261,6 +269,38 @@ class TestMultiply:
         assert padded.n_modes == pad
         assert padded.a.tobytes() == want.a.tobytes()
         assert padded.b.tobytes() == want.b.tobytes()
+
+
+class TestBoundKernels:
+    """``_synthesize`` and ``_analyze`` call numpy's pocketfft kernels
+    directly; they must give the bytes of the public ``np.fft`` calls they
+    replaced, on power-of-two grids from 8 to 4096 points and on even grids
+    between them, for one row and for a stack of rows."""
+
+    GRIDS = [1 << k for k in range(3, 13)] + [6, 10, 12, 100, 1000]
+
+    @pytest.mark.parametrize("m", GRIDS)
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    def test_synthesize_equals_irfft(self, m, rows):
+        """Amplitudes of every length from one mode to past the grid's
+        Nyquist bin: the kernel zero-pads an input shorter than m/2 + 1
+        exactly as ``np.fft.irfft`` does."""
+        rng = np.random.default_rng(m)
+        for size in sorted({1, 2, m // 4, m // 2 - 1, m // 2, m}):
+            a = rng.standard_normal(rows + (size,))
+            b = rng.standard_normal(rows + (size,))
+            b[..., 0] = 0.0
+            got = _synthesize(a, b, m)
+            assert got.shape == rows + (m,)
+            assert got.tobytes() == reference_synthesize(a, b, m).tobytes()
+
+    @pytest.mark.parametrize("m", GRIDS)
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    def test_analyze_equals_rfft(self, m, rows):
+        values = np.random.default_rng(m + 1).standard_normal(rows + (m,))
+        for got, want in zip(_analyze(values), reference_analyze(values)):
+            assert got.shape == rows + (m // 2,)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCommutator:
