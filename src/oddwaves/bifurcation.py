@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, require_integer
+from .errors import ConfigurationError, NumericalError, require_integer, require_real
 from .model import (
     ModelParams,
     _jacobian,
@@ -127,14 +127,14 @@ def _symbol_scale(k, c, p):
             + abs(c * p.alpha0 + g / p.epsilon) * k * k)
 
 
-def _resonant(k, c, p, rel_tol=SIMPLE_RTOL):
+def _resonant(k, c, p):
     """Whether the multiplier at frequency k (or elementwise at an array of
-    frequencies) vanishes at speed c: |σ(k, c)| <= rel_tol times its terms'
-    natural size.  The one test that a multiplier vanishes."""
-    return np.abs(_symbol(k, c, p)) <= rel_tol * _symbol_scale(k, c, p)
+    frequencies) vanishes at speed c: |σ(k, c)| <= SIMPLE_RTOL times its
+    terms' natural size.  The one test that a multiplier vanishes."""
+    return np.abs(_symbol(k, c, p)) <= SIMPLE_RTOL * _symbol_scale(k, c, p)
 
 
-def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION, rel_tol=SIMPLE_RTOL):
+def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION):
     """Critical speeds c_k for k <= k_max with a simplicity flag.
 
     c_k is simple when no other frequency j <= n_scan has a vanishing
@@ -147,7 +147,7 @@ def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION, rel_tol=SIMPLE_RTOL
     out = []
     for k in range(1, k_max + 1):
         ck = critical_speed(k, p)
-        shared = _resonant(j, ck, p, rel_tol)
+        shared = _resonant(j, ck, p)
         shared[k - 1] = False
         out.append(BifurcationPoint(k=k, speed=ck, simple=not shared.any()))
     return out
@@ -233,17 +233,12 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     step halving and, past the halving floor, a NumericalError.
     """
     m = require_integer("fold m", m, 1)
-    if not (s_max >= 0):
-        raise ConfigurationError("s_max must be >= 0")
-    if not (ds > 0):
-        raise ConfigurationError("ds must be > 0")
-    if not (step_cap > 0):
-        raise ConfigurationError(f"step_cap must be > 0, got {step_cap!r}")
-    if not (step_growth >= 1):
-        raise ConfigurationError(f"step_growth must be >= 1, got {step_growth!r}")
+    s_max = require_real("s_max", s_max, 0)
+    ds = require_real("ds", ds, 0, strict=True)
+    step_cap = require_real("step_cap", step_cap, 0, strict=True)
+    step_growth = require_real("step_growth", step_growth, 1)
     max_iter = require_integer("max_iter", max_iter, 0)
-    if not (tol >= 1e-12):
-        raise ConfigurationError("tol below 1e-12 is not resolvable")
+    tol = require_real("tol", tol, 1e-12)  # a smaller residual is not resolvable
     n = require_integer("truncation n", n, 2)  # one complement mode at least
     if direction not in (1, -1):
         raise ConfigurationError("direction must be +1 or -1")

@@ -30,14 +30,14 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, require_real
 from .spectral import (
     CosineSeries,
     SineSeries,
@@ -81,58 +81,46 @@ from .evolution import (
 )
 from .holder import GRID_NAME, SWEEP_GRID, _check_alpha, commutator_sweep
 
-DEFAULTS = {
-    "epsilon": 0.5,
-    "alpha0": 1.0,
-    "beta": 0.5,
-    "fold": 1,
-    "modes": DEFAULT_TRUNCATION,
-    "smax": 0.05,
-    "ds": DEFAULT_STEP,
-    "tol": DEFAULT_TOL,
-    "max_iter": DEFAULT_MAX_ITER,
-    "dt": 2e-4,
-    "tfinal": 1.0,
-    "s": 0.02,
-    "kmax": 10,
-    "ensemble": 200,
-    "degrees": "20,40",
-    "alpha": 0.5,
-    "holder_grid": SWEEP_GRID,
-    "seed": 1234,
-    "out": "oddwaves-out",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved settings of one CLI invocation (defaults < config file < flags)."""
+    """Resolved settings of one CLI invocation (defaults < config file <
+    flags).  Its fields and defaults are the CLI's one list of settings."""
 
     command: str
-    epsilon: float
-    alpha0: float
-    beta: float
-    fold: int
-    modes: int
-    smax: float
-    ds: float
-    tol: float
-    max_iter: int
-    dt: float
-    tfinal: float
-    s: float
-    kmax: int
-    ensemble: int
-    degrees: tuple
-    alpha: float
-    holder_grid: int
-    seed: int
-    out: str
+    epsilon: float = 0.5
+    alpha0: float = 1.0
+    beta: float = 0.5
+    fold: int = 1
+    modes: int = DEFAULT_TRUNCATION
+    smax: float = 0.05
+    ds: float = DEFAULT_STEP
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
+    dt: float = 2e-4
+    tfinal: float = 1.0
+    s: float = 0.02
+    kmax: int = 10
+    ensemble: int = 200
+    degrees: tuple = (20, 40)
+    alpha: float = 0.5
+    holder_grid: int = SWEEP_GRID
+    seed: int = 1234
+    out: str = "oddwaves-out"
     dt_halving: bool = False
     inject_fault: bool = False
 
     def model_params(self):
         return ModelParams(self.epsilon, self.alpha0, self.beta)
+
+
+# every setting a flag or --config line sets, with its default (--degrees as text)
+DEFAULTS = {f.name: ",".join(map(str, f.default)) if f.name == "degrees" else f.default
+            for f in fields(RunConfig)
+            if f.name not in ("command", "dt_halving", "inject_fault")}
+
+# the least value of each setting the CLI range-checks; the modules check the rest
+LOWEST = {"modes": 2, "fold": 1, "kmax": 1, "ensemble": 1, "smax": 0, "s": 0, "seed": 0}
 
 
 def _parse_config_file(path):
@@ -203,9 +191,11 @@ def resolve_config(args):
     for key, default in DEFAULTS.items():
         flag = getattr(args, key, None)
         merged[key] = flag if flag is not None else file_values.get(key, default)
-        if isinstance(merged[key], float) and not np.isfinite(merged[key]):
-            raise ConfigurationError(
-                f"--{key.replace('_', '-')} must be finite, got {merged[key]!r}")
+        if isinstance(merged[key], float):
+            require_real(f"--{key.replace('_', '-')}", merged[key])
+    for key, low in LOWEST.items():
+        if merged[key] < low:
+            raise ConfigurationError(f"--{key} must be >= {low}, got {merged[key]}")
     try:
         degrees = tuple(int(part) for part in str(merged["degrees"]).split(",") if part)
     except ValueError:
@@ -217,23 +207,9 @@ def resolve_config(args):
                     dt_halving=getattr(args, "dt_halving", False),
                     inject_fault=getattr(args, "inject_fault", False),
                     **{k: v for k, v in merged.items() if k != "degrees"})
-    if cfg.modes < 2:
-        raise ConfigurationError("--modes must be >= 2")
     # re-validate the numeric contracts of the underlying modules now
     cfg.model_params()
     EvolutionConfig(dt=cfg.dt, t_final=cfg.tfinal, n_modes=cfg.modes)
-    if cfg.fold < 1:
-        raise ConfigurationError("--fold must be >= 1")
-    if cfg.kmax < 1:
-        raise ConfigurationError("--kmax must be >= 1")
-    if cfg.ensemble < 1:
-        raise ConfigurationError("--ensemble must be >= 1")
-    if cfg.smax < 0:
-        raise ConfigurationError("--smax must be >= 0")
-    if cfg.s < 0:
-        raise ConfigurationError("--s must be >= 0")
-    if cfg.seed < 0:
-        raise ConfigurationError(f"--seed must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -283,7 +259,8 @@ def _outdir(cfg):
 def cmd_bifurcate(cfg):
     _check_out(cfg)
     p = cfg.model_params()
-    points = detect_bifurcations(p, cfg.kmax, n_scan=cfg.modes)
+    # --modes counts modes per fold, as in branch: scan the lattices of folds up to kmax
+    points = detect_bifurcations(p, cfg.kmax, n_scan=cfg.kmax * cfg.modes)
     rows = [(pt.k, pt.speed, pt.simple, transversality(pt.k, p)) for pt in points]
     print(f"{'k':>4} {'c_k':>22} {'simple':>7} {'transversal':>12}")
     for k, ck, simple, trans in rows:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, require_integer
+from .errors import ConfigurationError, NumericalError, require_integer, require_real
 from .model import _multiplier, _products, _QuadraticWork
 from .spectral import SpectralField, _amplitudes, _hat, _sup_norm
 
@@ -75,10 +75,8 @@ class EvolutionConfig:
     save_every: int = 0
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise ConfigurationError(f"dt must be > 0, got {self.dt}")
-        if not (0 <= self.t_final < np.inf):
-            raise ConfigurationError(f"t_final must be finite and >= 0, got {self.t_final}")
+        require_real("dt", self.dt, 0, strict=True)
+        require_real("t_final", self.t_final, 0)
         require_integer("n_modes", self.n_modes, 1)
         if self.scheme != "rk4":
             raise ConfigurationError(f"unsupported scheme {self.scheme!r}")
@@ -105,7 +103,7 @@ def dispersion_frequency(k, p):
 def stable_dt(n, p):
     """Largest step keeping every linear mode k <= n inside the RK4
     stability interval on the imaginary axis."""
-    freqs = np.abs(dispersion_frequency(np.arange(1, n + 1), p))
+    freqs = np.abs(dispersion_frequency(np.arange(1, require_integer("n", n, 0) + 1), p))
     top = freqs.max() if len(freqs) else 0.0
     return float("inf") if top == 0.0 else RK4_IMAGINARY_LIMIT / top
 
@@ -239,8 +237,7 @@ def traveling_error_orders(point, p, cfg, halvings=2, base_error=None):
     above the converged-profile floor).  A caller that has already
     integrated at ``cfg.dt`` passes that error as ``base_error``, and only
     the halved steps are integrated."""
-    if halvings < 1:
-        raise ConfigurationError("need at least one halving")
+    halvings = require_integer("halvings", halvings, 1)
     dts = [cfg.dt / 2 ** i for i in range(halvings + 1)]
     errs = [] if base_error is None else [base_error]
     for dt in dts[len(errs):]:

@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, require_integer
+from .errors import ConfigurationError, require_integer, require_real
 from .spectral import (_analyze, _check_grid, _derivative_amplitudes, _hilbert_amplitudes,
                        _product_grid, _synthesize)
 
@@ -88,8 +88,8 @@ class HolderEstimate:
 
 
 def _check_alpha(alpha):
-    if not (0.0 < alpha < 1.0):
-        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+    """``alpha`` as a float: the Hölder exponent of every estimate, in (0, 1)."""
+    return require_real("alpha", alpha, 0, 1, strict=True)
 
 
 @lru_cache(maxsize=8)
@@ -163,7 +163,7 @@ def holder_seminorm(values, alpha):
     Fewer than two samples give 0.0.  Samples that are not all finite give
     max - min: nan for a nan sample, inf for an isolated infinity.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size < 2:
         return 0.0
@@ -187,10 +187,8 @@ def holder_norm(f, k, alpha, grid_size=DEFAULT_GRID):
     """Estimate of the C^{k,α} norm: sup norms of f, f', ..., f^(k) plus the
     α-seminorm of f^(k), all sampled on ``grid_size`` points.  Derivatives
     are spectral, so the only approximation is the pair search itself."""
-    _check_alpha(alpha)
-    k = require_integer("derivative count k", k, 0)
-    if k > 3:
-        raise ConfigurationError(f"derivative count k must be an integer 0..3, got {k!r}")
+    alpha = _check_alpha(alpha)
+    k = require_integer("derivative count k", k, 0, 3)
     m = _check_grid(grid_size, f.degree, GRID_NAME)
     value = _norms(f.a[None, :], f.b[None, :], k, alpha, m)[0]
     return HolderEstimate(k=k, alpha=alpha, value=float(value), grid_size=grid_size)
@@ -245,7 +243,7 @@ def commutator_ratio(a, b, alpha, grid_size=DEFAULT_GRID):
     denominator), or when the grid is odd or does not resolve Θ, whose
     degree is at most deg a + deg b.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     deg_a, deg_b = a.degree, b.degree
     m = _check_grid(grid_size, deg_a + deg_b, GRID_NAME)
     rows = [x[None, :d + 1] for x, d in ((a.a, deg_a), (a.b, deg_a), (b.a, deg_b), (b.b, deg_b))]
@@ -306,7 +304,7 @@ def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
     ensemble = require_integer("ensemble size", ensemble, 1)
     max_degree = require_integer("max_degree", max_degree, 1)
     seed = require_integer("seed", seed, 0)
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     m = _check_grid(grid_size, 2 * max_degree, GRID_NAME)
     block = _sweep_block(m)
     rows = []

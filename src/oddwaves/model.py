@@ -65,7 +65,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, require_integer
+from .errors import ConfigurationError, NumericalError, require_integer, require_real
 from .spectral import SineSeries, SpectralField, _amplitudes, _hat, _irfft, _product_grid, _rfft
 
 __all__ = [
@@ -96,14 +96,9 @@ class ModelParams:
     beta: float
 
     def __post_init__(self):
-        for name in ("epsilon", "alpha0", "beta"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ConfigurationError(f"{name} must be finite, got {v!r}")
-        if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.alpha0 <= 0:
-            raise ConfigurationError(f"alpha0 must be > 0, got {self.alpha0}")
+        require_real("epsilon", self.epsilon, 0, strict=True)
+        require_real("alpha0", self.alpha0, 0, strict=True)
+        require_real("beta", self.beta)
 
     @property
     def degenerate(self):
@@ -342,8 +337,8 @@ def gateaux(c, phi, h, p):
 def d_c_residual(phi, p):
     """Speed-derivative of the residual at fixed profile: (2 + α0 Λ) φ'.
 
-    Exact (the residual is affine in c), so it doubles as the c-column of
-    bordered Newton systems.
+    Exact, as the residual is affine in c.  Newton's speed column is built
+    by ``_jacobian`` from the same ``_d_c_symbol``, not from this field.
     """
     u = _even_hat(phi, "phi")
     r = -1j * _d_c_symbol(np.arange(u.size, dtype=float), p) * u

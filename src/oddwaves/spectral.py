@@ -57,7 +57,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .errors import ConfigurationError, require_integer
+from .errors import ConfigurationError, require_integer, require_real
 
 __all__ = [
     "SpectralField",
@@ -329,11 +329,12 @@ def to_spectral(values):
     """Field holding the trigonometric interpolant of uniform grid samples.
 
     Exact when the samples come from a band-limited function of degree at
-    most M/2 - 1.  The grid length must be even and at least 4.
+    most M/2 - 1.  The samples are one row, on a grid of the one rule.
     """
     vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1 or vals.size < 4 or vals.size % 2:
-        raise ConfigurationError("grid length must be even and >= 4")
+    if vals.ndim != 1:
+        raise ConfigurationError(f"samples must be one row, got shape {vals.shape}")
+    _check_grid(vals.size, 0, "the sample grid")
     return SpectralField(*_analyze(vals))
 
 
@@ -356,9 +357,7 @@ def zygmund(f):
 
 def derivative(f, order):
     """Spectral derivative of order 1, 2, or 3."""
-    order = require_integer("derivative order", order, 1)
-    if order > 3:
-        raise ConfigurationError("derivative order must be 1, 2, or 3")
+    order = require_integer("derivative order", order, 1, 3)
     a, b = f.a, f.b
     for _ in range(order):
         a, b = _derivative_amplitudes(a, b)
@@ -408,8 +407,7 @@ def commutator_h(f, g):
 
 def translate(f, shift):
     """The translate x -> f(x - shift), applied as an exact per-mode phase."""
-    if not np.isfinite(shift):
-        raise ConfigurationError(f"translation shift must be finite, got {shift!r}")
+    shift = require_real("translation shift", shift)
     k = np.arange(f.a.size, dtype=float)
     c, s = np.cos(k * shift), np.sin(k * shift)
     return SpectralField(f.a * c - f.b * s, f.a * s + f.b * c)
@@ -438,7 +436,7 @@ def _shifted_samples(f, num_quad):
 def _quadrature_lattice(f, num_points, quad_points):
     m = f.grid_size if num_points is None else num_points
     m = _check_grid(m, f.degree, "the sample grid")
-    ratio = max(1, int(round(quad_points / m)))
+    ratio = max(1, round(require_integer("quad_points", quad_points, 1) / m))
     nq = ratio * m
     h = 2.0 * np.pi / nq
     u = -np.pi + (np.arange(nq) + 0.5) * h

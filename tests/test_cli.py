@@ -56,6 +56,17 @@ class TestBifurcate:
     def test_kmax_zero_exits_2(self, tmp_path):
         assert run(tmp_path, "bifurcate", "--kmax", "0") == 2
 
+    def test_simple_agrees_with_branch(self, tmp_path, capsys):
+        """--modes counts modes per fold in every command, so bifurcate scans
+        the frequencies that branch --fold k checks.  At this beta frequency
+        66 = 22 * 3 shares c_3: k = 3 is not simple, and branch refuses it."""
+        beta = repr(1 - 127 / 396)
+        assert run(tmp_path, "bifurcate", "--beta", beta, "--kmax", "3") == 0
+        rows = read_csv(tmp_path, "bifurcation_points.csv")[1:]
+        assert [row.split(",")[2] for row in rows] == ["True", "True", "False"]
+        assert run(tmp_path, "branch", "--beta", beta, "--fold", "3") == 2
+        assert "frequency 66 shares the critical speed" in capsys.readouterr().err
+
 
 class TestBranch:
     def test_two_fold_support(self, tmp_path):

@@ -12,11 +12,13 @@ from oddwaves import (ConfigurationError, EvolutionConfig, ModelParams, assemble
                       cli, commutator_ratio, commutator_sweep, continue_branch,
                       critical_speed, d_c_symbol, derivative, detect_bifurcations,
                       holder_norm, kernel_dimension, symbol_at, translate)
-from oddwaves.spectral import hilbert_by_quadrature, zygmund_by_quadrature
+from oddwaves.evolution import stable_dt, traveling_error_orders
+from oddwaves.spectral import hilbert_by_quadrature, to_spectral, zygmund_by_quadrature
 
 from helpers import cosine
 
 P = ModelParams(epsilon=0.5, alpha0=1.0, beta=0.0)
+_ORDER_CFG = EvolutionConfig(dt=1e-3, t_final=0.004, n_modes=8)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -71,7 +73,7 @@ P = ModelParams(epsilon=0.5, alpha0=1.0, beta=0.0)
     pytest.param(lambda: assemble_jacobian(0.0, cosine(1, 0.0), P, 8, m=1.0),
                  "fold m must be an integer >= 1, got 1.0", id="jacobian-fold-1.0"),
     pytest.param(lambda: derivative(cosine(2), 2.0),
-                 "derivative order must be an integer >= 1, got 2.0", id="derivative-2.0"),
+                 "derivative order must be an integer 1..3, got 2.0", id="derivative-2.0"),
     pytest.param(lambda: cosine(2).pad_to(8.5),
                  "n_modes must be an integer >= 0, got 8.5", id="pad_to-8.5"),
     pytest.param(lambda: cosine(2).truncate(1.5),
@@ -80,6 +82,47 @@ P = ModelParams(epsilon=0.5, alpha0=1.0, beta=0.0)
                  "translation shift must be finite", id="translate-nan"),
     pytest.param(lambda: translate(cosine(2), -np.inf),
                  "translation shift must be finite", id="translate-inf"),
+    # the rows below got a different outcome before real settings shared
+    # one rule; the comment on each row says what the code did then
+    pytest.param(lambda: continue_branch(1, P, 0.05, tol=np.inf),
+                 # returned 9 points, each after 0 Newton iterations
+                 "tol must be finite and >= 1e-12, got inf", id="branch-tol-inf"),
+    pytest.param(lambda: continue_branch(1, P, 0.01, tol=1e-13),
+                 # "tol below 1e-12 is not resolvable"
+                 "tol must be finite and >= 1e-12, got 1e-13", id="branch-tol-1e-13"),
+    pytest.param(lambda: continue_branch(1, P, np.inf, n=8),
+                 # ran until Newton stalled, at s = 0.155
+                 "s_max must be finite and >= 0, got inf", id="branch-s_max-inf"),
+    pytest.param(lambda: continue_branch(1, P, 0.01, ds=np.inf),  # accepted
+                 "ds must be finite and > 0, got inf", id="branch-ds-inf"),
+    pytest.param(lambda: continue_branch(1, P, 0.01, step_cap=np.inf),  # accepted
+                 "step_cap must be finite and > 0, got inf", id="branch-step_cap-inf"),
+    pytest.param(lambda: continue_branch(1, P, 0.01, step_growth=np.inf),  # accepted
+                 "step_growth must be finite and >= 1, got inf", id="branch-step_growth-inf"),
+    pytest.param(lambda: EvolutionConfig(dt=np.inf, t_final=1.0),  # accepted
+                 "dt must be finite and > 0, got inf", id="evolution-dt-inf"),
+    pytest.param(lambda: ModelParams("0.5", 1.0, 0.0),  # a raw TypeError
+                 "epsilon must be finite and > 0, got '0.5'", id="params-epsilon-str"),
+    pytest.param(lambda: traveling_error_orders(None, P, _ORDER_CFG, halvings=1.5),
+                 # a raw TypeError
+                 "halvings must be an integer >= 1, got 1.5", id="halvings-1.5"),
+    pytest.param(lambda: traveling_error_orders(None, P, _ORDER_CFG, halvings=2.0),
+                 # a raw TypeError
+                 "halvings must be an integer >= 1, got 2.0", id="halvings-2.0"),
+    pytest.param(lambda: hilbert_by_quadrature(cosine(2), quad_points=np.nan),
+                 # a raw ValueError
+                 "quad_points must be an integer >= 1, got nan", id="quad_points-nan"),
+    pytest.param(lambda: hilbert_by_quadrature(cosine(2), quad_points=np.inf),
+                 # a raw OverflowError
+                 "quad_points must be an integer >= 1, got inf", id="quad_points-inf"),
+    pytest.param(lambda: hilbert_by_quadrature(cosine(2), quad_points=1000.5),  # accepted
+                 "quad_points must be an integer >= 1, got 1000.5", id="quad_points-1000.5"),
+    pytest.param(lambda: stable_dt(64.5, P),  # equal to stable_dt(65, P)
+                 "n must be an integer >= 0, got 64.5", id="stable_dt-64.5"),
+    pytest.param(lambda: derivative(cosine(2), 4),  # "derivative order must be 1, 2, or 3"
+                 "derivative order must be an integer 1..3, got 4", id="derivative-4"),
+    pytest.param(lambda: to_spectral(np.zeros(7)),  # "grid length must be even and >= 4"
+                 "the sample grid must be even, got 7 points", id="to_spectral-7"),
 ])
 def test_non_integer_or_non_finite_setting_refused(call, message):
     with pytest.raises(ConfigurationError, match=message):
@@ -106,6 +149,19 @@ def test_numpy_integers_are_integers():
     assert (derivative(cosine(2), np.int64(2)).a == derivative(cosine(2), 2).a).all()
     assert cosine(2).pad_to(np.int64(10)).n_modes == 10
     assert cosine(2, n=10).truncate(np.int32(4)).n_modes == 4
+
+
+def test_numpy_floats_are_reals():
+    """numpy float scalars count as real numbers wherever a setting must be
+    one, and give the result of the equal Python float."""
+    assert ModelParams(np.float64(0.5), 1.0, 0.0) == P
+    assert (critical_speed(2, ModelParams(np.float64(0.5), 1.0, 0.0))
+            == critical_speed(2, P))
+    got, want = (continue_branch(1, P, 0.002, n=8, tol=tol) for tol in (np.float64(1e-11), 1e-11))
+    assert got.tol == want.tol and [pt.c for pt in got.points] == [pt.c for pt in want.points]
+    assert EvolutionConfig(dt=np.float64(1e-3), t_final=0.01) == EvolutionConfig(1e-3, 0.01)
+    got, want = (holder_norm(cosine(2), 1, alpha) for alpha in (np.float64(0.5), 0.5))
+    assert got == want and type(got.alpha) is float
 
 
 def _verify_with_grid(out, grid):

@@ -1,0 +1,148 @@
+"""Byte-identity check of the CLI's artifacts against another revision.
+
+    python tools/artifact_diff.py REV
+
+Checks REV out with ``git worktree`` into a temporary directory, then runs
+``bifurcate``, ``branch --fold 1..3``, ``evolve --s 0.02``, ``verify`` and
+``selftest``, at the defaults and at ``--seed 7``, from that checkout and
+from this working tree.  Both trees write to the same ``--out`` path,
+because every artifact embeds it.  Each differing file or stdout is
+printed; for a CSV or JSON file, so is the numeric cell with the largest
+absolute and the one with the largest relative gap.  Exits 1 on any
+difference and 0 when every file is byte-identical.  Standard library only;
+the worktree and the temporary directory are removed at the end.
+"""
+
+import csv
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = {
+    "bifurcate": ["bifurcate"],
+    "branch-fold1": ["branch", "--fold", "1"],
+    "branch-fold2": ["branch", "--fold", "2"],
+    "branch-fold3": ["branch", "--fold", "3"],
+    "evolve": ["evolve", "--s", "0.02"],
+    "verify": ["verify"],
+    "selftest": ["selftest"],
+}
+SETTINGS = {"defaults": [], "seed7": ["--seed", "7"]}
+
+
+def run_all(tree, scratch, dest):
+    """Every command at every setting from ``tree``'s sources; the files of
+    each run, and its exit code and output, land in dest/<setting>/<command>."""
+    out = scratch / "out"
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    for setting, extra in SETTINGS.items():
+        for name, args in COMMANDS.items():
+            shutil.rmtree(out, ignore_errors=True)
+            proc = subprocess.run([sys.executable, "-m", "oddwaves", *args, *extra,
+                                   "--out", str(out)],
+                                  cwd=scratch, env=env, capture_output=True, text=True)
+            run_dir = dest / setting / name
+            if out.exists():
+                shutil.copytree(out, run_dir)
+            run_dir.mkdir(parents=True, exist_ok=True)
+            (run_dir / "stdout.txt").write_text(
+                f"exit {proc.returncode}\n{proc.stdout}--- stderr\n{proc.stderr}")
+
+
+def numeric_cells(path):
+    """{location: value} of every numeric cell of a CSV or JSON artifact; a
+    CSV's '#' lines are skipped, so its row 0 is the header."""
+    if path.suffix == ".json":
+        cells, stack = [], [("", json.loads(path.read_text()))]
+        while stack:
+            where, node = stack.pop()
+            if isinstance(node, dict):
+                stack += [(f"{where}/{key}", val) for key, val in node.items()]
+            elif isinstance(node, list):
+                stack += [(f"{where}[{i}]", val) for i, val in enumerate(node)]
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                cells.append((where, float(node)))
+        return dict(cells)
+    rows = csv.reader(line for line in path.read_text().splitlines()
+                      if not line.startswith("#"))
+    cells = {}
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            try:
+                cells[f"row {i} col {j}"] = float(cell)
+            except ValueError:
+                pass
+    return cells
+
+
+def largest_gaps(old, new):
+    """Lines naming the cells of the largest absolute and relative gap."""
+    shared = [key for key in old if key in new]
+    if not shared:
+        return ["  no numeric cells in common"]
+    lines = [f"  {len(old)} vs {len(new)} numeric cells"] if len(old) != len(new) else []
+
+    def gap(key, relative):
+        a, b = old[key], new[key]
+        if a == b or (a != a and b != b):
+            return 0.0
+        d = abs(b - a)
+        if d != d:   # a nan on one side only, or opposite infinities
+            return float("inf")
+        return d / max(abs(a), abs(b)) if relative else d
+
+    if all(gap(key, False) == 0.0 for key in shared):
+        return lines + ["  every numeric cell in common is equal"]
+    for label, relative in (("absolute", False), ("relative", True)):
+        key = max(shared, key=lambda k: gap(k, relative))
+        lines.append(f"  largest {label} gap {gap(key, relative):.3e} at {key}: "
+                     f"{old[key]!r} -> {new[key]!r}")
+    return lines
+
+
+def compare(old_dir, new_dir):
+    """Print each file that differs between the two run trees; the count."""
+    names = sorted({p.relative_to(old_dir) for p in old_dir.rglob("*") if p.is_file()}
+                   | {p.relative_to(new_dir) for p in new_dir.rglob("*") if p.is_file()})
+    differ = 0
+    for name in names:
+        old, new = old_dir / name, new_dir / name
+        if old.is_file() and new.is_file() and old.read_bytes() == new.read_bytes():
+            continue
+        differ += 1
+        if not (old.is_file() and new.is_file()):
+            print(f"DIFF {name}: only in {'REV' if old.is_file() else 'this tree'}")
+            continue
+        print(f"DIFF {name}")
+        if name.suffix in (".csv", ".json"):
+            print("\n".join(largest_gaps(numeric_cells(old), numeric_cells(new))))
+    print(f"{len(names)} files compared ({len(SETTINGS) * len(COMMANDS)} runs per tree), "
+          f"{differ} differ")
+    return differ
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit(__doc__)
+    scratch = Path(tempfile.mkdtemp(prefix="artifact-diff-"))
+    worktree = scratch / "rev"
+    try:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(worktree), argv[0]], check=True)
+        run_all(worktree, scratch, scratch / "runs-rev")
+        run_all(ROOT, scratch, scratch / "runs-this")
+        return 1 if compare(scratch / "runs-rev", scratch / "runs-this") else 0
+    finally:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                        str(worktree)], capture_output=True)
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
