@@ -11,9 +11,12 @@ Newton solves for the speed c together with the complement coefficients
 {φ_j : j >= 2} of the m-fold cosine basis.  Convergence is measured on the
 full, exactly-evaluated residual (tail modes included), so an accepted point
 is a genuine solution of the truncated problem, not just of its Galerkin
-projection.  The Newton matrix is the closed-form (Toeplitz + Hankel)
-Jacobian of ``model``, assembled from φ's amplitudes with the speed
-derivative as its first column.
+projection.  Each Newton step builds one closed-form (Toeplitz + Hankel)
+lattice matrix K of ``model`` from φ's amplitudes and takes both from it:
+the residual R = σ ∘ a + ½ K(a) a on every lattice mode up to 2nm (the
+modes off the lattice are exact zeros), and the Newton matrix, the
+Jacobian with the speed derivative as its first column.  No step calls an
+FFT.
 
 Each iterate is tested in two stages.  By discrete Parseval, Σ b_k²/2 over
 the residual's sine amplitudes is the mean square of the samples its sup
@@ -21,9 +24,10 @@ norm is taken over, so it bounds their largest square from below: an
 iterate whose Σ b_k²/2 exceeds tol² by a relative margin far above rounding
 is rejected without sampling.  Only an iterate that may pass, and the last
 one before a stall (whose message reports the sup), is synthesized on the
-oversampled grid.  A branch builds the Jacobian's index and weight arrays
-and the residual's transform workspace once, and every Newton step reuses
-them.
+oversampled grid.  A branch builds the lattice matrix's weights and
+amplitude views (``model._Lattice``) once, and every Newton step reuses
+them.  Its truncation and fold are refused up front when an array they ask
+for would pass ``errors.ARRAY_BYTES_CEILING``.
 
 A ``Branch`` is data: ``cli`` writes its points to ``branch.csv`` and its
 settings and outcome to ``branch.json``.
@@ -35,20 +39,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, require_integer, require_real
+from .errors import (ConfigurationError, NumericalError, require_integer, require_real,
+                     require_size)
 from .model import (
     ModelParams,
-    _jacobian,
-    _jacobian_weights,
+    _Lattice,
+    _lattice_bytes,
+    _lattice_jacobian,
+    _lattice_matrix,
+    _lattice_residual,
     _mfold_indices,
-    _QuadraticWork,
-    _residual_hat,
-    _sine_amplitudes,
     _symbol,
     critical_speed,
     d_c_symbol,
 )
-from .spectral import CosineSeries, SpectralField, _hat, _sup_norm
+from .spectral import CosineSeries, SpectralField, _sup_grid, _sup_norm
 
 __all__ = [
     "BifurcationPoint",
@@ -134,6 +139,11 @@ def _resonant(k, c, p):
     return np.abs(_symbol(k, c, p)) <= SIMPLE_RTOL * _symbol_scale(k, c, p)
 
 
+def _scan_bytes(count):
+    """The bytes of a scan's array of ``count`` frequencies."""
+    return 8 * count
+
+
 def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION):
     """Critical speeds c_k for k <= k_max with a simplicity flag.
 
@@ -141,8 +151,8 @@ def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION):
     multiplier at speed c_k (relative to the terms' natural size).  Resonant
     pairs sharing a speed are flagged non-simple, never silently accepted.
     """
-    k_max = require_integer("k_max", k_max, 1)
-    n_scan = max(require_integer("n_scan", n_scan, 1), k_max + 1)
+    k_max = require_size("k_max", k_max, 1, _scan_bytes)
+    n_scan = max(require_size("n_scan", n_scan, 1, _scan_bytes), k_max + 1)
     j = np.arange(1, n_scan + 1, dtype=float)
     out = []
     for k in range(1, k_max + 1):
@@ -156,7 +166,7 @@ def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION):
 def kernel_dimension(c, p, m, n):
     """Kernel dimension of the flat-state linearization at speed c on the
     m-fold basis: it is diagonal, so the count of ``_resonant`` σ(mj, c)."""
-    n = require_integer("truncation n", n, 4)
+    n = require_size("truncation n", n, 4, _scan_bytes)
     m = require_integer("fold m", m, 1)
     return int(np.count_nonzero(_resonant(_mfold_indices(m, n).astype(float), c, p)))
 
@@ -165,6 +175,13 @@ def transversality(k, p):
     """True when the speed-derivative of the multiplier at frequency k is
     nonzero: always, as ``ModelParams`` requires alpha0 > 0."""
     return d_c_symbol(k, p) != 0.0
+
+
+def _branch_bytes(m, n):
+    """The bytes of the largest array of an m-fold branch at truncation n:
+    a ``_Lattice`` array, or the samples of the sup norm of a residual of
+    degree 2nm."""
+    return max(_lattice_bytes(n), 8 * _sup_grid(2 * m * n))
 
 
 class _SingularSystem(Exception):
@@ -177,36 +194,40 @@ class _NoConvergence(Exception):
         self.residual_norm = residual_norm
 
 
-def _newton(c, complement, s, m, p, n, tol, max_iter, weights, work):
+def _newton(c, complement, s, m, p, n, tol, max_iter, lattice):
     """Solve the amplitude-constrained system for (c, φ_2..φ_n).
 
     Equations are the sine amplitudes of the residual at frequencies
     m, 2m, ..., nm; acceptance requires the full residual sup-norm
-    (all modes, tail included) below tol.  An iterate whose Σ b_k²/2
-    exceeds tol² (1 + PARSEVAL_MARGIN) cannot pass, so its sup is not
-    sampled unless it is the last.  Iterates are cosine amplitude arrays;
-    only the accepted profile is built as a field.  ``weights`` are the
-    branch's ``_jacobian_weights`` and ``work`` its residual's
-    ``_QuadraticWork``.
+    (all modes, tail included) below tol.  Each iterate builds one lattice
+    matrix K in the branch's ``_Lattice`` and takes from it both the
+    residual, at every lattice mode up to 2nm (the others are exact zeros),
+    and the Newton matrix, so no step calls an FFT.  An iterate whose
+    Σ b_k²/2 exceeds tol² (1 + PARSEVAL_MARGIN) cannot pass, so its sup is
+    not sampled unless it is the last.  Iterates are lattice amplitude
+    arrays; only the accepted profile is built as a field.
     """
-    rows = _mfold_indices(m, n)
-    a = np.zeros(m * n + 1)             # a_0 = 0: the profile has zero mean
-    a[m] = s
-    zero = np.zeros_like(a)
+    alpha = np.empty(n)                 # a_{jm}, j = 1..n; a_m = s is held
+    alpha[0] = s
+    full = np.zeros(2 * m * n + 1)      # the residual's sine amplitudes
     too_large = 2.0 * tol * tol * (1.0 + PARSEVAL_MARGIN)   # on Σ b_k²
     for it in range(max_iter + 1):
-        a[rows[1:]] = complement
-        b = _sine_amplitudes(*_residual_hat(c, _hat(a, zero), p, work), "residual")
+        alpha[1:] = complement
+        matrix = _lattice_matrix(alpha, lattice)
+        sigma = _symbol(lattice.kf, c, p)
+        b = _lattice_residual(matrix, sigma, alpha)
         if it == max_iter or np.dot(b, b) <= too_large:
-            rnorm = _sup_norm(np.zeros_like(b), b)
+            full[m::m] = b
+            rnorm = _sup_norm(np.zeros_like(full), full)
             if rnorm < tol:
+                a = np.zeros(m * n + 1)
+                a[m::m] = alpha
                 return c, CosineSeries(a), rnorm, it
             if it == max_iter:
                 raise _NoConvergence(rnorm)
-        jac = _jacobian(c, a, p, m, n, speed_column=True, weights=weights)
-        rhs = -b[rows]
+        jac = _lattice_jacobian(matrix, sigma, alpha, p, lattice, speed_column=True)
         try:
-            delta = np.linalg.solve(jac, rhs)
+            delta = np.linalg.solve(jac, -b[:n])
         except np.linalg.LinAlgError as exc:
             raise _SingularSystem(str(exc)) from exc
         if not np.isfinite(delta).all():
@@ -232,14 +253,15 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     (reported on the returned Branch); a singular Newton system triggers
     step halving and, past the halving floor, a NumericalError.
     """
-    m = require_integer("fold m", m, 1)
+    m = require_size("fold m", m, 1, lambda m: _branch_bytes(m, 2))
     s_max = require_real("s_max", s_max, 0)
     ds = require_real("ds", ds, 0, strict=True)
     step_cap = require_real("step_cap", step_cap, 0, strict=True)
     step_growth = require_real("step_growth", step_growth, 1)
     max_iter = require_integer("max_iter", max_iter, 0)
     tol = require_real("tol", tol, 1e-12)  # a smaller residual is not resolvable
-    n = require_integer("truncation n", n, 2)  # one complement mode at least
+    # one complement mode at least
+    n = require_size("truncation n", n, 2, lambda n: _branch_bytes(m, n))
     if direction not in (1, -1):
         raise ConfigurationError("direction must be +1 or -1")
 
@@ -262,14 +284,13 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     c = c0
     complement = np.zeros(n - 1)
     floor = ds / 2.0 ** STEP_HALVINGS
-    weights = _jacobian_weights(m, n, p.alpha0 - p.beta)
-    work = _QuadraticWork(m * n + 1, m * n + 1, 2 * m * n, p, same=True)
+    lattice = _Lattice(m, n, p.alpha0 - p.beta)
     while s_max - s_abs > 1e-15:
         step = min(step, step_cap, s_max - s_abs)
         s_try = direction * (s_abs + step)
         try:
             c_new, phi, rnorm, iters = _newton(
-                c, complement.copy(), s_try, m, p, n, tol, max_iter, weights, work)
+                c, complement.copy(), s_try, m, p, n, tol, max_iter, lattice)
         except _SingularSystem:
             step /= 2.0
             if step < floor:

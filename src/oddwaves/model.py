@@ -41,21 +41,29 @@ The two FFTs call the pocketfft kernels that ``spectral`` binds once
 much as the transforms; the kernels are the ones ``np.fft`` calls, so the
 floats are the same, and there is no fallback (see ``spectral``).  A
 caller that evaluates Q many times at one shape passes the same workspace
-to every call, as the evolution and the branch continuation do, and no
-call allocates.  The multiplier -i σ(k, c) is written once
-(``_multiplier``); the residual and the evolution's stages both apply it.
+to every call, as the evolution does, and no call allocates.  The
+multiplier -i σ(k, c) is written once (``_multiplier``); the residual and
+the evolution's stages both apply it.
 Odd outputs are checked for cosine leak relative to the largest term
 summed into them, with a floor of 1 (``_parity_leak``, the quotient the
 ``residual-parity`` family of ``verify`` reports and ``_sine_amplitudes``
 bounds).
 
-The Jacobian on the m-fold cosine basis is assembled in closed form from
-φ's cosine amplitudes: multiplication by a cosine series is Toeplitz +
-Hankel on the cos/sin bases, so every entry is an amplitude of φ at the sum
-or the difference of two frequencies times a polynomial in them (no FFT,
-O(n²) work).  The indices and polynomials depend on (m, n, α0 - β) alone
-(``_jacobian_weights``), so a branch builds them once.  ``gateaux`` keeps
-the FFT path as the reference it is tested against.
+On the m-fold lattice the quadratic part needs no FFT either.
+Multiplication by a cosine series is Toeplitz + Hankel on the cos/sin
+bases, so the derivative Q(φ, h) + Q(h, φ) of an m-fold profile φ of n
+modes is one (2n × n) lattice matrix K(a), rows at the frequencies
+m..2nm and columns at m..nm, whose every entry is an amplitude of φ at the
+sum or the difference of the two frequencies times a polynomial in them
+(O(n²) work).  The polynomials depend on (m, n, α0 - β) alone and the
+amplitudes enter through strided views of one padded array, so a branch
+builds one ``_Lattice`` and reuses it (``_lattice_matrix``).  Since R is
+quadratic in φ, Euler's identity gives Q(φ, φ) = ½ K(a) a, so K yields
+both the residual on every lattice mode up to 2nm, R = σ ∘ a + ½ K(a) a
+(``_lattice_residual``; the modes off the lattice are exact zeros), and
+the Jacobian, its first n rows plus the σ diagonal (``_lattice_jacobian``,
+``_jacobian``).  ``gateaux`` and ``_residual_hat`` keep the FFT path as
+the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -64,8 +72,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .errors import ConfigurationError, NumericalError, require_integer, require_real
+from .errors import (ConfigurationError, NumericalError, require_integer, require_real,
+                     require_size)
 from .spectral import SineSeries, SpectralField, _amplitudes, _hat, _irfft, _product_grid, _rfft
 
 __all__ = [
@@ -208,11 +218,10 @@ class _QuadraticWork:
     ``p1``, ``p2`` of modes 0..top, where top = min(n_out, u.size + v.size
     - 2) is the last mode Q can reach) and Q itself (``q``, modes
     0..n_out).  ``scale`` is the forward transform's factor 1/m.  A caller
-    that evaluates Q many times at one shape, as ``evolve`` and
-    ``continue_branch`` do, builds it once and passes it to every call, so
-    no call allocates; each call overwrites what the one before it
-    returned.  The caller may write u into the row ``u`` itself and pass
-    that row."""
+    that evaluates Q many times at one shape, as ``evolve`` does, builds it
+    once and passes it to every call, so no call allocates; each call
+    overwrites what the one before it returned.  The caller may write u
+    into the row ``u`` itself and pass that row."""
 
     def __init__(self, u_size, v_size, n_out, p, same):
         g = p.alpha0 - p.beta
@@ -292,16 +301,12 @@ def _quadratic(u, v, p, n_out, work=None):
     return out
 
 
-def _residual_hat(c, u, p, work=None):
+def _residual_hat(c, u, p):
     """R[c, φ] on the half-spectrum modes 0..2N, before the parity check,
     from the half-spectrum u of an even φ with zero mean (``_even_hat``),
-    and its terms P1, P2 and the linear row, for the parity check.
-    ``work`` is Q's ``_QuadraticWork`` for (u.size, u.size, 2N, v is u),
-    which a caller evaluating many residuals of one size builds once; R
-    and P1, P2 are its arrays, valid until the next call with it."""
+    and its terms P1, P2 and the linear row, for the parity check."""
     n_out = 2 * (u.size - 1)
-    if work is None:
-        work = _QuadraticWork(u.size, u.size, n_out, p, same=True)
+    work = _QuadraticWork(u.size, u.size, n_out, p, same=True)
     r = _quadratic(u, u, p, n_out, work)
     lin = _linear(u, c, p)
     r[: u.size] += lin
@@ -356,7 +361,7 @@ def assemble_jacobian(c, phi, p, n, m=1):
     amplitudes at frequencies m, 2m, ..., nm.  At φ = 0 the matrix is
     diagonal with entries σ(mj, c).
     """
-    n = require_integer("truncation n", n, 1)
+    n = require_size("truncation n", n, 1, _lattice_bytes)
     m = require_integer("fold m", m, 1)
     if not phi.is_even:
         raise ConfigurationError("phi must be even")
@@ -372,25 +377,100 @@ def assemble_jacobian(c, phi, p, n, m=1):
     return jac
 
 
-def _jacobian_weights(m, n, g):
-    """The arrays of ``_jacobian`` that depend on (m, n, g) alone: the
-    frequencies k = m, 2m, ..., nm (as integers and as floats) and, for the
-    sum and for the difference of a row and a column frequency, the index
-    of that amplitude in the extended array and its polynomial weight.
-    ``continue_branch`` builds them once per branch."""
-    mid = 2 * m * n
-    k = _mfold_indices(m, n)
-    kf = k.astype(float)
-    total = k[:, None] + k                   # k' + k
-    diff = k[:, None] - k                    # k' - k
-    d = diff.astype(float)
-    lag = np.abs(d)
-    # (d - |d|) / 2 is k' - k where k' < k and 0 elsewhere
-    return (k, kf, mid + total, kf * (total - 1) + g * kf ** 3,
-            mid + diff, kf * lag + 0.5 * (d - lag) * (1.0 - g * d * d))
+class _Lattice:
+    """The (2n × n) lattice matrix K(a) of the m-fold truncation n at one
+    g = α0 - β: rows at k' = m, 2m, ..., 2nm, columns at k = m, 2m, ..., nm,
+    and K = A_{k'+k} ∘ W_t + A_{k'-k} ∘ W_d, with A_l the amplitude a_l
+    extended evenly (a_{-l} = a_l, a_0 = 0) and the polynomial weights of
+    ``_jacobian``'s formula, built once (``_lattice_weights``; ``kf`` holds
+    the column frequencies).  The amplitudes α_q = a_{qm} sit at
+    ``pad[2n + q]``, q = -2n..3n (zero for |q| > n), and the Hankel factor
+    α_{i+j+2} and the Toeplitz factor α_{j-i} (row i, column j) are
+    read-only windows of that one array, so loading n amplitudes refreshes
+    both with no index gather.  The windows are those of
+    ``sliding_window_view``, made by ``as_strided``: the first call of the
+    former raised the bench's peak resident memory by 128 KiB.  K is
+    written into ``matrix``, with the Toeplitz product in ``term`` on the
+    way.  A branch builds one and every Newton step reuses it."""
+
+    def __init__(self, m, n, g):
+        self.n = n
+        self.kf, self.w_total, self.w_diff = _lattice_weights(m, n, g)
+        self.pad = np.zeros(5 * n + 1)
+        step = self.pad.strides[0]
+        windows = as_strided(self.pad, (4 * n + 2, n), (step, step),   # [s, j] = pad[s + j]
+                             writeable=False)
+        self.hankel = windows[2 * n + 2 : 4 * n + 2]
+        self.toeplitz = windows[2 * n : 0 : -1]
+        self.matrix = np.empty((2 * n, n))
+        self.term = np.empty((2 * n, n))
 
 
-def _jacobian(c, a, p, m, n, speed_column=False, weights=None):
+def _lattice_weights(m, n, g):
+    """The column frequencies k and the weights W_t and W_d of the
+    ``_Lattice`` of (m, n, g), with d = k' - k:
+
+        W_t = (d + 2k - 1) k + g k³,
+        W_d = |d| k + (d - |d|) / 2 (1 - g d d),
+
+    ((d - |d|) / 2 is k' - k where k' < k and 0 elsewhere), built in place
+    in the order of operations written, so with those floats and no more
+    than four (2n × n) arrays alive at once."""
+    kf = _mfold_indices(m, n).astype(float)
+    d = _mfold_indices(m, 2 * n).astype(float)[:, None] - kf
+    w_total = d + (2.0 * kf - 1.0)
+    w_total *= kf
+    w_total += g * kf ** 3
+    w_diff = np.abs(d)
+    cubic = g * d
+    cubic *= d
+    d -= w_diff
+    d *= 0.5
+    d *= np.subtract(1.0, cubic, out=cubic)
+    w_diff *= kf
+    w_diff += d
+    return kf, w_total, w_diff
+
+
+def _lattice_bytes(n):
+    """The bytes of each (2n × n) float array of a ``_Lattice``."""
+    return 16 * n * n
+
+
+def _lattice_matrix(alpha, lattice):
+    """K(a) of the ``_Lattice`` for the lattice amplitudes α_1..α_n
+    (``alpha``), in ``lattice.matrix``: valid until the next call with it."""
+    n, pad = lattice.n, lattice.pad
+    pad[2 * n + 1 : 3 * n + 1] = alpha
+    pad[n : 2 * n] = alpha[::-1]
+    matrix = np.multiply(lattice.hankel, lattice.w_total, out=lattice.matrix)
+    matrix += np.multiply(lattice.toeplitz, lattice.w_diff, out=lattice.term)
+    return matrix
+
+
+def _lattice_residual(matrix, sigma, alpha):
+    """The sine amplitudes of R[c, φ] at m, 2m, ..., 2nm from the lattice
+    matrix K of φ and σ(k, c) at the columns: R is quadratic in φ, so by
+    Euler's identity Q(φ, φ) = ½ K(a) a, and R = σ ∘ a + ½ K(a) a.  The
+    residual of an m-fold profile vanishes off the lattice and above 2nm,
+    so these are all of its modes."""
+    r = 0.5 * (matrix @ alpha)
+    r[: alpha.size] += sigma * alpha
+    return r
+
+
+def _lattice_jacobian(matrix, sigma, alpha, p, lattice, speed_column):
+    """The m-fold Jacobian from the lattice matrix K, in place on its rows
+    m..nm: K[:n] + diag σ(k, c), with the speed column -(2k + α0 k²) a_k
+    first when ``speed_column``."""
+    jac = matrix[: lattice.n]
+    jac.flat[:: lattice.n + 1] += sigma
+    if speed_column:
+        jac[:, 0] = _d_c_symbol(lattice.kf, p) * alpha
+    return jac
+
+
+def _jacobian(c, a, p, m, n, speed_column=False, lattice=None):
     """The m-fold Jacobian at (c, φ) from φ's cosine amplitudes a (a_0 is
     ignored, at most mn modes), in closed form and without FFTs.
 
@@ -400,25 +480,19 @@ def _jacobian(c, a, p, m, n, speed_column=False, weights=None):
     derivative in the direction cos(kx) is
 
         σ(k, c) δ_{k'k} + a_{k'+k} (k (k'+k-1) + g k³)
-                        + a_{k'-k} (k |k'-k| + [k' < k] ((k'-k) - g (k'-k)³)).
+                        + a_{k'-k} (k |k'-k| + [k' < k] ((k'-k) - g (k'-k)³)):
 
-    The quadratic terms contribute the last two summands, which do not
-    depend on c or ε.  With ``speed_column`` the first column is replaced by
-    the speed derivative of the residual, -(2k' + α0 k'²) a_{k'}, as in the
-    amplitude-constrained Newton system.  ``weights`` are the
-    ``_jacobian_weights`` of (m, n, α0 - β), built here when not given.
+    the first n rows of the ``_Lattice`` matrix K plus the σ diagonal.  The
+    quadratic terms do not depend on c or ε.  With ``speed_column`` the
+    first column is replaced by the speed derivative of the residual,
+    -(2k' + α0 k'²) a_{k'}, as in the amplitude-constrained Newton system.
+    ``lattice`` is the ``_Lattice`` of (m, n, α0 - β), built here when not
+    given; the result is a view of its ``matrix``.
     """
-    if weights is None:
-        weights = _jacobian_weights(m, n, p.alpha0 - p.beta)
-    k, kf, at_total, w_total, at_diff, w_diff = weights
-    mid = 2 * m * n
-    top = min(a.size - 1, m * n)
-    amp = np.zeros(2 * mid + 1)              # a_l sits at amp[mid + l]
-    amp[mid + 1 : mid + top + 1] = a[1 : top + 1]
-    amp[mid - top : mid] = a[top:0:-1]
-    jac = amp[at_total] * w_total
-    jac += amp[at_diff] * w_diff
-    jac.flat[:: n + 1] += _symbol(kf, c, p)
-    if speed_column:
-        jac[:, 0] = _d_c_symbol(kf, p) * amp[mid + k]
-    return jac
+    if lattice is None:
+        lattice = _Lattice(m, n, p.alpha0 - p.beta)
+    alpha = np.zeros(n)
+    on = a[m : m * n + 1 : m]
+    alpha[: on.size] = on
+    return _lattice_jacobian(_lattice_matrix(alpha, lattice), _symbol(lattice.kf, c, p),
+                             alpha, p, lattice, speed_column)

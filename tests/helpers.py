@@ -20,9 +20,10 @@ floats the bound pocketfft kernels must give at each site;
 ``reference_rk4`` is the RK4 loop through ``reference_quadratic`` with
 every stage allocating, which ``evolve`` must reproduce to roundoff;
 ``reference_jacobian`` is the closed-form Jacobian
-with its index and weight arrays built on every call; ``reference_newton``
-is the Newton loop on validated fields, sampling the sup norm of every
-iterate, which the loop on amplitude arrays must reproduce bit for bit.
+with its index and weight arrays built on every call, gathered by fancy
+indexing; ``reference_newton`` is the Newton loop on validated fields, with
+every residual through the FFT path and its sup norm sampled at every
+iterate, which the loop on the lattice matrix must reproduce to roundoff.
 ``reference_simplicity`` and ``reference_shared_frequency`` are the scalar
 simplicity scans of ``detect_bifurcations`` and ``continue_branch``;
 ``reference_kernel_dimension`` counts the small singular values of the
@@ -316,8 +317,9 @@ def reference_product_transforms(work):
 
 def reference_jacobian(c, a, p, m, n, speed_column=False):
     """``model._jacobian`` with its index and weight arrays built inside
-    every call: the form the assembler with ``_jacobian_weights`` built once
-    per branch must reproduce bit for bit."""
+    every call and the amplitudes gathered by index arrays: the form the
+    assembler on the strided views of ``model._Lattice`` must reproduce bit
+    for bit."""
     g = p.alpha0 - p.beta
     mid = 2 * m * n
     top = min(a.size - 1, m * n)
@@ -341,12 +343,14 @@ def reference_jacobian(c, a, p, m, n, speed_column=False):
     return jac
 
 
-def reference_newton(c, complement, s, m, p, n, tol, max_iter, weights, work=None):
+def reference_newton(c, complement, s, m, p, n, tol, max_iter, lattice):
     """``bifurcation._newton`` with every iterate built as a ``CosineSeries``
-    and every residual as the validated field of ``residual``, whose
-    ``sup_norm`` judges convergence: the accepted points (c, φ, residual
-    norm, iterations) and the stall residual must be the array loop's, bit
-    for bit.  ``work`` (the loop's Q workspace) is accepted and unused."""
+    and every residual as the validated field of ``residual`` (FFT
+    products), whose ``sup_norm`` judges convergence and whose sine
+    amplitudes are the Newton right-hand side.  The lattice loop must give
+    the same iterations and stalls, with c, φ and the residual norm equal
+    to roundoff.  ``lattice`` is the branch's ``_Lattice``, which the
+    Jacobian is built in."""
     rows = _mfold_indices(m, n)
     for it in range(max_iter + 1):
         a = np.zeros(m * n + 1)
@@ -359,7 +363,7 @@ def reference_newton(c, complement, s, m, p, n, tol, max_iter, weights, work=Non
             return c, phi, rnorm, it
         if it == max_iter:
             raise _NoConvergence(rnorm)
-        jac = _jacobian(c, phi.a, p, m, n, speed_column=True, weights=weights)
+        jac = _jacobian(c, phi.a, p, m, n, speed_column=True, lattice=lattice)
         try:
             delta = np.linalg.solve(jac, -res.b[rows])
         except np.linalg.LinAlgError as exc:

@@ -20,7 +20,7 @@ from oddwaves import (
 from oddwaves.bifurcation import continue_branch
 from oddwaves.model import (
     _jacobian,
-    _jacobian_weights,
+    _Lattice,
     _quadratic,
     _QuadraticWork,
     d_c_residual,
@@ -435,10 +435,9 @@ class TestJacobianMatrix:
             assemble_jacobian(0.0, cosine(10, 1.0, n=10), P, n=4, m=2)
 
 
-def columnwise_jacobian(c, a, p, m, n, speed_column=False, weights=None):
+def columnwise_jacobian(c, a, p, m, n, speed_column=False):
     """The m-fold Jacobian built one column at a time from ``gateaux`` (FFT
-    products); the slow oracle for the closed-form assembler.  It takes and
-    ignores the assembler's ``weights``."""
+    products); the slow oracle for the closed-form assembler."""
     phi = CosineSeries(a)
     rows = m * np.arange(1, n + 1)
     jac = np.empty((n, n))
@@ -447,6 +446,23 @@ def columnwise_jacobian(c, a, p, m, n, speed_column=False, weights=None):
     if speed_column:
         jac[:, 0] = d_c_residual(phi, p).b[rows]
     return jac
+
+
+def columnwise_lattice_matrix(m, p):
+    """``model._lattice_matrix`` for fold m at p, with column k the image
+    Q(φ, cos kx) + Q(cos kx, φ) taken from ``gateaux`` at c = 0 (FFT
+    products) less its σ(k, 0) diagonal, at the rows m..2nm."""
+    def build(alpha, lattice):
+        n = alpha.size
+        a = np.zeros(m * n + 1)
+        a[m::m] = alpha
+        phi, rows = CosineSeries(a), m * np.arange(1, 2 * n + 1)
+        for j in range(1, n + 1):
+            col = gateaux(0.0, phi, cosine(m * j, 1.0, n=m * n), p).b.copy()
+            col[m * j] -= symbol_at(m * j, 0.0, p)
+            lattice.matrix[:, j - 1] = col[rows]
+        return lattice.matrix
+    return build
 
 
 class TestClosedFormJacobian:
@@ -502,9 +518,11 @@ class TestClosedFormJacobian:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_branch_unchanged_by_assembler(self, m, monkeypatch):
+        """Newton's residual and matrix both come from the lattice matrix;
+        built column by column from ``gateaux``, it gives the same branch."""
         p = ModelParams(0.5, 1.0, 0.5)
         fast = continue_branch(m, p, 0.05, n=64)
-        monkeypatch.setattr(bifurcation, "_jacobian", columnwise_jacobian)
+        monkeypatch.setattr(bifurcation, "_lattice_matrix", columnwise_lattice_matrix(m, p))
         slow = continue_branch(m, p, 0.05, n=64)
         assert not fast.truncated and not slow.truncated
         assert [pt.newton_iters for pt in fast.points] == [pt.newton_iters for pt in slow.points]
@@ -512,7 +530,8 @@ class TestClosedFormJacobian:
 
 
 class TestJacobianWeights:
-    """Weights built once per branch give the entries built per call."""
+    """The ``_Lattice`` built once per branch, with its strided amplitude
+    views, gives the entries built and gathered per call, bit for bit."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 16, 64])
@@ -520,11 +539,50 @@ class TestJacobianWeights:
         rng = np.random.default_rng(10 * m + n)
         phi = random_mfold_even(rng, m, m * n)
         for p in (ModelParams(0.5, 1.0, 1.0), ModelParams(0.7, 2.0, 0.3)):  # g = 0, g = 1.7
-            weights = _jacobian_weights(m, n, p.alpha0 - p.beta)
+            lattice = _Lattice(m, n, p.alpha0 - p.beta)
             for speed_column in (False, True):
                 want = reference_jacobian(-0.4, phi.a, p, m, n, speed_column).tobytes()
                 assert _jacobian(-0.4, phi.a, p, m, n, speed_column).tobytes() == want
                 assert _jacobian(-0.4, phi.a, p, m, n, speed_column,
-                                 weights=weights).tobytes() == want
+                                 lattice=lattice).tobytes() == want
             assert assemble_jacobian(-0.4, phi, p, n, m).tobytes() == \
                 reference_jacobian(-0.4, phi.a, p, m, n).tobytes()
+
+
+class TestLatticeResidual:
+    """R = σ ∘ a + ½ K(a) a from the lattice matrix against the FFT residual
+    ``_residual_hat``, on every mode 0..2nm, relative to the largest term
+    summed into the FFT residual (P1, P2 or the linear row)."""
+
+    @pytest.mark.parametrize("p", [ModelParams(0.5, 1.0, 0.5), ModelParams(1.0, 1.0, 1.0),
+                                   ModelParams(0.7, 2.0, -1.0)])
+    @pytest.mark.parametrize("n", [6, 64])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_fft_residual(self, m, n, p):
+        rng = np.random.default_rng(1000 * m + n)
+        lattice = _Lattice(m, n, p.alpha0 - p.beta)
+        c = critical_speed(m, p) + rng.uniform(-0.1, 0.1)
+        decay = np.exp(-0.5 * np.arange(1, n + 1))
+        for alpha in (rng.standard_normal(n), 0.1 * rng.standard_normal(n) * decay):
+            a = np.zeros(m * n + 1)
+            a[m::m] = alpha
+            r, terms = model._residual_hat(c, _hat(a, np.zeros_like(a)), p)
+            want = -2.0 * r.imag
+            got = np.zeros(2 * m * n + 1)
+            got[m::m] = model._lattice_residual(
+                model._lattice_matrix(alpha, lattice), model._symbol(lattice.kf, c, p), alpha)
+            assert np.abs(got - want).max() <= 1e-13 * model._term_size(terms)
+            for speed_column in (False, True):
+                assert _jacobian(c, a, p, m, n, speed_column).tobytes() == \
+                    reference_jacobian(c, a, p, m, n, speed_column).tobytes()
+
+    def test_continuation_calls_no_fft(self, monkeypatch):
+        """Newton takes its residual and its matrix from the lattice matrix:
+        a branch calls none of the FFT kernels ``model`` binds, which one
+        ``residual`` call does reach."""
+        counts = count_real_ffts(monkeypatch)
+        for m in (1, 2, 3):
+            assert len(continue_branch(m, ModelParams(0.5, 1.0, 0.5), 0.05).points) == 9
+        assert not counts
+        residual(0.1, cosine(2, 0.1), P)
+        assert counts == {"irfft": 1, "rfft": 1}

@@ -4,14 +4,16 @@
 wherever they are set."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oddwaves import (ConfigurationError, EvolutionConfig, ModelParams, assemble_jacobian,
-                      cli, commutator_ratio, commutator_sweep, continue_branch,
+                      bifurcation, cli, commutator_ratio, commutator_sweep, continue_branch,
                       critical_speed, d_c_symbol, derivative, detect_bifurcations,
                       holder_norm, kernel_dimension, symbol_at, translate)
+from oddwaves.errors import ARRAY_BYTES_CEILING
 from oddwaves.evolution import stable_dt, traveling_error_orders
 from oddwaves.spectral import hilbert_by_quadrature, to_spectral, zygmund_by_quadrature
 
@@ -123,10 +125,53 @@ _ORDER_CFG = EvolutionConfig(dt=1e-3, t_final=0.004, n_modes=8)
                  "derivative order must be an integer 1..3, got 4", id="derivative-4"),
     pytest.param(lambda: to_spectral(np.zeros(7)),  # "grid length must be even and >= 4"
                  "the sample grid must be even, got 7 points", id="to_spectral-7"),
+    pytest.param(lambda: ModelParams(10 ** 400, 1.0, 0.5),
+                 # a raw OverflowError: int too large to convert to float
+                 "epsilon must be finite and > 0, got 1000", id="params-epsilon-10**400"),
+    pytest.param(lambda: continue_branch(1, P, 0.01, tol=10 ** 400),
+                 # a raw OverflowError: int too large to convert to float
+                 "tol must be finite and >= 1e-12, got 1000", id="branch-tol-10**400"),
 ])
 def test_non_integer_or_non_finite_setting_refused(call, message):
     with pytest.raises(ConfigurationError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    # numpy's _ArrayMemoryError, for a 7.28 TiB Jacobian
+    pytest.param(lambda out: continue_branch(1, ModelParams(0.5, 1.0, 0.5), 0.01, n=10 ** 6),
+                 "truncation n = 1000000 asks for an array of 16000000000000 bytes",
+                 id="branch-n-10**6"),
+    # exit 1 with numpy's traceback, for a 47.7 GiB scan array
+    pytest.param(lambda out: cli.main(["bifurcate", "--kmax", "100000000", "--out", str(out)]),
+                 "k_max = 100000000 asks for an array of 800000000 bytes", id="bifurcate-kmax"),
+])
+def test_size_beyond_the_byte_ceiling_refused(tmp_path, capsys, call, message):
+    """A size whose arrays would pass ``ARRAY_BYTES_CEILING`` is refused by
+    name before anything is allocated: the refusal traces far less memory
+    than the ceiling, and the CLI exits 2 without writing."""
+    cli.build_parser()      # built once per process, before the trace
+    tracemalloc.start()
+    try:
+        try:
+            code = call(tmp_path / "out")
+        except ConfigurationError as exc:
+            code, text = 2, str(exc)
+        else:
+            text = capsys.readouterr().err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and message in text and "above the ceiling of 268435456 bytes" in text
+    assert ARRAY_BYTES_CEILING == 2 ** 28 and peak < 2 ** 20
+    assert not (tmp_path / "out").exists()
+
+
+def test_sizes_in_use_stay_far_below_the_ceiling():
+    """The largest truncation and scan of the tests, the bench and the
+    probes (n = 256 on fold 3; 10 folds of 256 modes) use under 1 % of it."""
+    assert bifurcation._branch_bytes(3, 256) <= ARRAY_BYTES_CEILING // 100
+    assert bifurcation._scan_bytes(10 * 256) <= ARRAY_BYTES_CEILING // 100
 
 
 def test_numpy_integers_are_integers():

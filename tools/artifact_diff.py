@@ -8,7 +8,10 @@ Checks REV out with ``git worktree`` into a temporary directory, then runs
 from this working tree.  Both trees write to the same ``--out`` path,
 because every artifact embeds it.  Each differing file or stdout is
 printed; for a CSV or JSON file, so is the numeric cell with the largest
-absolute and the one with the largest relative gap.  Exits 1 on any
+absolute and the one with the largest relative gap, and, for each numeric
+CSV column or JSON field (list indices dropped) that differs, its largest
+gap over its largest magnitude: a move at roundoff reads about 1e-16 there,
+even where the relative gap of two near-zero cells is near 1.  Exits 1 on any
 difference and 0 when every file is byte-identical.  Standard library only;
 the worktree and the temporary directory are removed at the end.
 """
@@ -16,6 +19,7 @@ the worktree and the temporary directory are removed at the end.
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -80,6 +84,14 @@ def numeric_cells(path):
     return cells
 
 
+def column_of(key):
+    """The CSV column or JSON field of a cell: its location without the row
+    and the list indices."""
+    if key.startswith("row "):
+        return key.split(" ", 2)[2]
+    return re.sub(r"\[\d+\]", "[]", key)
+
+
 def largest_gaps(old, new):
     """Lines naming the cells of the largest absolute and relative gap."""
     shared = [key for key in old if key in new]
@@ -102,6 +114,14 @@ def largest_gaps(old, new):
         key = max(shared, key=lambda k: gap(k, relative))
         lines.append(f"  largest {label} gap {gap(key, relative):.3e} at {key}: "
                      f"{old[key]!r} -> {new[key]!r}")
+    columns = {}    # column: (largest gap, largest magnitude), in order of appearance
+    for key in shared:
+        most_gap, most_size = columns.get(column_of(key), (0.0, 0.0))
+        columns[column_of(key)] = (max(most_gap, gap(key, False)),
+                                   max(most_size, abs(old[key]), abs(new[key])))
+    lines += [f"  {column}: largest gap {most_gap:.3e} / largest magnitude {most_size:.3e}"
+              f" = {most_gap / most_size if most_size else float('inf'):.3e}"
+              for column, (most_gap, most_size) in columns.items() if most_gap]
     return lines
 
 
