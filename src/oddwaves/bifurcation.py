@@ -7,9 +7,9 @@ nontrivial m-fold traveling waves emerges from (c_m, 0).
 
 The local curve is a graph over the amplitude s = ⟨φ, cos(mx)⟩, so the
 branch is traced by amplitude continuation: s is prescribed exactly and
-Newton solves for the speed c together with the complement coefficients
-{φ_j : j >= 2} of the m-fold cosine basis.  Convergence is measured on the
-full, exactly-evaluated residual (tail modes included), so an accepted point
+Newton solves, in place, for the speed c together with the other lattice
+amplitudes α_j = a_{jm}, j >= 2.  Convergence is measured on the full,
+exactly-evaluated residual (tail modes included), so an accepted point
 is a genuine solution of the truncated problem, not just of its Galerkin
 projection.  Each Newton step builds one closed-form (Toeplitz + Hankel)
 lattice matrix K of ``model`` from φ's amplitudes and takes both from it:
@@ -194,25 +194,25 @@ class _NoConvergence(Exception):
         self.residual_norm = residual_norm
 
 
-def _newton(c, complement, s, m, p, n, tol, max_iter, lattice):
-    """Solve the amplitude-constrained system for (c, φ_2..φ_n).
+def _newton(c, alpha, p, tol, max_iter, lattice):
+    """Solve the amplitude-constrained system for (c, α_2..α_n) in place in
+    the lattice amplitudes ``alpha`` (α_j = a_{jm}; α_1 = s is held), and
+    return (c, residual norm, iterations).
 
     Equations are the sine amplitudes of the residual at frequencies
-    m, 2m, ..., nm; acceptance requires the full residual sup-norm
-    (all modes, tail included) below tol.  Each iterate builds one lattice
-    matrix K in the branch's ``_Lattice`` and takes from it both the
-    residual, at every lattice mode up to 2nm (the others are exact zeros),
-    and the Newton matrix, so no step calls an FFT.  An iterate whose
-    Σ b_k²/2 exceeds tol² (1 + PARSEVAL_MARGIN) cannot pass, so its sup is
-    not sampled unless it is the last.  Iterates are lattice amplitude
-    arrays; only the accepted profile is built as a field.
+    m, 2m, ..., nm, with m and n those of the branch's ``_Lattice``;
+    acceptance requires the full residual sup-norm (all modes, tail
+    included) below tol.  Each iterate builds one lattice matrix K in the
+    ``_Lattice`` and takes from it both the residual, at every lattice mode
+    up to 2nm (the others are exact zeros), and the Newton matrix, so no
+    step calls an FFT.  An iterate whose Σ b_k²/2 exceeds
+    tol² (1 + PARSEVAL_MARGIN) cannot pass, so its sup is not sampled
+    unless it is the last.
     """
-    alpha = np.empty(n)                 # a_{jm}, j = 1..n; a_m = s is held
-    alpha[0] = s
+    m, n = lattice.m, lattice.n
     full = np.zeros(2 * m * n + 1)      # the residual's sine amplitudes
     too_large = 2.0 * tol * tol * (1.0 + PARSEVAL_MARGIN)   # on Σ b_k²
     for it in range(max_iter + 1):
-        alpha[1:] = complement
         matrix = _lattice_matrix(alpha, lattice)
         sigma = _symbol(lattice.kf, c, p)
         b = _lattice_residual(matrix, sigma, alpha)
@@ -220,9 +220,7 @@ def _newton(c, complement, s, m, p, n, tol, max_iter, lattice):
             full[m::m] = b
             rnorm = _sup_norm(np.zeros_like(full), full)
             if rnorm < tol:
-                a = np.zeros(m * n + 1)
-                a[m::m] = alpha
-                return c, CosineSeries(a), rnorm, it
+                return c, rnorm, it
             if it == max_iter:
                 raise _NoConvergence(rnorm)
         jac = _lattice_jacobian(matrix, sigma, alpha, p, lattice, speed_column=True)
@@ -233,7 +231,7 @@ def _newton(c, complement, s, m, p, n, tol, max_iter, lattice):
         if not np.isfinite(delta).all():
             raise _SingularSystem("non-finite Newton update")
         c = c + delta[0]
-        complement = complement + delta[1:]
+        alpha[1:] += delta[1:]
     raise AssertionError("unreachable")
 
 
@@ -260,7 +258,7 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     step_growth = require_real("step_growth", step_growth, 1)
     max_iter = require_integer("max_iter", max_iter, 0)
     tol = require_real("tol", tol, 1e-12)  # a smaller residual is not resolvable
-    # one complement mode at least
+    # one amplitude besides s at least
     n = require_size("truncation n", n, 2, lambda n: _branch_bytes(m, n))
     if direction not in (1, -1):
         raise ConfigurationError("direction must be +1 or -1")
@@ -282,15 +280,16 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     s_abs = 0.0
     step = min(ds, step_cap)
     c = c0
-    complement = np.zeros(n - 1)
+    alpha = np.zeros(n)     # the lattice amplitudes of the last accepted point
     floor = ds / 2.0 ** STEP_HALVINGS
     lattice = _Lattice(m, n, p.alpha0 - p.beta)
     while s_max - s_abs > 1e-15:
         step = min(step, step_cap, s_max - s_abs)
         s_try = direction * (s_abs + step)
+        trial = alpha.copy()    # a retry starts again from the last accepted point
+        trial[0] = s_try
         try:
-            c_new, phi, rnorm, iters = _newton(
-                c, complement.copy(), s_try, m, p, n, tol, max_iter, lattice)
+            c_new, rnorm, iters = _newton(c, trial, p, tol, max_iter, lattice)
         except _SingularSystem:
             step /= 2.0
             if step < floor:
@@ -307,10 +306,11 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
                 f"branch truncated at |s| = {s_abs:.6g}"
             )
             break
-        c = c_new
-        complement = phi.a[_mfold_indices(m, n)[1:]].copy()
+        c, alpha = c_new, trial
+        a = np.zeros(m * n + 1)
+        a[m::m] = alpha
         s_abs += step
-        branch.points.append(BranchPoint(s=s_try, c=c, phi=phi,
+        branch.points.append(BranchPoint(s=s_try, c=c, phi=CosineSeries(a),
                                          residual_norm=rnorm,
                                          newton_iters=iters))
         step = min(step * step_growth, step_cap)

@@ -42,7 +42,6 @@ from .spectral import (
     CosineSeries,
     SineSeries,
     SpectralField,
-    _check_grid,
     _synthesize,
     commutator_h,
     derivative,
@@ -79,7 +78,7 @@ from .evolution import (
     evolve,
     traveling_error_orders,
 )
-from .holder import GRID_NAME, SWEEP_GRID, _check_alpha, commutator_sweep
+from .holder import SWEEP_GRID, _check_alpha, _check_holder_grid, commutator_sweep
 
 
 @dataclass(frozen=True)
@@ -207,9 +206,10 @@ def resolve_config(args):
                     dt_halving=getattr(args, "dt_halving", False),
                     inject_fault=getattr(args, "inject_fault", False),
                     **{k: v for k, v in merged.items() if k != "degrees"})
-    # re-validate the numeric contracts of the underlying modules now
+    # re-validate the numeric contracts of the underlying modules now;
+    # --modes is sized by the command that uses it
     cfg.model_params()
-    EvolutionConfig(dt=cfg.dt, t_final=cfg.tfinal, n_modes=cfg.modes)
+    EvolutionConfig(dt=cfg.dt, t_final=cfg.tfinal)
     return cfg
 
 
@@ -247,7 +247,6 @@ def _check_out(cfg):
 
 
 def _outdir(cfg):
-    _check_out(cfg)
     path = Path(cfg.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -573,7 +572,7 @@ def cmd_verify(cfg):
     # refused gives the message its sweep would give
     _check_alpha(cfg.alpha)
     for deg in cfg.degrees:
-        _check_grid(cfg.holder_grid, 2 * deg, GRID_NAME)
+        _check_holder_grid(cfg.holder_grid, 2 * deg)
     _check_out(cfg)
     if cfg.inject_fault:
         print("fault injection active: the operator families check a Hilbert "

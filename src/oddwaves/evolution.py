@@ -34,13 +34,14 @@ waves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, require_integer, require_real
+from .errors import (ConfigurationError, NumericalError, require_integer, require_real,
+                     require_size)
 from .model import _multiplier, _products, _QuadraticWork
-from .spectral import SpectralField, _amplitudes, _hat, _sup_norm
+from .spectral import SpectralField, _amplitudes, _hat, _product_grid, _sup_norm
 
 __all__ = [
     "EvolutionConfig",
@@ -65,22 +66,29 @@ class EvolutionConfig:
     """Fixed-step integration settings.
 
     save_every = 0 picks about ten snapshots automatically.  The actual step
-    is t_final / round(t_final / dt), recorded on the trajectory.
+    is t_final / round(t_final / dt), recorded on the trajectory, so the
+    quotient t_final / dt must be finite.  n_modes passes the size rule
+    with the bytes of an integration's largest array (``_integration_bytes``).
     """
 
     dt: float
     t_final: float
     n_modes: int = 64
-    scheme: str = "rk4"
     save_every: int = 0
 
     def __post_init__(self):
-        require_real("dt", self.dt, 0, strict=True)
-        require_real("t_final", self.t_final, 0)
-        require_integer("n_modes", self.n_modes, 1)
-        if self.scheme != "rk4":
-            raise ConfigurationError(f"unsupported scheme {self.scheme!r}")
+        dt = require_real("dt", self.dt, 0, strict=True)
+        t_final = require_real("t_final", self.t_final, 0)
+        require_real("t_final / dt", t_final / dt)
+        require_size("n_modes", self.n_modes, 1, _integration_bytes)
         require_integer("save_every", self.save_every, 0)
+
+
+def _integration_bytes(n_modes):
+    """The bytes of the largest array of an integration at ``n_modes``: the
+    4-row grid block of Q's ``_QuadraticWork``, on the product grid of two
+    degree-``n_modes`` states."""
+    return 4 * 8 * _product_grid(n_modes, n_modes, n_modes)
 
 
 @dataclass
@@ -241,9 +249,7 @@ def traveling_error_orders(point, p, cfg, halvings=2, base_error=None):
     dts = [cfg.dt / 2 ** i for i in range(halvings + 1)]
     errs = [] if base_error is None else [base_error]
     for dt in dts[len(errs):]:
-        sub = EvolutionConfig(dt=dt, t_final=cfg.t_final, n_modes=cfg.n_modes,
-                              scheme=cfg.scheme, save_every=cfg.save_every)
-        errs.append(traveling_error(point, p, sub))
+        errs.append(traveling_error(point, p, replace(cfg, dt=dt)))
     rates = [float(np.log2(errs[i] / errs[i + 1])) if errs[i + 1] > 0 else float("inf")
              for i in range(len(errs) - 1)]
     return errs, rates

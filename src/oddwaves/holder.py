@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, require_integer, require_real
+from .errors import ConfigurationError, require_integer, require_real, require_size
 from .spectral import (_analyze, _check_grid, _derivative_amplitudes, _hilbert_amplitudes,
                        _product_grid, _synthesize)
 
@@ -90,6 +90,20 @@ class HolderEstimate:
 def _check_alpha(alpha):
     """``alpha`` as a float: the Hölder exponent of every estimate, in (0, 1)."""
     return require_real("alpha", alpha, 0, 1, strict=True)
+
+
+def _check_holder_grid(m, degree):
+    """``m`` as an int: the Hölder grid of every estimate.  It passes the one
+    grid rule for a degree-``degree`` field, and the size rule with one
+    row's seminorm gather (``_gather_bytes``) as its bytes."""
+    m = _check_grid(m, degree, GRID_NAME)
+    return require_size(GRID_NAME, m, 4, _gather_bytes)
+
+
+def _gather_bytes(m):
+    """The bytes of one row's gather in a step of the seminorm scan on m
+    points: ``LAG_BLOCK`` × m float64."""
+    return LAG_BLOCK * m * 8
 
 
 @lru_cache(maxsize=8)
@@ -189,7 +203,7 @@ def holder_norm(f, k, alpha, grid_size=DEFAULT_GRID):
     are spectral, so the only approximation is the pair search itself."""
     alpha = _check_alpha(alpha)
     k = require_integer("derivative count k", k, 0, 3)
-    m = _check_grid(grid_size, f.degree, GRID_NAME)
+    m = _check_holder_grid(grid_size, f.degree)
     value = _norms(f.a[None, :], f.b[None, :], k, alpha, m)[0]
     return HolderEstimate(k=k, alpha=alpha, value=float(value), grid_size=grid_size)
 
@@ -245,16 +259,16 @@ def commutator_ratio(a, b, alpha, grid_size=DEFAULT_GRID):
     """
     alpha = _check_alpha(alpha)
     deg_a, deg_b = a.degree, b.degree
-    m = _check_grid(grid_size, deg_a + deg_b, GRID_NAME)
+    m = _check_holder_grid(grid_size, deg_a + deg_b)
     rows = [x[None, :d + 1] for x, d in ((a.a, deg_a), (a.b, deg_a), (b.a, deg_b), (b.b, deg_b))]
     return float(_quotients(*rows, np.array([deg_a]), np.array([deg_b]), alpha, m)[0])
 
 
 def _sweep_block(m):
     """Sweep members evaluated together on an m-point grid: as many rows as
-    keep the seminorm scan's per-step gather, rows × ``LAG_BLOCK`` × m
-    float64, within ``SWEEP_BYTES``; at least one."""
-    return max(1, SWEEP_BYTES // (LAG_BLOCK * m * 8))
+    keep the seminorm scan's per-step gather, rows × ``_gather_bytes``,
+    within ``SWEEP_BYTES``; at least one."""
+    return max(1, SWEEP_BYTES // _gather_bytes(m))
 
 
 @dataclass(frozen=True)
@@ -305,7 +319,7 @@ def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
     max_degree = require_integer("max_degree", max_degree, 1)
     seed = require_integer("seed", seed, 0)
     alpha = _check_alpha(alpha)
-    m = _check_grid(grid_size, 2 * max_degree, GRID_NAME)
+    m = _check_holder_grid(grid_size, 2 * max_degree)
     block = _sweep_block(m)
     rows = []
     for start in range(0, ensemble, block):

@@ -62,8 +62,9 @@ quadratic in φ, Euler's identity gives Q(φ, φ) = ½ K(a) a, so K yields
 both the residual on every lattice mode up to 2nm, R = σ ∘ a + ½ K(a) a
 (``_lattice_residual``; the modes off the lattice are exact zeros), and
 the Jacobian, its first n rows plus the σ diagonal (``_lattice_jacobian``,
-``_jacobian``).  ``gateaux`` and ``_residual_hat`` keep the FFT path as
-the reference they are tested against.
+which ``assemble_jacobian`` and Newton both call).  ``gateaux`` and
+``_residual_hat`` keep the FFT path as the reference they are tested
+against.
 """
 
 from __future__ import annotations
@@ -200,8 +201,10 @@ def _linear(u, c, p):
 @lru_cache(maxsize=8)
 def _wave_numbers(size, g):
     """The rows k and g k³, k = 0..size-1, of one read-only array, built
-    once per size and g.  It is stored complex (zero imaginary parts), as
-    every product with a half-spectrum would cast it."""
+    once per size and g: ``residual``, ``gateaux`` and ``rhs`` each build a
+    ``_QuadraticWork`` per call, and callers repeat one shape.  It is
+    stored complex (zero imaginary parts), as every product with a
+    half-spectrum would cast it."""
     k = np.arange(size, dtype=float)
     kg = np.array([k, g * k ** 3], dtype=complex)
     kg.setflags(write=False)
@@ -229,8 +232,9 @@ class _QuadraticWork:
         assert self.m % 2 == 0, "the forward kernel takes even grids only"
         self.scale = 1.0 / self.m
         self.top = min(n_out, u_size + v_size - 2)
-        self.ku = _wave_numbers(u_size, g)[0]
-        self.kv, self.gk3 = _wave_numbers(v_size, g)
+        kg = _wave_numbers(max(u_size, v_size), g)
+        self.ku = kg[0, :u_size]
+        self.kv, self.gk3 = kg[:, :v_size]
         width = max(u_size, v_size, self.m // 2 + 1)
         self.spec = np.zeros((4 if same else 5, width), dtype=complex)
         self.u, self.lu = self.spec[0, :u_size], self.spec[1, :u_size]
@@ -343,7 +347,8 @@ def d_c_residual(phi, p):
     """Speed-derivative of the residual at fixed profile: (2 + α0 Λ) φ'.
 
     Exact, as the residual is affine in c.  Newton's speed column is built
-    by ``_jacobian`` from the same ``_d_c_symbol``, not from this field.
+    by ``_lattice_jacobian`` from the same ``_d_c_symbol``, not from this
+    field.
     """
     u = _even_hat(phi, "phi")
     r = -1j * _d_c_symbol(np.arange(u.size, dtype=float), p) * u
@@ -359,7 +364,18 @@ def assemble_jacobian(c, phi, p, n, m=1):
 
     Columns are the images of cos(mjx), j = 1..n, expressed in the sine
     amplitudes at frequencies m, 2m, ..., nm.  At φ = 0 the matrix is
-    diagonal with entries σ(mj, c).
+    diagonal with entries σ(mj, c).  It is built in closed form, without
+    FFTs: multiplication by a cosine series is Toeplitz + Hankel on the
+    cos/sin bases, so with rows k' and columns k in {m, 2m, ..., nm},
+    g = α0 - β and φ's amplitudes a extended evenly (a_{-l} = a_l,
+    a_0 = 0), the sin(k'x) amplitude of the derivative in the direction
+    cos(kx) is
+
+        σ(k, c) δ_{k'k} + a_{k'+k} (k (k'+k-1) + g k³)
+                        + a_{k'-k} (k |k'-k| + [k' < k] ((k'-k) - g (k'-k)³)):
+
+    the first n rows of the ``_Lattice`` matrix K plus the σ diagonal
+    (``_lattice_jacobian``).  The quadratic terms do not depend on c or ε.
     """
     n = require_size("truncation n", n, 1, _lattice_bytes)
     m = require_integer("fold m", m, 1)
@@ -371,7 +387,10 @@ def assemble_jacobian(c, phi, p, n, m=1):
         raise ConfigurationError(
             f"phi has {phi.n_modes} modes, exceeding the {m}-fold truncation {m * n}"
         )
-    jac = _jacobian(c, phi.a, p, m, n)
+    lattice = _Lattice(m, n, p.alpha0 - p.beta)
+    alpha = phi.pad_to(m * n).a[m::m]
+    jac = _lattice_jacobian(_lattice_matrix(alpha, lattice), _symbol(lattice.kf, c, p),
+                            alpha, p, lattice)
     if not np.isfinite(jac).all():
         raise ConfigurationError("operator matrix has non-finite entries")
     return jac
@@ -382,8 +401,8 @@ class _Lattice:
     g = α0 - β: rows at k' = m, 2m, ..., 2nm, columns at k = m, 2m, ..., nm,
     and K = A_{k'+k} ∘ W_t + A_{k'-k} ∘ W_d, with A_l the amplitude a_l
     extended evenly (a_{-l} = a_l, a_0 = 0) and the polynomial weights of
-    ``_jacobian``'s formula, built once (``_lattice_weights``; ``kf`` holds
-    the column frequencies).  The amplitudes α_q = a_{qm} sit at
+    ``assemble_jacobian``'s formula, built once (``_lattice_weights``;
+    ``kf`` holds the column frequencies).  The amplitudes α_q = a_{qm} sit at
     ``pad[2n + q]``, q = -2n..3n (zero for |q| > n), and the Hankel factor
     α_{i+j+2} and the Toeplitz factor α_{j-i} (row i, column j) are
     read-only windows of that one array, so loading n amplitudes refreshes
@@ -394,7 +413,7 @@ class _Lattice:
     way.  A branch builds one and every Newton step reuses it."""
 
     def __init__(self, m, n, g):
-        self.n = n
+        self.m, self.n = m, n
         self.kf, self.w_total, self.w_diff = _lattice_weights(m, n, g)
         self.pad = np.zeros(5 * n + 1)
         step = self.pad.strides[0]
@@ -459,40 +478,12 @@ def _lattice_residual(matrix, sigma, alpha):
     return r
 
 
-def _lattice_jacobian(matrix, sigma, alpha, p, lattice, speed_column):
+def _lattice_jacobian(matrix, sigma, alpha, p, lattice, speed_column=False):
     """The m-fold Jacobian from the lattice matrix K, in place on its rows
     m..nm: K[:n] + diag σ(k, c), with the speed column -(2k + α0 k²) a_k
-    first when ``speed_column``."""
+    first when ``speed_column`` (Newton's matrix)."""
     jac = matrix[: lattice.n]
     jac.flat[:: lattice.n + 1] += sigma
     if speed_column:
         jac[:, 0] = _d_c_symbol(lattice.kf, p) * alpha
     return jac
-
-
-def _jacobian(c, a, p, m, n, speed_column=False, lattice=None):
-    """The m-fold Jacobian at (c, φ) from φ's cosine amplitudes a (a_0 is
-    ignored, at most mn modes), in closed form and without FFTs.
-
-    Multiplication by a cosine series is Toeplitz + Hankel on the cos/sin
-    bases, so with rows k' and columns k in {m, 2m, ..., nm}, g = α0 - β and
-    a extended evenly (a_{-l} = a_l, a_0 = 0), the sin(k'x) amplitude of the
-    derivative in the direction cos(kx) is
-
-        σ(k, c) δ_{k'k} + a_{k'+k} (k (k'+k-1) + g k³)
-                        + a_{k'-k} (k |k'-k| + [k' < k] ((k'-k) - g (k'-k)³)):
-
-    the first n rows of the ``_Lattice`` matrix K plus the σ diagonal.  The
-    quadratic terms do not depend on c or ε.  With ``speed_column`` the
-    first column is replaced by the speed derivative of the residual,
-    -(2k' + α0 k'²) a_{k'}, as in the amplitude-constrained Newton system.
-    ``lattice`` is the ``_Lattice`` of (m, n, α0 - β), built here when not
-    given; the result is a view of its ``matrix``.
-    """
-    if lattice is None:
-        lattice = _Lattice(m, n, p.alpha0 - p.beta)
-    alpha = np.zeros(n)
-    on = a[m : m * n + 1 : m]
-    alpha[: on.size] = on
-    return _lattice_jacobian(_lattice_matrix(alpha, lattice), _symbol(lattice.kf, c, p),
-                             alpha, p, lattice, speed_column)

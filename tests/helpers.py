@@ -21,7 +21,9 @@ floats the bound pocketfft kernels must give at each site;
 every stage allocating, which ``evolve`` must reproduce to roundoff;
 ``reference_jacobian`` is the closed-form Jacobian
 with its index and weight arrays built on every call, gathered by fancy
-indexing; ``reference_newton`` is the Newton loop on validated fields, with
+indexing, which ``assemble_jacobian`` and Newton's bordered matrix
+(``newton_matrix``, taken from Newton's own step) must reproduce bit for
+bit; ``reference_newton`` is the Newton loop on validated fields, with
 every residual through the FFT path and its sup norm sampled at every
 iterate, which the loop on the lattice matrix must reproduce to roundoff.
 ``reference_simplicity`` and ``reference_shared_frequency`` are the scalar
@@ -45,6 +47,7 @@ from oddwaves import (
     SineSeries,
     SpectralField,
     assemble_jacobian,
+    bifurcation,
     commutator_h,
     derivative,
     hilbert,
@@ -56,7 +59,7 @@ from oddwaves import (
 )
 from oddwaves.bifurcation import SIMPLE_RTOL, _NoConvergence, _SingularSystem, _symbol_scale
 from oddwaves.holder import SweepResult, SweepRow
-from oddwaves.model import _jacobian, _mfold_indices, _multiplier, critical_speed, symbol_at
+from oddwaves.model import _mfold_indices, _multiplier, critical_speed, symbol_at
 from oddwaves.spectral import _amplitudes, _hat, _next_pow2
 
 
@@ -315,11 +318,41 @@ def reference_product_transforms(work):
     return grid, products, np.fft.rfft(products, norm="forward")
 
 
+def newton_matrix(c, a, p, lattice):
+    """The bordered matrix ``bifurcation._newton`` solves at the iterate
+    (c, φ), φ's cosine amplitudes a (a_0 is ignored, at most mn modes) on
+    a ``model._Lattice`` of (m, n, α0 - β): a copy of what Newton's own
+    ``_lattice_jacobian`` call returns at its first step, so the matrix
+    tested is the one Newton composes and solves."""
+    m, n = lattice.m, lattice.n
+    alpha = np.zeros(n)
+    on = a[m : m * n + 1 : m]
+    alpha[: on.size] = on
+    seen = []
+    compose = bifurcation._lattice_jacobian
+
+    def record(*args, **kw):
+        jac = compose(*args, **kw)
+        if not seen:
+            seen.append(jac.copy())
+        return jac
+
+    bifurcation._lattice_jacobian = record
+    try:
+        bifurcation._newton(c, alpha, p, 0.0, 1, lattice)   # tol 0: never accepted
+    except (_NoConvergence, _SingularSystem):
+        pass
+    finally:
+        bifurcation._lattice_jacobian = compose
+    return seen[0]
+
+
 def reference_jacobian(c, a, p, m, n, speed_column=False):
-    """``model._jacobian`` with its index and weight arrays built inside
-    every call and the amplitudes gathered by index arrays: the form the
-    assembler on the strided views of ``model._Lattice`` must reproduce bit
-    for bit."""
+    """The closed-form m-fold Jacobian with its index and weight arrays
+    built inside every call and the amplitudes gathered by index arrays:
+    the form the assembler on the strided views of ``model._Lattice``
+    (``assemble_jacobian``, ``newton_matrix``) must reproduce bit for
+    bit."""
     g = p.alpha0 - p.beta
     mid = 2 * m * n
     top = min(a.size - 1, m * n)
@@ -343,27 +376,29 @@ def reference_jacobian(c, a, p, m, n, speed_column=False):
     return jac
 
 
-def reference_newton(c, complement, s, m, p, n, tol, max_iter, lattice):
+def reference_newton(c, alpha, p, tol, max_iter, lattice):
     """``bifurcation._newton`` with every iterate built as a ``CosineSeries``
     and every residual as the validated field of ``residual`` (FFT
     products), whose ``sup_norm`` judges convergence and whose sine
-    amplitudes are the Newton right-hand side.  The lattice loop must give
-    the same iterations and stalls, with c, φ and the residual norm equal
-    to roundoff.  ``lattice`` is the branch's ``_Lattice``, which the
-    Jacobian is built in."""
+    amplitudes are the Newton right-hand side.  It writes the iterates
+    into ``alpha``, as ``_newton`` does.  The lattice loop must give the
+    same iterations and stalls, with c, φ and the residual norm equal to
+    roundoff.  ``lattice`` is the branch's ``_Lattice``; only its m and
+    n are read, and the Jacobian is the closed form
+    (``reference_jacobian``)."""
+    m, n = lattice.m, lattice.n
     rows = _mfold_indices(m, n)
     for it in range(max_iter + 1):
         a = np.zeros(m * n + 1)
-        a[m] = s
-        a[rows[1:]] = complement
+        a[rows] = alpha
         phi = CosineSeries(a)
         res = residual(c, phi, p)
         rnorm = res.sup_norm()
         if rnorm < tol:
-            return c, phi, rnorm, it
+            return c, rnorm, it
         if it == max_iter:
             raise _NoConvergence(rnorm)
-        jac = _jacobian(c, phi.a, p, m, n, speed_column=True, lattice=lattice)
+        jac = reference_jacobian(c, phi.a, p, m, n, speed_column=True)
         try:
             delta = np.linalg.solve(jac, -res.b[rows])
         except np.linalg.LinAlgError as exc:
@@ -371,7 +406,7 @@ def reference_newton(c, complement, s, m, p, n, tol, max_iter, lattice):
         if not np.isfinite(delta).all():
             raise _SingularSystem("non-finite Newton update")
         c = c + delta[0]
-        complement = complement + delta[1:]
+        alpha[1:] += delta[1:]
     raise AssertionError("unreachable")
 
 

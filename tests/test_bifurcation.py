@@ -316,6 +316,35 @@ class TestContinueBranch:
         with pytest.raises(NumericalError):
             bif.continue_branch(1, PA, 0.01, ds=1e-3, n=8)
 
+    def test_singular_retry_restarts_from_last_accepted_point(self, monkeypatch):
+        """A trial that hits a singular system after moving its amplitudes
+        leaves the last accepted point as it was: the halved retry starts
+        from that point, so the branch is the one a clean failure gives."""
+        newton = bif._newton
+
+        def run(scribble):
+            failed = []
+
+            def singular_once(c, alpha, *args):
+                if not failed and alpha[0] > 0.0025:
+                    failed.append(alpha[0])
+                    alpha[1:] += scribble
+                    raise bif._SingularSystem("forced")
+                return newton(c, alpha, *args)
+
+            monkeypatch.setattr(bif, "_newton", singular_once)
+            branch = continue_branch(1, PA, 0.005, ds=1e-3, n=16)
+            assert failed == [0.003]
+            return branch
+
+        clean, scribbled = run(0.0), run(1.0)
+        assert [pt.s for pt in clean.points] == pytest.approx([0, 0.001, 0.002, 0.004, 0.005])
+        assert not clean.truncated and not scribbled.truncated
+        for u, v in zip(clean.points, scribbled.points, strict=True):
+            assert (u.s, u.c, u.residual_norm, u.newton_iters) == \
+                (v.s, v.c, v.residual_norm, v.newton_iters)
+            assert u.phi.a.tobytes() == v.phi.a.tobytes()
+
     def test_degenerate_resonant_fold_refused(self):
         """At alpha0 == beta == 1 the frequencies 2 and 4 share a speed
         exactly, so the 2-fold branch start is a double eigenvalue and must

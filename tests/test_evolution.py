@@ -54,8 +54,6 @@ class TestConfig:
         for t_final in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigurationError):
                 EvolutionConfig(dt=0.1, t_final=t_final)
-        with pytest.raises(ConfigurationError):
-            EvolutionConfig(dt=0.1, t_final=1.0, scheme="euler")
 
     def test_stable_dt_matches_worst_linear_mode(self):
         n = 32

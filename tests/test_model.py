@@ -19,7 +19,6 @@ from oddwaves import (
 )
 from oddwaves.bifurcation import continue_branch
 from oddwaves.model import (
-    _jacobian,
     _Lattice,
     _quadratic,
     _QuadraticWork,
@@ -33,6 +32,7 @@ from helpers import (
     cosine,
     count_real_ffts,
     exact_gateaux_nonlinear,
+    newton_matrix,
     random_even,
     random_field,
     random_mfold_even,
@@ -490,7 +490,7 @@ class TestClosedFormJacobian:
         fast = assemble_jacobian(c, CosineSeries(a), p, n=n, m=m)
         assert np.abs(fast - slow).max() <= 1e-13 * np.abs(slow).max()
 
-        bordered = _jacobian(c, a, p, m, n, speed_column=True)
+        bordered = newton_matrix(c, a, p, _Lattice(m, n, p.alpha0 - p.beta))
         assert np.array_equal(bordered[:, 1:], fast[:, 1:])
         speed = d_c_residual(CosineSeries(a), p).b[m::m][:n]
         assert np.abs(bordered[:, 0] - speed).max() <= 1e-13 * np.abs(speed).max()
@@ -501,7 +501,7 @@ class TestClosedFormJacobian:
         m, n, c = 3, 64, -0.3
         a = np.zeros(m * n + 1)
         a[m::m] = rng.standard_normal(n) * np.exp(-0.25 * np.arange(1, n + 1))
-        fast = _jacobian(c, a, p, m, n)
+        fast = assemble_jacobian(c, CosineSeries(a), p, n=n, m=m)
         scale = np.abs(fast).max()
         for j in (1, 2, 17, 40, 63, 64):
             exact = exact_gateaux_nonlinear(a, m * j, p.alpha0 - p.beta)
@@ -531,7 +531,9 @@ class TestClosedFormJacobian:
 
 class TestJacobianWeights:
     """The ``_Lattice`` built once per branch, with its strided amplitude
-    views, gives the entries built and gathered per call, bit for bit."""
+    views, gives the entries built and gathered per call, bit for bit: in
+    ``assemble_jacobian`` and in Newton's bordered matrix, on a fresh
+    lattice and on one that earlier calls have used."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 16, 64])
@@ -540,11 +542,9 @@ class TestJacobianWeights:
         phi = random_mfold_even(rng, m, m * n)
         for p in (ModelParams(0.5, 1.0, 1.0), ModelParams(0.7, 2.0, 0.3)):  # g = 0, g = 1.7
             lattice = _Lattice(m, n, p.alpha0 - p.beta)
-            for speed_column in (False, True):
-                want = reference_jacobian(-0.4, phi.a, p, m, n, speed_column).tobytes()
-                assert _jacobian(-0.4, phi.a, p, m, n, speed_column).tobytes() == want
-                assert _jacobian(-0.4, phi.a, p, m, n, speed_column,
-                                 lattice=lattice).tobytes() == want
+            want = reference_jacobian(-0.4, phi.a, p, m, n, speed_column=True).tobytes()
+            for _ in range(2):      # fresh, then used by the Newton steps before
+                assert newton_matrix(-0.4, phi.a, p, lattice).tobytes() == want
             assert assemble_jacobian(-0.4, phi, p, n, m).tobytes() == \
                 reference_jacobian(-0.4, phi.a, p, m, n).tobytes()
 
@@ -572,9 +572,10 @@ class TestLatticeResidual:
             got[m::m] = model._lattice_residual(
                 model._lattice_matrix(alpha, lattice), model._symbol(lattice.kf, c, p), alpha)
             assert np.abs(got - want).max() <= 1e-13 * model._term_size(terms)
-            for speed_column in (False, True):
-                assert _jacobian(c, a, p, m, n, speed_column).tobytes() == \
-                    reference_jacobian(c, a, p, m, n, speed_column).tobytes()
+            assert newton_matrix(c, a, p, lattice).tobytes() == \
+                reference_jacobian(c, a, p, m, n, speed_column=True).tobytes()
+            assert assemble_jacobian(c, CosineSeries(a), p, n, m).tobytes() == \
+                reference_jacobian(c, a, p, m, n).tobytes()
 
     def test_continuation_calls_no_fft(self, monkeypatch):
         """Newton takes its residual and its matrix from the lattice matrix:

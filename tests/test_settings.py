@@ -14,7 +14,8 @@ from oddwaves import (ConfigurationError, EvolutionConfig, ModelParams, assemble
                       critical_speed, d_c_symbol, derivative, detect_bifurcations,
                       holder_norm, kernel_dimension, symbol_at, translate)
 from oddwaves.errors import ARRAY_BYTES_CEILING
-from oddwaves.evolution import stable_dt, traveling_error_orders
+from oddwaves.evolution import _integration_bytes, stable_dt, traveling_error_orders
+from oddwaves.holder import _gather_bytes
 from oddwaves.spectral import hilbert_by_quadrature, to_spectral, zygmund_by_quadrature
 
 from helpers import cosine
@@ -103,6 +104,9 @@ _ORDER_CFG = EvolutionConfig(dt=1e-3, t_final=0.004, n_modes=8)
                  "step_growth must be finite and >= 1, got inf", id="branch-step_growth-inf"),
     pytest.param(lambda: EvolutionConfig(dt=np.inf, t_final=1.0),  # accepted
                  "dt must be finite and > 0, got inf", id="evolution-dt-inf"),
+    pytest.param(lambda: EvolutionConfig(dt=1e-10, t_final=1e300),
+                 # a raw OverflowError in evolve: cannot convert float infinity to integer
+                 "t_final / dt must be finite, got inf", id="evolution-step-count-inf"),
     pytest.param(lambda: ModelParams("0.5", 1.0, 0.0),  # a raw TypeError
                  "epsilon must be finite and > 0, got '0.5'", id="params-epsilon-str"),
     pytest.param(lambda: traveling_error_orders(None, P, _ORDER_CFG, halvings=1.5),
@@ -145,6 +149,16 @@ def test_non_integer_or_non_finite_setting_refused(call, message):
     # exit 1 with numpy's traceback, for a 47.7 GiB scan array
     pytest.param(lambda out: cli.main(["bifurcate", "--kmax", "100000000", "--out", str(out)]),
                  "k_max = 100000000 asks for an array of 800000000 bytes", id="bifurcate-kmax"),
+    # exit 1 with numpy's _ArrayMemoryError, for 7.11 PiB
+    pytest.param(lambda out: cli.main(["evolve", "--s", "0", "--modes", "1000000000000000",
+                                       "--out", str(out)]),
+                 "n_modes = 1000000000000000 asks for an array of 144115188075855872 bytes",
+                 id="evolve-modes"),
+    # exit 1 with numpy's _ArrayMemoryError, for 14.2 PiB, after every family had run
+    pytest.param(lambda out: cli.main(["verify", "--ensemble", "2",
+                                       "--holder-grid", "2000000000000000", "--out", str(out)]),
+                 "the Hölder grid = 2000000000000000 asks for an array of "
+                 "128000000000000000 bytes", id="verify-holder-grid"),
 ])
 def test_size_beyond_the_byte_ceiling_refused(tmp_path, capsys, call, message):
     """A size whose arrays would pass ``ARRAY_BYTES_CEILING`` is refused by
@@ -168,10 +182,14 @@ def test_size_beyond_the_byte_ceiling_refused(tmp_path, capsys, call, message):
 
 
 def test_sizes_in_use_stay_far_below_the_ceiling():
-    """The largest truncation and scan of the tests, the bench and the
-    probes (n = 256 on fold 3; 10 folds of 256 modes) use under 1 % of it."""
+    """The largest truncation, scan and evolve truncation of the tests, the
+    bench and the probes (n = 256 on fold 3; 10 folds of 256 modes; 3 × 256
+    modes) use under 1 % of it, and one row's seminorm gather on the
+    largest Hölder grid (65536 points) a sixty-fourth."""
     assert bifurcation._branch_bytes(3, 256) <= ARRAY_BYTES_CEILING // 100
     assert bifurcation._scan_bytes(10 * 256) <= ARRAY_BYTES_CEILING // 100
+    assert _integration_bytes(3 * 256) <= ARRAY_BYTES_CEILING // 100
+    assert _gather_bytes(65536) <= ARRAY_BYTES_CEILING // 64
 
 
 def test_numpy_integers_are_integers():

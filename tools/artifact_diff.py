@@ -3,9 +3,9 @@
     python tools/artifact_diff.py REV
 
 Checks REV out with ``git worktree`` into a temporary directory, then runs
-``bifurcate``, ``branch --fold 1..3``, ``evolve --s 0.02``, ``verify`` and
-``selftest``, at the defaults and at ``--seed 7``, from that checkout and
-from this working tree.  Both trees write to the same ``--out`` path,
+``bifurcate``, ``branch --fold 1..3``, ``evolve --s 0.02`` (with and
+without ``--dt-halving``), ``verify`` and ``selftest``, at the defaults and
+at ``--seed 7``, from that checkout and from this working tree.  Both trees write to the same ``--out`` path,
 because every artifact embeds it.  Each differing file or stdout is
 printed; for a CSV or JSON file, so is the numeric cell with the largest
 absolute and the one with the largest relative gap, and, for each numeric
@@ -33,6 +33,7 @@ COMMANDS = {
     "branch-fold2": ["branch", "--fold", "2"],
     "branch-fold3": ["branch", "--fold", "3"],
     "evolve": ["evolve", "--s", "0.02"],
+    "evolve-dt-halving": ["evolve", "--s", "0.02", "--dt-halving"],
     "verify": ["verify"],
     "selftest": ["selftest"],
 }
