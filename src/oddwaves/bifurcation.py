@@ -8,15 +8,15 @@ nontrivial m-fold traveling waves emerges from (c_m, 0).
 The local curve is a graph over the amplitude s = ⟨φ, cos(mx)⟩, so the
 branch is traced by amplitude continuation: s is prescribed exactly and
 Newton solves, in place, for the speed c together with the other lattice
-amplitudes α_j = a_{jm}, j >= 2.  Convergence is measured on the full,
-exactly-evaluated residual (tail modes included), so an accepted point
-is a genuine solution of the truncated problem, not just of its Galerkin
-projection.  Each Newton step builds one closed-form (Toeplitz + Hankel)
-lattice matrix K of ``model`` from φ's amplitudes and takes both from it:
-the residual R = σ ∘ a + ½ K(a) a on every lattice mode up to 2nm (the
-modes off the lattice are exact zeros), and the Newton matrix, the
-Jacobian with the speed derivative as its first column.  No step calls an
-FFT.
+amplitudes α_j = a_{jm}, j >= 2.  Convergence is measured on the full
+residual (tail modes included), so an accepted point is a genuine solution
+of the truncated problem, not just of its Galerkin projection.  Each
+Newton step builds one closed-form (Toeplitz + Hankel) lattice matrix K of
+``model`` from φ's amplitudes and takes both from it: the residual
+R = σ ∘ a + ½ K(a) a on every lattice mode up to 2nm (the modes off the
+lattice are exact zeros), the evaluator of ``model.residual``, and the
+Newton matrix, the Jacobian with the speed derivative as its first column.
+No step calls an FFT.
 
 Each iterate is tested in two stages.  By discrete Parseval, Σ b_k²/2 over
 the residual's sine amplitudes is the mean square of the samples its sup

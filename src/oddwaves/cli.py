@@ -53,9 +53,6 @@ from .spectral import (
 )
 from .model import (
     ModelParams,
-    _even_hat,
-    _parity_leak,
-    _residual_hat,
     critical_speed,
     d_c_symbol,
     gateaux,
@@ -356,10 +353,11 @@ def cmd_evolve(cfg):
         if cfg.dt_halving:
             errs, rates = traveling_error_orders(point, p, ecfg, halvings=1,
                                                  base_error=err)
-            manifest["dt_halving"] = {"dts": [ecfg.dt, ecfg.dt / 2],
-                                      "errors": errs, "order": rates[0]}
-            print(f"dt halving: errors {errs[0]:.3e} -> {errs[1]:.3e}, "
-                  f"order {rates[0]:.2f}")
+            floor = rates[0] is None
+            manifest["dt_halving"] = {"dts": [ecfg.dt, ecfg.dt / 2], "errors": errs,
+                                      "order": rates[0], "at_roundoff_floor": floor}
+            order = "not resolved (both at the roundoff floor)" if floor else f"{rates[0]:.2f}"
+            print(f"dt halving: errors {errs[0]:.3e} -> {errs[1]:.3e}, order {order}")
     print(f"mass drift {traj.mass_drift:.3e}; effective dt {traj.dt_effective:g}")
     out = _outdir(cfg)
     grid, rows = _profile_rows(traj.times.tolist(), traj.states)
@@ -435,17 +433,6 @@ def _family_trivial(p):
             coeffs = np.zeros(9)
             coeffs[0] = a0
             worst = max(worst, residual(c, CosineSeries(coeffs), p).sup_norm())
-    return worst
-
-
-def _family_residual_parity(rng, p, n):
-    """Cosine leakage of the residual's raw half-spectrum, relative to
-    max(1, its largest term): ``model._parity_leak``, the quotient that
-    ``residual`` bounds before it drops the cosines."""
-    worst = 0.0
-    for _ in range(5):
-        phi = _random_field(rng, n, even=True)
-        worst = max(worst, _parity_leak(*_residual_hat(0.3, _even_hat(phi, "phi"), p)))
     return worst
 
 
@@ -534,7 +521,6 @@ def _run_families(cfg, *, quick=False):
     if not quick:
         add("quadrature-oracle", _family_quadrature(rng, n, transform), 1e-6)
     add("trivial-solutions", _family_trivial(p), 1e-13)
-    add("residual-parity", _family_residual_parity(rng, p, n), 1e-12)
     add("mfold-closure", _family_mfold(rng, p, n), 1e-12)
     diag, fd = _family_linearization(rng, p, n)
     add("linearization-diagonal", diag, 1e-12)

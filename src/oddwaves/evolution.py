@@ -6,8 +6,10 @@ The equation advances f through
 
 with R the model's traveling-wave residual at speed zero: the linear
 multiplier -i σ(k, 0) plus the one bilinear form Q (``model._multiplier``
-and ``model._products``).  The time derivative is that divided, mode by
-mode, by 2 + α0 k (invertible for α0 > 0).  The mean mode is a conserved mass.
+and ``model._products``), on the product grid rather than on the lattice
+of ``model.residual``, since f need not be even.  The time derivative is
+that divided, mode by mode, by 2 + α0 k (invertible for α0 > 0).  The mean
+mode is a conserved mass.
 Linearizing, mode k rotates at frequency ω_k = (k - 1 + (α0 - β) k²) /
 (ε (2 + α0 k)), which equals -k times the critical speed at frequency k:
 small-amplitude waves drift exactly as the bifurcation analysis predicts.
@@ -29,7 +31,8 @@ within 1e-13 relative of it.  Every step is checked for finiteness.
 A branch profile should translate rigidly at its speed; ``traveling_error``
 measures the sup-norm deviation from the spectrally translated profile and
 is the independent check that continuation produced genuine traveling
-waves.
+waves.  ``traveling_error_orders`` reports no rate between two errors at
+the roundoff floor (ROUNDOFF_FLOOR ε_mach sup|φ|).
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
 ]
 
 RK4_IMAGINARY_LIMIT = 2.0 * np.sqrt(2.0)  # stability interval on the imaginary axis
+ROUNDOFF_FLOOR = 1e3  # a traveling error at most this many ε_mach sup|φ| is roundoff
 # the weights of u, d1..d4 in u + (dt/6)(k1 + 2 k2 + 2 k3 + k4), with the
 # scaled rates d1 = (dt/2) k1, d2 = (dt/2) k2, d3 = dt k3, d4 = (dt/6) k4
 RK4_WEIGHTS = np.array([1.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0], dtype=complex)
@@ -124,7 +128,7 @@ def rhs(f, p):
     2 + α0 k.
     """
     u = _hat(f.a, f.b)
-    work = _QuadraticWork(u.size, u.size, u.size - 1, p, same=True)
+    work = _QuadraticWork(u.size, p)
     rate = _rate(u, _stage_rows(u.size, p), work, np.empty_like(u))
     return SpectralField(*_amplitudes(rate))
 
@@ -147,7 +151,7 @@ def _rate(x, rows, work, out):
     ``_QuadraticWork`` of x's size): the time derivative at x times the step
     the ``_stage_rows`` were scaled by.  P1 and P2 are weighed in place in
     ``work.prod``, which the next Q overwrites anyway."""
-    _products(x, x, work)
+    _products(x, work)
     a, b, c = rows
     np.multiply(a, work.p1, out=work.p1)
     np.multiply(b, work.p2, out=work.p2)
@@ -181,7 +185,7 @@ def evolve(f0, p, cfg):
     size = cfg.n_modes + 1
     rows = _stage_rows(size, p)
     half, full, sixth = (tuple(h * rows) for h in (0.5 * dt, dt, dt / 6.0))
-    work = _QuadraticWork(size, size, size - 1, p, same=True)
+    work = _QuadraticWork(size, p)
     # the state u and the scaled rates d1 = (dt/2) k1, d2 = (dt/2) k2,
     # d3 = dt k3, d4 = (dt/6) k4; stage inputs u + d1, u + d2, u + d3 and
     # the next state u + d1/3 + 2 d2/3 + d3/3 + d4 go to Q's input row
@@ -242,7 +246,9 @@ def _translation_gap(point, traj):
 def traveling_error_orders(point, p, cfg, halvings=2, base_error=None):
     """Traveling errors at dt, dt/2, ..., plus the log2 decay rates between
     consecutive halvings (RK4 should give rates near 4 while the error sits
-    above the converged-profile floor).  A caller that has already
+    above the converged-profile floor).  A rate is None when both of its
+    errors sit at the roundoff floor, ROUNDOFF_FLOOR ε_mach sup|φ|: their
+    quotient says nothing about the order.  A caller that has already
     integrated at ``cfg.dt`` passes that error as ``base_error``, and only
     the halved steps are integrated."""
     halvings = require_integer("halvings", halvings, 1)
@@ -250,6 +256,8 @@ def traveling_error_orders(point, p, cfg, halvings=2, base_error=None):
     errs = [] if base_error is None else [base_error]
     for dt in dts[len(errs):]:
         errs.append(traveling_error(point, p, replace(cfg, dt=dt)))
-    rates = [float(np.log2(errs[i] / errs[i + 1])) if errs[i + 1] > 0 else float("inf")
+    floor = ROUNDOFF_FLOOR * np.finfo(float).eps * point.phi.sup_norm()
+    rates = [None if max(errs[i], errs[i + 1]) <= floor
+             else float(np.log2(errs[i] / errs[i + 1])) if errs[i + 1] > 0 else float("inf")
              for i in range(len(errs) - 1)]
     return errs, rates

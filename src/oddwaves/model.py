@@ -26,58 +26,55 @@ do the derivatives: ∂_c R = (2 + α0 Λ) φ' multiplies mode k by -i ∂_c σ,
 the derivative in a profile direction h is the linear part on h plus
 Q(φ, h) + Q(h, φ).
 
-Constants are trivial solutions, so profiles are projected to zero mean
-before evaluation.  Q is evaluated on the product grid of ``spectral``
-(``_product_grid``), with one stacked inverse FFT for all its factors and one
-stacked forward FFT for its two product spectra P1 = F[Λu·Λv - u·w] and
-P2 = F[u·Hw] (``_products``), and Q = P2 - i P1 (``_quadratic``); the
-residual of a degree-N profile is returned exactly, on 2N modes, and the
-modes above the product degree are exact zeros.  The arrays of one shape
-(the factor spectrum and the outputs of both FFTs) form a workspace
-(``_QuadraticWork``), which also holds the forward transform's factor 1/m.
-The two FFTs call the pocketfft kernels that ``spectral`` binds once
-(``_irfft``, ``_rfft``) with that factor and those outputs.  They skip
-``np.fft``'s per-call wrapper, which on these small grids costs about as
-much as the transforms; the kernels are the ones ``np.fft`` calls, so the
-floats are the same, and there is no fallback (see ``spectral``).  A
-caller that evaluates Q many times at one shape passes the same workspace
-to every call, as the evolution does, and no call allocates.  The
-multiplier -i σ(k, c) is written once (``_multiplier``); the residual and
-the evolution's stages both apply it.
-Odd outputs are checked for cosine leak relative to the largest term
-summed into them, with a floor of 1 (``_parity_leak``, the quotient the
-``residual-parity`` family of ``verify`` reports and ``_sine_amplitudes``
-bounds).
+Constants are trivial solutions, so the mean of a profile is never read.
 
-On the m-fold lattice the quadratic part needs no FFT either.
-Multiplication by a cosine series is Toeplitz + Hankel on the cos/sin
-bases, so the derivative Q(φ, h) + Q(h, φ) of an m-fold profile φ of n
-modes is one (2n × n) lattice matrix K(a), rows at the frequencies
-m..2nm and columns at m..nm, whose every entry is an amplitude of φ at the
-sum or the difference of the two frequencies times a polynomial in them
-(O(n²) work).  The polynomials depend on (m, n, α0 - β) alone and the
-amplitudes enter through strided views of one padded array, so a branch
-builds one ``_Lattice`` and reuses it (``_lattice_matrix``).  Since R is
-quadratic in φ, Euler's identity gives Q(φ, φ) = ½ K(a) a, so K yields
-both the residual on every lattice mode up to 2nm, R = σ ∘ a + ½ K(a) a
-(``_lattice_residual``; the modes off the lattice are exact zeros), and
-the Jacobian, its first n rows plus the σ diagonal (``_lattice_jacobian``,
-which ``assemble_jacobian`` and Newton both call).  ``gateaux`` and
-``_residual_hat`` keep the FFT path as the reference they are tested
-against.
+The model is evaluated on the m-fold lattice, with no FFT.  Multiplication
+by a cosine series is Toeplitz + Hankel on the cos/sin bases, so the
+derivative Q(φ, h) + Q(h, φ) of an m-fold profile φ of n modes is one
+(2n × n) lattice matrix K(a), rows at the frequencies m..2nm and columns at
+m..nm, whose every entry is an amplitude of φ at the sum or the difference
+of the two frequencies times a polynomial in them (O(n²) work).  The
+polynomials depend on (m, n, α0 - β) alone and the amplitudes enter
+through strided views of one padded array, so a branch builds one
+``_Lattice`` and reuses it (``_lattice_matrix``).  Since R is quadratic in
+φ, Euler's identity gives Q(φ, φ) = ½ K(a) a, so K yields both the residual
+on every lattice mode up to 2nm, R = σ ∘ a + ½ K(a) a (``_lattice_residual``;
+the modes off the lattice are exact zeros), and the Jacobian, its first n
+rows plus the σ diagonal (``_lattice_jacobian``, which
+``assemble_jacobian`` and Newton both call).  Every even profile lies on
+the lattice of m = the gcd of its nonzero modes, so ``residual`` and
+``gateaux`` build, per call, the lattice of that gcd (of both supports for
+``gateaux``) with n = the largest nonzero mode over m
+(``_support_lattice``), and the derivative is σ ∘ η + K(a) η on all 2n
+rows.  Their outputs are sine series by construction, with no cosine part
+to check.
+
+The evolution advances fields that need not be even or m-fold, so it
+evaluates Q(u, u) on the product grid of ``spectral`` (``_product_grid``),
+with one stacked inverse FFT for all its factors and one stacked forward
+FFT for its two product spectra P1 = F[Λu·Λu - u·w] and P2 = F[u·Hw]
+(``_products``); Q = P2 - i P1, and every mode of the state is exact.  The
+arrays of one size (the factor spectrum and the outputs of both FFTs) form
+a workspace (``_QuadraticWork``), which also holds the forward transform's
+factor 1/m.  The two FFTs call the pocketfft kernels that ``spectral``
+binds once (``_irfft``, ``_rfft``) with that factor and those outputs.
+They skip ``np.fft``'s per-call wrapper, which on these small grids costs
+about as much as the transforms; the kernels are the ones ``np.fft`` calls,
+so the floats are the same, and there is no fallback (see ``spectral``).
+``evolve`` passes one workspace to every stage, so no stage allocates.  The
+multiplier -i σ(k, c) on the half-spectrum is written once
+(``_multiplier``) for the evolution's stages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import (ConfigurationError, NumericalError, require_integer, require_real,
-                     require_size)
-from .spectral import SineSeries, SpectralField, _amplitudes, _hat, _irfft, _product_grid, _rfft
+from .errors import ConfigurationError, require_integer, require_real, require_size
+from .spectral import SineSeries, SpectralField, _irfft, _product_grid, _rfft
 
 __all__ = [
     "ModelParams",
@@ -89,9 +86,6 @@ __all__ = [
     "d_c_symbol",
     "assemble_jacobian",
 ]
-
-PARITY_TOL = 1e-12  # cosine leak bound, relative to the largest term (at least 1)
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -147,42 +141,14 @@ def _d_c_symbol(k, p):
     return -2.0 * k - p.alpha0 * k * k
 
 
-def _even_hat(phi, who):
-    """Half-spectrum of an even field, with the mean projected out."""
+def _even_amplitudes(phi, who):
+    """The cosine amplitudes of an even field.  The lattice never reads
+    a_0, so the mean is projected out."""
     if not isinstance(phi, SpectralField):
         raise ConfigurationError(f"{who} must be a SpectralField")
     if not phi.is_even:
         raise ConfigurationError(f"{who} must be even (all sine amplitudes zero)")
-    u = _hat(phi.a, phi.b)
-    u[0] = 0.0
-    return u
-
-
-def _sine_amplitudes(r, terms, who):
-    """The sine amplitudes of a half-spectrum r whose ``_parity_leak`` is
-    within PARITY_TOL; the terms are measured only if the raw leak is not."""
-    # Outputs are odd by the model's symmetry; anything else is a numerical
-    # inconsistency, not a user error.
-    a, b = _amplitudes(r)
-    leak = float(np.abs(a).max())
-    if leak > PARITY_TOL and _parity_leak(r, terms) > PARITY_TOL:
-        raise NumericalError(f"{who} violated odd symmetry: cosine leak {leak:.3e}")
-    return b
-
-
-def _parity_leak(r, terms):
-    """The cosine leak max |a_k| of a half-spectrum r over max(1, the
-    largest amplitude among ``terms``, the half-spectra summed into r):
-    roundoff in a sum is relative to its terms, not to the sum, which is
-    near zero at a solution, and R scales by 1/ε² with its terms."""
-    return float(np.abs(_amplitudes(r)[0]).max()) / max(1.0, _term_size(terms))
-
-
-def _term_size(terms):
-    """The largest cosine or sine amplitude among half-spectrum arrays:
-    twice their largest real or imaginary part (a_k = 2 Re u_k, b_k =
-    -2 Im u_k)."""
-    return 2.0 * max(float(np.abs(t.view(float)).max()) for t in terms)
+    return phi.a
 
 
 def _multiplier(size, c, p):
@@ -193,166 +159,138 @@ def _multiplier(size, c, p):
     return mult
 
 
-def _linear(u, c, p):
-    """The linear part of R[c, ·] on a half-spectrum u."""
-    return _multiplier(u.size, c, p) * u
-
-
-@lru_cache(maxsize=8)
-def _wave_numbers(size, g):
-    """The rows k and g k³, k = 0..size-1, of one read-only array, built
-    once per size and g: ``residual``, ``gateaux`` and ``rhs`` each build a
-    ``_QuadraticWork`` per call, and callers repeat one shape.  It is
-    stored complex (zero imaginary parts), as every product with a
-    half-spectrum would cast it."""
-    k = np.arange(size, dtype=float)
-    kg = np.array([k, g * k ** 3], dtype=complex)
-    kg.setflags(write=False)
-    return kg
-
-
 class _QuadraticWork:
-    """The arrays of ``_quadratic`` at one shape (u.size, v.size, n_out, g,
-    and whether v is u): the rows k and g k³; the factor spectrum, zero-padded
-    to the grid's half-spectrum, with a view of each of its rows u, Λu, w,
-    Hw (and Λv when v is not u); and the outputs of the two FFTs, which are
-    written into them: the factors on the grid (``grid``, one view per row
-    in ``on_grid``), the product spectra P1, P2 (``prod``, with views
-    ``p1``, ``p2`` of modes 0..top, where top = min(n_out, u.size + v.size
-    - 2) is the last mode Q can reach) and Q itself (``q``, modes
-    0..n_out).  ``scale`` is the forward transform's factor 1/m.  A caller
-    that evaluates Q many times at one shape, as ``evolve`` does, builds it
-    once and passes it to every call, so no call allocates; each call
-    overwrites what the one before it returned.  The caller may write u
-    into the row ``u`` itself and pass that row."""
+    """The arrays of ``_products`` for states of ``size`` half-spectrum modes
+    at one g: the rows k and g k³ (stored complex, as every product with a
+    half-spectrum would cast them); the factor spectrum, zero-padded to the
+    grid's half-spectrum, with a view of each of its rows u, Λu, w, Hw; and
+    the outputs of the two FFTs, which are written into them: the factors
+    on the grid (``grid``) and the product spectra P1, P2 (``prod``, with
+    views ``p1``, ``p2`` of the state's modes).  ``scale`` is the forward
+    transform's factor 1/m.  ``evolve`` builds one per integration and
+    passes it to every stage, so no stage allocates; each call overwrites
+    what the one before it returned.  The caller may write u into the row
+    ``u`` itself and pass that row."""
 
-    def __init__(self, u_size, v_size, n_out, p, same):
-        g = p.alpha0 - p.beta
-        self.m = _product_grid(u_size - 1, v_size - 1, n_out)
+    def __init__(self, size, p):
+        self.m = _product_grid(size - 1, size - 1, size - 1)
         assert self.m % 2 == 0, "the forward kernel takes even grids only"
         self.scale = 1.0 / self.m
-        self.top = min(n_out, u_size + v_size - 2)
-        kg = _wave_numbers(max(u_size, v_size), g)
-        self.ku = kg[0, :u_size]
-        self.kv, self.gk3 = kg[:, :v_size]
-        width = max(u_size, v_size, self.m // 2 + 1)
-        self.spec = np.zeros((4 if same else 5, width), dtype=complex)
-        self.u, self.lu = self.spec[0, :u_size], self.spec[1, :u_size]
-        self.w, self.hw = self.spec[2, :v_size], self.spec[3, :v_size]
-        self.lv = self.lu if same else self.spec[4, :v_size]
-        self.grid = np.empty((self.spec.shape[0], self.m))
-        # the grid rows of u, Λu, w, Hw and Λv
-        self.on_grid = (*self.grid[:4], self.grid[1 if same else 4])
-        self.products = self.grid[2:4]
+        k = np.arange(size, dtype=float)
+        self.k, self.gk3 = np.array([k, (p.alpha0 - p.beta) * k ** 3], dtype=complex)
+        self.spec = np.zeros((4, self.m // 2 + 1), dtype=complex)
+        self.u, self.lu, self.w, self.hw = self.spec[:, :size]
+        self.grid = np.empty((4, self.m))
+        self.products = self.grid[2:]
         self.prod = np.empty((2, self.m // 2 + 1), dtype=complex)
-        self.p1, self.p2 = self.prod[:, : self.top + 1]
-        self.q = np.empty(n_out + 1, dtype=complex)
+        self.p1, self.p2 = self.prod[:, :size]
 
 
-def _products(u, v, work):
-    """The product spectra P1 = F[Λu · Λv - u · w] and P2 = F[u · Hw],
-    w = Λv - g Λ³v, on the half-spectrum modes 0..m/2 of the grid of
-    ``work`` (a ``_QuadraticWork`` of this shape), as the rows of
-    ``work.prod``.  Q(u, v) is P2 - i P1 on every mode but 0, where it is
-    P2; ``_quadratic`` forms it, and ``evolve`` weighs the two rows itself.
+def _products(u, work):
+    """The product spectra P1 = F[Λu · Λu - u · w] and P2 = F[u · Hw],
+    w = Λu - g Λ³u, on the half-spectrum modes 0..m/2 of the grid of
+    ``work`` (the ``_QuadraticWork`` of u's size), as the rows of
+    ``work.prod``.  Q(u, u) is P2 - i P1 on every mode but 0, where it is
+    P2; ``evolve`` weighs the two rows itself.
 
-    The factors u, Λu, w, Hw (and Λv unless v is u) are written into
-    ``work.spec`` and synthesized by one stacked ``_irfft`` into
-    ``work.grid``; the products are formed in its rows and go back through
-    one stacked ``_rfft``, scaled by ``work.scale``, into ``work.prod``:
-    the floats of ``np.fft.irfft(..., norm="forward")`` and
-    ``np.fft.rfft(..., norm="forward")``.  Nothing is allocated.
+    The factors u, Λu, w, Hw are written into ``work.spec`` and synthesized
+    by one stacked ``_irfft`` into ``work.grid``; the products are formed in
+    its rows and go back through one stacked ``_rfft``, scaled by
+    ``work.scale``, into ``work.prod``: the floats of
+    ``np.fft.irfft(..., norm="forward")`` and ``np.fft.rfft(...,
+    norm="forward")``.  No array data is allocated, only the four row views
+    of ``work.grid``.
     """
     if u is not work.u:
         np.copyto(work.u, u)
-    np.multiply(work.kv, v, out=work.lv)
-    np.multiply(work.gk3, v, out=work.hw)    # g k³ v until Hw replaces it
-    if v is not u:
-        np.multiply(work.ku, u, out=work.lu)
-    np.subtract(work.lv, work.hw, out=work.w)
+    np.multiply(work.k, u, out=work.lu)
+    np.multiply(work.gk3, u, out=work.hw)    # g k³ u until Hw replaces it
+    np.subtract(work.lu, work.hw, out=work.w)
     np.multiply(-1j, work.w, out=work.hw)
     _irfft(work.spec, 1.0, out=work.grid)
-    # the rows w, Hw become Λu·Λv - u·w, u·Hw
-    uu, lu, uw, uhw, lv = work.on_grid
+    # the rows w, Hw become Λu·Λu - u·w, u·Hw
+    uu, lu, uw, uhw = work.grid
     np.multiply(uu, uw, out=uw)
     np.multiply(uu, uhw, out=uhw)
-    np.multiply(lu, lv, out=lu)
+    np.multiply(lu, lu, out=lu)
     np.subtract(lu, uw, out=uw)
     return _rfft(work.products, work.scale, out=work.prod)
-
-
-def _quadratic(u, v, p, n_out, work=None):
-    """Q(u, v) = H[Λu · Λv - u · w] + u · Hw with w = Λv - g Λ³v, on the
-    half-spectrum modes 0..n_out, as P2 - i P1 from ``_products``.
-
-    The products are formed on the grid of ``spectral._product_grid`` for
-    factors of degrees u.size - 1 and v.size - 1, so aliasing only folds
-    modes onto frequencies above n_out and every returned mode is exact;
-    the modes above the product degree u.size + v.size - 2 are exact zeros.
-    ``work`` is a ``_QuadraticWork`` of this shape, built here when not
-    given; the result is its row ``q``, and ``work.prod`` keeps P2 and i P1
-    (modes 1..``work.top``) after the call.
-    """
-    if work is None:
-        work = _QuadraticWork(u.size, v.size, n_out, p, v is u)
-    _products(u, v, work)
-    top, out = work.top, work.q
-    inner = work.p1[1:]
-    np.multiply(1j, inner, out=inner)
-    np.subtract(work.p2[1:], inner, out=out[1 : top + 1])
-    out[0] = work.p2[0]
-    out[top + 1 :] = 0.0
-    return out
-
-
-def _residual_hat(c, u, p):
-    """R[c, φ] on the half-spectrum modes 0..2N, before the parity check,
-    from the half-spectrum u of an even φ with zero mean (``_even_hat``),
-    and its terms P1, P2 and the linear row, for the parity check."""
-    n_out = 2 * (u.size - 1)
-    work = _QuadraticWork(u.size, u.size, n_out, p, same=True)
-    r = _quadratic(u, u, p, n_out, work)
-    lin = _linear(u, c, p)
-    r[: u.size] += lin
-    return r, (work.prod[:, : n_out + 1], lin)
 
 
 def residual(c, phi, p):
     """Traveling-wave residual R[c, φ] as a sine series.
 
-    φ must be even; its mean is projected out first (constants solve the
-    equation identically).  The result is exact: products carry their full
-    degree, so a degree-N input yields the true residual on 2N modes.
+    φ must be even; its mean is projected out (constants solve the
+    equation identically).  The result is exact: R = σ ∘ a + ½ K(a) a on
+    the lattice of φ's support, returned on 2N modes for a degree-N φ.
     """
-    r, terms = _residual_hat(c, _even_hat(phi, "phi"), p)
-    return SineSeries(_sine_amplitudes(r, terms, "residual"))
+    a = _even_amplitudes(phi, "phi")
+    lattice = _support_lattice(p, "phi", a)
+    alpha = _on_lattice(a, lattice)
+    r = _lattice_residual(_lattice_matrix(alpha, lattice), _symbol(lattice.kf, c, p), alpha)
+    return _sine_series(r, lattice.m, 2 * phi.n_modes)
 
 
 def gateaux(c, phi, h, p):
     """Derivative of the residual at (c, φ) in the profile direction h:
-    the linear part of R[c, ·] on h plus Q(φ, h) + Q(h, φ).
+    σ ∘ η + K(a) η on the lattice of both supports (a, η the lattice
+    amplitudes of φ and h), returned on N_φ + N_h modes.
 
     Linear in h; matches central finite differences of ``residual``.
     """
-    u = _even_hat(phi, "phi")
-    v = _even_hat(h, "h")
-    n_out = u.size + v.size - 2
-    quv, qvu, lin = _quadratic(u, v, p, n_out), _quadratic(v, u, p, n_out), _linear(v, c, p)
-    r = quv + qvu
-    r[: v.size] += lin
-    return SineSeries(_sine_amplitudes(r, (quv, qvu, lin), "gateaux"))
+    a, e = _even_amplitudes(phi, "phi"), _even_amplitudes(h, "h")
+    lattice = _support_lattice(p, "phi and h", a, e)
+    alpha, eta = _on_lattice(a, lattice), _on_lattice(e, lattice)
+    image = _lattice_matrix(alpha, lattice) @ eta
+    image[: lattice.n] += _symbol(lattice.kf, c, p) * eta
+    return _sine_series(image, lattice.m, phi.n_modes + h.n_modes)
 
 
 def d_c_residual(phi, p):
-    """Speed-derivative of the residual at fixed profile: (2 + α0 Λ) φ'.
+    """Speed-derivative of the residual at fixed profile: (2 + α0 Λ) φ',
+    the sine series ∂_c σ(k) a_k.
 
     Exact, as the residual is affine in c.  Newton's speed column is built
     by ``_lattice_jacobian`` from the same ``_d_c_symbol``, not from this
     field.
     """
-    u = _even_hat(phi, "phi")
-    r = -1j * _d_c_symbol(np.arange(u.size, dtype=float), p) * u
-    return SineSeries(_sine_amplitudes(r, (r,), "d_c_residual"))
+    a = _even_amplitudes(phi, "phi")
+    b = _d_c_symbol(np.arange(a.size, dtype=float), p) * a
+    b[0] = 0.0
+    return SineSeries(b)
+
+
+def _support_lattice(p, who, *amplitudes):
+    """The ``_Lattice`` of the fewest rows that carries the cosine
+    amplitude arrays ``amplitudes``: m the gcd of their nonzero modes and
+    n the largest of them over m, or (1, 1) when they all vanish.  n passes
+    the size rule before anything is built."""
+    modes = np.concatenate([np.flatnonzero(a[1:]) for a in amplitudes]) + 1
+    m = int(np.gcd.reduce(modes)) if modes.size else 1
+    n = int(modes.max()) // m if modes.size else 1
+    n = require_size(f"the lattice truncation n of {who}", n, 1, _lattice_bytes)
+    return _Lattice(m, n, p.alpha0 - p.beta)
+
+
+def _on_lattice(a, lattice):
+    """The lattice amplitudes α_j = a_{jm}, j = 1..n, of cosine amplitudes
+    a, zero past a's last mode."""
+    m, n = lattice.m, lattice.n
+    alpha = np.zeros(n)
+    on = a[m : m * n + 1 : m]
+    alpha[: on.size] = on
+    return alpha
+
+
+def _sine_series(rows, m, n_modes):
+    """The sine series of ``n_modes`` modes with the lattice ``rows`` at
+    the frequencies m, 2m, ...; rows above ``n_modes`` are dropped, as the
+    image has no modes there, and every mode off the lattice is an exact
+    zero."""
+    b = np.zeros(n_modes + 1)
+    on = b[m::m]
+    on[: rows.size] = rows[: on.size]
+    return SineSeries(b)
 
 
 def _mfold_indices(m, n):
@@ -388,7 +326,7 @@ def assemble_jacobian(c, phi, p, n, m=1):
             f"phi has {phi.n_modes} modes, exceeding the {m}-fold truncation {m * n}"
         )
     lattice = _Lattice(m, n, p.alpha0 - p.beta)
-    alpha = phi.pad_to(m * n).a[m::m]
+    alpha = _on_lattice(phi.a, lattice)
     jac = _lattice_jacobian(_lattice_matrix(alpha, lattice), _symbol(lattice.kf, c, p),
                             alpha, p, lattice)
     if not np.isfinite(jac).all():

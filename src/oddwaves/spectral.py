@@ -41,8 +41,8 @@ Every production transform, here (``_synthesize``, ``_analyze``) and in
 this module (``_irfft``, ``_rfft``).  They are the kernels ``np.fft.irfft``
 and ``np.fft.rfft`` call after a Python wrapper that checks the arguments,
 picks the kernel and the normalisation factor and allocates the output; on
-the small grids of an RK4 stage or a Newton residual that wrapper costs
-about as much as the transform.  The callers pass the factor ``np.fft``
+the small grids of an RK4 stage that wrapper costs about as much as the
+transform.  The callers pass the factor ``np.fft``
 would pass and an output of the right shape.  Every grid is even, so the
 even-length forward kernel is the only one needed, and the sites that
 transform forward assert it.  The kernels and factors are unchanged, so

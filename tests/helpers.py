@@ -1,19 +1,24 @@
 """Shared builders and independent oracles for the test suite.
 
-Production evaluates the model on the complex half-spectrum, as the
-multiplier -i σ(k, c) (``model._multiplier``) plus one bilinear form
-(``model._quadratic``), and derives the residual, its derivatives and the
-evolution right-hand side from them.  The oracles here write each of them
-out on its own with ``SpectralField`` operators: the Zygmund-operator form
-of the residual term by term; the expanded residual, its directional
+Production evaluates the residual, its derivatives and Newton's matrix on
+the m-fold lattice (``model._Lattice``: R = σ ∘ a + ½ K(a) a, no FFT), and
+the evolution right-hand side as the multiplier -i σ(k, c)
+(``model._multiplier``) plus the bilinear form Q from two stacked FFTs
+(``model._products``).  The oracles here write each of them out on its own:
+with ``SpectralField`` operators, the Zygmund-operator form of the
+residual term by term, and the expanded residual, its directional
 derivative and the evolution right-hand side in their earlier hand-written
-forms (``reference_*``); products by direct coefficient convolution; the
-quadratic terms' derivative in exact rational arithmetic; the Hölder
-seminorm and norm as the plain loop over all lags and the loop over
-validated fields; and the commutator quotient and sweep member by member
-through ``commutator_h`` and a norm on fields.  ``reference_quadratic`` is
-Q on the half-spectrum with one transform per factor and per product, the
-form the stacked kernel must reproduce bit for bit;
+forms (``reference_*``); through FFT products on the half-spectrum, the
+residual and its directional derivative as production evaluated them
+before the lattice (``fft_residual``, ``fft_gateaux``); products by direct
+coefficient convolution; the quadratic terms' derivative and the residual
+in exact rational arithmetic (``exact_gateaux_nonlinear``,
+``exact_residual``); the Hölder seminorm and norm as the plain loop over
+all lags and the loop over validated fields; and the commutator quotient
+and sweep member by member through ``commutator_h`` and a norm on fields.
+``reference_quadratic`` is Q on the half-spectrum with one transform per
+factor and per product, the form the stacked kernel must reproduce bit
+for bit;
 ``reference_synthesize``, ``reference_analyze`` and
 ``reference_product_transforms`` are the public ``np.fft`` calls whose
 floats the bound pocketfft kernels must give at each site;
@@ -24,7 +29,7 @@ with its index and weight arrays built on every call, gathered by fancy
 indexing, which ``assemble_jacobian`` and Newton's bordered matrix
 (``newton_matrix``, taken from Newton's own step) must reproduce bit for
 bit; ``reference_newton`` is the Newton loop on validated fields, with
-every residual through the FFT path and its sup norm sampled at every
+every residual through ``fft_residual`` and its sup norm sampled at every
 iterate, which the loop on the lattice matrix must reproduce to roundoff.
 ``reference_simplicity`` and ``reference_shared_frequency`` are the scalar
 simplicity scans of ``detect_bifurcations`` and ``continue_branch``;
@@ -54,7 +59,6 @@ from oddwaves import (
     holder_norm,
     model,
     multiply,
-    residual,
     zygmund,
 )
 from oddwaves.bifurcation import SIMPLE_RTOL, _NoConvergence, _SingularSystem, _symbol_scale
@@ -221,9 +225,10 @@ def reference_rhs(f, p):
 
 
 def reference_quadratic(u, v, p, n_out):
-    """``model._quadratic`` with one transform per factor and per product:
-    five public ``np.fft.irfft`` (u, Λu, Λv, w, Hw) and two ``np.fft.rfft``
-    calls on the same grid, in the same arithmetic.  Q has no modes above
+    """Q(u, v) = P2 - i P1 on the half-spectrum modes 0..n_out, with one
+    transform per factor and per product: five public ``np.fft.irfft`` (u,
+    Λu, Λv, w, Hw) and two ``np.fft.rfft`` calls on the product grid, in
+    the arithmetic of ``model._products``.  Q has no modes above
     the product degree u.size + v.size - 2; they are returned as exact
     zeros, not as the roundoff the transforms leave on the grid's modes
     there."""
@@ -240,6 +245,37 @@ def reference_quadratic(u, v, p, n_out):
     out[: top + 1] = np.fft.rfft(uu * hw, norm="forward")[: top + 1]
     out[1 : top + 1] -= 1j * inner[1:]
     return out
+
+
+def _even_hat(phi):
+    """The half-spectrum of an even field's cosine amplitudes, mean zeroed."""
+    u = _hat(phi.a, np.zeros_like(phi.a))
+    u[0] = 0.0
+    return u
+
+
+def fft_residual(c, phi, p):
+    """R[c, φ] through FFT products, the path ``model.residual`` took before
+    the lattice: -i σ(k, c) u + Q(u, u) on the half-spectrum modes 0..2N,
+    with Q from ``reference_quadratic``.  Returns its sine series and the
+    largest amplitude among the two terms summed into it, the scale of its
+    roundoff."""
+    u = _even_hat(phi)
+    lin = _multiplier(u.size, c, p) * u
+    r = reference_quadratic(u, u, p, 2 * (u.size - 1))
+    scale = 2.0 * max(np.abs(r.view(float)).max(), np.abs(lin.view(float)).max())
+    r[: u.size] += lin
+    return SineSeries(_amplitudes(r)[1]), scale
+
+
+def fft_gateaux(c, phi, h, p):
+    """The derivative of ``fft_residual`` at φ in the direction h, as the
+    FFT path formed it: -i σ(k, c) v + Q(u, v) + Q(v, u) on N_φ + N_h modes."""
+    u, v = _even_hat(phi), _even_hat(h)
+    n_out = u.size + v.size - 2
+    r = reference_quadratic(u, v, p, n_out) + reference_quadratic(v, u, p, n_out)
+    r[: v.size] += _multiplier(v.size, c, p) * v
+    return SineSeries(_amplitudes(r)[1])
 
 
 def reference_rk4(f, p, cfg, quadratic=reference_quadratic):
@@ -312,9 +348,8 @@ def reference_product_transforms(work):
     formed from them in the same arithmetic, and the product spectra
     (``np.fft.rfft`` of the products)."""
     grid = np.fft.irfft(work.spec, work.m, norm="forward")
-    uu, lu, w, hw = grid[:4]
-    lv = grid[1 if grid.shape[0] == 4 else 4]
-    products = np.array([lu * lv - uu * w, uu * hw])
+    uu, lu, w, hw = grid
+    products = np.array([lu * lu - uu * w, uu * hw])
     return grid, products, np.fft.rfft(products, norm="forward")
 
 
@@ -324,10 +359,7 @@ def newton_matrix(c, a, p, lattice):
     a ``model._Lattice`` of (m, n, α0 - β): a copy of what Newton's own
     ``_lattice_jacobian`` call returns at its first step, so the matrix
     tested is the one Newton composes and solves."""
-    m, n = lattice.m, lattice.n
-    alpha = np.zeros(n)
-    on = a[m : m * n + 1 : m]
-    alpha[: on.size] = on
+    alpha = model._on_lattice(a, lattice)
     seen = []
     compose = bifurcation._lattice_jacobian
 
@@ -378,9 +410,9 @@ def reference_jacobian(c, a, p, m, n, speed_column=False):
 
 def reference_newton(c, alpha, p, tol, max_iter, lattice):
     """``bifurcation._newton`` with every iterate built as a ``CosineSeries``
-    and every residual as the validated field of ``residual`` (FFT
-    products), whose ``sup_norm`` judges convergence and whose sine
-    amplitudes are the Newton right-hand side.  It writes the iterates
+    and every residual as the field of ``fft_residual`` (FFT products),
+    whose ``sup_norm`` judges convergence and whose sine amplitudes are the
+    Newton right-hand side.  It writes the iterates
     into ``alpha``, as ``_newton`` does.  The lattice loop must give the
     same iterations and stalls, with c, φ and the residual norm equal to
     roundoff.  ``lattice`` is the branch's ``_Lattice``; only its m and
@@ -392,7 +424,7 @@ def reference_newton(c, alpha, p, tol, max_iter, lattice):
         a = np.zeros(m * n + 1)
         a[rows] = alpha
         phi = CosineSeries(a)
-        res = residual(c, phi, p)
+        res, _ = fft_residual(c, phi, p)
         rnorm = res.sup_norm()
         if rnorm < tol:
             return c, rnorm, it
@@ -523,6 +555,26 @@ def exact_gateaux_nonlinear(a, k, g):
     out = lin((2, hil(mul(hp1, hh1))), (-1, comm(h, hp1)), (-1, comm(phi, hh1)),
               (-g, comm(h, hp3)), (-g, comm(phi, hh3)))
     return {j: s for j, (_, s) in out.items()}
+
+
+def exact_residual(c, a, p):
+    """Sine amplitudes of R[c, φ] at the even profile with cosine amplitudes
+    ``a``, as a dict frequency -> Fraction: σ ∘ a + ½ Σ_k a_k col_k, with
+    col_k the quadratic terms' derivative in the direction cos(kx) from
+    ``exact_gateaux_nonlinear`` (Euler's identity for the quadratic part).
+    Exact rational arithmetic on the float inputs; σ(k, c) enters as the
+    float ``symbol_at`` gives."""
+    half = Fraction(1, 2)
+    out = {}
+    for k in range(1, len(a)):
+        if not a[k]:
+            continue
+        ak = Fraction(float(a[k]))
+        out[k] = out.get(k, Fraction(0)) + Fraction(symbol_at(k, c, p)) * ak
+        for j, s in exact_gateaux_nonlinear(a, k, p.alpha0 - p.beta).items():
+            if j:                                # sin(0x) = 0
+                out[j] = out.get(j, Fraction(0)) + half * ak * s
+    return out
 
 
 def reference_seminorm(values, alpha):

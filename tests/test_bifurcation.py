@@ -20,8 +20,8 @@ import oddwaves.bifurcation as bif
 from oddwaves.model import _mfold_indices, d_c_residual
 from oddwaves.spectral import _next_pow2, _synthesize
 
-from helpers import (reference_kernel_dimension, reference_newton, reference_shared_frequency,
-                     reference_simplicity)
+from helpers import (fft_residual, reference_kernel_dimension, reference_newton,
+                     reference_shared_frequency, reference_simplicity)
 
 P = ModelParams(1.0, 1.0, 0.0)
 PA = ModelParams(0.5, 1.0, 0.5)
@@ -448,12 +448,12 @@ class TestArrayNewton:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_fft_residual_confirms_every_point(self, m):
         """The residual of each accepted point, evaluated again through the
-        FFT path as the bench gate does, is below tol and equals the lattice
+        FFT path (``fft_residual``), is below tol and equals the lattice
         residual norm the point reports to roundoff."""
         br = continue_branch(m, PA, 0.05)
         assert not br.truncated and len(br.points) == 9
         for pt in br.points[1:]:
-            again = residual(pt.c, pt.phi, PA).sup_norm()
+            again = fft_residual(pt.c, pt.phi, PA)[0].sup_norm()
             assert again < br.tol
             assert abs(again - pt.residual_norm) <= 1e-15
 

@@ -8,12 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from oddwaves import (ModelParams, NumericalError, __version__, cli, continue_branch,
-                      evolution, model)
+from oddwaves import ModelParams, __version__, cli, continue_branch, evolution
 from oddwaves.cli import main
 
-from helpers import (cosine, reference_commutator_sweep, reference_csv_body,
-                     reference_holder_norm, reference_profile_rows)
+from helpers import (reference_commutator_sweep, reference_csv_body, reference_holder_norm,
+                     reference_profile_rows)
 
 
 def run(tmp_path, *args):
@@ -153,7 +152,7 @@ class TestEvolve:
         values = np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
         assert np.abs(values).max() == 0.0
 
-    def test_branch_point_manifest(self, tmp_path):
+    def test_branch_point_manifest(self, tmp_path, capsys):
         code = run(tmp_path, "evolve", "--s", "0.01", "--tfinal", "0.1",
                    "--dt", "0.002", "--modes", "24", "--dt-halving")
         assert code == 0
@@ -165,7 +164,10 @@ class TestEvolve:
         p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
         assert payload["dt_stable"] == evolution.stable_dt(24, p)
         assert "dt_effective" in payload
-        assert set(payload["dt_halving"]) == {"dts", "errors", "order"}
+        # both errors sit at the roundoff floor (about 1e-17): no order
+        assert payload["dt_halving"]["order"] is None
+        assert payload["dt_halving"]["at_roundoff_floor"] is True
+        assert "order not resolved (both at the roundoff floor)" in capsys.readouterr().out
 
     def test_integrates_once(self, tmp_path, monkeypatch):
         """The traveling error comes from the trajectory the command already
@@ -214,7 +216,8 @@ class TestEvolve:
         point = continue_branch(1, p, 0.01, n=24).points[-1]
         cfg = evolution.EvolutionConfig(dt=0.002, t_final=0.1, n_modes=24)
         errs, rates = evolution.traveling_error_orders(point, p, cfg, halvings=1)
-        assert block == {"dts": [0.002, 0.001], "errors": errs, "order": rates[0]}
+        assert block == {"dts": [0.002, 0.001], "errors": errs, "order": rates[0],
+                         "at_roundoff_floor": rates[0] is None}
 
     @pytest.mark.parametrize("modes", ["0", "-3"])
     def test_too_few_modes_names_the_flag(self, tmp_path, capsys, modes):
@@ -266,8 +269,9 @@ class TestVerify:
         checks = doc["payload"]["checks"]
         assert all(chk["passed"] for chk in checks)
         families = {chk["family"] for chk in checks}
-        assert {"hilbert-parity-action", "residual-parity", "symbol-roots",
+        assert {"hilbert-parity-action", "mfold-closure", "symbol-roots",
                 "commutator-bound"} <= families
+        assert "residual-parity" not in families
         assert (tmp_path / "out" / "commutator_sweep_deg20.csv").exists()
         assert (tmp_path / "out" / "commutator_sweep_deg40.csv").exists()
 
@@ -289,25 +293,6 @@ class TestVerify:
 
     def test_ensemble_zero_exits_2(self, tmp_path):
         assert run(tmp_path, "verify", "--ensemble", "0") == 2
-
-    def test_residual_parity_measures_the_raw_spectrum(self, monkeypatch):
-        """The family reads the cosine leak that ``residual`` drops: a real
-        measured value with the model's Q, a failure with a leaking one."""
-        p = ModelParams(1.0, 1.0, 0.5)
-        clean = cli._family_residual_parity(np.random.default_rng(3), p, 32)
-        assert 0.0 < clean <= 1e-12
-        quadratic = model._quadratic
-
-        def leaking(u, v, p, n_out, work=None):
-            out = quadratic(u, v, p, n_out, work)
-            out[2] += 0.5e-9  # a_2 = 1e-9: a cos 2x term
-            return out
-
-        monkeypatch.setattr(model, "_quadratic", leaking)
-        leak = cli._family_residual_parity(np.random.default_rng(3), p, 32)
-        assert leak > 1e-12
-        with pytest.raises(NumericalError):
-            model.residual(0.3, cosine(2), p)
 
     def test_sweep_csvs_equal_reference_loops(self, tmp_path, monkeypatch):
         """The sweep CSVs are byte-identical to the ones the member-by-member

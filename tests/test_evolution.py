@@ -22,7 +22,8 @@ from oddwaves import (
     translate,
     traveling_error,
 )
-from oddwaves.evolution import Trajectory, _translation_gap, traveling_error_orders
+from oddwaves.evolution import (ROUNDOFF_FLOOR, Trajectory, _translation_gap,
+                                traveling_error_orders)
 from oddwaves.model import d_c_residual
 
 from helpers import (
@@ -285,3 +286,14 @@ class TestTravelingError:
         errs, rates = traveling_error_orders(branch_point, PA, cfg, halvings=2)
         assert all(e > 0 for e in errs)
         assert min(rates) > 3.7
+
+    def test_no_order_at_the_roundoff_floor(self, branch_point):
+        """Two errors at most ROUNDOFF_FLOOR ε_mach sup|φ| (4.5e-15 here) give
+        no rate; one error above it gives a number."""
+        floor = ROUNDOFF_FLOOR * np.finfo(float).eps * branch_point.phi.sup_norm()
+        cfg = EvolutionConfig(dt=1e-3, t_final=0.01, n_modes=48)
+        errs, rates = traveling_error_orders(branch_point, PA, cfg, halvings=1)
+        assert max(errs) <= floor and rates == [None]
+        cfg = EvolutionConfig(dt=0.02, t_final=0.2, n_modes=48)
+        errs, rates = traveling_error_orders(branch_point, PA, cfg, halvings=1)
+        assert errs[1] <= floor < errs[0] and 3.7 < rates[0] < 4.3

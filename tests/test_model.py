@@ -7,7 +7,6 @@ from oddwaves import (
     ConfigurationError,
     CosineSeries,
     ModelParams,
-    NumericalError,
     assemble_jacobian,
     bifurcation,
     critical_speed,
@@ -18,12 +17,7 @@ from oddwaves import (
     symbol_at,
 )
 from oddwaves.bifurcation import continue_branch
-from oddwaves.model import (
-    _Lattice,
-    _quadratic,
-    _QuadraticWork,
-    d_c_residual,
-)
+from oddwaves.model import _Lattice, _QuadraticWork, d_c_residual
 from oddwaves.spectral import _hat
 
 from helpers import (
@@ -32,6 +26,9 @@ from helpers import (
     cosine,
     count_real_ffts,
     exact_gateaux_nonlinear,
+    exact_residual,
+    fft_gateaux,
+    fft_residual,
     newton_matrix,
     random_even,
     random_field,
@@ -158,14 +155,17 @@ class TestResidualStructure:
             assert np.abs(out.b - lin).max() < 1e-12
 
     def test_mfold_closure(self):
+        """The residual of an m-fold profile, and its derivative in an m-fold
+        direction, are exact zeros off the lattice."""
         rng = np.random.default_rng(7)
         for m in (2, 3, 5):
             phi = random_mfold_even(rng, m, 20)
             out = residual(0.6, phi, P)
             mask = np.ones(out.n_modes + 1, dtype=bool)
             mask[::m] = False
-            scale = max(1.0, np.abs(out.b).max())
-            assert np.abs(out.b[mask]).max() < 1e-12 * scale
+            assert out.b[~mask].any() and not out.b[mask].any()
+            image = gateaux(0.6, phi, random_mfold_even(rng, m, 12), P)
+            assert not image.b[np.arange(image.n_modes + 1) % m != 0].any()
 
     def test_quadratic_scaling_of_nonlinearity(self):
         """residual - gateaux(·, 0, ·) is exactly quadratic: scaling the
@@ -206,8 +206,8 @@ class TestResidualStructure:
 
 
 class TestParityCheck:
-    """The residual's cosine leak is bounded relative to its largest term
-    (at least 1): roundoff of large terms passes, a leak at O(1) does not."""
+    """A wave scaled to another ε is a wave there: its residual scales by
+    1/ε² while its terms grow far beyond it."""
 
     def test_scaled_wave_passes(self):
         """A fold-1 point at ε = 1, mapped to (c/ε, φ/ε) at ε = 1e-3, is a
@@ -221,27 +221,6 @@ class TestParityCheck:
                           ModelParams(eps, 1.0, 0.5))
         want = residual(pt.c, pt.phi, p1)
         assert np.abs(eps ** 2 * scaled.b - want.b).max() <= 1e-15
-
-    @pytest.mark.parametrize("leak,raises", [(2e-12, True), (0.5e-12, False)])
-    def test_leak_at_unit_scale(self, monkeypatch, leak, raises):
-        """Every term of this residual is below 1, so the bound is 1e-12."""
-        quadratic = model._quadratic
-
-        def leaking(u, v, p, n_out, work=None):
-            out = quadratic(u, v, p, n_out, work)
-            out[2] += 0.5 * leak  # a_2 = leak: a cos 2x term
-            return out
-
-        p = ModelParams(1.0, 1.0, 0.5)
-        phi = cosine(2, 0.05)
-        _, terms = model._residual_hat(0.3, _hat(phi.a, phi.b), p)
-        assert model._term_size(terms) < 1.0
-        monkeypatch.setattr(model, "_quadratic", leaking)
-        if raises:
-            with pytest.raises(NumericalError, match="cosine leak"):
-                residual(0.3, phi, p)
-        else:
-            residual(0.3, phi, p)
 
 
 class TestReferenceOracles:
@@ -266,97 +245,75 @@ class TestReferenceOracles:
 
 
 class TestStackedQuadratic:
-    """``model._quadratic`` synthesizes its factors with one stacked ``irfft``
-    and analyses its products with one stacked ``rfft``; it must return the
-    per-factor oracle's floats exactly."""
+    """``model._products`` synthesizes its factors with one stacked ``irfft``
+    and analyses its products with one stacked ``rfft``, on the shape
+    ``evolve`` uses (a state's own modes); Q = P2 - i P1 from them must be
+    the per-factor oracle's floats exactly."""
 
     @staticmethod
     def random_hat(rng, degree):
         f = random_field(rng, degree, mean=rng.standard_normal())
         return _hat(f.a, f.b)
 
+    @staticmethod
+    def quadratic(u, work):
+        """Q(u, u) = P2 - i P1 on u's modes, formed from ``_products``."""
+        model._products(u, work)
+        q = work.p2.copy()
+        q[1:] -= 1j * work.p1[1:]
+        return q
+
     @pytest.mark.parametrize("p", ORACLE_PARAMS)
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_equals_reference_bit_for_bit(self, n, p):
         rng = np.random.default_rng(n + 2)
-        u, v = self.random_hat(rng, n), self.random_hat(rng, n // 2)
-        # u is v; equal data in distinct arrays; unequal sizes in both orders
-        for a, b in ((u, u), (u, u.copy()), (u, v), (v, u)):
-            for n_out in (n // 4, n // 2, n, 2 * n, 3 * n):
-                got = _quadratic(a, b, p, n_out)
-                want = reference_quadratic(a, b, p, n_out)
-                assert got.shape == want.shape == (n_out + 1,)
-                assert got.tobytes() == want.tobytes()
+        work = _QuadraticWork(n + 1, p)
+        for _ in range(2):
+            u = self.random_hat(rng, n)
+            want = reference_quadratic(u, u, p, n)
+            # u in an array of its own, then written into the workspace's row
+            assert self.quadratic(u, work).tobytes() == want.tobytes()
+            work.u[:] = u
+            assert self.quadratic(work.u, work).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p", ORACLE_PARAMS)
     def test_reused_work_equals_reference(self, p):
-        """One ``_QuadraticWork`` serves every call of its shape: calls on
+        """One ``_QuadraticWork`` serves every call of its size: calls on
         new data through it return the oracle's floats, whatever the calls
         before them left in its arrays."""
         rng = np.random.default_rng(5)
-        n = 32
-        for u_size, v_size, same in ((n, n, True), (n, n // 2, False), (n // 2, n, False)):
-            n_out = u_size + v_size
-            work = _QuadraticWork(u_size + 1, v_size + 1, n_out, p, same)
+        for size in (33, 17, 2):
+            work = _QuadraticWork(size, p)
             for _ in range(3):
-                u = self.random_hat(rng, u_size)
-                v = u if same else self.random_hat(rng, v_size)
-                got = _quadratic(u, v, p, n_out, work)
-                assert got.tobytes() == reference_quadratic(u, v, p, n_out).tobytes()
+                u = self.random_hat(rng, size - 1)
+                want = reference_quadratic(u, u, p, size - 1)
+                assert self.quadratic(u, work).tobytes() == want.tobytes()
 
     def test_one_transform_each_way(self, monkeypatch):
         counts = count_real_ffts(monkeypatch)
         rng = np.random.default_rng(4)
-        u, v = self.random_hat(rng, 32), self.random_hat(rng, 16)
-        for a, b in ((u, u), (u, v)):
-            counts.clear()
-            _quadratic(a, b, P, 32)
-            assert counts == {"irfft": 1, "rfft": 1}
-
-    @pytest.mark.parametrize("u_size, v_size", [(3, 3), (3, 6), (6, 3), (2, 9), (17, 17)])
-    def test_modes_above_the_product_degree_are_zero(self, u_size, v_size):
-        """Q(u, v) has no modes above u.size + v.size - 2.  Asked for more
-        modes than its grid's half-spectrum holds (3 and 3 modes with 41
-        outputs: 33 spectrum rows on 64 points), ``_quadratic`` returns the
-        oracle's floats up to that degree and exact zeros above it, on a
-        fresh workspace and on one reused after other data."""
-        p = ModelParams(0.5, 1.0, 0.5)
-        n_out = 40
-        top = u_size + v_size - 2
-        rng = np.random.default_rng(u_size + 10 * v_size)
-        work = _QuadraticWork(u_size, v_size, n_out, p, same=False)
-        for _ in range(2):
-            u = self.random_hat(rng, u_size - 1)
-            v = self.random_hat(rng, v_size - 1)
-            for got in (_quadratic(u, v, p, n_out), _quadratic(u, v, p, n_out, work)):
-                assert got.shape == (n_out + 1,)
-                assert got.tobytes() == reference_quadratic(u, v, p, n_out).tobytes()
-                assert not got[top + 1 :].any()
-                assert got[: top + 1].any()
+        work = _QuadraticWork(33, P)
+        model._products(self.random_hat(rng, 32), work)
+        assert counts == {"irfft": 1, "rfft": 1}
 
     @pytest.mark.parametrize("p", ORACLE_PARAMS)
     def test_transforms_equal_public_fft(self, p):
         """Both kernel calls of ``_products`` write the bytes of the public
         ``np.fft`` calls they replaced, on every power-of-two grid from 8 to
-        4096 points, for u is v and for factors of unequal sizes."""
+        4096 points."""
         rng = np.random.default_rng(9)
         grids = set()
         for k in range(3, 13):
-            s = 1 << (k - 2)                 # a degree-2(s-1) product: 2^k points
-            for u_size, v_size, n_out in ((s, s, 2 * s - 2), (s, s, s - 1),
-                                          (s, max(1, s // 2), s)):
-                same = u_size == v_size
-                work = _QuadraticWork(u_size, v_size, n_out, p, same)
-                u = self.random_hat(rng, u_size - 1)
-                v = u if same else self.random_hat(rng, v_size - 1)
-                model._products(u, v, work)
+            for size in ((1 << k) // 3, (1 << (k - 2)) + 1):   # both on 2^k points
+                work = _QuadraticWork(size, p)
+                model._products(self.random_hat(rng, size - 1), work)
                 grid, products, prod = reference_product_transforms(work)
-                kept = [0] if same else [0, 4]   # the rows no product overwrites
-                assert work.grid[kept].tobytes() == grid[kept].tobytes()
+                # row 0, u, is the one no product overwrites
+                assert work.grid[0].tobytes() == grid[0].tobytes()
                 assert work.products.tobytes() == products.tobytes()
                 assert work.prod.tobytes() == prod.tobytes()
                 grids.add(work.m)
-        assert grids >= {1 << k for k in range(3, 13)}
+        assert grids == {1 << k for k in range(3, 13)}
 
 
 class TestGateaux:
@@ -436,13 +393,13 @@ class TestJacobianMatrix:
 
 
 def columnwise_jacobian(c, a, p, m, n, speed_column=False):
-    """The m-fold Jacobian built one column at a time from ``gateaux`` (FFT
-    products); the slow oracle for the closed-form assembler."""
+    """The m-fold Jacobian built one column at a time from ``fft_gateaux``
+    (FFT products); the slow oracle for the closed-form assembler."""
     phi = CosineSeries(a)
     rows = m * np.arange(1, n + 1)
     jac = np.empty((n, n))
     for j in range(1, n + 1):
-        jac[:, j - 1] = gateaux(c, phi, cosine(m * j, 1.0, n=m * n), p).b[rows]
+        jac[:, j - 1] = fft_gateaux(c, phi, cosine(m * j, 1.0, n=m * n), p).b[rows]
     if speed_column:
         jac[:, 0] = d_c_residual(phi, p).b[rows]
     return jac
@@ -450,7 +407,7 @@ def columnwise_jacobian(c, a, p, m, n, speed_column=False):
 
 def columnwise_lattice_matrix(m, p):
     """``model._lattice_matrix`` for fold m at p, with column k the image
-    Q(φ, cos kx) + Q(cos kx, φ) taken from ``gateaux`` at c = 0 (FFT
+    Q(φ, cos kx) + Q(cos kx, φ) taken from ``fft_gateaux`` at c = 0 (FFT
     products) less its σ(k, 0) diagonal, at the rows m..2nm."""
     def build(alpha, lattice):
         n = alpha.size
@@ -458,7 +415,7 @@ def columnwise_lattice_matrix(m, p):
         a[m::m] = alpha
         phi, rows = CosineSeries(a), m * np.arange(1, 2 * n + 1)
         for j in range(1, n + 1):
-            col = gateaux(0.0, phi, cosine(m * j, 1.0, n=m * n), p).b.copy()
+            col = fft_gateaux(0.0, phi, cosine(m * j, 1.0, n=m * n), p).b.copy()
             col[m * j] -= symbol_at(m * j, 0.0, p)
             lattice.matrix[:, j - 1] = col[rows]
         return lattice.matrix
@@ -509,6 +466,26 @@ class TestClosedFormJacobian:
             col[j - 1] += symbol_at(m * j, c, p)
             assert np.abs(fast[:, j - 1] - col).max() <= 1e-15 * scale
 
+    @pytest.mark.parametrize("p", [ModelParams(0.5, 1.0, 0.5), ModelParams(0.5, 1.0, 1.0)])
+    def test_gateaux_matches_exact_arithmetic(self, p):
+        """``gateaux`` in the directions cos(kx), k = 150..192, on every mode
+        of the image, within 1e-12 absolute of exact rational arithmetic on
+        the profile above.  With α0 ≠ β the FFT path lost 1.6e-10 here (the
+        k³ terms of w = Λh - g Λ³h cancel after the products); the lattice
+        keeps 1.4e-14 (4.6e-13 over all 64 directions)."""
+        rng = np.random.default_rng(7)
+        m, n, c = 3, 64, -0.3
+        a = np.zeros(m * n + 1)
+        a[m::m] = rng.standard_normal(n) * np.exp(-0.25 * np.arange(1, n + 1))
+        phi = CosineSeries(a)
+        for k in range(150, m * n + 1, m):
+            exact = exact_gateaux_nonlinear(a, k, p.alpha0 - p.beta)
+            image = gateaux(c, phi, cosine(k), p)
+            want = np.array([float(exact.get(j, 0)) for j in range(image.n_modes + 1)])
+            want[0] = 0.0
+            want[k] += symbol_at(k, c, p)
+            assert np.abs(image.b - want).max() <= 1e-12
+
     def test_short_profile_is_padded(self):
         rng = np.random.default_rng(5)
         phi = random_mfold_even(rng, 2, 6)
@@ -519,7 +496,8 @@ class TestClosedFormJacobian:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_branch_unchanged_by_assembler(self, m, monkeypatch):
         """Newton's residual and matrix both come from the lattice matrix;
-        built column by column from ``gateaux``, it gives the same branch."""
+        built column by column from ``fft_gateaux``, it gives the same
+        branch."""
         p = ModelParams(0.5, 1.0, 0.5)
         fast = continue_branch(m, p, 0.05, n=64)
         monkeypatch.setattr(bifurcation, "_lattice_matrix", columnwise_lattice_matrix(m, p))
@@ -551,8 +529,9 @@ class TestJacobianWeights:
 
 class TestLatticeResidual:
     """R = σ ∘ a + ½ K(a) a from the lattice matrix against the FFT residual
-    ``_residual_hat``, on every mode 0..2nm, relative to the largest term
-    summed into the FFT residual (P1, P2 or the linear row)."""
+    ``fft_residual``, on every mode 0..2nm, relative to the largest term
+    summed into the FFT residual (Q or the linear row); ``residual`` gives
+    the lattice's floats."""
 
     @pytest.mark.parametrize("p", [ModelParams(0.5, 1.0, 0.5), ModelParams(1.0, 1.0, 1.0),
                                    ModelParams(0.7, 2.0, -1.0)])
@@ -566,12 +545,12 @@ class TestLatticeResidual:
         for alpha in (rng.standard_normal(n), 0.1 * rng.standard_normal(n) * decay):
             a = np.zeros(m * n + 1)
             a[m::m] = alpha
-            r, terms = model._residual_hat(c, _hat(a, np.zeros_like(a)), p)
-            want = -2.0 * r.imag
+            want, scale = fft_residual(c, CosineSeries(a), p)
             got = np.zeros(2 * m * n + 1)
             got[m::m] = model._lattice_residual(
                 model._lattice_matrix(alpha, lattice), model._symbol(lattice.kf, c, p), alpha)
-            assert np.abs(got - want).max() <= 1e-13 * model._term_size(terms)
+            assert np.abs(got - want.b).max() <= 1e-13 * scale
+            assert residual(c, CosineSeries(a), p).b.tobytes() == got.tobytes()
             assert newton_matrix(c, a, p, lattice).tobytes() == \
                 reference_jacobian(c, a, p, m, n, speed_column=True).tobytes()
             assert assemble_jacobian(c, CosineSeries(a), p, n, m).tobytes() == \
@@ -579,11 +558,108 @@ class TestLatticeResidual:
 
     def test_continuation_calls_no_fft(self, monkeypatch):
         """Newton takes its residual and its matrix from the lattice matrix:
-        a branch calls none of the FFT kernels ``model`` binds, which one
-        ``residual`` call does reach."""
+        a branch calls none of the FFT kernels ``model`` binds, and neither
+        do ``residual``, ``gateaux`` and ``d_c_residual``."""
         counts = count_real_ffts(monkeypatch)
         for m in (1, 2, 3):
             assert len(continue_branch(m, ModelParams(0.5, 1.0, 0.5), 0.05).points) == 9
         assert not counts
-        residual(0.1, cosine(2, 0.1), P)
-        assert counts == {"irfft": 1, "rfft": 1}
+        rng = np.random.default_rng(8)
+        phi, h = random_even(rng, 12), random_even(rng, 7)
+        residual(0.1, phi, P)
+        gateaux(0.1, phi, h, P)
+        d_c_residual(phi, P)
+        assert not counts
+
+
+class TestSupportLattice:
+    """``residual`` and ``gateaux`` evaluate on the lattice of the gcd of
+    their inputs' supports, n = the largest nonzero mode over it, and give
+    the FFT path's values on today's number of modes."""
+
+    @staticmethod
+    def profile(modes, degree, scale=0.3, mean=0.0):
+        a = np.zeros(degree + 1)
+        a[0] = mean
+        a[list(modes)] = scale * np.cos(np.arange(1, len(modes) + 1))
+        return CosineSeries(a)
+
+    @staticmethod
+    def record_lattices(monkeypatch):
+        built = []
+
+        def recorded(m, n, g):
+            built.append((m, n))
+            return _Lattice(m, n, g)
+
+        monkeypatch.setattr(model, "_Lattice", recorded)
+        return built
+
+    @pytest.mark.parametrize("p", [ModelParams(0.5, 1.0, 0.5), ModelParams(0.5, 1.0, 1.0)])
+    @pytest.mark.parametrize("modes, degree, lattice", [
+        ((1, 2, 5), 5, (1, 5)),            # gcd 1
+        ((2, 6, 10), 10, (2, 5)),          # gcd 2
+        ((3, 9), 11, (3, 3)),              # gcd 3, degree not a multiple of it
+        ((6, 12, 30), 31, (6, 5)),         # gcd 6, degree not a multiple of it
+        ((), 4, (1, 1)),                   # the zero profile
+    ])
+    def test_residual_equals_fft_path(self, monkeypatch, p, modes, degree, lattice):
+        built = self.record_lattices(monkeypatch)
+        for mean in (0.0, 2.5):
+            phi = self.profile(modes, degree, mean=mean)
+            got = residual(-0.3, phi, p)
+            want, scale = fft_residual(-0.3, phi, p)
+            assert got.n_modes == want.n_modes == 2 * degree and not got.a.any()
+            assert np.abs(got.b - want.b).max() <= 1e-14 * max(scale, 1.0)
+            if not modes:
+                assert not got.b.any()
+        assert built == [lattice, lattice]
+
+    def test_constant_profile_gives_exact_zeros(self, monkeypatch):
+        built = self.record_lattices(monkeypatch)
+        for coeffs in ([3.0], [-1.0, 0.0, 0.0]):
+            out = residual(0.5, CosineSeries(coeffs), P)
+            assert out.n_modes == 2 * (len(coeffs) - 1) and not out.b.any()
+            image = gateaux(0.5, CosineSeries(coeffs), CosineSeries(coeffs), P)
+            assert image.n_modes == 2 * (len(coeffs) - 1) and not image.b.any()
+        assert built == [(1, 1)] * 4
+
+    @pytest.mark.parametrize("p", [ModelParams(0.5, 1.0, 0.5), ModelParams(0.7, 2.0, -1.0)])
+    @pytest.mark.parametrize("phi_modes, h_modes, lattice", [
+        ((4, 8), (6,), (2, 4)),            # lattices 4 and 6 share the 2-fold one
+        ((3, 6), (2, 4), (1, 6)),          # coprime folds: the 1-fold lattice
+        ((6, 12), (), (6, 2)),             # the zero direction
+        ((), (3, 9), (3, 3)),              # the flat state
+        ((2, 4, 8), (4,), (2, 4)),         # h on a sublattice of φ's
+    ])
+    def test_gateaux_equals_fft_path(self, monkeypatch, p, phi_modes, h_modes, lattice):
+        built = self.record_lattices(monkeypatch)
+        phi = self.profile(phi_modes, 13, mean=1.5)
+        h = self.profile(h_modes, 9, scale=1.0)
+        got = gateaux(0.2, phi, h, p)
+        want = fft_gateaux(0.2, phi, h, p)
+        assert got.n_modes == want.n_modes == 13 + 9 and not got.a.any()
+        assert np.abs(got.b - want.b).max() <= 1e-13 * max(np.abs(want.b).max(), 1.0)
+        assert built == [lattice]
+
+
+class TestExactResidual:
+    """``residual`` against exact rational arithmetic up to large amplitude
+    (max |R| about 30, 2e4 and 2e5), within 4e-16 of the largest term
+    summed into R (σ ∘ a or ½ K(a) a): the lattice reads 1.2e-16 to 1.4e-16
+    there, and ``fft_residual`` 0.9e-15 to 1.5e-15."""
+
+    @pytest.mark.parametrize("scale", [0.1, 3.0, 10.0])
+    def test_large_amplitude(self, scale):
+        p = ModelParams(0.5, 1.0, 0.5)
+        rng = np.random.default_rng(32)
+        m, n, c = 2, 32, -0.4
+        a = np.zeros(m * n + 1)
+        a[m::m] = scale * rng.standard_normal(n) * np.exp(-0.1 * np.arange(1, n + 1))
+        exact = exact_residual(c, a, p)
+        want = np.array([float(exact.get(k, 0)) for k in range(2 * m * n + 1)])
+        linear = np.zeros_like(want)
+        linear[1 : m * n + 1] = [symbol_at(k, c, p) * a[k] for k in range(1, m * n + 1)]
+        largest = max(np.abs(linear).max(), np.abs(want - linear).max())
+        got = residual(c, CosineSeries(a), p)
+        assert np.abs(got.b - want).max() <= 4e-16 * largest

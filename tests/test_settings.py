@@ -9,10 +9,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oddwaves import (ConfigurationError, EvolutionConfig, ModelParams, assemble_jacobian,
-                      bifurcation, cli, commutator_ratio, commutator_sweep, continue_branch,
-                      critical_speed, d_c_symbol, derivative, detect_bifurcations,
-                      holder_norm, kernel_dimension, symbol_at, translate)
+from oddwaves import (ConfigurationError, CosineSeries, EvolutionConfig, ModelParams,
+                      assemble_jacobian, bifurcation, cli, commutator_ratio, commutator_sweep,
+                      continue_branch, critical_speed, d_c_symbol, derivative,
+                      detect_bifurcations, holder_norm, kernel_dimension, residual, symbol_at,
+                      translate)
 from oddwaves.errors import ARRAY_BYTES_CEILING
 from oddwaves.evolution import _integration_bytes, stable_dt, traveling_error_orders
 from oddwaves.holder import _gather_bytes
@@ -149,6 +150,11 @@ def test_non_integer_or_non_finite_setting_refused(call, message):
     # exit 1 with numpy's traceback, for a 47.7 GiB scan array
     pytest.param(lambda out: cli.main(["bifurcate", "--kmax", "100000000", "--out", str(out)]),
                  "k_max = 100000000 asks for an array of 800000000 bytes", id="bifurcate-kmax"),
+    # modes 1 and 4097 share only the 1-fold lattice: a 4097-column lattice matrix
+    pytest.param(lambda out: residual(0.0, CosineSeries(np.r_[0.0, 1.0, np.zeros(4095), 1.0]),
+                                      ModelParams(0.5, 1.0, 0.5)),
+                 "the lattice truncation n of phi = 4097 asks for an array of 268566544 bytes",
+                 id="residual-modes-1-4097"),
     # exit 1 with numpy's _ArrayMemoryError, for 7.11 PiB
     pytest.param(lambda out: cli.main(["evolve", "--s", "0", "--modes", "1000000000000000",
                                        "--out", str(out)]),
