@@ -269,11 +269,36 @@ class TestVerify:
         checks = doc["payload"]["checks"]
         assert all(chk["passed"] for chk in checks)
         families = {chk["family"] for chk in checks}
-        assert {"hilbert-parity-action", "mfold-closure", "symbol-roots",
-                "commutator-bound"} <= families
-        assert "residual-parity" not in families
+        assert {"hilbert-parity-action", "residual-formula", "linearization-fd",
+                "symbol-roots", "commutator-bound"} <= families
+        assert not families & {"residual-parity", "trivial-solutions", "mfold-closure",
+                               "linearization-diagonal"}
         assert (tmp_path / "out" / "commutator_sweep_deg20.csv").exists()
         assert (tmp_path / "out" / "commutator_sweep_deg40.csv").exists()
+
+    def test_residual_formula_catches_a_scaled_residual(self, monkeypatch, capsys):
+        """A residual 1e-9 off in relative terms fails ``residual-formula``,
+        the only family that checks ``residual`` against the paper's formula;
+        the finite differences scale with it and still pass."""
+        exact = cli.residual
+        monkeypatch.setattr(cli, "residual", lambda c, phi, p: (1 + 1e-9) * exact(c, phi, p))
+        rng = np.random.default_rng(1234)
+        assert cli._family_residual_formula(rng, ModelParams(0.5, 1.0, 0.5), 16) > 1e-12
+        assert main(["selftest"]) == 3
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].split()[1] == "residual-formula"
+
+    @pytest.mark.parametrize("params", [(0.5, 1.0, 0.5), (0.5, 1.0, 1.0), (0.4, 1.2, 0.3)])
+    def test_residual_formula_at_roundoff(self, params):
+        """The lattice residual and the formula agree to 1e-13 of the
+        formula's size on 200 seeds at both verify sizes: at the defaults,
+        at α0 = β and at the corner of the bench box with the largest α0 - β
+        and the smallest ε."""
+        p = ModelParams(*params)
+        worst = max(cli._family_residual_formula(np.random.default_rng(seed), p, n)
+                    for seed in range(200) for n in (16, 32))
+        assert worst <= 1e-13
 
     def test_injected_fault_fails_parity_family(self, tmp_path):
         """The flipped transform is handed to the three operator families,

@@ -4,8 +4,9 @@
 
 Checks REV out with ``git worktree`` into a temporary directory, then runs
 ``bifurcate``, ``branch --fold 1..3``, ``evolve --s 0.02`` (with and
-without ``--dt-halving``), ``verify`` and ``selftest``, at the defaults and
-at ``--seed 7``, from that checkout and from this working tree.  Both trees write to the same ``--out`` path,
+without ``--dt-halving``), ``verify`` (with and without ``--inject-fault``)
+and ``selftest``, at the defaults and at ``--seed 7``, from that checkout
+and from this working tree.  Both trees write to the same ``--out`` path,
 because every artifact embeds it.  Each differing file or stdout is
 printed; for a CSV or JSON file, so is the numeric cell with the largest
 absolute and the one with the largest relative gap, and, for each numeric
@@ -35,6 +36,7 @@ COMMANDS = {
     "evolve": ["evolve", "--s", "0.02"],
     "evolve-dt-halving": ["evolve", "--s", "0.02", "--dt-halving"],
     "verify": ["verify"],
+    "verify-inject-fault": ["verify", "--inject-fault"],
     "selftest": ["selftest"],
 }
 SETTINGS = {"defaults": [], "seed7": ["--seed", "7"]}
