@@ -40,7 +40,6 @@ from . import __version__
 from .errors import ConfigurationError, NumericalError, require_real
 from .spectral import (
     CosineSeries,
-    SineSeries,
     SpectralField,
     _synthesize,
     commutator_h,
@@ -173,8 +172,8 @@ def build_parser():
     pver = sub.add_parser("verify", parents=[common],
                           help="invariant families + commutator-bound sweep")
     pver.add_argument("--inject-fault", action="store_true",
-                      help="testing hook: hand the operator families a Hilbert "
-                           "transform with a flipped sign; they must catch it")
+                      help="testing hook: hand the quadrature oracle a Hilbert "
+                           "transform with a flipped sign; it must catch it")
     sub.add_parser("selftest", parents=[common],
                    help="fast file-free invariant subset")
     return parser
@@ -372,56 +371,22 @@ def cmd_evolve(cfg):
 def _hilbert_sign_fault(f):
     """The Hilbert transform with the sine -> cosine sign flipped,
     H[sin(kx)] = +cos(kx): the fault ``verify --inject-fault`` hands to the
-    operator families in place of ``hilbert``."""
+    quadrature oracle in place of ``hilbert``."""
     h = hilbert(f)
     return SpectralField(-h.a, h.b)
 
 
-def _family_hilbert_parity(rng, n, transform):
-    """H must send cos(kx) -> sin(kx), sin(kx) -> -cos(kx), constants -> 0,
-    and swap the even/odd classes exactly."""
-    worst = 0.0
-    for k in range(1, n + 1):
-        e = np.zeros(n + 1)
-        e[k] = 1.0
-        hc = transform(CosineSeries(e))
-        worst = max(worst, abs(hc.b[k] - 1.0), float(np.abs(hc.a).max()))
-        if not hc.is_odd:
-            worst = max(worst, 1.0)
-        hs = transform(SineSeries(e))
-        worst = max(worst, abs(hs.a[k] + 1.0), float(np.abs(hs.b).max()))
-        if not hs.is_even:
-            worst = max(worst, 1.0)
-    worst = max(worst, transform(CosineSeries([3.0])).sup_norm())
-    return worst
-
-
-def _family_operator_identities(rng, n, transform):
-    """H² = -Id on mean-zero fields; Λ = H ∘ d/dx; products commute and are
-    bilinear; the commutator matches its definition term by term."""
-    worst = 0.0
-    for _ in range(5):
-        f = _random_field(rng, n, mean_zero=True)
-        g = _random_field(rng, n)
-        hh = transform(transform(f)) + f
-        worst = max(worst, float(np.abs(hh.a).max()), float(np.abs(hh.b).max()))
-        lam = zygmund(f) - transform(derivative(f, 1))
-        worst = max(worst, float(np.abs(lam.a).max()), float(np.abs(lam.b).max()))
-        comm = multiply(f, g) - multiply(g, f)
-        worst = max(worst, float(np.abs(comm.a).max()), float(np.abs(comm.b).max()))
-        direct = commutator_h(f, g) - (transform(multiply(f, g)) - multiply(f, transform(g)))
-        worst = max(worst, float(np.abs(direct.a).max()), float(np.abs(direct.b).max()))
-    return worst
-
-
 def _family_quadrature(rng, n, transform):
-    """The singular-integral quadratures must reproduce the mode maps."""
+    """``transform`` and ``zygmund`` against the singular-integral
+    quadratures, at a field of degree n with N(0, 1) amplitudes, mean
+    included; each gap over the sup of its image."""
+    f = SpectralField(rng.standard_normal(n + 1), np.r_[0.0, rng.standard_normal(n)])
     worst = 0.0
-    f = _random_field(rng, min(n, 16))
-    hv = hilbert_by_quadrature(f, quad_points=4096)
-    worst = max(worst, float(np.abs(hv - transform(f).values()).max()))
-    lv = zygmund_by_quadrature(f, quad_points=4096)
-    worst = max(worst, float(np.abs(lv - zygmund(f).values()).max()))
+    for by_quadrature, operator in ((hilbert_by_quadrature, transform),
+                                    (zygmund_by_quadrature, zygmund)):
+        image = operator(f).values()
+        gap = np.abs(by_quadrature(f, quad_points=4096) - image).max()
+        worst = max(worst, float(gap / np.abs(image).max()))
     return worst
 
 
@@ -457,13 +422,12 @@ def _family_residual_formula(rng, p, n):
 
 
 def _family_linearization_fd(rng, p, n):
-    """At a generic profile ``gateaux`` matches central finite differences
-    of ``residual``."""
-    phi = _random_field(rng, n, even=True)
-    h = _random_field(rng, n, even=True)
-    delta = 1e-5
-    fd = (1.0 / (2 * delta)) * (residual(0.1, _shift(phi, h, delta), p)
-                                - residual(0.1, _shift(phi, h, -delta), p))
+    """At a generic profile ``gateaux`` matches central differences of
+    ``residual`` at step 1, which are exact: R is quadratic in φ.  φ and h
+    have a N(0, 1) mean and N(0, 1) cosine amplitudes over k."""
+    phi, h = (CosineSeries(rng.standard_normal(n + 1) / np.maximum(1, np.arange(n + 1)))
+              for _ in range(2))
+    fd = 0.5 * (residual(0.1, phi + h, p) - residual(0.1, phi - h, p))
     gx = gateaux(0.1, phi, h, p)
     return (fd - gx).sup_norm() / max(gx.sup_norm(), 1e-30)
 
@@ -477,23 +441,6 @@ def _family_symbol_roots(p, kmax):
     return worst
 
 
-def _shift(phi, h, delta):
-    return CosineSeries(phi.a + delta * h.a)
-
-
-def _random_field(rng, n, even=False, mean_zero=False):
-    a = np.zeros(n + 1)
-    b = np.zeros(n + 1)
-    a[1:] = rng.standard_normal(n) / np.arange(1, n + 1)
-    if not even:
-        b[1:] = rng.standard_normal(n) / np.arange(1, n + 1)
-    if not mean_zero:
-        a[0] = rng.standard_normal()
-    if even:
-        return CosineSeries(a)
-    return SpectralField(a, b)
-
-
 def _run_families(cfg, *, quick=False):
     p = cfg.model_params()
     rng = np.random.default_rng(cfg.seed)
@@ -504,16 +451,13 @@ def _run_families(cfg, *, quick=False):
         checks.append({"family": name, "measured": measured,
                        "threshold": threshold, "passed": bool(measured <= threshold)})
 
-    # the operator families check the transform they are given; under
+    # the quadrature oracle checks the transform it is given; under
     # --inject-fault that is the sign-flipped one, and everything else
     # still runs with the correct H
     transform = _hilbert_sign_fault if cfg.inject_fault else hilbert
-    add("hilbert-parity-action", _family_hilbert_parity(rng, n, transform), 1e-12)
-    add("operator-identities", _family_operator_identities(rng, n, transform), 1e-12)
-    if not quick:
-        add("quadrature-oracle", _family_quadrature(rng, n, transform), 1e-6)
+    add("quadrature-oracle", _family_quadrature(rng, n, transform), 1e-11)
     add("residual-formula", _family_residual_formula(rng, p, n), 1e-12)
-    add("linearization-fd", _family_linearization_fd(rng, p, n), 1e-6)
+    add("linearization-fd", _family_linearization_fd(rng, p, n), 1e-12)
     add("symbol-roots", _family_symbol_roots(p, 50), 1e-12)
     if quick:
         return checks, None
@@ -550,7 +494,7 @@ def cmd_verify(cfg):
         _check_holder_grid(cfg.holder_grid, 2 * deg)
     _check_out(cfg)
     if cfg.inject_fault:
-        print("fault injection active: the operator families check a Hilbert "
+        print("fault injection active: the quadrature oracle checks a Hilbert "
               "transform with the sine branch sign flipped")
     checks, sweeps = _run_families(cfg)
     ok = _print_checks(checks)

@@ -71,6 +71,15 @@ class TestDetectBifurcations:
         with pytest.raises(ConfigurationError):
             detect_bifurcations(P, 0)
 
+    @pytest.mark.parametrize("p", SCAN_PARAMS)
+    def test_simplicity_equals_scalar_loop(self, p):
+        """The array scan flags every speed as the scalar loop over
+        ``symbol_at`` does, resonant pairs included."""
+        for k_max, n_scan in ((3, 64), (10, 192)):
+            got = [pt.simple for pt in detect_bifurcations(p, k_max, n_scan=n_scan)]
+            assert got == reference_simplicity(p, k_max, n_scan)
+            assert all(type(flag) is bool for flag in got)
+
 
 class TestKernelDimension:
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -132,16 +141,6 @@ class TestKernelDimension:
 class TestTransversality:
     def test_always_true_for_positive_alpha0(self):
         assert all(transversality(k, PA) for k in range(1, 30))
-
-
-    @pytest.mark.parametrize("p", SCAN_PARAMS)
-    def test_simplicity_equals_scalar_loop(self, p):
-        """The array scan flags every speed as the scalar loop over
-        ``symbol_at`` does, resonant pairs included."""
-        for k_max, n_scan in ((3, 64), (10, 192)):
-            got = [pt.simple for pt in detect_bifurcations(p, k_max, n_scan=n_scan)]
-            assert got == reference_simplicity(p, k_max, n_scan)
-            assert all(type(flag) is bool for flag in got)
 
 
 class TestContinueBranch:

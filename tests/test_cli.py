@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from oddwaves import ModelParams, __version__, cli, continue_branch, evolution
+from oddwaves import ModelParams, __version__, cli, continue_branch, evolution, spectral
 from oddwaves.cli import main
 
 from helpers import (reference_commutator_sweep, reference_csv_body, reference_holder_norm,
@@ -269,25 +269,24 @@ class TestVerify:
         checks = doc["payload"]["checks"]
         assert all(chk["passed"] for chk in checks)
         families = {chk["family"] for chk in checks}
-        assert {"hilbert-parity-action", "residual-formula", "linearization-fd",
-                "symbol-roots", "commutator-bound"} <= families
-        assert not families & {"residual-parity", "trivial-solutions", "mfold-closure",
-                               "linearization-diagonal"}
+        assert families == {"quadrature-oracle", "residual-formula", "linearization-fd",
+                            "symbol-roots", "commutator-bound"}
         assert (tmp_path / "out" / "commutator_sweep_deg20.csv").exists()
         assert (tmp_path / "out" / "commutator_sweep_deg40.csv").exists()
 
     def test_residual_formula_catches_a_scaled_residual(self, monkeypatch, capsys):
         """A residual 1e-9 off in relative terms fails ``residual-formula``,
-        the only family that checks ``residual`` against the paper's formula;
-        the finite differences scale with it and still pass."""
+        which checks ``residual`` against the paper's formula, and
+        ``linearization-fd``, whose exact differences no longer match
+        ``gateaux``."""
         exact = cli.residual
         monkeypatch.setattr(cli, "residual", lambda c, phi, p: (1 + 1e-9) * exact(c, phi, p))
         rng = np.random.default_rng(1234)
         assert cli._family_residual_formula(rng, ModelParams(0.5, 1.0, 0.5), 16) > 1e-12
         assert main(["selftest"]) == 3
-        failed = [line for line in capsys.readouterr().out.splitlines()
-                  if line.startswith("FAIL")]
-        assert len(failed) == 1 and failed[0].split()[1] == "residual-formula"
+        failed = {line.split()[1] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")}
+        assert failed == {"residual-formula", "linearization-fd"}
 
     @pytest.mark.parametrize("params", [(0.5, 1.0, 0.5), (0.5, 1.0, 1.0), (0.4, 1.2, 0.3)])
     def test_residual_formula_at_roundoff(self, params):
@@ -301,15 +300,55 @@ class TestVerify:
         assert worst <= 1e-13
 
     def test_injected_fault_fails_parity_family(self, tmp_path):
-        """The flipped transform is handed to the three operator families,
-        which all fail; the model families run with the correct H."""
+        """The flipped transform is handed to the quadrature oracle, which
+        fails; the model families run with the correct H."""
         code = run(tmp_path, "verify", "--ensemble", "2", "--inject-fault",
                    "--holder-grid", "256")
         assert code == 3
         doc = read_json(tmp_path, "verification_report.json")
         failed = {chk["family"] for chk in doc["payload"]["checks"] if not chk["passed"]}
-        assert failed == {"hilbert-parity-action", "operator-identities",
-                          "quadrature-oracle"}
+        assert failed == {"quadrature-oracle"}
+
+    @pytest.mark.parametrize("mutation", ["sign-flip", "scaled-h", "scaled-top-mode",
+                                          "mean-kept", "scaled-zygmund"])
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_quadrature_oracle_catches_operator_mutations(self, monkeypatch, mutation, quick):
+        """H with its sine branch flipped, scaled by 1 + 1e-9, with only its
+        top mode scaled, or keeping the mean, and Λ scaled by 1 + 1e-9, each
+        fail ``quadrature-oracle`` at n = 16 (selftest) and n = 32 (verify),
+        at the default seed."""
+        exact = spectral._hilbert_amplitudes
+
+        def mutated(a, b):
+            ha, hb = exact(a, b)
+            if mutation == "scaled-h":
+                return (1 + 1e-9) * ha, (1 + 1e-9) * hb
+            if mutation == "scaled-top-mode":
+                ha[..., -1] *= 1 + 1e-9
+                hb[..., -1] *= 1 + 1e-9
+            if mutation == "mean-kept":
+                ha[..., 0] = a[..., 0]
+            return ha, hb
+
+        monkeypatch.setattr(spectral, "_hilbert_amplitudes", mutated)
+        if mutation == "scaled-zygmund":
+            exact_zygmund = cli.zygmund
+            monkeypatch.setattr(cli, "zygmund", lambda f: (1 + 1e-9) * exact_zygmund(f))
+        cfg = cli.RunConfig("verify", ensemble=1, degrees=(2,), holder_grid=256,
+                            inject_fault=mutation == "sign-flip")
+        checks, _ = cli._run_families(cfg, quick=quick)
+        failed = {chk["family"] for chk in checks if not chk["passed"]}
+        assert "quadrature-oracle" in failed
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_linearization_fd_catches_a_scaled_gateaux(self, monkeypatch, quick):
+        """A ``gateaux`` 1e-9 off in relative terms fails ``linearization-fd``
+        alone."""
+        exact = cli.gateaux
+        monkeypatch.setattr(cli, "gateaux", lambda c, phi, h, p: (1 + 1e-9) * exact(c, phi, h, p))
+        checks, _ = cli._run_families(
+            cli.RunConfig("verify", ensemble=1, degrees=(2,), holder_grid=256), quick=quick)
+        assert {chk["family"] for chk in checks if not chk["passed"]} == {"linearization-fd"}
 
     def test_fault_hook_is_reset(self, tmp_path):
         run(tmp_path, "verify", "--ensemble", "2", "--inject-fault",
@@ -365,15 +404,19 @@ class TestVerify:
         def no_family(*args):
             raise AssertionError("an invariant family ran")
 
-        monkeypatch.setattr(cli, "_family_hilbert_parity", no_family)
+        monkeypatch.setattr(cli, "_family_quadrature", no_family)
         assert run(tmp_path, "verify", flag, value) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
 class TestSelftest:
-    def test_passes_quickly(self, tmp_path):
+    def test_passes_quickly(self, tmp_path, capsys):
         assert run(tmp_path, "selftest") == 0
+        families = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("PASS")]
+        assert families == ["quadrature-oracle", "residual-formula", "linearization-fd",
+                            "symbol-roots"]
 
 
 @pytest.mark.parametrize("command", [["selftest"], ["branch", "--smax", "0", "--modes", "8"]])
