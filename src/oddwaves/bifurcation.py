@@ -110,8 +110,6 @@ class Branch:
     max_iter: int
     ds: float
     step_cap: float
-    step_growth: float
-    direction: int = 1
     truncated: bool = False
     failure: str | None = None
 
@@ -132,11 +130,12 @@ def _symbol_scale(k, c, p):
             + abs(c * p.alpha0 + g / p.epsilon) * k * k)
 
 
-def _resonant(k, c, p):
-    """Whether the multiplier at frequency k (or elementwise at an array of
-    frequencies) vanishes at speed c: |σ(k, c)| <= SIMPLE_RTOL times its
-    terms' natural size.  The one test that a multiplier vanishes."""
-    return np.abs(_symbol(k, c, p)) <= SIMPLE_RTOL * _symbol_scale(k, c, p)
+def _vanishing(c, p, m, n):
+    """The frequencies among m, 2m, ..., nm whose multiplier vanishes at
+    speed c: |σ(k, c)| <= SIMPLE_RTOL times its terms' natural size.  The
+    one test that a multiplier vanishes."""
+    k = _mfold_indices(m, n)
+    return k[np.abs(_symbol(k, c, p)) <= SIMPLE_RTOL * _symbol_scale(k, c, p)]
 
 
 def _scan_bytes(count):
@@ -153,22 +152,20 @@ def detect_bifurcations(p, k_max, n_scan=DEFAULT_TRUNCATION):
     """
     k_max = require_size("k_max", k_max, 1, _scan_bytes)
     n_scan = max(require_size("n_scan", n_scan, 1, _scan_bytes), k_max + 1)
-    j = np.arange(1, n_scan + 1, dtype=float)
     out = []
     for k in range(1, k_max + 1):
         ck = critical_speed(k, p)
-        shared = _resonant(j, ck, p)
-        shared[k - 1] = False
-        out.append(BifurcationPoint(k=k, speed=ck, simple=not shared.any()))
+        simple = not (_vanishing(ck, p, 1, n_scan) != k).any()
+        out.append(BifurcationPoint(k=k, speed=ck, simple=simple))
     return out
 
 
 def kernel_dimension(c, p, m, n):
     """Kernel dimension of the flat-state linearization at speed c on the
-    m-fold basis: it is diagonal, so the count of ``_resonant`` σ(mj, c)."""
+    m-fold basis: it is diagonal, so the count of ``_vanishing`` σ(mj, c)."""
     n = require_size("truncation n", n, 4, _scan_bytes)
     m = require_integer("fold m", m, 1)
-    return int(np.count_nonzero(_resonant(_mfold_indices(m, n).astype(float), c, p)))
+    return int(_vanishing(c, p, m, n).size)
 
 
 def transversality(k, p):
@@ -237,15 +234,14 @@ def _newton(c, alpha, p, tol, max_iter, lattice):
 
 def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
                     tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, *,
-                    step_growth=DEFAULT_STEP_GROWTH, step_cap=DEFAULT_STEP_CAP,
-                    direction=1):
+                    step_cap=DEFAULT_STEP_CAP):
     """Trace the m-fold branch out of (c_m, 0) up to amplitude s_max.
 
     The first record is the trivial limit (s=0, c=c_m, φ=0).  Steps start at
-    ds and grow geometrically up to step_cap; the last step lands exactly on
-    s_max.  ``direction=-1`` walks the mirror branch (negative amplitudes).
-    step_cap > 0 and step_growth >= 1 are required, since otherwise the
-    steps shrink towards zero and s_max is never reached.
+    ds and double up to step_cap; the last step lands exactly on s_max.
+    The amplitudes are positive: the mirror branch, s -> -s, is the
+    half-period shift of this one.  step_cap > 0 is required, since
+    otherwise the steps vanish and s_max is never reached.
 
     Newton non-convergence truncates the branch at the last converged point
     (reported on the returned Branch); a singular Newton system triggers
@@ -255,27 +251,24 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     s_max = require_real("s_max", s_max, 0)
     ds = require_real("ds", ds, 0, strict=True)
     step_cap = require_real("step_cap", step_cap, 0, strict=True)
-    step_growth = require_real("step_growth", step_growth, 1)
     max_iter = require_integer("max_iter", max_iter, 0)
     tol = require_real("tol", tol, 1e-12)  # a smaller residual is not resolvable
     # one amplitude besides s at least
     n = require_size("truncation n", n, 2, lambda n: _branch_bytes(m, n))
-    if direction not in (1, -1):
-        raise ConfigurationError("direction must be +1 or -1")
 
     c0 = critical_speed(m, p)
-    shared = _resonant(m * np.arange(2, n + 1, dtype=float), c0, p)
-    if shared.any():
+    shared = _vanishing(c0, p, m, n)
+    shared = shared[shared != m]
+    if shared.size:
         raise ConfigurationError(
             f"(c_{m}, 0) is not simple in the {m}-fold space: "
-            f"frequency {m * (2 + int(np.argmax(shared)))} shares the critical speed"
+            f"frequency {shared[0]} shares the critical speed"
         )
 
     trivial = BranchPoint(s=0.0, c=c0, phi=CosineSeries(np.zeros(m * n + 1)),
                           residual_norm=0.0, newton_iters=0)
     branch = Branch(m=m, params=p, points=[trivial], truncation=n, tol=tol,
-                    max_iter=max_iter, ds=ds, step_cap=step_cap,
-                    step_growth=step_growth, direction=direction)
+                    max_iter=max_iter, ds=ds, step_cap=step_cap)
 
     s_abs = 0.0
     step = min(ds, step_cap)
@@ -285,7 +278,7 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     lattice = _Lattice(m, n, p.alpha0 - p.beta)
     while s_max - s_abs > 1e-15:
         step = min(step, step_cap, s_max - s_abs)
-        s_try = direction * (s_abs + step)
+        s_try = s_abs + step
         trial = alpha.copy()    # a retry starts again from the last accepted point
         trial[0] = s_try
         try:
@@ -313,6 +306,6 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
         branch.points.append(BranchPoint(s=s_try, c=c, phi=CosineSeries(a),
                                          residual_norm=rnorm,
                                          newton_iters=iters))
-        step = min(step * step_growth, step_cap)
+        step = min(step * DEFAULT_STEP_GROWTH, step_cap)
     return branch
 

@@ -102,7 +102,6 @@ class RunConfig:
     seed: int = 1234
     out: str = "oddwaves-out"
     dt_halving: bool = False
-    inject_fault: bool = False
 
     def model_params(self):
         return ModelParams(self.epsilon, self.alpha0, self.beta)
@@ -111,7 +110,7 @@ class RunConfig:
 # every setting a flag or --config line sets, with its default (--degrees as text)
 DEFAULTS = {f.name: ",".join(map(str, f.default)) if f.name == "degrees" else f.default
             for f in fields(RunConfig)
-            if f.name not in ("command", "dt_halving", "inject_fault")}
+            if f.name not in ("command", "dt_halving")}
 
 # the least value of each setting the CLI range-checks; the modules check the rest
 LOWEST = {"modes": 2, "fold": 1, "kmax": 1, "ensemble": 1, "smax": 0, "s": 0, "seed": 0}
@@ -169,11 +168,8 @@ def build_parser():
                          help="integrate a branch profile (amplitude --s)")
     pev.add_argument("--dt-halving", action="store_true",
                      help="also run at dt/2 and report the convergence order")
-    pver = sub.add_parser("verify", parents=[common],
-                          help="invariant families + commutator-bound sweep")
-    pver.add_argument("--inject-fault", action="store_true",
-                      help="testing hook: hand the quadrature oracle a Hilbert "
-                           "transform with a flipped sign; it must catch it")
+    sub.add_parser("verify", parents=[common],
+                   help="invariant families + commutator-bound sweep")
     sub.add_parser("selftest", parents=[common],
                    help="fast file-free invariant subset")
     return parser
@@ -199,7 +195,6 @@ def resolve_config(args):
     cfg = RunConfig(command=args.command,
                     degrees=degrees,
                     dt_halving=getattr(args, "dt_halving", False),
-                    inject_fault=getattr(args, "inject_fault", False),
                     **{k: v for k, v in merged.items() if k != "degrees"})
     # re-validate the numeric contracts of the underlying modules now;
     # --modes is sized by the command that uses it
@@ -298,8 +293,7 @@ def cmd_branch(cfg):
         "fold": branch.m,
         "truncation": branch.truncation,
         "tolerances": {"tol": branch.tol, "max_iter": branch.max_iter, "ds": branch.ds,
-                       "step_cap": branch.step_cap, "step_growth": branch.step_growth},
-        "direction": branch.direction,
+                       "step_cap": branch.step_cap},
         "truncated": branch.truncated,
         "failure": branch.failure,
     })
@@ -368,21 +362,16 @@ def cmd_evolve(cfg):
 # -- verification families -----------------------------------------------------
 
 
-def _hilbert_sign_fault(f):
-    """The Hilbert transform with the sine -> cosine sign flipped,
-    H[sin(kx)] = +cos(kx): the fault ``verify --inject-fault`` hands to the
-    quadrature oracle in place of ``hilbert``."""
-    h = hilbert(f)
-    return SpectralField(-h.a, h.b)
-
-
-def _family_quadrature(rng, n, transform):
-    """``transform`` and ``zygmund`` against the singular-integral
-    quadratures, at a field of degree n with N(0, 1) amplitudes, mean
-    included; each gap over the sup of its image."""
-    f = SpectralField(rng.standard_normal(n + 1), np.r_[0.0, rng.standard_normal(n)])
+def _family_quadrature(rng, n):
+    """``hilbert`` and ``zygmund`` against the singular-integral
+    quadratures, at a field of degree n with mean 1 and each mode k of
+    modulus 1, (a_k, b_k) = (cos θ_k, sin θ_k) with θ_k uniform on
+    [0, 2π), so no mode escapes behind a small amplitude; each gap over
+    the sup of its image."""
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    f = SpectralField(np.r_[1.0, np.cos(theta)], np.r_[0.0, np.sin(theta)])
     worst = 0.0
-    for by_quadrature, operator in ((hilbert_by_quadrature, transform),
+    for by_quadrature, operator in ((hilbert_by_quadrature, hilbert),
                                     (zygmund_by_quadrature, zygmund)):
         image = operator(f).values()
         gap = np.abs(by_quadrature(f, quad_points=4096) - image).max()
@@ -433,7 +422,7 @@ def _family_linearization_fd(rng, p, n):
 
 
 def _family_symbol_roots(p, kmax):
-    """|σ(k, c_k)| over the scale of ``bifurcation._resonant``."""
+    """|σ(k, c_k)| over the scale of ``bifurcation._vanishing``."""
     worst = 0.0
     for k in range(1, kmax + 1):
         ck = critical_speed(k, p)
@@ -451,11 +440,7 @@ def _run_families(cfg, *, quick=False):
         checks.append({"family": name, "measured": measured,
                        "threshold": threshold, "passed": bool(measured <= threshold)})
 
-    # the quadrature oracle checks the transform it is given; under
-    # --inject-fault that is the sign-flipped one, and everything else
-    # still runs with the correct H
-    transform = _hilbert_sign_fault if cfg.inject_fault else hilbert
-    add("quadrature-oracle", _family_quadrature(rng, n, transform), 1e-11)
+    add("quadrature-oracle", _family_quadrature(rng, n), 1e-11)
     add("residual-formula", _family_residual_formula(rng, p, n), 1e-12)
     add("linearization-fd", _family_linearization_fd(rng, p, n), 1e-12)
     add("symbol-roots", _family_symbol_roots(p, 50), 1e-12)
@@ -493,9 +478,6 @@ def cmd_verify(cfg):
     for deg in cfg.degrees:
         _check_holder_grid(cfg.holder_grid, 2 * deg)
     _check_out(cfg)
-    if cfg.inject_fault:
-        print("fault injection active: the quadrature oracle checks a Hilbert "
-              "transform with the sine branch sign flipped")
     checks, sweeps = _run_families(cfg)
     ok = _print_checks(checks)
     out = _outdir(cfg)

@@ -13,7 +13,6 @@ from oddwaves import (
     detect_bifurcations,
     kernel_dimension,
     residual,
-    translate,
     transversality,
 )
 import oddwaves.bifurcation as bif
@@ -227,15 +226,21 @@ class TestContinueBranch:
             assert svals[-1] > 1e-8 * svals[0]
 
     def test_mirror_branch_is_half_period_shift(self):
-        plus = small_branch(n=16, s_max=0.01)
-        minus = small_branch(n=16, s_max=0.01, direction=-1)
-        for pp, pm in zip(plus.points[1:], minus.points[1:]):
-            assert pm.s == -pp.s
-            assert abs(pm.c - pp.c) < 1e-9
-            shifted = translate(pp.phi, np.pi / plus.m)
-            gap = max(np.abs(pm.phi.a - shifted.a).max(),
-                      np.abs(shifted.b).max())
-            assert gap < 1e-9
+        """The half-period shift x -> x + π/m maps the branch to its mirror
+        s -> -s: it takes a_{jm} to (-1)^j a_{jm}, and the residual of the
+        shifted point is, on every lattice mode jm, (-1)^j times the
+        point's own, to the last bit.  So the mirror point solves R = 0 at
+        the same speed and residual."""
+        for m in (1, 2, 3):
+            br = small_branch(m=m, n=16, s_max=0.05)
+            for pt in br.points[1:]:
+                shifted = pt.phi.a.copy()
+                shifted[::m] *= (-1.0) ** np.arange(shifted[::m].size)
+                r = residual(pt.c, pt.phi, PA)
+                rs = residual(pt.c, CosineSeries(shifted), PA)
+                sign = (-1.0) ** np.arange(r.b[::m].size)
+                assert np.array_equal(rs.b[::m], sign * r.b[::m])
+                assert np.array_equal(rs.a[::m], sign * r.a[::m])
 
     def test_step_policy_geometric_growth_to_cap(self):
         br = continue_branch(1, PA, 0.05, ds=1e-3, n=16, tol=1e-11)
@@ -246,7 +251,7 @@ class TestContinueBranch:
             step = min(step, br.step_cap, remaining)
             expect.append(step)
             remaining -= step
-            step *= br.step_growth
+            step *= bif.DEFAULT_STEP_GROWTH
         assert np.allclose(steps, expect, rtol=0, atol=1e-15)
         assert abs(br.points[-1].s - 0.05) < 1e-15  # lands exactly on s_max
 
@@ -269,21 +274,16 @@ class TestContinueBranch:
 
     @pytest.mark.parametrize("kw", [{"max_iter": -1}, {"max_iter": 2.5},
                                     {"step_cap": 0.0}, {"step_cap": -1e-3},
-                                    {"step_cap": float("nan")}, {"step_growth": 0.5},
-                                    {"step_growth": float("nan")}])
+                                    {"step_cap": float("nan")}])
     def test_step_settings_rejected_before_newton(self, kw, monkeypatch):
-        """Settings under which the loop could never finish (a zero step, a
-        shrinking step) or Newton could never run are refused up front."""
+        """Settings under which the loop could never finish (a zero step)
+        or Newton could never run are refused up front."""
         def no_newton(*args):
             raise AssertionError("Newton ran")
 
         monkeypatch.setattr(bif, "_newton", no_newton)
         with pytest.raises(ConfigurationError):
             continue_branch(1, PA, 0.05, **kw)
-
-    def test_constant_step_accepted(self):
-        br = continue_branch(1, PA, 0.004, ds=1e-3, n=16, step_growth=1.0)
-        assert not br.truncated and np.allclose(np.diff(br.amplitudes), 1e-3)
 
     def test_nonconvergence_truncates_and_reports(self):
         br = continue_branch(1, PA, 0.05, ds=1e-3, n=16, tol=1e-11, max_iter=0)

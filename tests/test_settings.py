@@ -101,8 +101,6 @@ _ORDER_CFG = EvolutionConfig(dt=1e-3, t_final=0.004, n_modes=8)
                  "ds must be finite and > 0, got inf", id="branch-ds-inf"),
     pytest.param(lambda: continue_branch(1, P, 0.01, step_cap=np.inf),  # accepted
                  "step_cap must be finite and > 0, got inf", id="branch-step_cap-inf"),
-    pytest.param(lambda: continue_branch(1, P, 0.01, step_growth=np.inf),  # accepted
-                 "step_growth must be finite and >= 1, got inf", id="branch-step_growth-inf"),
     pytest.param(lambda: EvolutionConfig(dt=np.inf, t_final=1.0),  # accepted
                  "dt must be finite and > 0, got inf", id="evolution-dt-inf"),
     pytest.param(lambda: EvolutionConfig(dt=1e-10, t_final=1e300),

@@ -4,13 +4,14 @@
 
 Checks REV out with ``git worktree`` into a temporary directory, then runs
 ``bifurcate``, ``branch --fold 1..3``, ``evolve --s 0.02`` (with and
-without ``--dt-halving``), ``verify`` (with and without ``--inject-fault``)
-and ``selftest``, at the defaults and at ``--seed 7``, from that checkout
-and from this working tree.  Both trees write to the same ``--out`` path,
-because every artifact embeds it.  Each differing file or stdout is
-printed; for a CSV or JSON file, so is the numeric cell with the largest
-absolute and the one with the largest relative gap, and, for each numeric
-CSV column or JSON field (list indices dropped) that differs, its largest
+without ``--dt-halving``), ``verify`` and ``selftest``, at the defaults
+and at ``--seed 7``, from that checkout and from this working tree.  Both
+trees write to the same ``--out`` path, because every artifact embeds it.
+Each differing file or stdout is printed; for a CSV or JSON file, so is the
+numeric cell with the largest absolute and the one with the largest
+relative gap, and, for each numeric CSV column or JSON field (list indices
+dropped; a list entry with a ``family`` is keyed by it, so the checks of
+two ``verify`` reports pair by family) that differs, its largest
 gap over its largest magnitude: a move at roundoff reads about 1e-16 there,
 even where the relative gap of two near-zero cells is near 1.  Exits 1 on any
 difference and 0 when every file is byte-identical.  Standard library only;
@@ -36,7 +37,6 @@ COMMANDS = {
     "evolve": ["evolve", "--s", "0.02"],
     "evolve-dt-halving": ["evolve", "--s", "0.02", "--dt-halving"],
     "verify": ["verify"],
-    "verify-inject-fault": ["verify", "--inject-fault"],
     "selftest": ["selftest"],
 }
 SETTINGS = {"defaults": [], "seed7": ["--seed", "7"]}
@@ -63,7 +63,9 @@ def run_all(tree, scratch, dest):
 
 def numeric_cells(path):
     """{location: value} of every numeric cell of a CSV or JSON artifact; a
-    CSV's '#' lines are skipped, so its row 0 is the header."""
+    CSV's '#' lines are skipped, so its row 0 is the header.  A JSON list
+    entry with a "family" field is located by that family, e.g.
+    checks[quadrature-oracle], and any other by its index."""
     if path.suffix == ".json":
         cells, stack = [], [("", json.loads(path.read_text()))]
         while stack:
@@ -71,7 +73,9 @@ def numeric_cells(path):
             if isinstance(node, dict):
                 stack += [(f"{where}/{key}", val) for key, val in node.items()]
             elif isinstance(node, list):
-                stack += [(f"{where}[{i}]", val) for i, val in enumerate(node)]
+                for i, val in enumerate(node):
+                    key = val.get("family", i) if isinstance(val, dict) else i
+                    stack.append((f"{where}[{key}]", val))
             elif isinstance(node, (int, float)) and not isinstance(node, bool):
                 cells.append((where, float(node)))
         return dict(cells)
