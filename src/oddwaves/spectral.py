@@ -269,12 +269,8 @@ def _sup_norm(a, b):
     row of a stack of them, on the grid of ``SpectralField.sup_norm``: the
     power of two >= max(64, SUP_OVERSAMPLE · (degree + 1)) for the largest
     degree, which resolves every row and holds each row's own grid."""
-    return float(np.max(np.abs(_synthesize(a, b, _sup_grid(_degree(a, b))))))
-
-
-def _sup_grid(degree):
-    """The grid ``_sup_norm`` samples a field of this degree on."""
-    return _next_pow2(max(64, SUP_OVERSAMPLE * (degree + 1)))
+    grid = _next_pow2(max(64, SUP_OVERSAMPLE * (_degree(a, b) + 1)))
+    return float(np.max(np.abs(_synthesize(a, b, grid))))
 
 
 def _hat(a, b):

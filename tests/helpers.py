@@ -29,8 +29,8 @@ with its index and weight arrays built on every call, gathered by fancy
 indexing, which ``assemble_jacobian`` and Newton's bordered matrix
 (``newton_matrix``, taken from Newton's own step) must reproduce bit for
 bit; ``reference_newton`` is the Newton loop on validated fields, with
-every residual through ``fft_residual`` and its sup norm sampled at every
-iterate, which the loop on the lattice matrix must reproduce to roundoff.
+every residual through ``fft_residual`` and judged by the ℓ¹ norm of its
+amplitudes, which the loop on the lattice matrix must reproduce to roundoff.
 ``reference_simplicity`` and ``reference_shared_frequency`` are the scalar
 simplicity scans of ``detect_bifurcations`` and ``continue_branch``;
 ``reference_kernel_dimension`` counts the small singular values of the
@@ -411,8 +411,8 @@ def reference_jacobian(c, a, p, m, n, speed_column=False):
 def reference_newton(c, alpha, p, tol, max_iter, lattice):
     """``bifurcation._newton`` with every iterate built as a ``CosineSeries``
     and every residual as the field of ``fft_residual`` (FFT products),
-    whose ``sup_norm`` judges convergence and whose sine amplitudes are the
-    Newton right-hand side.  It writes the iterates
+    whose Σ|a_k| + |b_k| judges convergence and whose sine amplitudes are
+    the Newton right-hand side.  It writes the iterates
     into ``alpha``, as ``_newton`` does.  The lattice loop must give the
     same iterations and stalls, with c, φ and the residual norm equal to
     roundoff.  ``lattice`` is the branch's ``_Lattice``; only its m and
@@ -425,7 +425,7 @@ def reference_newton(c, alpha, p, tol, max_iter, lattice):
         a[rows] = alpha
         phi = CosineSeries(a)
         res, _ = fft_residual(c, phi, p)
-        rnorm = res.sup_norm()
+        rnorm = np.abs(res.a).sum() + np.abs(res.b).sum()
         if rnorm < tol:
             return c, rnorm, it
         if it == max_iter:

@@ -17,7 +17,6 @@ from oddwaves import (
 )
 import oddwaves.bifurcation as bif
 from oddwaves.model import _mfold_indices, d_c_residual
-from oddwaves.spectral import _next_pow2, _synthesize
 
 from helpers import (fft_residual, reference_kernel_dimension, reference_newton,
                      reference_shared_frequency, reference_simplicity)
@@ -424,48 +423,25 @@ class TestArrayNewton:
 
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_sup_sampled_once_per_accepted_point(self, monkeypatch, m):
-        """An iterate that cannot pass is rejected by its mean square alone:
-        on the default folds the sup norm is sampled once per accepted
-        point, plus once for the stall message of a truncated branch."""
-        calls = []
-        sup_norm = bif._sup_norm
-
-        def counted(a, b):
-            calls.append(b.size)
-            return sup_norm(a, b)
-
-        monkeypatch.setattr(bif, "_sup_norm", counted)
-        br = continue_branch(m, PA, 0.05)
-        assert not br.truncated and len(calls) == len(br.points) - 1
-        assert sum(pt.newton_iters for pt in br.points) > len(calls)
-        calls.clear()
-        br = continue_branch(m, PA, 0.05, max_iter=1)
-        # the accepted points after the trivial one, plus the stall
-        assert br.truncated and len(calls) == len(br.points)
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
     def test_fft_residual_confirms_every_point(self, m):
-        """The residual of each accepted point, evaluated again through the
-        FFT path (``fft_residual``), is below tol and equals the lattice
-        residual norm the point reports to roundoff."""
+        """The sup of each accepted point's residual, evaluated again through
+        the FFT path (``fft_residual``), is below tol and, up to roundoff,
+        below the Σ|b_k| the point reports, which bounds it."""
         br = continue_branch(m, PA, 0.05)
         assert not br.truncated and len(br.points) == 9
         for pt in br.points[1:]:
             again = fft_residual(pt.c, pt.phi, PA)[0].sup_norm()
             assert again < br.tol
-            assert abs(again - pt.residual_norm) <= 1e-15
+            assert again <= pt.residual_norm + 1e-15
 
-    def test_mean_square_bounds_the_sampled_sup(self):
-        """Σ b_k²/2 is the mean square of the samples ``_sup_norm`` takes
-        (discrete Parseval), so it never exceeds their largest square."""
-        rng = np.random.default_rng(5)
-        for degree in (1, 7, 64, 192):
-            b = np.zeros(degree + 1)
-            b[1:] = rng.standard_normal(degree) / np.arange(1, degree + 1)
-            zero = np.zeros_like(b)
-            vals = _synthesize(zero, b, _next_pow2(max(64, 4 * (degree + 1))))
-            mean_square = 0.5 * np.dot(b, b)
-            assert np.mean(vals ** 2) == pytest.approx(mean_square, rel=1e-13)
-            assert mean_square <= bif._sup_norm(zero, b) ** 2
-
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_l1_residual_below_tol_at_every_point(self, m):
+        """Every accepted point of the default folds has Σ|b_k| over the
+        sine amplitudes of its residual (``residual``; they are all of its
+        nonzero modes) below tol, and reports that sum as its residual
+        norm."""
+        br = continue_branch(m, PA, 0.05)
+        assert not br.truncated and len(br.points) == 9
+        l1 = [np.abs(residual(pt.c, pt.phi, PA).b).sum() for pt in br.points[1:]]
+        assert max(l1) < br.tol
+        assert l1 == pytest.approx([pt.residual_norm for pt in br.points[1:]], rel=0, abs=1e-15)

@@ -145,6 +145,10 @@ def test_non_integer_or_non_finite_setting_refused(call, message):
     pytest.param(lambda out: continue_branch(1, ModelParams(0.5, 1.0, 0.5), 0.01, n=10 ** 6),
                  "truncation n = 1000000 asks for an array of 16000000000000 bytes",
                  id="branch-n-10**6"),
+    # a 16 GB profile of 2 * 10**9 + 1 amplitudes, on a 2-column lattice
+    pytest.param(lambda out: continue_branch(10 ** 9, ModelParams(0.5, 1.0, 0.5), 0.01),
+                 "fold m = 1000000000 asks for an array of 16000000008 bytes",
+                 id="branch-fold-10**9"),
     # exit 1 with numpy's traceback, for a 47.7 GiB scan array
     pytest.param(lambda out: cli.main(["bifurcate", "--kmax", "100000000", "--out", str(out)]),
                  "k_max = 100000000 asks for an array of 800000000 bytes", id="bifurcate-kmax"),
