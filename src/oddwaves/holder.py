@@ -14,13 +14,13 @@ triangle inequality no pair at lag L differs by more than L g_1, where g_1
 is the largest gap between neighbours (lag 1, compared first), nor by more
 than the spread R = max - min.  So min(R, L g_1) / d_L bounds every
 quotient at lag L; the other lags are scanned in decreasing order of that
-bound, a block at a time, and the scan stops once the leading bound of the
-next block is no larger than the best quotient found.  The maximum is the
-same float the scan over all lags gives: the bound carries a relative
-margin of 1e-12, far above the few roundings between a computed gap and
-its bound, so no skipped lag can raise it.  There is one scan: it runs on
-a stack of sample rows, each stopping on its own bound, and
-``holder_seminorm`` is its one-row case.
+bound, each step taking as many lags as keep its gather within
+``SWEEP_BYTES``, and a row stops once its next bound is no larger than
+its best quotient.  The maximum is the same float the scan over all lags
+gives: the bound carries a relative margin of 1e-12, far above the few
+roundings between a computed gap and its bound, so no skipped lag can
+raise it.  There is one scan: it runs on a stack of sample rows, each
+stopping on its own bound, and ``holder_seminorm`` is its one-row case.
 
 The Hilbert commutator gains regularity: with Θ = ⟦H, a⟧[b'],
 
@@ -36,10 +36,10 @@ Both evaluate the quotient on stacked amplitude rows, the sweep a block
 of members at a time (zero-padded to a common length) and
 ``commutator_ratio`` as the one-row case: every derivative level is one
 ``irfft`` of the whole stack, and sup norms and seminorms are taken row
-by row.  A block holds as many members as keep the seminorm scan's
-per-step gather, rows × ``LAG_BLOCK`` × m float64, within ``SWEEP_BYTES``
-(2 MiB): 32 members on the default 1024-point grid, 8 on 4096 points, so
-the memory a block takes stays bounded at every grid.  Θ = H(a b') -
+by row.  A block holds as many members as let the scan's first step
+compare two lags of each, rows × 2 × m float64 within ``SWEEP_BYTES``:
+32 members on the default 1024-point grid, 8 on 4096 points, so the
+memory a block takes stays bounded at every grid.  Θ = H(a b') -
 a H(b') is formed from the two products on the grid ``multiply`` picks
 for degree deg a + deg b, one group of rows per grid, and each row keeps
 the modes up to deg a + deg b, as ``multiply`` truncates them.  So every
@@ -71,8 +71,7 @@ __all__ = [
 
 DEFAULT_GRID = 4096
 SWEEP_GRID = 1024  # default sweep grid (config key `holder_grid`); resolves degree <= 511
-LAG_BLOCK = 8  # lags compared per step of the seminorm scan
-SWEEP_BYTES = 2 * 2**20  # budget of one scan step's gather in a sweep block
+SWEEP_BYTES = 2**19  # budget of one step's gather in the seminorm scan
 BOUND_MARGIN = 1.0 + 1e-12  # covers the roundings between a gap and its bound
 GRID_NAME = "the Hölder grid"  # the name its refusals give the grid setting
 
@@ -94,16 +93,17 @@ def _check_alpha(alpha):
 
 def _check_holder_grid(m, degree):
     """``m`` as an int: the Hölder grid of every estimate.  It passes the one
-    grid rule for a degree-``degree`` field, and the size rule with one
-    row's seminorm gather (``_gather_bytes``) as its bytes."""
+    grid rule for a degree-``degree`` field, and the size rule at the bytes
+    charged to one row of the seminorm scan (``_gather_bytes``)."""
     m = _check_grid(m, degree, GRID_NAME)
     return require_size(GRID_NAME, m, 4, _gather_bytes)
 
 
 def _gather_bytes(m):
-    """The bytes of one row's gather in a step of the seminorm scan on m
-    points: ``LAG_BLOCK`` × m float64."""
-    return LAG_BLOCK * m * 8
+    """The bytes the size rule charges one row of the seminorm scan on m
+    points: 8 × m float64, above the 1.5 m of its wrapped samples, its
+    largest array once one lag of gather passes ``SWEEP_BYTES``."""
+    return 8 * m * 8
 
 
 @lru_cache(maxsize=8)
@@ -123,11 +123,11 @@ def _seminorms(vals, alpha):
     Lag 1 gives each row's g_1, the largest neighbour gap, and its first
     quotient.  Every further lag L of a row is bounded by
     min(R, L g_1) / d_L, with R the row's spread; a row compares its lags in
-    decreasing order of that bound, ``LAG_BLOCK`` at a time, and stops once
-    its next bound cannot beat its maximum.  The rows step together, one
-    (``LAG_BLOCK``, rows, m) gather per step.  It is lag-major because
-    subtracting the rows' samples then broadcasts over the leading axis,
-    a faster loop in numpy than a broadcast over the middle one.
+    decreasing order of that bound and stops once its next bound cannot
+    beat its maximum.  The rows step together, one (lags, rows, m) gather
+    per step of as many lags as keep it within ``SWEEP_BYTES``, at least
+    one, so steps widen as rows stop.  It is lag-major: the subtraction
+    then broadcasts over the leading axis, a faster loop in numpy.
 
     Rows that are not all finite give max - min: nan for a nan sample, inf
     for an isolated infinity.
@@ -153,18 +153,20 @@ def _seminorms(vals, alpha):
         rows = vals if scan.size == vals.shape[0] else vals[scan]  # samples of the scanning rows
         top = best[scan]  # and their maxima
         pos = np.arange(scan.size)  # their rows of bound and order
-        for start in range(0, lags.size, LAG_BLOCK):
+        start = 0
+        while start < lags.size:
             go = bound[pos, start] > top  # every later lag has a bound no larger
             if not go.all():
                 best[scan] = top
                 scan, pos, rows, top = scan[go], pos[go], rows[go], top[go]
                 if not scan.size:
                     break
-            block = order[pos, start:start + LAG_BLOCK].T
+            block = order[pos, start:start + max(1, SWEEP_BYTES // (8 * m * scan.size))].T
             gaps = windows[scan, lags[block]]  # a copy: fancy indexing
             gaps -= rows
             gaps = np.abs(gaps, out=gaps).max(axis=2)
             np.maximum(top, (gaps / dists[block]).max(axis=0), out=top)
+            start += len(block)
         best[scan] = top
     return best
 
@@ -174,11 +176,14 @@ def holder_seminorm(values, alpha):
     grid point pairs at their periodic distance: the one-row case of the
     bound-ordered lag scan.
 
-    Fewer than two samples give 0.0.  Samples that are not all finite give
-    max - min: nan for a nan sample, inf for an isolated infinity.
+    The samples are one row; fewer than two give 0.0.  Samples that are not
+    all finite give max - min: nan for a nan sample, inf for an isolated
+    infinity.
     """
     alpha = _check_alpha(alpha)
-    vals = np.asarray(values, dtype=float).ravel()
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1:
+        raise ConfigurationError(f"samples must be one row, got shape {vals.shape}")
     if vals.size < 2:
         return 0.0
     return float(_seminorms(vals[None, :], alpha)[0])
@@ -266,9 +271,9 @@ def commutator_ratio(a, b, alpha, grid_size=DEFAULT_GRID):
 
 def _sweep_block(m):
     """Sweep members evaluated together on an m-point grid: as many rows as
-    keep the seminorm scan's per-step gather, rows × ``_gather_bytes``,
-    within ``SWEEP_BYTES``; at least one."""
-    return max(1, SWEEP_BYTES // _gather_bytes(m))
+    let the seminorm scan's first step compare two lags of each, rows × 2 ×
+    m float64 within ``SWEEP_BYTES``; at least one."""
+    return max(1, SWEEP_BYTES // (2 * m * 8))
 
 
 @dataclass(frozen=True)

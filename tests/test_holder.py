@@ -165,6 +165,38 @@ class TestSeminorm:
             for row, value in zip(rows[:5] + rows[7:], got[:5].tolist() + got[7:].tolist()):
                 assert value == reference_seminorm(row, alpha)
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("regime", ["one-lag steps", "lone wide row", "nan and inf rows"])
+    def test_step_regimes_equal_reference_bit_for_bit(self, regime, alpha):
+        """Every finite row of a stack gives the float of the all-lags loop
+        however many lags a step of ``SWEEP_BYTES`` compares: one lag per
+        live row with 16 rows on 4096 points, widening to 16 as rows stop;
+        64 lags for a lone ``cos x`` row among high-degree rows that stop
+        early, on 1024 points; a width set by the finite rows alone where
+        nan and inf rows keep max - min, on 1024 points."""
+        rng = np.random.default_rng(41)
+        m = 4096 if regime == "one-lag steps" else 1024
+        x = 2 * np.pi * np.arange(m) / m
+        if regime == "lone wide row":
+            rows = [np.cos(x)] + [derivative(sweep_field(rng, 400), 2).values(m)
+                                  for _ in range(15)]
+        else:
+            rows = [rng.standard_normal(m), np.cos(3 * x), cusp(m, alpha, 0.995),
+                    rounding_ramp(m, alpha)]
+            for degree in (20, 40, 200, 400):
+                f = sweep_field(rng, degree)
+                rows += [f.values(m), derivative(f, 1).values(m), derivative(f, 2).values(m)]
+            rows += [np.cumsum(rng.standard_normal(m)) for _ in range(16 - len(rows))]
+        if regime == "nan and inf rows":
+            rows[3][100], rows[9][7], rows[12][0] = np.nan, np.inf, -np.inf
+            rows.append(np.full(m, np.nan))
+        got = holder._seminorms(np.array(rows), alpha).tolist()
+        for row, value in zip(rows, got):
+            if np.isfinite(row).all():
+                assert value == reference_seminorm(row, alpha)
+            else:
+                assert np.array_equal(value, row.max() - row.min(), equal_nan=True)
+
     @pytest.mark.parametrize("m", [2, 7, 1024])
     def test_nan_sample_gives_nan(self, m):
         rng = np.random.default_rng(30)
@@ -182,6 +214,18 @@ class TestSeminorm:
     def test_fewer_than_two_samples_give_zero(self):
         for vals in (np.zeros(0), np.array([3.0]), np.array([np.nan])):
             assert holder_seminorm(vals, 0.5) == 0.0
+
+    @pytest.mark.parametrize("values, shape", [
+        (np.stack([np.cos(np.arange(8.0)), 2 * np.cos(np.arange(8.0))]), "(2, 8)"),
+        (np.zeros((8, 1)), "(8, 1)"),
+        (3.0, "()"),
+    ])
+    def test_samples_not_one_row_refused(self, values, shape):
+        """As ``to_spectral`` refuses them: a stack is not raveled into
+        the samples of one longer row."""
+        with pytest.raises(ConfigurationError) as err:
+            holder_seminorm(values, 0.5)
+        assert str(err.value) == f"samples must be one row, got shape {shape}"
 
     def test_alpha_range(self):
         with pytest.raises(ConfigurationError):
@@ -390,9 +434,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("grid, block", [(256, 128), (1024, 32), (4096, 8), (65536, 1)])
     def test_block_size_follows_the_grid(self, grid, block):
-        """As many rows as keep the scan's per-step gather, rows ×
-        ``LAG_BLOCK`` × m float64, within the 2 MiB budget; one row on a
-        grid whose one-row gather exceeds it."""
+        """As many rows as let the scan's first step compare two lags of
+        each, rows × 2 × m float64 within the 512 KiB ``SWEEP_BYTES``; one
+        row on a grid where one row's two lags exceed it."""
         assert holder._sweep_block(grid) == block
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -420,14 +464,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("ensemble, degree, grid", [(150, 40, 1024), (16, 40, 4096)])
     def test_memory_stays_within_the_block_budget(self, ensemble, degree, grid):
-        """The traced peak of a sweep is the scan's gather, at most
-        ``SWEEP_BYTES``, plus a fixed allowance for the block's other
-        arrays: its samples, their wrapped copy, the copy of the scanning
-        rows, the lag bounds and their order (together about 9/16 of the
-        budget) and the amplitude stacks and product grids.  A block sized
-        by the member count instead (150 rows at 1024 points take a 9.4 MiB
-        gather, 16 rows at 4096 points 4 MiB) breaks it."""
-        allowance = 1.5 * 2**20
+        """The traced peak of a sweep stays within 2 MiB: the scan's gather,
+        at most ``SWEEP_BYTES`` (512 KiB), plus 1.5 MiB for the block's
+        other arrays: its samples, their wrapped copy, the copy of the
+        scanning rows, the lag bounds and their order (together about
+        1.1 MiB for 32 rows at 1024 points) and the amplitude stacks and
+        product grids.  A gather of a fixed 8 lags per live row (2 MiB for
+        a full block; peaks of 3.20 and 2.93 MiB) or a block sized by the
+        member count (150 rows at 1024 points take a 9.4 MiB gather)
+        breaks it."""
         commutator_sweep(1, degree, grid_size=grid)  # caches outside the trace
         tracemalloc.start()
         try:
@@ -435,7 +480,7 @@ class TestSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= holder.SWEEP_BYTES + allowance
+        assert peak <= 2 * 2**20
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -192,8 +192,9 @@ def test_size_beyond_the_byte_ceiling_refused(tmp_path, capsys, call, message):
 def test_sizes_in_use_stay_far_below_the_ceiling():
     """The largest truncation, scan and evolve truncation of the tests, the
     bench and the probes (n = 256 on fold 3; 10 folds of 256 modes; 3 × 256
-    modes) use under 1 % of it, and one row's seminorm gather on the
-    largest Hölder grid (65536 points) a sixty-fourth."""
+    modes) use under 1 % of it, and the bytes the size rule charges one
+    row of the seminorm scan on the largest Hölder grid (65536 points),
+    8 × m float64, a sixty-fourth."""
     assert bifurcation._branch_bytes(3, 256) <= ARRAY_BYTES_CEILING // 100
     assert bifurcation._scan_bytes(10 * 256) <= ARRAY_BYTES_CEILING // 100
     assert _integration_bytes(3 * 256) <= ARRAY_BYTES_CEILING // 100
