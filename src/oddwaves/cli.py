@@ -45,10 +45,9 @@ from .spectral import (
     commutator_h,
     derivative,
     hilbert,
-    hilbert_by_quadrature,
     multiply,
+    operators_by_quadrature,
     zygmund,
-    zygmund_by_quadrature,
 )
 from .model import (
     ModelParams,
@@ -364,17 +363,16 @@ def cmd_evolve(cfg):
 
 def _family_quadrature(rng, n):
     """``hilbert`` and ``zygmund`` against the singular-integral
-    quadratures, at a field of degree n with mean 1 and each mode k of
+    quadrature, at a field of degree n with mean 1 and each mode k of
     modulus 1, (a_k, b_k) = (cos θ_k, sin θ_k) with θ_k uniform on
     [0, 2π), so no mode escapes behind a small amplitude; each gap over
     the sup of its image."""
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     f = SpectralField(np.r_[1.0, np.cos(theta)], np.r_[0.0, np.sin(theta)])
     worst = 0.0
-    for by_quadrature, operator in ((hilbert_by_quadrature, hilbert),
-                                    (zygmund_by_quadrature, zygmund)):
+    for quadrature, operator in zip(operators_by_quadrature(f), (hilbert, zygmund)):
         image = operator(f).values()
-        gap = np.abs(by_quadrature(f, quad_points=4096) - image).max()
+        gap = np.abs(quadrature - image).max()
         worst = max(worst, float(gap / np.abs(image).max()))
     return worst
 

@@ -90,9 +90,9 @@ class EvolutionConfig:
 
 def _integration_bytes(n_modes):
     """The bytes of the largest array of an integration at ``n_modes``: the
-    4-row grid block of Q's ``_QuadraticWork``, on the product grid of two
-    degree-``n_modes`` states."""
-    return 4 * 8 * _product_grid(n_modes, n_modes, n_modes)
+    factor spectrum of Q's ``_QuadraticWork``, 4 rows of the half-spectrum
+    of the product grid of two degree-``n_modes`` states, complex."""
+    return 4 * 16 * (_product_grid(n_modes, n_modes, n_modes) // 2 + 1)
 
 
 @dataclass

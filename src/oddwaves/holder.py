@@ -94,16 +94,16 @@ def _check_alpha(alpha):
 def _check_holder_grid(m, degree):
     """``m`` as an int: the Hölder grid of every estimate.  It passes the one
     grid rule for a degree-``degree`` field, and the size rule at the bytes
-    charged to one row of the seminorm scan (``_gather_bytes``)."""
+    charged to one row of the seminorm scan (``_wrapped_bytes``)."""
     m = _check_grid(m, degree, GRID_NAME)
-    return require_size(GRID_NAME, m, 4, _gather_bytes)
+    return require_size(GRID_NAME, m, 4, _wrapped_bytes)
 
 
-def _gather_bytes(m):
+def _wrapped_bytes(m):
     """The bytes the size rule charges one row of the seminorm scan on m
-    points: 8 × m float64, above the 1.5 m of its wrapped samples, its
-    largest array once one lag of gather passes ``SWEEP_BYTES``."""
-    return 8 * m * 8
+    points: its wrapped samples, 1.5 m float64, its largest array once one
+    lag of gather, m float64, passes ``SWEEP_BYTES``."""
+    return 8 * (m + m // 2)
 
 
 @lru_cache(maxsize=8)

@@ -32,9 +32,11 @@ Every pointwise product, here, in ``holder`` and in ``model``, of factors of
 degrees d_u, d_v whose modes 0..n_out are kept is formed on the grid of one
 rule (``_product_grid``): the smallest power of two M >= max(8, d_u + d_v +
 2 + n_out).  Aliasing folds mode d_u + d_v onto M - d_u - d_v > n_out.
-Slow principal-value quadratures of the singular-integral forms of the
-Hilbert and Zygmund operators are provided as independent cross-checks of
-the mode maps; they are never used on the production path.
+One slow principal-value quadrature of the singular-integral forms of the
+Hilbert and Zygmund operators (``operators_by_quadrature``) gives both
+images on a field's own grid from one pass over one node lattice, an
+independent cross-check of the mode maps; it is never used on the
+production path.
 
 Every production transform, here (``_synthesize``, ``_analyze``) and in
 ``model`` (``_products``), calls numpy's pocketfft kernels, bound once in
@@ -49,7 +51,7 @@ transform forward assert it.  The kernels and factors are unchanged, so
 every float is the one ``np.fft`` gives.  There is no fallback to
 ``np.fft``: a second path would be a second set of floats to keep equal,
 and numpy >= 2.0 (the required version) always has these kernels.  Only
-the quadrature oracles call ``np.fft.irfft``, to stay an independent route.
+the quadrature oracle calls ``np.fft.irfft``, to stay an independent route.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ __all__ = [
     "multiply",
     "commutator_h",
     "translate",
-    "hilbert_by_quadrature",
-    "zygmund_by_quadrature",
+    "operators_by_quadrature",
 ]
 
 
@@ -134,10 +135,10 @@ class SpectralField:
             b = _as_readonly(sin_amplitudes)
         if b.shape != a.shape:
             raise ConfigurationError("cosine and sine amplitude arrays must have equal length")
-        if b[0] != 0.0:
-            raise ConfigurationError("sine amplitude b_0 must be zero")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ConfigurationError("amplitudes must be finite")
+        if b[0] != 0.0:
+            raise ConfigurationError("sine amplitude b_0 must be zero")
         self.a = a
         self.b = b
         self._degree = None
@@ -413,7 +414,7 @@ def translate(f, shift):
     return SpectralField(f.a * c - f.b * s, f.a * s + f.b * c)
 
 
-# -- principal-value quadrature oracles --------------------------------------
+# -- the principal-value quadrature oracle ------------------------------------
 #
 # Direct midpoint quadrature of the singular-integral definitions
 #
@@ -423,47 +424,29 @@ def translate(f, shift):
 # on nodes u_j = -π + (j+1/2) h, which are symmetric about the singularity,
 # so the odd singular part cancels pairwise.  Slow; cross-check only.
 
-
-def _shifted_samples(f, num_quad):
-    """f evaluated at the half-offset grid t_l = (l + 1/2) · 2π/num_quad,
-    a multiple of a grid that resolves f."""
-    n = min(f.n_modes, num_quad // 2 - 1)
-    k = np.arange(n + 1)
-    phase = np.exp(1j * k * (np.pi / num_quad))
-    return np.fft.irfft(num_quad * _hat(f.a[: n + 1], f.b[: n + 1]) * phase, num_quad)
+QUAD_NODES = 4096  # the oracle's node count, before rounding to a multiple of the grid
 
 
-def _quadrature_lattice(f, num_points, quad_points):
-    m = f.grid_size if num_points is None else num_points
-    m = _check_grid(m, f.degree, "the sample grid")
-    ratio = max(1, round(require_integer("quad_points", quad_points, 1) / m))
+def operators_by_quadrature(f):
+    """H[f] and Λ[f] on f's grid (``grid_size``), via the cotangent-kernel
+    and sin^{-2} difference-kernel principal values, on the multiple of the
+    grid nearest ``QUAD_NODES`` nodes."""
+    m = f.grid_size
+    ratio = max(1, round(QUAD_NODES / m))
     nq = ratio * m
     h = 2.0 * np.pi / nq
     u = -np.pi + (np.arange(nq) + 0.5) * h
-    samples = _shifted_samples(f, nq)
+    w_hilbert = h / (2.0 * np.pi * np.tan(u / 2.0))
+    w_zygmund = h / (4.0 * np.pi * np.sin(u / 2.0) ** 2)
+    # f at the half-offset nodes t_l = (l + 1/2) h, a multiple of f's grid
+    phase = np.exp(1j * np.arange(f.n_modes + 1) * (np.pi / nq))
+    samples = np.fft.irfft(nq * _hat(f.a, f.b) * phase, nq)
+    fx = f.values()
+    hf, lf = np.empty(m), np.empty(m)
     # x_i - u_j lies on the half-offset lattice: index i*ratio + nq/2 - 1 - j
     j = np.arange(nq)
-    return m, ratio, nq, h, u, samples, j
-
-
-def hilbert_by_quadrature(f, num_points=None, quad_points=8192):
-    """H[f] on the uniform grid, via the cotangent-kernel principal value."""
-    m, ratio, nq, h, u, samples, j = _quadrature_lattice(f, num_points, quad_points)
-    w = h / (2.0 * np.pi * np.tan(u / 2.0))
-    out = np.empty(m)
     for i in range(m):
-        idx = (i * ratio + nq // 2 - 1 - j) % nq
-        out[i] = samples[idx] @ w
-    return out
-
-
-def zygmund_by_quadrature(f, num_points=None, quad_points=8192):
-    """Λ[f] on the uniform grid, via the sin^{-2} difference kernel."""
-    m, ratio, nq, h, u, samples, j = _quadrature_lattice(f, num_points, quad_points)
-    w = h / (4.0 * np.pi * np.sin(u / 2.0) ** 2)
-    fx = f.values(m)
-    out = np.empty(m)
-    for i in range(m):
-        idx = (i * ratio + nq // 2 - 1 - j) % nq
-        out[i] = (fx[i] - samples[idx]) @ w
-    return out
+        near = samples[(i * ratio + nq // 2 - 1 - j) % nq]
+        hf[i] = near @ w_hilbert
+        lf[i] = (fx[i] - near) @ w_zygmund
+    return hf, lf

@@ -22,6 +22,9 @@ for bit;
 ``reference_synthesize``, ``reference_analyze`` and
 ``reference_product_transforms`` are the public ``np.fft`` calls whose
 floats the bound pocketfft kernels must give at each site;
+``reference_hilbert_by_quadrature`` and ``reference_zygmund_by_quadrature``
+are the principal-value quadratures of H and Λ as two loops, one per
+operator, with the node count as their argument;
 ``reference_rk4`` is the RK4 loop through ``reference_quadratic`` with
 every stage allocating, which ``evolve`` must reproduce to roundoff;
 ``reference_jacobian`` is the closed-form Jacobian
@@ -339,6 +342,48 @@ def reference_analyze(values):
     m = values.shape[-1]
     a, b = _amplitudes(np.fft.rfft(values)[..., : m // 2])
     return a / m, b / m
+
+
+def _reference_quadrature_lattice(f, nodes):
+    """The node lattice of the principal-value quadratures at ``nodes``, a
+    multiple of f's grid: the grid size, nodes per grid point, the node
+    spacing h, the nodes u_j = -π + (j + 1/2) h, f at the half-offset
+    points (l + 1/2) h, and the node indices."""
+    m = f.grid_size
+    assert nodes % m == 0
+    ratio = nodes // m
+    h = 2.0 * np.pi / nodes
+    u = -np.pi + (np.arange(nodes) + 0.5) * h
+    n = min(f.n_modes, nodes // 2 - 1)
+    phase = np.exp(1j * np.arange(n + 1) * (np.pi / nodes))
+    samples = np.fft.irfft(nodes * _hat(f.a[: n + 1], f.b[: n + 1]) * phase, nodes)
+    return m, ratio, h, u, samples, np.arange(nodes)
+
+
+def reference_hilbert_by_quadrature(f, nodes):
+    """H[f] on f's grid through the cotangent-kernel principal value on
+    ``nodes`` nodes, one loop of its own: the floats
+    ``spectral.operators_by_quadrature`` must give bit for bit."""
+    m, ratio, h, u, samples, j = _reference_quadrature_lattice(f, nodes)
+    w = h / (2.0 * np.pi * np.tan(u / 2.0))
+    out = np.empty(m)
+    for i in range(m):
+        idx = (i * ratio + nodes // 2 - 1 - j) % nodes
+        out[i] = samples[idx] @ w
+    return out
+
+
+def reference_zygmund_by_quadrature(f, nodes):
+    """Λ[f] on f's grid through the sin^{-2} difference-kernel principal
+    value on ``nodes`` nodes, one loop of its own."""
+    m, ratio, h, u, samples, j = _reference_quadrature_lattice(f, nodes)
+    w = h / (4.0 * np.pi * np.sin(u / 2.0) ** 2)
+    fx = f.values(m)
+    out = np.empty(m)
+    for i in range(m):
+        idx = (i * ratio + nodes // 2 - 1 - j) % nodes
+        out[i] = (fx[i] - samples[idx]) @ w
+    return out
 
 
 def reference_product_transforms(work):

@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 from oddwaves import (ConfigurationError, CosineSeries, EvolutionConfig, ModelParams,
-                      assemble_jacobian, bifurcation, cli, commutator_ratio, commutator_sweep,
-                      continue_branch, critical_speed, d_c_symbol, derivative,
+                      SpectralField, assemble_jacobian, bifurcation, cli, commutator_ratio,
+                      commutator_sweep, continue_branch, critical_speed, d_c_symbol, derivative,
                       detect_bifurcations, holder_norm, kernel_dimension, residual, symbol_at,
                       translate)
+from oddwaves import evolution, holder, model
 from oddwaves.errors import ARRAY_BYTES_CEILING
-from oddwaves.evolution import _integration_bytes, stable_dt, traveling_error_orders
-from oddwaves.holder import _gather_bytes
-from oddwaves.spectral import hilbert_by_quadrature, to_spectral, zygmund_by_quadrature
+from oddwaves.evolution import _integration_bytes, evolve, stable_dt, traveling_error_orders
+from oddwaves.holder import _seminorms, _wrapped_bytes
+from oddwaves.spectral import to_spectral
 
 from helpers import cosine
 
@@ -48,10 +49,6 @@ _ORDER_CFG = EvolutionConfig(dt=1e-3, t_final=0.004, n_modes=8)
                  "derivative count k must be an integer 0..3", id="holder-k-4"),
     pytest.param(lambda: cosine(2).values(10.7),
                  "the sample grid must be an integer", id="values-grid"),
-    pytest.param(lambda: hilbert_by_quadrature(cosine(2), num_points=10.7),
-                 "the sample grid must be an integer", id="hilbert-quadrature-grid"),
-    pytest.param(lambda: zygmund_by_quadrature(cosine(2), num_points=10.0),
-                 "the sample grid must be an integer", id="zygmund-quadrature-grid"),
     pytest.param(lambda: kernel_dimension(critical_speed(1, P), P, 1, 8.5),
                  "truncation n must be an integer", id="kernel-n"),
     pytest.param(lambda: detect_bifurcations(P, 3, n_scan=8.5),
@@ -114,14 +111,12 @@ _ORDER_CFG = EvolutionConfig(dt=1e-3, t_final=0.004, n_modes=8)
     pytest.param(lambda: traveling_error_orders(None, P, _ORDER_CFG, halvings=2.0),
                  # a raw TypeError
                  "halvings must be an integer >= 1, got 2.0", id="halvings-2.0"),
-    pytest.param(lambda: hilbert_by_quadrature(cosine(2), quad_points=np.nan),
-                 # a raw ValueError
-                 "quad_points must be an integer >= 1, got nan", id="quad_points-nan"),
-    pytest.param(lambda: hilbert_by_quadrature(cosine(2), quad_points=np.inf),
-                 # a raw OverflowError
-                 "quad_points must be an integer >= 1, got inf", id="quad_points-inf"),
-    pytest.param(lambda: hilbert_by_quadrature(cosine(2), quad_points=1000.5),  # accepted
-                 "quad_points must be an integer >= 1, got 1000.5", id="quad_points-1000.5"),
+    pytest.param(lambda: SpectralField([1.0, 2.0], [np.nan, 0.0]),
+                 # "sine amplitude b_0 must be zero"
+                 "amplitudes must be finite", id="field-b_0-nan"),
+    pytest.param(lambda: SpectralField([1.0, 2.0], [np.inf, 0.0]),
+                 # "sine amplitude b_0 must be zero"
+                 "amplitudes must be finite", id="field-b_0-inf"),
     pytest.param(lambda: stable_dt(64.5, P),  # equal to stable_dt(65, P)
                  "n must be an integer >= 0, got 64.5", id="stable_dt-64.5"),
     pytest.param(lambda: derivative(cosine(2), 4),  # "derivative order must be 1, 2, or 3"
@@ -160,13 +155,13 @@ def test_non_integer_or_non_finite_setting_refused(call, message):
     # exit 1 with numpy's _ArrayMemoryError, for 7.11 PiB
     pytest.param(lambda out: cli.main(["evolve", "--s", "0", "--modes", "1000000000000000",
                                        "--out", str(out)]),
-                 "n_modes = 1000000000000000 asks for an array of 144115188075855872 bytes",
+                 "n_modes = 1000000000000000 asks for an array of 144115188075855936 bytes",
                  id="evolve-modes"),
     # exit 1 with numpy's _ArrayMemoryError, for 14.2 PiB, after every family had run
     pytest.param(lambda out: cli.main(["verify", "--ensemble", "2",
                                        "--holder-grid", "2000000000000000", "--out", str(out)]),
                  "the Hölder grid = 2000000000000000 asks for an array of "
-                 "128000000000000000 bytes", id="verify-holder-grid"),
+                 "24000000000000000 bytes", id="verify-holder-grid"),
 ])
 def test_size_beyond_the_byte_ceiling_refused(tmp_path, capsys, call, message):
     """A size whose arrays would pass ``ARRAY_BYTES_CEILING`` is refused by
@@ -194,11 +189,118 @@ def test_sizes_in_use_stay_far_below_the_ceiling():
     bench and the probes (n = 256 on fold 3; 10 folds of 256 modes; 3 × 256
     modes) use under 1 % of it, and the bytes the size rule charges one
     row of the seminorm scan on the largest Hölder grid (65536 points),
-    8 × m float64, a sixty-fourth."""
+    its wrapped samples of 1.5 × m float64, under a 256th."""
     assert bifurcation._branch_bytes(3, 256) <= ARRAY_BYTES_CEILING // 100
     assert bifurcation._scan_bytes(10 * 256) <= ARRAY_BYTES_CEILING // 100
     assert _integration_bytes(3 * 256) <= ARRAY_BYTES_CEILING // 100
-    assert _gather_bytes(65536) <= ARRAY_BYTES_CEILING // 64
+    assert _wrapped_bytes(65536) <= ARRAY_BYTES_CEILING // 256
+
+
+def _recorded(monkeypatch, module, name):
+    """Every instance of ``module.name`` built while the test runs, in a
+    list the call fills."""
+    built = []
+
+    class Recorded(getattr(module, name)):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(module, name, Recorded)
+    return built
+
+
+def _largest_held(*holders):
+    """The bytes of the largest array that the array attributes of
+    ``holders`` own or view."""
+    sizes = []
+    for held in holders:
+        for arr in vars(held).values():
+            if isinstance(arr, np.ndarray):
+                while isinstance(arr.base, np.ndarray):
+                    arr = arr.base
+                if arr.flags.owndata:
+                    sizes.append(arr.nbytes)
+    return max(sizes)
+
+
+def _lattice_charge(monkeypatch, n):
+    lattices = _recorded(monkeypatch, model, "_Lattice")
+    assemble_jacobian(0.0, cosine(1, 0.1), P, n)
+    return model._lattice_bytes(n), _largest_held(*lattices)
+
+
+def _branch_charge(monkeypatch, m, n):
+    lattices = _recorded(monkeypatch, bifurcation, "_Lattice")
+    branch = continue_branch(m, P, 0.002, n=n)
+    profiles = [amps.nbytes for pt in branch.points for amps in (pt.phi.a, pt.phi.b)]
+    return bifurcation._branch_bytes(m, n), max(_largest_held(*lattices), *profiles)
+
+
+def _scan_charge(monkeypatch, n):
+    sizes = []
+    symbol = bifurcation._symbol
+
+    def recorded(k, c, p):
+        out = symbol(k, c, p)
+        sizes.extend((k.nbytes, out.nbytes))
+        return out
+
+    monkeypatch.setattr(bifurcation, "_symbol", recorded)
+    kernel_dimension(critical_speed(1, P), P, 1, n)
+    return bifurcation._scan_bytes(n), max(sizes)
+
+
+def _integration_charge(monkeypatch, n):
+    works = _recorded(monkeypatch, evolution, "_QuadraticWork")
+    evolve(cosine(1, 0.1, n=n), P, EvolutionConfig(dt=1e-3, t_final=1e-3, n_modes=n))
+    return _integration_bytes(n), _largest_held(*works)
+
+
+def _holder_charge(monkeypatch, m):
+    """The wrapped samples the scan views lag by lag, and every gather."""
+    wrapped, gathers = [], []
+    window_view = holder.sliding_window_view
+
+    class Gathered(np.ndarray):
+        def __getitem__(self, key):
+            out = self.view(np.ndarray)[key]
+            gathers.append(out.nbytes)
+            return out
+
+    def recorded(ext, *args, **kwargs):
+        wrapped.append(ext.nbytes)
+        return window_view(ext, *args, **kwargs).view(Gathered)
+
+    monkeypatch.setattr(holder, "sliding_window_view", recorded)
+    _seminorms(cosine(64).values(m)[None, :], 0.5)
+    assert gathers and max(gathers) < max(wrapped)
+    return _wrapped_bytes(m), max(wrapped + gathers)
+
+
+@pytest.mark.parametrize("charge, sizes", [
+    pytest.param(_lattice_charge, (8,), id="lattice-8"),
+    pytest.param(_lattice_charge, (32,), id="lattice-32"),
+    pytest.param(_branch_charge, (1, 16), id="branch-lattice"),
+    pytest.param(_branch_charge, (64, 8), id="branch-profile"),
+    pytest.param(_scan_charge, (8,), id="scan-8"),
+    pytest.param(_scan_charge, (64,), id="scan-64"),
+    pytest.param(_integration_charge, (8,), id="integration-8"),
+    pytest.param(_integration_charge, (64,), id="integration-64"),
+    pytest.param(_holder_charge, (65536,), id="holder-65536"),
+    pytest.param(_holder_charge, (131072,), id="holder-131072"),
+])
+def test_size_rule_charges_its_largest_array(monkeypatch, charge, sizes):
+    """Each size rule charges exactly the bytes of the largest array that
+    the code it guards builds, read from that code's own arrays: the
+    ``_Lattice`` of ``assemble_jacobian``; a branch's ``_Lattice`` and its
+    points' profiles, where the lattice (fold 1) or the profile (fold 64)
+    is the larger; the frequencies and multipliers of a kernel scan; the
+    ``_QuadraticWork`` of an integration; and the wrapped samples of a
+    one-row seminorm scan on grids where one lag's gather, m float64, is
+    the step."""
+    charged, built = charge(monkeypatch, *sizes)
+    assert charged == built
 
 
 def test_numpy_integers_are_integers():
@@ -208,8 +310,6 @@ def test_numpy_integers_are_integers():
                            save_every=np.int64(2)).n_modes == 8
     assert holder_norm(cosine(2), np.int64(1), 0.5, grid_size=np.int64(64)).value > 0
     assert cosine(2).values(np.int64(16)).shape == (16,)
-    assert hilbert_by_quadrature(cosine(2), num_points=np.int32(16),
-                                 quad_points=1024).shape == (16,)
     assert kernel_dimension(critical_speed(1, P), P, 1, np.int64(8)) == 1
     assert len(detect_bifurcations(P, 3, n_scan=np.int64(8))) == 3
     assert kernel_dimension(critical_speed(2, P), P, np.int64(2), 8) == 1
@@ -246,8 +346,6 @@ def _verify_with_grid(out, grid):
 # every setting of a grid that must resolve degree 40, with the name it refuses it by
 GRID_CALLERS = {
     "values": ("the sample grid", lambda out, grid: cosine(40).values(grid)),
-    "hilbert_by_quadrature": ("the sample grid",
-                              lambda out, grid: hilbert_by_quadrature(cosine(40), grid)),
     "holder_norm": ("the Hölder grid",
                     lambda out, grid: holder_norm(cosine(40), 1, 0.5, grid_size=grid)),
     "commutator_ratio": ("the Hölder grid",

@@ -16,7 +16,7 @@ from oddwaves import (
     translate,
     zygmund,
 )
-from oddwaves.spectral import _analyze, _synthesize, hilbert_by_quadrature, zygmund_by_quadrature
+from oddwaves.spectral import _analyze, _synthesize, operators_by_quadrature
 
 from helpers import (
     coeff_gap,
@@ -24,7 +24,9 @@ from helpers import (
     cosine,
     random_field,
     reference_analyze,
+    reference_hilbert_by_quadrature,
     reference_synthesize,
+    reference_zygmund_by_quadrature,
     sine,
 )
 
@@ -156,7 +158,7 @@ class TestHilbert:
     def test_against_quadrature(self):
         rng = np.random.default_rng(8)
         f = random_field(rng, 12)
-        hv = hilbert_by_quadrature(f, quad_points=4096)
+        hv, _ = operators_by_quadrature(f)
         assert np.abs(hv - hilbert(f).values(f.grid_size)).max() < 1e-10
 
 
@@ -181,8 +183,28 @@ class TestZygmund:
         # the 1/(4π) sin^{-2} kernel normalization must match the mode map
         rng = np.random.default_rng(21)
         f = random_field(rng, 10)
-        lv = zygmund_by_quadrature(f, quad_points=4096)
+        _, lv = operators_by_quadrature(f)
         assert np.abs(lv - zygmund(f).values(f.grid_size)).max() < 1e-6
+
+
+# degree, and the multiple of its grid (2 deg + 2, at least 4) nearest 4096
+@pytest.mark.parametrize("degree, nodes", [(0, 4096), (1, 4096), (16, 4080), (32, 4092),
+                                           (64, 4160)])
+def test_quadrature_equals_the_two_loops_bit_for_bit(degree, nodes):
+    """``operators_by_quadrature`` gives the floats of one loop per operator
+    on the node count nearest ``QUAD_NODES``, for even, odd and mixed
+    fields, with and without a mean."""
+    rng = np.random.default_rng(degree + 1)
+    fields = []
+    for mean in (0.0, 0.7):
+        even = random_field(rng, degree, even=True, mean=mean)
+        mixed = random_field(rng, degree, mean=mean)
+        odd = SineSeries(mixed.b)
+        fields += [even, odd + CosineSeries([mean]), mixed]
+    for f in fields:
+        hv, lv = operators_by_quadrature(f)
+        assert hv.tobytes() == reference_hilbert_by_quadrature(f, nodes).tobytes()
+        assert lv.tobytes() == reference_zygmund_by_quadrature(f, nodes).tobytes()
 
 
 class TestDerivative:
