@@ -47,7 +47,6 @@ from .evolution import (
     traveling_error,
 )
 from .holder import (
-    HolderEstimate,
     commutator_ratio,
     commutator_sweep,
     holder_norm,

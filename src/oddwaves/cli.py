@@ -70,6 +70,7 @@ from .evolution import (
     EvolutionConfig,
     _translation_gap,
     evolve,
+    stable_dt,
     traveling_error_orders,
 )
 from .holder import SWEEP_GRID, _check_alpha, _check_holder_grid, commutator_sweep
@@ -333,7 +334,7 @@ def cmd_evolve(cfg):
         manifest["branch_point"] = {"s": point.s, "c": point.c,
                                     "residual_norm": point.residual_norm}
     traj = evolve(f0, p, ecfg)
-    manifest["dt_stable"] = traj.dt_stable
+    manifest["dt_stable"] = stable_dt(ecfg.n_modes, p)
     manifest["dt_effective"] = traj.dt_effective
     manifest["mass_drift"] = traj.mass_drift
     manifest["save_times"] = traj.times.tolist()
@@ -479,11 +480,11 @@ def cmd_verify(cfg):
     checks, sweeps = _run_families(cfg)
     ok = _print_checks(checks)
     out = _outdir(cfg)
-    for sweep_result in sweeps:
-        _write_csv(out / f"commutator_sweep_deg{sweep_result.max_degree}.csv", cfg,
+    for s in sweeps:
+        _write_csv(out / f"commutator_sweep_deg{s.max_degree}.csv", cfg,
                    ["seed", "degree_a", "degree_b", "alpha", "ratio"],
-                   [(r.seed, r.degree_a, r.degree_b, r.alpha, r.ratio)
-                    for r in sweep_result.rows])
+                   zip(s.seeds, s.degree_a.tolist(), s.degree_b.tolist(),
+                       [s.alpha] * len(s.seeds), s.ratios.tolist()))
     _write_json(out / "verification_report.json", cfg, {
         "version": __version__,
         "checks": checks,

@@ -97,12 +97,13 @@ def _integration_bytes(n_modes):
 
 @dataclass
 class Trajectory:
-    """Snapshots of one integration, with conservation diagnostics."""
+    """Snapshots of one integration, the step it took (0.0 when t_final is
+    0) and the largest drift of the conserved mean over the saved states.
+    The stability limit is a function of the inputs: ``stable_dt``."""
 
     times: np.ndarray
     states: list[SpectralField]
     dt_effective: float
-    dt_stable: float
     mass_drift: float
 
 
@@ -174,8 +175,7 @@ def evolve(f0, p, cfg):
         )
     state = f0.pad_to(cfg.n_modes)
     if cfg.t_final == 0:
-        return Trajectory(times=np.array([0.0]), states=[state],
-                          dt_effective=0.0, dt_stable=stable_dt(cfg.n_modes, p),
+        return Trajectory(times=np.array([0.0]), states=[state], dt_effective=0.0,
                           mass_drift=0.0)
     n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
     dt = cfg.t_final / n_steps
@@ -216,7 +216,7 @@ def evolve(f0, p, cfg):
                 states.append(SpectralField(*_amplitudes(u)))
                 drift = max(drift, abs(states[-1].mean - mass0))
     return Trajectory(times=np.array(times), states=states, dt_effective=dt,
-                      dt_stable=stable_dt(cfg.n_modes, p), mass_drift=drift)
+                      mass_drift=drift)
 
 
 def traveling_error(point, p, cfg):

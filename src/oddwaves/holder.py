@@ -43,8 +43,8 @@ memory a block takes stays bounded at every grid.  Θ = H(a b') -
 a H(b') is formed from the two products on the grid ``multiply`` picks
 for degree deg a + deg b, one group of rows per grid, and each row keeps
 the modes up to deg a + deg b, as ``multiply`` truncates them.  So every
-row is the float that ``commutator_h`` and ``holder_norm`` on fields give
-for that member alone.
+member's quotient is the float that ``commutator_h`` and ``holder_norm``
+on fields give for that member alone.
 """
 
 from __future__ import annotations
@@ -60,11 +60,9 @@ from .spectral import (_analyze, _check_grid, _derivative_amplitudes, _hilbert_a
                        _product_grid, _synthesize)
 
 __all__ = [
-    "HolderEstimate",
     "holder_seminorm",
     "holder_norm",
     "commutator_ratio",
-    "SweepRow",
     "SweepResult",
     "commutator_sweep",
 ]
@@ -74,16 +72,6 @@ SWEEP_GRID = 1024  # default sweep grid (config key `holder_grid`); resolves deg
 SWEEP_BYTES = 2**19  # budget of one step's gather in the seminorm scan
 BOUND_MARGIN = 1.0 + 1e-12  # covers the roundings between a gap and its bound
 GRID_NAME = "the Hölder grid"  # the name its refusals give the grid setting
-
-
-@dataclass(frozen=True)
-class HolderEstimate:
-    """A (k, α) Hölder norm estimate and the grid it was computed on."""
-
-    k: int
-    alpha: float
-    value: float
-    grid_size: int
 
 
 def _check_alpha(alpha):
@@ -203,14 +191,14 @@ def _norms(a, b, k, alpha, m):
 
 
 def holder_norm(f, k, alpha, grid_size=DEFAULT_GRID):
-    """Estimate of the C^{k,α} norm: sup norms of f, f', ..., f^(k) plus the
-    α-seminorm of f^(k), all sampled on ``grid_size`` points.  Derivatives
-    are spectral, so the only approximation is the pair search itself."""
+    """Estimate of the C^{k,α} norm, as a float: sup norms of f, f', ...,
+    f^(k) plus the α-seminorm of f^(k), all sampled on ``grid_size``
+    points.  Derivatives are spectral, so the only approximation is the
+    pair search itself."""
     alpha = _check_alpha(alpha)
     k = require_integer("derivative count k", k, 0, 3)
     m = _check_holder_grid(grid_size, f.degree)
-    value = _norms(f.a[None, :], f.b[None, :], k, alpha, m)[0]
-    return HolderEstimate(k=k, alpha=alpha, value=float(value), grid_size=grid_size)
+    return float(_norms(f.a[None, :], f.b[None, :], k, alpha, m)[0])
 
 
 def _commutators(fa, fb, ga, gb, n_out, m):
@@ -230,8 +218,9 @@ def _commutators(fa, fb, ga, gb, n_out, m):
 
 
 def _quotients(fa, fb, ga, gb, deg_a, deg_b, alpha, m):
-    """The commutator quotients of the rows of amplitude arrays of a
-    (degrees ``deg_a``) and b (degrees ``deg_b``), all norms on m points.
+    """The commutator quotient of every member, a row of the amplitude
+    arrays of a (degrees ``deg_a``) and of b (degrees ``deg_b``), all norms
+    on m points.
 
     Each Θ is formed on the grid ``multiply`` picks for its degree
     deg a + deg b, so the members are grouped by that grid.  Θ stays zero
@@ -276,27 +265,19 @@ def _sweep_block(m):
     return max(1, SWEEP_BYTES // (2 * m * 8))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    seed: int
-    degree_a: int
-    degree_b: int
-    alpha: float
-    ratio: float
-
-
 @dataclass
 class SweepResult:
-    """Ratios over one random ensemble at a given degree cap."""
+    """Ratios over one random ensemble at a given degree cap: member i has
+    seed ``seeds[i]`` (a range, so exact Python ints at any seed), degrees
+    ``degree_a[i]`` and ``degree_b[i]`` and quotient ``ratios[i]``."""
 
     max_degree: int
     alpha: float
     grid_size: int
-    rows: list[SweepRow]
-
-    @property
-    def ratios(self):
-        return np.array([r.ratio for r in self.rows])
+    seeds: range
+    degree_a: np.ndarray
+    degree_b: np.ndarray
+    ratios: np.ndarray
 
     def summary(self):
         r = self.ratios
@@ -304,7 +285,7 @@ class SweepResult:
             "max_degree": self.max_degree,
             "alpha": self.alpha,
             "grid_size": self.grid_size,
-            "ensemble": len(self.rows),
+            "ensemble": len(self.seeds),
             "max_ratio": float(r.max()),
             "mean_ratio": float(r.mean()),
         }
@@ -313,35 +294,33 @@ class SweepResult:
 def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
                      grid_size=SWEEP_GRID):
     """Ratios for ``ensemble`` random pairs with degrees drawn up to
-    ``max_degree``.  Each member gets its own derived seed so rows are
-    reproducible independently of the ensemble size; it draws deg a and
-    deg b, then standard normal cosine and sine amplitudes on modes
-    1..deg a of a and 1..deg b of b.  Members are evaluated in blocks of
-    zero-padded rows, as many as ``_sweep_block`` allows on the grid; every
-    row is independent, so the rows do not depend on the block size.  The
-    grid must be even and resolve Θ, whose degree reaches 2 max_degree."""
+    ``max_degree``.  Member i gets its own seed, seed · 100000 + i, so
+    members are reproducible independently of the ensemble size; it draws
+    deg a and deg b, then standard normal cosine and sine amplitudes on
+    modes 1..deg a of a and 1..deg b of b.  Members are evaluated in blocks
+    of zero-padded rows, as many as ``_sweep_block`` allows on the grid;
+    every row is independent, so the members do not depend on the block
+    size.  The grid must be even and resolve Θ, whose degree reaches
+    2 max_degree."""
     ensemble = require_integer("ensemble size", ensemble, 1)
     max_degree = require_integer("max_degree", max_degree, 1)
     seed = require_integer("seed", seed, 0)
     alpha = _check_alpha(alpha)
     m = _check_holder_grid(grid_size, 2 * max_degree)
     block = _sweep_block(m)
-    rows = []
+    res = SweepResult(max_degree=max_degree, alpha=alpha, grid_size=grid_size,
+                      seeds=range(seed * 100_000, seed * 100_000 + ensemble),
+                      degree_a=np.empty(ensemble, dtype=int),
+                      degree_b=np.empty(ensemble, dtype=int), ratios=np.empty(ensemble))
     for start in range(0, ensemble, block):
-        seeds = [seed * 100_000 + i
-                 for i in range(start, min(start + block, ensemble))]
+        rows = slice(start, start + block)
+        seeds, deg_a, deg_b = res.seeds[rows], res.degree_a[rows], res.degree_b[rows]
         fa, fb, ga, gb = np.zeros((4, len(seeds), max_degree + 1))
-        deg_a = np.empty(len(seeds), dtype=int)
-        deg_b = np.empty(len(seeds), dtype=int)
         for r, member_seed in enumerate(seeds):
             rng = np.random.default_rng(member_seed)
             deg_a[r] = rng.integers(1, max_degree + 1)
             deg_b[r] = rng.integers(1, max_degree + 1)
             for amps, deg in ((fa, deg_a[r]), (fb, deg_a[r]), (ga, deg_b[r]), (gb, deg_b[r])):
                 amps[r, 1:deg + 1] = rng.standard_normal(deg)
-        ratios = _quotients(fa, fb, ga, gb, deg_a, deg_b, alpha, m)
-        rows += [SweepRow(seed=s, degree_a=int(da), degree_b=int(db), alpha=alpha,
-                          ratio=float(q))
-                 for s, da, db, q in zip(seeds, deg_a, deg_b, ratios)]
-    return SweepResult(max_degree=max_degree, alpha=alpha,
-                       grid_size=grid_size, rows=rows)
+        res.ratios[rows] = _quotients(fa, fb, ga, gb, deg_a, deg_b, alpha, m)
+    return res

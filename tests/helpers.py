@@ -15,7 +15,8 @@ coefficient convolution; the quadratic terms' derivative and the residual
 in exact rational arithmetic (``exact_gateaux_nonlinear``,
 ``exact_residual``); the Hölder seminorm and norm as the plain loop over
 all lags and the loop over validated fields; and the commutator quotient
-and sweep member by member through ``commutator_h`` and a norm on fields.
+and sweep member by member through ``commutator_h`` and a norm on fields,
+with ``sweep_members`` listing a sweep's members as Python scalars.
 ``reference_quadratic`` is Q on the half-spectrum with one transform per
 factor and per product, the form the stacked kernel must reproduce bit
 for bit;
@@ -50,7 +51,6 @@ import numpy as np
 from oddwaves import (
     ConfigurationError,
     CosineSeries,
-    HolderEstimate,
     ModelParams,
     SineSeries,
     SpectralField,
@@ -65,7 +65,7 @@ from oddwaves import (
     zygmund,
 )
 from oddwaves.bifurcation import SIMPLE_RTOL, _NoConvergence, _SingularSystem, _symbol_scale
-from oddwaves.holder import SweepResult, SweepRow
+from oddwaves.holder import SweepResult
 from oddwaves.model import _mfold_indices, _multiplier, critical_speed, symbol_at
 from oddwaves.spectral import _amplitudes, _hat, _next_pow2
 
@@ -648,9 +648,7 @@ def reference_holder_norm(f, k, alpha, grid_size=4096):
         total += float(np.abs(vals).max())
         if level < k:
             g = derivative(g, 1)
-    return HolderEstimate(k=k, alpha=alpha,
-                          value=total + reference_seminorm(vals, alpha),
-                          grid_size=grid_size)
+    return total + reference_seminorm(vals, alpha)
 
 
 def sweep_field(rng, degree):
@@ -667,26 +665,33 @@ def reference_commutator_ratio(a, b, alpha, grid_size=4096, norm=holder_norm):
     """The commutator quotient through validated fields:
     ``commutator_h(a, derivative(b, 1))`` and ``norm`` (a function with the
     signature of ``holder_norm``)."""
-    den = norm(a, 2, alpha, grid_size).value * norm(b, 1, alpha, grid_size).value
+    den = norm(a, 2, alpha, grid_size) * norm(b, 1, alpha, grid_size)
     if den == 0.0:
         raise ConfigurationError("commutator_ratio needs nonzero a and b")
     theta = commutator_h(a, derivative(b, 1))
-    return float(norm(theta, 1, alpha, grid_size).value / den)
+    return float(norm(theta, 1, alpha, grid_size) / den)
 
 
 def reference_commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
                                grid_size=1024, norm=holder_norm):
     """``commutator_sweep`` one member at a time through
     ``reference_commutator_ratio``."""
-    rows = []
-    for i in range(ensemble):
-        member_seed = int(seed) * 100_000 + i
+    seeds = range(int(seed) * 100_000, int(seed) * 100_000 + ensemble)
+    members = []
+    for member_seed in seeds:
         rng = np.random.default_rng(member_seed)
         da = int(rng.integers(1, max_degree + 1))
         db = int(rng.integers(1, max_degree + 1))
-        ratio = reference_commutator_ratio(sweep_field(rng, da), sweep_field(rng, db),
-                                           alpha, grid_size, norm)
-        rows.append(SweepRow(seed=member_seed, degree_a=da, degree_b=db,
-                             alpha=alpha, ratio=ratio))
-    return SweepResult(max_degree=max_degree, alpha=alpha,
-                       grid_size=grid_size, rows=rows)
+        members.append((da, db, reference_commutator_ratio(
+            sweep_field(rng, da), sweep_field(rng, db), alpha, grid_size, norm)))
+    deg_a, deg_b, ratios = zip(*members)
+    return SweepResult(max_degree=max_degree, alpha=alpha, grid_size=grid_size, seeds=seeds,
+                       degree_a=np.array(deg_a), degree_b=np.array(deg_b),
+                       ratios=np.array(ratios))
+
+
+def sweep_members(res):
+    """Each member of a ``SweepResult`` as (seed, degree_a, degree_b,
+    ratio), Python scalars."""
+    return list(zip(res.seeds, res.degree_a.tolist(), res.degree_b.tolist(),
+                    res.ratios.tolist()))

@@ -269,7 +269,7 @@ class TestTravelingError:
         a[3], b[3] = 1e-3 * np.cos(theta), 1e-3 * np.sin(theta)
         states = [phi, phi + SpectralField(a, b), phi + cosine(40, 1e-4, n=48)]
         traj = Trajectory(times=np.zeros(3), states=states,
-                          dt_effective=0.1, dt_stable=1.0, mass_drift=0.0)
+                          dt_effective=0.1, mass_drift=0.0)
         got = _translation_gap(branch_point, traj)
         assert got > self.per_state_gap(branch_point, traj)
         fine = max(np.abs((state - phi).values(256)).max() for state in states)

@@ -25,6 +25,7 @@ from helpers import (
     reference_holder_norm,
     reference_seminorm,
     sweep_field,
+    sweep_members,
 )
 
 # Frozen oracle: sup over pairs of |cos x - cos y| / dist(x,y)^{1/2} with the
@@ -237,31 +238,30 @@ class TestSeminorm:
 class TestHolderNorm:
     def test_constant(self):
         for alpha in (0.25, 0.5, 0.9):
-            est = holder_norm(CosineSeries([-3.0]), 0, alpha)
-            assert est.value == 3.0
+            assert holder_norm(CosineSeries([-3.0]), 0, alpha) == 3.0
 
     def test_cos_k0(self):
         est = holder_norm(cosine(1), 0, 0.5, grid_size=4096)
-        assert abs(est.value - (1.0 + COS_SEMINORM_HALF)) < 1e-6
+        assert abs(est - (1.0 + COS_SEMINORM_HALF)) < 1e-6
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(15)
         f = random_field(rng, 6)
         for t in (0.5, 3.0):
-            scaled = holder_norm(t * f, 1, 0.5, grid_size=512).value
-            assert np.isclose(scaled, t * holder_norm(f, 1, 0.5, grid_size=512).value,
+            scaled = holder_norm(t * f, 1, 0.5, grid_size=512)
+            assert np.isclose(scaled, t * holder_norm(f, 1, 0.5, grid_size=512),
                               rtol=1e-12)
 
     def test_dominates_sup_norm(self):
         rng = np.random.default_rng(16)
         f = random_field(rng, 10)
-        assert holder_norm(f, 0, 0.5, grid_size=1024).value >= f.sup_norm() - 1e-9
+        assert holder_norm(f, 0, 0.5, grid_size=1024) >= f.sup_norm() - 1e-9
 
     def test_monotone_under_nested_refinement(self):
         rng = np.random.default_rng(18)
         f = random_field(rng, 12)
-        coarse = holder_norm(f, 1, 0.5, grid_size=1024).value
-        fine = holder_norm(f, 1, 0.5, grid_size=4096).value
+        coarse = holder_norm(f, 1, 0.5, grid_size=1024)
+        fine = holder_norm(f, 1, 0.5, grid_size=4096)
         assert fine >= coarse
         assert fine <= coarse * 1.01  # refinement changes the estimate by < 1%
 
@@ -270,9 +270,9 @@ class TestHolderNorm:
         for _ in range(5):
             f = random_field(rng, 9)
             g = random_field(rng, 9)
-            lhs = holder_norm(f + g, 1, 0.5, grid_size=512).value
-            rhs = (holder_norm(f, 1, 0.5, grid_size=512).value
-                   + holder_norm(g, 1, 0.5, grid_size=512).value)
+            lhs = holder_norm(f + g, 1, 0.5, grid_size=512)
+            rhs = (holder_norm(f, 1, 0.5, grid_size=512)
+                   + holder_norm(g, 1, 0.5, grid_size=512))
             assert lhs <= rhs + 1e-10
 
     def test_product_estimate(self):
@@ -284,7 +284,7 @@ class TestHolderNorm:
             g = random_field(rng, 7)
 
             def a_norm(h):
-                return holder_norm(h, 0, 0.5, grid_size=512).value
+                return holder_norm(h, 0, 0.5, grid_size=512)
 
             def sup(h):
                 return float(np.abs(h.values(512)).max())
@@ -381,15 +381,15 @@ class TestCommutatorRatio:
             da = int(rng.integers(1, 41))
             db = int(rng.integers(1, 41))
             a, b = sweep_field(rng, da), sweep_field(rng, db)
-            assert res.rows[i].degree_a == da and res.rows[i].degree_b == db
-            assert commutator_ratio(a, b, 0.3, grid_size=holder.SWEEP_GRID) == res.rows[i].ratio
+            assert res.degree_a[i] == da and res.degree_b[i] == db
+            assert commutator_ratio(a, b, 0.3, grid_size=holder.SWEEP_GRID) == res.ratios[i]
 
 
 class TestSweep:
     def test_rows_reproducible_and_bounded(self):
         res = commutator_sweep(20, 10, alpha=0.5, seed=7, grid_size=512)
         res2 = commutator_sweep(20, 10, alpha=0.5, seed=7, grid_size=512)
-        assert [r.ratio for r in res.rows] == [r.ratio for r in res2.rows]
+        assert sweep_members(res) == sweep_members(res2)
         assert np.isfinite(res.ratios).all() and (res.ratios > 0).all()
 
     def test_member_rows_independent_of_ensemble_size(self):
@@ -398,7 +398,7 @@ class TestSweep:
         large = commutator_sweep(2 * block + 3, 10, seed=7, grid_size=512)
         for size in (1, 5, block - 1, block, block + 1):
             small = commutator_sweep(size, 10, seed=7, grid_size=512)
-            assert small.rows == large.rows[:size]
+            assert sweep_members(small) == sweep_members(large)[:size]
 
     def test_degree_doubling_keeps_maximum_bounded(self):
         lo = commutator_sweep(40, 20, seed=7, grid_size=512)
@@ -407,7 +407,7 @@ class TestSweep:
 
     def test_summary(self):
         res = commutator_sweep(3, 8, seed=5, grid_size=512)
-        assert len(res.rows) == 3
+        assert len(res.seeds) == len(res.ratios) == 3
         summ = res.summary()
         assert summ["ensemble"] == 3
         assert summ["max_ratio"] >= summ["mean_ratio"]
@@ -415,8 +415,9 @@ class TestSweep:
     def test_csv_ratios_are_plain_floats(self):
         res = commutator_sweep(4, 8, seed=5, grid_size=256)
         assert type(holder_seminorm(np.cos(np.arange(8.0)), 0.5)) is float
-        assert all(type(row.ratio) is float for row in res.rows)  # no "np.float64(...)" cells
-        assert all(row.ratio > 0.0 for row in res.rows)
+        members = sweep_members(res)  # as the CLI writes them: no "np.float64(...)" cells
+        assert all(tuple(map(type, member)) == (int, int, int, float) for member in members)
+        assert all(ratio > 0.0 for *_, ratio in members)
 
     def test_rows_equal_reference_loop(self):
         """The stacked sweep gives the rows of the member-by-member loop on
@@ -427,9 +428,9 @@ class TestSweep:
         for degree, ensemble in ((20, 150), (40, 150), (2, 20)):
             stacked = commutator_sweep(ensemble, degree, seed=1234)
             loop = reference_commutator_sweep(ensemble, degree, seed=1234)
-            assert stacked.rows == loop.rows
-            grids |= {spectral._product_grid(r.degree_a, r.degree_b, r.degree_a + r.degree_b)
-                      for r in stacked.rows}
+            assert sweep_members(stacked) == sweep_members(loop)
+            grids |= {spectral._product_grid(da, db, da + db)
+                      for _, da, db, _ in sweep_members(stacked)}
         assert grids == {8, 16, 32, 64, 128, 256}
 
     @pytest.mark.parametrize("grid, block", [(256, 128), (1024, 32), (4096, 8), (65536, 1)])
@@ -443,11 +444,11 @@ class TestSweep:
     def test_ensembles_around_a_block(self, offset):
         """Ensembles of block - 1, block and block + 1 members, and of one."""
         size = holder._sweep_block(256) + offset
-        loop = reference_commutator_sweep(size, 12, alpha=0.7, seed=3, grid_size=256)
+        loop = sweep_members(reference_commutator_sweep(size, 12, alpha=0.7, seed=3,
+                                                        grid_size=256))
         for ensemble in (1, size):
             stacked = commutator_sweep(ensemble, 12, alpha=0.7, seed=3, grid_size=256)
-            assert len(stacked.rows) == ensemble
-            assert stacked.rows == loop.rows[:ensemble]
+            assert sweep_members(stacked) == loop[:ensemble]
 
     @pytest.mark.parametrize("grid", [1024, 4096])
     def test_ensembles_around_a_block_on_sweep_grids(self, grid):
@@ -456,11 +457,11 @@ class TestSweep:
         member blocks) and on 4096 points (8 member blocks)."""
         block = holder._sweep_block(grid)
         sizes = (1, block - 1, block, 2 * block + 3)
-        loop = reference_commutator_sweep(sizes[-1], 12, alpha=0.7, seed=3, grid_size=grid)
+        loop = sweep_members(reference_commutator_sweep(sizes[-1], 12, alpha=0.7, seed=3,
+                                                        grid_size=grid))
         for ensemble in sizes:
             stacked = commutator_sweep(ensemble, 12, alpha=0.7, seed=3, grid_size=grid)
-            assert len(stacked.rows) == ensemble
-            assert stacked.rows == loop.rows[:ensemble]
+            assert sweep_members(stacked) == loop[:ensemble]
 
     @pytest.mark.parametrize("ensemble, degree, grid", [(150, 40, 1024), (16, 40, 4096)])
     def test_memory_stays_within_the_block_budget(self, ensemble, degree, grid):
@@ -481,6 +482,15 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+    def test_member_seeds_exact_past_int64(self):
+        """Member seeds seed · 100000 + i pass 2^63 once the seed passes
+        about 9.2e13; they stay exact Python ints, and each member is the
+        reference loop's."""
+        res = commutator_sweep(3, 4, seed=2**70, grid_size=64)
+        assert res.seeds == range(2**70 * 100_000, 2**70 * 100_000 + 3)
+        loop = reference_commutator_sweep(3, 4, seed=2**70, grid_size=64)
+        assert sweep_members(res) == sweep_members(loop)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -5,9 +5,11 @@
 Checks REV out with ``git worktree`` into a temporary directory, then runs
 ``bifurcate``, ``branch --fold 1..3``, ``evolve --s 0.02`` (with and
 without ``--dt-halving``), ``verify`` and ``selftest``, at the defaults
-and at ``--seed 7``, and ``verify`` and ``selftest`` at ``--seed 30113``,
+and at ``--seed 7``, ``verify`` and ``selftest`` at ``--seed 30113``,
 whose commutator bound fails, so the failing report (exit 3) is compared
-too; each from that checkout and from this working tree.  Both trees
+too, and ``verify --ensemble 3 --degrees 2,4`` at ``--seed 2^70``, whose
+member seeds pass 2^63, so a seed held in int64 shows as a differing CSV;
+each from that checkout and from this working tree.  Both trees
 write to the same ``--out`` path, because every artifact embeds it.
 Each differing file or stdout is printed; for a CSV or JSON file, so is the
 numeric cell with the largest absolute and the one with the largest
@@ -44,7 +46,9 @@ COMMANDS = {
 # each setting's extra arguments and the commands run at it
 SETTINGS = {"defaults": ([], list(COMMANDS)),
             "seed7": (["--seed", "7"], list(COMMANDS)),
-            "seed30113": (["--seed", "30113"], ["verify", "selftest"])}
+            "seed30113": (["--seed", "30113"], ["verify", "selftest"]),
+            "seed2^70": (["--seed", str(2**70), "--ensemble", "3", "--degrees", "2,4"],
+                         ["verify"])}
 
 
 def run_all(tree, scratch, dest):
