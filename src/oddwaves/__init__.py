@@ -35,7 +35,6 @@ from .bifurcation import (
     continue_branch,
     detect_bifurcations,
     kernel_dimension,
-    transversality,
 )
 from .evolution import (
     EvolutionConfig,

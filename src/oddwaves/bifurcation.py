@@ -23,7 +23,7 @@ step reuses them.  Its truncation and fold are refused up front when an
 array they ask for would pass ``errors.ARRAY_BYTES_CEILING``.
 
 A ``Branch`` is data: ``cli`` writes its points to ``branch.csv`` and its
-settings and outcome to ``branch.json``.
+outcome to ``branch.json``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 from .errors import (ConfigurationError, NumericalError, require_integer, require_real,
                      require_size)
 from .model import (
-    ModelParams,
     _Lattice,
     _lattice_bytes,
     _lattice_jacobian,
@@ -44,7 +43,6 @@ from .model import (
     _mfold_indices,
     _symbol,
     critical_speed,
-    d_c_symbol,
 )
 from .spectral import CosineSeries, SpectralField
 
@@ -54,7 +52,6 @@ __all__ = [
     "Branch",
     "detect_bifurcations",
     "kernel_dimension",
-    "transversality",
     "continue_branch",
 ]
 
@@ -92,16 +89,11 @@ class BranchPoint:
 
 @dataclass
 class Branch:
-    """Ordered branch points for a fixed fold m, trivial point first."""
+    """Ordered branch points for a fixed fold m, trivial point first, and
+    whether (and why) Newton stopped the branch short of s_max."""
 
     m: int
-    params: ModelParams
     points: list[BranchPoint]
-    truncation: int
-    tol: float
-    max_iter: int
-    ds: float
-    step_cap: float
     truncated: bool = False
     failure: str | None = None
 
@@ -158,12 +150,6 @@ def kernel_dimension(c, p, m, n):
     n = require_size("truncation n", n, 4, _scan_bytes)
     m = require_integer("fold m", m, 1)
     return int(_vanishing(c, p, m, n).size)
-
-
-def transversality(k, p):
-    """True when the speed-derivative of the multiplier at frequency k is
-    nonzero: always, as ``ModelParams`` requires alpha0 > 0."""
-    return d_c_symbol(k, p) != 0.0
 
 
 def _branch_bytes(m, n):
@@ -248,8 +234,7 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
 
     trivial = BranchPoint(s=0.0, c=c0, phi=CosineSeries(np.zeros(m * n + 1)),
                           residual_norm=0.0, newton_iters=0)
-    branch = Branch(m=m, params=p, points=[trivial], truncation=n, tol=tol,
-                    max_iter=max_iter, ds=ds, step_cap=step_cap)
+    branch = Branch(m=m, points=[trivial])
 
     s_abs = 0.0
     step = min(ds, step_cap)

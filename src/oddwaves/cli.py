@@ -2,8 +2,8 @@
 
 Subcommands
 
-    bifurcate   tabulate candidate bifurcation speeds (k, c_k, simple, transversal)
-    branch      trace an m-fold wave branch; writes branch.csv/.json + profiles.csv
+    bifurcate   tabulate candidate bifurcation speeds (k, c_k, simple)
+    branch      trace an m-fold wave branch; writes branch.csv + branch.json
     evolve      time-integrate a branch profile (or zero data); writes
                 trajectory.csv + manifest.json with conservation diagnostics
     verify      run the invariant families and the commutator-bound sweep;
@@ -16,9 +16,10 @@ Every output embeds the resolved run configuration and a sha256 of its own
 data section; a fixed seed and configuration reproduce files byte for byte.
 This module alone knows the artifact formats: ``_write_csv`` writes every
 table from rows of Python scalars, each cell the scalar's ``repr``, and
-``_write_json`` every JSON file.  ``branch.csv`` holds a branch's points,
-and ``branch.json`` its settings and outcome without the points.  The
-profiles of a branch are synthesized together, in one stacked transform.
+``_write_json`` every JSON file.  No file repeats a setting of its embedded
+configuration or a value another file of the run holds: ``branch.csv``
+holds a branch's points, profiles as cosine amplitudes, and ``branch.json``
+its outcome.
 The argument parser is built once per process and reused by every ``main``
 call.  An ``--out`` that is, or lies below, a file and a ``--config`` file
 that cannot be read are configuration errors, raised before any work.
@@ -59,12 +60,12 @@ from .model import (
 from .bifurcation import (
     DEFAULT_MAX_ITER,
     DEFAULT_STEP,
+    DEFAULT_STEP_CAP,
     DEFAULT_TOL,
     DEFAULT_TRUNCATION,
     _symbol_scale,
     continue_branch,
     detect_bifurcations,
-    transversality,
 )
 from .evolution import (
     EvolutionConfig,
@@ -250,18 +251,13 @@ def cmd_bifurcate(cfg):
     p = cfg.model_params()
     # --modes counts modes per fold, as in branch: scan the lattices of folds up to kmax
     points = detect_bifurcations(p, cfg.kmax, n_scan=cfg.kmax * cfg.modes)
-    rows = [(pt.k, pt.speed, pt.simple, transversality(pt.k, p)) for pt in points]
-    print(f"{'k':>4} {'c_k':>22} {'simple':>7} {'transversal':>12}")
-    for k, ck, simple, trans in rows:
-        print(f"{k:>4} {ck:>22.15g} {str(simple):>7} {str(trans):>12}")
+    rows = [(pt.k, pt.speed, pt.simple) for pt in points]
+    print(f"{'k':>4} {'c_k':>22} {'simple':>7}")
+    for k, ck, simple in rows:
+        print(f"{k:>4} {ck:>22.15g} {str(simple):>7}")
     out = _outdir(cfg)
-    _write_csv(out / "bifurcation_points.csv", cfg,
-               ["k", "speed", "simple", "transversal"], rows)
-    _write_json(out / "bifurcation_report.json", cfg, {
-        "version": __version__,
-        "points": [{"k": k, "speed": ck, "simple": simple, "transversal": trans}
-                   for k, ck, simple, trans in rows],
-    })
+    _write_csv(out / "bifurcation_points.csv", cfg, ["k", "speed", "simple"], rows)
+    _write_json(out / "bifurcation_report.json", cfg, {"version": __version__})
     print(f"wrote {out / 'bifurcation_points.csv'}")
     return 0
 
@@ -284,26 +280,19 @@ def cmd_branch(cfg):
     # coeff_j is the amplitude of cos(j m x)
     _write_csv(out / "branch.csv", cfg,
                ["s", "c", "residual_norm", "newton_iters"]
-               + [f"coeff_{j}" for j in range(1, branch.truncation + 1)],
+               + [f"coeff_{j}" for j in range(1, cfg.modes + 1)],
                [[float(pt.s), float(pt.c), float(pt.residual_norm), int(pt.newton_iters),
                  *pt.phi.a[branch.m::branch.m].tolist()] for pt in branch.points])
     _write_json(out / "branch.json", cfg, {
         "version": __version__,
-        "params": asdict(branch.params),
-        "fold": branch.m,
-        "truncation": branch.truncation,
-        "tolerances": {"tol": branch.tol, "max_iter": branch.max_iter, "ds": branch.ds,
-                       "step_cap": branch.step_cap},
+        "step_cap": DEFAULT_STEP_CAP,   # no CLI setting, so not in the config block
         "truncated": branch.truncated,
         "failure": branch.failure,
     })
-    grid, rows = _profile_rows([pt.s for pt in branch.points],
-                               [pt.phi for pt in branch.points])
-    _write_csv(out / "profiles.csv", cfg, ["s"] + [f"x_{j}" for j in range(grid)], rows)
     last = branch.points[-1]
     print(f"fold {branch.m}: {len(branch.points)} points, "
           f"|s| up to {abs(last.s):.6g}, c = {last.c:.12g}")
-    print(f"wrote {out / 'branch.csv'}, branch.json, profiles.csv")
+    print(f"wrote {out / 'branch.csv'}, branch.json")
     if branch.truncated:
         print(f"WARNING: {branch.failure}", file=sys.stderr)
         return 3
@@ -337,7 +326,6 @@ def cmd_evolve(cfg):
     manifest["dt_stable"] = stable_dt(ecfg.n_modes, p)
     manifest["dt_effective"] = traj.dt_effective
     manifest["mass_drift"] = traj.mass_drift
-    manifest["save_times"] = traj.times.tolist()
     if cfg.s != 0:
         err = _translation_gap(point, traj)
         manifest["traveling_error"] = err
@@ -482,9 +470,8 @@ def cmd_verify(cfg):
     out = _outdir(cfg)
     for s in sweeps:
         _write_csv(out / f"commutator_sweep_deg{s.max_degree}.csv", cfg,
-                   ["seed", "degree_a", "degree_b", "alpha", "ratio"],
-                   zip(s.seeds, s.degree_a.tolist(), s.degree_b.tolist(),
-                       [s.alpha] * len(s.seeds), s.ratios.tolist()))
+                   ["seed", "degree_a", "degree_b", "ratio"],
+                   zip(s.seeds, s.degree_a.tolist(), s.degree_b.tolist(), s.ratios.tolist()))
     _write_json(out / "verification_report.json", cfg, {
         "version": __version__,
         "checks": checks,

@@ -269,11 +269,10 @@ def _sweep_block(m):
 class SweepResult:
     """Ratios over one random ensemble at a given degree cap: member i has
     seed ``seeds[i]`` (a range, so exact Python ints at any seed), degrees
-    ``degree_a[i]`` and ``degree_b[i]`` and quotient ``ratios[i]``."""
+    ``degree_a[i]`` and ``degree_b[i]`` and quotient ``ratios[i]``.  The
+    sweep's α and grid are ``commutator_sweep``'s arguments, not fields."""
 
     max_degree: int
-    alpha: float
-    grid_size: int
     seeds: range
     degree_a: np.ndarray
     degree_b: np.ndarray
@@ -283,9 +282,6 @@ class SweepResult:
         r = self.ratios
         return {
             "max_degree": self.max_degree,
-            "alpha": self.alpha,
-            "grid_size": self.grid_size,
-            "ensemble": len(self.seeds),
             "max_ratio": float(r.max()),
             "mean_ratio": float(r.mean()),
         }
@@ -308,7 +304,7 @@ def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
     alpha = _check_alpha(alpha)
     m = _check_holder_grid(grid_size, 2 * max_degree)
     block = _sweep_block(m)
-    res = SweepResult(max_degree=max_degree, alpha=alpha, grid_size=grid_size,
+    res = SweepResult(max_degree=max_degree,
                       seeds=range(seed * 100_000, seed * 100_000 + ensemble),
                       degree_a=np.empty(ensemble, dtype=int),
                       degree_b=np.empty(ensemble, dtype=int), ratios=np.empty(ensemble))

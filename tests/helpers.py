@@ -537,8 +537,8 @@ def reference_csv_body(header, rows):
 
 
 def reference_profile_rows(labels, fields):
-    """Rows label, f(x_0), ..., f(x_{M-1}) of ``profiles.csv`` and
-    ``trajectory.csv``, one ``values(grid)`` synthesis per field."""
+    """Rows label, f(x_0), ..., f(x_{M-1}) of ``trajectory.csv``, one
+    ``values(grid)`` synthesis per field."""
     grid = fields[0].grid_size
     return grid, [[label] + f.values(grid).tolist() for label, f in zip(labels, fields)]
 
@@ -685,9 +685,8 @@ def reference_commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
         members.append((da, db, reference_commutator_ratio(
             sweep_field(rng, da), sweep_field(rng, db), alpha, grid_size, norm)))
     deg_a, deg_b, ratios = zip(*members)
-    return SweepResult(max_degree=max_degree, alpha=alpha, grid_size=grid_size, seeds=seeds,
-                       degree_a=np.array(deg_a), degree_b=np.array(deg_b),
-                       ratios=np.array(ratios))
+    return SweepResult(max_degree=max_degree, seeds=seeds, degree_a=np.array(deg_a),
+                       degree_b=np.array(deg_b), ratios=np.array(ratios))
 
 
 def sweep_members(res):

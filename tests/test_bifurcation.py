@@ -13,7 +13,6 @@ from oddwaves import (
     detect_bifurcations,
     kernel_dimension,
     residual,
-    transversality,
 )
 import oddwaves.bifurcation as bif
 from oddwaves.model import _mfold_indices, d_c_residual
@@ -27,8 +26,11 @@ PA = ModelParams(0.5, 1.0, 0.5)
 SCAN_PARAMS = [PA, ModelParams(0.5, 1.0, 1.0), ModelParams(1.0, 1.0, 1.75)]
 
 
+TOL = 1e-11    # small_branch's Newton tolerance
+
+
 def small_branch(m=1, p=PA, s_max=0.02, n=24, **kw):
-    return continue_branch(m, p, s_max, ds=1e-3, n=n, tol=1e-11, **kw)
+    return continue_branch(m, p, s_max, ds=1e-3, n=n, tol=TOL, **kw)
 
 
 def resonant_params(k, j, epsilon, alpha0):
@@ -136,11 +138,6 @@ class TestKernelDimension:
             assert starts == simple
 
 
-class TestTransversality:
-    def test_always_true_for_positive_alpha0(self):
-        assert all(transversality(k, PA) for k in range(1, 30))
-
-
 class TestContinueBranch:
     def test_start_scan_equals_scalar_loop(self):
         """The array scan of the m-fold frequencies refuses exactly the
@@ -168,7 +165,7 @@ class TestContinueBranch:
         br = small_branch()
         assert not br.truncated
         for pt in br.points:
-            assert pt.residual_norm < br.tol
+            assert pt.residual_norm < TOL
 
     def test_amplitude_constraint_exact(self):
         br = small_branch(m=2)
@@ -207,13 +204,13 @@ class TestContinueBranch:
         br = small_branch(n=16)
         for pt in br.points[1:]:
             fine = CosineSeries(np.r_[pt.phi.a, np.zeros(pt.phi.n_modes)])
-            assert residual(pt.c, fine, PA).sup_norm() < 10 * br.tol
+            assert residual(pt.c, fine, PA).sup_norm() < 10 * TOL
 
     def test_bordered_jacobian_nonsingular_on_branch(self):
         """Full derivative matrix with the amplitude-constraint row appended
         stays uniformly invertible along the branch."""
-        br = small_branch(n=16)
-        m, n = br.m, br.truncation
+        m, n = 1, 16
+        br = small_branch(m=m, n=n)
         rows = _mfold_indices(m, n)
         for pt in br.points[1:]:
             full = np.zeros((n + 1, n + 1))
@@ -247,7 +244,7 @@ class TestContinueBranch:
         expect, step = [], 1e-3
         remaining = 0.05
         while remaining > 1e-15:
-            step = min(step, br.step_cap, remaining)
+            step = min(step, bif.DEFAULT_STEP_CAP, remaining)
             expect.append(step)
             remaining -= step
             step *= bif.DEFAULT_STEP_GROWTH
@@ -431,7 +428,7 @@ class TestArrayNewton:
         assert not br.truncated and len(br.points) == 9
         for pt in br.points[1:]:
             again = fft_residual(pt.c, pt.phi, PA)[0].sup_norm()
-            assert again < br.tol
+            assert again < bif.DEFAULT_TOL
             assert again <= pt.residual_norm + 1e-15
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -443,5 +440,5 @@ class TestArrayNewton:
         br = continue_branch(m, PA, 0.05)
         assert not br.truncated and len(br.points) == 9
         l1 = [np.abs(residual(pt.c, pt.phi, PA).b).sum() for pt in br.points[1:]]
-        assert max(l1) < br.tol
+        assert max(l1) < bif.DEFAULT_TOL
         assert l1 == pytest.approx([pt.residual_norm for pt in br.points[1:]], rel=0, abs=1e-15)

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from oddwaves import ModelParams, __version__, cli, continue_branch, evolution, spectral
+from oddwaves import (ModelParams, __version__, bifurcation, cli, continue_branch, evolution,
+                      spectral)
 from oddwaves.cli import main
 
 from helpers import (reference_commutator_sweep, reference_csv_body, reference_holder_norm,
@@ -46,8 +47,7 @@ class TestBifurcate:
         speeds = [float(r.split(",")[1]) for r in rows]
         assert np.allclose(speeds, [-1 / 3, -5 / 8, -11 / 15])
         assert all(r.split(",")[2] == "True" for r in rows)
-        doc = read_json(tmp_path, "bifurcation_report.json")
-        assert [pt["k"] for pt in doc["payload"]["points"]] == [1, 2, 3]
+        assert [int(r.split(",")[0]) for r in rows] == [1, 2, 3]
 
     def test_invalid_alpha0_exits_2(self, tmp_path):
         assert run(tmp_path, "bifurcate", "--alpha0", "-1") == 2
@@ -76,8 +76,7 @@ class TestBranch:
         header = rows[0].split(",")
         assert header[:4] == ["s", "c", "residual_norm", "newton_iters"]
         doc = read_json(tmp_path, "branch.json")
-        payload = doc["payload"]
-        assert payload["fold"] == 2 and not payload["truncated"]
+        assert doc["config"]["fold"] == 2 and not doc["payload"]["truncated"]
         # every point satisfies the residual tolerance
         assert all(float(row.split(",")[2]) < 1e-11 for row in rows[1:])
 
@@ -105,17 +104,15 @@ class TestBranch:
         assert float(cells[4]) == points[1].s
 
     def test_json_manifest(self, tmp_path):
-        """``branch.json`` carries the settings and the outcome of the run,
-        and none of the points: those are in ``branch.csv`` alone."""
+        """``branch.json`` carries the outcome of the run and the one
+        setting that is not the CLI's, the step cap; the others are in its
+        config block, and the points are in ``branch.csv`` alone."""
         assert run(tmp_path, "branch", "--fold", "2", "--smax", "0.02", "--modes", "8") == 0
-        payload = read_json(tmp_path, "branch.json")["payload"]
-        assert set(payload) == {"version", "params", "fold", "truncation", "tolerances",
-                                "truncated", "failure"}  # no "records"
-        assert payload["version"] == __version__
-        assert payload["params"] == {"epsilon": 0.5, "alpha0": 1.0, "beta": 0.5}
-        assert payload["fold"] == 2 and payload["truncation"] == 8
-        assert set(payload["tolerances"]) == {"tol", "max_iter", "ds", "step_cap"}
-        assert not payload["truncated"] and payload["failure"] is None
+        doc = read_json(tmp_path, "branch.json")
+        assert doc["payload"] == {"version": __version__, "step_cap": bifurcation.DEFAULT_STEP_CAP,
+                                  "truncated": False, "failure": None}
+        assert doc["config"]["fold"] == 2 and doc["config"]["modes"] == 8
+        assert {"epsilon": 0.5, "alpha0": 1.0, "beta": 0.5}.items() <= doc["config"].items()
 
     def test_nonconvergence_exits_3(self, tmp_path):
         code = run(tmp_path, "branch", "--smax", "0.01", "--modes", "8",
@@ -135,7 +132,7 @@ class TestBranch:
         args = ("branch", "--smax", "0.005", "--modes", "8", "--seed", "99")
         run(tmp_path, *args)
         first = {name: (tmp_path / "out" / name).read_bytes()
-                 for name in ("branch.csv", "branch.json", "profiles.csv")}
+                 for name in ("branch.csv", "branch.json")}
         run(tmp_path, *args)
         for name, blob in first.items():
             assert (tmp_path / "out" / name).read_bytes() == blob
@@ -442,84 +439,115 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, seed):
     assert not (tmp_path / "out").exists()
 
 
+SWEEP_HEADER = "seed,degree_a,degree_b,ratio"
+# each command, and the files it writes: a CSV's header, and a JSON file's
+# payload keys under "", with the keys of each entry of a list (or of a
+# dict) payload field under that field's name
+ARTIFACTS = [
+    (["bifurcate", "--kmax", "3"], {
+        "bifurcation_points.csv": "k,speed,simple",
+        "bifurcation_report.json": {"": {"version"}}}),
+    (["branch", "--smax", "0.01", "--modes", "16"], {
+        "branch.csv": "s,c,residual_norm,newton_iters,"
+                      + ",".join(f"coeff_{j}" for j in range(1, 17)),
+        "branch.json": {"": {"version", "step_cap", "truncated", "failure"}}}),
+    (["evolve", "--s", "0.01", "--modes", "16", "--tfinal", "0.01", "--dt", "0.001",
+      "--dt-halving"], {
+        "trajectory.csv": "t," + ",".join(f"x_{j}" for j in range(34)),
+        "evolution_manifest.json": {
+            "": {"version", "initial", "branch_point", "dt_stable", "dt_effective",
+                 "mass_drift", "traveling_error", "dt_halving"},
+            "branch_point": {"s", "c", "residual_norm"},
+            "dt_halving": {"dts", "errors", "order", "at_roundoff_floor"}}}),
+    (["verify", "--ensemble", "4", "--degrees", "4,8", "--holder-grid", "64"], {
+        "commutator_sweep_deg4.csv": SWEEP_HEADER,
+        "commutator_sweep_deg8.csv": SWEEP_HEADER,
+        "verification_report.json": {
+            "": {"version", "checks", "sweep_summaries"},
+            "sweep_summaries": {"max_degree", "max_ratio", "mean_ratio"}}}),
+    (["selftest"], {}),
+]
+
+
 class TestArtifactWriters:
     @pytest.fixture(scope="class")
     def default_folds(self):
         p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
-        return [continue_branch(m, p, cli.DEFAULTS["smax"]) for m in (1, 2, 3)]
+        return p, [continue_branch(m, p, cli.DEFAULTS["smax"]) for m in (1, 2, 3)]
 
     def test_profile_rows_equal_per_point_synthesis(self, default_folds, tmp_path):
         """The stacked synthesis gives the rows, and ``_write_csv`` the text,
-        of the per-point ``values`` loop through the cell-by-cell formatter:
-        for the branch profiles and for the states of a trajectory, whose
-        fields carry sine amplitudes too."""
-        cases = [("s", [pt.s for pt in b.points], [pt.phi for pt in b.points])
-                 for b in default_folds]
-        for branch in default_folds:
+        of the per-point ``values`` loop through the cell-by-cell formatter,
+        for the states of a trajectory from a branch profile: the first
+        even, the later ones with sine amplitudes too."""
+        p, branches = default_folds
+        cfg = cli.resolve_config(cli.build_parser().parse_args(["evolve"]))
+        path = tmp_path / "rows.csv"
+        for branch in branches:
             phi = branch.points[-1].phi  # travels, so its states gain sine amplitudes
-            traj = evolution.evolve(phi, branch.params, evolution.EvolutionConfig(
+            traj = evolution.evolve(phi, p, evolution.EvolutionConfig(
                 dt=cli.DEFAULTS["dt"], t_final=0.05, n_modes=phi.n_modes))
             assert len(traj.states) > 2 and not traj.states[-1].is_even
-            cases.append(("t", traj.times.tolist(), traj.states))
-        cfg = cli.resolve_config(cli.build_parser().parse_args(["branch"]))
-        path = tmp_path / "rows.csv"
-        for label, labels, fields in cases:
-            grid, rows = cli._profile_rows(labels, fields)
-            ref_grid, ref_rows = reference_profile_rows(labels, fields)
+            labels = traj.times.tolist()
+            grid, rows = cli._profile_rows(labels, traj.states)
+            ref_grid, ref_rows = reference_profile_rows(labels, traj.states)
             assert grid == ref_grid and rows == ref_rows
-            header = [label] + [f"x_{j}" for j in range(grid)]
+            header = ["t"] + [f"x_{j}" for j in range(grid)]
             cli._write_csv(path, cfg, header, rows)
             assert csv_body(path) == reference_csv_body(header, ref_rows)
 
     def test_branch_csv_equals_cell_by_cell_formatter(self, default_folds, tmp_path):
         """The ``branch.csv`` the command writes is the cell-by-cell
-        formatter's text of the points of the same branch."""
-        for branch in default_folds:
+        formatter's text of the points of the same branch, and holds each
+        profile: φ = Σ_j coeff_j cos(j m x), m the config's fold, rebuilt
+        from the cells, samples to the same floats as the point's own."""
+        n = cli.DEFAULTS["modes"]
+        for branch in default_folds[1]:
             out = tmp_path / str(branch.m)
             assert main(["branch", "--fold", str(branch.m), "--out", str(out)]) == 0
             header = ["s", "c", "residual_norm", "newton_iters"]
-            header += [f"coeff_{j}" for j in range(1, branch.truncation + 1)]
+            header += [f"coeff_{j}" for j in range(1, n + 1)]
             rows = [[pt.s, pt.c, pt.residual_norm, pt.newton_iters]
-                    + [pt.phi.a[branch.m * j] for j in range(1, branch.truncation + 1)]
+                    + [pt.phi.a[branch.m * j] for j in range(1, n + 1)]
                     for pt in branch.points]
             assert csv_body(out / "branch.csv") == reference_csv_body(header, rows)
 
+            lines = (out / "branch.csv").read_text().splitlines()
+            m = json.loads(lines[0].removeprefix("# config: "))["fold"]
+            for line, pt in zip(lines[3:], branch.points, strict=True):
+                a = np.zeros(m * n + 1)
+                a[m::m] = [float(cell) for cell in line.split(",")[4:]]
+                assert np.array_equal(spectral.CosineSeries(a).values(), pt.phi.values())
+
     def test_csv_cells_are_numbers_or_booleans(self, tmp_path):
-        """Every data cell of every CSV the commands write reads back as a
-        number or a boolean; no numpy scalar text reaches a file.  Every
-        artifact carries its own hash: a CSV the sha256 of its text below
-        the two comment lines, a JSON file the sha256 of its payload dumped
-        with sorted keys."""
-        commands = [["bifurcate", "--kmax", "3"],
-                    ["branch", "--smax", "0.01", "--modes", "16"],
-                    ["evolve", "--s", "0.01", "--modes", "16", "--tfinal", "0.01",
-                     "--dt", "0.001"],
-                    ["verify", "--ensemble", "4", "--degrees", "4,8",
-                     "--holder-grid", "64"]]
-        seen = set()
-        for i, command in enumerate(commands):
+        """Each command writes exactly the files of ``ARTIFACTS``, with its
+        CSV headers and JSON key sets: no file, column or field repeats a
+        setting or another file.  Every data cell of every CSV reads back
+        as a number or a boolean; no numpy scalar text reaches a file.
+        Every artifact carries its own hash: a CSV the sha256 of its text
+        below the two comment lines, a JSON file the sha256 of its payload
+        dumped with sorted keys."""
+        for i, (command, files) in enumerate(ARTIFACTS):
             out = tmp_path / str(i)
             assert main([*command, "--out", str(out)]) == 0
+            assert sorted(path.name for path in out.glob("*")) == sorted(files), command
             for path in out.glob("*.csv"):
-                seen.add(path.name)
                 text, body = path.read_text(), csv_body(path)
                 assert "np." not in text
                 assert text.splitlines()[1] == \
                     f"# sha256: {hashlib.sha256(body.encode()).hexdigest()}"
-                if path.name.startswith("commutator_sweep_"):
-                    assert body.startswith("seed,degree_a,degree_b,alpha,ratio\n")
+                assert body.splitlines()[0] == files[path.name]
                 for row in body.splitlines()[1:]:
                     for cell in row.split(","):
                         assert _number_or_boolean(cell), (path.name, cell)
             for path in out.glob("*.json"):
-                seen.add(path.name)
                 doc = json.loads(path.read_text())
                 canonical = json.dumps(doc["payload"], sort_keys=True)
                 assert doc["content_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
-        assert {"bifurcation_points.csv", "branch.csv", "profiles.csv", "trajectory.csv",
-                "commutator_sweep_deg4.csv", "commutator_sweep_deg8.csv",
-                "bifurcation_report.json", "branch.json", "evolution_manifest.json",
-                "verification_report.json"} <= seen
+                for field, keys in files[path.name].items():
+                    node = doc["payload"][field] if field else doc["payload"]
+                    entries = node if isinstance(node, list) else [node]
+                    assert entries and all(set(e) == keys for e in entries), (path.name, field)
 
 
 def _number_or_boolean(cell):

@@ -409,7 +409,8 @@ class TestSweep:
         res = commutator_sweep(3, 8, seed=5, grid_size=512)
         assert len(res.seeds) == len(res.ratios) == 3
         summ = res.summary()
-        assert summ["ensemble"] == 3
+        assert summ == {"max_degree": 8, "max_ratio": res.ratios.max(),
+                        "mean_ratio": res.ratios.mean()}
         assert summ["max_ratio"] >= summ["mean_ratio"]
 
     def test_csv_ratios_are_plain_floats(self):

@@ -17,9 +17,12 @@ relative gap, and, for each numeric CSV column or JSON field (list indices
 dropped; a list entry with a ``family`` is keyed by it, so the checks of
 two ``verify`` reports pair by family) that differs, its largest
 gap over its largest magnitude: a move at roundoff reads about 1e-16 there,
-even where the relative gap of two near-zero cells is near 1.  Exits 1 on any
-difference and 0 when every file is byte-identical.  Standard library only;
-the worktree and the temporary directory are removed at the end.
+even where the relative gap of two near-zero cells is near 1.  A CSV cell
+is keyed by its row and its column's header name, so a column dropped or
+added shows as cells on one side only, and the other columns still pair
+cell for cell.  Exits 1 on any difference and 0 when every file is
+byte-identical.  Standard library only; the worktree and the temporary
+directory are removed at the end.
 """
 
 import csv
@@ -72,9 +75,10 @@ def run_all(tree, scratch, dest):
 
 
 def numeric_cells(path):
-    """{location: value} of every numeric cell of a CSV or JSON artifact; a
-    CSV's '#' lines are skipped, so its row 0 is the header.  A JSON list
-    entry with a "family" field is located by that family, e.g.
+    """{location: value} of every numeric cell of a CSV or JSON artifact.  A
+    CSV cell is located by its row, counted from 1 below the header (the
+    '#' lines are skipped), and its column's header, e.g. "row 3 ratio".  A
+    JSON list entry with a "family" field is located by that family, e.g.
     checks[quadrature-oracle], and any other by its index."""
     if path.suffix == ".json":
         cells, stack = [], [("", json.loads(path.read_text()))]
@@ -91,11 +95,11 @@ def numeric_cells(path):
         return dict(cells)
     rows = csv.reader(line for line in path.read_text().splitlines()
                       if not line.startswith("#"))
-    cells = {}
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
+    header, cells = next(rows, []), {}
+    for i, row in enumerate(rows, 1):
+        for name, cell in zip(header, row):
             try:
-                cells[f"row {i} col {j}"] = float(cell)
+                cells[f"row {i} {name}"] = float(cell)
             except ValueError:
                 pass
     return cells
