@@ -22,8 +22,8 @@ weights and amplitude views (``model._Lattice``) once, and every Newton
 step reuses them.  Its truncation and fold are refused up front when an
 array they ask for would pass ``errors.ARRAY_BYTES_CEILING``.
 
-A ``Branch`` is data: ``cli`` writes its points to ``branch.csv`` and its
-outcome to ``branch.json``.
+A ``Branch`` is data: ``cli`` writes its points, each the lattice vector
+Newton solved for, to ``branch.csv`` and its outcome to ``branch.json``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .model import (
     _symbol,
     critical_speed,
 )
-from .spectral import CosineSeries, SpectralField
+from .spectral import CosineSeries, _as_readonly
 
 __all__ = [
     "BifurcationPoint",
@@ -78,11 +78,12 @@ class BifurcationPoint:
 @dataclass(frozen=True)
 class BranchPoint:
     """One converged solution on a branch: amplitude coordinate s (the
-    cos(mx) coefficient, held exactly), speed c, profile, and diagnostics."""
+    cos(mx) coefficient, held exactly), speed c, the n lattice amplitudes
+    α_j = a_{jm} as a read-only array (α_1 = s), and diagnostics."""
 
     s: float
     c: float
-    phi: SpectralField
+    alpha: np.ndarray
     residual_norm: float
     newton_iters: int
 
@@ -104,6 +105,13 @@ class Branch:
     @property
     def speeds(self):
         return np.array([pt.c for pt in self.points])
+
+    def profile(self, i):
+        """Point i's profile φ = Σ_j α_j cos(j m x), on modes 0..mn."""
+        alpha = self.points[i].alpha
+        a = np.zeros(self.m * alpha.size + 1)
+        a[self.m::self.m] = alpha
+        return CosineSeries(a)
 
 
 def _symbol_scale(k, c, p):
@@ -154,7 +162,7 @@ def kernel_dimension(c, p, m, n):
 
 def _branch_bytes(m, n):
     """The bytes of the largest array of an m-fold branch at truncation n:
-    a ``_Lattice`` array, or a point's profile of mn + 1 amplitudes."""
+    a ``_Lattice`` array, or the mn + 1 amplitudes of a ``Branch.profile``."""
     return max(_lattice_bytes(n), 8 * (m * n + 1))
 
 
@@ -199,7 +207,7 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
                     step_cap=DEFAULT_STEP_CAP):
     """Trace the m-fold branch out of (c_m, 0) up to amplitude s_max.
 
-    The first record is the trivial limit (s=0, c=c_m, φ=0).  Steps start at
+    The first record is the trivial limit (s=0, c=c_m, α=0).  Steps start at
     ds and double up to step_cap; the last step lands exactly on s_max.
     The amplitudes are positive: the mirror branch, s -> -s, is the
     half-period shift of this one.  step_cap > 0 is required, since
@@ -232,14 +240,13 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
             f"frequency {shared[0]} shares the critical speed"
         )
 
-    trivial = BranchPoint(s=0.0, c=c0, phi=CosineSeries(np.zeros(m * n + 1)),
-                          residual_norm=0.0, newton_iters=0)
+    alpha = _as_readonly(np.zeros(n))   # the lattice amplitudes of the last accepted point
+    trivial = BranchPoint(s=0.0, c=c0, alpha=alpha, residual_norm=0.0, newton_iters=0)
     branch = Branch(m=m, points=[trivial])
 
     s_abs = 0.0
     step = min(ds, step_cap)
     c = c0
-    alpha = np.zeros(n)     # the lattice amplitudes of the last accepted point
     floor = ds / 2.0 ** STEP_HALVINGS
     lattice = _Lattice(m, n, p.alpha0 - p.beta)
     while s_max - s_abs > 1e-15:
@@ -265,12 +272,10 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
                 f"branch truncated at |s| = {s_abs:.6g}"
             )
             break
+        trial.setflags(write=False)
         c, alpha = c_new, trial
-        a = np.zeros(m * n + 1)
-        a[m::m] = alpha
         s_abs += step
-        branch.points.append(BranchPoint(s=s_try, c=c, phi=CosineSeries(a),
-                                         residual_norm=rnorm,
+        branch.points.append(BranchPoint(s=s_try, c=c, alpha=alpha, residual_norm=rnorm,
                                          newton_iters=iters))
         step = min(step * DEFAULT_STEP_GROWTH, step_cap)
     return branch

@@ -18,8 +18,8 @@ This module alone knows the artifact formats: ``_write_csv`` writes every
 table from rows of Python scalars, each cell the scalar's ``repr``, and
 ``_write_json`` every JSON file.  No file repeats a setting of its embedded
 configuration or a value another file of the run holds: ``branch.csv``
-holds a branch's points, profiles as cosine amplitudes, and ``branch.json``
-its outcome.
+holds a branch's points, each profile as its lattice amplitudes, and
+``branch.json`` its outcome.
 The argument parser is built once per process and reused by every ``main``
 call.  An ``--out`` that is, or lies below, a file and a ``--config`` file
 that cannot be read are configuration errors, raised before any work.
@@ -262,15 +262,6 @@ def cmd_bifurcate(cfg):
     return 0
 
 
-def _profile_rows(labels, fields):
-    """The grid M of the fields (all of one truncation) and rows label,
-    f(x_0), ..., f(x_{M-1}), one per field, from one stacked synthesis."""
-    grid = fields[0].grid_size
-    values = _synthesize(np.array([f.a for f in fields]), np.array([f.b for f in fields]),
-                         grid).tolist()
-    return grid, [[label, *vals] for label, vals in zip(labels, values)]
-
-
 def cmd_branch(cfg):
     _check_out(cfg)
     p = cfg.model_params()
@@ -282,7 +273,7 @@ def cmd_branch(cfg):
                ["s", "c", "residual_norm", "newton_iters"]
                + [f"coeff_{j}" for j in range(1, cfg.modes + 1)],
                [[float(pt.s), float(pt.c), float(pt.residual_norm), int(pt.newton_iters),
-                 *pt.phi.a[branch.m::branch.m].tolist()] for pt in branch.points])
+                 *pt.alpha.tolist()] for pt in branch.points])
     _write_json(out / "branch.json", cfg, {
         "version": __version__,
         "step_cap": DEFAULT_STEP_CAP,   # no CLI setting, so not in the config block
@@ -311,15 +302,13 @@ def cmd_evolve(cfg):
     manifest = {"version": __version__}
     if cfg.s == 0:
         f0 = CosineSeries(np.zeros(ecfg.n_modes + 1))
-        manifest["initial"] = "zero"
     else:
         branch = continue_branch(cfg.fold, p, cfg.s, ds=cfg.ds, n=cfg.modes,
                                  tol=cfg.tol, max_iter=cfg.max_iter)
         if branch.truncated:
             raise NumericalError(f"branch continuation failed: {branch.failure}")
         point = branch.points[-1]
-        f0 = point.phi
-        manifest["initial"] = "branch-point"
+        f0 = branch.profile(-1)
         manifest["branch_point"] = {"s": point.s, "c": point.c,
                                     "residual_norm": point.residual_norm}
     traj = evolve(f0, p, ecfg)
@@ -327,21 +316,25 @@ def cmd_evolve(cfg):
     manifest["dt_effective"] = traj.dt_effective
     manifest["mass_drift"] = traj.mass_drift
     if cfg.s != 0:
-        err = _translation_gap(point, traj)
+        err = _translation_gap(f0, point.c, traj)
         manifest["traveling_error"] = err
         print(f"traveling error over t <= {cfg.tfinal:g}: {err:.6e}")
         if cfg.dt_halving:
-            errs, rates = traveling_error_orders(point, p, ecfg, halvings=1,
+            errs, rates = traveling_error_orders(f0, point.c, p, ecfg, halvings=1,
                                                  base_error=err)
             floor = rates[0] is None
-            manifest["dt_halving"] = {"dts": [ecfg.dt, ecfg.dt / 2], "errors": errs,
-                                      "order": rates[0], "at_roundoff_floor": floor}
+            manifest["dt_halving"] = {"errors": errs, "order": rates[0],
+                                      "at_roundoff_floor": floor}
             order = "not resolved (both at the roundoff floor)" if floor else f"{rates[0]:.2f}"
             print(f"dt halving: errors {errs[0]:.3e} -> {errs[1]:.3e}, order {order}")
     print(f"mass drift {traj.mass_drift:.3e}; effective dt {traj.dt_effective:g}")
     out = _outdir(cfg)
-    grid, rows = _profile_rows(traj.times.tolist(), traj.states)
-    _write_csv(out / "trajectory.csv", cfg, ["t"] + [f"x_{j}" for j in range(grid)], rows)
+    # rows t, f(x_0), ..., f(x_{M-1}) from one synthesis of the amplitude
+    # rows, on the grid M of the states' modes (``SpectralField.grid_size``)
+    grid = max(4, 2 * traj.a.shape[1])
+    values = _synthesize(traj.a, traj.b, grid).tolist()
+    _write_csv(out / "trajectory.csv", cfg, ["t"] + [f"x_{j}" for j in range(grid)],
+               [[t, *vals] for t, vals in zip(traj.times.tolist(), values)])
     _write_json(out / "evolution_manifest.json", cfg, manifest)
     print(f"wrote {out / 'trajectory.csv'}, evolution_manifest.json")
     return 0

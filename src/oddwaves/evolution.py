@@ -28,10 +28,11 @@ d3/3 + d4; nothing is allocated per stage.  Every state is classical RK4's
 to roundoff: it is not the float an allocating loop of the textbook
 formula gives, as the rows sum the same terms in another order, but stays
 within 1e-13 relative of it.  Every step is checked for finiteness.
-A branch profile should translate rigidly at its speed; ``traveling_error``
-measures the sup-norm deviation from the spectrally translated profile and
-is the independent check that continuation produced genuine traveling
-waves.  ``traveling_error_orders`` reports no rate between two errors at
+A branch profile φ should translate rigidly at its speed c;
+``traveling_error(φ, c, ...)`` measures the sup-norm deviation of the
+trajectory's amplitude rows from the spectrally translated profile: the
+independent check that continuation produced genuine traveling waves.
+``traveling_error_orders`` reports no rate between two errors at
 the roundoff floor (ROUNDOFF_FLOOR ε_mach sup|φ|).
 """
 
@@ -97,12 +98,14 @@ def _integration_bytes(n_modes):
 
 @dataclass
 class Trajectory:
-    """Snapshots of one integration, the step it took (0.0 when t_final is
-    0) and the largest drift of the conserved mean over the saved states.
+    """The cosine and sine amplitude rows ``a``, ``b`` of one integration's
+    states, one row per save time, the step it took (0.0 when t_final is 0)
+    and the largest drift of the conserved mean over the saved states.
     The stability limit is a function of the inputs: ``stable_dt``."""
 
     times: np.ndarray
-    states: list[SpectralField]
+    a: np.ndarray
+    b: np.ndarray
     dt_effective: float
     mass_drift: float
 
@@ -167,22 +170,19 @@ def evolve(f0, p, cfg):
 
     Aborts with a NumericalError carrying the last finite state and its time
     stamp if the solution stops being finite.  Saved states are padded to
-    cfg.n_modes.
+    cfg.n_modes; the state at t = 0 is f0's own amplitudes.
     """
     if f0.n_modes > cfg.n_modes:
         raise ConfigurationError(
             f"initial data has {f0.n_modes} modes, above the configured {cfg.n_modes}"
         )
     state = f0.pad_to(cfg.n_modes)
-    if cfg.t_final == 0:
-        return Trajectory(times=np.array([0.0]), states=[state], dt_effective=0.0,
-                          mass_drift=0.0)
-    n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
-    dt = cfg.t_final / n_steps
+    n_steps = max(1, int(round(cfg.t_final / cfg.dt))) if cfg.t_final else 0
+    dt = cfg.t_final / n_steps if n_steps else 0.0
     save_every = cfg.save_every or max(1, n_steps // 10)
-    times = [0.0]
-    states = [state]
+    saved = [*range(0, n_steps, save_every), n_steps]    # the steps saved
     size = cfg.n_modes + 1
+    spectra = np.empty((len(saved), size), dtype=complex)  # their half-spectra
     rows = _stage_rows(size, p)
     half, full, sixth = (tuple(h * rows) for h in (0.5 * dt, dt, dt / 6.0))
     work = _QuadraticWork(size, p)
@@ -192,9 +192,8 @@ def evolve(f0, p, cfg):
     block = np.empty((5, size), dtype=complex)
     u, d1, d2, d3, d4 = block
     x = work.u
-    x[:] = u[:] = _hat(state.a, state.b)
-    mass0 = state.mean
-    drift = 0.0
+    x[:] = u[:] = spectra[0] = _hat(state.a, state.b)
+    row = 1
     # overflow inside a stage carries inf or nan into the new state
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
@@ -211,39 +210,40 @@ def evolve(f0, p, cfg):
                     f"solution lost finiteness during step {step} (t = {step * dt:.6g})",
                     time=(step - 1) * dt, last_state=SpectralField(*_amplitudes(u)))
             np.copyto(u, x)
-            if step % save_every == 0 or step == n_steps:
-                times.append(step * dt)
-                states.append(SpectralField(*_amplitudes(u)))
-                drift = max(drift, abs(states[-1].mean - mass0))
-    return Trajectory(times=np.array(times), states=states, dt_effective=dt,
-                      mass_drift=drift)
+            if step == saved[row]:
+                spectra[row] = u
+                row += 1
+    a, b = _amplitudes(spectra)
+    a[0], b[0] = state.a, state.b   # row 0 unconverted: the round trip loses subnormals
+    return Trajectory(times=dt * np.array(saved), a=a, b=b, dt_effective=dt,
+                      mass_drift=float(np.abs(a[:, 0] - a[0, 0]).max()))
 
 
-def traveling_error(point, p, cfg):
-    """Largest sup-norm gap between the evolved branch profile and its own
-    rigid translation x -> x - c t, over the trajectory's save times.
+def traveling_error(phi, c, p, cfg):
+    """Largest sup-norm gap between the evolved profile φ and its own rigid
+    translation x -> x - c t, over the trajectory's save times.
 
     The translation is applied spectrally (an exact per-mode phase), so the
     comparison has no interpolation error.
     """
-    return _translation_gap(point, evolve(point.phi, p, cfg))
+    return _translation_gap(phi, c, evolve(phi, p, cfg))
 
 
-def _translation_gap(point, traj):
-    """Largest sup-norm gap between a trajectory started from ``point.phi``
-    and the rigid translation of that profile at speed ``point.c``.  The
-    translates at every save time are built at once, and the gaps are
-    sampled by one stacked synthesis (``spectral._sup_norm``) on the grid of
-    the largest degree among them, never coarser than a gap's own grid."""
-    phi = point.phi.pad_to(traj.states[0].n_modes)
-    phase = np.outer(point.c * traj.times, np.arange(phi.a.size, dtype=float))
+def _translation_gap(phi, c, traj):
+    """Largest sup-norm gap between a trajectory started from ``phi`` and
+    the rigid translation of that profile at speed ``c``.  The translates
+    at every save time are built at once and subtracted from the
+    trajectory's amplitude rows, and the gaps are sampled by one stacked
+    synthesis (``spectral._sup_norm``) on the grid of the largest degree
+    among them, never coarser than a gap's own grid."""
+    phi = phi.pad_to(traj.a.shape[1] - 1)
+    phase = np.outer(c * traj.times, np.arange(phi.a.size, dtype=float))
     cos, sin = np.cos(phase), np.sin(phase)
-    gap_a = np.array([state.a for state in traj.states]) - (phi.a * cos - phi.b * sin)
-    gap_b = np.array([state.b for state in traj.states]) - (phi.a * sin + phi.b * cos)
-    return _sup_norm(gap_a, gap_b)
+    return _sup_norm(traj.a - (phi.a * cos - phi.b * sin),
+                     traj.b - (phi.a * sin + phi.b * cos))
 
 
-def traveling_error_orders(point, p, cfg, halvings=2, base_error=None):
+def traveling_error_orders(phi, c, p, cfg, halvings=2, base_error=None):
     """Traveling errors at dt, dt/2, ..., plus the log2 decay rates between
     consecutive halvings (RK4 should give rates near 4 while the error sits
     above the converged-profile floor).  A rate is None when both of its
@@ -255,8 +255,8 @@ def traveling_error_orders(point, p, cfg, halvings=2, base_error=None):
     dts = [cfg.dt / 2 ** i for i in range(halvings + 1)]
     errs = [] if base_error is None else [base_error]
     for dt in dts[len(errs):]:
-        errs.append(traveling_error(point, p, replace(cfg, dt=dt)))
-    floor = ROUNDOFF_FLOOR * np.finfo(float).eps * point.phi.sup_norm()
+        errs.append(traveling_error(phi, c, p, replace(cfg, dt=dt)))
+    floor = ROUNDOFF_FLOOR * np.finfo(float).eps * phi.sup_norm()
     rates = [None if max(errs[i], errs[i + 1]) <= floor
              else float(np.log2(errs[i] / errs[i + 1])) if errs[i + 1] > 0 else float("inf")
              for i in range(len(errs) - 1)]

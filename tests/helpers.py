@@ -16,7 +16,9 @@ in exact rational arithmetic (``exact_gateaux_nonlinear``,
 ``exact_residual``); the Hölder seminorm and norm as the plain loop over
 all lags and the loop over validated fields; and the commutator quotient
 and sweep member by member through ``commutator_h`` and a norm on fields,
-with ``sweep_members`` listing a sweep's members as Python scalars.
+with ``sweep_members`` listing a sweep's members as Python scalars;
+``as_fields`` is the one route by which a test reads a branch's profiles
+or a trajectory's states as fields.
 ``reference_quadratic`` is Q on the half-spectrum with one transform per
 factor and per product, the form the stacked kernel must reproduce bit
 for bit;
@@ -40,7 +42,7 @@ simplicity scans of ``detect_bifurcations`` and ``continue_branch``;
 ``reference_kernel_dimension`` counts the small singular values of the
 assembled flat-state Jacobian, the count ``kernel_dimension`` must give;
 ``reference_csv_body`` and ``reference_profile_rows`` are the CLI's
-cell-by-cell CSV formatter and its per-point profile synthesis.
+cell-by-cell CSV formatter and its per-state trajectory synthesis.
 """
 
 from collections import Counter
@@ -49,6 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from oddwaves import (
+    Branch,
     ConfigurationError,
     CosineSeries,
     ModelParams,
@@ -326,6 +329,18 @@ def count_real_ffts(monkeypatch):
         kernel = "_" + name
         monkeypatch.setattr(model, kernel, counting(name, getattr(model, kernel)))
     return counts
+
+
+def count_fields(monkeypatch):
+    """The list that gets one entry per ``SpectralField`` built from now on."""
+    built, init = [], SpectralField.__init__
+
+    def counted(field, *args):
+        built.append(1)
+        init(field, *args)
+
+    monkeypatch.setattr(SpectralField, "__init__", counted)
+    return built
 
 
 # The public np.fft calls that the bound kernels replaced, as references for
@@ -694,3 +709,12 @@ def sweep_members(res):
     ratio), Python scalars."""
     return list(zip(res.seeds, res.degree_a.tolist(), res.degree_b.tolist(),
                     res.ratios.tolist()))
+
+
+def as_fields(result):
+    """The profiles of a ``Branch``'s points (``Branch.profile``) or the
+    saved states of a ``Trajectory`` (its amplitude rows), as fields in
+    order."""
+    if isinstance(result, Branch):
+        return [result.profile(i) for i in range(len(result.points))]
+    return [SpectralField(a, b) for a, b in zip(result.a, result.b)]

@@ -24,7 +24,7 @@ from oddwaves import (
 from oddwaves.model import assemble_jacobian
 from oddwaves.evolution import stable_dt, traveling_error, traveling_error_orders
 
-from helpers import random_even, random_mfold_even
+from helpers import as_fields, random_even, random_mfold_even
 
 PA = ModelParams(0.5, 1.0, 0.5)          # reference parameter triple
 PDEG = ModelParams(0.5, 1.0, 1.0)        # alpha0 == beta regime
@@ -127,8 +127,8 @@ def check_branches(p):
         gaps = np.abs(br.speeds - c0)
         assert gaps[1] < 1e-5 and np.all(np.diff(gaps[1:]) > 0)
         s_vals, tails = [], []
-        for pt in br.points[1:]:
-            rest = pt.phi.a.copy()
+        for pt, phi in zip(br.points[1:], as_fields(br)[1:]):
+            rest = phi.a.copy()
             rest[m] = 0.0
             s_vals.append(abs(pt.s))
             tails.append(CosineSeries(rest).sup_norm())
@@ -190,15 +190,15 @@ def test_criterion_6_branch_existence():
 def test_criterion_7_traveling_wave_validation():
     t0 = time.time()
     br = continue_branch(1, PA, s_max=0.02, ds=1e-3, n=64, tol=1e-11)
-    point = br.points[-1]
+    point, phi = br.points[-1], as_fields(br)[-1]
     assert point.s == 0.02
 
     cfg = EvolutionConfig(dt=2e-4, t_final=1.0, n_modes=64)
-    deviation = traveling_error(point, PA, cfg)
+    deviation = traveling_error(phi, point.c, PA, cfg)
     assert deviation < 1e-4
 
     from oddwaves import evolve
-    drift = evolve(point.phi, PA, cfg).mass_drift
+    drift = evolve(phi, PA, cfg).mass_drift
     assert drift < 1e-12
 
     # convergence order is measured where the time error is resolvable:
@@ -206,7 +206,7 @@ def test_criterion_7_traveling_wave_validation():
     # floor, then halved twice
     dt0 = 0.8 * stable_dt(64, PA)
     order_cfg = EvolutionConfig(dt=dt0, t_final=1.0, n_modes=64)
-    errs, rates = traveling_error_orders(point, PA, order_cfg, halvings=2)
+    errs, rates = traveling_error_orders(phi, point.c, PA, order_cfg, halvings=2)
     slope = np.polyfit(np.log2([dt0, dt0 / 2, dt0 / 4]), np.log2(errs), 1)[0]
     assert slope >= 3.7, f"order fit {slope:.2f} < 3.7 (errors {errs})"
     report(7, "branch point translates rigidly under evolution", t0,

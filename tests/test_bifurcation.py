@@ -17,8 +17,8 @@ from oddwaves import (
 import oddwaves.bifurcation as bif
 from oddwaves.model import _mfold_indices, d_c_residual
 
-from helpers import (fft_residual, reference_kernel_dimension, reference_newton,
-                     reference_shared_frequency, reference_simplicity)
+from helpers import (as_fields, count_fields, fft_residual, reference_kernel_dimension,
+                     reference_newton, reference_shared_frequency, reference_simplicity)
 
 P = ModelParams(1.0, 1.0, 0.0)
 PA = ModelParams(0.5, 1.0, 0.5)
@@ -159,7 +159,7 @@ class TestContinueBranch:
         first = br.points[0]
         assert first.s == 0.0
         assert first.c == critical_speed(1, PA)
-        assert first.phi.sup_norm() == 0.0
+        assert as_fields(br)[0].sup_norm() == 0.0
 
     def test_residuals_below_tolerance(self):
         br = small_branch()
@@ -169,16 +169,39 @@ class TestContinueBranch:
 
     def test_amplitude_constraint_exact(self):
         br = small_branch(m=2)
-        for pt in br.points:
-            assert pt.phi.a[2] == pt.s
+        for pt, phi in zip(br.points, as_fields(br)):
+            assert phi.a[2] == pt.s
 
     def test_even_and_mfold_support_exact(self):
         br = small_branch(m=3, n=16)
-        for pt in br.points[1:]:
-            assert pt.phi.is_even
-            mask = np.ones(pt.phi.n_modes + 1, dtype=bool)
+        for phi in as_fields(br)[1:]:
+            assert phi.is_even
+            mask = np.ones(phi.n_modes + 1, dtype=bool)
             mask[::3] = False
-            assert np.abs(pt.phi.a[mask]).max() == 0.0
+            assert np.abs(phi.a[mask]).max() == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_points_keep_their_lattice_vectors(self, m, monkeypatch):
+        """Continuation builds no field.  Each point holds its own read-only
+        array of the n lattice amplitudes, α_1 = s, and ``Branch.profile``
+        places them on the modes jm bit for bit, with exact zeros on every
+        other mode."""
+        n = 16
+        built = count_fields(monkeypatch)
+        br = small_branch(m=m, n=n)
+        assert len(br.points) > 2 and not built
+        for i, pt in enumerate(br.points):
+            assert pt.alpha.shape == (n,) and pt.alpha.dtype == np.float64
+            assert not pt.alpha.flags.writeable
+            assert pt.alpha[0] == pt.s
+            assert not any(np.shares_memory(pt.alpha, other.alpha)
+                           for other in br.points[i + 1:])
+            phi = br.profile(i)
+            assert phi.n_modes == m * n
+            assert phi.a[m::m].tobytes() == pt.alpha.tobytes()
+            off = np.ones(m * n + 1, dtype=bool)
+            off[m::m] = False
+            assert np.all(phi.a[off] == 0.0) and np.all(phi.b == 0.0)
 
     def test_speed_approaches_critical_value(self):
         br = small_branch()
@@ -190,8 +213,8 @@ class TestContinueBranch:
     def test_profile_tail_is_second_order_in_s(self):
         br = small_branch(s_max=0.02)
         s_vals, tails = [], []
-        for pt in br.points[1:]:
-            rest = pt.phi.a.copy()
+        for pt, phi in zip(br.points[1:], as_fields(br)[1:]):
+            rest = phi.a.copy()
             rest[1] = 0.0
             s_vals.append(abs(pt.s))
             tails.append(CosineSeries(rest).sup_norm())
@@ -202,8 +225,8 @@ class TestContinueBranch:
         """Re-evaluating each converged profile embedded at doubled
         truncation must stay within 10x the tolerance."""
         br = small_branch(n=16)
-        for pt in br.points[1:]:
-            fine = CosineSeries(np.r_[pt.phi.a, np.zeros(pt.phi.n_modes)])
+        for pt, phi in zip(br.points[1:], as_fields(br)[1:]):
+            fine = CosineSeries(np.r_[phi.a, np.zeros(phi.n_modes)])
             assert residual(pt.c, fine, PA).sup_norm() < 10 * TOL
 
     def test_bordered_jacobian_nonsingular_on_branch(self):
@@ -212,10 +235,10 @@ class TestContinueBranch:
         m, n = 1, 16
         br = small_branch(m=m, n=n)
         rows = _mfold_indices(m, n)
-        for pt in br.points[1:]:
+        for pt, phi in zip(br.points[1:], as_fields(br)[1:]):
             full = np.zeros((n + 1, n + 1))
-            full[:n, 0] = d_c_residual(pt.phi, PA).b[rows]
-            jac = assemble_jacobian(pt.c, pt.phi, PA, n, m)
+            full[:n, 0] = d_c_residual(phi, PA).b[rows]
+            jac = assemble_jacobian(pt.c, phi, PA, n, m)
             full[:n, 1:] = jac
             full[n, 1] = 1.0  # amplitude constraint: cos(mx) coefficient fixed
             svals = np.linalg.svd(full, compute_uv=False)
@@ -229,10 +252,10 @@ class TestContinueBranch:
         the same speed and residual."""
         for m in (1, 2, 3):
             br = small_branch(m=m, n=16, s_max=0.05)
-            for pt in br.points[1:]:
-                shifted = pt.phi.a.copy()
+            for pt, phi in zip(br.points[1:], as_fields(br)[1:]):
+                shifted = phi.a.copy()
                 shifted[::m] *= (-1.0) ** np.arange(shifted[::m].size)
-                r = residual(pt.c, pt.phi, PA)
+                r = residual(pt.c, phi, PA)
                 rs = residual(pt.c, CosineSeries(shifted), PA)
                 sign = (-1.0) ** np.arange(r.b[::m].size)
                 assert np.array_equal(rs.b[::m], sign * r.b[::m])
@@ -338,7 +361,7 @@ class TestContinueBranch:
         for u, v in zip(clean.points, scribbled.points, strict=True):
             assert (u.s, u.c, u.residual_norm, u.newton_iters) == \
                 (v.s, v.c, v.residual_norm, v.newton_iters)
-            assert u.phi.a.tobytes() == v.phi.a.tobytes()
+            assert u.alpha.tobytes() == v.alpha.tobytes()
 
     def test_degenerate_resonant_fold_refused(self):
         """At alpha0 == beta == 1 the frequencies 2 and 4 share a speed
@@ -372,7 +395,7 @@ class TestScaleCovariance:
             assert u.newton_iters == v.newton_iters
             assert abs(eps * v.s - u.s) <= 1e-13 * abs(u.s)
             assert abs(eps * v.c - u.c) <= 1e-13 * abs(u.c)
-            assert np.abs(eps * v.phi.a - u.phi.a).max() <= 1e-13 * np.abs(u.phi.a).max()
+            assert np.abs(eps * v.alpha - u.alpha).max() <= 1e-13 * np.abs(u.alpha).max()
 
 
 class TestArrayNewton:
@@ -394,16 +417,16 @@ class TestArrayNewton:
 
     @staticmethod
     def assert_same_points(fast, slow):
-        """The same steps and iterations; c, φ and the residual norm equal to
+        """The same steps and iterations; c, α and the residual norm equal to
         roundoff, since the lattice residual and the FFT residual sum the
         same terms in another order."""
         assert len(fast.points) == len(slow.points)
         for f, s in zip(fast.points, slow.points):
             assert (f.s, f.newton_iters) == (s.s, s.newton_iters)
             assert abs(f.c - s.c) <= 1e-13 * abs(s.c)
-            assert np.abs(f.phi.a - s.phi.a).max() <= 1e-13 * np.abs(s.phi.a).max()
+            assert f.alpha.shape == s.alpha.shape
+            assert np.abs(f.alpha - s.alpha).max() <= 1e-13 * np.abs(s.alpha).max()
             assert abs(f.residual_norm - s.residual_norm) <= 1e-15
-            assert f.phi.is_even and f.phi.grid_size == s.phi.grid_size
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_branch_equals_field_newton(self, monkeypatch, m):
@@ -426,8 +449,8 @@ class TestArrayNewton:
         below the Σ|b_k| the point reports, which bounds it."""
         br = continue_branch(m, PA, 0.05)
         assert not br.truncated and len(br.points) == 9
-        for pt in br.points[1:]:
-            again = fft_residual(pt.c, pt.phi, PA)[0].sup_norm()
+        for pt, phi in zip(br.points[1:], as_fields(br)[1:]):
+            again = fft_residual(pt.c, phi, PA)[0].sup_norm()
             assert again < bif.DEFAULT_TOL
             assert again <= pt.residual_norm + 1e-15
 
@@ -439,6 +462,7 @@ class TestArrayNewton:
         norm."""
         br = continue_branch(m, PA, 0.05)
         assert not br.truncated and len(br.points) == 9
-        l1 = [np.abs(residual(pt.c, pt.phi, PA).b).sum() for pt in br.points[1:]]
+        l1 = [np.abs(residual(pt.c, phi, PA).b).sum()
+              for pt, phi in zip(br.points[1:], as_fields(br)[1:])]
         assert max(l1) < bif.DEFAULT_TOL
         assert l1 == pytest.approx([pt.residual_norm for pt in br.points[1:]], rel=0, abs=1e-15)

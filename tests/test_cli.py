@@ -12,8 +12,8 @@ from oddwaves import (ModelParams, __version__, bifurcation, cli, continue_branc
                       spectral)
 from oddwaves.cli import main
 
-from helpers import (reference_commutator_sweep, reference_csv_body, reference_holder_norm,
-                     reference_profile_rows)
+from helpers import (as_fields, reference_commutator_sweep, reference_csv_body,
+                     reference_holder_norm, reference_profile_rows)
 
 
 def run(tmp_path, *args):
@@ -153,7 +153,7 @@ class TestEvolve:
         assert code == 0
         doc = read_json(tmp_path, "evolution_manifest.json")
         payload = doc["payload"]
-        assert payload["initial"] == "branch-point"
+        assert payload["branch_point"]["s"] == 0.01
         assert payload["traveling_error"] < 1e-4
         assert payload["mass_drift"] < 1e-12
         p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
@@ -184,9 +184,10 @@ class TestEvolve:
 
         payload = read_json(tmp_path, "evolution_manifest.json")["payload"]
         p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
-        point = continue_branch(1, p, 0.01, n=16).points[-1]
+        branch = continue_branch(1, p, 0.01, n=16)
         cfg = evolution.EvolutionConfig(dt=0.002, t_final=0.02, n_modes=16)
-        assert payload["traveling_error"] == evolution.traveling_error(point, p, cfg)
+        assert payload["traveling_error"] == evolution.traveling_error(
+            as_fields(branch)[-1], branch.points[-1].c, p, cfg)
 
     def test_dt_halving_integrates_base_dt_once(self, tmp_path, monkeypatch):
         """--dt-halving reuses the base-dt trajectory and integrates only at
@@ -208,11 +209,11 @@ class TestEvolve:
 
         block = read_json(tmp_path, "evolution_manifest.json")["payload"]["dt_halving"]
         p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
-        point = continue_branch(1, p, 0.01, n=24).points[-1]
+        branch = continue_branch(1, p, 0.01, n=24)
         cfg = evolution.EvolutionConfig(dt=0.002, t_final=0.1, n_modes=24)
-        errs, rates = evolution.traveling_error_orders(point, p, cfg, halvings=1)
-        assert block == {"dts": [0.002, 0.001], "errors": errs, "order": rates[0],
-                         "at_roundoff_floor": rates[0] is None}
+        errs, rates = evolution.traveling_error_orders(as_fields(branch)[-1], branch.points[-1].c,
+                                                       p, cfg, halvings=1)
+        assert block == {"errors": errs, "order": rates[0], "at_roundoff_floor": rates[0] is None}
 
     @pytest.mark.parametrize("modes", ["0", "-3"])
     def test_too_few_modes_names_the_flag(self, tmp_path, capsys, modes):
@@ -455,10 +456,10 @@ ARTIFACTS = [
       "--dt-halving"], {
         "trajectory.csv": "t," + ",".join(f"x_{j}" for j in range(34)),
         "evolution_manifest.json": {
-            "": {"version", "initial", "branch_point", "dt_stable", "dt_effective",
+            "": {"version", "branch_point", "dt_stable", "dt_effective",
                  "mass_drift", "traveling_error", "dt_halving"},
             "branch_point": {"s", "c", "residual_norm"},
-            "dt_halving": {"dts", "errors", "order", "at_roundoff_floor"}}}),
+            "dt_halving": {"errors", "order", "at_roundoff_floor"}}}),
     (["verify", "--ensemble", "4", "--degrees", "4,8", "--holder-grid", "64"], {
         "commutator_sweep_deg4.csv": SWEEP_HEADER,
         "commutator_sweep_deg8.csv": SWEEP_HEADER,
@@ -476,25 +477,24 @@ class TestArtifactWriters:
         return p, [continue_branch(m, p, cli.DEFAULTS["smax"]) for m in (1, 2, 3)]
 
     def test_profile_rows_equal_per_point_synthesis(self, default_folds, tmp_path):
-        """The stacked synthesis gives the rows, and ``_write_csv`` the text,
-        of the per-point ``values`` loop through the cell-by-cell formatter,
-        for the states of a trajectory from a branch profile: the first
-        even, the later ones with sine amplitudes too."""
+        """``trajectory.csv``, from one synthesis of the trajectory's
+        amplitude rows, is the cell-by-cell formatter's text of the
+        per-state ``values`` loop, for a trajectory from the last point of
+        each default fold: its first state even, the later ones with sine
+        amplitudes too."""
         p, branches = default_folds
-        cfg = cli.resolve_config(cli.build_parser().parse_args(["evolve"]))
-        path = tmp_path / "rows.csv"
         for branch in branches:
-            phi = branch.points[-1].phi  # travels, so its states gain sine amplitudes
+            out = tmp_path / str(branch.m)
+            assert main(["evolve", "--fold", str(branch.m), "--s", str(cli.DEFAULTS["smax"]),
+                         "--tfinal", "0.05", "--out", str(out)]) == 0
+            phi = as_fields(branch)[-1]  # travels, so its states gain sine amplitudes
             traj = evolution.evolve(phi, p, evolution.EvolutionConfig(
                 dt=cli.DEFAULTS["dt"], t_final=0.05, n_modes=phi.n_modes))
-            assert len(traj.states) > 2 and not traj.states[-1].is_even
-            labels = traj.times.tolist()
-            grid, rows = cli._profile_rows(labels, traj.states)
-            ref_grid, ref_rows = reference_profile_rows(labels, traj.states)
-            assert grid == ref_grid and rows == ref_rows
+            states = as_fields(traj)
+            assert len(states) > 2 and not states[-1].is_even
+            grid, rows = reference_profile_rows(traj.times.tolist(), states)
             header = ["t"] + [f"x_{j}" for j in range(grid)]
-            cli._write_csv(path, cfg, header, rows)
-            assert csv_body(path) == reference_csv_body(header, ref_rows)
+            assert csv_body(out / "trajectory.csv") == reference_csv_body(header, rows)
 
     def test_branch_csv_equals_cell_by_cell_formatter(self, default_folds, tmp_path):
         """The ``branch.csv`` the command writes is the cell-by-cell
@@ -507,17 +507,18 @@ class TestArtifactWriters:
             assert main(["branch", "--fold", str(branch.m), "--out", str(out)]) == 0
             header = ["s", "c", "residual_norm", "newton_iters"]
             header += [f"coeff_{j}" for j in range(1, n + 1)]
+            profiles = as_fields(branch)
             rows = [[pt.s, pt.c, pt.residual_norm, pt.newton_iters]
-                    + [pt.phi.a[branch.m * j] for j in range(1, n + 1)]
-                    for pt in branch.points]
+                    + [phi.a[branch.m * j] for j in range(1, n + 1)]
+                    for pt, phi in zip(branch.points, profiles)]
             assert csv_body(out / "branch.csv") == reference_csv_body(header, rows)
 
             lines = (out / "branch.csv").read_text().splitlines()
             m = json.loads(lines[0].removeprefix("# config: "))["fold"]
-            for line, pt in zip(lines[3:], branch.points, strict=True):
+            for line, phi in zip(lines[3:], profiles, strict=True):
                 a = np.zeros(m * n + 1)
                 a[m::m] = [float(cell) for cell in line.split(",")[4:]]
-                assert np.array_equal(spectral.CosineSeries(a).values(), pt.phi.values())
+                assert np.array_equal(spectral.CosineSeries(a).values(), phi.values())
 
     def test_csv_cells_are_numbers_or_booleans(self, tmp_path):
         """Each command writes exactly the files of ``ARTIFACTS``, with its

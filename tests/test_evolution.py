@@ -28,7 +28,9 @@ from oddwaves.model import d_c_residual
 
 from helpers import (
     ORACLE_PARAMS,
+    as_fields,
     cosine,
+    count_fields,
     count_real_ffts,
     random_even,
     random_field,
@@ -43,9 +45,10 @@ PA = ModelParams(0.5, 1.0, 0.5)
 
 @pytest.fixture(scope="module")
 def branch_point():
+    """The profile φ and speed c of a fold-1 branch point."""
     br = continue_branch(1, PA, 0.02, ds=1e-3, n=48, tol=1e-11)
     assert not br.truncated
-    return br.points[-1]
+    return as_fields(br)[-1], br.points[-1].c
 
 
 class TestConfig:
@@ -95,9 +98,8 @@ class TestRhs:
 
     def test_traveling_relation_on_branch_point(self, branch_point):
         """rhs(φ) + c φ' must vanish at a converged branch point."""
-        pt = branch_point
-        n = pt.phi.n_modes
-        drift = rhs(pt.phi, PA) + pt.c * derivative(pt.phi, 1).truncate(n)
+        phi, c = branch_point
+        drift = rhs(phi, PA) + c * derivative(phi, 1).truncate(phi.n_modes)
         assert drift.sup_norm() < 10 * 1e-11
 
 
@@ -127,12 +129,12 @@ class TestEvolve:
     def test_zero_stays_zero(self):
         cfg = EvolutionConfig(dt=1e-2, t_final=0.1, n_modes=16)
         traj = evolve(CosineSeries(np.zeros(5)), PA, cfg)
-        assert all(st.sup_norm() == 0.0 for st in traj.states)
+        assert all(st.sup_norm() == 0.0 for st in as_fields(traj))
 
     def test_zero_horizon(self):
         cfg = EvolutionConfig(dt=1e-2, t_final=0.0, n_modes=16)
         traj = evolve(cosine(1, 0.1, n=16), PA, cfg)
-        assert len(traj.states) == 1 and traj.times[0] == 0.0
+        assert len(as_fields(traj)) == 1 and traj.times[0] == 0.0
 
     def test_linear_mode_rotation(self):
         """Infinitesimal data follows the exact multiplier solution."""
@@ -140,18 +142,36 @@ class TestEvolve:
         cfg = EvolutionConfig(dt=2e-3, t_final=1.0, n_modes=32)
         traj = evolve(cosine(k, delta, n=32), PA, cfg)
         w = dispersion_frequency(k, PA)
-        for t, st in zip(traj.times, traj.states):
+        states = as_fields(traj)
+        for t, st in zip(traj.times, states):
             gap = max(abs(st.a[k] - delta * np.cos(w * t)),
                       abs(st.b[k] + delta * np.sin(w * t)))
             assert gap / delta < 1e-6
-        amp = np.hypot(traj.states[-1].a[k], traj.states[-1].b[k])
+        amp = np.hypot(states[-1].a[k], states[-1].b[k])
         assert abs(amp / delta - 1.0) < 1e-6
 
     def test_mass_conservation(self, branch_point):
         cfg = EvolutionConfig(dt=5e-3, t_final=0.5, n_modes=48)
-        shifted = SpectralField(branch_point.phi.a + np.r_[0.25, np.zeros(48)])
+        shifted = SpectralField(branch_point[0].a + np.r_[0.25, np.zeros(48)])
         traj = evolve(shifted, PA, cfg)
         assert traj.mass_drift < 1e-12 * (1 + cfg.t_final)
+
+    @pytest.mark.parametrize("t_final", [0.0, 5e-3])
+    def test_first_row_is_the_initial_data(self, t_final, monkeypatch):
+        """Row 0 holds f0's own amplitudes, padded, bit for bit: a subnormal
+        a_3 = 5e-324 survives, which the half-spectrum round trip zeroes.
+        The only field built is the padded initial data, none per save."""
+        a = np.zeros(9)
+        a[1], a[3] = 0.1, 5e-324
+        f0 = CosineSeries(a)
+        built = count_fields(monkeypatch)
+        traj = evolve(f0, PA, EvolutionConfig(dt=1e-3, t_final=t_final, n_modes=16))
+        assert len(built) == 1 and traj.times.size == (6 if t_final else 1)
+        assert evolution._amplitudes(evolution._hat(a, np.zeros(9)))[0][3] == 0.0
+        assert traj.a[0, 3] == 5e-324
+        assert traj.a[0].tobytes() == np.r_[a, np.zeros(8)].tobytes()
+        assert traj.b[0].tobytes() == np.zeros(17).tobytes()
+        assert traj.a.shape == traj.b.shape == (traj.times.size, 17)
 
     def test_nan_abort_reports_time_and_state(self):
         # enormous amplitude with a huge step leaves the stability region
@@ -174,8 +194,9 @@ class TestEvolve:
         cfg = EvolutionConfig(dt=1e-3, t_final=0.02, n_modes=n, save_every=1)
         traj = evolve(f, p, cfg)
         dt, state = traj.dt_effective, f
-        assert len(traj.states) == 21
-        for got in traj.states[1:]:
+        states = as_fields(traj)
+        assert len(states) == 21
+        for got in states[1:]:
             k1 = reference_rhs(state, p)
             k2 = reference_rhs(state + (0.5 * dt) * k1, p)
             k3 = reference_rhs(state + (0.5 * dt) * k2, p)
@@ -205,8 +226,8 @@ class TestEvolve:
             got = evolve(f, p, cfg)
             assert calls == [32] * (4 * 20)
             assert len(want) == 20 // save_every + (20 % save_every != 0)
-            assert len(got.states) == 1 + len(want)
-            for state, (a, b) in zip(got.states[1:], want):
+            assert len(as_fields(got)) == 1 + len(want)
+            for state, (a, b) in zip(as_fields(got)[1:], want):
                 assert relative_gap(state, SpectralField(a, b)) <= 1e-13
 
     def test_one_transform_each_way_per_stage(self, monkeypatch):
@@ -236,8 +257,8 @@ class TestScaleCovariance:
         unit = EvolutionConfig(dt=dt / eps, t_final=20 * dt / eps, n_modes=n, save_every=3)
         got = evolve(f0, p, cfg)
         want = evolve(eps * f0, ModelParams(1.0, 1.0, 0.5), unit)
-        assert len(got.states) == len(want.states) == 8
-        for state, mapped in zip(got.states, want.states):
+        assert len(as_fields(got)) == len(as_fields(want)) == 8
+        for state, mapped in zip(as_fields(got), as_fields(want)):
             assert relative_gap(eps * state, mapped) <= 1e-13
 
 
@@ -245,55 +266,56 @@ class TestTravelingError:
     def test_trivial_point_is_exact(self):
         br = continue_branch(1, PA, 0.0, n=8)
         cfg = EvolutionConfig(dt=1e-2, t_final=0.1, n_modes=8)
-        assert traveling_error(br.points[0], PA, cfg) == 0.0
+        assert traveling_error(as_fields(br)[0], br.points[0].c, PA, cfg) == 0.0
 
     @staticmethod
-    def per_state_gap(point, traj):
+    def per_state_gap(phi, c, traj):
         """The gap state by state, each sampled on its own sup-norm grid."""
-        phi = point.phi.pad_to(traj.states[0].n_modes)
-        return max((state - translate(phi, point.c * t)).sup_norm()
-                   for t, state in zip(traj.times, traj.states))
+        states = as_fields(traj)
+        phi = phi.pad_to(states[0].n_modes)
+        return max((state - translate(phi, c * t)).sup_norm()
+                   for t, state in zip(traj.times, states))
 
     def test_stacked_gap_equals_per_state_loop(self, branch_point):
         cfg = EvolutionConfig(dt=1e-3, t_final=0.5, n_modes=48)
-        traj = evolve(branch_point.phi, PA, cfg)
-        assert _translation_gap(branch_point, traj) == self.per_state_gap(branch_point, traj)
+        traj = evolve(branch_point[0], PA, cfg)
+        assert _translation_gap(*branch_point, traj) == self.per_state_gap(*branch_point, traj)
 
     def test_stacked_gap_on_the_finest_grid(self, branch_point):
         """Gaps of unequal degree are all sampled on the grid of the largest
         one, which contains each coarser power-of-two grid: the result is at
         least the per-state loop's and equals its maximum on that grid."""
-        phi = branch_point.phi
+        phi = branch_point[0]
         a, b = np.zeros(49), np.zeros(49)
         theta = 3 * 2 * np.pi / 128    # cos(3x - θ) peaks between 64-grid points
         a[3], b[3] = 1e-3 * np.cos(theta), 1e-3 * np.sin(theta)
         states = [phi, phi + SpectralField(a, b), phi + cosine(40, 1e-4, n=48)]
-        traj = Trajectory(times=np.zeros(3), states=states,
-                          dt_effective=0.1, mass_drift=0.0)
-        got = _translation_gap(branch_point, traj)
-        assert got > self.per_state_gap(branch_point, traj)
+        traj = Trajectory(times=np.zeros(3), a=np.array([st.a for st in states]),
+                          b=np.array([st.b for st in states]), dt_effective=0.1, mass_drift=0.0)
+        got = _translation_gap(*branch_point, traj)
+        assert got > self.per_state_gap(*branch_point, traj)
         fine = max(np.abs((state - phi).values(256)).max() for state in states)
         assert got == fine
 
     def test_small_amplitude_branch_point(self, branch_point):
         cfg = EvolutionConfig(dt=1e-3, t_final=0.5, n_modes=48)
-        assert traveling_error(branch_point, PA, cfg) < 1e-4
+        assert traveling_error(*branch_point, PA, cfg) < 1e-4
 
     def test_fourth_order_decay(self, branch_point):
         """Halving dt inside the stability window shows RK4 decay."""
         dt0 = 0.8 * stable_dt(48, PA)
         cfg = EvolutionConfig(dt=dt0, t_final=1.0, n_modes=48)
-        errs, rates = traveling_error_orders(branch_point, PA, cfg, halvings=2)
+        errs, rates = traveling_error_orders(*branch_point, PA, cfg, halvings=2)
         assert all(e > 0 for e in errs)
         assert min(rates) > 3.7
 
     def test_no_order_at_the_roundoff_floor(self, branch_point):
         """Two errors at most ROUNDOFF_FLOOR ε_mach sup|φ| (4.5e-15 here) give
         no rate; one error above it gives a number."""
-        floor = ROUNDOFF_FLOOR * np.finfo(float).eps * branch_point.phi.sup_norm()
+        floor = ROUNDOFF_FLOOR * np.finfo(float).eps * branch_point[0].sup_norm()
         cfg = EvolutionConfig(dt=1e-3, t_final=0.01, n_modes=48)
-        errs, rates = traveling_error_orders(branch_point, PA, cfg, halvings=1)
+        errs, rates = traveling_error_orders(*branch_point, PA, cfg, halvings=1)
         assert max(errs) <= floor and rates == [None]
         cfg = EvolutionConfig(dt=0.02, t_final=0.2, n_modes=48)
-        errs, rates = traveling_error_orders(branch_point, PA, cfg, halvings=1)
+        errs, rates = traveling_error_orders(*branch_point, PA, cfg, halvings=1)
         assert errs[1] <= floor < errs[0] and 3.7 < rates[0] < 4.3

@@ -22,6 +22,7 @@ from oddwaves.spectral import _hat
 
 from helpers import (
     ORACLE_PARAMS,
+    as_fields,
     coeff_gap,
     cosine,
     count_real_ffts,
@@ -214,12 +215,13 @@ class TestParityCheck:
         valid wave there: its residual is the ε = 1 residual times 1/ε²,
         while its terms grow to about 1e5 and leak about 2e-11 of cosine."""
         p1 = ModelParams(1.0, 1.0, 0.5)
-        pt = continue_branch(1, p1, 0.5, n=32, step_cap=0.1).points[-1]
+        branch = continue_branch(1, p1, 0.5, n=32, step_cap=0.1)
+        pt, phi = branch.points[-1], as_fields(branch)[-1]
         assert pt.s == 0.5
         eps = 1e-3
-        scaled = residual(pt.c / eps, CosineSeries(pt.phi.a / eps),
+        scaled = residual(pt.c / eps, CosineSeries(phi.a / eps),
                           ModelParams(eps, 1.0, 0.5))
-        want = residual(pt.c, pt.phi, p1)
+        want = residual(pt.c, phi, p1)
         assert np.abs(eps ** 2 * scaled.b - want.b).max() <= 1e-15
 
 

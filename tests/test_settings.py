@@ -20,7 +20,7 @@ from oddwaves.evolution import _integration_bytes, evolve, stable_dt, traveling_
 from oddwaves.holder import _seminorms, _wrapped_bytes
 from oddwaves.spectral import to_spectral
 
-from helpers import cosine
+from helpers import as_fields, cosine
 
 P = ModelParams(epsilon=0.5, alpha0=1.0, beta=0.0)
 _ORDER_CFG = EvolutionConfig(dt=1e-3, t_final=0.004, n_modes=8)
@@ -105,10 +105,10 @@ _ORDER_CFG = EvolutionConfig(dt=1e-3, t_final=0.004, n_modes=8)
                  "t_final / dt must be finite, got inf", id="evolution-step-count-inf"),
     pytest.param(lambda: ModelParams("0.5", 1.0, 0.0),  # a raw TypeError
                  "epsilon must be finite and > 0, got '0.5'", id="params-epsilon-str"),
-    pytest.param(lambda: traveling_error_orders(None, P, _ORDER_CFG, halvings=1.5),
+    pytest.param(lambda: traveling_error_orders(None, 0.0, P, _ORDER_CFG, halvings=1.5),
                  # a raw TypeError
                  "halvings must be an integer >= 1, got 1.5", id="halvings-1.5"),
-    pytest.param(lambda: traveling_error_orders(None, P, _ORDER_CFG, halvings=2.0),
+    pytest.param(lambda: traveling_error_orders(None, 0.0, P, _ORDER_CFG, halvings=2.0),
                  # a raw TypeError
                  "halvings must be an integer >= 1, got 2.0", id="halvings-2.0"),
     pytest.param(lambda: SpectralField([1.0, 2.0], [np.nan, 0.0]),
@@ -233,7 +233,7 @@ def _lattice_charge(monkeypatch, n):
 def _branch_charge(monkeypatch, m, n):
     lattices = _recorded(monkeypatch, bifurcation, "_Lattice")
     branch = continue_branch(m, P, 0.002, n=n)
-    profiles = [amps.nbytes for pt in branch.points for amps in (pt.phi.a, pt.phi.b)]
+    profiles = [amps.nbytes for phi in as_fields(branch) for amps in (phi.a, phi.b)]
     return bifurcation._branch_bytes(m, n), max(_largest_held(*lattices), *profiles)
 
 

@@ -4,7 +4,9 @@
 
 Checks REV out with ``git worktree`` into a temporary directory, then runs
 ``bifurcate``, ``branch --fold 1..3``, ``evolve --s 0.02`` (with and
-without ``--dt-halving``), ``verify`` and ``selftest``, at the defaults
+without ``--dt-halving``), ``evolve --fold 2 --s 0.02``, whose start is an
+m-fold profile with zeros between its lattice modes, ``verify`` and
+``selftest``, at the defaults
 and at ``--seed 7``, ``verify`` and ``selftest`` at ``--seed 30113``,
 whose commutator bound fails, so the failing report (exit 3) is compared
 too, and ``verify --ensemble 3 --degrees 2,4`` at ``--seed 2^70``, whose
@@ -43,6 +45,7 @@ COMMANDS = {
     "branch-fold3": ["branch", "--fold", "3"],
     "evolve": ["evolve", "--s", "0.02"],
     "evolve-dt-halving": ["evolve", "--s", "0.02", "--dt-halving"],
+    "evolve-fold2": ["evolve", "--fold", "2", "--s", "0.02"],
     "verify": ["verify"],
     "selftest": ["selftest"],
 }
