@@ -12,8 +12,11 @@ Subcommands
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
-Every output embeds the resolved run configuration and a sha256 of its own
-data section; a fixed seed and configuration reproduce files byte for byte.
+Each command takes the flags of its row of ``COMMANDS``, the settings it
+reads, and ``--config``; any other flag is a usage error (exit 2).  Every
+output embeds the command and that row's resolved values, and a sha256 of
+its own data section; a fixed seed and configuration reproduce files byte
+for byte.
 This module alone knows the artifact formats: ``_write_csv`` writes every
 table from rows of Python scalars, each cell the scalar's ``repr``, and
 ``_write_json`` every JSON file.  No file repeats a setting of its embedded
@@ -31,7 +34,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cache
 from pathlib import Path
 
@@ -74,7 +77,8 @@ from .evolution import (
     stable_dt,
     traveling_error_orders,
 )
-from .holder import SWEEP_GRID, _check_alpha, _check_holder_grid, commutator_sweep
+from .holder import (SWEEP_GRID, _check_alpha, _check_ensemble, _check_holder_grid,
+                     commutator_sweep)
 
 
 @dataclass(frozen=True)
@@ -108,13 +112,25 @@ class RunConfig:
         return ModelParams(self.epsilon, self.alpha0, self.beta)
 
 
-# every setting a flag or --config line sets, with its default (--degrees as text)
+# every setting a --config line may set, with its default (--degrees as text)
 DEFAULTS = {f.name: ",".join(map(str, f.default)) if f.name == "degrees" else f.default
-            for f in fields(RunConfig)
-            if f.name not in ("command", "dt_halving")}
+            for f in fields(RunConfig) if f.name not in ("command", "dt_halving")}
 
 # the least value of each setting the CLI range-checks; the modules check the rest
-LOWEST = {"modes": 2, "fold": 1, "kmax": 1, "ensemble": 1, "smax": 0, "s": 0, "seed": 0}
+LOWEST = {"modes": 2, "fold": 1, "kmax": 1, "smax": 0, "s": 0, "seed": 0}
+
+# each command's help and the settings it reads: its flags and its config block
+MODEL = ("epsilon", "alpha0", "beta")
+CONTINUATION = (*MODEL, "fold", "modes", "ds", "tol", "max_iter")
+COMMANDS = {
+    "bifurcate": ("tabulate critical speeds up to --kmax", (*MODEL, "modes", "kmax", "out")),
+    "branch": ("continue the --fold branch up to --smax", (*CONTINUATION, "smax", "out")),
+    "evolve": ("integrate a branch profile (amplitude --s)",
+               (*CONTINUATION, "dt", "tfinal", "s", "dt_halving", "out")),
+    "verify": ("invariant families + commutator-bound sweep",
+               (*MODEL, "ensemble", "degrees", "alpha", "holder_grid", "seed", "out")),
+    "selftest": ("fast file-free invariant subset", (*MODEL, "seed")),
+}
 
 
 def _parse_config_file(path):
@@ -148,60 +164,48 @@ def _parse_config_file(path):
 @cache
 def build_parser():
     """The argument parser, built on the first call: parsing leaves it
-    unchanged, so one parser serves every ``main`` call of a process."""
-    common = argparse.ArgumentParser(add_help=False)
-    for name, default in DEFAULTS.items():
-        common.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                            type=type(default), default=None)
-    common.add_argument("--config", default=None,
-                        help="key = value file; flags override it")
-
+    unchanged, so one parser serves every ``main`` call of a process.  No
+    flag may be abbreviated: ``branch --s`` is refused, not read as ``--smax``."""
     parser = argparse.ArgumentParser(
-        prog="oddwaves",
-        description="Traveling waves of an odd-viscosity surface-wave model")
+        prog="oddwaves", description="Traveling waves of an odd-viscosity surface-wave model")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("bifurcate", parents=[common],
-                   help="tabulate critical speeds up to --kmax")
-    sub.add_parser("branch", parents=[common],
-                   help="continue the --fold branch up to --smax")
-    pev = sub.add_parser("evolve", parents=[common],
-                         help="integrate a branch profile (amplitude --s)")
-    pev.add_argument("--dt-halving", action="store_true",
-                     help="also run at dt/2 and report the convergence order")
-    sub.add_parser("verify", parents=[common],
-                   help="invariant families + commutator-bound sweep")
-    sub.add_parser("selftest", parents=[common],
-                   help="fast file-free invariant subset")
+    for command, (help_text, names) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for name in names:
+            if name == "dt_halving":
+                cmd.add_argument("--dt-halving", action="store_true",
+                                 help="also run at dt/2 and report the convergence order")
+            else:
+                cmd.add_argument(f"--{name.replace('_', '-')}", type=type(DEFAULTS[name]))
+        cmd.add_argument("--config", help="key = value file; flags override it")
     return parser
 
 
 def resolve_config(args):
+    """Each setting of the command's row: flag, else --config line, else default."""
     file_values = _parse_config_file(args.config) if args.config else {}
     merged = {}
-    for key, default in DEFAULTS.items():
-        flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else file_values.get(key, default)
+    for key in COMMANDS[args.command][1]:
+        flag = getattr(args, key)
+        merged[key] = flag if flag is not None else file_values.get(key, DEFAULTS[key])
         if isinstance(merged[key], float):
             require_real(f"--{key.replace('_', '-')}", merged[key])
-    for key, low in LOWEST.items():
-        if merged[key] < low:
-            raise ConfigurationError(f"--{key} must be >= {low}, got {merged[key]}")
-    try:
-        degrees = tuple(int(part) for part in str(merged["degrees"]).split(",") if part)
-    except ValueError:
-        raise ConfigurationError(f"--degrees must be integers, got {merged['degrees']!r}")
-    if not degrees or any(d < 1 for d in degrees):
-        raise ConfigurationError("--degrees needs positive integers")
-    cfg = RunConfig(command=args.command,
-                    degrees=degrees,
-                    dt_halving=getattr(args, "dt_halving", False),
-                    **{k: v for k, v in merged.items() if k != "degrees"})
-    # re-validate the numeric contracts of the underlying modules now;
-    # --modes is sized by the command that uses it
-    cfg.model_params()
-    EvolutionConfig(dt=cfg.dt, t_final=cfg.tfinal)
-    return cfg
+        if key in LOWEST and merged[key] < LOWEST[key]:
+            raise ConfigurationError(f"--{key} must be >= {LOWEST[key]}, got {merged[key]}")
+    if "degrees" in merged:
+        try:
+            merged["degrees"] = tuple(int(part) for part in merged["degrees"].split(",") if part)
+        except ValueError:
+            raise ConfigurationError(f"--degrees must be integers, got {merged['degrees']!r}")
+        if not merged["degrees"] or any(d < 1 for d in merged["degrees"]):
+            raise ConfigurationError("--degrees needs positive integers")
+    return RunConfig(command=args.command, **merged)
+
+
+def _config_block(cfg):
+    """Every artifact's ``config``: the command and the settings it read."""
+    return {"command": cfg.command, **{k: getattr(cfg, k) for k in COMMANDS[cfg.command][1]}}
 
 
 # -- deterministic artifact writers -------------------------------------------
@@ -214,14 +218,14 @@ def _write_csv(path, cfg, header, rows):
     lines += [",".join(map(repr, row)) for row in rows]
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode()).hexdigest()
-    meta = json.dumps(asdict(cfg), sort_keys=True)
+    meta = json.dumps(_config_block(cfg), sort_keys=True)
     path.write_text(f"# config: {meta}\n# sha256: {digest}\n{body}")
 
 
 def _write_json(path, cfg, payload):
     canonical = json.dumps(payload, sort_keys=True)
     doc = {
-        "config": asdict(cfg),
+        "config": _config_block(cfg),
         "content_hash": hashlib.sha256(canonical.encode()).hexdigest(),
         "payload": payload,
     }
@@ -322,10 +326,10 @@ def cmd_evolve(cfg):
         if cfg.dt_halving:
             errs, rates = traveling_error_orders(f0, point.c, p, ecfg, halvings=1,
                                                  base_error=err)
-            floor = rates[0] is None
-            manifest["dt_halving"] = {"errors": errs, "order": rates[0],
-                                      "at_roundoff_floor": floor}
-            order = "not resolved (both at the roundoff floor)" if floor else f"{rates[0]:.2f}"
+            # a null order: both errors sit at the roundoff floor
+            manifest["dt_halving"] = {"errors": errs, "order": rates[0]}
+            order = ("not resolved (both at the roundoff floor)" if rates[0] is None
+                     else f"{rates[0]:.2f}")
             print(f"dt halving: errors {errs[0]:.3e} -> {errs[1]:.3e}, order {order}")
     print(f"mass drift {traj.mass_drift:.3e}; effective dt {traj.dt_effective:g}")
     out = _outdir(cfg)
@@ -455,6 +459,7 @@ def cmd_verify(cfg):
     # the sweeps' own checks, before the families run; the first degree
     # refused gives the message its sweep would give
     _check_alpha(cfg.alpha)
+    _check_ensemble(cfg.ensemble)
     for deg in cfg.degrees:
         _check_holder_grid(cfg.holder_grid, 2 * deg)
     _check_out(cfg)

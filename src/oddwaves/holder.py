@@ -79,6 +79,12 @@ def _check_alpha(alpha):
     return require_real("alpha", alpha, 0, 1, strict=True)
 
 
+def _check_ensemble(ensemble):
+    """``ensemble`` as an int: the members of a sweep.  The size rule charges
+    one of its three ensemble-long arrays, 8 bytes a member."""
+    return require_size("ensemble size", ensemble, 1, lambda n: 8 * n)
+
+
 def _check_holder_grid(m, degree):
     """``m`` as an int: the Hölder grid of every estimate.  It passes the one
     grid rule for a degree-``degree`` field, and the size rule at the bytes
@@ -298,7 +304,7 @@ def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
     every row is independent, so the members do not depend on the block
     size.  The grid must be even and resolve Θ, whose degree reaches
     2 max_degree."""
-    ensemble = require_integer("ensemble size", ensemble, 1)
+    ensemble = _check_ensemble(ensemble)
     max_degree = require_integer("max_degree", max_degree, 1)
     seed = require_integer("seed", seed, 0)
     alpha = _check_alpha(alpha)

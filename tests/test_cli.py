@@ -129,7 +129,7 @@ class TestBranch:
         assert "max_iter must be an integer >= 0" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, tmp_path):
-        args = ("branch", "--smax", "0.005", "--modes", "8", "--seed", "99")
+        args = ("branch", "--smax", "0.005", "--modes", "8")
         run(tmp_path, *args)
         first = {name: (tmp_path / "out" / name).read_bytes()
                  for name in ("branch.csv", "branch.json")}
@@ -161,7 +161,6 @@ class TestEvolve:
         assert "dt_effective" in payload
         # both errors sit at the roundoff floor (about 1e-17): no order
         assert payload["dt_halving"]["order"] is None
-        assert payload["dt_halving"]["at_roundoff_floor"] is True
         assert "order not resolved (both at the roundoff floor)" in capsys.readouterr().out
 
     def test_integrates_once(self, tmp_path, monkeypatch):
@@ -213,7 +212,7 @@ class TestEvolve:
         cfg = evolution.EvolutionConfig(dt=0.002, t_final=0.1, n_modes=24)
         errs, rates = evolution.traveling_error_orders(as_fields(branch)[-1], branch.points[-1].c,
                                                        p, cfg, halvings=1)
-        assert block == {"errors": errs, "order": rates[0], "at_roundoff_floor": rates[0] is None}
+        assert block == {"errors": errs, "order": rates[0]}
 
     @pytest.mark.parametrize("modes", ["0", "-3"])
     def test_too_few_modes_names_the_flag(self, tmp_path, capsys, modes):
@@ -258,8 +257,7 @@ class TestEvolve:
 
 class TestVerify:
     def test_default_run_passes(self, tmp_path):
-        code = run(tmp_path, "verify", "--ensemble", "8", "--modes", "16",
-                   "--holder-grid", "256")
+        code = run(tmp_path, "verify", "--ensemble", "8", "--holder-grid", "256")
         assert code == 0
         doc = read_json(tmp_path, "verification_report.json")
         checks = doc["payload"]["checks"]
@@ -396,11 +394,13 @@ class TestVerify:
         ("--holder-grid", "160", "160 points cannot resolve a degree-80 field"),
         ("--alpha", "1.5", "alpha must lie in (0, 1), got 1.5"),
         ("--alpha", "0", "alpha must lie in (0, 1), got 0.0"),
+        ("--ensemble", "1000000000000000", "ensemble size = 1000000000000000 asks for an array"),
     ])
     def test_holder_settings_refused_before_any_family(self, tmp_path, capsys, monkeypatch,
                                                         flag, value, message):
-        """--alpha and --holder-grid (against every --degrees entry) are
-        checked before the invariant families run, and nothing is written."""
+        """--alpha, --ensemble and --holder-grid (against every --degrees
+        entry) are checked before the invariant families run, and nothing is
+        written."""
         def no_family(*args):
             raise AssertionError("an invariant family ran")
 
@@ -411,17 +411,52 @@ class TestVerify:
 
 
 class TestSelftest:
-    def test_passes_quickly(self, tmp_path, capsys):
-        assert run(tmp_path, "selftest") == 0
+    def test_passes_quickly(self, capsys):
+        assert main(["selftest"]) == 0
         families = [line.split()[1] for line in capsys.readouterr().out.splitlines()
                     if line.startswith("PASS")]
         assert families == ["quadrature-oracle", "residual-formula", "linearization-fd",
                             "symbol-roots"]
 
 
-@pytest.mark.parametrize("command", [["selftest"], ["branch", "--smax", "0", "--modes", "8"]])
-def test_other_commands_ignore_holder_settings(tmp_path, command):
-    assert run(tmp_path, *command, "--alpha", "1.5", "--holder-grid", "1023") == 0
+# each command, and a flag of another command's row that it does not read
+FOREIGN_FLAGS = {"bifurcate": "--fold", "branch": "--s", "evolve": "--smax",
+                 "verify": "--modes", "selftest": "--ensemble"}
+
+
+@pytest.mark.parametrize("command, flag", FOREIGN_FLAGS.items())
+def test_flag_of_another_command_refused(tmp_path, capsys, command, flag):
+    """A command takes only the flags of its ``COMMANDS`` row: another
+    command's flag is a usage error naming it, before any work, never a
+    setting silently ignored (--s does not pass for branch's --smax)."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_config_file_serves_every_command(tmp_path):
+    """One --config file holds the settings of every command; each command
+    reads the keys of its row, and each artifact's config block holds
+    exactly its command and that row.  (At seed 5 the 4-member sweeps pass
+    the commutator bound; at seed 7 they do not, and verify exits 3.)"""
+    study = {"beta": 0.4, "kmax": 3, "modes": 8, "fold": 2, "smax": 0.005, "dt": 0.001,
+             "ensemble": 4, "degrees": [4, 8], "holder_grid": 64, "seed": 5}
+    path = tmp_path / "study.cfg"
+    path.write_text("".join(f"{key} = {','.join(map(str, val)) if key == 'degrees' else val}\n"
+                            for key, val in study.items()))
+    for command in ("bifurcate", "branch", "verify"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        row = cli.COMMANDS[command][1]
+        for artifact in out.iterdir():
+            first = artifact.read_text().splitlines()[0]
+            block = (json.loads(first.removeprefix("# config: ")) if artifact.suffix == ".csv"
+                     else json.loads(artifact.read_text())["config"])
+            assert set(block) == {"command", *row} and block["command"] == command
+            assert {key: block[key] for key in study if key in row} == \
+                {key: val for key, val in study.items() if key in row}
 
 
 def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
@@ -434,10 +469,11 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command, seed", [("verify", "-1"), ("selftest", "-5")])
-def test_negative_seed_exits_2(tmp_path, capsys, command, seed):
-    assert run(tmp_path, command, "--seed", seed) == 2
+def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, command, seed):
+    monkeypatch.chdir(tmp_path)     # verify's default --out is relative
+    assert main([command, "--seed", seed]) == 2
     assert f"--seed must be >= 0, got {seed}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert not any(tmp_path.iterdir())
 
 
 SWEEP_HEADER = "seed,degree_a,degree_b,ratio"
@@ -459,14 +495,13 @@ ARTIFACTS = [
             "": {"version", "branch_point", "dt_stable", "dt_effective",
                  "mass_drift", "traveling_error", "dt_halving"},
             "branch_point": {"s", "c", "residual_norm"},
-            "dt_halving": {"errors", "order", "at_roundoff_floor"}}}),
+            "dt_halving": {"errors", "order"}}}),
     (["verify", "--ensemble", "4", "--degrees", "4,8", "--holder-grid", "64"], {
         "commutator_sweep_deg4.csv": SWEEP_HEADER,
         "commutator_sweep_deg8.csv": SWEEP_HEADER,
         "verification_report.json": {
             "": {"version", "checks", "sweep_summaries"},
             "sweep_summaries": {"max_degree", "max_ratio", "mean_ratio"}}}),
-    (["selftest"], {}),
 ]
 
 
@@ -613,9 +648,9 @@ class TestParserReuse:
         with pytest.raises(SystemExit) as exc:
             main(["bifurcate", "--kmax", "three"])
         assert exc.value.code == 2
-        assert main(["bifurcate", "--fold", "2"]) == 0
+        assert main(["bifurcate", "--modes", "16"]) == 0
         (cfg,) = configs
-        assert cfg.kmax == cli.DEFAULTS["kmax"] and cfg.fold == 2
+        assert cfg.kmax == cli.DEFAULTS["kmax"] and cfg.modes == 16
 
 
 class TestConfigFile:
@@ -654,8 +689,8 @@ class TestConfigFile:
         assert f"{cfg}:2" in capsys.readouterr().err
 
     def test_embedded_config_matches_resolved_values(self, tmp_path):
-        run(tmp_path, "bifurcate", "--kmax", "2", "--seed", "5")
+        run(tmp_path, "bifurcate", "--kmax", "2", "--modes", "16")
         doc = read_json(tmp_path, "bifurcation_report.json")
         assert doc["config"]["kmax"] == 2
-        assert doc["config"]["seed"] == 5
+        assert doc["config"]["modes"] == 16
         assert doc["config"]["command"] == "bifurcate"

@@ -162,6 +162,11 @@ def test_non_integer_or_non_finite_setting_refused(call, message):
                                        "--holder-grid", "2000000000000000", "--out", str(out)]),
                  "the Hölder grid = 2000000000000000 asks for an array of "
                  "24000000000000000 bytes", id="verify-holder-grid"),
+    # exit 1 with numpy's _ArrayMemoryError, for 7.11 PiB, after every family had run
+    pytest.param(lambda out: cli.main(["verify", "--ensemble", "1000000000000000",
+                                       "--out", str(out)]),
+                 "ensemble size = 1000000000000000 asks for an array of "
+                 "8000000000000000 bytes", id="verify-ensemble"),
 ])
 def test_size_beyond_the_byte_ceiling_refused(tmp_path, capsys, call, message):
     """A size whose arrays would pass ``ARRAY_BYTES_CEILING`` is refused by
