@@ -179,6 +179,7 @@ def build_parser():
             else:
                 cmd.add_argument(f"--{name.replace('_', '-')}", type=type(DEFAULTS[name]))
         cmd.add_argument("--config", help="key = value file; flags override it")
+        cmd.set_defaults(command_parser=cmd)  # refuses a stray flag under its own usage
     return parser
 
 
@@ -198,8 +199,12 @@ def resolve_config(args):
             merged["degrees"] = tuple(int(part) for part in merged["degrees"].split(",") if part)
         except ValueError:
             raise ConfigurationError(f"--degrees must be integers, got {merged['degrees']!r}")
-        if not merged["degrees"] or any(d < 1 for d in merged["degrees"]):
+        degrees = merged["degrees"]
+        if not degrees or any(d < 1 for d in degrees):
             raise ConfigurationError("--degrees needs positive integers")
+        if any(lo >= hi for lo, hi in zip(degrees, degrees[1:])):
+            raise ConfigurationError("--degrees must increase strictly, got "
+                                     + ",".join(map(str, degrees)))
     return RunConfig(command=args.command, **merged)
 
 
@@ -487,7 +492,9 @@ def cmd_selftest(cfg):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = resolve_config(args)
         handler = {

@@ -68,7 +68,7 @@ from oddwaves import (
     zygmund,
 )
 from oddwaves.bifurcation import SIMPLE_RTOL, _NoConvergence, _SingularSystem, _symbol_scale
-from oddwaves.holder import SweepResult
+from oddwaves.holder import SWEEP_GRID, SweepResult
 from oddwaves.model import _mfold_indices, _multiplier, critical_speed, symbol_at
 from oddwaves.spectral import _amplitudes, _hat, _next_pow2
 
@@ -688,7 +688,7 @@ def reference_commutator_ratio(a, b, alpha, grid_size=4096, norm=holder_norm):
 
 
 def reference_commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
-                               grid_size=1024, norm=holder_norm):
+                               grid_size=SWEEP_GRID, norm=holder_norm):
     """``commutator_sweep`` one member at a time through
     ``reference_commutator_ratio``."""
     seeds = range(int(seed) * 100_000, int(seed) * 100_000 + ensemble)
@@ -702,6 +702,12 @@ def reference_commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
     deg_a, deg_b, ratios = zip(*members)
     return SweepResult(max_degree=max_degree, seeds=seeds, degree_a=np.array(deg_a),
                        degree_b=np.array(deg_b), ratios=np.array(ratios))
+
+
+def no_climb(table, kinds, alpha):
+    """A stand-in for ``holder._refine`` that climbs no candidate, so each
+    Hölder norm is its grid part."""
+    return [np.full(rows.size, -np.inf) for rows, *_ in kinds]
 
 
 def sweep_members(res):

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from oddwaves import (ModelParams, __version__, bifurcation, cli, continue_branch, evolution,
-                      spectral)
+                      holder, holder_norm, spectral)
 from oddwaves.cli import main
 
-from helpers import (as_fields, reference_commutator_sweep, reference_csv_body,
+from helpers import (as_fields, no_climb, reference_commutator_sweep, reference_csv_body,
                      reference_holder_norm, reference_profile_rows)
 
 
@@ -356,10 +356,10 @@ class TestVerify:
     def test_ensemble_zero_exits_2(self, tmp_path):
         assert run(tmp_path, "verify", "--ensemble", "0") == 2
 
-    def test_sweep_csvs_equal_reference_loops(self, tmp_path, monkeypatch):
-        """The sweep CSVs are byte-identical to the ones the member-by-member
-        loop writes through fields, the field-by-field norm and the all-lags
-        seminorm."""
+    @staticmethod
+    def sweep_csvs_of_loops(tmp_path, monkeypatch, norm):
+        """The sweep CSVs of a default verify of 20 members, then those
+        the member-by-member loop writes through fields and ``norm``."""
         def sweep_csvs(out):
             assert main(["verify", "--ensemble", "20", "--out", str(out)]) == 0
             return {deg: (out / f"commutator_sweep_deg{deg}.csv").read_bytes()
@@ -370,12 +370,35 @@ class TestVerify:
 
         def loop(*args, **kwargs):
             calls.append(args)
-            return reference_commutator_sweep(*args, **kwargs, norm=reference_holder_norm)
+            return reference_commutator_sweep(*args, **kwargs, norm=norm)
 
         monkeypatch.setattr(cli, "commutator_sweep", loop)
         slow = sweep_csvs(tmp_path / "out")  # the same --out: it is in the header
         assert len(calls) == 2
+        return fast, slow
+
+    def test_sweep_csvs_equal_reference_loops(self, tmp_path, monkeypatch):
+        """The sweep CSVs are byte-identical to the ones the member-by-member
+        loop writes through fields and the field-by-field norm."""
+        fast, slow = self.sweep_csvs_of_loops(tmp_path, monkeypatch, holder_norm)
         assert fast == slow
+
+    def test_sweep_csvs_grid_part_equals_all_lags_loops(self, tmp_path, monkeypatch):
+        """With no candidate climbs, the sweep CSVs are byte-identical to the
+        ones the member-by-member loop writes through fields, the
+        field-by-field norm and the all-lags seminorm."""
+        monkeypatch.setattr(holder, "_refine", no_climb)
+        fast, slow = self.sweep_csvs_of_loops(tmp_path, monkeypatch, reference_holder_norm)
+        assert fast == slow
+
+    @pytest.mark.parametrize("degrees", ["20,20", "40,20,10"])
+    def test_degrees_must_increase_strictly(self, tmp_path, capsys, degrees):
+        """A repeated degree would run one sweep twice and pass at a growth
+        of 1; a falling list would read a decay as growth.  Both are
+        refused, naming the list, before any work."""
+        assert run(tmp_path, "verify", "--ensemble", "2", "--degrees", degrees) == 2
+        assert f"--degrees must increase strictly, got {degrees}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("grid, message", [
         ("1023", "the Hölder grid must be even, got 1023 points"),
@@ -433,6 +456,18 @@ def test_flag_of_another_command_refused(tmp_path, capsys, command, flag):
         main([command, flag, "1", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_stray_flag_refused_under_the_command_usage(tmp_path, capsys):
+    """The usage line printed with the refusal is the command's own, which
+    lists the flags it takes."""
+    with pytest.raises(SystemExit) as exc:
+        main(["branch", "--s", "0.3", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: oddwaves branch ") and "[--smax SMAX]" in err
+    assert err.rstrip().endswith("oddwaves branch: error: unrecognized arguments: --s 0.3")
     assert not (tmp_path / "out").exists()
 
 

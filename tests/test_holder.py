@@ -8,6 +8,7 @@ import pytest
 from oddwaves import (
     ConfigurationError,
     CosineSeries,
+    commutator_h,
     commutator_ratio,
     commutator_sweep,
     derivative,
@@ -19,6 +20,7 @@ from oddwaves.holder import holder_seminorm
 
 from helpers import (
     cosine,
+    no_climb,
     random_field,
     reference_commutator_ratio,
     reference_commutator_sweep,
@@ -29,10 +31,13 @@ from helpers import (
 )
 
 # Frozen oracle: sup over pairs of |cos x - cos y| / dist(x,y)^{1/2} with the
-# periodic distance.  Brute force on nested grids and maximizing the smooth
-# pair family 2 sin(t) / (2t)^{1/2} both give this value (the maximizing pair
-# straddles the inflection point at distance ~2.33, not the antipodes).
+# periodic distance, as the maximum over the pairs of a 4096-point grid (the
+# maximizing pair straddles the inflection point at distance ~2.33, not the
+# antipodes).
 COS_SEMINORM_HALF = 1.2038366272071788
+# The continuum value: the pair family 2 sin(t) / (2t)^{1/2} peaks where
+# tan t = 2t, at t = 1.1655611852072113; 3.4e-8 above the grid value.
+COS_SEMINORM_HALF_EXACT = 1.2038366614925037
 
 
 def cusp(m, alpha, scale):
@@ -109,7 +114,7 @@ class TestSeminorm:
         est = holder_seminorm(vals, 0.5)
         assert abs(est - COS_SEMINORM_HALF) < 1e-6
 
-    @pytest.mark.parametrize("m", [2, 3, 5, 1024, 4096])
+    @pytest.mark.parametrize("m", [2, 3, 5, 256, 1024, 4096])
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     def test_equals_reference_bit_for_bit(self, m, alpha):
         """The bound-ordered scan keeps the exact maximum of the all-lags
@@ -163,6 +168,9 @@ class TestSeminorm:
             got = holder._seminorms(stack, alpha)
             want = [holder_seminorm(row, alpha) for row in rows]
             assert np.array_equal(got, want, equal_nan=True)
+            # handing over candidates moves no maximum
+            assert np.array_equal(holder._seminorms(stack, alpha, cells=True)[0], got,
+                                  equal_nan=True)
             for row, value in zip(rows[:5] + rows[7:], got[:5].tolist() + got[7:].tolist()):
                 assert value == reference_seminorm(row, alpha)
 
@@ -257,13 +265,20 @@ class TestHolderNorm:
         f = random_field(rng, 10)
         assert holder_norm(f, 0, 0.5, grid_size=1024) >= f.sup_norm() - 1e-9
 
-    def test_monotone_under_nested_refinement(self):
+    def test_monotone_under_nested_refinement(self, monkeypatch):
+        """The grid part is monotone under nested grids; the refined
+        estimates are no smaller than their grid parts and agree across the
+        grids."""
         rng = np.random.default_rng(18)
         f = random_field(rng, 12)
         coarse = holder_norm(f, 1, 0.5, grid_size=1024)
         fine = holder_norm(f, 1, 0.5, grid_size=4096)
-        assert fine >= coarse
-        assert fine <= coarse * 1.01  # refinement changes the estimate by < 1%
+        assert abs(fine - coarse) <= 1e-9 * fine
+        monkeypatch.setattr(holder, "_refine", no_climb)
+        coarse_grid = holder_norm(f, 1, 0.5, grid_size=1024)
+        fine_grid = holder_norm(f, 1, 0.5, grid_size=4096)
+        assert coarse_grid <= fine_grid <= coarse_grid * 1.01  # < 1% between the grids
+        assert coarse >= coarse_grid and fine >= fine_grid
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(22)
@@ -299,16 +314,29 @@ class TestHolderNorm:
 
     @pytest.mark.parametrize("grid", [64, 512, 1024, 4096])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    def test_equals_reference_bit_for_bit(self, grid, k):
-        """The amplitude-array chain gives the floats of the field-by-field loop."""
+    def test_equals_reference_bit_for_bit(self, grid, k, monkeypatch):
+        """The grid part of the amplitude-array chain (no candidate climbs)
+        gives the floats of the field-by-field loop, and the refined norm
+        is no smaller."""
         rng = np.random.default_rng(100 * k + grid)
         fields = [random_field(rng, 20), random_field(rng, 31, decay=0.0),
                   sweep_field(rng, 12), cosine(1), cosine(7, -2.5),
                   CosineSeries([0.5])]
-        for j, f in enumerate(fields):
-            alpha = (0.1, 0.5, 0.9)[j % 3]
-            assert (holder_norm(f, k, alpha, grid_size=grid)
-                    == reference_holder_norm(f, k, alpha, grid_size=grid))
+        alphas = [(0.1, 0.5, 0.9)[j % 3] for j in range(len(fields))]
+        refined = [holder_norm(f, k, alpha, grid_size=grid) for f, alpha in zip(fields, alphas)]
+        monkeypatch.setattr(holder, "_refine", no_climb)
+        for f, alpha, norm in zip(fields, alphas, refined):
+            grid_part = holder_norm(f, k, alpha, grid_size=grid)
+            assert grid_part == reference_holder_norm(f, k, alpha, grid_size=grid)
+            assert norm >= grid_part
+
+    def test_refinement_reaches_the_continuum_value(self):
+        """From 8 points on, the refined seminorm of cos x is the continuum
+        value, above every grid maximum."""
+        for grid in (8, 16, 64, 256, 4096):
+            est = holder_norm(cosine(1), 0, 0.5, grid_size=grid)
+            assert abs(est - (1.0 + COS_SEMINORM_HALF_EXACT)) <= 1e-15 * est
+        assert holder_seminorm(cosine(1).values(4096), 0.5) < COS_SEMINORM_HALF_EXACT
 
     @pytest.mark.parametrize("grid", [63, 513, 40, 8])
     def test_grid_rejected(self, grid):
@@ -343,17 +371,24 @@ class TestCommutatorRatio:
             commutator_ratio(random_field(rng, 4), zero, 0.5, grid_size=512)
 
     @pytest.mark.parametrize("grid", [64, 1024, 4096])
-    def test_equals_reference_bit_for_bit(self, grid):
+    def test_equals_reference_bit_for_bit(self, grid, monkeypatch):
         """Fields whose n_modes is their degree give the floats of
         ``commutator_h`` and ``holder_norm`` on fields, 0.0 for a constant a
-        or b among them."""
+        or b among them; with no candidate climbs, the grid part is the
+        quotient of the field-by-field loop with the all-lags seminorm."""
         rng = np.random.default_rng(grid)
+        pairs = []
         for j, (da, db) in enumerate([(1, 1), (3, 12), (14, 2), (15, 16), (7, 0), (0, 9)]):
-            a = random_field(rng, da, mean=0.3)
-            b = random_field(rng, db, mean=-0.4, decay=0.0)
-            alpha = (0.1, 0.5, 0.9)[j % 3]
+            pairs.append((random_field(rng, da, mean=0.3),
+                          random_field(rng, db, mean=-0.4, decay=0.0), (0.1, 0.5, 0.9)[j % 3]))
+        for a, b, alpha in pairs:
             assert (commutator_ratio(a, b, alpha, grid_size=grid)
                     == reference_commutator_ratio(a, b, alpha, grid_size=grid))
+        monkeypatch.setattr(holder, "_refine", no_climb)
+        for a, b, alpha in pairs:
+            assert (commutator_ratio(a, b, alpha, grid_size=grid)
+                    == reference_commutator_ratio(a, b, alpha, grid_size=grid,
+                                                  norm=reference_holder_norm))
 
     def test_padded_fields_agree_with_reference(self):
         """Padding past the degree changes neither the grid ``multiply``
@@ -454,8 +489,8 @@ class TestSweep:
     @pytest.mark.parametrize("grid", [1024, 4096])
     def test_ensembles_around_a_block_on_sweep_grids(self, grid):
         """Ensembles of one member, block - 1, one block, and more than two
-        blocks with a ragged last block, on the default sweep grid (32
-        member blocks) and on 4096 points (8 member blocks)."""
+        blocks with a ragged last block, on 1024 points (32 member blocks)
+        and on 4096 points (8 member blocks)."""
         block = holder._sweep_block(grid)
         sizes = (1, block - 1, block, 2 * block + 3)
         loop = sweep_members(reference_commutator_sweep(sizes[-1], 12, alpha=0.7, seed=3,
@@ -470,9 +505,11 @@ class TestSweep:
         at most ``SWEEP_BYTES`` (512 KiB), plus 1.5 MiB for the block's
         other arrays: its samples, their wrapped copy, the copy of the
         scanning rows, the lag bounds and their order (together about
-        1.1 MiB for 32 rows at 1024 points) and the amplitude stacks and
-        product grids.  A gather of a fixed 8 lags per live row (2 MiB for
-        a full block; peaks of 3.20 and 2.93 MiB) or a block sized by the
+        1.0 MiB for 32 rows at 1024 points), the two candidate masks of a
+        gather (128 KiB) and the amplitude stacks and product grids; the
+        refinement's table and Horner rows come after the scan has freed
+        its arrays.  A gather of a fixed 8 lags per live row (2 MiB for a
+        full block; peaks of 3.20 and 2.93 MiB) or a block sized by the
         member count (150 rows at 1024 points take a 9.4 MiB gather)
         breaks it."""
         commutator_sweep(1, degree, grid_size=grid)  # caches outside the trace
@@ -513,3 +550,102 @@ class TestSweep:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ConfigurationError):
             commutator_sweep(5, 40, **kwargs)
+
+
+def sweep_stack(seed, degree, members):
+    """The fields whose C^{2,α}, C^{1,α} and C^{1,α} norms a sweep member's
+    quotient reads, a, b and Θ = ⟦H, a⟧[b'], for ``members`` members drawn
+    as ``commutator_sweep`` draws them: per field, the list of fields and
+    the (a, b, k) of their zero-padded amplitude rows."""
+    cols = [[], [], []]
+    for i in range(members):
+        rng = np.random.default_rng(seed * 100_000 + i)
+        da, db = (int(rng.integers(1, degree + 1)) for _ in range(2))
+        a, b = sweep_field(rng, da), sweep_field(rng, db)
+        for col, f in zip(cols, (a, b, commutator_h(a, derivative(b, 1)))):
+            col.append(f)
+    out = []
+    for col, k in zip(cols, (2, 1, 1)):
+        width = max(f.n_modes for f in col)
+        padded = [f.pad_to(width) for f in col]
+        out.append((col, (np.array([f.a for f in padded]), np.array([f.b for f in padded]), k)))
+    return out
+
+
+def reference_terms(fields, k, alpha, m, seminorm=reference_seminorm):
+    """Each field's grid terms through validated fields: the sup norms of
+    f, ..., f^(k) on m points, then the seminorm of f^(k), as a
+    (k + 2, fields) array."""
+    out = np.empty((k + 2, len(fields)))
+    for j, f in enumerate(fields):
+        for level in range(k + 1):
+            vals = f.values(m)
+            out[level, j] = np.abs(vals).max()
+            f = derivative(f, 1)
+        out[-1, j] = seminorm(vals, alpha)
+    return out
+
+
+class TestRefinement:
+    """Each term is the larger of its grid part and the climbs of its
+    candidates on the polynomial."""
+
+    @pytest.mark.parametrize("m", [256, 1024, 4096])
+    def test_refined_terms_dominate_the_reference_grid(self, m):
+        """Row by row, the grid part is the field-by-field loop's maxima
+        with the all-lags seminorm, bit for bit, and the refined term is no
+        smaller.  From 256 points on, the refined terms also reach the
+        16384-point grid values."""
+        for degree in (20, 40):
+            for fields, stack in sweep_stack(7, degree, 4):
+                (grid,), (terms,) = holder._terms([stack], 0.5, m)
+                assert np.array_equal(grid, reference_terms(fields, stack[2], 0.5, m))
+                assert (terms >= grid).all()
+                fine = reference_terms(fields, stack[2], 0.5, 16384, seminorm=holder_seminorm)
+                assert (terms >= fine * (1 - 1e-12)).all()
+
+    def test_coarse_and_fine_starts_agree(self):
+        """Refined from 256 and from 4096 points, every term agrees to 1e-9
+        of its size, where the grid parts differ by up to several per cent."""
+        for degree in (20, 40):
+            for _, stack in sweep_stack(11, degree, 12):
+                coarse_grid, coarse = (t[0] for t in holder._terms([stack], 0.5, 256))
+                fine_grid, fine = (t[0] for t in holder._terms([stack], 0.5, 4096))
+                assert (np.abs(coarse - fine) <= 1e-9 * fine).all()
+                assert (fine_grid - coarse_grid).max() > 1e-3 * fine.max()
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_candidates_are_the_local_maxima_near_the_top(self, alpha):
+        """The scan's candidates are the cells of the full (lag, x) table
+        of quotients that exceed ``CUT`` times the maximum and no
+        neighbour (x ± 1, lag ± 1, a lag past m / 2 at its periodic
+        distance); the sup candidates are the local maxima of |g| above
+        ``CUT`` times its maximum.  The last row, f' of a degree-60 field,
+        has a candidate at lag 2 whose bound no longer beats the maximum
+        at α = 0.9: a scan that stopped at its maximum's bound misses it."""
+        m = 256
+        rng = np.random.default_rng(42)
+        fields = [sweep_field(rng, degree) for degree in (1, 5, 20, 40, 100)]
+        rows = [g.values(m) for f in fields for g in (f, derivative(f, 1), derivative(f, 2))]
+        rows.append(derivative(sweep_field(np.random.default_rng(0), 60), 1).values(m))
+        vals = np.array(rows)
+        best, cells = holder._seminorms(vals, alpha, cells=True)
+        row, x, lag = holder._peak_cells(vals, alpha, best, *cells)
+        d = holder._lag_distances(m, alpha)
+        for r, v in enumerate(rows):
+            table = np.zeros((m // 2 + 3, m))  # lags 0 .. m/2 + 2, lag 0 at quotient 0
+            for L in range(1, m // 2 + 2):
+                table[L] = np.abs(np.roll(v, -L) - v) / d[min(L, m - L) - 1]
+            q = table[1:m // 2 + 1]
+            keep = q > holder.CUT * best[r]
+            for dl in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    if dl or dx:
+                        keep &= q >= np.roll(table, -dx, axis=1)[1 + dl:m // 2 + 1 + dl]
+            want = {(int(L) + 1, int(i)) for L, i in zip(*np.nonzero(keep))}
+            assert {(int(L), int(i)) for L, i in zip(lag[row == r], x[row == r])} == want
+        sups, (row, x) = holder._sup_cells(vals)
+        mag = np.abs(vals)
+        keep = ((mag > holder.CUT * sups[:, None]) & (mag >= np.roll(mag, 1, axis=1))
+                & (mag >= np.roll(mag, -1, axis=1)))
+        assert np.array_equal(np.array(np.nonzero(keep)), np.array([row, x]))

@@ -16,7 +16,8 @@ from oddwaves import (
     translate,
     zygmund,
 )
-from oddwaves.spectral import _analyze, _synthesize, operators_by_quadrature
+from oddwaves.spectral import (_analyze, _derivative_amplitudes, _mode_table, _synthesize,
+                               _values_at, operators_by_quadrature)
 
 from helpers import (
     coeff_gap,
@@ -363,3 +364,33 @@ class TestTranslate:
         rng = np.random.default_rng(9)
         f = random_field(rng, 6)
         assert coeff_gap(translate(f, 2 * np.pi), f) < 1e-12
+
+
+class TestValuesAt:
+    def test_matches_synthesis_on_the_grid(self):
+        """At the points of a grid, the rows and their first two
+        derivatives are the synthesized samples to within rounding."""
+        rng = np.random.default_rng(50)
+        a, b = rng.standard_normal((2, 5, 31))
+        m = 64
+        x = 2 * np.pi * np.arange(m) / m
+        rows = np.repeat(np.arange(5), m)
+        got = _values_at(_mode_table([(a, b)]), rows, np.tile(x, 5))
+        for order in range(3):
+            want = _synthesize(a, b, m).reshape(-1)
+            scale = np.abs(want).max()
+            assert np.abs(got[order] - want).max() <= 1e-13 * scale
+            a, b = _derivative_amplitudes(a, b)
+
+    def test_floats_do_not_depend_on_padding(self):
+        """A row alone and the same row zero-padded in a wider stack, beside
+        other rows and stacks, give the same floats at the same points."""
+        rng = np.random.default_rng(51)
+        a, b = rng.standard_normal((2, 1, 13))
+        x = rng.uniform(-7, 7, 40)
+        alone = _values_at(_mode_table([(a, b)]), np.zeros(40, dtype=int), x)
+        wide = [np.pad(c, ((1, 2), (0, 30))) for c in (a, b)]
+        wide[0][0, :5] = rng.standard_normal(5)
+        others = tuple(rng.standard_normal((2, 3, 60)))
+        table = _mode_table([others, tuple(wide)])
+        assert np.array_equal(_values_at(table, np.full(40, 4), x), alone)
