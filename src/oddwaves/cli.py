@@ -77,8 +77,7 @@ from .evolution import (
     stable_dt,
     traveling_error_orders,
 )
-from .holder import (SWEEP_GRID, _check_alpha, _check_ensemble, _check_holder_grid,
-                     commutator_sweep)
+from .holder import _check_alpha, _check_ensemble, _check_max_degree, commutator_sweep
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,6 @@ class RunConfig:
     ensemble: int = 200
     degrees: tuple = (20, 40)
     alpha: float = 0.5
-    holder_grid: int = SWEEP_GRID
     seed: int = 1234
     out: str = "oddwaves-out"
     dt_halving: bool = False
@@ -128,7 +126,7 @@ COMMANDS = {
     "evolve": ("integrate a branch profile (amplitude --s)",
                (*CONTINUATION, "dt", "tfinal", "s", "dt_halving", "out")),
     "verify": ("invariant families + commutator-bound sweep",
-               (*MODEL, "ensemble", "degrees", "alpha", "holder_grid", "seed", "out")),
+               (*MODEL, "ensemble", "degrees", "alpha", "seed", "out")),
     "selftest": ("fast file-free invariant subset", (*MODEL, "seed")),
 }
 
@@ -436,8 +434,7 @@ def _run_families(cfg, *, quick=False):
     if quick:
         return checks, None
 
-    sweeps = [commutator_sweep(cfg.ensemble, deg, alpha=cfg.alpha,
-                               seed=cfg.seed, grid_size=cfg.holder_grid)
+    sweeps = [commutator_sweep(cfg.ensemble, deg, alpha=cfg.alpha, seed=cfg.seed)
               for deg in cfg.degrees]
     maxima = [s.summary()["max_ratio"] for s in sweeps]
     finite = all(np.isfinite(s.ratios).all() for s in sweeps)
@@ -461,12 +458,11 @@ def _print_checks(checks):
 
 
 def cmd_verify(cfg):
-    # the sweeps' own checks, before the families run; the first degree
-    # refused gives the message its sweep would give
+    # the sweeps' own checks, before the families run; the last degree is
+    # the largest, so its sweep has the largest grid
     _check_alpha(cfg.alpha)
     _check_ensemble(cfg.ensemble)
-    for deg in cfg.degrees:
-        _check_holder_grid(cfg.holder_grid, 2 * deg)
+    _check_max_degree(cfg.degrees[-1], "--degrees")
     _check_out(cfg)
     checks, sweeps = _run_families(cfg)
     ok = _print_checks(checks)

@@ -7,10 +7,10 @@ code 3.  ``require_integer`` is the one check of an integer setting, and
 ``require_real`` the one check of a real-valued one; every setting of the
 package passes one of them (sample grids through ``spectral._check_grid``,
 which is built on the first).  A size setting whose arrays grow with it (a
-truncation, a scan length, the Hölder grid) also passes ``require_size``:
-no array it asks for may pass ARRAY_BYTES_CEILING, so a size that could
-never run is refused by name before anything is allocated, not left to a
-raw numpy memory error.
+truncation, a scan length, a sweep's degree through its Hölder grid) also
+passes ``require_size``: no array it asks for may pass ARRAY_BYTES_CEILING,
+so a size that could never run is refused by name before anything is
+allocated, not left to a raw numpy memory error.
 """
 
 from numbers import Integral, Real

@@ -34,10 +34,13 @@ Newton steps on the exact polynomial, evaluated by Horner's rule in e^{ix},
 with d kept in (0, π] and only steps that raise its value kept.  A term is
 the larger of its grid part and its candidates' climbs: a maximum over a
 superset of the grid's points and pairs, so never below the grid value,
-and still a lower bound of the true norm, up to rounding.  From 256 points
-the refined terms of the sweep's fields reach the 16384-point grid values,
-and refinements started from 256 and from 4096 points agree to about
-1e-13.
+and still a lower bound of the true norm, up to rounding.  So the grid
+only seeds the candidates, and unless a caller sets it, it follows from
+the degree d (``_default_grid``): 3 points per mode, rounded up to a power
+of two; ``holder_norm`` takes d = deg f, ``commutator_ratio`` deg a +
+deg b and the sweep 2 max_degree, Θ's degree.  From 3 points per mode the
+refined terms of the sweep's fields reach the 16384-point grid values and
+agree with refinements started from 4096 points to about 1e-13.
 
 The Hilbert commutator gains regularity: with Θ = ⟦H, a⟧[b'],
 
@@ -54,9 +57,8 @@ of members at a time (zero-padded to a common length) and
 ``commutator_ratio`` as the one-row case: every derivative level is one
 ``irfft`` of the whole stack, sup norms and seminorms are taken row by
 row, and the candidates of a, b and Θ climb in one pass.  A block holds
-as many members as let the scan's first step compare two lags of each,
-rows × 2 × m float64 within ``SWEEP_BYTES``: 128 members on the default
-256-point grid, 8 on 4096 points, so the memory a block's scan takes
+as many members as ``_sweep_block`` allows, 85 on the default grids of
+degrees 20 and 40 and 5 on 4096 points, so the memory a block takes
 stays bounded at every grid.  Θ = H(a b') - a H(b') is formed from the
 two products on the grid ``multiply`` picks for degree deg a + deg b, one
 group of rows per grid, and each row keeps the modes up to deg a + deg b,
@@ -76,7 +78,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, require_integer, require_real, require_size
 from .spectral import (_analyze, _check_grid, _derivative_amplitudes, _hilbert_amplitudes,
-                       _mode_table, _product_grid, _synthesize, _values_at)
+                       _mode_table, _next_pow2, _product_grid, _synthesize, _values_at)
 
 __all__ = [
     "holder_seminorm",
@@ -86,8 +88,7 @@ __all__ = [
     "commutator_sweep",
 ]
 
-DEFAULT_GRID = 4096
-SWEEP_GRID = 256  # default sweep grid (config key `holder_grid`); resolves degree <= 127
+POINTS_PER_MODE = 3  # a default Hölder grid's points per mode, before rounding up
 SWEEP_BYTES = 2**19  # budget of one step's gather in the seminorm scan
 BOUND_MARGIN = 1.0 + 1e-12  # covers the roundings between a gap and its bound
 CUT = 0.9  # a candidate of the refinement lies within 10 % of its row's grid maximum
@@ -108,11 +109,26 @@ def _check_ensemble(ensemble):
     return require_size("ensemble size", ensemble, 1, lambda n: 8 * n)
 
 
-def _check_holder_grid(m, degree):
-    """``m`` as an int: the Hölder grid of every estimate.  It passes the one
-    grid rule for a degree-``degree`` field, and the size rule at the bytes
-    charged to one row of the seminorm scan (``_wrapped_bytes``)."""
-    m = _check_grid(m, degree, GRID_NAME)
+def _check_max_degree(max_degree, name="max_degree"):
+    """``max_degree`` as an int: a sweep's degree cap.  The size rule charges
+    one row of the seminorm scan on the sweep's default grid, that of Θ's
+    degree 2 max_degree."""
+    return require_size(name, max_degree, 1, lambda d: _wrapped_bytes(_default_grid(2 * d)))
+
+
+def _default_grid(degree):
+    """The Hölder grid of a degree-``degree`` field when none is given: the
+    power of two of at least ``POINTS_PER_MODE`` points per mode, 8 at
+    least.  It passes the grid rule, since 3 d >= 2 d + 2 for d >= 2."""
+    return _next_pow2(POINTS_PER_MODE * degree)
+
+
+def _check_grid_size(m, degree):
+    """``m`` as an int, ``_default_grid(degree)`` when it is None: the
+    Hölder grid of every estimate.  It passes the one grid rule for a
+    degree-``degree`` field, and the size rule at the bytes charged to one
+    row of the seminorm scan (``_wrapped_bytes``)."""
+    m = _check_grid(_default_grid(degree) if m is None else m, degree, GRID_NAME)
     return require_size(GRID_NAME, m, 4, _wrapped_bytes)
 
 
@@ -433,15 +449,15 @@ def _norms(fields, alpha, m):
     return norms
 
 
-def holder_norm(f, k, alpha, grid_size=DEFAULT_GRID):
+def holder_norm(f, k, alpha, grid_size=None):
     """Estimate of the C^{k,α} norm, as a float: sup norms of f, f', ...,
     f^(k) plus the α-seminorm of f^(k), each the grid maximum on
-    ``grid_size`` points refined on the polynomial.  Derivatives are
-    spectral, so the only approximation is the search itself, and the
-    estimate is a lower bound of the norm."""
+    ``grid_size`` points (by default ``_default_grid(deg f)``) refined on
+    the polynomial.  Derivatives are spectral, so the only approximation is
+    the search itself, and the estimate is a lower bound of the norm."""
     alpha = _check_alpha(alpha)
     k = require_integer("derivative count k", k, 0, 3)
-    m = _check_holder_grid(grid_size, f.degree)
+    m = _check_grid_size(grid_size, f.degree)
     return float(_norms([(f.a[None, :], f.b[None, :], k)], alpha, m)[0][0])
 
 
@@ -488,8 +504,10 @@ def _quotients(fa, fb, ga, gb, deg_a, deg_b, alpha, m):
     return num / den
 
 
-def commutator_ratio(a, b, alpha, grid_size=DEFAULT_GRID):
-    """Quotient ||⟦H,a⟧[b']||_{C^{1,α}} / (||a||_{C^{2,α}} ||b||_{C^{1,α}}).
+def commutator_ratio(a, b, alpha, grid_size=None):
+    """Quotient ||⟦H,a⟧[b']||_{C^{1,α}} / (||a||_{C^{2,α}} ||b||_{C^{1,α}}),
+    every norm on ``grid_size`` points, by default on
+    ``_default_grid(deg a + deg b)``.
 
     Invariant under positive rescaling of either argument, and exactly 0.0
     for a constant a.  Raises when a or b vanishes identically (zero
@@ -498,16 +516,19 @@ def commutator_ratio(a, b, alpha, grid_size=DEFAULT_GRID):
     """
     alpha = _check_alpha(alpha)
     deg_a, deg_b = a.degree, b.degree
-    m = _check_holder_grid(grid_size, deg_a + deg_b)
+    m = _check_grid_size(grid_size, deg_a + deg_b)
     rows = [x[None, :d + 1] for x, d in ((a.a, deg_a), (a.b, deg_a), (b.a, deg_b), (b.b, deg_b))]
     return float(_quotients(*rows, np.array([deg_a]), np.array([deg_b]), alpha, m)[0])
 
 
 def _sweep_block(m):
-    """Sweep members evaluated together on an m-point grid: as many rows as
-    let the seminorm scan's first step compare two lags of each, rows × 2 ×
-    m float64 within ``SWEEP_BYTES``; at least one."""
-    return max(1, SWEEP_BYTES // (2 * m * 8))
+    """Sweep members evaluated together on an m-point grid: as many as keep
+    their scan rows, 3 m float64 a member (a field's samples, their wrapped
+    copy and the lag bounds), within ``SWEEP_BYTES``, at least one.  Below
+    256 points a member's candidates' climbs, about as large whatever the
+    grid, outweigh its scan rows, so m counts as 256 there: 85 members on
+    up to 256 points, 21 on 1024 and 5 on 4096."""
+    return max(1, SWEEP_BYTES // (3 * 8 * max(m, 256)))
 
 
 @dataclass
@@ -532,8 +553,7 @@ class SweepResult:
         }
 
 
-def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
-                     grid_size=SWEEP_GRID):
+def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234, grid_size=None):
     """Ratios for ``ensemble`` random pairs with degrees drawn up to
     ``max_degree``.  Member i gets its own seed, seed · 100000 + i, so
     members are reproducible independently of the ensemble size; it draws
@@ -542,12 +562,12 @@ def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
     of zero-padded rows, as many as ``_sweep_block`` allows on the grid;
     every row is independent, so the members do not depend on the block
     size.  The grid must be even and resolve Θ, whose degree reaches
-    2 max_degree."""
+    2 max_degree; by default it is ``_default_grid(2 max_degree)``."""
     ensemble = _check_ensemble(ensemble)
-    max_degree = require_integer("max_degree", max_degree, 1)
+    max_degree = _check_max_degree(max_degree)
     seed = require_integer("seed", seed, 0)
     alpha = _check_alpha(alpha)
-    m = _check_holder_grid(grid_size, 2 * max_degree)
+    m = _check_grid_size(grid_size, 2 * max_degree)
     block = _sweep_block(m)
     res = SweepResult(max_degree=max_degree,
                       seeds=range(seed * 100_000, seed * 100_000 + ensemble),

@@ -68,7 +68,7 @@ from oddwaves import (
     zygmund,
 )
 from oddwaves.bifurcation import SIMPLE_RTOL, _NoConvergence, _SingularSystem, _symbol_scale
-from oddwaves.holder import SWEEP_GRID, SweepResult
+from oddwaves.holder import SweepResult, _default_grid
 from oddwaves.model import _mfold_indices, _multiplier, critical_speed, symbol_at
 from oddwaves.spectral import _amplitudes, _hat, _next_pow2
 
@@ -688,9 +688,12 @@ def reference_commutator_ratio(a, b, alpha, grid_size=4096, norm=holder_norm):
 
 
 def reference_commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
-                               grid_size=SWEEP_GRID, norm=holder_norm):
+                               grid_size=None, norm=holder_norm):
     """``commutator_sweep`` one member at a time through
-    ``reference_commutator_ratio``."""
+    ``reference_commutator_ratio``, by default on the sweep's grid,
+    ``holder._default_grid(2 max_degree)``."""
+    if grid_size is None:
+        grid_size = _default_grid(2 * max_degree)
     seeds = range(int(seed) * 100_000, int(seed) * 100_000 + ensemble)
     members = []
     for member_seed in seeds:

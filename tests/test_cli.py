@@ -257,7 +257,7 @@ class TestEvolve:
 
 class TestVerify:
     def test_default_run_passes(self, tmp_path):
-        code = run(tmp_path, "verify", "--ensemble", "8", "--holder-grid", "256")
+        code = run(tmp_path, "verify", "--ensemble", "8")
         assert code == 0
         doc = read_json(tmp_path, "verification_report.json")
         checks = doc["payload"]["checks"]
@@ -320,7 +320,7 @@ class TestVerify:
         if mutation == "scaled-zygmund":
             exact_zygmund = cli.zygmund
             monkeypatch.setattr(cli, "zygmund", lambda f: (1 + 1e-9) * exact_zygmund(f))
-        cfg = cli.RunConfig("verify", ensemble=1, degrees=(2,), holder_grid=256)
+        cfg = cli.RunConfig("verify", ensemble=1, degrees=(2,))
         checks, _ = cli._run_families(cfg, quick=quick)
         failed = {chk["family"] for chk in checks if not chk["passed"]}
         assert "quadrature-oracle" in failed
@@ -350,7 +350,7 @@ class TestVerify:
         exact = cli.gateaux
         monkeypatch.setattr(cli, "gateaux", lambda c, phi, h, p: (1 + 1e-9) * exact(c, phi, h, p))
         checks, _ = cli._run_families(
-            cli.RunConfig("verify", ensemble=1, degrees=(2,), holder_grid=256), quick=quick)
+            cli.RunConfig("verify", ensemble=1, degrees=(2,)), quick=quick)
         assert {chk["family"] for chk in checks if not chk["passed"]} == {"linearization-fd"}
 
     def test_ensemble_zero_exits_2(self, tmp_path):
@@ -400,30 +400,17 @@ class TestVerify:
         assert f"--degrees must increase strictly, got {degrees}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("grid, message", [
-        ("1023", "the Hölder grid must be even, got 1023 points"),
-        ("64", "64 points cannot resolve a degree-40 field (need at least 82)"),
-        ("160", "160 points cannot resolve a degree-80 field (need at least 162)"),
-    ])
-    def test_unusable_holder_grid_exits_2(self, tmp_path, capsys, grid, message):
-        """An odd grid, and one below 4 max degree + 2 (Θ = ⟦H,a⟧[b']
-        reaches twice the degree cap), is refused with the message of the
-        first sweep that cannot use it."""
-        assert run(tmp_path, "verify", "--ensemble", "2", "--holder-grid", grid) == 2
-        assert message in capsys.readouterr().err
-
     @pytest.mark.parametrize("flag, value, message", [
-        ("--holder-grid", "1023", "the Hölder grid must be even, got 1023 points"),
-        ("--holder-grid", "160", "160 points cannot resolve a degree-80 field"),
         ("--alpha", "1.5", "alpha must lie in (0, 1), got 1.5"),
         ("--alpha", "0", "alpha must lie in (0, 1), got 0.0"),
         ("--ensemble", "1000000000000000", "ensemble size = 1000000000000000 asks for an array"),
+        ("--degrees", "1000000000", "--degrees = 1000000000 asks for an array"),
     ])
     def test_holder_settings_refused_before_any_family(self, tmp_path, capsys, monkeypatch,
                                                         flag, value, message):
-        """--alpha, --ensemble and --holder-grid (against every --degrees
-        entry) are checked before the invariant families run, and nothing is
-        written."""
+        """--alpha, --ensemble and the size of the largest --degrees entry's
+        Hölder grid are checked before the invariant families run, and
+        nothing is written."""
         def no_family(*args):
             raise AssertionError("an invariant family ran")
 
@@ -477,7 +464,7 @@ def test_one_config_file_serves_every_command(tmp_path):
     exactly its command and that row.  (At seed 5 the 4-member sweeps pass
     the commutator bound; at seed 7 they do not, and verify exits 3.)"""
     study = {"beta": 0.4, "kmax": 3, "modes": 8, "fold": 2, "smax": 0.005, "dt": 0.001,
-             "ensemble": 4, "degrees": [4, 8], "holder_grid": 64, "seed": 5}
+             "ensemble": 4, "degrees": [4, 8], "seed": 5}
     path = tmp_path / "study.cfg"
     path.write_text("".join(f"{key} = {','.join(map(str, val)) if key == 'degrees' else val}\n"
                             for key, val in study.items()))
@@ -531,7 +518,7 @@ ARTIFACTS = [
                  "mass_drift", "traveling_error", "dt_halving"},
             "branch_point": {"s", "c", "residual_norm"},
             "dt_halving": {"errors", "order"}}}),
-    (["verify", "--ensemble", "4", "--degrees", "4,8", "--holder-grid", "64"], {
+    (["verify", "--ensemble", "4", "--degrees", "4,8"], {
         "commutator_sweep_deg4.csv": SWEEP_HEADER,
         "commutator_sweep_deg8.csv": SWEEP_HEADER,
         "verification_report.json": {

@@ -114,7 +114,7 @@ class TestSeminorm:
         est = holder_seminorm(vals, 0.5)
         assert abs(est - COS_SEMINORM_HALF) < 1e-6
 
-    @pytest.mark.parametrize("m", [2, 3, 5, 256, 1024, 4096])
+    @pytest.mark.parametrize("m", [2, 3, 5, 128, 256, 1024, 4096])
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     def test_equals_reference_bit_for_bit(self, m, alpha):
         """The bound-ordered scan keeps the exact maximum of the all-lags
@@ -142,8 +142,8 @@ class TestSeminorm:
         }
         if m >= 1024:
             inputs["rounding ramp"] = rounding_ramp(m, alpha)
-        if m == holder.SWEEP_GRID:  # the sweep's inputs: random fields and derivatives
-            for degree in (20, 40):
+        for degree in (20, 40):  # the sweep's inputs, on its grid: random fields and derivatives
+            if m == holder._default_grid(2 * degree):
                 f = sweep_field(np.random.default_rng(degree), degree)
                 inputs[f"degree {degree}"] = f.values(m)
                 inputs[f"degree {degree}'"] = derivative(f, 1).values(m)
@@ -338,6 +338,24 @@ class TestHolderNorm:
             assert abs(est - (1.0 + COS_SEMINORM_HALF_EXACT)) <= 1e-15 * est
         assert holder_seminorm(cosine(1).values(4096), 0.5) < COS_SEMINORM_HALF_EXACT
 
+    def test_default_grid_follows_the_degree(self):
+        """For every degree up to 300 the default grid is the least power of
+        two, 8 at least, with ``POINTS_PER_MODE`` = 3 points per mode, and
+        it passes the grid rule.  ``holder_norm`` takes it at deg f and
+        ``commutator_ratio`` at deg a + deg b."""
+        for degree in range(301):
+            m = holder._default_grid(degree)
+            assert m & (m - 1) == 0 and m >= 8 and (m == 8 or m // 2 < 3 * degree)
+            assert m >= holder.POINTS_PER_MODE * degree == 3 * degree
+            assert spectral._check_grid(m, degree, "the grid") == m
+        rng = np.random.default_rng(24)
+        f, g = random_field(rng, 13), random_field(rng, 9)
+        # the neighbouring grids give other floats, so each equality names one grid
+        norms = [holder_norm(f, 1, 0.5, grid_size=m) for m in (32, 64, 128)]
+        assert holder_norm(f, 1, 0.5) == norms[1] and len(set(norms)) == 3
+        ratios = [commutator_ratio(f, g, 0.5, grid_size=m) for m in (64, 128, 256)]
+        assert commutator_ratio(f, g, 0.5) == ratios[1] and len(set(ratios)) == 3
+
     @pytest.mark.parametrize("grid", [63, 513, 40, 8])
     def test_grid_rejected(self, grid):
         """Odd grids and grids that do not resolve the degree are refused,
@@ -417,7 +435,7 @@ class TestCommutatorRatio:
             db = int(rng.integers(1, 41))
             a, b = sweep_field(rng, da), sweep_field(rng, db)
             assert res.degree_a[i] == da and res.degree_b[i] == db
-            assert commutator_ratio(a, b, 0.3, grid_size=holder.SWEEP_GRID) == res.ratios[i]
+            assert commutator_ratio(a, b, 0.3, grid_size=holder._default_grid(80)) == res.ratios[i]
 
 
 class TestSweep:
@@ -469,11 +487,12 @@ class TestSweep:
                       for _, da, db, _ in sweep_members(stacked)}
         assert grids == {8, 16, 32, 64, 128, 256}
 
-    @pytest.mark.parametrize("grid, block", [(256, 128), (1024, 32), (4096, 8), (65536, 1)])
+    @pytest.mark.parametrize("grid, block", [(16, 85), (128, 85), (256, 85), (1024, 21),
+                                             (4096, 5), (65536, 1)])
     def test_block_size_follows_the_grid(self, grid, block):
-        """As many rows as let the scan's first step compare two lags of
-        each, rows × 2 × m float64 within the 512 KiB ``SWEEP_BYTES``; one
-        row on a grid where one row's two lags exceed it."""
+        """As many members as keep their scan rows, 3 m float64 a member,
+        within the 512 KiB ``SWEEP_BYTES``, m counting as 256 on smaller
+        grids; one member on a grid where one member's rows exceed it."""
         assert holder._sweep_block(grid) == block
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -489,8 +508,8 @@ class TestSweep:
     @pytest.mark.parametrize("grid", [1024, 4096])
     def test_ensembles_around_a_block_on_sweep_grids(self, grid):
         """Ensembles of one member, block - 1, one block, and more than two
-        blocks with a ragged last block, on 1024 points (32 member blocks)
-        and on 4096 points (8 member blocks)."""
+        blocks with a ragged last block, on 1024 points (21 member blocks)
+        and on 4096 points (5 member blocks)."""
         block = holder._sweep_block(grid)
         sizes = (1, block - 1, block, 2 * block + 3)
         loop = sweep_members(reference_commutator_sweep(sizes[-1], 12, alpha=0.7, seed=3,
@@ -499,19 +518,27 @@ class TestSweep:
             stacked = commutator_sweep(ensemble, 12, alpha=0.7, seed=3, grid_size=grid)
             assert sweep_members(stacked) == loop[:ensemble]
 
-    @pytest.mark.parametrize("ensemble, degree, grid", [(150, 40, 1024), (16, 40, 4096)])
+    @pytest.mark.parametrize("ensemble, degree, grid", [
+        (150, 40, 1024), (16, 40, 4096),
+        (150, 20, 128), (200, 20, 128), (150, 40, 256), (200, 40, 256),
+    ])
     def test_memory_stays_within_the_block_budget(self, ensemble, degree, grid):
-        """The traced peak of a sweep stays within 2 MiB: the scan's gather,
-        at most ``SWEEP_BYTES`` (512 KiB), plus 1.5 MiB for the block's
-        other arrays: its samples, their wrapped copy, the copy of the
-        scanning rows, the lag bounds and their order (together about
-        1.0 MiB for 32 rows at 1024 points), the two candidate masks of a
-        gather (128 KiB) and the amplitude stacks and product grids; the
-        refinement's table and Horner rows come after the scan has freed
-        its arrays.  A gather of a fixed 8 lags per live row (2 MiB for a
-        full block; peaks of 3.20 and 2.93 MiB) or a block sized by the
-        member count (150 rows at 1024 points take a 9.4 MiB gather)
-        breaks it."""
+        """The traced peak of a sweep stays within 2 MiB, also on the
+        default grids of degrees 20 and 40 (128 and 256 points) that verify
+        runs: the scan's gather, at most ``SWEEP_BYTES`` (512 KiB), plus
+        1.5 MiB for the block's other arrays.  Its members' scan rows (a
+        field's samples, their wrapped copy and the lag bounds, 3 m float64
+        a member) take at most 512 KiB, as do their candidates' climbs on
+        grids below 256 points; the lag-1 gaps, the copy of the scanning
+        rows, the candidate masks of a gather, the amplitude stacks and the
+        product grids come on top (85 members peak at 1.77 MiB at degree
+        40 on 256 points).  Blocks sized by the scan's first step alone
+        (rows × 2 × m float64 within 512 KiB) peak at 2.38 MiB at degree 40
+        (128 members on 256 points) and at 2.72 MiB at degree 20 (all 200
+        members on 128 points); a gather of a fixed 8 lags per live row
+        (2 MiB for a full block) or a block sized by the member count (150
+        rows at 1024 points take a 9.4 MiB gather) breaks it too."""
+        assert grid >= 1024 or grid == holder._default_grid(2 * degree)  # verify's own grid
         commutator_sweep(1, degree, grid_size=grid)  # caches outside the trace
         tracemalloc.start()
         try:
@@ -590,26 +617,32 @@ class TestRefinement:
     """Each term is the larger of its grid part and the climbs of its
     candidates on the polynomial."""
 
-    @pytest.mark.parametrize("m", [256, 1024, 4096])
+    @pytest.mark.parametrize("m", [pytest.param(None, id="default"), 256, 1024, 4096])
     def test_refined_terms_dominate_the_reference_grid(self, m):
         """Row by row, the grid part is the field-by-field loop's maxima
         with the all-lags seminorm, bit for bit, and the refined term is no
-        smaller.  From 256 points on, the refined terms also reach the
-        16384-point grid values."""
-        for degree in (20, 40):
+        smaller.  From 256 points on, and on the default grids of sweeps at
+        degrees 20, 21, 40 and 42 (128, 128, 256 and 256 points: degrees 21
+        and 42 have 3.05 points per mode of Θ, the fewest the rule gives),
+        the refined terms also reach the 16384-point grid values."""
+        for degree in ((20, 40) if m else (20, 21, 40, 42)):
+            grid_size = m or holder._default_grid(2 * degree)
             for fields, stack in sweep_stack(7, degree, 4):
-                (grid,), (terms,) = holder._terms([stack], 0.5, m)
-                assert np.array_equal(grid, reference_terms(fields, stack[2], 0.5, m))
+                (grid,), (terms,) = holder._terms([stack], 0.5, grid_size)
+                assert np.array_equal(grid, reference_terms(fields, stack[2], 0.5, grid_size))
                 assert (terms >= grid).all()
                 fine = reference_terms(fields, stack[2], 0.5, 16384, seminorm=holder_seminorm)
                 assert (terms >= fine * (1 - 1e-12)).all()
 
     def test_coarse_and_fine_starts_agree(self):
-        """Refined from 256 and from 4096 points, every term agrees to 1e-9
-        of its size, where the grid parts differ by up to several per cent."""
-        for degree in (20, 40):
+        """Refined from 256 points, from the default grids of sweeps at
+        degrees 20, 21 and 42 (128, 128 and 256 points) and from 4096
+        points, every term agrees to 1e-9 of its size, where the grid
+        parts differ by up to several per cent."""
+        for degree, m in [(20, 256), (40, 256),
+                          *((d, holder._default_grid(2 * d)) for d in (20, 21, 42))]:
             for _, stack in sweep_stack(11, degree, 12):
-                coarse_grid, coarse = (t[0] for t in holder._terms([stack], 0.5, 256))
+                coarse_grid, coarse = (t[0] for t in holder._terms([stack], 0.5, m))
                 fine_grid, fine = (t[0] for t in holder._terms([stack], 0.5, 4096))
                 assert (np.abs(coarse - fine) <= 1e-9 * fine).all()
                 assert (fine_grid - coarse_grid).max() > 1e-3 * fine.max()

@@ -3,7 +3,6 @@
 ``TypeError`` from deep inside the computation.  Sample grids obey one rule
 wherever they are set."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -157,11 +156,16 @@ def test_non_integer_or_non_finite_setting_refused(call, message):
                                        "--out", str(out)]),
                  "n_modes = 1000000000000000 asks for an array of 144115188075855936 bytes",
                  id="evolve-modes"),
-    # exit 1 with numpy's _ArrayMemoryError, for 14.2 PiB, after every family had run
+    # a sweep's grid follows from its degree cap: 2**33 points at 10**9
+    pytest.param(lambda out: commutator_sweep(2, 10 ** 9),
+                 "max_degree = 1000000000 asks for an array of 103079215104 bytes",
+                 id="sweep-max_degree"),
+    # the sweep of degree 10**9 would refuse its grid only after every
+    # family had run
     pytest.param(lambda out: cli.main(["verify", "--ensemble", "2",
-                                       "--holder-grid", "2000000000000000", "--out", str(out)]),
-                 "the Hölder grid = 2000000000000000 asks for an array of "
-                 "24000000000000000 bytes", id="verify-holder-grid"),
+                                       "--degrees", "1000000000", "--out", str(out)]),
+                 "--degrees = 1000000000 asks for an array of 103079215104 bytes",
+                 id="verify-degrees"),
     # exit 1 with numpy's _ArrayMemoryError, for 7.11 PiB, after every family had run
     pytest.param(lambda out: cli.main(["verify", "--ensemble", "1000000000000000",
                                        "--out", str(out)]),
@@ -342,13 +346,6 @@ def test_numpy_floats_are_reals():
     assert got == want and type(got) is float
 
 
-def _verify_with_grid(out, grid):
-    """``verify --degrees 20`` with the Hölder grid set to ``grid``.  The flag
-    parses an int, so the grid is set on the resolved config."""
-    args = cli.build_parser().parse_args(["verify", "--degrees", "20", "--out", str(out)])
-    cli.cmd_verify(dataclasses.replace(cli.resolve_config(args), holder_grid=grid))
-
-
 # every setting of a grid that must resolve degree 40, with the name it refuses it by
 GRID_CALLERS = {
     "values": ("the sample grid", lambda out, grid: cosine(40).values(grid)),
@@ -359,7 +356,6 @@ GRID_CALLERS = {
                                                             grid_size=grid)),
     "commutator_sweep": ("the Hölder grid",
                          lambda out, grid: commutator_sweep(2, 20, grid_size=grid)),
-    "verify": ("the Hölder grid", _verify_with_grid),
 }
 
 
