@@ -29,18 +29,23 @@ Every field here is a trigonometric polynomial, so ``holder_norm``,
 polynomial itself.  Its candidates are the local maxima of |g(x + d) -
 g(x)| / d^α over the (x, lag) table, and of |g| over x, within ``CUT``
 (10 %) of the grid maximum; to hand them all over, the scan runs on until
-its bounds fall to ``CUT`` times the maximum.  Each candidate climbs by
-Newton steps on the exact polynomial, evaluated by Horner's rule in e^{ix},
-with d kept in (0, π] and only steps that raise its value kept.  A term is
-the larger of its grid part and its candidates' climbs: a maximum over a
-superset of the grid's points and pairs, so never below the grid value,
-and still a lower bound of the true norm, up to rounding.  So the grid
-only seeds the candidates, and unless a caller sets it, it follows from
-the degree d (``_default_grid``): 3 points per mode, rounded up to a power
-of two; ``holder_norm`` takes d = deg f, ``commutator_ratio`` deg a +
-deg b and the sweep 2 max_degree, Θ's degree.  From 3 points per mode the
-refined terms of the sweep's fields reach the 16384-point grid values and
-agree with refinements started from 4096 points to about 1e-13.
+its bounds fall to ``CUT`` times the maximum.  Each candidate starts on
+the polynomial, at its cell's (x, d), and climbs by Newton steps there,
+every value evaluated by Horner's rule in e^{ix}, with d kept in (0, π]
+and only steps that raise its value kept.  A term is the larger of its
+grid part and its candidates' climbs: a maximum over a superset of the
+grid's points and pairs, so never below the grid value, and still a lower
+bound of the true norm, up to rounding.  So the grid only locates the
+candidates, and unless a caller sets it, it follows from the largest
+degree d among the fields normed (``_default_grid``): 6 points per mode,
+rounded up to a power of two.  ``holder_norm`` takes d = deg f, and
+``commutator_ratio`` and the sweep max(deg a, deg b) and max_degree: Θ =
+⟦H, a⟧[b'] has degree below deg a, since b' has no mean and only pairs of
+modes of opposite sign survive the commutator, each at a mode below that
+of a.  From 6 points per mode the refined terms of the sweep's fields
+reach the 16384-point grid values and agree with refinements started from
+4096 points to about 1e-13; at 3 points per mode of its own degree, the
+norm of a single field can miss its grid value by several per cent.
 
 The Hilbert commutator gains regularity: with Θ = ⟦H, a⟧[b'],
 
@@ -88,7 +93,7 @@ __all__ = [
     "commutator_sweep",
 ]
 
-POINTS_PER_MODE = 3  # a default Hölder grid's points per mode, before rounding up
+POINTS_PER_MODE = 6  # a default Hölder grid's points per mode, before rounding up
 SWEEP_BYTES = 2**19  # budget of one step's gather in the seminorm scan
 BOUND_MARGIN = 1.0 + 1e-12  # covers the roundings between a gap and its bound
 CUT = 0.9  # a candidate of the refinement lies within 10 % of its row's grid maximum
@@ -111,24 +116,25 @@ def _check_ensemble(ensemble):
 
 def _check_max_degree(max_degree, name="max_degree"):
     """``max_degree`` as an int: a sweep's degree cap.  The size rule charges
-    one row of the seminorm scan on the sweep's default grid, that of Θ's
-    degree 2 max_degree."""
-    return require_size(name, max_degree, 1, lambda d: _wrapped_bytes(_default_grid(2 * d)))
+    one row of the seminorm scan on the sweep's default grid,
+    ``_default_grid(max_degree)``."""
+    return require_size(name, max_degree, 1, lambda d: _wrapped_bytes(_default_grid(d)))
 
 
 def _default_grid(degree):
-    """The Hölder grid of a degree-``degree`` field when none is given: the
-    power of two of at least ``POINTS_PER_MODE`` points per mode, 8 at
-    least.  It passes the grid rule, since 3 d >= 2 d + 2 for d >= 2."""
+    """The Hölder grid of fields of degree at most ``degree`` when none is
+    given: the power of two of at least ``POINTS_PER_MODE`` points per
+    mode, 8 at least.  It passes the grid rule also for the twice as many
+    modes of a commutator's rows, since 6 d >= 4 d + 2 for d >= 1."""
     return _next_pow2(POINTS_PER_MODE * degree)
 
 
-def _check_grid_size(m, degree):
+def _check_grid_size(m, degree, modes):
     """``m`` as an int, ``_default_grid(degree)`` when it is None: the
-    Hölder grid of every estimate.  It passes the one grid rule for a
-    degree-``degree`` field, and the size rule at the bytes charged to one
-    row of the seminorm scan (``_wrapped_bytes``)."""
-    m = _check_grid(_default_grid(degree) if m is None else m, degree, GRID_NAME)
+    Hölder grid of every estimate.  It passes the one grid rule for rows
+    of ``modes`` modes, and the size rule at the bytes charged to one row
+    of the seminorm scan (``_wrapped_bytes``)."""
+    m = _check_grid(_default_grid(degree) if m is None else m, modes, GRID_NAME)
     return require_size(GRID_NAME, m, 4, _wrapped_bytes)
 
 
@@ -317,15 +323,18 @@ def _newton(g, alpha, d):
 
 class _Climb:
     """Newton climbs of one kind of candidate, each row of its arrays one
-    point: a sup point has d = 0 and g holds g, g', g'' at x; a pair point
-    has g at x, then at x + d (``_newton``).  ``live`` indexes the points
-    still climbing; a rejected step is halved, twice at most."""
+    point: a sup point has d = 0 and climbs on g, g', g'' at x; a pair
+    point climbs on them at x, then at x + d (``_newton``).  Each point
+    starts at value -inf with a zero step, so its first trial is its start
+    and every value it holds is one of the polynomial.  ``live`` indexes
+    the points still climbing; a rejected step is halved, twice at most."""
 
-    def __init__(self, rows, x, d, g, alpha):
+    def __init__(self, rows, x, d, alpha):
         self.rows, self.x, self.d, self.alpha = rows, x, d, alpha
-        self.value, self.dx, self.dd, rise = _newton(g, alpha, d)
+        self.value = np.full(rows.size, -np.inf)
+        self.dx, self.dd = np.zeros(rows.size), np.zeros(rows.size)
         self.scale = np.ones(rows.size)
-        self.live = np.flatnonzero(rise > RISE_TOL)
+        self.live = np.arange(rows.size)
 
     def trial(self):
         """The positions (x, d) of the live points' next steps, d at most π."""
@@ -351,13 +360,13 @@ class _Climb:
 def _refine(table, kinds, alpha):
     """The values the candidates climb to on the polynomial of their rows
     of ``table``, a ``spectral._mode_table``, for ``kinds`` = the sup points
-    and the pair points, each as (rows, x, d, g).  Each round evaluates
-    every live point's trial at once (``spectral._values_at``), ``ROUNDS``
-    at most.  So each value is that of a point of the polynomial, no
-    smaller than at its start."""
+    and the pair points, each as (rows, x, d).  Each round evaluates every
+    live point's trial at once (``spectral._values_at``): the first its
+    start, then ``ROUNDS`` Newton steps at most.  So each value is that of
+    a point of the polynomial, no smaller than at its start."""
     with np.errstate(all="ignore"):
         sups, pairs = (_Climb(*kind, alpha) for kind in kinds)
-        for _ in range(ROUNDS):
+        for _ in range(ROUNDS + 1):
             if not (sups.live.size or pairs.live.size):
                 break
             (sx, sd), (px, pd) = sups.trial(), pairs.trial()
@@ -377,35 +386,25 @@ def _terms(fields, alpha, m):
     Returns the grid parts, each term's maximum on m points, and the
     terms, each the larger of its grid part and what ``_refine`` climbs to
     from that maximum's candidates, all fields' candidates in one pass.
-    A candidate starts from the samples of its level and the next two."""
-    grids, kinds, start = [], ([], []), 0
+    The samples of levels 0..k only locate the candidates, each recorded
+    as (table row, x, d)."""
+    grids, kinds, start, h = [], ([], []), 0, 2 * np.pi / m
     for a, b, k in fields:
         rows = a.shape[0]
         grid = np.empty((k + 2, rows))
-        found = []  # (level, kind, table row of row 0, row, x, lag, g) of the candidates
-        for level in range(k + 3):
+        for level in range(k + 1):
             if level:
                 a, b = _derivative_amplitudes(a, b)
             vals = _synthesize(a, b, m)
-            if level <= k:
-                grid[level], (row, x) = _sup_cells(vals)
-                found.append((level, 0, start, row, x, np.zeros_like(x), np.empty((3, x.size))))
-                start += rows
-            if level == k:
-                grid[-1], cells = _seminorms(vals, alpha, cells=True)
-                row, x, lag = _peak_cells(vals, alpha, grid[-1], *cells)
-                found.append((level, 1, start - rows, row, x, lag, np.empty((6, x.size))))
-            for first, _, _, row, x, lag, g in found:
-                if level - first <= 2:
-                    for end in range(len(g) // 3):
-                        g[3 * end + level - first] = vals[row, (x + end * lag) % m]
-        for _, kind, first, row, x, lag, g in found:
-            kinds[kind].append((first + row, x, lag, g))
+            grid[level], (row, x) = _sup_cells(vals)
+            kinds[0].append((start + row, h * x, np.zeros(x.size)))
+            start += rows
+        grid[-1], cells = _seminorms(vals, alpha, cells=True)
+        row, x, lag = _peak_cells(vals, alpha, grid[-1], *cells)
+        kinds[1].append((start - rows + row, h * x, h * lag))
         grids.append(grid)
     table = _mode_table(list(_levels(fields)))
-    h = 2 * np.pi / m
-    kinds = [(np.concatenate(rows), h * np.concatenate(x), h * np.concatenate(lag),
-              np.concatenate(g, axis=1)) for rows, x, lag, g in (zip(*kind) for kind in kinds)]
+    kinds = [tuple(map(np.concatenate, zip(*kind))) for kind in kinds]
     best = np.full((2, table[1].size), -np.inf)  # by table row: sup, seminorm
     for out, (rows, *_), climbed in zip(best, kinds, _refine(table, kinds, alpha)):
         np.maximum.at(out, rows, climbed)
@@ -440,13 +439,7 @@ def _sup_cells(vals):
 def _norms(fields, alpha, m):
     """The C^{k,α} norms of stacked amplitude rows, one array for each
     (a, b, k) of ``fields``: the sums of their ``_terms``, in order."""
-    norms = []
-    for terms in _terms(fields, alpha, m)[1]:
-        total = 0.0
-        for term in terms:
-            total = total + term
-        norms.append(total)
-    return norms
+    return [terms.sum(axis=0) for terms in _terms(fields, alpha, m)[1]]
 
 
 def holder_norm(f, k, alpha, grid_size=None):
@@ -457,7 +450,7 @@ def holder_norm(f, k, alpha, grid_size=None):
     the search itself, and the estimate is a lower bound of the norm."""
     alpha = _check_alpha(alpha)
     k = require_integer("derivative count k", k, 0, 3)
-    m = _check_grid_size(grid_size, f.degree)
+    m = _check_grid_size(grid_size, f.degree, f.degree)
     return float(_norms([(f.a[None, :], f.b[None, :], k)], alpha, m)[0][0])
 
 
@@ -507,16 +500,16 @@ def _quotients(fa, fb, ga, gb, deg_a, deg_b, alpha, m):
 def commutator_ratio(a, b, alpha, grid_size=None):
     """Quotient ||⟦H,a⟧[b']||_{C^{1,α}} / (||a||_{C^{2,α}} ||b||_{C^{1,α}}),
     every norm on ``grid_size`` points, by default on
-    ``_default_grid(deg a + deg b)``.
+    ``_default_grid(max(deg a, deg b))``: Θ's degree is below deg a.
 
     Invariant under positive rescaling of either argument, and exactly 0.0
     for a constant a.  Raises when a or b vanishes identically (zero
-    denominator), or when the grid is odd or does not resolve Θ, whose
-    degree is at most deg a + deg b.
+    denominator), or when the grid is odd or does not resolve the
+    deg a + deg b modes of Θ's row.
     """
     alpha = _check_alpha(alpha)
     deg_a, deg_b = a.degree, b.degree
-    m = _check_grid_size(grid_size, deg_a + deg_b)
+    m = _check_grid_size(grid_size, max(deg_a, deg_b), deg_a + deg_b)
     rows = [x[None, :d + 1] for x, d in ((a.a, deg_a), (a.b, deg_a), (b.a, deg_b), (b.b, deg_b))]
     return float(_quotients(*rows, np.array([deg_a]), np.array([deg_b]), alpha, m)[0])
 
@@ -561,13 +554,14 @@ def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234, grid_size=None)
     modes 1..deg a of a and 1..deg b of b.  Members are evaluated in blocks
     of zero-padded rows, as many as ``_sweep_block`` allows on the grid;
     every row is independent, so the members do not depend on the block
-    size.  The grid must be even and resolve Θ, whose degree reaches
-    2 max_degree; by default it is ``_default_grid(2 max_degree)``."""
+    size.  The grid must be even and resolve the 2 max_degree modes of
+    Θ's rows; by default it is ``_default_grid(max_degree)``, the largest
+    degree of a and b, since Θ's degree is below deg a."""
     ensemble = _check_ensemble(ensemble)
     max_degree = _check_max_degree(max_degree)
     seed = require_integer("seed", seed, 0)
     alpha = _check_alpha(alpha)
-    m = _check_grid_size(grid_size, 2 * max_degree)
+    m = _check_grid_size(grid_size, max_degree, 2 * max_degree)
     block = _sweep_block(m)
     res = SweepResult(max_degree=max_degree,
                       seeds=range(seed * 100_000, seed * 100_000 + ensemble),
@@ -579,9 +573,10 @@ def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234, grid_size=None)
         fa, fb, ga, gb = np.zeros((4, len(seeds), max_degree + 1))
         for r, member_seed in enumerate(seeds):
             rng = np.random.default_rng(member_seed)
-            deg_a[r] = rng.integers(1, max_degree + 1)
-            deg_b[r] = rng.integers(1, max_degree + 1)
-            for amps, deg in ((fa, deg_a[r]), (fb, deg_a[r]), (ga, deg_b[r]), (gb, deg_b[r])):
-                amps[r, 1:deg + 1] = rng.standard_normal(deg)
+            da = deg_a[r] = rng.integers(1, max_degree + 1)
+            db = deg_b[r] = rng.integers(1, max_degree + 1)
+            draw = rng.standard_normal(2 * (da + db))
+            fa[r, 1:da + 1], fb[r, 1:da + 1] = draw[:da], draw[da:2 * da]
+            ga[r, 1:db + 1], gb[r, 1:db + 1] = draw[2 * da:2 * da + db], draw[2 * da + db:]
         res.ratios[rows] = _quotients(fa, fb, ga, gb, deg_a, deg_b, alpha, m)
     return res

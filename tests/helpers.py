@@ -691,9 +691,9 @@ def reference_commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234,
                                grid_size=None, norm=holder_norm):
     """``commutator_sweep`` one member at a time through
     ``reference_commutator_ratio``, by default on the sweep's grid,
-    ``holder._default_grid(2 max_degree)``."""
+    ``holder._default_grid(max_degree)``."""
     if grid_size is None:
-        grid_size = _default_grid(2 * max_degree)
+        grid_size = _default_grid(max_degree)
     seeds = range(int(seed) * 100_000, int(seed) * 100_000 + ensemble)
     members = []
     for member_seed in seeds:
