@@ -315,34 +315,25 @@ def _synthesize(a, b, m):
     out = np.empty(a.shape[:-1] + (m,))
     return _irfft(m * _hat(a[..., : n + 1], b[..., : n + 1]), 1.0 / m, out=out)
 
+
 def _mode_table(stacks):
     """The rows of the amplitude stacks (a, b) in ``stacks``, in turn, as
-    complex amplitudes c = a - i b stored by mode for ``_values_at``:
-    (modes, top, rank), with ``top[r]`` the top nonzero mode of row r (0 for
-    a zero row), ``rank[r]`` its place when the rows are sorted by that
-    mode, largest first, and ``modes[k]`` the c_k of the rows of top mode
-    >= k, by rank.  No zero above a row's top mode is stored."""
-    tops = []
+    complex amplitudes c = a - i b for ``_values_at``: (modes, top), with
+    ``modes[k, r]`` the c_k of row r, one (width × rows) array as wide as
+    the widest stack (zero past a stack's width), and ``top[r]`` the top
+    nonzero mode of row r (0 for a zero row)."""
+    modes = np.zeros((max(a.shape[1] for a, _ in stacks), sum(a.shape[0] for a, _ in stacks)),
+                     dtype=complex)
+    tops, first = [], 0  # first: the table row of the stack's row 0
     for a, b in stacks:
+        rows, cols = a.shape
+        block = modes[:cols, first:first + rows]
+        block.real, block.imag = a.T, -b.T
         nonzero = (a != 0) | (b != 0)
         tops.append(np.where(nonzero.any(axis=1),
-                             a.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0))
-    top = np.concatenate(tops)
-    rank = np.empty_like(top)
-    rank[np.argsort(-top, kind="stable")] = np.arange(top.size)
-    count = np.searchsorted(np.sort(-top), -np.arange(top.max() + 1), side="right")
-    start = np.concatenate(([0], np.cumsum(count)))
-    flat = np.zeros(start[-1], dtype=complex)
-    first = 0  # the row of ``top`` of the stack's row 0
-    for (a, b), stack_top in zip(stacks, tops):
-        width = a.shape[1]
-        cell = np.flatnonzero(np.arange(width) <= stack_top[:, None])  # row · width + mode
-        row, k = np.divmod(cell, width)
-        at = start[k] + rank[first + row]
-        flat.real[at] = a.reshape(-1)[cell]
-        flat.imag[at] = -b.reshape(-1)[cell]
-        first += a.shape[0]
-    return [flat[start[k]:start[k + 1]] for k in range(count.size)], top, rank
+                             cols - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0))
+        first += rows
+    return modes, np.concatenate(tops)
 
 
 def _values_at(table, rows, x):
@@ -353,24 +344,21 @@ def _values_at(table, rows, x):
     above it: a row padded into a wider stack gives the floats of the row
     alone.  The points are sorted by that mode, so each step updates a
     prefix."""
-    modes, top, rank = table
+    modes, top = table
     order = np.argsort(-top[rows], kind="stable")
     rows, z = rows[order], np.exp(1j * x[order])
-    deg, slot = top[rows], rank[rows]
+    deg = top[rows]
     count = np.searchsorted(-deg, -np.arange(deg[0] + 1), side="right")  # points of mode >= k
     # two buffers of rows P''/2, P', P and the coefficient c_k; each step
     # writes old * z + the next row of old into the other buffer
     bufs = np.zeros((2, 4, rows.size), dtype=complex)
-    n, now = -1, 0
+    now = 0
     for k in range(deg[0], -1, -1):
-        if count[k] != n:  # the prefix grew: new views (slicing costs more than a step)
-            n = count[k]
-            views = [(buf[3, :n], buf[:3, :n], buf[1:, :n]) for buf in bufs]
-            z_n, slot_n = z[:n], slot[:n]
-        (coef, head, tail), (_, ahead, _) = views[now], views[1 - now]
-        modes[k].take(slot_n, out=coef)
-        np.multiply(head, z_n, out=ahead)
-        ahead += tail
+        n = count[k]
+        old, new = bufs[now, :, :n], bufs[1 - now, :3, :n]
+        modes[k].take(rows[:n], out=old[3])
+        np.multiply(old[:3], z[:n], out=new)
+        new += old[1:]
         now = 1 - now
     ddp, dp, p = bufs[now, :3]
     zdp = z * dp

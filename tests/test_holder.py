@@ -8,6 +8,7 @@ import pytest
 from oddwaves import (
     ConfigurationError,
     CosineSeries,
+    SpectralField,
     commutator_h,
     commutator_ratio,
     commutator_sweep,
@@ -15,6 +16,7 @@ from oddwaves import (
     holder,
     holder_norm,
     spectral,
+    translate,
 )
 from oddwaves.holder import holder_seminorm
 
@@ -688,6 +690,22 @@ class TestRefinement:
                 fine_grid, fine = (t[0] for t in holder._terms([stack], 0.5, 4096))
                 assert (np.abs(coarse - fine) <= 1e-9 * fine).all()
                 assert (fine_grid - coarse_grid).max() > 1e-3 * fine.max()
+
+    def test_climbs_stop_at_the_step_cap(self, monkeypatch):
+        """``_refine`` evaluates its points ``ROUNDS + 1`` times at most: the
+        starts, then ``ROUNDS`` Newton steps.  The maximum of
+        1 - (1 - cos x)^2 / 4 = 5/8 + cos(x)/2 - cos(2x)/8, moved off the
+        grid, is quartic, so Newton on |g| gains only a fixed fraction of
+        the distance a step and the sup point is still climbing at the cap."""
+        calls = []
+
+        def counted(table, rows, x):
+            calls.append(rows.size)
+            return spectral._values_at(table, rows, x)
+
+        monkeypatch.setattr(holder, "_values_at", counted)
+        holder_norm(translate(SpectralField([5 / 8, 1 / 2, -1 / 8]), 0.1), 0, 0.5)
+        assert len(calls) == holder.ROUNDS + 1
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     def test_candidates_are_the_local_maxima_near_the_top(self, alpha):

@@ -9,8 +9,11 @@ m-fold profile with zeros between its lattice modes, ``verify`` and
 ``selftest``, at the defaults; ``verify`` and ``selftest``, the commands
 that read a seed, at ``--seed 7`` and at ``--seed 30113``, whose
 commutator bound fails, so the failing report (exit 3) is compared too;
-and ``verify --ensemble 3 --degrees 2,4`` at ``--seed 2^70``, whose
+``verify --ensemble 3 --degrees 2,4`` at ``--seed 2^70``, whose
 member seeds pass 2^63, so a seed held in int64 shows as a differing CSV;
+and ``verify --alpha 0.9 --degrees 5,60``, whose degree-60 sweep runs on
+a 512-point grid with Θ rows of up to 120 modes, so the Hölder climbs are
+compared beyond the default degrees' widths;
 each from that checkout and from this working tree.  Each run passes only
 flags its command reads (``selftest`` writes no file and takes no
 ``--out``), so both trees run the same argv.  Both trees write to the
@@ -56,7 +59,8 @@ SETTINGS = {"defaults": ([], list(COMMANDS)),
             "seed7": (["--seed", "7"], ["verify", "selftest"]),
             "seed30113": (["--seed", "30113"], ["verify", "selftest"]),
             "seed2^70": (["--seed", str(2**70), "--ensemble", "3", "--degrees", "2,4"],
-                         ["verify"])}
+                         ["verify"]),
+            "alpha0.9-deg5,60": (["--alpha", "0.9", "--degrees", "5,60"], ["verify"])}
 
 
 def run_all(tree, scratch, dest):
