@@ -170,7 +170,9 @@ def evolve(f0, p, cfg):
 
     Aborts with a NumericalError carrying the last finite state and its time
     stamp if the solution stops being finite.  Saved states are padded to
-    cfg.n_modes; the state at t = 0 is f0's own amplitudes.
+    cfg.n_modes; the state at t = 0 is f0's own amplitudes.  The saves,
+    ⌈n_steps / save_every⌉ + 1 of them, pass the size rule with their
+    half-spectra, 16 (n_modes + 1) bytes a save, before any is made.
     """
     if f0.n_modes > cfg.n_modes:
         raise ConfigurationError(
@@ -180,8 +182,9 @@ def evolve(f0, p, cfg):
     n_steps = max(1, int(round(cfg.t_final / cfg.dt))) if cfg.t_final else 0
     dt = cfg.t_final / n_steps if n_steps else 0.0
     save_every = cfg.save_every or max(1, n_steps // 10)
-    saved = [*range(0, n_steps, save_every), n_steps]    # the steps saved
     size = cfg.n_modes + 1
+    require_size("saved states", -(-n_steps // save_every) + 1, 1, lambda n: 16 * size * n)
+    saved = [*range(0, n_steps, save_every), n_steps]    # the steps saved
     spectra = np.empty((len(saved), size), dtype=complex)  # their half-spectra
     rows = _stage_rows(size, p)
     half, full, sixth = (tuple(h * rows) for h in (0.5 * dt, dt, dt / 6.0))

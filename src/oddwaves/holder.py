@@ -31,12 +31,12 @@ g(x)| / d^α over the (x, lag) table, and of |g| over x, within ``CUT``
 (10 %) of the grid maximum; to hand them all over, the scan runs on until
 its bounds fall to ``CUT`` times the maximum.  Each candidate starts on
 the polynomial, at its cell's (x, d), and climbs by Newton steps there,
-every value evaluated by Horner's rule in e^{ix}, with d kept in (0, π]
-and only steps that raise its value kept.  A term is the larger of its
-grid part and its candidates' climbs: a maximum over a superset of the
-grid's points and pairs, so never below the grid value, and still a lower
-bound of the true norm, up to rounding.  So the grid only locates the
-candidates, and unless a caller sets it, it follows from the largest
+every value evaluated by Horner's rule in e^{ix}, with d kept in (0, π],
+up to its first step that does not raise its value.  A term is the larger
+of its grid part and its candidates' climbs: a maximum over a superset of
+the grid's points and pairs, so never below the grid value, and still a
+lower bound of the true norm, up to rounding.  So the grid only locates
+the candidates, and unless a caller sets it, it follows from the largest
 degree d among the fields normed (``_default_grid``): 6 points per mode,
 rounded up to a power of two.  ``holder_norm`` takes d = deg f, and
 ``commutator_ratio`` and the sweep max(deg a, deg b) and max_degree: Θ =
@@ -133,9 +133,10 @@ def _check_grid_size(m, degree, modes):
     """``m`` as an int, ``_default_grid(degree)`` when it is None: the
     Hölder grid of every estimate.  It passes the one grid rule for rows
     of ``modes`` modes, and the size rule at the bytes charged to one row
-    of the seminorm scan (``_wrapped_bytes``)."""
-    m = _check_grid(_default_grid(degree) if m is None else m, modes, GRID_NAME)
-    return require_size(GRID_NAME, m, 4, _wrapped_bytes)
+    of the seminorm scan (``_wrapped_bytes``), checked first, so the grid
+    rule's smaller charge of 8 m bytes never refuses it."""
+    m = require_size(GRID_NAME, _default_grid(degree) if m is None else m, 4, _wrapped_bytes)
+    return _check_grid(m, modes, GRID_NAME)
 
 
 def _wrapped_bytes(m):
@@ -324,37 +325,29 @@ def _newton(g, alpha, d):
 class _Climb:
     """Newton climbs of one kind of candidate, each row of its arrays one
     point: a sup point has d = 0 and climbs on g, g', g'' at x; a pair
-    point climbs on them at x, then at x + d (``_newton``).  Each point
-    starts at value -inf with a zero step, so its first trial is its start
-    and every value it holds is one of the polynomial.  ``live`` indexes
-    the points still climbing; a rejected step is halved, twice at most."""
+    point climbs on them at x, then at x + d (``_newton``).  A point holds
+    its next trial (x, d), its start first, and its best value, -inf until
+    the start is evaluated, so every value it holds is one of the
+    polynomial.  ``live`` indexes the points still climbing."""
 
     def __init__(self, rows, x, d, alpha):
-        self.rows, self.x, self.d, self.alpha = rows, x, d, alpha
+        self.rows, self.x, self.d, self.alpha = rows, x, np.minimum(d, np.pi), alpha
         self.value = np.full(rows.size, -np.inf)
-        self.dx, self.dd = np.zeros(rows.size), np.zeros(rows.size)
-        self.scale = np.ones(rows.size)
         self.live = np.arange(rows.size)
 
-    def trial(self):
-        """The positions (x, d) of the live points' next steps, d at most π."""
-        live, scale = self.live, self.scale[self.live]
-        return (self.x[live] + scale * self.dx[live],
-                np.minimum(self.d[live] + scale * self.dd[live], np.pi))
-
-    def update(self, g, x, d):
-        """Keep each live point's trial (x, d), evaluated to g, where it
-        raises the value; halve the step where it does not.  A point
-        retires once its step promises a rise of at most ``RISE_TOL`` of
-        its value, or after a third rejection."""
+    def update(self, g):
+        """Keep each live point's trial, evaluated to g, where it raises the
+        value, and move that trial on by its Newton step, d at most π.  A
+        point retires at its first trial that does not raise its value, or
+        once its step promises a rise of at most ``RISE_TOL`` of it."""
         live = self.live
-        value, dx, dd, rise = _newton(g, self.alpha, d)
+        value, dx, dd, rise = _newton(g, self.alpha, self.d[live])
         up = value > self.value[live]
         kept = live[up]
-        self.x[kept], self.d[kept], self.value[kept] = x[up], d[up], value[up]
-        self.dx[kept], self.dd[kept], self.scale[kept] = dx[up], dd[up], 1.0
-        self.scale[live[~up]] /= 2
-        self.live = live[np.where(up, rise > RISE_TOL, self.scale[live] >= 0.25)]
+        self.value[kept] = value[up]
+        self.x[kept] += dx[up]
+        self.d[kept] = np.minimum(self.d[kept] + dd[up], np.pi)
+        self.live = kept[rise[up] > RISE_TOL]
 
 
 def _refine(table, kinds, alpha):
@@ -367,34 +360,32 @@ def _refine(table, kinds, alpha):
     with np.errstate(all="ignore"):
         sups, pairs = (_Climb(*kind, alpha) for kind in kinds)
         for _ in range(ROUNDS + 1):
-            if not (sups.live.size or pairs.live.size):
+            s, p = sups.live, pairs.live
+            if not (s.size or p.size):
                 break
-            (sx, sd), (px, pd) = sups.trial(), pairs.trial()
-            prow = pairs.rows[pairs.live]
-            g = _values_at(table, np.concatenate((sups.rows[sups.live], prow, prow)),
-                           np.concatenate((sx, px, px + pd)))
-            n = sx.size
-            sups.update(g[:, :n], sx, sd)
-            pairs.update(np.concatenate((g[:, n:n + px.size], g[:, n + px.size:])), px, pd)
+            prow, px = pairs.rows[p], pairs.x[p]
+            g = _values_at(table, np.concatenate((sups.rows[s], prow, prow)),
+                           np.concatenate((sups.x[s], px, px + pairs.d[p])))
+            sups.update(g[:, :s.size])
+            pairs.update(np.concatenate((g[:, s.size:s.size + p.size], g[:, s.size + p.size:])))
     return sups.value, pairs.value
 
 
 def _terms(fields, alpha, m):
     """The terms of the C^{k,α} norms of stacked amplitude rows, one
     (k + 2, rows) array for each (a, b, k) of ``fields``: the sup norms of
-    each row and its first k derivatives, then the α-seminorm of the k-th.
-    Returns the grid parts, each term's maximum on m points, and the
-    terms, each the larger of its grid part and what ``_refine`` climbs to
-    from that maximum's candidates, all fields' candidates in one pass.
-    The samples of levels 0..k only locate the candidates, each recorded
-    as (table row, x, d)."""
+    each row and its first k derivatives, then the α-seminorm of the k-th,
+    so a norm is its array's sum over the first axis.  Returns the grid
+    parts, each term's maximum on m points, and the terms, each the larger
+    of its grid part and what ``_refine`` climbs to from that maximum's
+    candidates, all fields' candidates in one pass.  The samples of each
+    level (``_levels``) only locate the candidates, each recorded as
+    (table row, x, d)."""
     grids, kinds, start, h = [], ([], []), 0, 2 * np.pi / m
     for a, b, k in fields:
         rows = a.shape[0]
         grid = np.empty((k + 2, rows))
-        for level in range(k + 1):
-            if level:
-                a, b = _derivative_amplitudes(a, b)
+        for level, (a, b) in enumerate(_levels(a, b, k)):
             vals = _synthesize(a, b, m)
             grid[level], (row, x) = _sup_cells(vals)
             kinds[0].append((start + row, h * x, np.zeros(x.size)))
@@ -404,7 +395,7 @@ def _terms(fields, alpha, m):
         kinds[1].append((start - rows + row, h * x, h * lag))
         grids.append(grid)
     del vals, cells, a, b  # the table is built under the scan's peak, not on top of it
-    table = _mode_table(list(_levels(fields)))
+    table = _mode_table([level for a, b, k in fields for level in _levels(a, b, k)])
     kinds = [tuple(map(np.concatenate, zip(*kind))) for kind in kinds]
     best = np.full((2, table[1].size), -np.inf)  # by table row: sup, seminorm
     for out, (rows, *_), climbed in zip(best, kinds, _refine(table, kinds, alpha)):
@@ -418,18 +409,17 @@ def _terms(fields, alpha, m):
     return grids, terms
 
 
-def _levels(fields):
-    """The amplitude arrays (a, b) of every level 0..k of each (a, b, k) of
-    ``fields``, the levels of a field in turn: the rows of the table the
-    candidates climb on.  ``_terms`` rebuilds them after the scans rather
-    than keep the levels it samples: held through the scans, they raise
-    ``commutator_sweep(150, 40)``'s traced peak from 1.68 to 1.92 MiB,
-    close to the 2 MiB block budget."""
-    for a, b, k in fields:
-        for level in range(k + 1):
-            if level:
-                a, b = _derivative_amplitudes(a, b)
-            yield a, b
+def _levels(a, b, k):
+    """The amplitude arrays (a, b) of levels 0..k of the rows (a, b): the
+    rows and their first k derivatives, the levels ``_terms`` samples and
+    the rows of the table the candidates climb on.  ``_terms`` rebuilds
+    them after the scans rather than keep the levels it samples: held
+    through the scans, they raise ``commutator_sweep(150, 40)``'s traced
+    peak from 1.68 to 1.92 MiB, close to the 2 MiB block budget."""
+    yield a, b
+    for _ in range(k):
+        a, b = _derivative_amplitudes(a, b)
+        yield a, b
 
 
 def _sup_cells(vals):
@@ -438,12 +428,6 @@ def _sup_cells(vals):
     mag = np.abs(vals)
     sups = mag.max(axis=1)
     return sups, _ridge(mag, CUT * sups)
-
-
-def _norms(fields, alpha, m):
-    """The C^{k,α} norms of stacked amplitude rows, one array for each
-    (a, b, k) of ``fields``: the sums of their ``_terms``, in order."""
-    return [terms.sum(axis=0) for terms in _terms(fields, alpha, m)[1]]
 
 
 def holder_norm(f, k, alpha, grid_size=None):
@@ -455,7 +439,7 @@ def holder_norm(f, k, alpha, grid_size=None):
     alpha = _check_alpha(alpha)
     k = require_integer("derivative count k", k, 0, 3)
     m = _check_grid_size(grid_size, f.degree, f.degree)
-    return float(_norms([(f.a[None, :], f.b[None, :], k)], alpha, m)[0][0])
+    return float(_terms([(f.a[None, :], f.b[None, :], k)], alpha, m)[1][0].sum(axis=0)[0])
 
 
 def _commutators(fa, fb, ga, gb, n_out, m):
@@ -494,7 +478,8 @@ def _quotients(fa, fb, ga, gb, deg_a, deg_b, alpha, m):
         w = min(ta.shape[1], grid // 2)
         a, b = _commutators(fa[rows], fb[rows], ga[rows], gb[rows], n_out[rows], grid)
         ta[rows, :w], tb[rows, :w] = a[:, :w], b[:, :w]
-    num, norm_a, norm_b = _norms([(ta, tb, 1), (fa, fb, 2), (ga, gb, 1)], alpha, m)
+    terms = _terms([(ta, tb, 1), (fa, fb, 2), (ga, gb, 1)], alpha, m)[1]
+    num, norm_a, norm_b = (t.sum(axis=0) for t in terms)
     den = norm_a * norm_b
     if not den.all():
         raise ConfigurationError("commutator_ratio needs nonzero a and b")
@@ -522,7 +507,7 @@ def _sweep_block(m):
     """Sweep members evaluated together on an m-point grid: as many as keep
     their scan rows, 3 m float64 a member (a field's samples, their wrapped
     copy and the lag bounds), within ``SWEEP_BYTES``, at least one.  Below
-    256 points a member's candidates' climbs, about as large whatever the
+    256 points a member's candidates' climbs, about 9.5 KB whatever the
     grid, outweigh its scan rows, so m counts as 256 there: 85 members on
     up to 256 points, 21 on 1024 and 5 on 4096."""
     return max(1, SWEEP_BYTES // (3 * 8 * max(m, 256)))

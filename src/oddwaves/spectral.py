@@ -10,8 +10,8 @@ the smallest even grid that resolves all N modes below Nyquist (4 points
 at N = 0, the rule's floor); the grid follows from the truncation and is
 not an argument.  Every sample grid a caller picks, here and in
 ``holder``, passes one rule (``_check_grid``): an even integer of at least
-max(4, 2 deg + 2) points.  Cosine and sine
-amplitudes are kept in separate arrays, so parity is a property of the
+max(4, 2 deg + 2) points, whose row of samples passes the size rule.
+Cosine and sine amplitudes are kept in separate arrays, so parity is a property of the
 values: a field is even when b ≡ 0 and odd when a ≡ 0 (``is_even``,
 ``is_odd``), and ``CosineSeries``/``SineSeries`` build fields of each kind.
 The linear operators below map exact zeros to exact zeros, so they keep
@@ -62,7 +62,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .errors import ConfigurationError, require_integer, require_real
+from .errors import ConfigurationError, require_integer, require_real, require_size
 
 __all__ = [
     "SpectralField",
@@ -98,8 +98,9 @@ SUP_OVERSAMPLE = 4  # the sup-norm grid's points per mode, before rounding up
 def _check_grid(m, degree, name):
     """``m`` as an int: the one rule of a sample grid.  It is refused unless
     it is an even integer of at least max(4, 2 degree + 2) points, since a
-    coarser or odd grid would alias a degree-``degree`` field."""
-    m = require_integer(name, m, 4)
+    coarser or odd grid would alias a degree-``degree`` field, and the
+    size rule charges its row of samples, 8 m bytes."""
+    m = require_size(name, m, 4, lambda m: 8 * m)
     if m % 2:
         raise ConfigurationError(f"{name} must be even, got {m} points")
     need = max(4, 2 * degree + 2)
@@ -185,8 +186,10 @@ class SpectralField:
         return SpectralField(a, self.b)
 
     def pad_to(self, n_modes):
-        """Embed into a larger truncation (amplitudes past N are zero)."""
-        n_modes = require_integer("n_modes", n_modes, 0)
+        """Embed into a larger truncation (amplitudes past N are zero).  The
+        size rule charges one of its two amplitude arrays, 8 (n_modes + 1)
+        bytes."""
+        n_modes = require_size("n_modes", n_modes, 0, lambda n: 8 * (n + 1))
         n = self.n_modes
         if n_modes < n:
             raise ConfigurationError("pad_to cannot shrink a field; use truncate")

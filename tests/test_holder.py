@@ -707,6 +707,26 @@ class TestRefinement:
         holder_norm(translate(SpectralField([5 / 8, 1 / 2, -1 / 8]), 0.1), 0, 0.5)
         assert len(calls) == holder.ROUNDS + 1
 
+    def test_climbs_retire_at_their_first_failed_step(self, monkeypatch):
+        """A point retires at its first trial that does not raise its value,
+        and keeps the best value it reached.  With every evaluation after the
+        starts' halving the polynomial's values, no Newton step raises a
+        value, so ``_refine`` makes two evaluations and the norm of
+        cos(x - 0.1) is the starts' value (the climbs reach 2.2038...)."""
+        calls = []
+
+        def halved(table, rows, x):
+            g = spectral._values_at(table, rows, x)
+            if calls:
+                g[0] /= 2
+            calls.append(rows.size)
+            return g
+
+        monkeypatch.setattr(holder, "_values_at", halved)
+        value = holder_norm(translate(SpectralField([0.0, 1.0]), 0.1), 0, 0.5)
+        assert len(calls) == 2
+        assert value == 2.147566183524816
+
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     def test_candidates_are_the_local_maxima_near_the_top(self, alpha):
         """The scan's candidates are the cells of the full (lag, x) table

@@ -171,6 +171,18 @@ def test_non_integer_or_non_finite_setting_refused(call, message):
                                        "--out", str(out)]),
                  "ensemble size = 1000000000000000 asks for an array of "
                  "8000000000000000 bytes", id="verify-ensemble"),
+    # an 8 GB row of samples
+    pytest.param(lambda out: SpectralField([0.0, 1.0]).values(10 ** 9),
+                 "the sample grid = 1000000000 asks for an array of 8000000000 bytes",
+                 id="values-grid"),
+    # two 8 GB amplitude arrays, then their read-only copies
+    pytest.param(lambda out: SpectralField([0.0, 1.0]).pad_to(10 ** 9),
+                 "n_modes = 1000000000 asks for an array of 8000000008 bytes", id="pad_to"),
+    # a list of 10**9 + 1 saved steps and a (10**9 + 1) x 65 complex array
+    pytest.param(lambda out: evolve(SpectralField([0.0, 1.0]), P,
+                                    EvolutionConfig(dt=1e-9, t_final=1.0, save_every=1)),
+                 "saved states = 1000000001 asks for an array of 1040000001040 bytes",
+                 id="evolve-saves"),
 ])
 def test_size_beyond_the_byte_ceiling_refused(tmp_path, capsys, call, message):
     """A size whose arrays would pass ``ARRAY_BYTES_CEILING`` is refused by

@@ -11,9 +11,10 @@ that read a seed, at ``--seed 7`` and at ``--seed 30113``, whose
 commutator bound fails, so the failing report (exit 3) is compared too;
 ``verify --ensemble 3 --degrees 2,4`` at ``--seed 2^70``, whose
 member seeds pass 2^63, so a seed held in int64 shows as a differing CSV;
-and ``verify --alpha 0.9 --degrees 5,60``, whose degree-60 sweep runs on
-a 512-point grid with Θ rows of up to 120 modes, so the Hölder climbs are
-compared beyond the default degrees' widths;
+``verify --alpha 0.9 --degrees 5,60``, whose degree-60 sweep runs on a
+512-point grid with Θ rows of up to 120 modes, so the Hölder climbs are
+compared beyond the default degrees' widths; and ``verify --alpha 0.1
+--degrees 10,30``, so the climbs are compared at both ends of α;
 each from that checkout and from this working tree.  Each run passes only
 flags its command reads (``selftest`` writes no file and takes no
 ``--out``), so both trees run the same argv.  Both trees write to the
@@ -60,7 +61,8 @@ SETTINGS = {"defaults": ([], list(COMMANDS)),
             "seed30113": (["--seed", "30113"], ["verify", "selftest"]),
             "seed2^70": (["--seed", str(2**70), "--ensemble", "3", "--degrees", "2,4"],
                          ["verify"]),
-            "alpha0.9-deg5,60": (["--alpha", "0.9", "--degrees", "5,60"], ["verify"])}
+            "alpha0.9-deg5,60": (["--alpha", "0.9", "--degrees", "5,60"], ["verify"]),
+            "alpha0.1-deg10,30": (["--alpha", "0.1", "--degrees", "10,30"], ["verify"])}
 
 
 def run_all(tree, scratch, dest):
