@@ -58,7 +58,6 @@ __all__ = [
 DEFAULT_TRUNCATION = 64
 DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 25
-DEFAULT_STEP = 1e-3
 DEFAULT_STEP_CAP = 1e-2
 DEFAULT_STEP_GROWTH = 2.0
 SIMPLE_RTOL = 1e-10        # relative floor for "multiplier is nonzero"
@@ -202,13 +201,13 @@ def _newton(c, alpha, p, tol, max_iter, lattice):
     raise AssertionError("unreachable")
 
 
-def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
-                    tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, *,
-                    step_cap=DEFAULT_STEP_CAP):
+def continue_branch(m, p, s_max, n=DEFAULT_TRUNCATION, tol=DEFAULT_TOL,
+                    max_iter=DEFAULT_MAX_ITER, *, step_cap=DEFAULT_STEP_CAP):
     """Trace the m-fold branch out of (c_m, 0) up to amplitude s_max.
 
     The first record is the trivial limit (s=0, c=c_m, α=0).  Steps start at
-    ds and double up to step_cap; the last step lands exactly on s_max.
+    step_cap / 10 and double up to step_cap; the last step lands exactly on
+    s_max.
     The amplitudes are positive: the mirror branch, s -> -s, is the
     half-period shift of this one.  step_cap > 0 is required, since
     otherwise the steps vanish and s_max is never reached.
@@ -219,7 +218,6 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     """
     m = require_size("fold m", m, 1, lambda m: _branch_bytes(m, 2))
     s_max = require_real("s_max", s_max, 0)
-    ds = require_real("ds", ds, 0, strict=True)
     step_cap = require_real("step_cap", step_cap, 0, strict=True)
     max_iter = require_integer("max_iter", max_iter, 0)
     # Σ|b_k| sums 2n roundoff terms.  Its floor, the least sum Newton reaches
@@ -245,9 +243,9 @@ def continue_branch(m, p, s_max, ds=DEFAULT_STEP, n=DEFAULT_TRUNCATION,
     branch = Branch(m=m, points=[trivial])
 
     s_abs = 0.0
-    step = min(ds, step_cap)
+    step = step_cap / 10.0
     c = c0
-    floor = ds / 2.0 ** STEP_HALVINGS
+    floor = step / 2.0 ** STEP_HALVINGS
     lattice = _Lattice(m, n, p.alpha0 - p.beta)
     while s_max - s_abs > 1e-15:
         step = min(step, step_cap, s_max - s_abs)

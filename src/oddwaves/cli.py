@@ -4,8 +4,9 @@ Subcommands
 
     bifurcate   tabulate candidate bifurcation speeds (k, c_k, simple)
     branch      trace an m-fold wave branch; writes branch.csv + branch.json
-    evolve      time-integrate a branch profile (or zero data); writes
-                trajectory.csv + manifest.json with conservation diagnostics
+    evolve      time-integrate the branch point at amplitude --s (at --s 0
+                the trivial point); writes trajectory.csv + manifest.json
+                with conservation diagnostics
     verify      run the invariant families and the commutator-bound sweep;
                 one PASS/FAIL line per family, report.json + sweep CSVs
     selftest    quick, file-free subset of verify
@@ -62,7 +63,6 @@ from .model import (
 )
 from .bifurcation import (
     DEFAULT_MAX_ITER,
-    DEFAULT_STEP,
     DEFAULT_STEP_CAP,
     DEFAULT_TOL,
     DEFAULT_TRUNCATION,
@@ -92,7 +92,6 @@ class RunConfig:
     fold: int = 1
     modes: int = DEFAULT_TRUNCATION
     smax: float = 0.05
-    ds: float = DEFAULT_STEP
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
     dt: float = 2e-4
@@ -119,7 +118,7 @@ LOWEST = {"modes": 2, "fold": 1, "kmax": 1, "smax": 0, "s": 0, "seed": 0}
 
 # each command's help and the settings it reads: its flags and its config block
 MODEL = ("epsilon", "alpha0", "beta")
-CONTINUATION = (*MODEL, "fold", "modes", "ds", "tol", "max_iter")
+CONTINUATION = (*MODEL, "fold", "modes", "tol", "max_iter")
 COMMANDS = {
     "bifurcate": ("tabulate critical speeds up to --kmax", (*MODEL, "modes", "kmax", "out")),
     "branch": ("continue the --fold branch up to --smax", (*CONTINUATION, "smax", "out")),
@@ -272,8 +271,8 @@ def cmd_bifurcate(cfg):
 def cmd_branch(cfg):
     _check_out(cfg)
     p = cfg.model_params()
-    branch = continue_branch(cfg.fold, p, cfg.smax, ds=cfg.ds, n=cfg.modes,
-                             tol=cfg.tol, max_iter=cfg.max_iter)
+    branch = continue_branch(cfg.fold, p, cfg.smax, n=cfg.modes, tol=cfg.tol,
+                             max_iter=cfg.max_iter)
     out = _outdir(cfg)
     # coeff_j is the amplitude of cos(j m x)
     _write_csv(out / "branch.csv", cfg,
@@ -298,6 +297,8 @@ def cmd_branch(cfg):
 
 
 def cmd_evolve(cfg):
+    """Integrate the --fold branch's point at amplitude --s; at --s 0 that is
+    the trivial point (c_m, 0), whose profile is zero."""
     _check_out(cfg)
     p = cfg.model_params()
     if cfg.dt_halving and cfg.s == 0:
@@ -306,34 +307,26 @@ def cmd_evolve(cfg):
         raise ConfigurationError("--dt-halving needs a time horizon (--tfinal > 0)")
     # --modes counts modes of the m-fold basis, which reach frequency fold × modes
     ecfg = EvolutionConfig(dt=cfg.dt, t_final=cfg.tfinal, n_modes=cfg.fold * cfg.modes)
-    manifest = {"version": __version__}
-    if cfg.s == 0:
-        f0 = CosineSeries(np.zeros(ecfg.n_modes + 1))
-    else:
-        branch = continue_branch(cfg.fold, p, cfg.s, ds=cfg.ds, n=cfg.modes,
-                                 tol=cfg.tol, max_iter=cfg.max_iter)
-        if branch.truncated:
-            raise NumericalError(f"branch continuation failed: {branch.failure}")
-        point = branch.points[-1]
-        f0 = branch.profile(-1)
-        manifest["branch_point"] = {"s": point.s, "c": point.c,
-                                    "residual_norm": point.residual_norm}
+    branch = continue_branch(cfg.fold, p, cfg.s, n=cfg.modes, tol=cfg.tol,
+                             max_iter=cfg.max_iter)
+    if branch.truncated:
+        raise NumericalError(f"branch continuation failed: {branch.failure}")
+    point = branch.points[-1]
+    f0 = branch.profile(-1)
     traj = evolve(f0, p, ecfg)
-    manifest["dt_stable"] = stable_dt(ecfg.n_modes, p)
-    manifest["dt_effective"] = traj.dt_effective
-    manifest["mass_drift"] = traj.mass_drift
-    if cfg.s != 0:
-        err = _translation_gap(f0, point.c, traj)
-        manifest["traveling_error"] = err
-        print(f"traveling error over t <= {cfg.tfinal:g}: {err:.6e}")
-        if cfg.dt_halving:
-            errs, rates = traveling_error_orders(f0, point.c, p, ecfg, halvings=1,
-                                                 base_error=err)
-            # a null order: both errors sit at the roundoff floor
-            manifest["dt_halving"] = {"errors": errs, "order": rates[0]}
-            order = ("not resolved (both at the roundoff floor)" if rates[0] is None
-                     else f"{rates[0]:.2f}")
-            print(f"dt halving: errors {errs[0]:.3e} -> {errs[1]:.3e}, order {order}")
+    err = _translation_gap(f0, point.c, traj)
+    manifest = {"version": __version__,
+                "branch_point": {"s": point.s, "c": point.c, "residual_norm": point.residual_norm},
+                "dt_stable": stable_dt(ecfg.n_modes, p), "dt_effective": traj.dt_effective,
+                "mass_drift": traj.mass_drift, "traveling_error": err}
+    print(f"traveling error over t <= {cfg.tfinal:g}: {err:.6e}")
+    if cfg.dt_halving:
+        errs, rates = traveling_error_orders(f0, point.c, p, ecfg, halvings=1, base_error=err)
+        # a null order: both errors sit at the roundoff floor
+        manifest["dt_halving"] = {"errors": errs, "order": rates[0]}
+        order = ("not resolved (both at the roundoff floor)" if rates[0] is None
+                 else f"{rates[0]:.2f}")
+        print(f"dt halving: errors {errs[0]:.3e} -> {errs[1]:.3e}, order {order}")
     print(f"mass drift {traj.mass_drift:.3e}; effective dt {traj.dt_effective:g}")
     out = _outdir(cfg)
     # rows t, f(x_0), ..., f(x_{M-1}) from one synthesis of the amplitude

@@ -330,10 +330,9 @@ def assemble_jacobian(c, phi, p, n, m=1):
         raise ConfigurationError("phi must be even")
     if phi.a[np.arange(phi.a.size) % m != 0].any():
         raise ConfigurationError(f"phi is not supported on the {m}-fold lattice")
-    if phi.n_modes > m * n:
-        raise ConfigurationError(
-            f"phi has {phi.n_modes} modes, exceeding the {m}-fold truncation {m * n}"
-        )
+    if phi.degree > m * n:
+        raise ConfigurationError(f"phi has degree {phi.degree}, exceeding the {m}-fold "
+                                 f"truncation {m * n}")
     lattice = _Lattice(m, n, p.alpha0 - p.beta)
     alpha = _on_lattice(phi.a, lattice)
     jac = _lattice_jacobian(_lattice_matrix(alpha, lattice), _symbol(lattice.kf, c, p),

@@ -119,7 +119,7 @@ def check_branches(p):
     """Criterion 6 body (criterion 9 re-runs it in the degenerate regime)."""
     branches = {}
     for m in (1, 2, 3):
-        br = continue_branch(m, p, s_max=0.05, ds=1e-3, n=64, tol=1e-11)
+        br = continue_branch(m, p, s_max=0.05, n=64, tol=1e-11)
         assert not br.truncated
         assert all(pt.residual_norm < 1e-11 for pt in br.points)
         c0 = critical_speed(m, p)
@@ -189,7 +189,7 @@ def test_criterion_6_branch_existence():
 
 def test_criterion_7_traveling_wave_validation():
     t0 = time.time()
-    br = continue_branch(1, PA, s_max=0.02, ds=1e-3, n=64, tol=1e-11)
+    br = continue_branch(1, PA, s_max=0.02, n=64, tol=1e-11)
     point, phi = br.points[-1], as_fields(br)[-1]
     assert point.s == 0.02
 
@@ -262,7 +262,7 @@ def test_criterion_9_degenerate_regime():
     branch_outcomes = {}
     for m in (1, 2, 3):
         try:
-            br = continue_branch(m, PDEG, s_max=0.05, ds=1e-3, n=64, tol=1e-11)
+            br = continue_branch(m, PDEG, s_max=0.05, n=64, tol=1e-11)
             assert not br.truncated
             assert all(pt.residual_norm < 1e-11 for pt in br.points)
             branch_outcomes[m] = "ok"

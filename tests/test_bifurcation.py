@@ -30,7 +30,7 @@ TOL = 1e-11    # small_branch's Newton tolerance
 
 
 def small_branch(m=1, p=PA, s_max=0.02, n=24, **kw):
-    return continue_branch(m, p, s_max, ds=1e-3, n=n, tol=TOL, **kw)
+    return continue_branch(m, p, s_max, n=n, tol=TOL, **kw)
 
 
 def resonant_params(k, j, epsilon, alpha0):
@@ -262,7 +262,10 @@ class TestContinueBranch:
                 assert np.array_equal(rs.a[::m], sign * r.a[::m])
 
     def test_step_policy_geometric_growth_to_cap(self):
-        br = continue_branch(1, PA, 0.05, ds=1e-3, n=16, tol=1e-11)
+        """Steps start at a tenth of the cap and double up to it."""
+        br = continue_branch(1, PA, 0.05, n=16, step_cap=0.02)
+        assert br.amplitudes.tolist() == [0, 0.002, 0.006, 0.014, 0.03, 0.05]
+        br = continue_branch(1, PA, 0.05, n=16, tol=1e-11)
         steps = np.diff(br.amplitudes)
         expect, step = [], 1e-3
         remaining = 0.05
@@ -287,8 +290,6 @@ class TestContinueBranch:
         with pytest.raises(ConfigurationError):
             continue_branch(1, PA, -0.1)
         with pytest.raises(ConfigurationError):
-            continue_branch(1, PA, 0.01, ds=0.0)
-        with pytest.raises(ConfigurationError):
             continue_branch(1, PA, 0.01, tol=1e-13)
 
     @pytest.mark.parametrize("kw", [{"max_iter": -1}, {"max_iter": 2.5},
@@ -305,7 +306,7 @@ class TestContinueBranch:
             continue_branch(1, PA, 0.05, **kw)
 
     def test_nonconvergence_truncates_and_reports(self):
-        br = continue_branch(1, PA, 0.05, ds=1e-3, n=16, tol=1e-11, max_iter=0)
+        br = continue_branch(1, PA, 0.05, n=16, tol=1e-11, max_iter=0)
         assert br.truncated and "converge" in br.failure
         assert len(br.points) == 1  # only the trivial record survived
 
@@ -317,7 +318,7 @@ class TestContinueBranch:
         assert p.degenerate
         for m in (1, 2, 3):
             assert kernel_dimension(critical_speed(m, p), p, m, 32) == 1
-            br = continue_branch(m, p, 0.01, ds=2e-3, n=16, tol=1e-11)
+            br = continue_branch(m, p, 0.01, n=16, tol=1e-11)
             assert not br.truncated
             assert all(pt.residual_norm < 1e-11 for pt in br.points)
 
@@ -332,7 +333,7 @@ class TestContinueBranch:
 
         monkeypatch.setattr(bif, "_newton", always_singular)
         with pytest.raises(NumericalError):
-            bif.continue_branch(1, PA, 0.01, ds=1e-3, n=8)
+            bif.continue_branch(1, PA, 0.01, n=8)
 
     def test_singular_retry_restarts_from_last_accepted_point(self, monkeypatch):
         """A trial that hits a singular system after moving its amplitudes
@@ -351,7 +352,7 @@ class TestContinueBranch:
                 return newton(c, alpha, *args)
 
             monkeypatch.setattr(bif, "_newton", singular_once)
-            branch = continue_branch(1, PA, 0.005, ds=1e-3, n=16)
+            branch = continue_branch(1, PA, 0.005, n=16)
             assert failed == [0.003]
             return branch
 
@@ -377,7 +378,7 @@ class TestContinueBranch:
 class TestScaleCovariance:
     """(c, φ) solves R = 0 at (ε, α0, β) exactly when (εc, εφ) solves it at
     (1, α0, β), and R scales by 1/ε².  So the branch at ε with tol/ε² is the
-    ε = 1 branch with s_max, ds and the step cap scaled by ε, point by
+    ε = 1 branch with s_max and the step cap scaled by ε, point by
     point and with the same Newton iterations, up to the same stall where
     n = 32 stops resolving the tail (fold 3 at ε = 0.5)."""
 
@@ -386,7 +387,7 @@ class TestScaleCovariance:
     def test_branch_maps_onto_unit_epsilon(self, m, eps):
         s_max, n = 0.3, 32
         unit = continue_branch(m, ModelParams(1.0, 1.0, 0.5), eps * s_max, n=n,
-                               ds=eps * bif.DEFAULT_STEP, step_cap=eps * bif.DEFAULT_STEP_CAP)
+                               step_cap=eps * bif.DEFAULT_STEP_CAP)
         scaled = continue_branch(m, ModelParams(eps, 1.0, 0.5), s_max, n=n,
                                  tol=bif.DEFAULT_TOL / eps ** 2)
         assert unit.truncated == scaled.truncated

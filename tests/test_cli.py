@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from oddwaves import (ModelParams, __version__, bifurcation, cli, continue_branch, evolution,
-                      holder, holder_norm, spectral)
+from oddwaves import (ModelParams, __version__, bifurcation, cli, continue_branch,
+                      critical_speed, evolution, holder, holder_norm, spectral)
 from oddwaves.cli import main
 
 from helpers import (as_fields, no_climb, reference_commutator_sweep, reference_csv_body,
@@ -139,13 +139,23 @@ class TestBranch:
 
 
 class TestEvolve:
-    def test_zero_initial_data(self, tmp_path):
+    def test_zero_initial_data(self, tmp_path, capsys):
+        """--s 0 evolves the trivial branch point (c_1, 0), which the
+        continuation refuses where it is not simple."""
         code = run(tmp_path, "evolve", "--s", "0", "--tfinal", "0.01",
                    "--dt", "0.001", "--modes", "8")
         assert code == 0
         rows = read_csv(tmp_path, "trajectory.csv")[1:]
         values = np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
         assert np.abs(values).max() == 0.0
+        payload = read_json(tmp_path, "evolution_manifest.json")["payload"]
+        p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
+        assert payload["branch_point"] == {"s": 0.0, "c": critical_speed(1, p),
+                                           "residual_norm": 0.0}
+        assert payload["traveling_error"] == 0.0
+        assert run(tmp_path, "evolve", "--s", "0", "--alpha0", "1", "--beta", "1",
+                   "--fold", "2") == 2
+        assert "(c_2, 0) is not simple in the 2-fold space" in capsys.readouterr().err
 
     def test_branch_point_manifest(self, tmp_path, capsys):
         code = run(tmp_path, "evolve", "--s", "0.01", "--tfinal", "0.1",

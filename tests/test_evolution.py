@@ -46,7 +46,7 @@ PA = ModelParams(0.5, 1.0, 0.5)
 @pytest.fixture(scope="module")
 def branch_point():
     """The profile φ and speed c of a fold-1 branch point."""
-    br = continue_branch(1, PA, 0.02, ds=1e-3, n=48, tol=1e-11)
+    br = continue_branch(1, PA, 0.02, n=48, tol=1e-11)
     assert not br.truncated
     return as_fields(br)[-1], br.points[-1].c
 
@@ -182,6 +182,15 @@ class TestEvolve:
             evolve(bomb, PA, cfg)
         assert err.value.time > 0.0
         assert np.isfinite(err.value.last_state.a).all()
+        # here step 3 overflows: the error holds t = 1 and the state there,
+        # a clean run's last row
+        data = CosineSeries([0, 3, 3])
+        with pytest.raises(NumericalError) as err:
+            evolve(data, PA, EvolutionConfig(dt=0.5, t_final=200, n_modes=8))
+        assert err.value.time == 1.0
+        clean = evolve(data, PA, EvolutionConfig(dt=0.5, t_final=1.0, n_modes=8))
+        assert err.value.last_state.a.tobytes() == clean.a[-1].tobytes()
+        assert err.value.last_state.b.tobytes() == clean.b[-1].tobytes()
 
     @pytest.mark.parametrize("p", ORACLE_PARAMS)
     @pytest.mark.parametrize("even", [True, False])

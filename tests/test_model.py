@@ -393,6 +393,15 @@ class TestJacobianMatrix:
         with pytest.raises(ConfigurationError):
             assemble_jacobian(0.0, cosine(10, 1.0, n=10), P, n=4, m=2)
 
+    def test_zero_padding_leaves_the_matrix_unchanged(self):
+        """Amplitudes past m·n are zero, so a padded profile is accepted and
+        gives the unpadded matrix."""
+        p = ModelParams(0.5, 1.0, 0.5)
+        branch = continue_branch(2, p, 0.02, n=16)
+        c, phi = branch.points[-1].c, branch.profile(-1)
+        jac = assemble_jacobian(c, phi, p, 16, m=2)
+        assert assemble_jacobian(c, phi.pad_to(40), p, 16, m=2).tobytes() == jac.tobytes()
+
 
 def columnwise_jacobian(c, a, p, m, n, speed_column=False):
     """The m-fold Jacobian built one column at a time from ``fft_gateaux``

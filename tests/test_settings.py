@@ -93,8 +93,6 @@ _ORDER_CFG = EvolutionConfig(dt=1e-3, t_final=0.004, n_modes=8)
     pytest.param(lambda: continue_branch(1, P, np.inf, n=8),
                  # ran until Newton stalled, at s = 0.155
                  "s_max must be finite and >= 0, got inf", id="branch-s_max-inf"),
-    pytest.param(lambda: continue_branch(1, P, 0.01, ds=np.inf),  # accepted
-                 "ds must be finite and > 0, got inf", id="branch-ds-inf"),
     pytest.param(lambda: continue_branch(1, P, 0.01, step_cap=np.inf),  # accepted
                  "step_cap must be finite and > 0, got inf", id="branch-step_cap-inf"),
     pytest.param(lambda: EvolutionConfig(dt=np.inf, t_final=1.0),  # accepted

@@ -5,7 +5,8 @@
 Checks REV out with ``git worktree`` into a temporary directory, then runs
 ``bifurcate``, ``branch --fold 1..3``, ``evolve --s 0.02`` (with and
 without ``--dt-halving``), ``evolve --fold 2 --s 0.02``, whose start is an
-m-fold profile with zeros between its lattice modes, ``verify`` and
+m-fold profile with zeros between its lattice modes, ``evolve --s 0``,
+which starts from the trivial branch point (c_1, 0), ``verify`` and
 ``selftest``, at the defaults; ``verify`` and ``selftest``, the commands
 that read a seed, at ``--seed 7`` and at ``--seed 30113``, whose
 commutator bound fails, so the failing report (exit 3) is compared too;
@@ -52,6 +53,7 @@ COMMANDS = {
     "evolve": ["evolve", "--s", "0.02"],
     "evolve-dt-halving": ["evolve", "--s", "0.02", "--dt-halving"],
     "evolve-fold2": ["evolve", "--fold", "2", "--s", "0.02"],
+    "evolve-s0": ["evolve", "--s", "0"],
     "verify": ["verify"],
     "selftest": ["selftest"],
 }
