@@ -17,17 +17,28 @@ derivative as its first column.  No step calls an FFT.  An iterate is
 accepted when Σ|b_k| over those sine amplitudes, all of the residual's
 nonzero modes, is below tol: |R(x)| <= Σ|b_k| at every x, so an accepted
 point is a solution of the truncated problem, tail modes included, and not
-just of its Galerkin projection.  A branch builds the lattice matrix's
-weights and amplitude views (``model._Lattice``) once, and every Newton
-step reuses them.  Its truncation and fold are refused up front when an
-array they ask for would pass ``errors.ARRAY_BYTES_CEILING``.
+just of its Galerkin projection.
+
+The truncation n is a cap.  Along the branch α_j = O(s^j), so a step is
+solved on the fewest lattice modes that resolve it: a branch starts on
+``START_MODES`` of them, and a point whose last amplitude passes machine
+epsilon times its largest is solved again on ``LATTICE_GROWTH`` times as
+many (at most n).  A Newton stall below the cap retries the step at the
+cap, so only the cap truncates a branch; below it Newton also gives up at
+the first iterate that does not lower Σ|b_k|.  A branch holds one lattice
+matrix's weights and amplitude views (``model._Lattice``) at a time, and
+every Newton step on that lattice reuses them.  Its cap and fold are
+refused up front when an array they ask for would pass
+``errors.ARRAY_BYTES_CEILING``.
 
 A ``Branch`` is data: ``cli`` writes its points, each the lattice vector
-Newton solved for, to ``branch.csv`` and its outcome to ``branch.json``.
+Newton solved for padded to the cap with exact zeros, to ``branch.csv``
+and its outcome and the largest lattice it used to ``branch.json``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +73,8 @@ DEFAULT_STEP_CAP = 1e-2
 DEFAULT_STEP_GROWTH = 2.0
 SIMPLE_RTOL = 1e-10        # relative floor for "multiplier is nonzero"
 STEP_HALVINGS = 20         # singular-system retries before giving up
+START_MODES = 8            # the lattice a branch starts on, if the cap allows
+LATTICE_GROWTH = 1.5       # lattice growth when the tail is unresolved
 
 
 @dataclass(frozen=True)
@@ -89,11 +102,13 @@ class BranchPoint:
 
 @dataclass
 class Branch:
-    """Ordered branch points for a fixed fold m, trivial point first, and
-    whether (and why) Newton stopped the branch short of s_max."""
+    """Ordered branch points for a fixed fold m, trivial point first, the
+    largest lattice n the continuation solved on, and whether (and why)
+    Newton stopped the branch short of s_max."""
 
     m: int
     points: list[BranchPoint]
+    modes_used: int
     truncated: bool = False
     failure: str | None = None
 
@@ -175,11 +190,14 @@ class _NoConvergence(Exception):
         self.residual_norm = residual_norm
 
 
-def _newton(c, alpha, p, tol, max_iter, lattice):
+def _newton(c, alpha, p, tol, max_iter, lattice, monotone=False):
     """Solve the amplitude-constrained system for (c, α_2..α_n) in place in
     the lattice amplitudes ``alpha`` (α_j = a_{jm}; α_1 = s is held), and
     return (c, Σ|b_k|, iterations), b_k the residual's sine amplitudes at
-    m, 2m, ..., 2nm; the equations are those at m, ..., nm."""
+    m, 2m, ..., 2nm; the equations are those at m, ..., nm.  When
+    ``monotone``, an iterate that does not lower Σ|b_k| ends the solve as
+    a stall, as iteration max_iter does."""
+    last = np.inf
     for it in range(max_iter + 1):
         matrix = _lattice_matrix(alpha, lattice)
         sigma = _symbol(lattice.kf, c, p)
@@ -187,8 +205,9 @@ def _newton(c, alpha, p, tol, max_iter, lattice):
         rnorm = float(np.abs(b).sum())
         if rnorm < tol:
             return c, rnorm, it
-        if it == max_iter:
+        if it == max_iter or (monotone and rnorm >= last):
             raise _NoConvergence(rnorm)
+        last = rnorm
         jac = _lattice_jacobian(matrix, sigma, alpha, p, lattice, speed_column=True)
         try:
             delta = np.linalg.solve(jac, -b[:lattice.n])
@@ -212,9 +231,19 @@ def continue_branch(m, p, s_max, n=DEFAULT_TRUNCATION, tol=DEFAULT_TOL,
     half-period shift of this one.  step_cap > 0 is required, since
     otherwise the steps vanish and s_max is never reached.
 
-    Newton non-convergence truncates the branch at the last converged point
-    (reported on the returned Branch); a singular Newton system triggers
-    step halving and, past the halving floor, a NumericalError.
+    n caps the lattice modes.  Each step is solved on the current lattice,
+    min(n, START_MODES) modes at first; an accepted point whose last
+    amplitude exceeds machine epsilon times its largest grows the lattice
+    by LATTICE_GROWTH (rounded up, at most n) and is solved again from the
+    last accepted point.  Every point keeps all n amplitudes, those past
+    its lattice exact zeros, and ``Branch.modes_used`` is the largest
+    lattice solved on.
+
+    Newton non-convergence below the cap (there also an iterate that does
+    not lower Σ|b_k|) retries the step at the cap; at the cap it truncates
+    the branch at the last converged point (reported on the returned
+    Branch, naming the modes it stalled on).  A singular Newton system
+    triggers step halving and, past the halving floor, a NumericalError.
     """
     m = require_size("fold m", m, 1, lambda m: _branch_bytes(m, 2))
     s_max = require_real("s_max", s_max, 0)
@@ -226,7 +255,7 @@ def continue_branch(m, p, s_max, n=DEFAULT_TRUNCATION, tol=DEFAULT_TOL,
     # fold 2 at s <= 4 and 2.3e-12 at s <= 24 (n = 128 and 256).  So no tol
     # below 1e-12 holds beyond small amplitudes.
     tol = require_real("tol", tol, 1e-12)
-    # one amplitude besides s at least
+    # one amplitude besides s at least; the cap's lattice is the largest built
     n = require_size("truncation n", n, 2, lambda n: _branch_bytes(m, n))
 
     c0 = critical_speed(m, p)
@@ -239,21 +268,23 @@ def continue_branch(m, p, s_max, n=DEFAULT_TRUNCATION, tol=DEFAULT_TOL,
         )
 
     alpha = _as_readonly(np.zeros(n))   # the lattice amplitudes of the last accepted point
-    trivial = BranchPoint(s=0.0, c=c0, alpha=alpha, residual_norm=0.0, newton_iters=0)
-    branch = Branch(m=m, points=[trivial])
+    points = [BranchPoint(s=0.0, c=c0, alpha=alpha, residual_norm=0.0, newton_iters=0)]
+    failure = None
 
     s_abs = 0.0
     step = step_cap / 10.0
     c = c0
     floor = step / 2.0 ** STEP_HALVINGS
-    lattice = _Lattice(m, n, p.alpha0 - p.beta)
+    g = p.alpha0 - p.beta
+    lattice = _Lattice(m, min(n, START_MODES), g)   # only the current one is kept
     while s_max - s_abs > 1e-15:
         step = min(step, step_cap, s_max - s_abs)
         s_try = s_abs + step
-        trial = alpha.copy()    # a retry starts again from the last accepted point
+        k = lattice.n
+        trial = alpha[:k].copy()    # a retry starts again from the last accepted point
         trial[0] = s_try
         try:
-            c_new, rnorm, iters = _newton(c, trial, p, tol, max_iter, lattice)
+            c_new, rnorm, iters = _newton(c, trial, p, tol, max_iter, lattice, k < n)
         except _SingularSystem:
             step /= 2.0
             if step < floor:
@@ -263,18 +294,25 @@ def continue_branch(m, p, s_max, n=DEFAULT_TRUNCATION, tol=DEFAULT_TOL,
                 )
             continue
         except _NoConvergence as exc:
-            branch.truncated = True
-            branch.failure = (
+            if k < n:       # a stall is decided at the cap
+                lattice = _Lattice(m, n, g)
+                continue
+            failure = (
                 f"Newton did not converge within {max_iter} iterations at "
-                f"s = {s_try:.6g} (residual {exc.residual_norm:.3e}); "
+                f"s = {s_try:.6g} on {k} lattice modes (residual {exc.residual_norm:.3e}); "
                 f"branch truncated at |s| = {s_abs:.6g}"
             )
             break
-        trial.setflags(write=False)
-        c, alpha = c_new, trial
+        if k < n and abs(trial[-1]) > np.finfo(float).eps * np.abs(trial).max():
+            lattice = _Lattice(m, min(n, math.ceil(LATTICE_GROWTH * k)), g)
+            continue        # the tail is unresolved: re-solve the step on more modes
+        c, alpha = c_new, np.zeros(n)
+        alpha[:k] = trial
+        alpha.setflags(write=False)
         s_abs += step
-        branch.points.append(BranchPoint(s=s_try, c=c, alpha=alpha, residual_norm=rnorm,
-                                         newton_iters=iters))
+        points.append(BranchPoint(s=s_try, c=c, alpha=alpha, residual_norm=rnorm,
+                                  newton_iters=iters))
         step = min(step * DEFAULT_STEP_GROWTH, step_cap)
-    return branch
+    return Branch(m=m, points=points, modes_used=lattice.n, truncated=failure is not None,
+                  failure=failure)
 

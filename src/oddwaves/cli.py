@@ -285,10 +285,12 @@ def cmd_branch(cfg):
         "step_cap": DEFAULT_STEP_CAP,   # no CLI setting, so not in the config block
         "truncated": branch.truncated,
         "failure": branch.failure,
+        "modes_used": branch.modes_used,
     })
     last = branch.points[-1]
     print(f"fold {branch.m}: {len(branch.points)} points, "
-          f"|s| up to {abs(last.s):.6g}, c = {last.c:.12g}")
+          f"|s| up to {abs(last.s):.6g}, c = {last.c:.12g}, "
+          f"on {branch.modes_used} of {cfg.modes} lattice modes")
     print(f"wrote {out / 'branch.csv'}, branch.json")
     if branch.truncated:
         print(f"WARNING: {branch.failure}", file=sys.stderr)

@@ -36,7 +36,10 @@ indexing, which ``assemble_jacobian`` and Newton's bordered matrix
 (``newton_matrix``, taken from Newton's own step) must reproduce bit for
 bit; ``reference_newton`` is the Newton loop on validated fields, with
 every residual through ``fft_residual`` and judged by the ℓ¹ norm of its
-amplitudes, which the loop on the lattice matrix must reproduce to roundoff.
+amplitudes, which the loop on the lattice matrix must reproduce to roundoff;
+``reference_branch`` is the continuation with every step on all n lattice
+modes, which the lattice that grows with the wave must reproduce to
+roundoff.
 ``reference_simplicity`` and ``reference_shared_frequency`` are the scalar
 simplicity scans of ``detect_bifurcations`` and ``continue_branch``;
 ``reference_kernel_dimension`` counts the small singular values of the
@@ -468,18 +471,21 @@ def reference_jacobian(c, a, p, m, n, speed_column=False):
     return jac
 
 
-def reference_newton(c, alpha, p, tol, max_iter, lattice):
+def reference_newton(c, alpha, p, tol, max_iter, lattice, monotone=False):
     """``bifurcation._newton`` with every iterate built as a ``CosineSeries``
     and every residual as the field of ``fft_residual`` (FFT products),
     whose Σ|a_k| + |b_k| judges convergence and whose sine amplitudes are
     the Newton right-hand side.  It writes the iterates
-    into ``alpha``, as ``_newton`` does.  The lattice loop must give the
+    into ``alpha``, as ``_newton`` does, and when ``monotone`` stalls at
+    the first iterate whose norm does not fall, as ``_newton`` does.  The
+    lattice loop must give the
     same iterations and stalls, with c, φ and the residual norm equal to
-    roundoff.  ``lattice`` is the branch's ``_Lattice``; only its m and
+    roundoff.  ``lattice`` is the ``_Lattice`` of the step; only its m and
     n are read, and the Jacobian is the closed form
     (``reference_jacobian``)."""
     m, n = lattice.m, lattice.n
     rows = _mfold_indices(m, n)
+    last = np.inf
     for it in range(max_iter + 1):
         a = np.zeros(m * n + 1)
         a[rows] = alpha
@@ -488,8 +494,9 @@ def reference_newton(c, alpha, p, tol, max_iter, lattice):
         rnorm = np.abs(res.a).sum() + np.abs(res.b).sum()
         if rnorm < tol:
             return c, rnorm, it
-        if it == max_iter:
+        if it == max_iter or (monotone and rnorm >= last):
             raise _NoConvergence(rnorm)
+        last = rnorm
         jac = reference_jacobian(c, phi.a, p, m, n, speed_column=True)
         try:
             delta = np.linalg.solve(jac, -res.b[rows])
@@ -500,6 +507,41 @@ def reference_newton(c, alpha, p, tol, max_iter, lattice):
         c = c + delta[0]
         alpha[1:] += delta[1:]
     raise AssertionError("unreachable")
+
+
+def reference_branch(m, p, s_max, n=bifurcation.DEFAULT_TRUNCATION, tol=bifurcation.DEFAULT_TOL,
+                     max_iter=bifurcation.DEFAULT_MAX_ITER, *,
+                     step_cap=bifurcation.DEFAULT_STEP_CAP):
+    """``continue_branch`` with every step solved on the one lattice of all
+    n modes: the fixed-n loop that the lattice growing from
+    ``START_MODES`` must reproduce, with the same steps and the same stop
+    and c and α equal to roundoff.  Its arguments are the branch's, taken
+    as valid; it refuses no start and raises on no singular system."""
+    c = critical_speed(m, p)
+    alpha = np.zeros(n)
+    points = [bifurcation.BranchPoint(s=0.0, c=c, alpha=alpha, residual_norm=0.0,
+                                      newton_iters=0)]
+    failure = None
+    s_abs, step = 0.0, step_cap / 10.0
+    lattice = model._Lattice(m, n, p.alpha0 - p.beta)
+    while s_max - s_abs > 1e-15:
+        step = min(step, step_cap, s_max - s_abs)
+        trial = alpha.copy()
+        trial[0] = s_abs + step
+        try:
+            c_new, rnorm, iters = bifurcation._newton(c, trial, p, tol, max_iter, lattice)
+        except _NoConvergence as exc:
+            failure = (f"Newton did not converge within {max_iter} iterations at "
+                       f"s = {trial[0]:.6g} on {n} lattice modes (residual "
+                       f"{exc.residual_norm:.3e}); branch truncated at |s| = {s_abs:.6g}")
+            break
+        c, alpha = c_new, trial
+        s_abs += step
+        points.append(bifurcation.BranchPoint(s=trial[0], c=c, alpha=alpha,
+                                              residual_norm=rnorm, newton_iters=iters))
+        step = min(step * bifurcation.DEFAULT_STEP_GROWTH, step_cap)
+    return Branch(m=m, points=points, modes_used=n, truncated=failure is not None,
+                  failure=failure)
 
 
 def reference_simplicity(p, k_max, n_scan, rel_tol=SIMPLE_RTOL):

@@ -1,5 +1,7 @@
 """Bifurcation detection, kernel counting, and branch continuation tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ from oddwaves import (
 import oddwaves.bifurcation as bif
 from oddwaves.model import _mfold_indices, d_c_residual
 
-from helpers import (as_fields, count_fields, fft_residual, reference_kernel_dimension,
-                     reference_newton, reference_shared_frequency, reference_simplicity)
+from helpers import (as_fields, count_fields, fft_residual, reference_branch,
+                     reference_kernel_dimension, reference_newton, reference_shared_frequency,
+                     reference_simplicity)
 
 P = ModelParams(1.0, 1.0, 0.0)
 PA = ModelParams(0.5, 1.0, 0.5)
@@ -404,16 +407,31 @@ class TestArrayNewton:
 
     @staticmethod
     def run_both(monkeypatch, m, **kw):
+        """The branch through ``_newton`` and through the field oracle.  Both
+        try the same lattices in the same order, the oracle runs on every
+        one of them, and it is called once per step attempt: once per
+        accepted point, once for a stall that truncates, and once more for
+        each step solved again on a larger lattice.  Below the cap, and only
+        there, Newton stalls at its first iterate that does not fall."""
+        def recorded(newton):
+            sizes = []
+
+            def call(c, alpha, p, tol, max_iter, lattice, monotone):
+                assert monotone == (lattice.n < bif.DEFAULT_TRUNCATION)
+                sizes.append(lattice.n)
+                return newton(c, alpha, p, tol, max_iter, lattice, monotone)
+            return sizes, call
+
+        fast_sizes, newton = recorded(bif._newton)
+        monkeypatch.setattr(bif, "_newton", newton)
         fast = continue_branch(m, PA, 0.05, **kw)
-        calls = []
-
-        def oracle(*args):
-            calls.append(args)
-            return reference_newton(*args)
-
+        slow_sizes, oracle = recorded(reference_newton)
         monkeypatch.setattr(bif, "_newton", oracle)
         slow = continue_branch(m, PA, 0.05, **kw)
-        assert len(calls) == len(slow.points) - 1 + slow.truncated
+        assert slow_sizes == fast_sizes and len(set(slow_sizes)) > 1
+        assert slow.modes_used == fast.modes_used == slow_sizes[-1]
+        regrown = sum(a != b for a, b in zip(slow_sizes, slow_sizes[1:]))
+        assert len(slow_sizes) == len(slow.points) - 1 + slow.truncated + regrown
         return fast, slow
 
     @staticmethod
@@ -467,3 +485,95 @@ class TestArrayNewton:
               for pt, phi in zip(br.points[1:], as_fields(br)[1:])]
         assert max(l1) < bif.DEFAULT_TOL
         assert l1 == pytest.approx([pt.residual_norm for pt in br.points[1:]], rel=0, abs=1e-15)
+
+
+# (ε, α0, β) drawn by the bench's branch workload, and the fold whose lattice
+# grows furthest there: to 27, 41 and 62 modes, to the cap after a stall on
+# 41, and three resonant fold-3 draws that truncate (the second one's stall
+# diverges; the last is bench seed 3107's)
+BOX_DRAWS = [
+    pytest.param(ModelParams(0.5287181456223168, 0.9736129310072166, 0.5465780036957938), 3,
+                 id="box-27"),
+    pytest.param(ModelParams(0.5075692576595526, 0.8132363752795622, 0.6479780119995461), 3,
+                 id="box-41"),
+    pytest.param(ModelParams(0.5075692576595526, 0.8132363752795622, 0.6479780119995461), 2,
+                 id="box-62"),
+    pytest.param(ModelParams(0.4087181456223168, 0.8847240421183277, 0.6465780036957938), 3,
+                 id="box-cap"),
+    pytest.param(ModelParams(0.4011637738100946, 0.9713783148586446, 0.6641633547465174), 3,
+                 id="box-truncated"),
+    pytest.param(ModelParams(0.5157008150213556, 0.9019447701762535, 0.6382651184168097), 3,
+                 id="box-diverged"),
+    pytest.param(ModelParams(0.5403454963757143, 0.8213213231130014, 0.5702351077242709), 3,
+                 id="box-seed3107"),
+]
+
+
+class TestLatticeFollowsTheWave:
+    """``continue_branch`` solves each step on the fewest lattice modes that
+    resolve it and treats n as a cap; ``reference_branch`` solves every
+    step on all n."""
+
+    @pytest.mark.parametrize("p, m", [pytest.param(PA, m, id=f"default-{m}") for m in (1, 2, 3)]
+                             + BOX_DRAWS)
+    def test_branch_equals_fixed_cap_loop(self, p, m):
+        """The same steps and the same stop, c and α equal to roundoff, and
+        every amplitude past the lattice used an exact zero.  A stall's
+        message names the same steps; its residual is that of the last
+        iterate, which in a diverging Newton differs past roundoff."""
+        fast, slow = continue_branch(m, p, 0.05), reference_branch(m, p, 0.05)
+        assert [pt.s for pt in fast.points] == [pt.s for pt in slow.points]
+        assert fast.truncated == slow.truncated
+        unstalled = [re.sub(r"residual \S+", "", br.failure or "") for br in (fast, slow)]
+        assert unstalled[0] == unstalled[1]
+        assert fast.modes_used <= bif.DEFAULT_TRUNCATION
+        for f, s in zip(fast.points[1:], slow.points[1:]):
+            assert abs(f.c - s.c) <= 1e-13 * abs(s.c)
+            assert f.alpha.shape == s.alpha.shape == (bif.DEFAULT_TRUNCATION,)
+            assert np.abs(f.alpha - s.alpha).max() <= 1e-13 * np.abs(s.alpha).max()
+            assert not f.alpha[fast.modes_used:].any()
+            assert f.residual_norm < bif.DEFAULT_TOL
+
+    def test_default_folds_use_a_fraction_of_the_cap(self):
+        """At the defaults the folds stop growing well short of the cap."""
+        used = [continue_branch(m, PA, 0.05).modes_used for m in (1, 2, 3)]
+        assert used == [12, 18, 18]
+
+    def test_stall_below_the_cap_ends_at_the_first_rise(self, monkeypatch):
+        """Below the cap (``monotone``) Newton stalls at its first iterate
+        whose Σ|b_k| does not fall, and reports that iterate's sum; at the
+        cap it runs to max_iter.  With tol 0 no iterate is accepted, so both
+        reach the roundoff floor, where the sum stops falling."""
+        lattice = bif._Lattice(1, 8, PA.alpha0 - PA.beta)
+        start = np.zeros(8)
+        start[0] = 0.01
+        norms = []
+        evaluate = bif._lattice_residual
+
+        def recorded(*args):
+            b = evaluate(*args)
+            norms.append(float(np.abs(b).sum()))
+            return b
+
+        monkeypatch.setattr(bif, "_lattice_residual", recorded)
+        for monotone, evaluations in ((False, 26), (True, None)):
+            norms.clear()
+            with pytest.raises(bif._NoConvergence) as stall:
+                bif._newton(critical_speed(1, PA), start.copy(), PA, 0.0, 25, lattice, monotone)
+            assert stall.value.residual_norm == norms[-1]
+            if evaluations:
+                assert len(norms) == evaluations
+        assert 2 < len(norms) < 26
+        assert all(a > b for a, b in zip(norms[:-2], norms[1:-1])) and norms[-1] >= norms[-2]
+
+    def test_short_cap_still_truncates(self):
+        """A cap too short for the resonant fold-3 draw of bench seed 3107
+        stops the branch where the fixed loop on that many modes stops it,
+        and the message names the modes it stalled on."""
+        p = ModelParams(0.5403454963757143, 0.8213213231130014, 0.5702351077242709)
+        fast, slow = continue_branch(3, p, 0.05, n=12), reference_branch(3, p, 0.05, n=12)
+        assert fast.truncated and slow.truncated
+        assert "on 12 lattice modes" in fast.failure
+        assert [pt.s for pt in fast.points] == [pt.s for pt in slow.points]
+        assert fast.modes_used == 12
+

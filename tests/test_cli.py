@@ -104,13 +104,14 @@ class TestBranch:
         assert float(cells[4]) == points[1].s
 
     def test_json_manifest(self, tmp_path):
-        """``branch.json`` carries the outcome of the run and the one
-        setting that is not the CLI's, the step cap; the others are in its
-        config block, and the points are in ``branch.csv`` alone."""
+        """``branch.json`` carries the outcome of the run, the largest
+        lattice it solved on and the one setting that is not the CLI's, the
+        step cap; the others are in its config block, and the points are in
+        ``branch.csv`` alone."""
         assert run(tmp_path, "branch", "--fold", "2", "--smax", "0.02", "--modes", "8") == 0
         doc = read_json(tmp_path, "branch.json")
         assert doc["payload"] == {"version": __version__, "step_cap": bifurcation.DEFAULT_STEP_CAP,
-                                  "truncated": False, "failure": None}
+                                  "truncated": False, "failure": None, "modes_used": 8}
         assert doc["config"]["fold"] == 2 and doc["config"]["modes"] == 8
         assert {"epsilon": 0.5, "alpha0": 1.0, "beta": 0.5}.items() <= doc["config"].items()
 
@@ -519,7 +520,7 @@ ARTIFACTS = [
     (["branch", "--smax", "0.01", "--modes", "16"], {
         "branch.csv": "s,c,residual_norm,newton_iters,"
                       + ",".join(f"coeff_{j}" for j in range(1, 17)),
-        "branch.json": {"": {"version", "step_cap", "truncated", "failure"}}}),
+        "branch.json": {"": {"version", "step_cap", "truncated", "failure", "modes_used"}}}),
     (["evolve", "--s", "0.01", "--modes", "16", "--tfinal", "0.01", "--dt", "0.001",
       "--dt-halving"], {
         "trajectory.csv": "t," + ",".join(f"x_{j}" for j in range(34)),

@@ -249,9 +249,10 @@ def _lattice_charge(monkeypatch, n):
     return model._lattice_bytes(n), _largest_held(*lattices)
 
 
-def _branch_charge(monkeypatch, m, n):
+def _branch_charge(monkeypatch, m, n, s_max):
     lattices = _recorded(monkeypatch, bifurcation, "_Lattice")
-    branch = continue_branch(m, P, 0.002, n=n)
+    branch = continue_branch(m, P, s_max, n=n)
+    assert branch.modes_used == lattices[-1].n == n     # the lattice reached the cap
     profiles = [amps.nbytes for phi in as_fields(branch) for amps in (phi.a, phi.b)]
     return bifurcation._branch_bytes(m, n), max(_largest_held(*lattices), *profiles)
 
@@ -300,8 +301,8 @@ def _holder_charge(monkeypatch, m):
 @pytest.mark.parametrize("charge, sizes", [
     pytest.param(_lattice_charge, (8,), id="lattice-8"),
     pytest.param(_lattice_charge, (32,), id="lattice-32"),
-    pytest.param(_branch_charge, (1, 16), id="branch-lattice"),
-    pytest.param(_branch_charge, (64, 8), id="branch-profile"),
+    pytest.param(_branch_charge, (1, 16, 0.2), id="branch-lattice"),
+    pytest.param(_branch_charge, (64, 8, 0.002), id="branch-profile"),
     pytest.param(_scan_charge, (8,), id="scan-8"),
     pytest.param(_scan_charge, (64,), id="scan-64"),
     pytest.param(_integration_charge, (8,), id="integration-8"),
@@ -313,8 +314,8 @@ def test_size_rule_charges_its_largest_array(monkeypatch, charge, sizes):
     """Each size rule charges exactly the bytes of the largest array that
     the code it guards builds, read from that code's own arrays: the
     ``_Lattice`` of ``assemble_jacobian``; a branch's ``_Lattice`` and its
-    points' profiles, where the lattice (fold 1) or the profile (fold 64)
-    is the larger; the frequencies and multipliers of a kernel scan; the
+    points' profiles, where the lattice (fold 1, on a branch whose tail
+    grows its lattice to the cap) or the profile (fold 64) is the larger; the frequencies and multipliers of a kernel scan; the
     ``_QuadraticWork`` of an integration; and the wrapped samples of a
     one-row seminorm scan on grids where one lag's gather, m float64, is
     the step."""

@@ -3,7 +3,10 @@
     python tools/artifact_diff.py REV
 
 Checks REV out with ``git worktree`` into a temporary directory, then runs
-``bifurcate``, ``branch --fold 1..3``, ``evolve --s 0.02`` (with and
+``bifurcate``, ``branch --fold 1..3``, ``branch --fold 3 --epsilon
+0.5403 --alpha0 0.8213 --beta 0.5702``, a resonant draw whose branch
+truncates (exit 3), so a stall's stop and message are compared too,
+``evolve --s 0.02`` (with and
 without ``--dt-halving``), ``evolve --fold 2 --s 0.02``, whose start is an
 m-fold profile with zeros between its lattice modes, ``evolve --s 0``,
 which starts from the trivial branch point (c_1, 0), ``verify`` and
@@ -50,6 +53,8 @@ COMMANDS = {
     "branch-fold1": ["branch", "--fold", "1"],
     "branch-fold2": ["branch", "--fold", "2"],
     "branch-fold3": ["branch", "--fold", "3"],
+    "branch-fold3-truncated": ["branch", "--fold", "3", "--epsilon", "0.5403",
+                               "--alpha0", "0.8213", "--beta", "0.5702"],
     "evolve": ["evolve", "--s", "0.02"],
     "evolve-dt-halving": ["evolve", "--s", "0.02", "--dt-halving"],
     "evolve-fold2": ["evolve", "--fold", "2", "--s", "0.02"],
