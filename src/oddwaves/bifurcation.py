@@ -33,7 +33,8 @@ refused up front when an array they ask for would pass
 
 A ``Branch`` is data: ``cli`` writes its points, each the lattice vector
 Newton solved for padded to the cap with exact zeros, to ``branch.csv``
-and its outcome and the largest lattice it used to ``branch.json``.
+and its outcome, ``failure`` (``truncated`` follows from it), and the
+largest lattice it used to ``branch.json``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .model import (
     _lattice_residual,
     _mfold_indices,
     _symbol,
+    _symbol_scale,
     critical_speed,
 )
 from .spectral import CosineSeries, _as_readonly
@@ -103,14 +105,18 @@ class BranchPoint:
 @dataclass
 class Branch:
     """Ordered branch points for a fixed fold m, trivial point first, the
-    largest lattice n the continuation solved on, and whether (and why)
-    Newton stopped the branch short of s_max."""
+    largest lattice n the continuation solved on, and why Newton stopped
+    the branch short of s_max (None when it reached s_max)."""
 
     m: int
     points: list[BranchPoint]
     modes_used: int
-    truncated: bool = False
     failure: str | None = None
+
+    @property
+    def truncated(self):
+        """Whether Newton stopped the branch short of s_max."""
+        return self.failure is not None
 
     @property
     def amplitudes(self):
@@ -128,18 +134,10 @@ class Branch:
         return CosineSeries(a)
 
 
-def _symbol_scale(k, c, p):
-    """Natural magnitude of the multiplier's terms at frequency k (or at
-    an array of frequencies, with the scalar operations elementwise)."""
-    g = p.alpha0 - p.beta
-    return (abs(2.0 * c + 1.0 / p.epsilon) * k + 1.0 / p.epsilon
-            + abs(c * p.alpha0 + g / p.epsilon) * k * k)
-
-
 def _vanishing(c, p, m, n):
     """The frequencies among m, 2m, ..., nm whose multiplier vanishes at
-    speed c: |σ(k, c)| <= SIMPLE_RTOL times its terms' natural size.  The
-    one test that a multiplier vanishes."""
+    speed c: |σ(k, c)| <= SIMPLE_RTOL times its terms' natural size
+    (``model._symbol_scale``).  The one test that a multiplier vanishes."""
     k = _mfold_indices(m, n)
     return k[np.abs(_symbol(k, c, p)) <= SIMPLE_RTOL * _symbol_scale(k, c, p)]
 
@@ -313,6 +311,5 @@ def continue_branch(m, p, s_max, n=DEFAULT_TRUNCATION, tol=DEFAULT_TOL,
         points.append(BranchPoint(s=s_try, c=c, alpha=alpha, residual_norm=rnorm,
                                   newton_iters=iters))
         step = min(step * DEFAULT_STEP_GROWTH, step_cap)
-    return Branch(m=m, points=points, modes_used=lattice.n, truncated=failure is not None,
-                  failure=failure)
+    return Branch(m=m, points=points, modes_used=lattice.n, failure=failure)
 

@@ -7,8 +7,9 @@ Subcommands
     evolve      time-integrate the branch point at amplitude --s (at --s 0
                 the trivial point); writes trajectory.csv + manifest.json
                 with conservation diagnostics
-    verify      run the invariant families and the commutator-bound sweep;
-                one PASS/FAIL line per family, report.json + sweep CSVs
+    verify      run the commutator-bound sweeps, then the invariant
+                families; one PASS/FAIL line per family, report.json +
+                sweep CSVs
     selftest    quick, file-free subset of verify
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
@@ -27,6 +28,8 @@ holds a branch's points, each profile as its lattice amplitudes, and
 The argument parser is built once per process and reused by every ``main``
 call.  An ``--out`` that is, or lies below, a file and a ``--config`` file
 that cannot be read are configuration errors, raised before any work.
+``verify`` runs its sweeps first, so each refuses its own bad settings
+(``commutator_sweep``) before any family runs.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .spectral import (
 )
 from .model import (
     ModelParams,
+    _symbol_scale,
     critical_speed,
     gateaux,
     residual,
@@ -66,7 +70,6 @@ from .bifurcation import (
     DEFAULT_STEP_CAP,
     DEFAULT_TOL,
     DEFAULT_TRUNCATION,
-    _symbol_scale,
     continue_branch,
     detect_bifurcations,
 )
@@ -77,7 +80,7 @@ from .evolution import (
     stable_dt,
     traveling_error_orders,
 )
-from .holder import _check_alpha, _check_ensemble, _check_max_degree, commutator_sweep
+from .holder import commutator_sweep
 
 
 @dataclass(frozen=True)
@@ -404,7 +407,8 @@ def _family_linearization_fd(rng, p, n):
 
 
 def _family_symbol_roots(p, kmax):
-    """|σ(k, c_k)| over the scale of ``bifurcation._vanishing``."""
+    """|σ(k, c_k)| over ``model._symbol_scale``, the scale of
+    ``bifurcation._vanishing``."""
     worst = 0.0
     for k in range(1, kmax + 1):
         ck = critical_speed(k, p)
@@ -412,10 +416,11 @@ def _family_symbol_roots(p, kmax):
     return worst
 
 
-def _run_families(cfg, *, quick=False):
+def _run_families(cfg, n):
+    """The invariant families' checks, at degree n: 16 for selftest, 32
+    for verify."""
     p = cfg.model_params()
     rng = np.random.default_rng(cfg.seed)
-    n = 16 if quick else 32
     checks = []
 
     def add(name, measured, threshold):
@@ -426,20 +431,7 @@ def _run_families(cfg, *, quick=False):
     add("residual-formula", _family_residual_formula(rng, p, n), 1e-12)
     add("linearization-fd", _family_linearization_fd(rng, p, n), 1e-12)
     add("symbol-roots", _family_symbol_roots(p, 50), 1e-12)
-    if quick:
-        return checks, None
-
-    sweeps = [commutator_sweep(cfg.ensemble, deg, alpha=cfg.alpha, seed=cfg.seed)
-              for deg in cfg.degrees]
-    maxima = [s.summary()["max_ratio"] for s in sweeps]
-    finite = all(np.isfinite(s.ratios).all() for s in sweeps)
-    growth = max((maxima[i + 1] / maxima[i] for i in range(len(maxima) - 1)), default=1.0)
-    checks.append({"family": "commutator-bound",
-                   "measured": growth if finite else float("inf"),
-                   "threshold": 1.25,
-                   "passed": bool(finite and growth <= 1.25),
-                   "max_ratios": maxima})
-    return checks, sweeps
+    return checks
 
 
 def _print_checks(checks):
@@ -453,13 +445,20 @@ def _print_checks(checks):
 
 
 def cmd_verify(cfg):
-    # the sweeps' own checks, before the families run; the last degree is
-    # the largest, so its sweep has the largest grid
-    _check_alpha(cfg.alpha)
-    _check_ensemble(cfg.ensemble)
-    _check_max_degree(cfg.degrees[-1], "--degrees")
+    """The commutator sweeps, each refusing its own settings, then the
+    invariant families; the report lists the families' checks first."""
     _check_out(cfg)
-    checks, sweeps = _run_families(cfg)
+    sweeps = [commutator_sweep(cfg.ensemble, deg, alpha=cfg.alpha, seed=cfg.seed)
+              for deg in cfg.degrees]
+    maxima = [s.summary()["max_ratio"] for s in sweeps]
+    finite = all(np.isfinite(s.ratios).all() for s in sweeps)
+    growth = max((maxima[i + 1] / maxima[i] for i in range(len(maxima) - 1)), default=1.0)
+    checks = _run_families(cfg, 32)
+    checks.append({"family": "commutator-bound",
+                   "measured": growth if finite else float("inf"),
+                   "threshold": 1.25,
+                   "passed": bool(finite and growth <= 1.25),
+                   "max_ratios": maxima})
     ok = _print_checks(checks)
     out = _outdir(cfg)
     for s in sweeps:
@@ -476,7 +475,7 @@ def cmd_verify(cfg):
 
 
 def cmd_selftest(cfg):
-    checks, _ = _run_families(cfg, quick=True)
+    checks = _run_families(cfg, 16)
     ok = _print_checks(checks)
     print("selftest", "passed" if ok else "FAILED")
     return 0 if ok else 3

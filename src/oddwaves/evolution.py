@@ -10,9 +10,10 @@ and ``model._products``), on the product grid rather than on the lattice
 of ``model.residual``, since f need not be even.  The time derivative is
 that divided, mode by mode, by 2 + α0 k (invertible for α0 > 0).  The mean
 mode is a conserved mass.
-Linearizing, mode k rotates at frequency ω_k = (k - 1 + (α0 - β) k²) /
-(ε (2 + α0 k)), which equals -k times the critical speed at frequency k:
-small-amplitude waves drift exactly as the bifurcation analysis predicts.
+Linearizing, mode k rotates at frequency ω_k = -σ(k, 0) / (2 + α0 k) =
+(k - 1 + (α0 - β) k²) / (ε (2 + α0 k)) (``dispersion_frequency``, from
+``model._symbol``), which equals -k times the critical speed at frequency
+k: small-amplitude waves drift exactly as the bifurcation analysis predicts.
 
 Time stepping is classical RK4 on the Galerkin-truncated system (quadratic
 terms evaluated exactly, then projected), carried out on the complex
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, NumericalError, require_integer, require_real,
                      require_size)
-from .model import _multiplier, _products, _QuadraticWork
+from .model import _multiplier, _products, _QuadraticWork, _symbol
 from .spectral import SpectralField, _amplitudes, _hat, _product_grid, _sup_norm
 
 __all__ = [
@@ -111,9 +112,9 @@ class Trajectory:
 
 
 def dispersion_frequency(k, p):
-    """Rotation frequency of mode k in the linearized equation."""
-    g = p.alpha0 - p.beta
-    return (k - 1.0 + g * k * k) / (p.epsilon * (2.0 + p.alpha0 * k))
+    """Rotation frequency of mode k in the linearized equation,
+    ω_k = -σ(k, 0) / (2 + α0 k)."""
+    return -_symbol(k, 0.0, p) / (2.0 + p.alpha0 * k)
 
 
 def stable_dt(n, p):

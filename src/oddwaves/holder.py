@@ -108,19 +108,6 @@ def _check_alpha(alpha):
     return require_real("alpha", alpha, 0, 1, strict=True)
 
 
-def _check_ensemble(ensemble):
-    """``ensemble`` as an int: the members of a sweep.  The size rule charges
-    one of its three ensemble-long arrays, 8 bytes a member."""
-    return require_size("ensemble size", ensemble, 1, lambda n: 8 * n)
-
-
-def _check_max_degree(max_degree, name="max_degree"):
-    """``max_degree`` as an int: a sweep's degree cap.  The size rule charges
-    one row of the seminorm scan on the sweep's default grid,
-    ``_default_grid(max_degree)``."""
-    return require_size(name, max_degree, 1, lambda d: _wrapped_bytes(_default_grid(d)))
-
-
 def _default_grid(degree):
     """The Hölder grid of fields of degree at most ``degree`` when none is
     given: the power of two of at least ``POINTS_PER_MODE`` points per
@@ -545,9 +532,13 @@ def commutator_sweep(ensemble, max_degree, alpha=0.5, seed=1234, grid_size=None)
     every row is independent, so the members do not depend on the block
     size.  The grid must be even and resolve the 2 max_degree modes of
     Θ's rows; by default it is ``_default_grid(max_degree)``, the largest
-    degree of a and b, since Θ's degree is below deg a."""
-    ensemble = _check_ensemble(ensemble)
-    max_degree = _check_max_degree(max_degree)
+    degree of a and b, since Θ's degree is below deg a.  The size rule
+    charges ``ensemble`` one of the three ensemble-long arrays, 8 bytes a
+    member, and ``max_degree`` one row of the seminorm scan on its default
+    grid; every setting is checked before any member is drawn."""
+    ensemble = require_size("ensemble size", ensemble, 1, lambda n: 8 * n)
+    max_degree = require_size("max_degree", max_degree, 1,
+                              lambda d: _wrapped_bytes(_default_grid(d)))
     seed = require_integer("seed", seed, 0)
     alpha = _check_alpha(alpha)
     m = _check_grid_size(grid_size, max_degree, 2 * max_degree)

@@ -61,9 +61,9 @@ binds once (``_irfft``, ``_rfft``) with that factor and those outputs.
 They skip ``np.fft``'s per-call wrapper, which on these small grids costs
 about as much as the transforms; the kernels are the ones ``np.fft`` calls,
 so the floats are the same, and there is no fallback (see ``spectral``).
-``evolve`` passes one workspace to every stage, so no stage allocates.  The
-multiplier -i σ(k, c) on the half-spectrum is written once
-(``_multiplier``) for the evolution's stages.
+``evolve`` passes one workspace to every stage, so no stage allocates.  σ
+(``_symbol``), its terms' natural size (``_symbol_scale``) and -i σ(k, c)
+on the half-spectrum (``_multiplier``) are written here alone.
 """
 
 from __future__ import annotations
@@ -122,6 +122,15 @@ def _symbol(k, c, p):
     g = p.alpha0 - p.beta
     return (-(2.0 * c + 1.0 / p.epsilon) * k + 1.0 / p.epsilon
             - (c * p.alpha0 + g / p.epsilon) * k * k)
+
+
+def _symbol_scale(k, c, p):
+    """Natural magnitude of σ's terms at frequency k (or at an array of
+    frequencies, with the scalar operations elementwise): the scale
+    against which a multiplier counts as vanishing."""
+    g = p.alpha0 - p.beta
+    return (abs(2.0 * c + 1.0 / p.epsilon) * k + 1.0 / p.epsilon
+            + abs(c * p.alpha0 + g / p.epsilon) * k * k)
 
 
 def critical_speed(k, p):

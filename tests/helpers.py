@@ -70,9 +70,9 @@ from oddwaves import (
     multiply,
     zygmund,
 )
-from oddwaves.bifurcation import SIMPLE_RTOL, _NoConvergence, _SingularSystem, _symbol_scale
+from oddwaves.bifurcation import SIMPLE_RTOL, _NoConvergence, _SingularSystem
 from oddwaves.holder import SweepResult, _default_grid
-from oddwaves.model import _mfold_indices, _multiplier, critical_speed, symbol_at
+from oddwaves.model import _mfold_indices, _multiplier, _symbol_scale, critical_speed, symbol_at
 from oddwaves.spectral import _amplitudes, _hat, _next_pow2
 
 
@@ -540,8 +540,7 @@ def reference_branch(m, p, s_max, n=bifurcation.DEFAULT_TRUNCATION, tol=bifurcat
         points.append(bifurcation.BranchPoint(s=trial[0], c=c, alpha=alpha,
                                               residual_norm=rnorm, newton_iters=iters))
         step = min(step * bifurcation.DEFAULT_STEP_GROWTH, step_cap)
-    return Branch(m=m, points=points, modes_used=n, truncated=failure is not None,
-                  failure=failure)
+    return Branch(m=m, points=points, modes_used=n, failure=failure)
 
 
 def reference_simplicity(p, k_max, n_scan, rel_tol=SIMPLE_RTOL):

@@ -313,6 +313,17 @@ class TestContinueBranch:
         assert br.truncated and "converge" in br.failure
         assert len(br.points) == 1  # only the trivial record survived
 
+    def test_truncated_is_whether_a_failure_is_reported(self):
+        """A branch states its outcome once, as ``failure``: folds 1-3 at
+        the defaults reach s_max with none, and the resonant fold 3 of bench
+        seed 3107 stops short with one."""
+        for m in (1, 2, 3):
+            br = continue_branch(m, PA, 0.05)
+            assert not br.truncated and br.failure is None
+        p = ModelParams(0.5403454963757143, 0.8213213231130014, 0.5702351077242709)
+        br = continue_branch(3, p, 0.05)
+        assert br.truncated and br.failure is not None
+
     def test_degenerate_regime_off_resonance(self):
         """alpha0 == beta works on the same code path whenever alpha0 avoids
         the exact resonances alpha0 = 2/(jk - j - k); every fold then gives a

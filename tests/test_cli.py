@@ -306,8 +306,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("mutation", ["sign-flip", "scaled-h", "scaled-top-mode",
                                           "mean-kept", "scaled-zygmund"])
-    @pytest.mark.parametrize("quick", [True, False])
-    def test_quadrature_oracle_catches_operator_mutations(self, monkeypatch, mutation, quick):
+    @pytest.mark.parametrize("selftest", [True, False])
+    def test_quadrature_oracle_catches_operator_mutations(self, monkeypatch, mutation, selftest):
         """H with its sine branch flipped, scaled by 1 + 1e-9, with only its
         top mode scaled, or keeping the mean, and Λ scaled by 1 + 1e-9, each
         fail ``quadrature-oracle`` at n = 16 (selftest) and n = 32 (verify),
@@ -331,8 +331,7 @@ class TestVerify:
         if mutation == "scaled-zygmund":
             exact_zygmund = cli.zygmund
             monkeypatch.setattr(cli, "zygmund", lambda f: (1 + 1e-9) * exact_zygmund(f))
-        cfg = cli.RunConfig("verify", ensemble=1, degrees=(2,))
-        checks, _ = cli._run_families(cfg, quick=quick)
+        checks = cli._run_families(cli.RunConfig("verify"), 16 if selftest else 32)
         failed = {chk["family"] for chk in checks if not chk["passed"]}
         assert "quadrature-oracle" in failed
 
@@ -354,14 +353,13 @@ class TestVerify:
         for seed in (575, 877, *range(1, 101)):
             assert cli._family_quadrature(np.random.default_rng(seed), n) > 1e-11, seed
 
-    @pytest.mark.parametrize("quick", [True, False])
-    def test_linearization_fd_catches_a_scaled_gateaux(self, monkeypatch, quick):
+    @pytest.mark.parametrize("selftest", [True, False])
+    def test_linearization_fd_catches_a_scaled_gateaux(self, monkeypatch, selftest):
         """A ``gateaux`` 1e-9 off in relative terms fails ``linearization-fd``
-        alone."""
+        alone, at n = 16 (selftest) and n = 32 (verify)."""
         exact = cli.gateaux
         monkeypatch.setattr(cli, "gateaux", lambda c, phi, h, p: (1 + 1e-9) * exact(c, phi, h, p))
-        checks, _ = cli._run_families(
-            cli.RunConfig("verify", ensemble=1, degrees=(2,)), quick=quick)
+        checks = cli._run_families(cli.RunConfig("verify"), 16 if selftest else 32)
         assert {chk["family"] for chk in checks if not chk["passed"]} == {"linearization-fd"}
 
     def test_ensemble_zero_exits_2(self, tmp_path):
@@ -415,13 +413,13 @@ class TestVerify:
         ("--alpha", "1.5", "alpha must lie in (0, 1), got 1.5"),
         ("--alpha", "0", "alpha must lie in (0, 1), got 0.0"),
         ("--ensemble", "1000000000000000", "ensemble size = 1000000000000000 asks for an array"),
-        ("--degrees", "1000000000", "--degrees = 1000000000 asks for an array"),
+        ("--degrees", "1000000000", "max_degree = 1000000000 asks for an array"),
     ])
     def test_holder_settings_refused_before_any_family(self, tmp_path, capsys, monkeypatch,
                                                         flag, value, message):
-        """--alpha, --ensemble and the size of the largest --degrees entry's
-        Hölder grid are checked before the invariant families run, and
-        nothing is written."""
+        """--alpha, --ensemble and the size of a --degrees entry's Hölder
+        grid are refused by the commutator sweep that reads them, which
+        runs before the invariant families, and nothing is written."""
         def no_family(*args):
             raise AssertionError("an invariant family ran")
 
@@ -636,7 +634,8 @@ def _no_work(*args, **kwargs):
 class TestUnusableOut:
     @pytest.fixture
     def no_work(self, monkeypatch):
-        for name in ("detect_bifurcations", "continue_branch", "evolve", "_run_families"):
+        for name in ("detect_bifurcations", "continue_branch", "evolve", "_run_families",
+                     "commutator_sweep"):
             monkeypatch.setattr(cli, name, _no_work)
 
     @pytest.mark.parametrize("command", ["bifurcate", "branch", "evolve", "verify"])

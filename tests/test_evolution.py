@@ -79,6 +79,25 @@ class TestDispersion:
             assert np.isclose(dispersion_frequency(k, PA),
                               -k * critical_speed(k, PA), rtol=1e-14)
 
+    def test_equals_the_closed_form_bit_for_bit(self):
+        """ω_k, taken from σ(k, 0), is the float of the closed form
+        (k - 1 + (α0 - β) k²) / (ε (2 + α0 k)) at the defaults, where 1/ε
+        is exact, for every k <= 192, scalar and array alike."""
+        g = PA.alpha0 - PA.beta
+        k = np.arange(1, 193)
+        want = (k - 1.0 + g * k * k) / (PA.epsilon * (2.0 + PA.alpha0 * k))
+        assert np.array_equal(dispersion_frequency(k, PA), want)
+        assert [dispersion_frequency(int(j), PA) for j in k] == want.tolist()
+
+    @pytest.mark.parametrize("p", [*ORACLE_PARAMS, ModelParams(0.5403, 0.8213, 0.5702)])
+    def test_minus_k_times_critical_speed_to_roundoff(self, p):
+        """ω_k and -k c_k round the same quotient differently; they agree
+        within 4 ε_mach relative for k <= 192 (at most 2.3 ε_mach measured)."""
+        eps = np.finfo(float).eps
+        for k in range(1, 193):
+            w, want = dispersion_frequency(k, p), -k * critical_speed(k, p)
+            assert abs(w - want) <= 4 * eps * max(abs(w), abs(want)), k
+
 
 class TestRhs:
     def test_zero_field(self):

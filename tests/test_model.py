@@ -71,6 +71,19 @@ class TestSymbol:
         with pytest.raises(ConfigurationError):
             symbol_at(0, 0.0, P)
 
+    @pytest.mark.parametrize("p", [P, PD, *ORACLE_PARAMS, ModelParams(0.5403, 0.8213, 0.5702)])
+    def test_scale_is_the_sum_of_the_terms_magnitudes(self, p):
+        """``_symbol_scale`` is |2c + 1/ε| k + 1/ε + |c α0 + (α0 - β)/ε| k²
+        bit for bit, on frequencies 1..256 and speeds of both signs, the
+        critical speeds among them."""
+        k = np.arange(1.0, 257.0)
+        g = p.alpha0 - p.beta
+        for c in (-2.5, -1.0 / 3.0, 0.0, 0.25, 3.0, *(critical_speed(j, p) for j in (1, 2, 7))):
+            want = (abs(2.0 * c + 1.0 / p.epsilon) * k + 1.0 / p.epsilon
+                    + abs(c * p.alpha0 + g / p.epsilon) * k * k)
+            assert np.array_equal(model._symbol_scale(k, c, p), want)
+            assert model._symbol_scale(5, c, p) == want[4]
+
 
 class TestCriticalSpeed:
     def test_reference_values(self):

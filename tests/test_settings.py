@@ -158,11 +158,11 @@ def test_non_integer_or_non_finite_setting_refused(call, message):
     pytest.param(lambda out: commutator_sweep(2, 10 ** 9),
                  "max_degree = 1000000000 asks for an array of 103079215104 bytes",
                  id="sweep-max_degree"),
-    # the sweep of degree 10**9 would refuse its grid only after every
-    # family had run
+    # verify runs its sweeps before the families, and the sweep refuses
+    # its grid at its entry
     pytest.param(lambda out: cli.main(["verify", "--ensemble", "2",
                                        "--degrees", "1000000000", "--out", str(out)]),
-                 "--degrees = 1000000000 asks for an array of 103079215104 bytes",
+                 "max_degree = 1000000000 asks for an array of 103079215104 bytes",
                  id="verify-degrees"),
     # exit 1 with numpy's _ArrayMemoryError, for 7.11 PiB, after every family had run
     pytest.param(lambda out: cli.main(["verify", "--ensemble", "1000000000000000",

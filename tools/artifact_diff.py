@@ -6,11 +6,15 @@ Checks REV out with ``git worktree`` into a temporary directory, then runs
 ``bifurcate``, ``branch --fold 1..3``, ``branch --fold 3 --epsilon
 0.5403 --alpha0 0.8213 --beta 0.5702``, a resonant draw whose branch
 truncates (exit 3), so a stall's stop and message are compared too,
-``evolve --s 0.02`` (with and
+``branch --fold 3 --epsilon 0.453 --alpha0 0.8774 --beta 0.6321``, whose
+lattice grows to all 64 modes of the cap and still reaches s = 0.05, so a
+full-ladder branch is compared, ``evolve --s 0.02`` (with and
 without ``--dt-halving``), ``evolve --fold 2 --s 0.02``, whose start is an
 m-fold profile with zeros between its lattice modes, ``evolve --s 0``,
-which starts from the trivial branch point (c_1, 0), ``verify`` and
-``selftest``, at the defaults; ``verify`` and ``selftest``, the commands
+which starts from the trivial branch point (c_1, 0), ``evolve --s 0.02
+--epsilon 0.5403 --alpha0 0.8213 --beta 0.5702``, off the defaults, where
+1/ε is not exact, so the last bits of the model's floats are compared
+there too, ``verify`` and ``selftest``, at the defaults; ``verify`` and ``selftest``, the commands
 that read a seed, at ``--seed 7`` and at ``--seed 30113``, whose
 commutator bound fails, so the failing report (exit 3) is compared too;
 ``verify --ensemble 3 --degrees 2,4`` at ``--seed 2^70``, whose
@@ -55,10 +59,14 @@ COMMANDS = {
     "branch-fold3": ["branch", "--fold", "3"],
     "branch-fold3-truncated": ["branch", "--fold", "3", "--epsilon", "0.5403",
                                "--alpha0", "0.8213", "--beta", "0.5702"],
+    "branch-fold3-full-ladder": ["branch", "--fold", "3", "--epsilon", "0.453",
+                                 "--alpha0", "0.8774", "--beta", "0.6321"],
     "evolve": ["evolve", "--s", "0.02"],
     "evolve-dt-halving": ["evolve", "--s", "0.02", "--dt-halving"],
     "evolve-fold2": ["evolve", "--fold", "2", "--s", "0.02"],
     "evolve-s0": ["evolve", "--s", "0"],
+    "evolve-off-defaults": ["evolve", "--s", "0.02", "--epsilon", "0.5403",
+                            "--alpha0", "0.8213", "--beta", "0.5702"],
     "verify": ["verify"],
     "selftest": ["selftest"],
 }
