@@ -5,8 +5,9 @@ Subcommands
     bifurcate   tabulate candidate bifurcation speeds (k, c_k, simple)
     branch      trace an m-fold wave branch; writes branch.csv + branch.json
     evolve      time-integrate the branch point at amplitude --s (at --s 0
-                the trivial point); writes trajectory.csv + manifest.json
-                with conservation diagnostics
+                the trivial point) on the lattice its branch solved on;
+                writes trajectory.csv + manifest.json with conservation
+                diagnostics
     verify      run the commutator-bound sweeps, then the invariant
                 families; one PASS/FAIL line per family, report.json +
                 sweep CSVs
@@ -28,8 +29,9 @@ holds a branch's points, each profile as its lattice amplitudes, and
 The argument parser is built once per process and reused by every ``main``
 call.  An ``--out`` that is, or lies below, a file and a ``--config`` file
 that cannot be read are configuration errors, raised before any work.
-``verify`` runs its sweeps first, so each refuses its own bad settings
-(``commutator_sweep``) before any family runs.
+``verify`` runs its sweeps first, from the largest degree down, so each
+refuses its own bad settings (``commutator_sweep``) before any family or
+smaller sweep runs.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cache
 from pathlib import Path
 
@@ -303,28 +305,35 @@ def cmd_branch(cfg):
 
 def cmd_evolve(cfg):
     """Integrate the --fold branch's point at amplitude --s; at --s 0 that is
-    the trivial point (c_m, 0), whose profile is zero."""
+    the trivial point (c_m, 0), whose profile is zero.  --modes caps the
+    lattice modes, as in ``branch``, and the cap fold · --modes passes the
+    size rule before the continuation runs.  The integration runs on the
+    fold · ``modes_used`` modes of the lattice the branch solved on, where
+    the profile is resolved (its amplitudes past it are exact zeros), and
+    ``dt_stable`` is that n's."""
     _check_out(cfg)
     p = cfg.model_params()
     if cfg.dt_halving and cfg.s == 0:
         raise ConfigurationError("--dt-halving needs a branch profile (--s > 0)")
     if cfg.dt_halving and cfg.tfinal == 0:
         raise ConfigurationError("--dt-halving needs a time horizon (--tfinal > 0)")
-    # --modes counts modes of the m-fold basis, which reach frequency fold × modes
-    ecfg = EvolutionConfig(dt=cfg.dt, t_final=cfg.tfinal, n_modes=cfg.fold * cfg.modes)
+    cap = EvolutionConfig(dt=cfg.dt, t_final=cfg.tfinal, n_modes=cfg.fold * cfg.modes)
     branch = continue_branch(cfg.fold, p, cfg.s, n=cfg.modes, tol=cfg.tol,
                              max_iter=cfg.max_iter)
     if branch.truncated:
         raise NumericalError(f"branch continuation failed: {branch.failure}")
     point = branch.points[-1]
     f0 = branch.profile(-1)
+    ecfg = replace(cap, n_modes=cfg.fold * branch.modes_used)
     traj = evolve(f0, p, ecfg)
     err = _translation_gap(f0, point.c, traj)
     manifest = {"version": __version__,
                 "branch_point": {"s": point.s, "c": point.c, "residual_norm": point.residual_norm},
+                "modes_used": branch.modes_used,
                 "dt_stable": stable_dt(ecfg.n_modes, p), "dt_effective": traj.dt_effective,
                 "mass_drift": traj.mass_drift, "traveling_error": err}
-    print(f"traveling error over t <= {cfg.tfinal:g}: {err:.6e}")
+    print(f"traveling error over t <= {cfg.tfinal:g}, on {branch.modes_used} of "
+          f"{cfg.modes} lattice modes: {err:.6e}")
     if cfg.dt_halving:
         errs, rates = traveling_error_orders(f0, point.c, p, ecfg, halvings=1, base_error=err)
         # a null order: both errors sit at the roundoff floor
@@ -446,10 +455,13 @@ def _print_checks(checks):
 
 def cmd_verify(cfg):
     """The commutator sweeps, each refusing its own settings, then the
-    invariant families; the report lists the families' checks first."""
+    invariant families; the report lists the families' checks first.  The
+    sweeps run from the largest degree down, so a degree too large for the
+    size rule is refused before any sweep runs; the degrees ascend
+    (``resolve_config``), and the report and CSVs keep that order."""
     _check_out(cfg)
     sweeps = [commutator_sweep(cfg.ensemble, deg, alpha=cfg.alpha, seed=cfg.seed)
-              for deg in cfg.degrees]
+              for deg in reversed(cfg.degrees)][::-1]
     maxima = [s.summary()["max_ratio"] for s in sweeps]
     finite = all(np.isfinite(s.ratios).all() for s in sweeps)
     growth = max((maxima[i + 1] / maxima[i] for i in range(len(maxima) - 1)), default=1.0)

@@ -25,10 +25,14 @@ and dt/6, so each stage is one Q and one fused rate giving the scaled
 increments d1 = (dt/2) k1, d2 = (dt/2) k2, d3 = dt k3, d4 = (dt/6) k4
 (``_rate``).  Each stage writes the next stage input u + d straight into
 Q's input row, and a step ends in one weighted sum u + d1/3 + 2 d2/3 +
-d3/3 + d4; nothing is allocated per stage.  Every state is classical RK4's
-to roundoff: it is not the float an allocating loop of the textbook
-formula gives, as the rows sum the same terms in another order, but stays
-within 1e-13 relative of it.  Every step is checked for finiteness.
+d3/3 + d4; nothing is allocated, converted or viewed per stage.  Every
+state is classical RK4's to roundoff: it is not the float an allocating
+loop of the textbook formula gives, as the rows sum the same terms in
+another order, but stays within 1e-13 relative of it.  Every step is
+checked for finiteness.
+The initial data is taken on the ``EvolutionConfig.n_modes`` modes by its
+degree (``_on_modes``), so a branch profile, zeros past the lattice its
+branch solved on, runs on that lattice (``cli.cmd_evolve``).
 A branch profile φ should translate rigidly at its speed c;
 ``traveling_error(φ, c, ...)`` measures the sup-norm deviation of the
 trajectory's amplitude rows from the spectrally translated profile: the
@@ -158,11 +162,12 @@ def _rate(x, rows, work, out):
     ``work.prod``, which the next Q overwrites anyway."""
     _products(x, work)
     a, b, c = rows
-    np.multiply(a, work.p1, out=work.p1)
-    np.multiply(b, work.p2, out=work.p2)
-    np.multiply(c, x, out=out)
-    out += work.p1
-    out += work.p2
+    p1, p2 = work.p1, work.p2
+    np.multiply(a, p1, p1)
+    np.multiply(b, p2, p2)
+    np.multiply(c, x, out)
+    np.add(out, p1, out)
+    np.add(out, p2, out)
     return out
 
 
@@ -170,16 +175,14 @@ def evolve(f0, p, cfg):
     """Integrate from f0 up to cfg.t_final with classical RK4.
 
     Aborts with a NumericalError carrying the last finite state and its time
-    stamp if the solution stops being finite.  Saved states are padded to
-    cfg.n_modes; the state at t = 0 is f0's own amplitudes.  The saves,
-    ⌈n_steps / save_every⌉ + 1 of them, pass the size rule with their
-    half-spectra, 16 (n_modes + 1) bytes a save, before any is made.
+    stamp if the solution stops being finite.  f0 is taken on cfg.n_modes
+    modes (``_on_modes``): amplitudes past them must be zeros, as a branch
+    profile's past its lattice are.  The state at t = 0 is f0's own
+    amplitudes.  The saves, ⌈n_steps / save_every⌉ + 1 of them, pass the
+    size rule with their half-spectra, 16 (n_modes + 1) bytes a save,
+    before any is made.
     """
-    if f0.n_modes > cfg.n_modes:
-        raise ConfigurationError(
-            f"initial data has {f0.n_modes} modes, above the configured {cfg.n_modes}"
-        )
-    state = f0.pad_to(cfg.n_modes)
+    state = _on_modes(f0, cfg.n_modes)
     n_steps = max(1, int(round(cfg.t_final / cfg.dt))) if cfg.t_final else 0
     dt = cfg.t_final / n_steps if n_steps else 0.0
     save_every = cfg.save_every or max(1, n_steps // 10)
@@ -202,13 +205,13 @@ def evolve(f0, p, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             _rate(x, half, work, d1)
-            np.add(u, d1, out=x)
+            np.add(u, d1, x)
             _rate(x, half, work, d2)
-            np.add(u, d2, out=x)
+            np.add(u, d2, x)
             _rate(x, full, work, d3)
-            np.add(u, d3, out=x)
+            np.add(u, d3, x)
             _rate(x, sixth, work, d4)
-            np.dot(RK4_WEIGHTS, block, out=x)
+            np.dot(RK4_WEIGHTS, block, x)
             if not np.isfinite(x).all():
                 raise NumericalError(
                     f"solution lost finiteness during step {step} (t = {step * dt:.6g})",
@@ -221,6 +224,15 @@ def evolve(f0, p, cfg):
     a[0], b[0] = state.a, state.b   # row 0 unconverted: the round trip loses subnormals
     return Trajectory(times=dt * np.array(saved), a=a, b=b, dt_effective=dt,
                       mass_drift=float(np.abs(a[:, 0] - a[0, 0]).max()))
+
+
+def _on_modes(f, n_modes):
+    """f on the modes 0..n_modes: the zero amplitudes past its degree
+    dropped, or zeros appended.  A degree above n_modes is refused."""
+    if f.degree > n_modes:
+        raise ConfigurationError(
+            f"initial data has {f.n_modes} modes, above the configured {n_modes}")
+    return f.truncate(n_modes).pad_to(n_modes)
 
 
 def traveling_error(phi, c, p, cfg):
@@ -239,8 +251,9 @@ def _translation_gap(phi, c, traj):
     at every save time are built at once and subtracted from the
     trajectory's amplitude rows, and the gaps are sampled by one stacked
     synthesis (``spectral._sup_norm``) on the grid of the largest degree
-    among them, never coarser than a gap's own grid."""
-    phi = phi.pad_to(traj.a.shape[1] - 1)
+    among them, never coarser than a gap's own grid.  ``phi`` is taken
+    on the trajectory's modes, as ``evolve`` takes it."""
+    phi = _on_modes(phi, traj.a.shape[1] - 1)
     phase = np.outer(c * traj.times, np.arange(phi.a.size, dtype=float))
     cos, sin = np.cos(phase), np.sin(phase)
     return _sup_norm(traj.a - (phi.a * cos - phi.b * sin),

@@ -55,13 +55,16 @@ with one stacked inverse FFT for all its factors and one stacked forward
 FFT for its two product spectra P1 = F[Λu·Λu - u·w] and P2 = F[u·Hw]
 (``_products``); Q = P2 - i P1, and every mode of the state is exact.  The
 arrays of one size (the factor spectrum and the outputs of both FFTs) form
-a workspace (``_QuadraticWork``), which also holds the forward transform's
-factor 1/m.  The two FFTs call the pocketfft kernels that ``spectral``
-binds once (``_irfft``, ``_rfft``) with that factor and those outputs.
-They skip ``np.fft``'s per-call wrapper, which on these small grids costs
-about as much as the transforms; the kernels are the ones ``np.fft`` calls,
-so the floats are the same, and there is no fallback (see ``spectral``).
-``evolve`` passes one workspace to every stage, so no stage allocates.  σ
+a workspace (``_QuadraticWork``), which also holds the grid's four row
+views and the forward transform's factor 1/m as a 0-d array.  The two
+FFTs call the pocketfft kernels that ``spectral`` binds once (``_irfft``,
+``_rfft``) with that factor and those outputs.  They skip ``np.fft``'s
+per-call wrapper, which on these small grids costs about as much as the
+transforms; the kernels are the ones ``np.fft`` calls, so the floats are
+the same, and there is no fallback (see ``spectral``).  ``evolve`` passes
+one workspace to every stage; with the constants -i and 1 as 0-d arrays
+and every output passed positionally, no stage allocates, converts a
+scalar or makes a view.  σ
 (``_symbol``), its terms' natural size (``_symbol_scale``) and -i σ(k, c)
 on the half-spectrum (``_multiplier``) are written here alone.
 """
@@ -174,25 +177,35 @@ class _QuadraticWork:
     half-spectrum would cast them); the factor spectrum, zero-padded to the
     grid's half-spectrum, with a view of each of its rows u, Λu, w, Hw; and
     the outputs of the two FFTs, which are written into them: the factors
-    on the grid (``grid``) and the product spectra P1, P2 (``prod``, with
-    views ``p1``, ``p2`` of the state's modes).  ``scale`` is the forward
-    transform's factor 1/m.  ``evolve`` builds one per integration and
-    passes it to every stage, so no stage allocates; each call overwrites
-    what the one before it returned.  The caller may write u into the row
-    ``u`` itself and pass that row."""
+    on the grid (``grid``, with its four row views in ``rows``) and the
+    product spectra P1, P2 (``prod``, with views ``p1``, ``p2`` of the
+    state's modes).  ``scale`` is the forward transform's factor 1/m, a 0-d
+    array, so no call converts it.  ``evolve`` builds one per integration
+    and passes it to every stage, so no stage allocates or makes a view;
+    each call overwrites what the one before it returned.  The caller may
+    write u into the row ``u`` itself and pass that row."""
 
     def __init__(self, size, p):
         self.m = _product_grid(size - 1, size - 1, size - 1)
         assert self.m % 2 == 0, "the forward kernel takes even grids only"
-        self.scale = 1.0 / self.m
+        self.scale = np.array(1.0 / self.m)
         k = np.arange(size, dtype=float)
         self.k, self.gk3 = np.array([k, (p.alpha0 - p.beta) * k ** 3], dtype=complex)
         self.spec = np.zeros((4, self.m // 2 + 1), dtype=complex)
         self.u, self.lu, self.w, self.hw = self.spec[:, :size]
         self.grid = np.empty((4, self.m))
+        self.rows = tuple(self.grid)
         self.products = self.grid[2:]
         self.prod = np.empty((2, self.m // 2 + 1), dtype=complex)
         self.p1, self.p2 = self.prod[:, :size]
+
+
+# the constants of ``_products`` as read-only 0-d arrays, so no call
+# converts them: -i, and the inverse transform's factor 1
+_MINUS_I = np.array(-1j)
+_ONE = np.array(1.0)
+_MINUS_I.setflags(write=False)
+_ONE.setflags(write=False)
 
 
 def _products(u, work):
@@ -204,26 +217,27 @@ def _products(u, work):
 
     The factors u, Λu, w, Hw are written into ``work.spec`` and synthesized
     by one stacked ``_irfft`` into ``work.grid``; the products are formed in
-    its rows and go back through one stacked ``_rfft``, scaled by
-    ``work.scale``, into ``work.prod``: the floats of
+    its rows (``work.rows``) and go back through one stacked ``_rfft``,
+    scaled by ``work.scale``, into ``work.prod``: the floats of
     ``np.fft.irfft(..., norm="forward")`` and ``np.fft.rfft(...,
-    norm="forward")``.  No array data is allocated, only the four row views
-    of ``work.grid``.
+    norm="forward")``.  Nothing is allocated or converted and no view is
+    made; every output is passed positionally, which skips the keyword
+    parsing of each ufunc call.
     """
     if u is not work.u:
         np.copyto(work.u, u)
-    np.multiply(work.k, u, out=work.lu)
-    np.multiply(work.gk3, u, out=work.hw)    # g k³ u until Hw replaces it
-    np.subtract(work.lu, work.hw, out=work.w)
-    np.multiply(-1j, work.w, out=work.hw)
-    _irfft(work.spec, 1.0, out=work.grid)
+    np.multiply(work.k, u, work.lu)
+    np.multiply(work.gk3, u, work.hw)    # g k³ u until Hw replaces it
+    np.subtract(work.lu, work.hw, work.w)
+    np.multiply(_MINUS_I, work.w, work.hw)
+    _irfft(work.spec, _ONE, work.grid)
     # the rows w, Hw become Λu·Λu - u·w, u·Hw
-    uu, lu, uw, uhw = work.grid
-    np.multiply(uu, uw, out=uw)
-    np.multiply(uu, uhw, out=uhw)
-    np.multiply(lu, lu, out=lu)
-    np.subtract(lu, uw, out=uw)
-    return _rfft(work.products, work.scale, out=work.prod)
+    uu, lu, uw, uhw = work.rows
+    np.multiply(uu, uw, uw)
+    np.multiply(uu, uhw, uhw)
+    np.multiply(lu, lu, lu)
+    np.subtract(lu, uw, uw)
+    return _rfft(work.products, work.scale, work.prod)
 
 
 def residual(c, phi, p):

@@ -159,6 +159,9 @@ class TestEvolve:
         assert "(c_2, 0) is not simple in the 2-fold space" in capsys.readouterr().err
 
     def test_branch_point_manifest(self, tmp_path, capsys):
+        """--modes 24 caps the lattice; the branch point at s = 0.01 is
+        solved on 8 modes, and the command integrates on those 8: the
+        manifest records them, and its stable step is that of 8 modes."""
         code = run(tmp_path, "evolve", "--s", "0.01", "--tfinal", "0.1",
                    "--dt", "0.002", "--modes", "24", "--dt-halving")
         assert code == 0
@@ -168,11 +171,14 @@ class TestEvolve:
         assert payload["traveling_error"] < 1e-4
         assert payload["mass_drift"] < 1e-12
         p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
-        assert payload["dt_stable"] == evolution.stable_dt(24, p)
+        assert payload["modes_used"] == continue_branch(1, p, 0.01, n=24).modes_used == 8
+        assert payload["dt_stable"] == evolution.stable_dt(8, p)
         assert "dt_effective" in payload
         # both errors sit at the roundoff floor (about 1e-17): no order
         assert payload["dt_halving"]["order"] is None
-        assert "order not resolved (both at the roundoff floor)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "order not resolved (both at the roundoff floor)" in out
+        assert "traveling error over t <= 0.1, on 8 of 24 lattice modes: " in out
 
     def test_integrates_once(self, tmp_path, monkeypatch):
         """The traveling error comes from the trajectory the command already
@@ -195,7 +201,9 @@ class TestEvolve:
         payload = read_json(tmp_path, "evolution_manifest.json")["payload"]
         p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
         branch = continue_branch(1, p, 0.01, n=16)
-        cfg = evolution.EvolutionConfig(dt=0.002, t_final=0.02, n_modes=16)
+        assert payload["modes_used"] == branch.modes_used
+        # on the lattice the branch solved on, the n the command integrates on
+        cfg = evolution.EvolutionConfig(dt=0.002, t_final=0.02, n_modes=branch.modes_used)
         assert payload["traveling_error"] == evolution.traveling_error(
             as_fields(branch)[-1], branch.points[-1].c, p, cfg)
 
@@ -220,7 +228,8 @@ class TestEvolve:
         block = read_json(tmp_path, "evolution_manifest.json")["payload"]["dt_halving"]
         p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
         branch = continue_branch(1, p, 0.01, n=24)
-        cfg = evolution.EvolutionConfig(dt=0.002, t_final=0.1, n_modes=24)
+        # on the lattice the branch solved on, the n the command integrates on
+        cfg = evolution.EvolutionConfig(dt=0.002, t_final=0.1, n_modes=branch.modes_used)
         errs, rates = evolution.traveling_error_orders(as_fields(branch)[-1], branch.points[-1].c,
                                                        p, cfg, halvings=1)
         assert block == {"errors": errs, "order": rates[0]}
@@ -246,15 +255,22 @@ class TestEvolve:
 
     @pytest.mark.parametrize("fold", [2, 3])
     def test_folded_branch_point_travels(self, tmp_path, fold):
-        """An m-fold branch continued with --modes n reaches frequency m n,
-        and is integrated on that many modes."""
+        """An m-fold branch continued with --modes n solves on at most n
+        lattice modes, reaching frequency m n, and is integrated on the
+        m · ``modes_used`` modes of the lattice it solved on: the manifest's
+        stable step and ``trajectory.csv``'s grid of 2 (m · ``modes_used``
+        + 1) points are those of that n."""
         code = run(tmp_path, "evolve", "--fold", str(fold), "--s", "0.02",
                    "--modes", "16", "--tfinal", "0.02", "--dt", "2e-4")
         assert code == 0
         payload = read_json(tmp_path, "evolution_manifest.json")["payload"]
         assert payload["traveling_error"] < 1e-12
         p = ModelParams(*(cli.DEFAULTS[k] for k in ("epsilon", "alpha0", "beta")))
-        assert payload["dt_stable"] == evolution.stable_dt(16 * fold, p)
+        used = continue_branch(fold, p, 0.02, n=16).modes_used
+        assert payload["modes_used"] == used == {2: 12, 3: 16}[fold]
+        assert payload["dt_stable"] == evolution.stable_dt(fold * used, p)
+        header = read_csv(tmp_path, "trajectory.csv")[0].split(",")
+        assert len(header) == 1 + 2 * (fold * used + 1)
 
     def test_invalid_dt_exits_2(self, tmp_path):
         assert run(tmp_path, "evolve", "--dt", "0") == 2
@@ -428,6 +444,39 @@ class TestVerify:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_too_large_degree_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        """The sweeps run from the largest degree down, so a --degrees entry
+        too large for the size rule is refused before the sweeps of the
+        entries below it evaluate a single member."""
+        def no_member(*args):
+            raise AssertionError("a sweep evaluated its members")
+
+        monkeypatch.setattr(holder, "_quotients", no_member)
+        assert run(tmp_path, "verify", "--degrees", "20,40,1000000000") == 2
+        assert "max_degree = 1000000000 asks for an array" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweeps_run_downward_and_report_upward(self, tmp_path, monkeypatch):
+        """The sweeps run in falling degree; the report's summaries and
+        maxima keep the ascending order of --degrees, and the growth is
+        taken in that order."""
+        sweep, ran = cli.commutator_sweep, []
+
+        def recorded(ensemble, degree, **kwargs):
+            ran.append(degree)
+            return sweep(ensemble, degree, **kwargs)
+
+        monkeypatch.setattr(cli, "commutator_sweep", recorded)
+        assert run(tmp_path, "verify", "--ensemble", "3", "--degrees", "4,8,12") == 0
+        assert ran == [12, 8, 4]
+        payload = read_json(tmp_path, "verification_report.json")["payload"]
+        summaries = payload["sweep_summaries"]
+        assert [s["max_degree"] for s in summaries] == [4, 8, 12]
+        bound = next(c for c in payload["checks"] if c["family"] == "commutator-bound")
+        maxima = bound["max_ratios"]
+        assert maxima == [s["max_ratio"] for s in summaries]
+        assert bound["measured"] == max(maxima[1] / maxima[0], maxima[2] / maxima[1])
+
 
 class TestSelftest:
     def test_passes_quickly(self, capsys):
@@ -521,9 +570,10 @@ ARTIFACTS = [
         "branch.json": {"": {"version", "step_cap", "truncated", "failure", "modes_used"}}}),
     (["evolve", "--s", "0.01", "--modes", "16", "--tfinal", "0.01", "--dt", "0.001",
       "--dt-halving"], {
-        "trajectory.csv": "t," + ",".join(f"x_{j}" for j in range(34)),
+        # the grid of 2 (n + 1) points at the n integrated on: 8 of the 16 modes
+        "trajectory.csv": "t," + ",".join(f"x_{j}" for j in range(18)),
         "evolution_manifest.json": {
-            "": {"version", "branch_point", "dt_stable", "dt_effective",
+            "": {"version", "branch_point", "modes_used", "dt_stable", "dt_effective",
                  "mass_drift", "traveling_error", "dt_halving"},
             "branch_point": {"s", "c", "residual_norm"},
             "dt_halving": {"errors", "order"}}}),
@@ -554,8 +604,9 @@ class TestArtifactWriters:
             assert main(["evolve", "--fold", str(branch.m), "--s", str(cli.DEFAULTS["smax"]),
                          "--tfinal", "0.05", "--out", str(out)]) == 0
             phi = as_fields(branch)[-1]  # travels, so its states gain sine amplitudes
+            # on the lattice the branch solved on, the n the command integrates on
             traj = evolution.evolve(phi, p, evolution.EvolutionConfig(
-                dt=cli.DEFAULTS["dt"], t_final=0.05, n_modes=phi.n_modes))
+                dt=cli.DEFAULTS["dt"], t_final=0.05, n_modes=branch.m * branch.modes_used))
             states = as_fields(traj)
             assert len(states) > 2 and not states[-1].is_even
             grid, rows = reference_profile_rows(traj.times.tolist(), states)

@@ -14,7 +14,11 @@ m-fold profile with zeros between its lattice modes, ``evolve --s 0``,
 which starts from the trivial branch point (c_1, 0), ``evolve --s 0.02
 --epsilon 0.5403 --alpha0 0.8213 --beta 0.5702``, off the defaults, where
 1/ε is not exact, so the last bits of the model's floats are compared
-there too, ``verify`` and ``selftest``, at the defaults; ``verify`` and ``selftest``, the commands
+there too, ``evolve --s 0.02 --modes 8``, whose branch solves on all 8
+modes of its cap, so a run on the same n on both sides of a change to
+the n rule is compared, ``evolve --s 0.03``, the travel workload's top
+amplitude, whose lattice grows to 12 modes, ``verify`` and ``selftest``,
+at the defaults; ``verify`` and ``selftest``, the commands
 that read a seed, at ``--seed 7`` and at ``--seed 30113``, whose
 commutator bound fails, so the failing report (exit 3) is compared too;
 ``verify --ensemble 3 --degrees 2,4`` at ``--seed 2^70``, whose
@@ -67,6 +71,8 @@ COMMANDS = {
     "evolve-s0": ["evolve", "--s", "0"],
     "evolve-off-defaults": ["evolve", "--s", "0.02", "--epsilon", "0.5403",
                             "--alpha0", "0.8213", "--beta", "0.5702"],
+    "evolve-modes8": ["evolve", "--s", "0.02", "--modes", "8"],
+    "evolve-s0.03": ["evolve", "--s", "0.03"],
     "verify": ["verify"],
     "selftest": ["selftest"],
 }
