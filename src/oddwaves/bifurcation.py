@@ -31,10 +31,10 @@ every Newton step on that lattice reuses them.  Its cap and fold are
 refused up front when an array they ask for would pass
 ``errors.ARRAY_BYTES_CEILING``.
 
-A ``Branch`` is data: ``cli`` writes its points, each the lattice vector
-Newton solved for padded to the cap with exact zeros, to ``branch.csv``
-and its outcome, ``failure`` (``truncated`` follows from it), and the
-largest lattice it used to ``branch.json``.
+A ``Branch`` is data: ``cli`` writes its points, each on the largest
+lattice the branch used (``modes_used``) and with the linear solves its
+step cost, to ``branch.csv``, and ``modes_used`` and its outcome,
+``failure`` (``truncated`` follows from it), to ``branch.json``.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ class BifurcationPoint:
 class BranchPoint:
     """One converged solution on a branch: amplitude coordinate s (the
     cos(mx) coefficient, held exactly), speed c, the n lattice amplitudes
-    α_j = a_{jm} as a read-only array (α_1 = s), and diagnostics."""
+    α_j = a_{jm} as a read-only array (α_1 = s), and diagnostics: Σ|b_k|
+    and the linear solves of its step, its retries' included."""
 
     s: float
     c: float
@@ -117,14 +118,6 @@ class Branch:
     def truncated(self):
         """Whether Newton stopped the branch short of s_max."""
         return self.failure is not None
-
-    @property
-    def amplitudes(self):
-        return np.array([pt.s for pt in self.points])
-
-    @property
-    def speeds(self):
-        return np.array([pt.c for pt in self.points])
 
     def profile(self, i):
         """Point i's profile φ = Σ_j α_j cos(j m x), on modes 0..mn."""
@@ -179,13 +172,16 @@ def _branch_bytes(m, n):
 
 
 class _SingularSystem(Exception):
-    pass
+    def __init__(self, message, solves):
+        super().__init__(message)
+        self.solves = solves
 
 
 class _NoConvergence(Exception):
-    def __init__(self, residual_norm):
+    def __init__(self, residual_norm, solves):
         super().__init__(f"Newton stalled at residual {residual_norm:.3e}")
         self.residual_norm = residual_norm
+        self.solves = solves
 
 
 def _newton(c, alpha, p, tol, max_iter, lattice, monotone=False):
@@ -194,7 +190,8 @@ def _newton(c, alpha, p, tol, max_iter, lattice, monotone=False):
     return (c, Σ|b_k|, iterations), b_k the residual's sine amplitudes at
     m, 2m, ..., 2nm; the equations are those at m, ..., nm.  When
     ``monotone``, an iterate that does not lower Σ|b_k| ends the solve as
-    a stall, as iteration max_iter does."""
+    a stall, as iteration max_iter does.  Each iteration is one linear
+    solve, and a stall or a singular system reports the solves it made."""
     last = np.inf
     for it in range(max_iter + 1):
         matrix = _lattice_matrix(alpha, lattice)
@@ -204,15 +201,15 @@ def _newton(c, alpha, p, tol, max_iter, lattice, monotone=False):
         if rnorm < tol:
             return c, rnorm, it
         if it == max_iter or (monotone and rnorm >= last):
-            raise _NoConvergence(rnorm)
+            raise _NoConvergence(rnorm, it)
         last = rnorm
         jac = _lattice_jacobian(matrix, sigma, alpha, p, lattice, speed_column=True)
         try:
             delta = np.linalg.solve(jac, -b[:lattice.n])
         except np.linalg.LinAlgError as exc:
-            raise _SingularSystem(str(exc)) from exc
+            raise _SingularSystem(str(exc), it + 1) from exc
         if not np.isfinite(delta).all():
-            raise _SingularSystem("non-finite Newton update")
+            raise _SingularSystem("non-finite Newton update", it + 1)
         c = c + delta[0]
         alpha[1:] += delta[1:]
     raise AssertionError("unreachable")
@@ -268,6 +265,7 @@ def continue_branch(m, p, s_max, n=DEFAULT_TRUNCATION, tol=DEFAULT_TOL,
     alpha = _as_readonly(np.zeros(n))   # the lattice amplitudes of the last accepted point
     points = [BranchPoint(s=0.0, c=c0, alpha=alpha, residual_norm=0.0, newton_iters=0)]
     failure = None
+    spent = 0       # the solves of this step's attempts that were not accepted
 
     s_abs = 0.0
     step = step_cap / 10.0
@@ -283,7 +281,8 @@ def continue_branch(m, p, s_max, n=DEFAULT_TRUNCATION, tol=DEFAULT_TOL,
         trial[0] = s_try
         try:
             c_new, rnorm, iters = _newton(c, trial, p, tol, max_iter, lattice, k < n)
-        except _SingularSystem:
+        except _SingularSystem as exc:
+            spent += exc.solves
             step /= 2.0
             if step < floor:
                 raise NumericalError(
@@ -293,6 +292,7 @@ def continue_branch(m, p, s_max, n=DEFAULT_TRUNCATION, tol=DEFAULT_TOL,
             continue
         except _NoConvergence as exc:
             if k < n:       # a stall is decided at the cap
+                spent += exc.solves
                 lattice = _Lattice(m, n, g)
                 continue
             failure = (
@@ -302,6 +302,7 @@ def continue_branch(m, p, s_max, n=DEFAULT_TRUNCATION, tol=DEFAULT_TOL,
             )
             break
         if k < n and abs(trial[-1]) > np.finfo(float).eps * np.abs(trial).max():
+            spent += iters
             lattice = _Lattice(m, min(n, math.ceil(LATTICE_GROWTH * k)), g)
             continue        # the tail is unresolved: re-solve the step on more modes
         c, alpha = c_new, np.zeros(n)
@@ -309,7 +310,8 @@ def continue_branch(m, p, s_max, n=DEFAULT_TRUNCATION, tol=DEFAULT_TOL,
         alpha.setflags(write=False)
         s_abs += step
         points.append(BranchPoint(s=s_try, c=c, alpha=alpha, residual_norm=rnorm,
-                                  newton_iters=iters))
+                                  newton_iters=spent + iters))
+        spent = 0
         step = min(step * DEFAULT_STEP_GROWTH, step_cap)
     return Branch(m=m, points=points, modes_used=lattice.n, failure=failure)
 

@@ -24,8 +24,9 @@ This module alone knows the artifact formats: ``_write_csv`` writes every
 table from rows of Python scalars, each cell the scalar's ``repr``, and
 ``_write_json`` every JSON file.  No file repeats a setting of its embedded
 configuration or a value another file of the run holds: ``branch.csv``
-holds a branch's points, each profile as its lattice amplitudes, and
-``branch.json`` its outcome.
+holds a branch's points, each profile as its amplitudes on the
+``modes_used`` lattice modes the branch solved on (the rest are exact
+zeros), and ``branch.json`` its outcome and ``modes_used``.
 The argument parser is built once per process and reused by every ``main``
 call.  An ``--out`` that is, or lies below, a file and a ``--config`` file
 that cannot be read are configuration errors, raised before any work.
@@ -279,12 +280,12 @@ def cmd_branch(cfg):
     branch = continue_branch(cfg.fold, p, cfg.smax, n=cfg.modes, tol=cfg.tol,
                              max_iter=cfg.max_iter)
     out = _outdir(cfg)
-    # coeff_j is the amplitude of cos(j m x)
+    # coeff_j is the amplitude of cos(j m x); past modes_used every one is zero
     _write_csv(out / "branch.csv", cfg,
                ["s", "c", "residual_norm", "newton_iters"]
-               + [f"coeff_{j}" for j in range(1, cfg.modes + 1)],
+               + [f"coeff_{j}" for j in range(1, branch.modes_used + 1)],
                [[float(pt.s), float(pt.c), float(pt.residual_norm), int(pt.newton_iters),
-                 *pt.alpha.tolist()] for pt in branch.points])
+                 *pt.alpha[:branch.modes_used].tolist()] for pt in branch.points])
     _write_json(out / "branch.json", cfg, {
         "version": __version__,
         "step_cap": DEFAULT_STEP_CAP,   # no CLI setting, so not in the config block

@@ -349,15 +349,14 @@ def assemble_jacobian(c, phi, p, n, m=1):
     """
     n = require_size("truncation n", n, 1, _lattice_bytes)
     m = require_integer("fold m", m, 1)
-    if not phi.is_even:
-        raise ConfigurationError("phi must be even")
-    if phi.a[np.arange(phi.a.size) % m != 0].any():
+    a = _even_amplitudes(phi, "phi")
+    if a[np.arange(a.size) % m != 0].any():
         raise ConfigurationError(f"phi is not supported on the {m}-fold lattice")
     if phi.degree > m * n:
         raise ConfigurationError(f"phi has degree {phi.degree}, exceeding the {m}-fold "
                                  f"truncation {m * n}")
     lattice = _Lattice(m, n, p.alpha0 - p.beta)
-    alpha = _on_lattice(phi.a, lattice)
+    alpha = _on_lattice(a, lattice)
     jac = _lattice_jacobian(_lattice_matrix(alpha, lattice), _symbol(lattice.kf, c, p),
                             alpha, p, lattice)
     if not np.isfinite(jac).all():

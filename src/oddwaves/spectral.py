@@ -180,11 +180,6 @@ class SpectralField:
     def is_odd(self):
         return not self.a.any()
 
-    def with_zero_mean(self):
-        a = self.a.copy()
-        a[0] = 0.0
-        return SpectralField(a, self.b)
-
     def pad_to(self, n_modes):
         """Embed into a larger truncation (amplitudes past N are zero).  The
         size rule charges one of its two amplitude arrays, 8 (n_modes + 1)

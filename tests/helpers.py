@@ -495,15 +495,15 @@ def reference_newton(c, alpha, p, tol, max_iter, lattice, monotone=False):
         if rnorm < tol:
             return c, rnorm, it
         if it == max_iter or (monotone and rnorm >= last):
-            raise _NoConvergence(rnorm)
+            raise _NoConvergence(rnorm, it)
         last = rnorm
         jac = reference_jacobian(c, phi.a, p, m, n, speed_column=True)
         try:
             delta = np.linalg.solve(jac, -res.b[rows])
         except np.linalg.LinAlgError as exc:
-            raise _SingularSystem(str(exc)) from exc
+            raise _SingularSystem(str(exc), it + 1) from exc
         if not np.isfinite(delta).all():
-            raise _SingularSystem("non-finite Newton update")
+            raise _SingularSystem("non-finite Newton update", it + 1)
         c = c + delta[0]
         alpha[1:] += delta[1:]
     raise AssertionError("unreachable")

@@ -124,7 +124,7 @@ def check_branches(p):
         assert all(pt.residual_norm < 1e-11 for pt in br.points)
         c0 = critical_speed(m, p)
         assert br.points[0].c == c0
-        gaps = np.abs(br.speeds - c0)
+        gaps = np.abs(np.array([pt.c for pt in br.points]) - c0)
         assert gaps[1] < 1e-5 and np.all(np.diff(gaps[1:]) > 0)
         s_vals, tails = [], []
         for pt, phi in zip(br.points[1:], as_fields(br)[1:]):

@@ -209,7 +209,7 @@ class TestContinueBranch:
     def test_speed_approaches_critical_value(self):
         br = small_branch()
         c0 = critical_speed(1, PA)
-        gaps = np.abs(br.speeds - c0)
+        gaps = np.abs(np.array([pt.c for pt in br.points]) - c0)
         assert gaps[1] < 1e-5          # s = 1e-3
         assert np.all(np.diff(gaps[1:]) > 0)  # monotone departure
 
@@ -267,9 +267,9 @@ class TestContinueBranch:
     def test_step_policy_geometric_growth_to_cap(self):
         """Steps start at a tenth of the cap and double up to it."""
         br = continue_branch(1, PA, 0.05, n=16, step_cap=0.02)
-        assert br.amplitudes.tolist() == [0, 0.002, 0.006, 0.014, 0.03, 0.05]
+        assert [pt.s for pt in br.points] == [0, 0.002, 0.006, 0.014, 0.03, 0.05]
         br = continue_branch(1, PA, 0.05, n=16, tol=1e-11)
-        steps = np.diff(br.amplitudes)
+        steps = np.diff([pt.s for pt in br.points])
         expect, step = [], 1e-3
         remaining = 0.05
         while remaining > 1e-15:
@@ -343,7 +343,7 @@ class TestContinueBranch:
         from oddwaves import NumericalError
 
         def always_singular(*args, **kwargs):
-            raise bif._SingularSystem("forced")
+            raise bif._SingularSystem("forced", 0)
 
         monkeypatch.setattr(bif, "_newton", always_singular)
         with pytest.raises(NumericalError):
@@ -362,7 +362,7 @@ class TestContinueBranch:
                 if not failed and alpha[0] > 0.0025:
                     failed.append(alpha[0])
                     alpha[1:] += scribble
-                    raise bif._SingularSystem("forced")
+                    raise bif._SingularSystem("forced", 0)
                 return newton(c, alpha, *args)
 
             monkeypatch.setattr(bif, "_newton", singular_once)
@@ -377,6 +377,25 @@ class TestContinueBranch:
             assert (u.s, u.c, u.residual_norm, u.newton_iters) == \
                 (v.s, v.c, v.residual_norm, v.newton_iters)
             assert u.alpha.tobytes() == v.alpha.tobytes()
+
+    def test_halved_attempt_counts_on_the_next_point(self, monkeypatch):
+        """The solves of an attempt that ends in a singular system are
+        counted on the point its halved retry accepts."""
+        newton = bif._newton
+        failed, iters = [], []
+
+        def singular_once(c, alpha, *args):
+            if not failed and alpha[0] > 0.0025:
+                failed.append(alpha[0])
+                raise bif._SingularSystem("forced", 3)
+            result = newton(c, alpha, *args)
+            iters.append(result[2])
+            return result
+
+        monkeypatch.setattr(bif, "_newton", singular_once)
+        br = continue_branch(1, PA, 0.005, n=8)     # on the cap: no regrowth
+        assert [pt.s for pt in br.points] == pytest.approx([0, 0.001, 0.002, 0.004, 0.005])
+        assert [pt.newton_iters for pt in br.points] == [0, iters[0], 3 + iters[1], *iters[2:]]
 
     def test_degenerate_resonant_fold_refused(self):
         """At alpha0 == beta == 1 the frequencies 2 and 4 share a speed
@@ -544,6 +563,30 @@ class TestLatticeFollowsTheWave:
             assert np.abs(f.alpha - s.alpha).max() <= 1e-13 * np.abs(s.alpha).max()
             assert not f.alpha[fast.modes_used:].any()
             assert f.residual_norm < bif.DEFAULT_TOL
+
+    @pytest.mark.parametrize("p, m, solves", [
+        pytest.param(PA, 1, 16, id="default-1"),
+        pytest.param(PA, 2, 22, id="default-2"),
+        pytest.param(PA, 3, 26, id="default-3"),
+        # stalls on 18 modes at s = 0.015 and is solved again on the cap
+        pytest.param(ModelParams(0.453, 0.8774, 0.6321), 3, 43, id="full-ladder"),
+    ])
+    def test_newton_iters_count_every_solve(self, p, m, solves, monkeypatch):
+        """A point's ``newton_iters`` counts every linear solve its step
+        cost, those of the attempts that regrew the lattice or stalled below
+        the cap included, so a branch that reaches s_max reports all the
+        solves it made."""
+        made = []
+        solve = bif.np.linalg.solve
+
+        def counted(*args):
+            made.append(None)
+            return solve(*args)
+
+        monkeypatch.setattr(bif.np.linalg, "solve", counted)
+        br = continue_branch(m, p, 0.05)
+        assert not br.truncated
+        assert sum(pt.newton_iters for pt in br.points) == len(made) == solves
 
     def test_default_folds_use_a_fraction_of_the_cap(self):
         """At the defaults the folds stop growing well short of the cap."""

@@ -38,6 +38,16 @@ def read_csv(tmp_path, name):
     return lines[2:]
 
 
+def gate_profile(row, m):
+    """A ``branch.csv`` row's profile as the bench's branch gate rebuilds
+    it (``bench/workloads._branch_gate``): φ = Σ_j coeff_j cos(j m x), j up
+    to the row's count of coefficient cells."""
+    coeffs = np.array(row.split(",")[4:], dtype=float)
+    a = np.zeros(m * coeffs.size + 1)
+    a[m * np.arange(1, coeffs.size + 1)] = coeffs
+    return spectral.CosineSeries(a)
+
+
 class TestBifurcate:
     def test_reference_table(self, tmp_path):
         code = run(tmp_path, "bifurcate", "--epsilon", "1", "--alpha0", "1",
@@ -128,6 +138,29 @@ class TestBranch:
     def test_negative_max_iter_exits_2(self, tmp_path, capsys):
         assert run(tmp_path, "branch", "--max-iter", "-1") == 2
         assert "max_iter must be an integer >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("draw, code", [
+        pytest.param(("0.5403454963757143", "0.8213213231130014", "0.5702351077242709"), 3,
+                     id="seed3107-truncated"),
+        pytest.param(("0.453", "0.8774", "0.6321"), 0, id="full-ladder"),
+    ])
+    def test_csv_width_is_the_lattice_used(self, tmp_path, draw, code):
+        """``branch.csv`` has one coefficient column per lattice mode the
+        branch solved on, ``modes_used`` of ``branch.json``, and each row
+        rebuilt as the bench's gate does is the solver's profile bit for
+        bit: for bench seed 3107's resonant fold 3, which truncates at the
+        cap of 64, and for a fold-3 draw that climbs the whole ladder to it."""
+        eps, alpha0, beta = draw
+        assert run(tmp_path, "branch", "--fold", "3", "--epsilon", eps, "--alpha0", alpha0,
+                   "--beta", beta) == code
+        branch = continue_branch(3, ModelParams(*map(float, draw)), cli.DEFAULTS["smax"])
+        used = read_json(tmp_path, "branch.json")["payload"]["modes_used"]
+        assert used == branch.modes_used == cli.DEFAULTS["modes"]
+        lines = read_csv(tmp_path, "branch.csv")
+        assert lines[0].split(",")[4:] == [f"coeff_{j}" for j in range(1, used + 1)]
+        for i, row in enumerate(lines[1:]):
+            assert gate_profile(row, 3).a.tobytes() == branch.profile(i).a.tobytes()
+        assert len(lines) == 1 + len(branch.points)
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ("branch", "--smax", "0.005", "--modes", "8")
@@ -565,8 +598,9 @@ ARTIFACTS = [
         "bifurcation_points.csv": "k,speed,simple",
         "bifurcation_report.json": {"": {"version"}}}),
     (["branch", "--smax", "0.01", "--modes", "16"], {
+        # one coefficient column per lattice mode used: 8 of the 16
         "branch.csv": "s,c,residual_norm,newton_iters,"
-                      + ",".join(f"coeff_{j}" for j in range(1, 17)),
+                      + ",".join(f"coeff_{j}" for j in range(1, 9)),
         "branch.json": {"": {"version", "step_cap", "truncated", "failure", "modes_used"}}}),
     (["evolve", "--s", "0.01", "--modes", "16", "--tfinal", "0.01", "--dt", "0.001",
       "--dt-halving"], {
@@ -615,11 +649,13 @@ class TestArtifactWriters:
 
     def test_branch_csv_equals_cell_by_cell_formatter(self, default_folds, tmp_path):
         """The ``branch.csv`` the command writes is the cell-by-cell
-        formatter's text of the points of the same branch, and holds each
-        profile: φ = Σ_j coeff_j cos(j m x), m the config's fold, rebuilt
-        from the cells, samples to the same floats as the point's own."""
-        n = cli.DEFAULTS["modes"]
-        for branch in default_folds[1]:
+        formatter's text of the points of the same branch, one coefficient
+        column per lattice mode it solved on (12, 18 and 18 of the 64), and
+        holds each profile: φ = Σ_j coeff_j cos(j m x), m the config's fold,
+        rebuilt from the cells as the bench's gate does, has the point's
+        own amplitudes bit for bit and samples to the same floats."""
+        for branch, n in zip(default_folds[1], (12, 18, 18), strict=True):
+            assert branch.modes_used == n
             out = tmp_path / str(branch.m)
             assert main(["branch", "--fold", str(branch.m), "--out", str(out)]) == 0
             header = ["s", "c", "residual_norm", "newton_iters"]
@@ -633,9 +669,9 @@ class TestArtifactWriters:
             lines = (out / "branch.csv").read_text().splitlines()
             m = json.loads(lines[0].removeprefix("# config: "))["fold"]
             for line, phi in zip(lines[3:], profiles, strict=True):
-                a = np.zeros(m * n + 1)
-                a[m::m] = [float(cell) for cell in line.split(",")[4:]]
-                assert np.array_equal(spectral.CosineSeries(a).values(), phi.values())
+                rebuilt = gate_profile(line, m)
+                assert rebuilt.pad_to(phi.n_modes).a.tobytes() == phi.a.tobytes()
+                assert np.array_equal(rebuilt.values(phi.grid_size), phi.values())
 
     def test_csv_cells_are_numbers_or_booleans(self, tmp_path):
         """Each command writes exactly the files of ``ARTIFACTS``, with its

@@ -126,6 +126,9 @@ _ORDER_CFG = EvolutionConfig(dt=1e-3, t_final=0.004, n_modes=8)
     pytest.param(lambda: continue_branch(1, P, 0.01, tol=10 ** 400),
                  # a raw OverflowError: int too large to convert to float
                  "tol must be finite and >= 1e-12, got 1000", id="branch-tol-10**400"),
+    pytest.param(lambda: assemble_jacobian(0.0, np.zeros(9), P, 8),
+                 # a raw AttributeError: 'numpy.ndarray' object has no attribute 'is_even'
+                 "phi must be a SpectralField", id="jacobian-phi-array"),
 ])
 def test_non_integer_or_non_finite_setting_refused(call, message):
     with pytest.raises(ConfigurationError, match=message):
