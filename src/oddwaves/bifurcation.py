@@ -34,7 +34,9 @@ refused up front when an array they ask for would pass
 A ``Branch`` is data: ``cli`` writes its points, each on the largest
 lattice the branch used (``modes_used``) and with the linear solves its
 step cost, to ``branch.csv``, and ``modes_used`` and its outcome,
-``failure`` (``truncated`` follows from it), to ``branch.json``.
+``failure`` (``truncated`` follows from it), to ``branch.json``.  A step
+that truncates the branch has no point, so ``failure`` names its linear
+solves.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ class BranchPoint:
 class Branch:
     """Ordered branch points for a fixed fold m, trivial point first, the
     largest lattice n the continuation solved on, and why Newton stopped
-    the branch short of s_max (None when it reached s_max)."""
+    the branch short of s_max, with the linear solves of that last step
+    (None when it reached s_max)."""
 
     m: int
     points: list[BranchPoint]
@@ -297,8 +300,8 @@ def continue_branch(m, p, s_max, n=DEFAULT_TRUNCATION, tol=DEFAULT_TOL,
                 continue
             failure = (
                 f"Newton did not converge within {max_iter} iterations at "
-                f"s = {s_try:.6g} on {k} lattice modes (residual {exc.residual_norm:.3e}); "
-                f"branch truncated at |s| = {s_abs:.6g}"
+                f"s = {s_try:.6g} on {k} lattice modes (residual {exc.residual_norm:.3e}) "
+                f"after {spent + exc.solves} linear solves; branch truncated at |s| = {s_abs:.6g}"
             )
             break
         if k < n and abs(trial[-1]) > np.finfo(float).eps * np.abs(trial).max():

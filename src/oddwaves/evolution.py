@@ -5,11 +5,11 @@ The equation advances f through
     (2 + α0 Λ) f_t = R[0, f],
 
 with R the model's traveling-wave residual at speed zero: the linear
-multiplier -i σ(k, 0) plus the one bilinear form Q (``model._multiplier``
-and ``model._products``), on the product grid rather than on the lattice
-of ``model.residual``, since f need not be even.  The time derivative is
-that divided, mode by mode, by 2 + α0 k (invertible for α0 > 0).  The mean
-mode is a conserved mass.
+multiplier -i σ(k, 0) plus the one bilinear form Q (``model._multiplier``),
+on the full spectrum rather than on the even lattice of
+``model.residual``, since f need not be even.  The time derivative is that
+divided, mode by mode, by 2 + α0 k (invertible for α0 > 0).  The mean mode
+is a conserved mass.
 Linearizing, mode k rotates at frequency ω_k = -σ(k, 0) / (2 + α0 k) =
 (k - 1 + (α0 - β) k²) / (ε (2 + α0 k)) (``dispersion_frequency``, from
 ``model._symbol``), which equals -k times the critical speed at frequency
@@ -17,26 +17,42 @@ k: small-amplitude waves drift exactly as the bifurcation analysis predicts.
 
 Time stepping is classical RK4 on the Galerkin-truncated system (quadratic
 terms evaluated exactly, then projected), carried out on the complex
-half-spectrum.  With Q = P2 - i P1 from its two product spectra, the time
-derivative at x is r1 P1 + r2 P2 + r3 x with the rows r1 = -i / mass (0 at
-k = 0), r2 = 1 / mass and r3 = -i σ(k, 0) / mass (``_stage_rows``).  They
-are built once per integration and pre-scaled by the stage steps dt/2, dt
-and dt/6, so each stage is one Q and one fused rate giving the scaled
-increments d1 = (dt/2) k1, d2 = (dt/2) k2, d3 = dt k3, d4 = (dt/6) k4
-(``_rate``).  Each stage writes the next stage input u + d straight into
-Q's input row, and a step ends in one weighted sum u + d1/3 + 2 d2/3 +
-d3/3 + d4; nothing is allocated, converted or viewed per stage.  Every
-state is classical RK4's to roundoff: it is not the float an allocating
-loop of the textbook formula gives, as the rows sum the same terms in
-another order, but stays within 1e-13 relative of it.  Every step is
-checked for finiteness.
+half-spectrum.  A stage evaluates Q on one of two routes, chosen in one
+place by the state's mode count n (``_stage_route``):
+
+- up to LATTICE_STAGE_MODES, the lattice route (``_LatticeStages``): the
+  complex lattice matrix J(x) of ``model._SpectrumLattice``, with
+  Q = ½ J(x) X on the full spectrum X, and the linear part on its
+  diagonal, so the time derivative is one matrix-vector product with no
+  FFT, O(n²) work;
+- above it, the FFT route (``_FFTStages``): Q = P2 - i P1 from the two
+  product spectra of ``model._products``, O(n log n) work, with the time
+  derivative r1 P1 + r2 P2 + r3 x from the rows r1 = -i / mass (0 at
+  k = 0), r2 = 1 / mass and r3 = -i σ(k, 0) / mass (``_stage_rows``).
+
+The selection constant is measured: per stage, the lattice route is faster
+through n = 40 whether BLAS runs one thread or several (at n = 8 about
+2.3 µs against 8 µs, at n = 40 about 7-10 against 11-19 µs).  With BLAS
+threads free it loses from about n = 48, where OpenBLAS starts to thread
+the complex matrix-vector product; on one thread, from about n = 64; at
+n = 128 it is about 3.5 times slower (2-vCPU VM, min of 7 runs).
+Each route's constants are built once per integration and pre-scaled by the
+stage steps dt/2, dt and dt/6, so each stage gives the scaled increments
+d1 = (dt/2) k1, d2 = (dt/2) k2, d3 = dt k3, d4 = (dt/6) k4.  Each stage
+writes the next stage input u + d straight into the route's input row, and
+a step ends in one weighted sum u + d1/3 + 2 d2/3 + d3/3 + d4; nothing is
+allocated, converted or viewed per stage.  Every state is classical RK4's
+to roundoff: it is not the float an allocating loop of the textbook
+formula gives, as the routes sum the same terms in another order, but
+stays within 1e-13 relative of it.  Every step is checked for finiteness.
 The initial data is taken on the ``EvolutionConfig.n_modes`` modes by its
 degree (``_on_modes``), so a branch profile, zeros past the lattice its
 branch solved on, runs on that lattice (``cli.cmd_evolve``).
 A branch profile φ should translate rigidly at its speed c;
 ``traveling_error(φ, c, ...)`` measures the sup-norm deviation of the
-trajectory's amplitude rows from the spectrally translated profile: the
-independent check that continuation produced genuine traveling waves.
+trajectory's amplitude rows from the spectrally translated profile, sampled
+on the grid of the trajectory's n modes: the independent check that
+continuation produced genuine traveling waves.
 ``traveling_error_orders`` reports no rate between two errors at
 the roundoff floor (ROUNDOFF_FLOOR ε_mach sup|φ|).
 """
@@ -49,7 +65,8 @@ import numpy as np
 
 from .errors import (ConfigurationError, NumericalError, require_integer, require_real,
                      require_size)
-from .model import _multiplier, _products, _QuadraticWork, _symbol
+from .model import (_multiplier, _products, _QuadraticWork, _spectrum_matrix, _SpectrumLattice,
+                    _symbol)
 from .spectral import SpectralField, _amplitudes, _hat, _product_grid, _sup_norm
 
 __all__ = [
@@ -69,6 +86,9 @@ ROUNDOFF_FLOOR = 1e3  # a traveling error at most this many ε_mach sup|φ| is r
 # scaled rates d1 = (dt/2) k1, d2 = (dt/2) k2, d3 = dt k3, d4 = (dt/6) k4
 RK4_WEIGHTS = np.array([1.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0], dtype=complex)
 RK4_WEIGHTS.setflags(write=False)
+# the largest state, in modes, whose stages take the lattice route; above it
+# the FFT route is faster (measured in the module docstring)
+LATTICE_STAGE_MODES = 40
 
 
 @dataclass(frozen=True)
@@ -95,10 +115,9 @@ class EvolutionConfig:
 
 
 def _integration_bytes(n_modes):
-    """The bytes of the largest array of an integration at ``n_modes``: the
-    factor spectrum of Q's ``_QuadraticWork``, 4 rows of the half-spectrum
-    of the product grid of two degree-``n_modes`` states, complex."""
-    return 4 * 16 * (_product_grid(n_modes, n_modes, n_modes) // 2 + 1)
+    """The bytes of the largest array of an integration at ``n_modes``, on
+    the route that n takes (``_stage_route``)."""
+    return _stage_route(n_modes).largest_bytes(n_modes)
 
 
 @dataclass
@@ -132,14 +151,91 @@ def stable_dt(n, p):
 def rhs(f, p):
     """Time derivative of the field, truncated back to f's resolution.
 
-    The quadratic terms are evaluated with exact dealiasing before the
-    Galerkin projection; the inverse mass operator divides mode k by
-    2 + α0 k.
+    The quadratic terms are evaluated exactly before the Galerkin
+    projection, on the route of f's mode count (``_stage_route``); the
+    inverse mass operator divides mode k by 2 + α0 k.
     """
     u = _hat(f.a, f.b)
-    work = _QuadraticWork(u.size, p)
-    rate = _rate(u, _stage_rows(u.size, p), work, np.empty_like(u))
+    stages = _stage_route(u.size - 1)(u.size, p)
+    x = stages.work.u
+    x[:] = u
+    rate = stages.rate(x, stages.rows, stages.work, np.empty_like(u))
     return SpectralField(*_amplitudes(rate))
+
+
+def _stage_route(n_modes):
+    """The stage kernel of states of ``n_modes`` modes, the one place the
+    route is chosen: ``_LatticeStages`` up to LATTICE_STAGE_MODES modes,
+    ``_FFTStages`` above."""
+    return _LatticeStages if n_modes <= LATTICE_STAGE_MODES else _FFTStages
+
+
+class _LatticeStages:
+    """The lattice route: the time derivative at x is A(x) X, X the full
+    spectrum of x, with the stage matrix A(x) = ½ J(x) / mass plus
+    -i σ(k, 0) / mass on the entries [k, l = k], J the matrix of ``work``,
+    a ``model._SpectrumLattice`` (Q = ½ J X), and mass 2 + α0 k.  ``rows``
+    holds ½ S / mass and -i σ(k, 0) / mass (mean zeroed), and ``evolve``
+    scales both by each stage's step (``rate``).  Its work is O(n²),
+    against the FFT route's O(n log n).  The state goes into the
+    lattice's half-spectrum row ``work.u``, which the caller fills."""
+
+    def __init__(self, size, p):
+        self.work = _SpectrumLattice(size - 1, p.alpha0 - p.beta)
+        mass = 2.0 + p.alpha0 * np.arange(size)
+        self.rows = (self.work.weights * (0.5 / mass)[:, None],
+                     _multiplier(size, 0.0, p) / mass)
+
+    @staticmethod
+    def largest_bytes(n_modes):
+        """An (n + 1) × (2n + 1) complex matrix: the weights, their scaled
+        copies and the stage matrix."""
+        return 16 * (n_modes + 1) * (2 * n_modes + 1)
+
+    @staticmethod
+    def rate(x, rows, lattice, out):
+        """h A(x) X into ``out``, for ``rows`` scaled by h and x in
+        ``lattice.u``: the conjugate half, one weights-by-window product,
+        the linear part added on the diagonal and one matrix-vector product,
+        with no FFT."""
+        weights, linear = rows
+        matrix = _spectrum_matrix(lattice, weights)
+        np.add(lattice.diagonal, linear, lattice.diagonal)
+        return np.dot(matrix, lattice.spectrum, out)
+
+
+class _FFTStages:
+    """The FFT route: Q through ``model._products``' two product spectra
+    in ``work``, a ``_QuadraticWork``, weighed by the ``_stage_rows``
+    (``rate``).  The state goes into the workspace's input row
+    ``work.u``, which the caller fills."""
+
+    def __init__(self, size, p):
+        self.work = _QuadraticWork(size, p)
+        self.rows = _stage_rows(size, p)
+
+    @staticmethod
+    def largest_bytes(n_modes):
+        """The factor spectrum of the ``_QuadraticWork``: 4 rows of the
+        half-spectrum of the product grid of two degree-n states, complex."""
+        return 4 * 16 * (_product_grid(n_modes, n_modes, n_modes) // 2 + 1)
+
+    @staticmethod
+    def rate(x, rows, work, out):
+        """rows[0] P1 + rows[1] P2 + rows[2] x into ``out``, where P1, P2
+        are Q(x, x)'s product spectra (``model._products`` through
+        ``work``): the time derivative at x times the step the
+        ``_stage_rows`` were scaled by.  P1 and P2 are weighed in place in
+        ``work.prod``, which the next Q overwrites anyway."""
+        _products(x, work)
+        a, b, c = rows
+        p1, p2 = work.p1, work.p2
+        np.multiply(a, p1, p1)
+        np.multiply(b, p2, p2)
+        np.multiply(c, x, out)
+        np.add(out, p1, out)
+        np.add(out, p2, out)
+        return out
 
 
 def _stage_rows(size, p):
@@ -152,23 +248,6 @@ def _stage_rows(size, p):
     rows = np.array([-1j / mass, 1.0 / mass, _multiplier(size, 0.0, p) / mass])
     rows[0, 0] = 0.0
     return rows
-
-
-def _rate(x, rows, work, out):
-    """rows[0] P1 + rows[1] P2 + rows[2] x into ``out``, where P1, P2 are
-    Q(x, x)'s product spectra (``model._products`` through ``work``, the
-    ``_QuadraticWork`` of x's size): the time derivative at x times the step
-    the ``_stage_rows`` were scaled by.  P1 and P2 are weighed in place in
-    ``work.prod``, which the next Q overwrites anyway."""
-    _products(x, work)
-    a, b, c = rows
-    p1, p2 = work.p1, work.p2
-    np.multiply(a, p1, p1)
-    np.multiply(b, p2, p2)
-    np.multiply(c, x, out)
-    np.add(out, p1, out)
-    np.add(out, p2, out)
-    return out
 
 
 def evolve(f0, p, cfg):
@@ -190,12 +269,12 @@ def evolve(f0, p, cfg):
     require_size("saved states", -(-n_steps // save_every) + 1, 1, lambda n: 16 * size * n)
     saved = [*range(0, n_steps, save_every), n_steps]    # the steps saved
     spectra = np.empty((len(saved), size), dtype=complex)  # their half-spectra
-    rows = _stage_rows(size, p)
-    half, full, sixth = (tuple(h * rows) for h in (0.5 * dt, dt, dt / 6.0))
-    work = _QuadraticWork(size, p)
+    stages = _stage_route(cfg.n_modes)(size, p)
+    half, full, sixth = ([h * row for row in stages.rows] for h in (0.5 * dt, dt, dt / 6.0))
+    rate, work = stages.rate, stages.work
     # the state u and the scaled rates d1 = (dt/2) k1, d2 = (dt/2) k2,
     # d3 = dt k3, d4 = (dt/6) k4; stage inputs u + d1, u + d2, u + d3 and
-    # the next state u + d1/3 + 2 d2/3 + d3/3 + d4 go to Q's input row
+    # the next state u + d1/3 + 2 d2/3 + d3/3 + d4 go to the route's input row work.u
     block = np.empty((5, size), dtype=complex)
     u, d1, d2, d3, d4 = block
     x = work.u
@@ -204,13 +283,13 @@ def evolve(f0, p, cfg):
     # overflow inside a stage carries inf or nan into the new state
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
-            _rate(x, half, work, d1)
+            rate(x, half, work, d1)
             np.add(u, d1, x)
-            _rate(x, half, work, d2)
+            rate(x, half, work, d2)
             np.add(u, d2, x)
-            _rate(x, full, work, d3)
+            rate(x, full, work, d3)
             np.add(u, d3, x)
-            _rate(x, sixth, work, d4)
+            rate(x, sixth, work, d4)
             np.dot(RK4_WEIGHTS, block, x)
             if not np.isfinite(x).all():
                 raise NumericalError(
@@ -250,14 +329,16 @@ def _translation_gap(phi, c, traj):
     the rigid translation of that profile at speed ``c``.  The translates
     at every save time are built at once and subtracted from the
     trajectory's amplitude rows, and the gaps are sampled by one stacked
-    synthesis (``spectral._sup_norm``) on the grid of the largest degree
-    among them, never coarser than a gap's own grid.  ``phi`` is taken
-    on the trajectory's modes, as ``evolve`` takes it."""
-    phi = _on_modes(phi, traj.a.shape[1] - 1)
+    synthesis (``spectral._sup_norm``) on the grid of the trajectory's n
+    modes, never coarser than a gap's own grid: the grid does not depend on
+    which top modes roundoff leaves nonzero.  ``phi`` is taken on the
+    trajectory's modes, as ``evolve`` takes it."""
+    n = traj.a.shape[1] - 1
+    phi = _on_modes(phi, n)
     phase = np.outer(c * traj.times, np.arange(phi.a.size, dtype=float))
     cos, sin = np.cos(phase), np.sin(phase)
     return _sup_norm(traj.a - (phi.a * cos - phi.b * sin),
-                     traj.b - (phi.a * sin + phi.b * cos))
+                     traj.b - (phi.a * sin + phi.b * cos), n)
 
 
 def traveling_error_orders(phi, c, p, cfg, halvings=2, base_error=None):

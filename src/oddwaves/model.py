@@ -50,28 +50,40 @@ rows.  Their outputs are sine series by construction, with no cosine part
 to check.
 
 The evolution advances fields that need not be even or m-fold, so it
-evaluates Q(u, u) on the product grid of ``spectral`` (``_product_grid``),
-with one stacked inverse FFT for all its factors and one stacked forward
-FFT for its two product spectra P1 = F[Λu·Λu - u·w] and P2 = F[u·Hw]
-(``_products``); Q = P2 - i P1, and every mode of the state is exact.  The
-arrays of one size (the factor spectrum and the outputs of both FFTs) form
-a workspace (``_QuadraticWork``), which also holds the grid's four row
-views and the forward transform's factor 1/m as a 0-d array.  The two
-FFTs call the pocketfft kernels that ``spectral`` binds once (``_irfft``,
-``_rfft``) with that factor and those outputs.  They skip ``np.fft``'s
-per-call wrapper, which on these small grids costs about as much as the
-transforms; the kernels are the ones ``np.fft`` calls, so the floats are
-the same, and there is no fallback (see ``spectral``).  ``evolve`` passes
-one workspace to every stage; with the constants -i and 1 as 0-d arrays
-and every output passed positionally, no stage allocates, converts a
-scalar or makes a view.  σ
-(``_symbol``), its terms' natural size (``_symbol_scale``) and -i σ(k, c)
-on the half-spectrum (``_multiplier``) are written here alone.
+evaluates Q(u, u) on the full spectrum U_{-n..n} of a state of n modes, by
+one of two routes (``evolution`` picks one by n).  The first is the complex
+lattice matrix J(u) of Q's derivative (``_SpectrumLattice``): rows at
+k = 0..n, columns at l = -n..n, J = S ∘ T with the Toeplitz window
+T[k, l] = U_{k-l}, a read-only strided view of one padded array, and the
+weights S[k, l] = c(k, k-l, l) + c(k, l, k-l) of Q's mode coefficients,
+built once (``_spectrum_weights``).  By Euler's identity again,
+Q = ½ J(u) U (``_spectrum_matrix``), with O(n²) work and no FFT.  It is
+the Hill matrix of the linearization at Bloch offset 0 (Deconinck &
+Kutz, JCP 2006) and the Toeplitz form of multiplication that ``_Lattice``
+uses: on even u and cosine directions, J is K.  The second is the
+product grid of ``spectral`` (``_product_grid``), with one stacked inverse
+FFT for all the factors of Q and one stacked forward FFT for its two
+product spectra P1 = F[Λu·Λu - u·w] and P2 = F[u·Hw] (``_products``);
+Q = P2 - i P1, with O(n log n) work.  On both routes every mode of the
+state is exact.  The FFT route's arrays of one size (the factor spectrum
+and the outputs of both FFTs) form a workspace (``_QuadraticWork``), which
+also holds the grid's four row views and the forward transform's factor
+1/m as a 0-d array.  The two FFTs call the pocketfft kernels that
+``spectral`` binds once (``_irfft``, ``_rfft``) with that factor and those
+outputs.  They skip ``np.fft``'s per-call wrapper, which on these small
+grids costs about as much as the transforms; the kernels are the ones
+``np.fft`` calls, so the floats are the same, and there is no fallback
+(see ``spectral``).  ``evolve`` passes one workspace, or one lattice, to
+every stage; with the constants -i and 1 as 0-d arrays and every output
+passed positionally, no stage allocates, converts a scalar or makes a
+view.  σ (``_symbol``), its terms' natural size (``_symbol_scale``) and
+-i σ(k, c) on the half-spectrum (``_multiplier``) are written here alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -455,3 +467,64 @@ def _lattice_jacobian(matrix, sigma, alpha, p, lattice, speed_column=False):
     if speed_column:
         jac[:, 0] = _d_c_symbol(lattice.kf, p) * alpha
     return jac
+
+
+class _SpectrumLattice:
+    """The complex lattice matrix J(u) = S ∘ T(u) of Q's derivative for
+    states of n half-spectrum modes at one g: rows k = 0..n, columns
+    l = -n..n, the Toeplitz window T[k, l] = U_{k-l} of the full spectrum
+    (U_{-q} the conjugate of u_q, zero for |q| > n) times the weights S of
+    ``_spectrum_weights``, built once.  U_q sits at entry n + q of one
+    padded array, q = -n..2n: the state's half-spectrum is the view ``u``,
+    the full spectrum U_{-n..n} the view ``spectrum``, and the negative
+    half (``negative``) is the conjugate of the reversed positive tail
+    (``mirror``).  T is a read-only window of that one array, so loading a
+    state refreshes it with no gather; J is written into ``matrix``, whose
+    entries [k, l = k] are the view ``diagonal``.  The caller may write the
+    state into ``u`` itself."""
+
+    def __init__(self, n, g):
+        self.weights = _spectrum_weights(n, g)
+        pad = np.zeros(3 * n + 1, dtype=complex)
+        step = pad.strides[0]
+        self.window = as_strided(pad[2 * n :], (n + 1, 2 * n + 1), (step, -step),
+                                 writeable=False)       # [k, n + l] = pad[n + k - l]
+        self.spectrum = pad[: 2 * n + 1]
+        self.u = pad[n : 2 * n + 1]
+        self.mirror, self.negative = pad[2 * n : n : -1], pad[:n]
+        self.matrix = np.empty((n + 1, 2 * n + 1), dtype=complex)
+        self.diagonal = self.matrix.reshape(-1)[n :: 2 * n + 2]
+
+
+@lru_cache(maxsize=8)
+def _spectrum_weights(n, g):
+    """The weights S[k, l] = c(k, j, l) + c(k, l, j), j = k - l, of the
+    ``_SpectrumLattice`` of (n, g), where Q_k = Σ_{j+l=k} c(k, j, l) U_j U_l
+    and, from H, Λ and the commutator on e^{ijx} and e^{ilx},
+
+        c(k, j, l) = -i sgn(k) (|j| |l| - |l| + g |l|³) - i sgn(l) (|l| - g |l|³)
+                   = -i [sgn(k) (|j| |l| - w_l) + sgn(l) w_l],   w_l = |l| - g |l|³.
+
+    Written with w, every weight that vanishes exactly is an exact zero:
+    those of a mean factor (j = 0 or l = 0), whose terms cancel pairwise,
+    and row 0 (j = -l), so Q has no mean mode and a constant has no Q.
+    Read-only, and kept for the last few (n, g), so an ``rhs`` call or an
+    integration of a size seen before builds none."""
+    k = np.arange(n + 1, dtype=float)[:, None]
+    l = np.arange(-n, n + 1, dtype=float)
+    j = k - l
+    w_l, w_j = (np.abs(q) - g * np.abs(q) ** 3 for q in (l, j))
+    cross = np.abs(j) * np.abs(l)
+    weights = -1j * (np.sign(k) * (cross - w_l) + np.sign(l) * w_l
+                     + np.sign(k) * (cross - w_j) + np.sign(j) * w_j)
+    weights.setflags(write=False)
+    return weights
+
+
+def _spectrum_matrix(lattice, weights):
+    """weights ∘ T(u) of the ``_SpectrumLattice`` for the state already in
+    ``lattice.u``, in ``lattice.matrix``: J(u) for the lattice's own
+    weights, and J(u) U = 2 Q(u, u) with U = ``lattice.spectrum``.  The
+    negative half of the spectrum is written first."""
+    np.conjugate(lattice.mirror, lattice.negative)
+    return np.multiply(weights, lattice.window, lattice.matrix)

@@ -31,10 +31,13 @@ All linear operators act diagonally per mode and are exact:
     zygmund:     multiplies mode k by |k| = k  (equals hilbert ∘ d/dx)
     derivative:  the usual spectral derivative
 
-Every pointwise product, here, in ``holder`` and in ``model``, of factors of
-degrees d_u, d_v whose modes 0..n_out are kept is formed on the grid of one
-rule (``_product_grid``): the smallest power of two M >= max(8, d_u + d_v +
-2 + n_out).  Aliasing folds mode d_u + d_v onto M - d_u - d_v > n_out.
+Every pointwise product on a grid, here, in ``holder`` and in ``model``, of
+factors of degrees d_u, d_v whose modes 0..n_out are kept is formed on the
+grid of one rule (``_product_grid``): the smallest power of two M >=
+max(8, d_u + d_v + 2 + n_out).  Aliasing folds mode d_u + d_v onto
+M - d_u - d_v > n_out.  The model's lattice matrices (``model._Lattice``,
+and ``model._SpectrumLattice``, the stage kernel of the time evolution's
+small states) multiply by convolution instead and use no grid.
 One slow principal-value quadrature of the singular-integral forms of the
 Hilbert and Zygmund operators (``operators_by_quadrature``) gives both
 images on a field's own grid from one pass over one node lattice, an
@@ -42,13 +45,14 @@ independent cross-check of the mode maps; it is never used on the
 production path.
 
 Every production transform, here (``_synthesize``, ``_analyze``) and in
-``model`` (``_products``), calls numpy's pocketfft kernels, bound once in
-this module (``_irfft``, ``_rfft``).  They are the kernels ``np.fft.irfft``
-and ``np.fft.rfft`` call after a Python wrapper that checks the arguments,
-picks the kernel and the normalisation factor and allocates the output; on
-the small grids of an RK4 stage that wrapper costs about as much as the
-transform.  The callers pass the factor ``np.fft``
-would pass and an output of the right shape.  Every grid is even, so the
+``model`` (``_products``, the stage kernel of the time evolution's states
+above ``evolution.LATTICE_STAGE_MODES`` modes), calls numpy's pocketfft
+kernels, bound once in this module (``_irfft``, ``_rfft``).  They are the
+kernels ``np.fft.irfft`` and ``np.fft.rfft`` call after a Python wrapper
+that checks the arguments, picks the kernel and the normalisation factor
+and allocates the output; on the small grids of an RK4 stage that wrapper
+costs about as much as the transform.  The callers pass the factor
+``np.fft`` would pass and an output of the right shape.  Every grid is even, so the
 even-length forward kernel is the only one needed, and the sites that
 transform forward assert it.  The kernels and factors are unchanged, so
 every float is the one ``np.fft`` gives.  There is no fallback to
@@ -266,12 +270,15 @@ def _degree(a, b):
     return int(nz[-1]) if nz.size else 0
 
 
-def _sup_norm(a, b):
+def _sup_norm(a, b, degree=None):
     """Max absolute value of the field with amplitudes (a, b), or of every
     row of a stack of them, on the grid of ``SpectralField.sup_norm``: the
     power of two >= max(64, SUP_OVERSAMPLE · (degree + 1)) for the largest
-    degree, which resolves every row and holds each row's own grid."""
-    grid = _next_pow2(max(64, SUP_OVERSAMPLE * (_degree(a, b) + 1)))
+    degree, which resolves every row and holds each row's own grid.  A
+    caller may pass the degree whose grid it wants instead, at least the
+    largest."""
+    degree = _degree(a, b) if degree is None else degree
+    grid = _next_pow2(max(64, SUP_OVERSAMPLE * (degree + 1)))
     return float(np.max(np.abs(_synthesize(a, b, grid))))
 
 

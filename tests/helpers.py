@@ -533,7 +533,8 @@ def reference_branch(m, p, s_max, n=bifurcation.DEFAULT_TRUNCATION, tol=bifurcat
         except _NoConvergence as exc:
             failure = (f"Newton did not converge within {max_iter} iterations at "
                        f"s = {trial[0]:.6g} on {n} lattice modes (residual "
-                       f"{exc.residual_norm:.3e}); branch truncated at |s| = {s_abs:.6g}")
+                       f"{exc.residual_norm:.3e}) after {exc.solves} linear solves; "
+                       f"branch truncated at |s| = {s_abs:.6g}")
             break
         c, alpha = c_new, trial
         s_abs += step

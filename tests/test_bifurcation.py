@@ -550,11 +550,14 @@ class TestLatticeFollowsTheWave:
         """The same steps and the same stop, c and α equal to roundoff, and
         every amplitude past the lattice used an exact zero.  A stall's
         message names the same steps; its residual is that of the last
-        iterate, which in a diverging Newton differs past roundoff."""
+        iterate, which in a diverging Newton differs past roundoff, and its
+        solve count includes, on the growing lattice, the attempts that
+        regrew it."""
         fast, slow = continue_branch(m, p, 0.05), reference_branch(m, p, 0.05)
         assert [pt.s for pt in fast.points] == [pt.s for pt in slow.points]
         assert fast.truncated == slow.truncated
-        unstalled = [re.sub(r"residual \S+", "", br.failure or "") for br in (fast, slow)]
+        unstalled = [re.sub(r"residual \S+|after \d+ ", "", br.failure or "")
+                     for br in (fast, slow)]
         assert unstalled[0] == unstalled[1]
         assert fast.modes_used <= bif.DEFAULT_TRUNCATION
         for f, s in zip(fast.points[1:], slow.points[1:]):
@@ -587,6 +590,25 @@ class TestLatticeFollowsTheWave:
         br = continue_branch(m, p, 0.05)
         assert not br.truncated
         assert sum(pt.newton_iters for pt in br.points) == len(made) == solves
+
+    def test_truncating_step_names_its_solves(self, monkeypatch):
+        """A step that truncates the branch has no point to count its
+        solves on, so ``failure`` names them: the resonant fold 3 of bench
+        seed 3107 (cap 64) makes 48 solves, its points count 20, and the
+        message says 28."""
+        made = []
+        solve = bif.np.linalg.solve
+
+        def counted(*args):
+            made.append(None)
+            return solve(*args)
+
+        monkeypatch.setattr(bif.np.linalg, "solve", counted)
+        p = ModelParams(0.5403454963757143, 0.8213213231130014, 0.5702351077242709)
+        br = continue_branch(3, p, 0.05, n=64)
+        assert br.truncated and "truncated" in br.failure
+        assert (len(made), sum(pt.newton_iters for pt in br.points)) == (48, 20)
+        assert " after 28 linear solves; branch truncated at " in br.failure
 
     def test_default_folds_use_a_fraction_of_the_cap(self):
         """At the defaults the folds stop growing well short of the cap."""

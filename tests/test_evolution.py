@@ -1,5 +1,7 @@
 """Time-evolution validation tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,13 +24,14 @@ from oddwaves import (
     translate,
     traveling_error,
 )
-from oddwaves.evolution import (ROUNDOFF_FLOOR, Trajectory, _translation_gap,
-                                traveling_error_orders)
+from oddwaves.evolution import (LATTICE_STAGE_MODES, ROUNDOFF_FLOOR, Trajectory,
+                                _translation_gap, traveling_error_orders)
 from oddwaves.model import d_c_residual
 
 from helpers import (
     ORACLE_PARAMS,
     as_fields,
+    coeff_gap,
     cosine,
     count_fields,
     count_real_ffts,
@@ -124,6 +127,23 @@ class TestRhs:
 
 class TestRhsFromBracket:
     """``rhs`` divides the model's bracket by the mass operator."""
+
+    @pytest.mark.parametrize("p", ORACLE_PARAMS)
+    @pytest.mark.parametrize("n", [1, 2, 8, 12, LATTICE_STAGE_MODES, LATTICE_STAGE_MODES + 1])
+    def test_both_routes_match_reference(self, n, p):
+        """On either side of ``LATTICE_STAGE_MODES``, and at the small n of
+        branch lattices, ``rhs`` of non-even states with a mean is the
+        field oracle's to roundoff, relative to the larger of the oracle's
+        largest amplitude and the state's squared: at n = 1, α0 = β and
+        ε = 1, σ(1, 0) = 0 and Q vanishes, so the oracle's rhs is roundoff
+        and the lattice route's exact zeros."""
+        rng = np.random.default_rng(n + 11)
+        for _ in range(2):
+            f = random_field(rng, n, mean=rng.standard_normal())
+            want = reference_rhs(f, p)
+            scale = max(np.abs(want.a).max(), np.abs(want.b).max(),
+                        max(np.abs(f.a).max(), np.abs(f.b).max()) ** 2)
+            assert coeff_gap(rhs(f, p), want) <= 1e-13 * scale
 
     @pytest.mark.parametrize("p", ORACLE_PARAMS)
     @pytest.mark.parametrize("n", [16, 64, 256])
@@ -236,13 +256,16 @@ class TestEvolve:
     def test_equals_run_through_reference_kernel(self, p):
         """Every saved state is the one the allocating RK4 loop gives
         through the per-factor ``reference_quadratic``, to roundoff (the
-        stages weigh Q's product spectra with pre-scaled rows, so the floats
-        are summed in another order), for even and odd data, saved every
-        step or every few steps."""
+        stages weigh Q with pre-scaled rows, so the floats are summed in
+        another order), for even and odd data, saved every step or every few
+        steps, on both sides of ``LATTICE_STAGE_MODES``: the last n of the
+        lattice route and the first of the FFT route."""
         rng = np.random.default_rng(62)
-        for even, save_every in ((False, 1), (True, 1), (False, 3), (True, 7)):
-            f = random_field(rng, 32, even=even, mean=0.3, decay=2.0)
-            cfg = EvolutionConfig(dt=1e-3, t_final=0.02, n_modes=32,
+        for n, (even, save_every) in itertools.product(
+                (LATTICE_STAGE_MODES, LATTICE_STAGE_MODES + 1),
+                ((False, 1), (True, 1), (False, 3), (True, 7))):
+            f = random_field(rng, n, even=even, mean=0.3, decay=2.0)
+            cfg = EvolutionConfig(dt=1e-3, t_final=0.02, n_modes=n,
                                   save_every=save_every)
             calls = []
 
@@ -252,17 +275,27 @@ class TestEvolve:
 
             want = reference_rk4(f, p, cfg, quadratic=oracle)
             got = evolve(f, p, cfg)
-            assert calls == [32] * (4 * 20)
+            assert calls == [n] * (4 * 20)
             assert len(want) == 20 // save_every + (20 % save_every != 0)
             assert len(as_fields(got)) == 1 + len(want)
             for state, (a, b) in zip(as_fields(got)[1:], want):
                 assert relative_gap(state, SpectralField(a, b)) <= 1e-13
 
     def test_one_transform_each_way_per_stage(self, monkeypatch):
+        """Above ``LATTICE_STAGE_MODES`` a stage is one stacked transform
+        each way."""
         counts = count_real_ffts(monkeypatch)
-        cfg = EvolutionConfig(dt=1e-3, t_final=5e-3, n_modes=16)
-        evolve(cosine(2, 0.1, n=16), PA, cfg)
+        cfg = EvolutionConfig(dt=1e-3, t_final=5e-3, n_modes=64)
+        evolve(cosine(2, 0.1, n=64), PA, cfg)
         assert counts == {"irfft": 4 * 5, "rfft": 4 * 5}
+
+    def test_lattice_route_makes_no_transform(self, monkeypatch):
+        """Up to ``LATTICE_STAGE_MODES`` a stage makes no FFT."""
+        counts = count_real_ffts(monkeypatch)
+        n = LATTICE_STAGE_MODES
+        evolve(cosine(2, 0.1, n=n), PA, EvolutionConfig(dt=1e-3, t_final=5e-3, n_modes=n))
+        rhs(cosine(2, 0.1, n=n), PA)
+        assert counts == {}
 
     def test_rejects_oversized_initial_data(self):
         """f0 whose degree passes n_modes is refused, by its modes."""
@@ -340,6 +373,20 @@ class TestTravelingError:
         fine = max(np.abs((state - phi).values(256)).max() for state in states)
         assert got == fine
 
+    def test_gap_grid_is_the_grid_of_the_trajectory_modes(self):
+        """Gaps whose top modes are exact zeros are sampled on the grid of
+        the trajectory's n, not on that of their own largest degree, which
+        roundoff decides: a mode-3 gap of a 48-mode trajectory is sampled
+        on 256 points, where the 64 points of its degree miss its peak."""
+        a, b = np.zeros(49), np.zeros(49)
+        theta = 3 * 2 * np.pi / 128    # cos(3x - θ) peaks between 64-grid points
+        a[3], b[3] = 1e-3 * np.cos(theta), 1e-3 * np.sin(theta)
+        gap = SpectralField(a, b)
+        traj = Trajectory(times=np.zeros(2), a=np.array([0.0 * a, a]), b=np.array([0.0 * b, b]),
+                          dt_effective=0.1, mass_drift=0.0)
+        got = _translation_gap(SpectralField(np.zeros(49)), 0.3, traj)
+        assert got == np.abs(gap.values(256)).max() > gap.sup_norm()
+
     def test_small_amplitude_branch_point(self, branch_point):
         cfg = EvolutionConfig(dt=1e-3, t_final=0.5, n_modes=48)
         assert traveling_error(*branch_point, PA, cfg) < 1e-4
@@ -372,23 +419,33 @@ class TestOnTheBranchLattice:
     both runs must agree at roundoff.  Measured on these points (the
     default folds, and fold 1 at the ends and middle of the travel
     workload's amplitudes; its step 2e-4 to t = 0.06), in units of
-    ε_mach sup|φ|: the traveling errors, 4.7 to 124, differ by at most
-    0.57 (fold 2; the cap run's gaps carry roundoff up to mode 128, so they
-    are sampled on a finer grid), the mass drifts by at most 3.9e-6, the
+    ε_mach sup|φ|, with both runs on the FFT route: the traveling errors,
+    4.7 to 124, differ by at most 0.57 (fold 2; the cap run's gaps carry
+    roundoff up to mode 128), the mass drifts by at most 3.9e-6, the
     states on the shared modes by at most 4.6e-4, and the cap run's modes
-    above the lattice reach at most 2.3e-3."""
+    above the lattice reach at most 2.3e-3.  The shared-mode bound is below
+    one ulp of the largest amplitude, so it holds only for runs in the same
+    arithmetic; the reduced run's own route (the lattice route up to
+    ``LATTICE_STAGE_MODES``) is compared with the FFT route's run on the
+    same modes, where the largest amplitudes move by about one ulp
+    (at most 4.8e-2 of the unit measured, fold 2)."""
 
     @pytest.mark.parametrize("fold, s", [(1, 0.01), (1, 0.02), (1, 0.03), (2, 0.02), (3, 0.02)])
-    def test_reduced_run_equals_the_cap_run(self, fold, s):
+    def test_reduced_run_equals_the_cap_run(self, fold, s, monkeypatch):
         branch = continue_branch(fold, PA, s)
         phi, c = branch.profile(-1), branch.points[-1].c
         n = fold * branch.modes_used
         assert n < fold * 64
-        reduced, cap = (evolve(phi, PA, EvolutionConfig(dt=2e-4, t_final=0.06, n_modes=k))
-                        for k in (n, fold * 64))
+        configs = [EvolutionConfig(dt=2e-4, t_final=0.06, n_modes=k) for k in (n, fold * 64)]
+        routed = evolve(phi, PA, configs[0])
+        monkeypatch.setattr(evolution, "_stage_route", lambda n_modes: evolution._FFTStages)
+        reduced, cap = (evolve(phi, PA, cfg) for cfg in configs)
         unit = np.finfo(float).eps * phi.sup_norm()
         assert abs(_translation_gap(phi, c, reduced) - _translation_gap(phi, c, cap)) <= unit
         assert abs(reduced.mass_drift - cap.mass_drift) <= 1e-4 * unit
         for rows, cap_rows in ((reduced.a, cap.a), (reduced.b, cap.b)):
             assert np.abs(rows - cap_rows[:, : n + 1]).max() <= 1e-2 * unit
             assert np.abs(cap_rows[:, n + 1:]).max() <= 1e-2 * unit
+        assert abs(_translation_gap(phi, c, routed) - _translation_gap(phi, c, reduced)) <= unit
+        for rows, fft_rows in ((routed.a, reduced.a), (routed.b, reduced.b)):
+            assert np.abs(rows - fft_rows).max() <= 0.1 * unit

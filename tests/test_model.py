@@ -17,7 +17,8 @@ from oddwaves import (
     symbol_at,
 )
 from oddwaves.bifurcation import continue_branch
-from oddwaves.model import _Lattice, _QuadraticWork, d_c_residual
+from oddwaves.evolution import LATTICE_STAGE_MODES
+from oddwaves.model import _Lattice, _QuadraticWork, _SpectrumLattice, d_c_residual
 from oddwaves.spectral import _hat
 
 from helpers import (
@@ -329,6 +330,68 @@ class TestStackedQuadratic:
                 assert work.prod.tobytes() == prod.tobytes()
                 grids.add(work.m)
         assert grids == {1 << k for k in range(3, 13)}
+
+
+class TestSpectrumLattice:
+    """The complex lattice matrix J(u) of Q's derivative on the full
+    spectrum (``model._SpectrumLattice``), the stage kernel of the lattice
+    route of ``evolution``."""
+
+    @staticmethod
+    def matrix(u, p):
+        """J(u) for the half-spectrum u, as a new array."""
+        lattice = _SpectrumLattice(u.size - 1, p.alpha0 - p.beta)
+        lattice.u[:] = u
+        return model._spectrum_matrix(lattice, lattice.weights).copy(), lattice.spectrum
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_cosine_directions_equal_newton_matrix(self, m):
+        """For an even m-fold φ of n lattice modes, J(φ) on the directions
+        cos(jmx), j = 1..n, read as sine amplitudes at m..nm, is the first n
+        rows of Newton's lattice matrix K (``model._lattice_matrix``, the
+        K that ``_lattice_jacobian`` adds σ to): the two matrices are one
+        derivative on two bases.  On a branch profile and on random
+        amplitudes, with a mean, which neither reads."""
+        rng = np.random.default_rng(40 + m)
+        branch = continue_branch(m, ModelParams(0.5, 1.0, 0.5), 0.05)
+        n = branch.modes_used
+        profiles = [(branch.profile(-1).truncate(m * n), ModelParams(0.5, 1.0, 0.5))]
+        profiles += [(random_mfold_even(rng, m, m * n) + CosineSeries([0.7]), p)
+                     for p in ORACLE_PARAMS]
+        for phi, p in profiles:
+            j_matrix, _ = self.matrix(_hat(phi.a, phi.b), p)
+            directions = np.zeros((2 * m * n + 1, n))
+            for j in range(1, n + 1):
+                directions[m * n + j * m, j - 1] = directions[m * n - j * m, j - 1] = 0.5
+            images = j_matrix @ directions
+            lattice = _Lattice(m, n, p.alpha0 - p.beta)
+            want = model._lattice_matrix(model._on_lattice(phi.a, lattice), lattice)[:n]
+            scale = np.abs(want).max()
+            assert np.abs(-2.0 * images.imag[m::m] - want).max() <= 1e-13 * scale
+            assert np.abs(images.real).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("p", ORACLE_PARAMS)
+    @pytest.mark.parametrize("n", [1, 2, 8, 12, LATTICE_STAGE_MODES])
+    def test_half_product_is_the_quadratic(self, n, p):
+        """½ J(u) U = Q(u, u) of the per-factor oracle on u's modes, for
+        non-even states with a mean, relative to the larger of Q and |u|²
+        (at n = 1, Q vanishes identically)."""
+        rng = np.random.default_rng(n + 7)
+        for _ in range(2):
+            u = TestStackedQuadratic.random_hat(rng, n)
+            j_matrix, spectrum = self.matrix(u, p)
+            want = reference_quadratic(u, u, p, n)
+            scale = max(np.abs(want).max(), np.abs(u).max() ** 2)
+            assert np.abs(0.5 * (j_matrix @ spectrum) - want).max() <= 1e-13 * scale
+
+    def test_mean_factor_weights_are_exact_zeros(self):
+        """Every weight of a mean factor (j = 0 or l = 0) and all of row 0
+        is an exact zero, off the defaults too, so a constant state has
+        exactly no Q and Q no mean mode."""
+        n = 12
+        weights = model._spectrum_weights(n, 0.8213 - 0.5702)
+        k, l = np.arange(n + 1)[:, None], np.arange(-n, n + 1)
+        assert not weights[(k == l) | (l == 0) | (k == 0)].any()
 
 
 class TestGateaux:

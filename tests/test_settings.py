@@ -275,9 +275,13 @@ def _scan_charge(monkeypatch, n):
 
 
 def _integration_charge(monkeypatch, n):
+    """The arrays of the route n takes: the ``_SpectrumLattice`` up to
+    ``LATTICE_STAGE_MODES`` modes, the ``_QuadraticWork`` above."""
     works = _recorded(monkeypatch, evolution, "_QuadraticWork")
+    lattices = _recorded(monkeypatch, evolution, "_SpectrumLattice")
     evolve(cosine(1, 0.1, n=n), P, EvolutionConfig(dt=1e-3, t_final=1e-3, n_modes=n))
-    return _integration_bytes(n), _largest_held(*works)
+    assert (len(lattices), len(works)) == ((1, 0) if n <= evolution.LATTICE_STAGE_MODES else (0, 1))
+    return _integration_bytes(n), _largest_held(*works, *lattices)
 
 
 def _holder_charge(monkeypatch, m):
@@ -319,7 +323,8 @@ def test_size_rule_charges_its_largest_array(monkeypatch, charge, sizes):
     ``_Lattice`` of ``assemble_jacobian``; a branch's ``_Lattice`` and its
     points' profiles, where the lattice (fold 1, on a branch whose tail
     grows its lattice to the cap) or the profile (fold 64) is the larger; the frequencies and multipliers of a kernel scan; the
-    ``_QuadraticWork`` of an integration; and the wrapped samples of a
+    ``_SpectrumLattice`` or ``_QuadraticWork`` of an integration, by the
+    route its n takes; and the wrapped samples of a
     one-row seminorm scan on grids where one lag's gather, m float64, is
     the step."""
     charged, built = charge(monkeypatch, *sizes)

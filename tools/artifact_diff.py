@@ -17,7 +17,10 @@ which starts from the trivial branch point (c_1, 0), ``evolve --s 0.02
 there too, ``evolve --s 0.02 --modes 8``, whose branch solves on all 8
 modes of its cap, so a run on the same n on both sides of a change to
 the n rule is compared, ``evolve --s 0.03``, the travel workload's top
-amplitude, whose lattice grows to 12 modes, ``verify`` and ``selftest``,
+amplitude, whose lattice grows to 12 modes, ``evolve --fold 3 --s 0.02``
+(54 modes) and ``evolve --fold 3 --s 0.2`` (123 modes), both above
+``evolution.LATTICE_STAGE_MODES``, so runs on the FFT route are compared
+beside the lattice route's, ``verify`` and ``selftest``,
 at the defaults; ``verify`` and ``selftest``, the commands
 that read a seed, at ``--seed 7`` and at ``--seed 30113``, whose
 commutator bound fails, so the failing report (exit 3) is compared too;
@@ -73,6 +76,8 @@ COMMANDS = {
                             "--alpha0", "0.8213", "--beta", "0.5702"],
     "evolve-modes8": ["evolve", "--s", "0.02", "--modes", "8"],
     "evolve-s0.03": ["evolve", "--s", "0.03"],
+    "evolve-fold3": ["evolve", "--fold", "3", "--s", "0.02"],
+    "evolve-fold3-s0.2": ["evolve", "--fold", "3", "--s", "0.2"],
     "verify": ["verify"],
     "selftest": ["selftest"],
 }
